@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     ArgumentError,
-    CapacityError,
     ConfigError,
     DomainError,
     NumericalError,
@@ -37,7 +36,6 @@ from .tensors import (
     trace,
 )
 from .norms import (
-    NormKind,
     gauge_rho,
     k_trace,
     ky_fan_norm,

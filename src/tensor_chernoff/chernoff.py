@@ -2,13 +2,18 @@
 expectations, the main tail bound with its minimization over t, and Monte
 Carlo tail estimates.
 
-The exact expectation of the walk's tensor-exponential trace is computed by
-powering the block operator ``F (A kron I)`` against ``u0 = 1/sqrt(n) kron
-vec(I)``.  The diagonal blocks are ``T_v = E_v kron conj(E_v)`` with ``E_v =
-exp(t g(v) (a + i b) / 2)``: conjugating the second factor makes the
-vec-trace identity exact for complex Hermitian ``g`` (for real symmetric
-``g`` it reduces to the usual ``E_v kron exp(t g (a - i b) / 2)`` form), and
-it changes none of the norm bounds since ``||conj(g)|| = ||g||``.
+The transfer operator ``F (A kron I)`` acts on ``n`` blocks of ``d x d``
+matrices, one per vertex, and is never formed.  With row-major vec the
+diagonal block ``T_v = E_v kron conj(E_v)``, ``E_v = exp(t g(v) (a + i b) /
+2)``, satisfies ``(E kron conj E) vec X = vec(E X E^H)``, so one application
+on an ``(n, d, d)`` stack is ``X_u <- E_u (mean over the slots v of u of X_v)
+E_u^H``: a gather over the graph's edge slots and two batched matrix
+products.  Conjugating the second factor makes the vec-trace identity exact
+for complex Hermitian ``g`` (for real symmetric ``g`` it reduces to the usual
+``E_v kron exp(t g (a - i b) / 2)`` form), and it changes none of the norm
+bounds since ``||conj(g)|| = ||g||``.  The exact expectation powers the
+operator against ``X_v = I / sqrt(n)``; the contraction certificate splits
+probes into their vertex mean (the parallel part) and the rest.
 
 Monte Carlo tail estimates draw walk ``i`` from the stream keyed
 ``(seed, DOMAIN_WALK, i)``, so estimates are reproducible for a fixed
@@ -28,19 +33,17 @@ import numpy as np
 
 from .errors import (
     ArgumentError,
-    CapacityError,
     DomainError,
     NumericalError,
     PreconditionError,
 )
-from .graphs import RegularGraph, load_edge_list, normalized_adjacency, sample_walks_array, save_edge_list
+from .graphs import RegularGraph, load_edge_list, sample_walks_array, save_edge_list
 from .inequalities import beta0_density
 from .io import load_tensor, save_tensor
 from .rng import DOMAIN_PROBE, DOMAIN_TENSORS, stream
 from .sampling import random_bounded_hermitian
 from .tensors import HermitianTensor, TensorShape, as_hermitian
 
-TRANSFER_CAPACITY_CAP = 4096  # max n * dim^2 for the dense block operator
 DEFAULT_TAIL_CHUNK = 8192
 
 
@@ -184,46 +187,29 @@ class ChernoffParams:
 
 
 # ---------------------------------------------------------------------------
-# Contraction machinery (block operator)
+# Contraction machinery (transfer operator on (n, d, d) stacks)
 # ---------------------------------------------------------------------------
 
 def gamma_bounds(t: float, r: float, a: float, b: float, lam: float) -> tuple[float, float, float, float]:
-    """Contraction factors of the block operator on the parallel/orthogonal split."""
+    """Contraction factors of the transfer operator on the parallel/orthogonal split."""
     e = math.exp(t * r * math.hypot(a, b))
     return e, lam * (e - 1.0), e - 1.0, lam * e
 
 
-def _vertex_block(g_matrix: np.ndarray, t: float, a: float, b: float) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(g_matrix)
-    e = (vecs * np.exp(t * (a + 1j * b) / 2.0 * vals)) @ vecs.conj().T
-    return np.kron(e, e.conj())
+def _vertex_exponentials(assignment: VertexTensorAssignment, t: float, a: float, b: float) -> np.ndarray:
+    """(n, d, d) stack of ``E_v = exp(t g(v) (a + i b) / 2)`` from one batched ``eigh``."""
+    vals, vecs = np.linalg.eigh(assignment.stack())
+    return (vecs * np.exp(t * (a + 1j * b) / 2.0 * vals)[:, None, :]) @ vecs.conj().swapaxes(1, 2)
 
 
-def _block_operator(assignment: VertexTensorAssignment, t: float, a: float, b: float):
-    """Dense ``F (A kron I)`` matrix plus ``u0``; guarded by the capacity cap."""
-    n, d2 = assignment.graph.n, assignment.dim ** 2
-    size = n * d2
-    if size > TRANSFER_CAPACITY_CAP:
-        raise CapacityError(
-            f"block operator size n * dim^2 = {size} exceeds cap {TRANSFER_CAPACITY_CAP}"
-        )
-    blocks = [_vertex_block(g.matrix, t, a, b) for g in assignment.tensors]
-    a_norm = normalized_adjacency(assignment.graph)
-    op = np.zeros((size, size), dtype=np.complex128)
-    # F is block diagonal, so F (A kron I) has (u, v) block A_uv * T_u
-    for u in range(n):
-        for v in range(n):
-            if a_norm[u, v] != 0.0:
-                op[u * d2:(u + 1) * d2, v * d2:(v + 1) * d2] = a_norm[u, v] * blocks[u]
-    ident = np.eye(assignment.dim, dtype=np.complex128)
-    u0 = np.kron(np.ones(n) / math.sqrt(n), ident.ravel()).astype(np.complex128)
-    return op, u0
+def _transfer_apply(es: np.ndarray, slots: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``F (A kron I)`` on an (n, d, d) stack: ``X_u <- E_u (mean over slots v of u of X_v) E_u^H``."""
+    return es @ x[slots].mean(axis=1) @ es.conj().swapaxes(1, 2)
 
 
-def _split_parallel(vec: np.ndarray, n: int, d2: int) -> tuple[np.ndarray, np.ndarray]:
-    mat = vec.reshape(n, d2)
-    par = np.broadcast_to(mat.mean(axis=0), (n, d2))
-    return par.ravel(), (mat - par).ravel()
+def _split_parallel(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    par = np.broadcast_to(x.mean(axis=0), x.shape)
+    return par, x - par
 
 
 @dataclass(frozen=True)
@@ -250,18 +236,19 @@ def contraction_certificate(
 
     lam = spectral_expansion(assignment.graph)
     gammas = gamma_bounds(t, assignment.radius, a, b, lam)
-    op, _ = _block_operator(assignment, t, a, b)
-    n, d2 = assignment.graph.n, assignment.dim ** 2
+    es = _vertex_exponentials(assignment, t, a, b)
+    slots = assignment.graph.edge_slots()
+    n, d = assignment.graph.n, assignment.dim
     rng = stream(seed, DOMAIN_PROBE)
     worst = [0.0, 0.0, 0.0, 0.0]
     for _ in range(num_probes):
-        u = rng.standard_normal(n * d2) + 1j * rng.standard_normal(n * d2)
-        par, perp = _split_parallel(u, n, d2)
+        u = rng.standard_normal(n * d * d) + 1j * rng.standard_normal(n * d * d)
+        par, perp = _split_parallel(u.reshape(n, d, d))
         for idx, comp in ((0, par), (1, perp)):
             nrm = np.linalg.norm(comp)
             if nrm < 1e-12:
                 continue
-            out_par, out_perp = _split_parallel(op @ comp, n, d2)
+            out_par, out_perp = _split_parallel(_transfer_apply(es, slots, comp))
             if idx == 0:  # parallel input: parts 1 and 3
                 worst[0] = max(worst[0], np.linalg.norm(out_par) / nrm)
                 worst[2] = max(worst[2], np.linalg.norm(out_perp) / nrm)
@@ -278,14 +265,17 @@ def transfer_expectation(
     assignment: VertexTensorAssignment, t: float, a: float, b: float, kappa: int
 ) -> float:
     """Exact ``E[Tr(prod exp(t g(v_i)(a+ib)/2) prod exp(t g(v_i)(a-ib)/2))]``
-    under the stationary walk, via ``kappa`` applications of the block operator."""
+    under the stationary walk, via ``kappa`` applications of the transfer operator."""
     if kappa < 1:
         raise ArgumentError(f"kappa must be >= 1, got {kappa}")
-    op, u0 = _block_operator(assignment, t, a, b)
-    w = u0.astype(np.complex128)
+    es = _vertex_exponentials(assignment, t, a, b)
+    slots = assignment.graph.edge_slots()
+    n, d = assignment.graph.n, assignment.dim
+    x0 = np.broadcast_to(np.eye(d, dtype=np.complex128) / math.sqrt(n), (n, d, d))
+    w = x0
     for _ in range(kappa):
-        w = op @ w
-    val = complex(np.vdot(u0, w))
+        w = _transfer_apply(es, slots, w)
+    val = complex(np.vdot(x0, w))
     scale = max(1.0, abs(val.real))
     if abs(val.imag) > 1e-9 * scale:
         raise NumericalError(f"transfer expectation has imaginary residue {val.imag:.3e}")

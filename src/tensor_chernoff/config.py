@@ -9,6 +9,7 @@ typos fail loudly with a section/key diagnostic.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -102,6 +103,9 @@ def _get(parser, section, key, cast, default, errors):
     raw = parser.get(section, key)
     try:
         return cast(raw)
+    except ConfigError as exc:
+        errors.append(f"[{section}] {key}: {exc}, got {raw!r}")
+        return default
     except (ValueError, TypeError):
         errors.append(f"[{section}] {key}: cannot parse {raw!r}")
         return default
@@ -111,8 +115,15 @@ def _int_list(raw: str) -> tuple[int, ...]:
     return tuple(int(x) for x in raw.split())
 
 
+def _float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ConfigError("values must be finite")
+    return value
+
+
 def _float_list(raw: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in raw.split())
+    return tuple(_float(x) for x in raw.split())
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -165,7 +176,7 @@ def parse_config(text: str) -> ExperimentConfig:
     tensors = TensorSpec(
         source=source,
         row_dims=_get(parser, "tensors", "row_dims", _int_list, (2,), errors),
-        radius=_get(parser, "tensors", "radius", float, 1.0, errors),
+        radius=_get(parser, "tensors", "radius", _float, 1.0, errors),
         manifest=_get(parser, "tensors", "manifest", str, "", errors),
     )
     if source == "manifest":
@@ -177,7 +188,7 @@ def parse_config(text: str) -> ExperimentConfig:
         errors.append(f"[tensors] radius must be positive, got {tensors.radius}")
 
     coeffs = _get(parser, "poly", "coefficients", _float_list, (0.0, 1.0), errors)
-    power = _get(parser, "poly", "power", float, 1.0, errors)
+    power = _get(parser, "poly", "power", _float, 1.0, errors)
     if any(c < 0 for c in coeffs):
         errors.append(f"[poly] coefficients must be nonnegative, got {coeffs}")
     if power < 1:
@@ -197,14 +208,14 @@ def parse_config(text: str) -> ExperimentConfig:
     if any(t <= 0 for t in theta_grid):
         errors.append(f"[sweep] theta_grid must be positive, got {theta_grid}")
 
-    quad_truncation = _get(parser, "quadrature", "truncation", float, 6.0, errors)
+    quad_truncation = _get(parser, "quadrature", "truncation", _float, 6.0, errors)
     quad_nodes = _get(parser, "quadrature", "nodes", int, 256, errors)
     if quad_truncation <= 0:
         errors.append(f"[quadrature] truncation must be positive, got {quad_truncation}")
     if quad_nodes < 16:
         errors.append(f"[quadrature] nodes must be >= 16, got {quad_nodes}")
 
-    window = _get(parser, "domination", "window", float, 6.0, errors)
+    window = _get(parser, "domination", "window", _float, 6.0, errors)
     sigma_grid = _get(parser, "domination", "sigma_grid", _float_list, (0.7, 1.0, 1.5, 2.0, 3.0), errors)
     if window <= 0:
         errors.append(f"[domination] window must be positive, got {window}")

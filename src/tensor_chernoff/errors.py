@@ -25,10 +25,6 @@ class PreconditionError(TensorChernoffError, ValueError):
     """The hypotheses of a bound do not hold, so the bound is not claimed."""
 
 
-class CapacityError(TensorChernoffError, ValueError):
-    """An exact computation would exceed the configured size cap."""
-
-
 class QuadratureError(TensorChernoffError, RuntimeError):
     """Estimated quadrature or truncation error exceeds the requested tolerance."""
 

@@ -70,10 +70,8 @@ class RegularGraph:
 
     def edge_slots(self) -> np.ndarray:
         """(n, d) table: row u lists neighbors of u, each repeated by multiplicity."""
-        out = np.empty((self.n, self.degree), dtype=np.int64)
-        for u in range(self.n):
-            out[u] = np.repeat(np.arange(self.n), self.adjacency[u])
-        return out
+        n = self.n
+        return np.repeat(np.tile(np.arange(n), n), self.adjacency.ravel()).reshape(n, self.degree)
 
 
 @dataclass(frozen=True)
@@ -219,6 +217,13 @@ def save_edge_list(g: RegularGraph, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _parse_ints(parts: list[str], line: str) -> list[int]:
+    try:
+        return [int(p) for p in parts]
+    except ValueError:
+        raise ArgumentError(f"edge-list entries must be integers, got {line!r}") from None
+
+
 def load_edge_list(path: str | Path) -> RegularGraph:
     text = Path(path).read_text().strip().splitlines()
     if not text:
@@ -226,13 +231,13 @@ def load_edge_list(path: str | Path) -> RegularGraph:
     header = text[0].split()
     if len(header) != 2:
         raise ArgumentError(f"header must be 'n d', got {text[0]!r}")
-    n, d = int(header[0]), int(header[1])
+    n, d = _parse_ints(header, text[0])
     adj = np.zeros((n, n), dtype=np.int64)
     for line in text[1:]:
         parts = line.split()
         if len(parts) != 3:
             raise ArgumentError(f"edge lines must be 'u v m', got {line!r}")
-        u, v, m = (int(p) for p in parts)
+        u, v, m = _parse_ints(parts, line)
         if not (0 <= u < n and 0 <= v < n):
             raise ArgumentError(f"vertex out of range in {line!r}")
         adj[u, v] += m

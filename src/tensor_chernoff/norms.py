@@ -9,30 +9,10 @@ nonnegative vectors, so ``ky_fan_norm(X, k) == gauge_rho(singular_values(X), k)`
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ArgumentError, DomainError
 from .tensors import HermitianTensor, Tensor, abs_tensor, hermitian_eig
-
-
-@dataclass(frozen=True)
-class NormKind:
-    """Tag for experiment configs: which norm a sweep uses."""
-
-    variant: str  # one of "ky_fan", "schatten", "k_trace", "spectral"
-    k: int | None = None
-    p: float | None = None
-
-    def __post_init__(self):
-        if self.variant not in ("ky_fan", "schatten", "k_trace", "spectral"):
-            raise ArgumentError(f"unknown norm variant {self.variant!r}")
-        if self.variant in ("ky_fan", "k_trace"):
-            if self.k is None or self.k < 1:
-                raise ArgumentError(f"{self.variant} needs k >= 1, got {self.k}")
-        if self.variant == "schatten" and (self.p is None or self.p < 1):
-            raise ArgumentError(f"schatten needs p >= 1, got {self.p}")
 
 
 def singular_values(x: Tensor) -> np.ndarray:

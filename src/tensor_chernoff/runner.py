@@ -3,8 +3,8 @@
 Every suite draws its randomness from streams derived off the master seed, so
 a report is a pure function of the parsed config (seed included); reruns and
 different worker counts reproduce it byte for byte.  Checks that cannot run
-(capacity caps, empty precondition regimes) are recorded as passed with a
-``skipped:`` detail rather than dropped.
+(empty precondition regimes) are recorded as passed with a ``skipped:``
+detail rather than dropped.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .chernoff import (
     random_assignment,
     theorem_bound,
     transfer_expectation,
-    TRANSFER_CAPACITY_CAP,
 )
 from .config import ExperimentConfig, GraphSpec
 from .errors import ConfigError, PreconditionError
@@ -478,40 +477,33 @@ def _suite_chernoff_sweep(cfg: ExperimentConfig, seed: int, workers: int):
         checks.append(CheckRecord.from_bound("tail_below_bound_excess", 0.0, 0.0,
                                              detail="skipped: every bound is vacuous"))
 
-    size = graph.n * assignment.dim ** 2
-    if size <= TRANSFER_CAPACITY_CAP:
-        cert = contraction_certificate(
-            assignment, t=min(0.5, 0.9 / assignment.radius), a=1.0, b=0.5, seed=seed
-        )
-        worst_excess = max(w - g for w, g in zip(cert.worst_ratios, cert.gammas))
-        checks.append(CheckRecord.from_bound("contraction_certificate_excess", worst_excess, 1e-9,
-                                             detail=f"gammas {tuple(round(g, 6) for g in cert.gammas)}"))
+    cert = contraction_certificate(
+        assignment, t=min(0.5, 0.9 / assignment.radius), a=1.0, b=0.5, seed=seed
+    )
+    worst_excess = max(w - g for w, g in zip(cert.worst_ratios, cert.gammas))
+    checks.append(CheckRecord.from_bound("contraction_certificate_excess", worst_excess, 1e-9,
+                                         detail=f"gammas {tuple(round(g, 6) for g in cert.gammas)}"))
 
-        sandwich_excess = -math.inf
-        tested = 0
-        params0 = ChernoffParams(
-            kappa=min(cfg.kappa, 4), k=cfg.k, theta=cfg.theta_grid[0], lam_bar=lam_bar,
-            dim=assignment.dim, radius=assignment.radius,
-        )
-        for t in (0.05, 0.15, 0.4):
-            s = t * assignment.radius
-            if s >= 1.0 or lam * (2.0 * math.exp(s) - 1.0) > 1.0:
-                continue
-            tested += 1
-            exact = transfer_expectation(assignment, t, 1.0, 0.0, params0.kappa)
-            bound = expectation_bound(params0, t, 1.0, 0.0, lam)
-            sandwich_excess = max(sandwich_excess, exact - bound)
-        if tested:
-            checks.append(CheckRecord.from_bound("transfer_expectation_below_bound", sandwich_excess, 0.0,
-                                                 detail=f"{tested} admissible t values"))
-        else:
-            checks.append(CheckRecord.from_bound("transfer_expectation_below_bound", 0.0, 0.0,
-                                                 detail="skipped: no t satisfies the lemma preconditions"))
+    sandwich_excess = -math.inf
+    tested = 0
+    params0 = ChernoffParams(
+        kappa=min(cfg.kappa, 4), k=cfg.k, theta=cfg.theta_grid[0], lam_bar=lam_bar,
+        dim=assignment.dim, radius=assignment.radius,
+    )
+    for t in (0.05, 0.15, 0.4):
+        s = t * assignment.radius
+        if s >= 1.0 or lam * (2.0 * math.exp(s) - 1.0) > 1.0:
+            continue
+        tested += 1
+        exact = transfer_expectation(assignment, t, 1.0, 0.0, params0.kappa)
+        bound = expectation_bound(params0, t, 1.0, 0.0, lam)
+        sandwich_excess = max(sandwich_excess, exact - bound)
+    if tested:
+        checks.append(CheckRecord.from_bound("transfer_expectation_below_bound", sandwich_excess, 0.0,
+                                             detail=f"{tested} admissible t values"))
     else:
-        checks.append(CheckRecord.from_bound("contraction_certificate_excess", 0.0, 1e-9,
-                                             detail=f"skipped: n * dim^2 = {size} exceeds cap {TRANSFER_CAPACITY_CAP}"))
         checks.append(CheckRecord.from_bound("transfer_expectation_below_bound", 0.0, 0.0,
-                                             detail=f"skipped: n * dim^2 = {size} exceeds cap {TRANSFER_CAPACITY_CAP}"))
+                                             detail="skipped: no t satisfies the lemma preconditions"))
 
     checks.append(CheckRecord.from_bound(
         "domination_fit_verified", 0.0 if fit.verified else 1.0, 0.0,

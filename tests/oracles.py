@@ -95,3 +95,59 @@ def entry_trace(entries: np.ndarray, n_row_modes: int) -> complex:
 def entry_inner_product(x: np.ndarray, y: np.ndarray) -> complex:
     """Entrywise sesquilinear inner product."""
     return complex(np.sum(np.conjugate(x) * y))
+
+
+def dense_transfer_operator(assignment, t: float, a: float, b: float):
+    """Dense ``F (A kron I)`` as an ``n d^2 x n d^2`` matrix plus ``u0 = 1/sqrt(n) kron vec(I)``.
+
+    Block ``(u, v)`` is ``A_uv / degree * (E_u kron conj(E_u))`` with ``E_u =
+    exp(t g(u) (a + i b) / 2)``, filled one vertex pair at a time.  Small
+    graphs only: the matrix has ``(n d^2)^2`` entries.
+    """
+    graph = assignment.graph
+    n, d2 = graph.n, assignment.dim ** 2
+    blocks = []
+    for g in assignment.tensors:
+        vals, vecs = np.linalg.eigh(g.matrix)
+        e = (vecs * np.exp(t * (a + 1j * b) / 2.0 * vals)) @ vecs.conj().T
+        blocks.append(np.kron(e, e.conj()))
+    a_norm = graph.adjacency.astype(np.float64) / graph.degree
+    op = np.zeros((n * d2, n * d2), dtype=np.complex128)
+    for u in range(n):
+        for v in range(n):
+            if a_norm[u, v] != 0.0:
+                op[u * d2:(u + 1) * d2, v * d2:(v + 1) * d2] = a_norm[u, v] * blocks[u]
+    ident = np.eye(assignment.dim, dtype=np.complex128)
+    u0 = np.kron(np.ones(n) / math.sqrt(n), ident.ravel())
+    return op, u0
+
+
+def dense_transfer_expectation(assignment, t: float, a: float, b: float, kappa: int) -> float:
+    """``<u0, (F (A kron I))^kappa u0>`` by dense matrix-vector products."""
+    op, u0 = dense_transfer_operator(assignment, t, a, b)
+    w = u0
+    for _ in range(kappa):
+        w = op @ w
+    return float(np.vdot(u0, w).real)
+
+
+def dense_certificate_ratios(assignment, t: float, a: float, b: float, probes) -> list[float]:
+    """Worst ratio of each contraction part over ``probes`` (flat length-``n d^2`` vectors)."""
+    op, _ = dense_transfer_operator(assignment, t, a, b)
+    n, d2 = assignment.graph.n, assignment.dim ** 2
+
+    def split(vec):
+        mat = vec.reshape(n, d2)
+        par = np.broadcast_to(mat.mean(axis=0), (n, d2))
+        return par.ravel(), (mat - par).ravel()
+
+    worst = [0.0, 0.0, 0.0, 0.0]
+    for probe in probes:
+        for offset, comp in zip((0, 1), split(probe)):
+            nrm = np.linalg.norm(comp)
+            if nrm < 1e-12:
+                continue
+            out_par, out_perp = split(op @ comp)
+            worst[offset] = max(worst[offset], np.linalg.norm(out_par) / nrm)
+            worst[offset + 2] = max(worst[offset + 2], np.linalg.norm(out_perp) / nrm)
+    return worst

@@ -27,12 +27,20 @@ from tensor_chernoff.chernoff import (
 )
 from tensor_chernoff.errors import (
     ArgumentError,
-    CapacityError,
     DomainError,
     PreconditionError,
 )
-from tensor_chernoff.graphs import gen_complete, gen_cycle, gen_hypercube, sample_walks_array
+from tensor_chernoff.graphs import (
+    gen_complete,
+    gen_cycle,
+    gen_hypercube,
+    gen_random_regular,
+    sample_walks_array,
+)
 from tensor_chernoff.inequalities import beta0_density
+from tensor_chernoff.rng import DOMAIN_PROBE, stream
+
+from oracles import dense_certificate_ratios, dense_transfer_expectation
 
 S2 = TensorShape.square((2,))
 S22 = TensorShape.square((2, 2))
@@ -105,11 +113,27 @@ def test_certificate_on_small_graphs():
         assert rep.holds, rep
 
 
-def test_capacity_guard():
-    g = gen_complete(20)
-    assignment = random_assignment(g, TensorShape.square((4, 4)), 1.0, seed=0)
-    with pytest.raises(CapacityError):
-        transfer_expectation(assignment, 0.1, 1.0, 0.0, 2)
+def test_stack_apply_matches_dense_operator():
+    multigraph = gen_random_regular(16, 5, seed=0)
+    adj = multigraph.adjacency
+    assert np.trace(adj) > 0 and np.any(adj - np.diag(np.diag(adj)) > 1)
+    graphs = (gen_complete(4), gen_cycle(5), gen_hypercube(3), multigraph)
+    for gi, graph in enumerate(graphs):
+        for shape in (S2, S22):
+            assignment = random_assignment(graph, shape, radius=1.0, seed=40 + gi)
+            for kappa in (1, 4):
+                for b in (0.0, 0.5):
+                    exact = transfer_expectation(assignment, 0.3, 1.0, b, kappa)
+                    ref = dense_transfer_expectation(assignment, 0.3, 1.0, b, kappa)
+                    assert abs(exact - ref) <= 1e-12 * abs(ref), (gi, shape, kappa, b)
+
+            rep = contraction_certificate(assignment, 0.3, 1.0, 0.5, num_probes=20, seed=9)
+            size = graph.n * assignment.dim ** 2
+            rng = stream(9, DOMAIN_PROBE)
+            probes = [rng.standard_normal(size) + 1j * rng.standard_normal(size) for _ in range(20)]
+            ref = dense_certificate_ratios(assignment, 0.3, 1.0, 0.5, probes)
+            for w, r in zip(rep.worst_ratios, ref):
+                assert abs(w - r) <= 1e-12 * max(r, 1e-300), (gi, shape, rep.worst_ratios, ref)
 
 
 def test_transfer_identity_case():

@@ -98,6 +98,18 @@ def test_config_error_exit_2(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "missing.ini"), "--out", str(tmp_path / "r.json")]) == 2
 
 
+def test_bad_edge_list_token_exit_2(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_text("2 1\n0 1 x\n")
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(FAST_SWEEP.replace("kind = complete\nn = 4", f"kind = file\npath = {graph}"))
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "0 1 x" in err
+    assert "Traceback" not in err
+
+
 def test_usage_error_exit_2():
     assert main(["run", "--config"]) == 2
     assert main([]) == 2

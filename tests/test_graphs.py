@@ -80,6 +80,11 @@ def test_random_regular_determinism():
     g3 = gen_random_regular(50, 6, seed=2)
     assert not np.array_equal(g1.adjacency, g3.adjacency)
     assert g1.degree == 6
+    # odd-degree multigraph with self-loops: slot rows repeat by multiplicity
+    g = gen_random_regular(16, 5, seed=0)
+    assert np.trace(g.adjacency) > 0 and np.any(g.adjacency - np.diag(np.diag(g.adjacency)) > 1)
+    expected = np.stack([np.repeat(np.arange(g.n), g.adjacency[u]) for u in range(g.n)])
+    assert np.array_equal(g.edge_slots(), expected)
 
 
 def test_walk_on_k2_alternates():
@@ -153,3 +158,7 @@ def test_edge_list_rejects_irregular(tmp_path):
     p.write_text("3 2\n0 1 1\n1 2 1\n")
     with pytest.raises(ArgumentError):
         load_edge_list(p)
+    for text in ("2 1\n0 1 x\n", "2 one\n0 1 1\n"):
+        p.write_text(text)
+        with pytest.raises(ArgumentError, match="integers"):
+            load_edge_list(p)

@@ -6,7 +6,6 @@ import pytest
 from tensor_chernoff import HermitianTensor, TensorShape, make_identity
 from tensor_chernoff.errors import ArgumentError, DomainError
 from tensor_chernoff.norms import (
-    NormKind,
     gauge_rho,
     k_trace,
     ky_fan_norm,
@@ -126,14 +125,3 @@ def test_holder_gauge_inequality():
             lhs = gauge_rho(prod, k)
             rhs = float(np.prod([gauge_rho(v, k) ** a for v, a in zip(vecs, alphas)]))
             assert lhs <= rhs + 1e-9 * (1 + rhs)
-
-
-def test_norm_kind_validation():
-    NormKind("ky_fan", k=2)
-    NormKind("schatten", p=2.0)
-    with pytest.raises(ArgumentError):
-        NormKind("nuclear")
-    with pytest.raises(ArgumentError):
-        NormKind("ky_fan", k=0)
-    with pytest.raises(ArgumentError):
-        NormKind("schatten", p=0.3)

@@ -166,6 +166,18 @@ def test_parse_rejects_unknown_and_bad():
         parse_config("[tensors]\nsource = manifest\n")
 
 
+@pytest.mark.parametrize(
+    "section, key",
+    [("tensors", "radius"), ("sweep", "theta_grid"), ("quadrature", "truncation"), ("poly", "power")],
+)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_parse_rejects_non_finite(section, key, value):
+    with pytest.raises(ConfigError) as info:
+        parse_config(f"[{section}]\n{key} = {value}\n")
+    lines = [line.strip() for line in str(info.value).splitlines()[1:]]
+    assert lines == [f"[{section}] {key}: values must be finite, got {value!r}"]
+
+
 def test_load_config_missing(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "absent.ini")

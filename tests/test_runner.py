@@ -56,7 +56,8 @@ def test_chernoff_sweep_hypercube_nonexpanding():
     assert any("preconditions" in c.detail for c in skipped)  # lambda = 1 blocks the lemma
 
 
-def test_chernoff_sweep_capacity_skip_is_reported():
+def test_chernoff_sweep_runs_transfer_checks_past_dense_size():
+    # n * dim^2 = 40 * 16^2 = 10240: the transfer checks run on the stack apply
     rep = _run_text(
         "[experiment]\nsuite = chernoff_sweep\nseed = 3\n"
         "[graph]\nkind = random_regular\nn = 40\ndegree = 4\n"
@@ -65,9 +66,11 @@ def test_chernoff_sweep_capacity_skip_is_reported():
         "[sweep]\ntheta_grid = 4 1000\n"
     )
     assert rep.all_passed
-    details = {c.name: c.detail for c in rep.checks}
-    assert "exceeds cap" in details["contraction_certificate_excess"]
-    assert "exceeds cap" in details["transfer_expectation_below_bound"]
+    checks = {c.name: c for c in rep.checks}
+    for name in ("contraction_certificate_excess", "transfer_expectation_below_bound"):
+        assert checks[name].passed
+        assert not checks[name].detail.startswith("skipped")
+    assert checks["contraction_certificate_excess"].lhs < 0.0
 
 
 def test_build_graph_dispatch(tmp_path):
