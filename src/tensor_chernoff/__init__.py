@@ -51,7 +51,6 @@ from .majorization import (
     weak_log_majorizes,
     weak_majorizes,
 )
-from .compound import CompoundRep, compound, compound_norm_check
 from .inequalities import (
     DiscreteMeasure,
     QuadratureSpec,

@@ -39,7 +39,8 @@ from .errors import (
 )
 from .graphs import RegularGraph, load_edge_list, sample_walks_array, save_edge_list
 from .inequalities import beta0_density
-from .io import load_tensor, save_tensor
+from .io import load_tensor, read_json_object, save_tensor
+from .norms import ky_fan_from_eigenvalues
 from .rng import DOMAIN_PROBE, DOMAIN_TENSORS, stream
 from .sampling import random_bounded_hermitian
 from .tensors import HermitianTensor, TensorShape, as_hermitian
@@ -545,8 +546,7 @@ def _tail_chunk(
     sums = g_stack[walks].sum(axis=1)
     mu = np.linalg.eigvalsh(sums)
     fmu = poly(mu)
-    sv = np.sort(np.abs(fmu), axis=1)[:, ::-1]
-    norms = np.sum(sv[:, :k], axis=1)
+    norms = ky_fan_from_eigenvalues(fmu, k)
     hits = np.array([(norms >= th).sum() for th in thetas], dtype=np.int64)
     violations = np.zeros(thetas.size, dtype=np.int64)
     scale = 1e-9 * (1.0 + np.max(np.abs(fmu), axis=1))
@@ -671,7 +671,7 @@ def load_assignment(manifest_path: str | Path, graph: RegularGraph | None = None
     """Load an assignment from its manifest; the graph comes from the manifest's
     edge-list entry unless one is supplied."""
     manifest_path = Path(manifest_path)
-    manifest = json.loads(manifest_path.read_text())
+    manifest = read_json_object(manifest_path, "manifest")
     if manifest.get("format") != ASSIGNMENT_FORMAT:
         raise ArgumentError(f"unsupported manifest format: {manifest.get('format')!r}")
     base = manifest_path.parent
@@ -679,6 +679,8 @@ def load_assignment(manifest_path: str | Path, graph: RegularGraph | None = None
         if "graph" not in manifest:
             raise ArgumentError("manifest has no graph entry and no graph was supplied")
         graph = load_edge_list(base / manifest["graph"])
+    if "vertices" not in manifest:
+        raise ArgumentError(f"manifest {manifest_path} has no 'vertices' entry")
     entries = manifest["vertices"]
     tensors = []
     for v in range(graph.n):

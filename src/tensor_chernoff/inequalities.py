@@ -28,15 +28,14 @@ from .majorization import (
     weak_log_majorizes,
     weak_majorizes,
 )
-from .norms import ky_fan_norm
+from .norms import ky_fan_from_eigenvalues, ky_fan_norm
 from .tensors import (
     HermitianTensor,
     Tensor,
+    _apply_scalar_function,
     as_hermitian,
     hermitian_eig,
-    spectral_map,
     tensor_exp,
-    tensor_log,
 )
 
 MODES = ("weak", "strong", "weak_log", "log")
@@ -139,24 +138,6 @@ class AverageMajorizationReport:
         return self.premise.holds
 
 
-def _eigenvalue_average(measure: DiscreteMeasure) -> np.ndarray:
-    acc = None
-    for d, w in measure.items():
-        lam = hermitian_eig(as_hermitian(d)).eigenvalues
-        acc = w * lam if acc is None else acc + w * lam
-    return acc
-
-
-def _eigenvalue_log_average(measure: DiscreteMeasure) -> np.ndarray:
-    acc = None
-    for d, w in measure.items():
-        lam = hermitian_eig(as_hermitian(d)).eigenvalues
-        if np.any(lam <= 0.0):
-            raise DomainError("log-average premise needs positive spectra")
-        acc = w * np.log(lam) if acc is None else acc + w * np.log(lam)
-    return np.exp(acc)
-
-
 def verify_discrete_average_majorization(
     c: HermitianTensor,
     measure: DiscreteMeasure,
@@ -184,31 +165,34 @@ def verify_discrete_average_majorization(
         raise ArgumentError(f"conclusion_form must be 'linear' or 'log', got {conclusion_form!r}")
 
     c = as_hermitian(c)
-    lam_c = hermitian_eig(c).eigenvalues
-    for d, _ in measure.items():
-        if as_hermitian(d).shape != c.shape:
-            raise ArgumentError("all tensors in the measure must match the shape of C")
+    atoms = [as_hermitian(d) for d in measure.atoms]
+    if any(d.shape != c.shape for d in atoms):
+        raise ArgumentError("all tensors in the measure must match the shape of C")
+    # one spectrum of C and one batched over the atoms serve premise and conclusion
+    lam_c = np.linalg.eigvalsh(c.matrix)[::-1]
+    lam_d = np.linalg.eigvalsh(np.stack([d.matrix for d in atoms]))[:, ::-1]
+    w = np.asarray(measure.weights)
 
     if mode in ("weak", "strong"):
-        avg = _eigenvalue_average(measure)
+        avg = np.sum(w[:, None] * lam_d, axis=0)
         pred = weak_majorizes if mode == "weak" else majorizes
         premise = pred(SortedVec(avg), SortedVec(lam_c))
     else:
-        geo = _eigenvalue_log_average(measure)
+        if np.any(lam_d <= 0.0):
+            raise DomainError("log-average premise needs positive spectra")
         if np.any(lam_c <= 0.0):
             raise DomainError("log modes need a positive spectrum for C")
+        geo = np.exp(np.sum(w[:, None] * np.log(lam_d), axis=0))
         pred = weak_log_majorizes if mode == "weak_log" else log_majorizes
         premise = pred(SortedVec(geo), SortedVec(lam_c))
 
-    lhs = ky_fan_norm(spectral_map(c, f), k)
-    norms = [ky_fan_norm(spectral_map(as_hermitian(d), f), k) for d, _ in measure.items()]
-    ws = measure.weights
+    lhs = float(ky_fan_from_eigenvalues(_apply_scalar_function(f, lam_c), k))
+    norms = ky_fan_from_eigenvalues(_apply_scalar_function(f, lam_d), k)
     if conclusion_form == "linear":
-        rhs = float(sum(w * v for w, v in zip(ws, norms)))
+        rhs = float(np.sum(w * norms))
     else:
         with np.errstate(divide="ignore"):
-            logs = np.log(np.asarray(norms))
-        rhs = float(np.exp(np.sum(np.asarray(ws) * logs)))
+            rhs = float(np.exp(np.sum(w * np.log(norms))))
     tol = 1e-9 * (1.0 + abs(lhs) + abs(rhs))
     conclusion = lhs <= rhs + tol
     return AverageMajorizationReport(
@@ -237,14 +221,15 @@ def _positive_spectra(cs: Sequence[HermitianTensor]):
 
 
 def golden_thompson_lhs(f: Callable, cs: Sequence[HermitianTensor], k: int) -> float:
-    """``|| f(exp(sum_i log C_i)) ||_(k)`` computed exactly as written."""
+    """``|| f(exp(sum_i log C_i)) ||_(k)`` from one spectrum of ``sum_i log C_i``."""
     if not cs:
         raise ArgumentError("need at least one tensor")
-    _positive_spectra(cs)
-    total = tensor_log(as_hermitian(cs[0]))
-    for c in cs[1:]:
-        total = total + tensor_log(as_hermitian(c))
-    return ky_fan_norm(spectral_map(tensor_exp(total), f), k)
+    total = sum(
+        (spec.basis * np.log(spec.eigenvalues)) @ spec.basis.conj().T
+        for spec in _positive_spectra(cs)
+    )
+    mu = np.linalg.eigvalsh(total)
+    return float(ky_fan_from_eigenvalues(_apply_scalar_function(f, np.exp(mu)), k))
 
 
 def _power_product_singular_values(specs, ts: np.ndarray) -> np.ndarray:
@@ -264,10 +249,11 @@ def _power_product_singular_values(specs, ts: np.ndarray) -> np.ndarray:
 
 
 def _f_range(f: Callable, lo: float, hi: float, samples: int = 512) -> tuple[float, float]:
+    """Sampled range of ``|f|`` on [lo, hi], the values the Ky Fan integrands sum."""
     xs = np.geomspace(max(lo, 1e-300), max(hi, 1e-300), samples)
     with np.errstate(all="ignore"):
         vals = np.asarray([float(f(float(x))) for x in xs])
-    vals = vals[np.isfinite(vals)]
+    vals = np.abs(vals[np.isfinite(vals)])
     if vals.size == 0:
         raise DomainError("scalar function produced no finite values on the spectral interval")
     return float(vals.min()), float(vals.max())
@@ -319,8 +305,7 @@ def golden_thompson_rhs_log(
 
     def integrand(ts: np.ndarray) -> np.ndarray:
         sv = _power_product_singular_values(specs, ts)
-        fv = _apply_f_rows(f, sv)
-        return np.log(np.sum(fv[:, :k], axis=1))
+        return np.log(ky_fan_from_eigenvalues(_apply_scalar_function(f, sv), k))
 
     integral, quad_err = _integrate(integrand, quad)
     value = math.exp(integral)
@@ -356,8 +341,7 @@ def golden_thompson_rhs_linear(
 
     def integrand(ts: np.ndarray) -> np.ndarray:
         sv = _power_product_singular_values(specs, ts)
-        gv = _apply_f_rows(g, sv)
-        return np.sum(gv[:, :k], axis=1)
+        return ky_fan_from_eigenvalues(_apply_scalar_function(g, sv), k)
 
     integral, quad_err = _integrate(integrand, quad)
     if max_truncation_error is not None and trunc > max_truncation_error:
@@ -372,20 +356,6 @@ def golden_thompson_rhs_linear(
         node_count=quad.node_count,
         truncation=quad.truncation,
     )
-
-
-def _apply_f_rows(f: Callable, sv: np.ndarray) -> np.ndarray:
-    """Apply a nonnegative scalar function to each singular value, re-sorting rows."""
-    with np.errstate(all="ignore"):
-        try:
-            vals = np.asarray(f(sv), dtype=np.float64)
-            if vals.shape != sv.shape:
-                raise TypeError
-        except (TypeError, ValueError):
-            vals = np.asarray([[float(f(float(x))) for x in row] for row in sv])
-    if not np.all(np.isfinite(vals)):
-        raise DomainError("scalar function undefined at a quadrature node")
-    return np.sort(vals, axis=1)[:, ::-1]
 
 
 def warn_if_not_log_exp_convex(f: Callable, lo: float, hi: float, samples: int = 65) -> bool:

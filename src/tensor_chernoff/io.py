@@ -58,5 +58,20 @@ def save_tensor(x: Tensor, path: str | Path) -> None:
     Path(path).write_text(json.dumps(tensor_to_record(x)))
 
 
+def read_json_object(path: str | Path, what: str) -> dict:
+    """Parse a JSON object from ``path``; IO and parse errors name the file."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # ValueError covers JSON and UTF-8 decoding
+        reason = getattr(exc, "strerror", None) or exc
+        raise ArgumentError(f"cannot read {what} {path}: {reason}") from exc
+    if not isinstance(data, dict):
+        raise ArgumentError(f"{what} {path} is not a JSON object")
+    return data
+
+
 def load_tensor(path: str | Path) -> Tensor:
-    return tensor_from_record(json.loads(Path(path).read_text()))
+    try:
+        return tensor_from_record(read_json_object(path, "tensor record"))
+    except KeyError as exc:
+        raise ArgumentError(f"tensor record {path} has no {exc} entry") from exc

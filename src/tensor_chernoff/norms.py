@@ -1,10 +1,13 @@
 """Unitarily invariant tensor norms via singular values.
 
-Singular values are the eigenvalues of ``|X| = sqrt(X^H X)``; the Ky Fan
-k-norm sums the k largest, the Schatten p-norm is the l_p norm of the whole
-vector, and the k-trace is the elementary symmetric polynomial e_k of a
-positive spectrum.  ``gauge_rho`` is the Ky Fan gauge function on sorted
-nonnegative vectors, so ``ky_fan_norm(X, k) == gauge_rho(singular_values(X), k)``.
+Singular values of a square tensor are those of its matrix unfolding, from
+one LAPACK SVD.  The Ky Fan k-norm sums the k largest, the Schatten p-norm is
+the l_p norm of the whole vector, and the k-trace is the elementary symmetric
+polynomial e_k of a positive spectrum.  A Hermitian ``f(X)`` has singular
+values ``|f(l_i)|``, so ``ky_fan_from_eigenvalues`` takes ``||f(X)||_(k)``
+straight from ``f`` of the spectrum.  ``gauge_rho`` is the Ky Fan gauge
+function on sorted nonnegative vectors, so
+``ky_fan_norm(X, k) == gauge_rho(singular_values(X), k)``.
 """
 
 from __future__ import annotations
@@ -12,22 +15,32 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ArgumentError, DomainError
-from .tensors import HermitianTensor, Tensor, abs_tensor, hermitian_eig
+from .tensors import HermitianTensor, Tensor, hermitian_eig
 
 
 def singular_values(x: Tensor) -> np.ndarray:
-    """Descending singular values of the unfolding, via the spectrum of ``|X|``."""
+    """Descending singular values of the unfolding."""
     x.shape.require_square("singular_values")
-    return hermitian_eig(abs_tensor(x)).eigenvalues
+    return np.linalg.svd(x.matrix, compute_uv=False)
+
+
+def ky_fan_from_eigenvalues(values: np.ndarray, k: int) -> np.ndarray:
+    """Sum of the ``k`` largest ``|v|`` along the last axis, batched over the rest.
+
+    On singular values, or on the eigenvalues of a normal tensor (a Hermitian
+    ``f(X)`` included), this is the Ky Fan k-norm.
+    """
+    dim = values.shape[-1]
+    if not 1 <= k <= dim:
+        raise ArgumentError(f"k must be in [1, {dim}], got {k}")
+    top = np.sort(np.abs(values), axis=-1)[..., ::-1]
+    return np.sum(top[..., :k], axis=-1)
 
 
 def ky_fan_norm(x: Tensor, k: int) -> float:
     """Sum of the ``k`` largest singular values; ``k = 1`` is the spectral norm."""
     x.shape.require_square("ky_fan_norm")
-    dim = x.shape.unfold_rows
-    if not 1 <= k <= dim:
-        raise ArgumentError(f"k must be in [1, {dim}], got {k}")
-    return float(np.sum(singular_values(x)[:k]))
+    return float(ky_fan_from_eigenvalues(singular_values(x), k))
 
 
 def spectral_norm(x: Tensor) -> float:

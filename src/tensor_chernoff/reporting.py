@@ -150,9 +150,13 @@ def emit(report: Report, path: str | Path, format: str = "json") -> Path:
     """Write the report; JSON carries everything, CSV just the tail table."""
     path = Path(path)
     if format == "json":
-        path.write_text(report.to_json())
+        text = report.to_json()
     elif format == "csv":
-        path.write_text(report.to_csv())
+        text = report.to_csv()
     else:
         raise ArgumentError(f"format must be 'json' or 'csv', got {format!r}")
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ArgumentError(f"cannot write report {path}: {exc.strerror or exc}") from exc
     return path

@@ -333,13 +333,14 @@ def hermitian_eig(h: HermitianTensor) -> Spectrum:
 
 
 def _apply_scalar_function(f: Callable, vals: np.ndarray) -> np.ndarray:
+    """``f`` elementwise on an array of any shape; a non-finite value raises."""
     with np.errstate(all="ignore"):
         try:
             out = np.asarray(f(vals), dtype=np.float64)
             if out.shape != vals.shape:
                 raise TypeError
         except (TypeError, ValueError):
-            out = np.asarray([float(f(float(v))) for v in vals], dtype=np.float64)
+            out = np.asarray([float(f(float(v))) for v in vals.ravel()]).reshape(vals.shape)
     if not np.all(np.isfinite(out)):
         bad = vals[~np.isfinite(out)]
         raise DomainError(f"spectral function undefined at eigenvalues {bad}")
@@ -364,29 +365,17 @@ def tensor_log(h: HermitianTensor) -> HermitianTensor:
 
 
 def abs_tensor(x: Tensor) -> HermitianTensor:
-    """``|X| = sqrt(X^H X)``; eigenvalues are the singular values of the unfolding.
+    """``|X| = sqrt(X^H X) = V diag(s) V^H`` from the SVD ``X = U diag(s) V^H``.
 
-    Hermitian inputs take the direct route ``|X| = sum |l_i| U_i U_i^H``, which
-    avoids the sqrt-of-Gram noise floor (~1e-8 absolute) near zero singular
-    values; general square tensors use the Gram matrix.
+    Its eigenvalues are the singular values of the unfolding, nonnegative by
+    construction, so exact zeros stay at round-off of the largest value.
     """
     x.shape.require_square("abs_tensor")
-    if x.is_hermitian():
-        sym = (x.matrix + x.matrix.conj().T) / 2.0
-        try:
-            vals, vecs = np.linalg.eigh(sym)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise NumericalError(f"Hermitian eigensolver failed: {exc}") from exc
-        vals = np.abs(vals)
-    else:
-        gram = x.matrix.conj().T @ x.matrix
-        gram = (gram + gram.conj().T) / 2.0
-        try:
-            vals, vecs = np.linalg.eigh(gram)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise NumericalError(f"Hermitian eigensolver failed: {exc}") from exc
-        vals = np.sqrt(np.clip(vals, 0.0, None))
-    return HermitianTensor(x.shape, (vecs * vals) @ vecs.conj().T)
+    try:
+        _, s, vh = np.linalg.svd(x.matrix)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - svd rarely fails
+        raise NumericalError(f"singular value decomposition failed: {exc}") from exc
+    return HermitianTensor(x.shape, (vh.conj().T * s) @ vh)
 
 
 def complex_power(c: HermitianTensor, z: complex, delta: float = 0.0) -> Tensor:

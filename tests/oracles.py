@@ -3,15 +3,21 @@
 These deliberately avoid the library's unfolding representation: products are
 nested-loop contractions over tensor entries, eigenvalue facts are checked by
 subset enumeration, and integrals by closed-form antiderivatives.  Keep them
-slow and obvious.
+slow and obvious.  The compound power and the dense transfer operator build
+on library tensors but take no shortcut the code under test takes.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
+
+from tensor_chernoff.errors import ArgumentError
+from tensor_chernoff.norms import ky_fan_norm, singular_values
+from tensor_chernoff.tensors import Tensor, TensorShape
 
 
 def naive_einstein(entries_x: np.ndarray, entries_y: np.ndarray, n_contracted: int) -> np.ndarray:
@@ -151,3 +157,72 @@ def dense_certificate_ratios(assignment, t: float, a: float, b: float, probes) -
             worst[offset] = max(worst[offset], np.linalg.norm(out_par) / nrm)
             worst[offset + 2] = max(worst[offset + 2], np.linalg.norm(out_perp) / nrm)
     return worst
+
+
+# ---------------------------------------------------------------------------
+# k-th antisymmetric (compound) power
+# ---------------------------------------------------------------------------
+#
+# ``compound(X, k)`` is the matrix realization of the k-th antisymmetric power
+# of the unfolding: entry (S, T) is the determinant of the k x k submatrix with
+# rows S and columns T, where S and T run over k-subsets in lexicographic order
+# (``itertools.combinations`` order).  Its eigenvalues are all k-fold products
+# of the original eigenvalues, which makes it an independent oracle for top-k
+# eigenvalue products.  Dimensions are capped at ``n <= 8``, ``k <= 4`` because
+# the representation grows like C(n, k).
+
+MAX_BASE_DIM = 8
+MAX_ORDER = 4
+
+
+@dataclass(frozen=True)
+class CompoundRep:
+    """Compound power of a square tensor, indexed by lexicographic k-subsets."""
+
+    k: int
+    dim: int
+    entries: np.ndarray
+    subsets: tuple[tuple[int, ...], ...]
+
+    def as_tensor(self) -> Tensor:
+        """View the representation as a square tensor so spectral ops apply."""
+        return Tensor(TensorShape.square((self.dim,)), self.entries)
+
+
+def compound(x: Tensor, k: int) -> CompoundRep:
+    x.shape.require_square("compound")
+    n = x.shape.unfold_rows
+    if not 1 <= k <= n:
+        raise ArgumentError(f"k must be in [1, {n}], got {k}")
+    if n > MAX_BASE_DIM or k > MAX_ORDER:
+        raise ArgumentError(
+            f"compound is capped at n <= {MAX_BASE_DIM}, k <= {MAX_ORDER}; got n={n}, k={k}"
+        )
+    subsets = tuple(itertools.combinations(range(n), k))
+    dim = math.comb(n, k)
+    mat = x.matrix
+    out = np.empty((dim, dim), dtype=np.complex128)
+    for a, rows in enumerate(subsets):
+        block = mat[np.asarray(rows), :]
+        for b, cols in enumerate(subsets):
+            sub = block[:, np.asarray(cols)]
+            out[a, b] = np.linalg.det(sub) if k > 1 else sub[0, 0]
+    return CompoundRep(k=k, dim=dim, entries=out, subsets=subsets)
+
+
+@dataclass(frozen=True)
+class CompoundNormReport:
+    lhs: float  # spectral norm of the compound
+    rhs: float  # product of the k largest singular values
+    rel_err: float
+    holds: bool
+
+
+def compound_norm_check(x: Tensor, k: int, rel_tol: float = 1e-8) -> CompoundNormReport:
+    """Check ``||X^(wedge k)|| = prod_{i<=k} lambda_i(|X|)`` within ``rel_tol``."""
+    rep = compound(x, k)
+    lhs = ky_fan_norm(rep.as_tensor(), 1)
+    rhs = float(np.prod(singular_values(x)[:k]))
+    scale = max(abs(lhs), abs(rhs), 1e-300)
+    rel = abs(lhs - rhs) / scale
+    return CompoundNormReport(lhs=lhs, rhs=rhs, rel_err=rel, holds=rel <= rel_tol)

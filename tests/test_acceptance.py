@@ -33,7 +33,6 @@ from tensor_chernoff.chernoff import (
     theorem_bound,
     transfer_expectation,
 )
-from tensor_chernoff.compound import compound, compound_norm_check
 from tensor_chernoff.config import parse_config
 from tensor_chernoff.errors import PreconditionError
 from tensor_chernoff.graphs import (
@@ -64,6 +63,8 @@ from tensor_chernoff.sampling import (
 )
 
 from oracles import (
+    compound,
+    compound_norm_check,
     einsum_einstein,
     entry_conj_transpose,
     entry_inner_product,

@@ -110,6 +110,29 @@ def test_bad_edge_list_token_exit_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("case", ["unwritable_out", "manifest_without_vertices", "manifest_not_json"])
+def test_io_errors_exit_2(case, sweep_config, tmp_path, capsys):
+    cfg, out = sweep_config, tmp_path / "r.json"
+    manifest = tmp_path / "manifest.json"
+    if case == "unwritable_out":
+        out = tmp_path / "no_such_dir" / "r.json"
+        needle = "cannot write report"
+    elif case == "manifest_without_vertices":
+        manifest.write_text('{"format": "assignment/1"}')
+        needle = "has no 'vertices' entry"
+    else:
+        manifest.write_text("not json")
+        needle = "cannot read manifest"
+    if case != "unwritable_out":
+        cfg = tmp_path / "manifest.ini"
+        cfg.write_text(FAST_SWEEP.replace("source = random", f"source = manifest\nmanifest = {manifest}"))
+    code = main(["run", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert needle in err
+    assert "Traceback" not in err
+
+
 def test_usage_error_exit_2():
     assert main(["run", "--config"]) == 2
     assert main([]) == 2

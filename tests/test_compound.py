@@ -13,11 +13,10 @@ from tensor_chernoff import (
     make_identity,
     spectral_map,
 )
-from tensor_chernoff.compound import compound, compound_norm_check
 from tensor_chernoff.errors import ArgumentError
 from tensor_chernoff.sampling import random_hermitian, random_positive, random_tensor
 
-from oracles import subset_products
+from oracles import compound, compound_norm_check, subset_products
 
 RNG = np.random.default_rng(20240814)
 

@@ -5,7 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from tensor_chernoff import HermitianTensor, TensorShape, make_identity
+from tensor_chernoff import (
+    HermitianTensor,
+    TensorShape,
+    abs_tensor,
+    make_identity,
+    spectral_map,
+    tensor_exp,
+    tensor_log,
+)
 from tensor_chernoff.errors import ArgumentError, DomainError
 from tensor_chernoff.inequalities import (
     DiscreteMeasure,
@@ -22,8 +30,9 @@ from tensor_chernoff.inequalities import (
     verify_discrete_average_majorization,
     warn_if_not_log_exp_convex,
 )
+from tensor_chernoff.majorization import check_kyfan_sum_inequality
 from tensor_chernoff.norms import ky_fan_norm
-from tensor_chernoff.sampling import random_hermitian, random_positive, random_unitary
+from tensor_chernoff.sampling import random_hermitian, random_positive, random_tensor, random_unitary
 
 from oracles import beta0_antiderivative
 
@@ -185,6 +194,11 @@ def test_single_tensor_rhs_matches_lhs():
         assert abs(lhs - rhs.value) <= rhs.error_bound + 1e-7 * lhs
         lin = golden_thompson_rhs_linear(lambda x: x, [c], k, quad)
         assert lhs <= lin.value + lin.error_bound + 1e-9
+    # a signed f: both sides are Ky Fan norms, so they sum |f| and still agree
+    for k in (1, 3):
+        lhs = golden_thompson_lhs(lambda x: x - 10.0, [c], k)
+        lin = golden_thompson_rhs_linear(lambda x: x - 10.0, [c], k, quad)
+        assert abs(lhs - lin.value) <= lin.error_bound + 1e-7 * lhs
 
 
 def test_commuting_family_equality():
@@ -274,3 +288,43 @@ def test_lie_trotter_decay_and_bound():
         assert lie_trotter_error([l1, l2], n) <= lie_trotter_proof_bound(l1, l2, n)
     with pytest.raises(ArgumentError):
         lie_trotter_error([l1], 0)
+
+
+# ---------------------------------------------------------------------------
+# Ky Fan norms from one spectrum against the composed public maps
+# ---------------------------------------------------------------------------
+
+def test_spectral_paths_match_composed_maps():
+    rng = np.random.default_rng(4242)
+
+    def close(got, want):
+        assert abs(got - want) <= 1e-12 * abs(want), (got, want)
+
+    for shape in (TensorShape.square((2,)), TensorShape.square((3,)), S22):
+        dim = shape.unfold_rows
+        for draw in (random_hermitian, random_tensor):  # signed spectra, then non-Hermitian
+            for s in (1.0, 1.5, 3.0):
+                ts = [draw(shape, rng) for _ in range(3)]
+                total = ts[0] + ts[1] + ts[2]
+                for k in range(1, dim + 1):
+                    rep = check_kyfan_sum_inequality(ts, s, k)
+                    close(rep.lhs, ky_fan_norm(spectral_map(abs_tensor(total), lambda x: x**s), k))
+                    close(rep.rhs, 3.0 ** (s - 1.0) * sum(
+                        ky_fan_norm(spectral_map(abs_tensor(t), lambda x: x**s), k) for t in ts
+                    ))
+
+        for f in (lambda x: x - 0.5, lambda x: x**3, np.exp):
+            c = random_hermitian(shape, rng)
+            ds = (random_hermitian(shape, rng), random_hermitian(shape, rng))
+            measure = DiscreteMeasure(ds, (0.25, 0.75))
+            for k in range(1, dim + 1):
+                rep = verify_discrete_average_majorization(c, measure, f, k, "weak")
+                close(rep.conclusion_lhs, ky_fan_norm(spectral_map(c, f), k))
+                close(rep.conclusion_rhs, 0.25 * ky_fan_norm(spectral_map(ds[0], f), k)
+                      + 0.75 * ky_fan_norm(spectral_map(ds[1], f), k))
+
+        for f in (lambda x: x - 2.0, lambda x: x**2):
+            cs = [random_positive(shape, rng) for _ in range(3)]
+            log_sum = tensor_log(cs[0]) + tensor_log(cs[1]) + tensor_log(cs[2])
+            for k in range(1, dim + 1):
+                close(golden_thompson_lhs(f, cs, k), ky_fan_norm(spectral_map(tensor_exp(log_sum), f), k))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tensor_chernoff import HermitianTensor, TensorShape, make_identity
+from tensor_chernoff import HermitianTensor, Tensor, TensorShape, make_identity
 from tensor_chernoff.errors import ArgumentError, DomainError
 from tensor_chernoff.norms import (
     gauge_rho,
@@ -29,6 +29,13 @@ def test_singular_values_examples():
     sv = np.linalg.svd(x.matrix, compute_uv=False)  # SVD oracle
     assert np.allclose(singular_values(x), sv, atol=1e-9)
     assert singular_values(x).size == 4
+    # rank-1 non-Hermitian: true zeros stay at round-off of the top value, never negative
+    u = np.array([1.0, 2.0j, -1.0, 0.5])
+    v = np.array([0.3, -1.0j, 2.0, 1.0 + 1.0j])
+    sv1 = singular_values(Tensor(S22, np.outer(u, v.conj())))
+    assert np.all(sv1 >= 0.0)
+    assert sv1[0] == pytest.approx(np.linalg.norm(u) * np.linalg.norm(v))
+    assert np.all(sv1[1:] <= 1e-12 * sv1[0])
 
 
 def test_ky_fan_examples():
