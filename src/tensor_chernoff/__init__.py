@@ -8,7 +8,6 @@ from .errors import (
     DomainError,
     NumericalError,
     PreconditionError,
-    QuadratureError,
     ShapeError,
     TensorChernoffError,
 )

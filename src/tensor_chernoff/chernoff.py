@@ -27,7 +27,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -302,6 +302,24 @@ def expectation_bound(
 # Gaussian domination of beta0
 # ---------------------------------------------------------------------------
 
+def _golden_section(fn: Callable, a: float, b: float, keep_going: Callable[[float, float], bool]):
+    """Golden-section minimization of ``fn`` on [a, b]: the final bracket and its two inner values."""
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - phi * (b - a)
+    d = a + phi * (b - a)
+    fc, fd = fn(c), fn(d)
+    while keep_going(a, b):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - phi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + phi * (b - a)
+            fd = fn(d)
+    return a, b, fc, fd
+
+
 def _max_domination_ratio(window: float, sigma: float, grid_points: int) -> float:
     """Supremum of ``beta0(tau) sigma sqrt(2 pi) exp(tau^2 / 2 sigma^2)`` over the window.
 
@@ -321,20 +339,10 @@ def _max_domination_ratio(window: float, sigma: float, grid_points: int) -> floa
     i = int(np.argmax(vals))
     a = float(taus[max(i - 1, 0)])
     b = float(taus[min(i + 1, grid_points - 1)])
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = float(ratio(c)), float(ratio(d))
-    while (b - a) > 1e-12 * max(1.0, abs(b)):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = float(ratio(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = float(ratio(d))
-    return max(float(np.max(vals)), fc, fd)
+    _, _, fc, fd = _golden_section(
+        lambda tau: -float(ratio(tau)), a, b, lambda a, b: (b - a) > 1e-12 * max(1.0, abs(b))
+    )
+    return max(float(np.max(vals)), -fc, -fd)
 
 
 def fit_gaussian_domination(
@@ -437,20 +445,7 @@ def theorem_bound(
     left = grid[max(i - 1, 0)]
     right = grid[min(i + 1, grid.size - 1)]
 
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a_t, b_t = left, right
-    c_t = b_t - phi * (b_t - a_t)
-    d_t = a_t + phi * (b_t - a_t)
-    fc, fd = objective(c_t), objective(d_t)
-    while (b_t - a_t) > 1e-8 * max(a_t, 1e-12):
-        if fc <= fd:
-            b_t, d_t, fd = d_t, c_t, fc
-            c_t = b_t - phi * (b_t - a_t)
-            fc = objective(c_t)
-        else:
-            a_t, c_t, fc = c_t, d_t, fd
-            d_t = a_t + phi * (b_t - a_t)
-            fd = objective(d_t)
+    a_t, b_t, _, _ = _golden_section(objective, left, right, lambda a, b: (b - a) > 1e-8 * max(a, 1e-12))
     t_opt = (a_t + b_t) / 2.0
     value = float(objective(t_opt))
     return BoundResult(

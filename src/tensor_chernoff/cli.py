@@ -10,10 +10,13 @@ config error.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
+from pathlib import Path
 
 from .config import load_config
-from .errors import ConfigError, TensorChernoffError
+from .errors import ArgumentError, ConfigError, TensorChernoffError
 from .reporting import emit
 from .runner import run
 
@@ -30,6 +33,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _require_writable(out: str) -> None:
+    """Reject a report path that cannot be written before the run, not after it."""
+    path = Path(out)
+    if not path.parent.is_dir():
+        code = errno.ENOENT
+    elif not os.access(path.parent, os.W_OK):
+        code = errno.EACCES
+    elif path.is_dir():
+        code = errno.EISDIR
+    else:
+        return
+    raise ArgumentError(f"cannot write report {path}: {os.strerror(code)}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -39,6 +56,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         config = load_config(args.config)
+        _require_writable(args.out)
         report = run(config, workers=args.workers, seed=args.seed)
         emit(report, args.out, args.format)
     except ConfigError as exc:

@@ -25,9 +25,5 @@ class PreconditionError(TensorChernoffError, ValueError):
     """The hypotheses of a bound do not hold, so the bound is not claimed."""
 
 
-class QuadratureError(TensorChernoffError, RuntimeError):
-    """Estimated quadrature or truncation error exceeds the requested tolerance."""
-
-
 class ConfigError(TensorChernoffError, ValueError):
     """An experiment configuration is malformed."""

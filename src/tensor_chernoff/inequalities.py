@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ArgumentError, DomainError, QuadratureError
+from .errors import ArgumentError, DomainError
 from .majorization import (
     MajorizationResult,
     SortedVec,
@@ -73,19 +73,19 @@ def beta0_tail_mass(truncation: float) -> float:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Gauss-Legendre rule on [-truncation, truncation]."""
+    """Gauss-Legendre rule on [-truncation, truncation].
+
+    The refinement error estimate also evaluates ``max(16, node_count // 2)`` nodes.
+    """
 
     truncation: float = 6.0
     node_count: int = 256
-    rule: str = "gauss-legendre"
 
     def __post_init__(self):
         if self.truncation <= 0:
             raise ArgumentError(f"truncation must be positive, got {self.truncation}")
         if self.node_count < 16:
             raise ArgumentError(f"node_count must be >= 16, got {self.node_count}")
-        if self.rule != "gauss-legendre":
-            raise ArgumentError(f"unsupported quadrature rule {self.rule!r}")
 
     def nodes_weights(self, node_count: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         n = self.node_count if node_count is None else node_count
@@ -263,98 +263,66 @@ def _f_range(f: Callable, lo: float, hi: float, samples: int = 512) -> tuple[flo
 class QuadratureValue:
     """Quadrature result with explicit truncation and refinement error terms.
 
-    ``error_bound`` combines the closed-form truncation tail with the observed
-    node-refinement difference; the true improper integral differs from
-    ``value`` by at most that margin (up to the usual smoothness caveats of
-    the refinement estimate).
+    ``truncation_bound`` bounds the contribution of the beta0 mass outside
+    [-T, T]; ``quadrature_error`` is the full-rule against half-rule
+    difference.  ``error_bound`` combines the two; the true improper integral
+    differs from ``value`` by at most that margin (up to the usual smoothness
+    caveats of the refinement estimate).
     """
 
     value: float
     error_bound: float
     truncation_bound: float
     quadrature_error: float
-    node_count: int
-    truncation: float
 
 
-def _integrate(values: Callable[[np.ndarray], np.ndarray], quad: QuadratureSpec) -> tuple[float, float]:
-    """Integral with beta0 weight plus a nested refinement error estimate."""
-    t_full, w_full = quad.nodes_weights()
-    full = float(np.sum(values(t_full) * beta0_density(t_full) * w_full))
-    t_half, w_half = quad.nodes_weights(max(16, quad.node_count // 2))
-    half = float(np.sum(values(t_half) * beta0_density(t_half) * w_half))
-    return full, abs(full - half) + 1e-12 * (1.0 + abs(full))
+def _quadrature(
+    f: Callable, cs: Sequence[HermitianTensor], k: int, quad: QuadratureSpec, form: Callable
+) -> tuple[float, float, tuple[float, float]]:
+    """``int form(|| f(|prod C_i^(1+it)|) ||_(k)) beta0(t) dt`` on [-T, T].
+
+    Returns the full-rule value, its refinement error estimate and the range of ``|f|``.
+    """
+    specs = _positive_spectra(cs)
+    sigma_lo = float(np.prod([s.eigenvalues[-1] for s in specs]))
+    sigma_hi = float(np.prod([s.eigenvalues[0] for s in specs]))
+    f_range = _f_range(f, sigma_lo, sigma_hi)
+    sums = []
+    for node_count in (quad.node_count, max(16, quad.node_count // 2)):
+        t, w = quad.nodes_weights(node_count)
+        sv = _power_product_singular_values(specs, t)
+        norms = ky_fan_from_eigenvalues(_apply_scalar_function(f, sv), k)
+        sums.append(float(np.sum(form(norms) * beta0_density(t) * w)))
+    full, half = sums
+    return full, abs(full - half) + 1e-12 * (1.0 + abs(full)), f_range
 
 
 def golden_thompson_rhs_log(
-    f: Callable,
-    cs: Sequence[HermitianTensor],
-    k: int,
-    quad: QuadratureSpec,
-    max_truncation_error: float | None = None,
+    f: Callable, cs: Sequence[HermitianTensor], k: int, quad: QuadratureSpec
 ) -> QuadratureValue:
     """``exp( int log || f(|prod C_i^(1+it)|) ||_(k) beta0(t) dt )`` on [-T, T]."""
-    specs = _positive_spectra(cs)
-    tail = beta0_tail_mass(quad.truncation)
-    sigma_lo = float(np.prod([s.eigenvalues[-1] for s in specs]))
-    sigma_hi = float(np.prod([s.eigenvalues[0] for s in specs]))
-    f_lo, f_hi = _f_range(f, sigma_lo, sigma_hi)
+    integral, quad_err, (f_lo, f_hi) = _quadrature(f, cs, k, quad, np.log)
     with np.errstate(divide="ignore"):
         m_log = max(abs(np.log(k * f_lo)) if f_lo > 0 else np.inf, abs(np.log(k * f_hi)))
-    trunc_log = m_log * tail
-
-    def integrand(ts: np.ndarray) -> np.ndarray:
-        sv = _power_product_singular_values(specs, ts)
-        return np.log(ky_fan_from_eigenvalues(_apply_scalar_function(f, sv), k))
-
-    integral, quad_err = _integrate(integrand, quad)
+    trunc_log = m_log * beta0_tail_mass(quad.truncation)
     value = math.exp(integral)
-    if max_truncation_error is not None and trunc_log > max_truncation_error:
-        raise QuadratureError(
-            f"truncation bound {trunc_log:.3e} exceeds requested {max_truncation_error:.3e}"
-        )
-    combined = value * math.expm1(min(trunc_log + quad_err, 700.0)) if math.isfinite(trunc_log) else math.inf
+    finite = math.isfinite(trunc_log)
     return QuadratureValue(
         value=value,
-        error_bound=combined,
-        truncation_bound=value * math.expm1(min(trunc_log, 700.0)) if math.isfinite(trunc_log) else math.inf,
+        error_bound=value * math.expm1(min(trunc_log + quad_err, 700.0)) if finite else math.inf,
+        truncation_bound=value * math.expm1(min(trunc_log, 700.0)) if finite else math.inf,
         quadrature_error=quad_err,
-        node_count=quad.node_count,
-        truncation=quad.truncation,
     )
 
 
 def golden_thompson_rhs_linear(
-    g: Callable,
-    cs: Sequence[HermitianTensor],
-    k: int,
-    quad: QuadratureSpec,
-    max_truncation_error: float | None = None,
+    g: Callable, cs: Sequence[HermitianTensor], k: int, quad: QuadratureSpec
 ) -> QuadratureValue:
     """``int || g(|prod C_i^(1+it)|) ||_(k) beta0(t) dt`` on [-T, T]."""
-    specs = _positive_spectra(cs)
-    tail = beta0_tail_mass(quad.truncation)
-    sigma_lo = float(np.prod([s.eigenvalues[-1] for s in specs]))
-    sigma_hi = float(np.prod([s.eigenvalues[0] for s in specs]))
-    _, g_hi = _f_range(g, sigma_lo, sigma_hi)
-    trunc = k * g_hi * tail
-
-    def integrand(ts: np.ndarray) -> np.ndarray:
-        sv = _power_product_singular_values(specs, ts)
-        return ky_fan_from_eigenvalues(_apply_scalar_function(g, sv), k)
-
-    integral, quad_err = _integrate(integrand, quad)
-    if max_truncation_error is not None and trunc > max_truncation_error:
-        raise QuadratureError(
-            f"truncation bound {trunc:.3e} exceeds requested {max_truncation_error:.3e}"
-        )
+    integral, quad_err, (_, g_hi) = _quadrature(g, cs, k, quad, lambda norms: norms)
+    trunc = k * g_hi * beta0_tail_mass(quad.truncation)
     return QuadratureValue(
-        value=integral,
-        error_bound=trunc + quad_err,
-        truncation_bound=trunc,
-        quadrature_error=quad_err,
-        node_count=quad.node_count,
-        truncation=quad.truncation,
+        value=integral, error_bound=trunc + quad_err, truncation_bound=trunc, quadrature_error=quad_err
     )
 
 

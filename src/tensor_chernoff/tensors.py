@@ -172,8 +172,9 @@ def _rebuild_tensor(cls, row_dims, col_dims, matrix):
 class HermitianTensor(Tensor):
     """Square tensor equal to its conjugate transpose.
 
-    Construction checks hermiticity within ``HERM_TOL_SCALE * fro_norm`` and
-    stores the canonical Hermitian part ``(X + X^H) / 2``.
+    Construction rejects non-finite entries, checks hermiticity within
+    ``HERM_TOL_SCALE * fro_norm`` and stores the canonical Hermitian part
+    ``(X + X^H) / 2``.
     """
 
     def __init__(self, shape: TensorShape, matrix: np.ndarray, *, copy: bool = True):
@@ -183,6 +184,9 @@ class HermitianTensor(Tensor):
             raise ShapeError(
                 f"unfolding must be {shape.unfold_rows} x {shape.unfold_cols}, got {mat.shape}"
             )
+        # entrywise: the Frobenius norm overflows for finite entries above ~1e154
+        if not np.isfinite(mat).all():
+            raise ArgumentError("Hermitian tensor entries must be finite (got NaN or inf)")
         fro = float(np.linalg.norm(mat))
         dev = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
         if dev > HERM_TOL_SCALE * fro:

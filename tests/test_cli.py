@@ -6,8 +6,11 @@ import sys
 
 import pytest
 
+from tensor_chernoff.chernoff import random_assignment, save_assignment
 from tensor_chernoff.cli import main
+from tensor_chernoff.graphs import gen_complete
 from tensor_chernoff.reporting import parse_tail_csv, report_from_json
+from tensor_chernoff.tensors import TensorShape
 
 FAST_SWEEP = """
 [experiment]
@@ -110,7 +113,9 @@ def test_bad_edge_list_token_exit_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("case", ["unwritable_out", "manifest_without_vertices", "manifest_not_json"])
+@pytest.mark.parametrize(
+    "case", ["unwritable_out", "manifest_without_vertices", "manifest_not_json", "nan_tensor_record"]
+)
 def test_io_errors_exit_2(case, sweep_config, tmp_path, capsys):
     cfg, out = sweep_config, tmp_path / "r.json"
     manifest = tmp_path / "manifest.json"
@@ -120,9 +125,17 @@ def test_io_errors_exit_2(case, sweep_config, tmp_path, capsys):
     elif case == "manifest_without_vertices":
         manifest.write_text('{"format": "assignment/1"}')
         needle = "has no 'vertices' entry"
-    else:
+    elif case == "manifest_not_json":
         manifest.write_text("not json")
         needle = "cannot read manifest"
+    else:
+        assignment = random_assignment(gen_complete(4), TensorShape.square((2,)), 1.0, seed=3)
+        manifest = save_assignment(assignment, tmp_path / "assignment")
+        record_path = manifest.parent / "vertex_0001.json"
+        record = json.loads(record_path.read_text())
+        record["entries"][0] = float("nan")
+        record_path.write_text(json.dumps(record))
+        needle = "must be finite"
     if case != "unwritable_out":
         cfg = tmp_path / "manifest.ini"
         cfg.write_text(FAST_SWEEP.replace("source = random", f"source = manifest\nmanifest = {manifest}"))
@@ -131,6 +144,18 @@ def test_io_errors_exit_2(case, sweep_config, tmp_path, capsys):
     err = capsys.readouterr().err
     assert needle in err
     assert "Traceback" not in err
+
+
+def test_unwritable_out_rejected_before_run(sweep_config, tmp_path, monkeypatch, capsys):
+    from tensor_chernoff import cli
+
+    def must_not_run(config, workers=None, seed=None):
+        raise AssertionError("run started although the report cannot be written")
+
+    monkeypatch.setattr(cli, "run", must_not_run)
+    for out in (tmp_path / "no_such_dir" / "r.json", tmp_path):
+        assert main(["run", "--config", str(sweep_config), "--out", str(out)]) == 2
+        assert f"cannot write report {out}" in capsys.readouterr().err
 
 
 def test_usage_error_exit_2():

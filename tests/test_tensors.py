@@ -292,6 +292,18 @@ def test_hermitian_closure_and_canonical_storage():
         HermitianTensor(s, random_tensor(s, RNG).matrix)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_hermitian_rejects_non_finite_entries(bad):
+    s = TensorShape.square((2,))
+    mat = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.complex128)
+    mat[1, 1] = bad
+    with pytest.raises(ArgumentError, match="finite"):
+        HermitianTensor(s, mat)
+    # finite entries whose Frobenius norm overflows are still accepted
+    with np.errstate(over="ignore"):
+        assert HermitianTensor(s, np.diag([1e200, -1e200])).matrix[0, 0] == 1e200
+
+
 def test_unfolding_homomorphism_random_sweep():
     rng = np.random.default_rng(3)
     for _ in range(50):
