@@ -36,8 +36,9 @@ from .errors import (
     DomainError,
     NumericalError,
     PreconditionError,
+    ShapeError,
 )
-from .graphs import RegularGraph, load_edge_list, sample_walks_array, save_edge_list
+from .graphs import RegularGraph, load_edge_list, sample_walks_array, save_edge_list, spectral_expansion
 from .inequalities import beta0_density
 from .io import load_tensor, read_json_object, save_tensor
 from .norms import ky_fan_from_eigenvalues
@@ -230,11 +231,8 @@ def contraction_certificate(
     b: float,
     num_probes: int = 100,
     seed: int = 0,
-    tol: float = 1e-9,
 ) -> ContractionReport:
     """Check the four norm-contraction bounds on random probe tensors."""
-    from .graphs import spectral_expansion
-
     lam = spectral_expansion(assignment.graph)
     gammas = gamma_bounds(t, assignment.radius, a, b, lam)
     es = _vertex_exponentials(assignment, t, a, b)
@@ -256,7 +254,7 @@ def contraction_certificate(
             else:  # orthogonal input: parts 2 and 4
                 worst[1] = max(worst[1], np.linalg.norm(out_par) / nrm)
                 worst[3] = max(worst[3], np.linalg.norm(out_perp) / nrm)
-    holds = all(w <= g + tol for w, g in zip(worst, gammas))
+    holds = all(w <= g + 1e-9 for w, g in zip(worst, gammas))
     return ContractionReport(
         gammas=gammas, worst_ratios=tuple(worst), holds=holds, num_probes=num_probes
     )
@@ -320,7 +318,10 @@ def _golden_section(fn: Callable, a: float, b: float, keep_going: Callable[[floa
     return a, b, fc, fd
 
 
-def _max_domination_ratio(window: float, sigma: float, grid_points: int) -> float:
+_DOMINATION_GRID_POINTS = 10000
+
+
+def _max_domination_ratio(window: float, sigma: float, grid_points: int = _DOMINATION_GRID_POINTS) -> float:
     """Supremum of ``beta0(tau) sigma sqrt(2 pi) exp(tau^2 / 2 sigma^2)`` over the window.
 
     Grid scan plus golden-section refinement around the best grid point: the
@@ -345,9 +346,7 @@ def _max_domination_ratio(window: float, sigma: float, grid_points: int) -> floa
     return max(float(np.max(vals)), -fc, -fd)
 
 
-def fit_gaussian_domination(
-    window: float, sigma_grid: Sequence[float], grid_points: int = 10000
-) -> DominationFit:
+def fit_gaussian_domination(window: float, sigma_grid: Sequence[float]) -> DominationFit:
     """Smallest C over the sigma grid dominating beta0 on ``[-window, window]``."""
     if window <= 0:
         raise ArgumentError(f"window must be positive, got {window}")
@@ -355,11 +354,11 @@ def fit_gaussian_domination(
     for sigma in sigma_grid:
         if sigma <= 0:
             raise ArgumentError(f"sigma values must be positive, got {sigma}")
-        c = _max_domination_ratio(window, float(sigma), grid_points)
+        c = _max_domination_ratio(window, float(sigma))
         if c < best_c:
             best_c, best_sigma = c, float(sigma)
     best_c *= 1.0 + 1e-9  # cushion so the inequality holds strictly at the argmax
-    taus = np.linspace(-window, window, grid_points)
+    taus = np.linspace(-window, window, _DOMINATION_GRID_POINTS)
     gauss = best_c * np.exp(-(taus**2) / (2.0 * best_sigma**2)) / (best_sigma * math.sqrt(2.0 * math.pi))
     verified = bool(np.all(beta0_density(taus) <= gauss))
     return DominationFit(c=best_c, sigma=best_sigma, window=float(window), verified=verified)
@@ -413,12 +412,7 @@ def _theorem_objective(params: ChernoffParams, poly: PolynomialSpec, fit: Domina
     return objective
 
 
-def theorem_bound(
-    params: ChernoffParams,
-    poly: PolynomialSpec,
-    fit: DominationFit,
-    t_search: tuple[float, float] | None = None,
-) -> BoundResult:
+def theorem_bound(params: ChernoffParams, poly: PolynomialSpec, fit: DominationFit) -> BoundResult:
     """Minimize the displayed tail-bound expression over ``t > 0``.
 
     Coarse log-spaced grid, then golden-section refinement to 1e-8 relative.
@@ -426,20 +420,15 @@ def theorem_bound(
     if not fit.verified:
         raise ArgumentError("domination fit must be verified")
     objective = _theorem_objective(params, poly, fit)
-    if t_search is None:
-        vertices = [
-            (params.theta - 2.0 * (params.kappa + 8.0 * params.lam_bar) * l * poly.power * params.radius)
-            / (4.0 * (fit.sigma * (params.kappa + 8.0 * params.lam_bar) * l * poly.power * params.radius) ** 2)
-            for l in range(1, poly.degree + 1)
-            if poly.coefficients[l] != 0.0
-        ]
-        hi = max([1.0] + [4.0 * v for v in vertices if v > 0])
-        t_search = (1e-8, hi)
-    lo, hi = t_search
-    if not (0 < lo < hi):
-        raise ArgumentError(f"t_search must satisfy 0 < lo < hi, got {t_search}")
+    vertices = [
+        (params.theta - 2.0 * (params.kappa + 8.0 * params.lam_bar) * l * poly.power * params.radius)
+        / (4.0 * (fit.sigma * (params.kappa + 8.0 * params.lam_bar) * l * poly.power * params.radius) ** 2)
+        for l in range(1, poly.degree + 1)
+        if poly.coefficients[l] != 0.0
+    ]
+    hi = max([1.0] + [4.0 * v for v in vertices if v > 0])
 
-    grid = np.geomspace(lo, hi, 200)
+    grid = np.geomspace(1e-8, hi, 200)
     vals = objective(grid)
     i = int(np.argmin(vals))
     left = grid[max(i - 1, 0)]
@@ -682,5 +671,9 @@ def load_assignment(manifest_path: str | Path, graph: RegularGraph | None = None
         key = str(v)
         if key not in entries:
             raise ArgumentError(f"manifest missing tensor for vertex {v}")
-        tensors.append(as_hermitian(load_tensor(base / entries[key])))
+        path = base / entries[key]
+        try:
+            tensors.append(as_hermitian(load_tensor(path)))
+        except (ArgumentError, ShapeError) as exc:
+            raise type(exc)(f"tensor for vertex {v} in {path}: {exc}") from exc
     return VertexTensorAssignment(graph, tensors)

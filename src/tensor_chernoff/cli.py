@@ -4,7 +4,8 @@
                         [--workers N] [--seed S]
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
-config error.
+config error.  ``--seed`` below 0 and ``--workers`` below 1 exit 2 before
+the run starts, like the same values in the config.
 """
 
 from __future__ import annotations
@@ -57,6 +58,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config)
         _require_writable(args.out)
+        for flag, value, low in (("--seed", args.seed, 0), ("--workers", args.workers, 1)):
+            if value is not None and value < low:
+                raise ArgumentError(f"{flag} must be >= {low}, got {value}")
         report = run(config, workers=args.workers, seed=args.seed)
         emit(report, args.out, args.format)
     except ConfigError as exc:

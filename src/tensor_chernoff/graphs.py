@@ -163,19 +163,9 @@ def gen_random_regular(n: int, d: int, seed: int) -> RegularGraph:
 # ---------------------------------------------------------------------------
 
 def sample_walk(g: RegularGraph, length: int, seed: int, walk_index: int = 0) -> WalkSample:
-    """Stationary walk: uniform start, then uniform over the d edge slots."""
-    if length < 1:
-        raise ArgumentError(f"walk length must be >= 1, got {length}")
-    slots = g.edge_slots()
-    rng = stream(seed, DOMAIN_WALK, walk_index)
-    v = int(rng.integers(g.n))
-    verts = [v]
-    if length > 1:
-        choices = rng.integers(g.degree, size=length - 1)
-        for c in choices:
-            v = int(slots[v, c])
-            verts.append(v)
-    return WalkSample(vertices=tuple(verts), seed=seed, length=length)
+    """Stationary walk ``walk_index``: uniform start, then uniform over the d edge slots."""
+    row = sample_walks_array(g, length, 1, seed, start_index=walk_index)[0]
+    return WalkSample(vertices=tuple(row.tolist()), seed=seed, length=length)
 
 
 def sample_walks_array(
@@ -183,8 +173,8 @@ def sample_walks_array(
 ) -> np.ndarray:
     """Vertex matrix (num_walks, length) for walks ``start_index .. +num_walks``.
 
-    Row i reproduces ``sample_walk(g, length, seed, start_index + i)`` exactly,
-    so a batch can be recomputed in any chunking.
+    Row i is walk ``start_index + i``, drawn from that walk's own stream, so a
+    batch can be recomputed in any chunking.
     """
     if length < 1:
         raise ArgumentError(f"walk length must be >= 1, got {length}")

@@ -91,19 +91,20 @@ def build_graph(spec: GraphSpec, seed: int) -> RegularGraph:
 
 
 def run(config: ExperimentConfig, workers: int | None = None, seed: int | None = None) -> Report:
-    seed = config.seed if seed is None else seed
-    workers = config.workers if workers is None else workers
+    suite = config.experiment.suite
+    seed = config.experiment.seed if seed is None else seed
+    workers = config.experiment.workers if workers is None else workers
     suite_fns = {
         "tensor_props": _suite_tensor_props,
         "inequalities": _suite_inequalities,
         "expander": _suite_expander,
         "chernoff_sweep": _suite_chernoff_sweep,
     }
-    if config.suite not in suite_fns:
-        raise ConfigError(f"unknown suite {config.suite!r}")
-    checks, rows = suite_fns[config.suite](config, seed, workers)
+    if suite not in suite_fns:
+        raise ConfigError(f"unknown suite {suite!r}")
+    checks, rows = suite_fns[suite](config, seed, workers)
     return Report(
-        suite=config.suite,
+        suite=suite,
         config=config.echo(),
         checks=checks,
         tail_rows=rows,
@@ -121,7 +122,7 @@ def _random_shape(rng, max_modes=2, max_dim=3) -> tuple[int, ...]:
 
 def _suite_tensor_props(cfg: ExperimentConfig, seed: int, workers: int):
     rng = stream(seed, DOMAIN_SUITE, _SUITE_IDS["tensor_props"])
-    trials = cfg.trials
+    trials = cfg.experiment.trials
     worst_einstein = worst_adjoint = worst_trace = 0.0
     worst_closure = worst_specmap = worst_kron = 0.0
     for _ in range(trials):
@@ -203,7 +204,8 @@ def _lie_trotter_slope(rng, pairs: int = 4):
 
 def _suite_inequalities(cfg: ExperimentConfig, seed: int, workers: int):
     rng = stream(seed, DOMAIN_SUITE, _SUITE_IDS["inequalities"])
-    quad = QuadratureSpec(truncation=cfg.quad_truncation, node_count=cfg.quad_nodes)
+    trials = cfg.experiment.trials
+    quad = QuadratureSpec(truncation=cfg.quadrature.truncation, node_count=cfg.quadrature.nodes)
     checks = []
 
     # the 1e-8 tolerance is calibrated at 256 nodes, so never check below that
@@ -224,7 +226,7 @@ def _suite_inequalities(cfg: ExperimentConfig, seed: int, workers: int):
     )
 
     holder_bad = 0
-    for _ in range(cfg.trials):
+    for _ in range(trials):
         n = int(rng.integers(2, 5))
         r = int(rng.integers(2, 7))
         vecs = [np.sort(rng.uniform(0.0, 4.0, size=r))[::-1] for _ in range(n)]
@@ -238,10 +240,10 @@ def _suite_inequalities(cfg: ExperimentConfig, seed: int, workers: int):
         if lhs > rhs + 1e-9 * (1.0 + rhs):
             holder_bad += 1
     checks.append(CheckRecord.from_bound("holder_gauge_violations", holder_bad, 0.0,
-                                         detail=f"{cfg.trials} random vector tuples"))
+                                         detail=f"{trials} random vector tuples"))
 
     kyfan_bad = 0
-    for _ in range(cfg.trials):
+    for _ in range(trials):
         dim = int(rng.integers(2, 4))
         shape = TensorShape.square((dim,))
         tensors = [random_tensor(shape, rng) for _ in range(int(rng.integers(1, 5)))]
@@ -250,10 +252,10 @@ def _suite_inequalities(cfg: ExperimentConfig, seed: int, workers: int):
         )
         kyfan_bad += 0 if rep.holds else 1
     checks.append(CheckRecord.from_bound("kyfan_sum_inequality_violations", kyfan_bad, 0.0,
-                                         detail=f"{cfg.trials} random batches, m <= 4, s in {{1,2,3}}"))
+                                         detail=f"{trials} random batches, m <= 4, s in {{1,2,3}}"))
 
-    checks.append(_discrete_majorization_check(rng, cfg.trials))
-    checks.extend(_multivariate_checks(rng, quad, max(20, cfg.trials // 10)))
+    checks.append(_discrete_majorization_check(rng, trials))
+    checks.extend(_multivariate_checks(rng, quad, max(20, trials // 10)))
     return checks, []
 
 
@@ -370,8 +372,8 @@ def _suite_expander(cfg: ExperimentConfig, seed: int, workers: int):
     checks.append(CheckRecord.from_bound("expansion_certificate", worst, lam + 1e-9,
                                          detail=f"lambda = {lam:.6f}, 100 probes"))
 
-    kappa = max(cfg.kappa, 2)
-    n_walks = min(cfg.num_walks, 50000)
+    kappa = max(cfg.walk.kappa, 2)
+    n_walks = min(cfg.walk.num_walks, 50000)
     walks = sample_walks_array(graph, kappa, n_walks, seed)
     worst_dev = 0.0
     for j in (0, kappa // 2, kappa - 1):
@@ -389,11 +391,10 @@ def _suite_expander(cfg: ExperimentConfig, seed: int, workers: int):
     dev = float(np.max(np.abs(joint - expected) / np.where(expected > 0, sigma, 1.0)))
     checks.append(CheckRecord.from_bound("two_step_joint_max_sigma", dev, 4.0))
 
-    w1 = sample_walk(graph, kappa, seed, walk_index=0)
-    w2 = sample_walk(graph, kappa, seed, walk_index=0)
-    checks.append(
-        CheckRecord.from_bound("walk_determinism", 0.0 if w1.vertices == w2.vertices else 1.0, 0.0)
-    )
+    # walk i depends only on (seed, i): worker-count invariance rests on it
+    alone = [sample_walk(graph, kappa, seed, walk_index=i).vertices for i in (0, n_walks - 1)]
+    same = alone == [tuple(walks[i].tolist()) for i in (0, n_walks - 1)]
+    checks.append(CheckRecord.from_bound("walk_determinism", 0.0 if same else 1.0, 0.0))
     return checks, []
 
 
@@ -410,8 +411,8 @@ def _suite_chernoff_sweep(cfg: ExperimentConfig, seed: int, workers: int):
         assignment = random_assignment(graph, shape, cfg.tensors.radius, seed)
     lam = spectral_expansion(graph)
     lam_bar = 1.0 - lam
-    poly = PolynomialSpec(cfg.poly_coefficients, cfg.poly_power)
-    fit = fit_gaussian_domination(cfg.domination_window, cfg.sigma_grid)
+    poly = PolynomialSpec(cfg.poly.coefficients, cfg.poly.power)
+    fit = fit_gaussian_domination(cfg.domination.window, cfg.domination.sigma_grid)
     checks = []
 
     g1, g2, g3, g4 = gamma_bounds(0.2, assignment.radius, 1.0, 0.5, lam)
@@ -419,9 +420,9 @@ def _suite_chernoff_sweep(cfg: ExperimentConfig, seed: int, workers: int):
     checks.append(CheckRecord.from_bound("gamma_algebra_error", gamma_err, 0.0))
 
     bounds, t_checks, corollaries = [], [], []
-    for theta in cfg.theta_grid:
+    for theta in cfg.sweep.theta_grid:
         params = ChernoffParams(
-            kappa=cfg.kappa, k=cfg.k, theta=theta, lam_bar=lam_bar,
+            kappa=cfg.walk.kappa, k=cfg.walk.k, theta=theta, lam_bar=lam_bar,
             dim=assignment.dim, radius=assignment.radius,
         )
         res = theorem_bound(params, poly, fit)
@@ -436,7 +437,7 @@ def _suite_chernoff_sweep(cfg: ExperimentConfig, seed: int, workers: int):
             corollaries.append(None)
 
     estimates = empirical_tail_sweep(
-        assignment, poly, cfg.k, cfg.theta_grid, cfg.num_walks, cfg.kappa, seed,
+        assignment, poly, cfg.walk.k, cfg.sweep.theta_grid, cfg.walk.num_walks, cfg.walk.kappa, seed,
         t_check=t_checks, workers=workers,
     )
     rows = [
@@ -487,7 +488,7 @@ def _suite_chernoff_sweep(cfg: ExperimentConfig, seed: int, workers: int):
     sandwich_excess = -math.inf
     tested = 0
     params0 = ChernoffParams(
-        kappa=min(cfg.kappa, 4), k=cfg.k, theta=cfg.theta_grid[0], lam_bar=lam_bar,
+        kappa=min(cfg.walk.kappa, 4), k=cfg.walk.k, theta=cfg.sweep.theta_grid[0], lam_bar=lam_bar,
         dim=assignment.dim, radius=assignment.radius,
     )
     for t in (0.05, 0.15, 0.4):

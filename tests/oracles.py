@@ -17,6 +17,7 @@ import numpy as np
 
 from tensor_chernoff.errors import ArgumentError
 from tensor_chernoff.norms import ky_fan_norm, singular_values
+from tensor_chernoff.rng import DOMAIN_WALK, stream
 from tensor_chernoff.tensors import Tensor, TensorShape
 
 
@@ -158,6 +159,20 @@ def entry_trace(entries: np.ndarray, n_row_modes: int) -> complex:
 def entry_inner_product(x: np.ndarray, y: np.ndarray) -> complex:
     """Entrywise sesquilinear inner product."""
     return complex(np.sum(np.conjugate(x) * y))
+
+
+def reference_walk(g, length: int, seed: int, walk_index: int) -> tuple[int, ...]:
+    """Walk ``walk_index`` one step at a time from its own stream: a uniform
+    start, then a uniform pick among the current vertex's edges, each edge
+    repeated by its multiplicity."""
+    rng = stream(seed, DOMAIN_WALK, walk_index)
+    v = int(rng.integers(g.n))
+    verts = [v]
+    if length > 1:
+        for c in rng.integers(g.degree, size=length - 1):
+            v = int(np.repeat(np.arange(g.n), g.adjacency[v])[c])
+            verts.append(v)
+    return tuple(verts)
 
 
 def dense_transfer_operator(assignment, t: float, a: float, b: float):

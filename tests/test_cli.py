@@ -144,6 +144,8 @@ def test_io_errors_exit_2(case, sweep_config, tmp_path, capsys):
     err = capsys.readouterr().err
     assert needle in err
     assert "Traceback" not in err
+    if case == "nan_tensor_record":
+        assert "vertex_0001.json" in err
 
 
 def test_unwritable_out_rejected_before_run(sweep_config, tmp_path, monkeypatch, capsys):
@@ -158,6 +160,23 @@ def test_unwritable_out_rejected_before_run(sweep_config, tmp_path, monkeypatch,
         assert f"cannot write report {out}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value, line",
+    [("--seed", "-5", "error: --seed must be >= 0, got -5"), ("--workers", "0", "error: --workers must be >= 1, got 0")],
+)
+def test_bad_override_rejected_before_run(flag, value, line, sweep_config, tmp_path, monkeypatch, capsys):
+    from tensor_chernoff import cli
+
+    def must_not_run(config, workers=None, seed=None):
+        raise AssertionError("run started although an override is out of range")
+
+    monkeypatch.setattr(cli, "run", must_not_run)
+    assert main(["run", "--config", str(sweep_config), "--out", str(tmp_path / "r.json"), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [line]
+    assert "Traceback" not in err
+
+
 def test_usage_error_exit_2():
     assert main(["run", "--config"]) == 2
     assert main([]) == 2
@@ -169,7 +188,7 @@ def test_check_failure_exit_1(sweep_config, tmp_path, monkeypatch):
 
     def fake_run(config, workers=None, seed=None):
         return Report(
-            suite=config.suite,
+            suite=config.experiment.suite,
             config=config.echo(),
             checks=[CheckRecord.from_bound("forced_failure", 2.0, 1.0)],
             tail_rows=[],

@@ -143,11 +143,11 @@ sigma_grid = 1.0 2.0
 
 def test_parse_good_config():
     cfg = parse_config(GOOD)
-    assert cfg.suite == "chernoff_sweep"
+    assert cfg.experiment.suite == "chernoff_sweep"
     assert cfg.graph.kind == "hypercube" and cfg.graph.dim == 3
     assert cfg.tensors.row_dims == (2, 2)
-    assert cfg.theta_grid == (4.0, 8.0, 12.0)
-    assert cfg.kappa == 8 and cfg.k == 2
+    assert cfg.sweep.theta_grid == (4.0, 8.0, 12.0)
+    assert cfg.walk.kappa == 8 and cfg.walk.k == 2
     echo = cfg.echo()
     assert echo["experiment.seed"] == 11
     assert echo["tensors.row_dims"] == [2, 2]

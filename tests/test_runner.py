@@ -85,7 +85,7 @@ def test_build_graph_dispatch(tmp_path):
 
 def test_unknown_suite_rejected():
     cfg = parse_config("[experiment]\nsuite = tensor_props\n")
-    object.__setattr__(cfg, "suite", "mystery")
+    object.__setattr__(cfg.experiment, "suite", "mystery")
     with pytest.raises(ConfigError):
         run(cfg)
 
