@@ -52,6 +52,7 @@ from .majorization import (
 )
 from .inequalities import (
     DiscreteMeasure,
+    PowerProductSpectrum,
     QuadratureSpec,
     beta0_density,
     beta_density,

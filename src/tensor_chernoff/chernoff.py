@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,7 +39,7 @@ from .errors import (
     PreconditionError,
     ShapeError,
 )
-from .graphs import RegularGraph, load_edge_list, sample_walks_array, save_edge_list, spectral_expansion
+from .graphs import RegularGraph, load_edge_list, sample_walks_array, save_edge_list
 from .inequalities import beta0_density
 from .io import load_tensor, read_json_object, save_tensor
 from .norms import ky_fan_from_eigenvalues
@@ -229,11 +230,15 @@ def contraction_certificate(
     t: float,
     a: float,
     b: float,
+    lam: float,
     num_probes: int = 100,
     seed: int = 0,
 ) -> ContractionReport:
-    """Check the four norm-contraction bounds on random probe tensors."""
-    lam = spectral_expansion(assignment.graph)
+    """Check the four norm-contraction bounds on random probe tensors.
+
+    ``lam`` is the spectral expansion of ``assignment.graph``, which callers
+    already hold.
+    """
     gammas = gamma_bounds(t, assignment.radius, a, b, lam)
     es = _vertex_exponentials(assignment, t, a, b)
     slots = assignment.graph.edge_slots()
@@ -581,7 +586,9 @@ def empirical_tail_sweep(
         (assignment.graph, g_stack, poly, k, thetas, kappa, seed, start, count, t_checks)
         for start, count in chunks
     ]
-    if workers > 1 and len(args) > 1:
+    # the pool starts every worker at once, so never more than there are chunks or cores
+    workers = min(workers, len(args), os.cpu_count() or 1)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_tail_chunk_star, args))
     else:

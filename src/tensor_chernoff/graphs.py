@@ -101,6 +101,14 @@ def spectral_expansion(g: RegularGraph) -> float:
 # Generators
 # ---------------------------------------------------------------------------
 
+def _symmetric_adjacency(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Adjacency counting each edge ``(us[i], vs[i])`` once per direction, repeats included."""
+    adj = np.zeros((n, n), dtype=np.int64)
+    np.add.at(adj, (us, vs), 1)
+    np.add.at(adj, (vs, us), 1)
+    return adj
+
+
 def gen_complete(n: int) -> RegularGraph:
     if n < 2:
         raise ArgumentError(f"complete graph needs n >= 2, got {n}")
@@ -110,24 +118,17 @@ def gen_complete(n: int) -> RegularGraph:
 def gen_cycle(n: int) -> RegularGraph:
     if n < 2:
         raise ArgumentError(f"cycle needs n >= 2, got {n}")
-    adj = np.zeros((n, n), dtype=np.int64)
-    if n == 2:
-        adj[0, 1] = adj[1, 0] = 2  # double edge keeps degree 2
-    else:
-        for u in range(n):
-            adj[u, (u + 1) % n] += 1
-            adj[(u + 1) % n, u] += 1
-    return RegularGraph(adj)
+    u = np.arange(n)
+    return RegularGraph(_symmetric_adjacency(n, u, (u + 1) % n))  # n = 2: a double edge
 
 
 def gen_hypercube(dim: int) -> RegularGraph:
     if dim < 1:
         raise ArgumentError(f"hypercube needs dim >= 1, got {dim}")
     n = 1 << dim
+    u = np.repeat(np.arange(n), dim)
     adj = np.zeros((n, n), dtype=np.int64)
-    for u in range(n):
-        for b in range(dim):
-            adj[u, u ^ (1 << b)] = 1
+    np.add.at(adj, (u, u ^ np.tile(1 << np.arange(dim), n)), 1)
     return RegularGraph(adj)
 
 
@@ -144,18 +145,13 @@ def gen_random_regular(n: int, d: int, seed: int) -> RegularGraph:
     if (n * d) % 2 != 0:
         raise ArgumentError(f"n * d must be even, got n={n}, d={d}")
     rng = stream(seed, DOMAIN_GRAPH)
-    adj = np.zeros((n, n), dtype=np.int64)
-    for _ in range(d // 2):
-        perm = rng.permutation(n)
-        for u, v in enumerate(perm):
-            adj[u, v] += 1
-            adj[v, u] += 1
+    us = [np.arange(n)] * (d // 2)
+    vs = [rng.permutation(n) for _ in range(d // 2)]
     if d % 2 == 1:
-        pairing = rng.permutation(n)
-        for a, b in pairing.reshape(-1, 2):
-            adj[a, b] += 1
-            adj[b, a] += 1
-    return RegularGraph(adj)
+        pairing = rng.permutation(n).reshape(-1, 2)
+        us.append(pairing[:, 0])
+        vs.append(pairing[:, 1])
+    return RegularGraph(_symmetric_adjacency(n, np.concatenate(us), np.concatenate(vs)))
 
 
 # ---------------------------------------------------------------------------

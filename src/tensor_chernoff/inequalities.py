@@ -12,6 +12,7 @@ every quadrature result carries an explicit truncation bound.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -33,6 +34,7 @@ from .tensors import (
     HermitianTensor,
     Tensor,
     _apply_scalar_function,
+    _scalar_function_values,
     as_hermitian,
     hermitian_eig,
     tensor_exp,
@@ -89,8 +91,21 @@ class QuadratureSpec:
 
     def nodes_weights(self, node_count: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         n = self.node_count if node_count is None else node_count
-        x, w = np.polynomial.legendre.leggauss(n)
+        x, w = _legendre_rule(n)
         return x * self.truncation, w * self.truncation
+
+
+@functools.lru_cache(maxsize=16)
+def _legendre_rule(node_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Raw Gauss-Legendre nodes and weights on [-1, 1], read-only and shared by every caller.
+
+    The rule depends only on the node count, so one computation per count serves
+    every spec and every tuple.
+    """
+    x, w = np.polynomial.legendre.leggauss(node_count)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 @dataclass(frozen=True)
@@ -251,8 +266,7 @@ def _power_product_singular_values(specs, ts: np.ndarray) -> np.ndarray:
 def _f_range(f: Callable, lo: float, hi: float, samples: int = 512) -> tuple[float, float]:
     """Sampled range of ``|f|`` on [lo, hi], the values the Ky Fan integrands sum."""
     xs = np.geomspace(max(lo, 1e-300), max(hi, 1e-300), samples)
-    with np.errstate(all="ignore"):
-        vals = np.asarray([float(f(float(x))) for x in xs])
+    vals = _scalar_function_values(f, xs)
     vals = np.abs(vals[np.isfinite(vals)])
     if vals.size == 0:
         raise DomainError("scalar function produced no finite values on the spectral interval")
@@ -276,54 +290,79 @@ class QuadratureValue:
     quadrature_error: float
 
 
-def _quadrature(
-    f: Callable, cs: Sequence[HermitianTensor], k: int, quad: QuadratureSpec, form: Callable
-) -> tuple[float, float, tuple[float, float]]:
-    """``int form(|| f(|prod C_i^(1+it)|) ||_(k)) beta0(t) dt`` on [-T, T].
+class PowerProductSpectrum:
+    """Node singular values of ``prod_i C_i^(1+it)`` for one positive tuple and one rule.
 
-    Returns the full-rule value, its refinement error estimate and the range of ``|f|``.
+    The singular values on the full rule and on the half rule (the refinement
+    estimate's ``max(16, node_count // 2)`` nodes) depend only on ``(cs, quad)``,
+    so one object serves every ``(f, k)`` of both inequality forms.
+    ``interval`` is ``[prod lambda_min(C_i), prod lambda_max(C_i)]``, which
+    holds every singular value and is where ``|f|`` is sampled for the
+    truncation bound.
     """
-    specs = _positive_spectra(cs)
-    sigma_lo = float(np.prod([s.eigenvalues[-1] for s in specs]))
-    sigma_hi = float(np.prod([s.eigenvalues[0] for s in specs]))
-    f_range = _f_range(f, sigma_lo, sigma_hi)
-    sums = []
-    for node_count in (quad.node_count, max(16, quad.node_count // 2)):
-        t, w = quad.nodes_weights(node_count)
-        sv = _power_product_singular_values(specs, t)
-        norms = ky_fan_from_eigenvalues(_apply_scalar_function(f, sv), k)
-        sums.append(float(np.sum(form(norms) * beta0_density(t) * w)))
-    full, half = sums
-    return full, abs(full - half) + 1e-12 * (1.0 + abs(full)), f_range
+
+    def __init__(self, cs: Sequence[HermitianTensor], quad: QuadratureSpec):
+        if not cs:
+            raise ArgumentError("need at least one tensor")
+        self.quad = quad
+        self.spectra = _positive_spectra(cs)
+        self.interval = (
+            float(np.prod([s.eigenvalues[-1] for s in self.spectra])),
+            float(np.prod([s.eigenvalues[0] for s in self.spectra])),
+        )
+        self._rules = []
+        for node_count in (quad.node_count, max(16, quad.node_count // 2)):
+            t, w = quad.nodes_weights(node_count)
+            sv = _power_product_singular_values(self.spectra, t)
+            self._rules.append((sv, beta0_density(t), w))
+
+    def _integral(self, f: Callable, k: int, form: Callable) -> tuple[float, float]:
+        """``int form(|| f(|prod C_i^(1+it)|) ||_(k)) beta0(t) dt`` on [-T, T] and its refinement error."""
+        sums = []
+        for sv, density, w in self._rules:
+            norms = ky_fan_from_eigenvalues(_apply_scalar_function(f, sv), k)
+            sums.append(float(np.sum(form(norms) * density * w)))
+        full, half = sums
+        return full, abs(full - half) + 1e-12 * (1.0 + abs(full))
+
+    def log_form(self, f: Callable, k: int) -> QuadratureValue:
+        """``exp( int log || f(|prod C_i^(1+it)|) ||_(k) beta0(t) dt )`` on [-T, T]."""
+        f_lo, f_hi = _f_range(f, *self.interval)
+        integral, quad_err = self._integral(f, k, np.log)
+        with np.errstate(divide="ignore"):
+            m_log = max(abs(np.log(k * f_lo)) if f_lo > 0 else np.inf, abs(np.log(k * f_hi)))
+        trunc_log = m_log * beta0_tail_mass(self.quad.truncation)
+        value = math.exp(integral)
+        finite = math.isfinite(trunc_log)
+        return QuadratureValue(
+            value=value,
+            error_bound=value * math.expm1(min(trunc_log + quad_err, 700.0)) if finite else math.inf,
+            truncation_bound=value * math.expm1(min(trunc_log, 700.0)) if finite else math.inf,
+            quadrature_error=quad_err,
+        )
+
+    def linear_form(self, g: Callable, k: int) -> QuadratureValue:
+        """``int || g(|prod C_i^(1+it)|) ||_(k) beta0(t) dt`` on [-T, T]."""
+        _, g_hi = _f_range(g, *self.interval)
+        integral, quad_err = self._integral(g, k, lambda norms: norms)
+        trunc = k * g_hi * beta0_tail_mass(self.quad.truncation)
+        return QuadratureValue(
+            value=integral, error_bound=trunc + quad_err, truncation_bound=trunc, quadrature_error=quad_err
+        )
 
 
 def golden_thompson_rhs_log(
     f: Callable, cs: Sequence[HermitianTensor], k: int, quad: QuadratureSpec
 ) -> QuadratureValue:
     """``exp( int log || f(|prod C_i^(1+it)|) ||_(k) beta0(t) dt )`` on [-T, T]."""
-    integral, quad_err, (f_lo, f_hi) = _quadrature(f, cs, k, quad, np.log)
-    with np.errstate(divide="ignore"):
-        m_log = max(abs(np.log(k * f_lo)) if f_lo > 0 else np.inf, abs(np.log(k * f_hi)))
-    trunc_log = m_log * beta0_tail_mass(quad.truncation)
-    value = math.exp(integral)
-    finite = math.isfinite(trunc_log)
-    return QuadratureValue(
-        value=value,
-        error_bound=value * math.expm1(min(trunc_log + quad_err, 700.0)) if finite else math.inf,
-        truncation_bound=value * math.expm1(min(trunc_log, 700.0)) if finite else math.inf,
-        quadrature_error=quad_err,
-    )
+    return PowerProductSpectrum(cs, quad).log_form(f, k)
 
 
 def golden_thompson_rhs_linear(
     g: Callable, cs: Sequence[HermitianTensor], k: int, quad: QuadratureSpec
 ) -> QuadratureValue:
     """``int || g(|prod C_i^(1+it)|) ||_(k) beta0(t) dt`` on [-T, T]."""
-    integral, quad_err, (_, g_hi) = _quadrature(g, cs, k, quad, lambda norms: norms)
-    trunc = k * g_hi * beta0_tail_mass(quad.truncation)
-    return QuadratureValue(
-        value=integral, error_bound=trunc + quad_err, truncation_bound=trunc, quadrature_error=quad_err
-    )
+    return PowerProductSpectrum(cs, quad).linear_form(g, k)
 
 
 def warn_if_not_log_exp_convex(f: Callable, lo: float, hi: float, samples: int = 65) -> bool:

@@ -44,12 +44,11 @@ from .graphs import (
 )
 from .inequalities import (
     DiscreteMeasure,
+    PowerProductSpectrum,
     QuadratureSpec,
     beta0_density,
     beta_density,
     golden_thompson_lhs,
-    golden_thompson_rhs_linear,
-    golden_thompson_rhs_log,
     lie_trotter_error,
     lie_trotter_proof_bound,
     verify_discrete_average_majorization,
@@ -313,10 +312,11 @@ def _multivariate_checks(rng, quad: QuadratureSpec, trials: int) -> list[CheckRe
         k = int(rng.integers(1, dim + 1))
         f = fs[int(rng.integers(len(fs)))]
         lhs = golden_thompson_lhs(f, cs, k)
-        rlog = golden_thompson_rhs_log(f, cs, k, quad)
+        spectrum = PowerProductSpectrum(cs, quad)
+        rlog = spectrum.log_form(f, k)
         if lhs > rlog.value + rlog.error_bound + 1e-8 * (1.0 + abs(lhs)):
             log_bad += 1
-        rlin = golden_thompson_rhs_linear(f, cs, k, quad)
+        rlin = spectrum.linear_form(f, k)
         if lhs > rlin.value + rlin.error_bound + 1e-8 * (1.0 + abs(lhs)):
             lin_bad += 1
 
@@ -332,7 +332,7 @@ def _multivariate_checks(rng, quad: QuadratureSpec, trials: int) -> list[CheckRe
             cs.append(HermitianTensor(shape, (u.matrix * lam) @ u.matrix.conj().T))
         k = int(rng.integers(1, dim + 1))
         lhs = golden_thompson_lhs(lambda x: x, cs, k)
-        rlog = golden_thompson_rhs_log(lambda x: x, cs, k, quad)
+        rlog = PowerProductSpectrum(cs, quad).log_form(lambda x: x, k)
         excess = abs(lhs - rlog.value) - (rlog.error_bound + 1e-7 * (1.0 + abs(lhs)))
         eq_err = max(eq_err, excess)
     return [
@@ -479,7 +479,7 @@ def _suite_chernoff_sweep(cfg: ExperimentConfig, seed: int, workers: int):
                                              detail="skipped: every bound is vacuous"))
 
     cert = contraction_certificate(
-        assignment, t=min(0.5, 0.9 / assignment.radius), a=1.0, b=0.5, seed=seed
+        assignment, t=min(0.5, 0.9 / assignment.radius), a=1.0, b=0.5, lam=lam, seed=seed
     )
     worst_excess = max(w - g for w, g in zip(cert.worst_ratios, cert.gammas))
     checks.append(CheckRecord.from_bound("contraction_certificate_excess", worst_excess, 1e-9,

@@ -114,14 +114,6 @@ class Tensor:
     def H(self) -> "Tensor":
         return conj_transpose(self)
 
-    def is_hermitian(self, tol: float | None = None) -> bool:
-        if not self.shape.is_square:
-            return False
-        if tol is None:
-            tol = HERM_TOL_SCALE * frobenius_norm(self)
-        dev = np.max(np.abs(self.matrix - self.matrix.conj().T)) if self.matrix.size else 0.0
-        return bool(dev <= tol)
-
     def __add__(self, other: "Tensor") -> "Tensor":
         _require_same_shape(self, other, "tensor addition")
         cls = HermitianTensor if isinstance(self, HermitianTensor) and isinstance(other, HermitianTensor) else Tensor
@@ -336,8 +328,8 @@ def hermitian_eig(h: HermitianTensor) -> Spectrum:
     return Spectrum(shape=h.shape, eigenvalues=vals, basis=vecs, herm_rank=rank)
 
 
-def _apply_scalar_function(f: Callable, vals: np.ndarray) -> np.ndarray:
-    """``f`` elementwise on an array of any shape; a non-finite value raises."""
+def _scalar_function_values(f: Callable, vals: np.ndarray) -> np.ndarray:
+    """``f`` elementwise on an array of any shape, as one array call when ``f`` accepts arrays."""
     with np.errstate(all="ignore"):
         try:
             out = np.asarray(f(vals), dtype=np.float64)
@@ -345,6 +337,12 @@ def _apply_scalar_function(f: Callable, vals: np.ndarray) -> np.ndarray:
                 raise TypeError
         except (TypeError, ValueError):
             out = np.asarray([float(f(float(v))) for v in vals.ravel()]).reshape(vals.shape)
+    return out
+
+
+def _apply_scalar_function(f: Callable, vals: np.ndarray) -> np.ndarray:
+    """``f`` elementwise on an array of any shape; a non-finite value raises."""
+    out = _scalar_function_values(f, vals)
     if not np.all(np.isfinite(out)):
         bad = vals[~np.isfinite(out)]
         raise DomainError(f"spectral function undefined at eigenvalues {bad}")

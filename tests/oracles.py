@@ -17,7 +17,7 @@ import numpy as np
 
 from tensor_chernoff.errors import ArgumentError
 from tensor_chernoff.norms import ky_fan_norm, singular_values
-from tensor_chernoff.rng import DOMAIN_WALK, stream
+from tensor_chernoff.rng import DOMAIN_GRAPH, DOMAIN_WALK, stream
 from tensor_chernoff.tensors import Tensor, TensorShape
 
 
@@ -173,6 +173,42 @@ def reference_walk(g, length: int, seed: int, walk_index: int) -> tuple[int, ...
             v = int(np.repeat(np.arange(g.n), g.adjacency[v])[c])
             verts.append(v)
     return tuple(verts)
+
+
+def loop_cycle_adjacency(n: int) -> np.ndarray:
+    """Cycle adjacency filled one edge at a time (n = 2 gives a double edge)."""
+    adj = np.zeros((n, n), dtype=np.int64)
+    for u in range(n):
+        adj[u, (u + 1) % n] += 1
+        adj[(u + 1) % n, u] += 1
+    return adj
+
+
+def loop_hypercube_adjacency(dim: int) -> np.ndarray:
+    """Hypercube adjacency: u and v adjacent when they differ in exactly one bit."""
+    n = 1 << dim
+    adj = np.zeros((n, n), dtype=np.int64)
+    for u in range(n):
+        for b in range(dim):
+            adj[u, u ^ (1 << b)] = 1
+    return adj
+
+
+def loop_random_regular_adjacency(n: int, d: int, seed: int) -> np.ndarray:
+    """Permutation-model multigraph filled one edge at a time, drawing as the library does."""
+    rng = stream(seed, DOMAIN_GRAPH)
+    adj = np.zeros((n, n), dtype=np.int64)
+    for _ in range(d // 2):
+        perm = rng.permutation(n)
+        for u, v in enumerate(perm):
+            adj[u, v] += 1
+            adj[v, u] += 1
+    if d % 2 == 1:
+        pairing = rng.permutation(n)
+        for a, b in pairing.reshape(-1, 2):
+            adj[a, b] += 1
+            adj[b, a] += 1
+    return adj
 
 
 def dense_transfer_operator(assignment, t: float, a: float, b: float):

@@ -44,11 +44,10 @@ from tensor_chernoff.graphs import (
 )
 from tensor_chernoff.inequalities import (
     DiscreteMeasure,
+    PowerProductSpectrum,
     QuadratureSpec,
     beta0_density,
     golden_thompson_lhs,
-    golden_thompson_rhs_linear,
-    golden_thompson_rhs_log,
     lie_trotter_error,
     lie_trotter_proof_bound,
     verify_discrete_average_majorization,
@@ -226,13 +225,14 @@ def test_criterion_4_multivariate_inequality():
         shape = TensorShape.square((dim,)) if rng.integers(2) or dim != 4 else TensorShape.square((2, 2))
         cs = [random_positive(shape, rng) for _ in range(int(rng.integers(1, 4)))]
         k = int(rng.integers(1, dim + 1))
+        spectrum = PowerProductSpectrum(cs, quad)
         for f in fs:
             lhs = golden_thompson_lhs(f, cs, k)
             slack = 1e-8 * (1.0 + abs(lhs))
-            rlog = golden_thompson_rhs_log(f, cs, k, quad)
+            rlog = spectrum.log_form(f, k)
             if lhs > rlog.value + rlog.error_bound + slack:
                 log_viol += 1
-            rlin = golden_thompson_rhs_linear(f, cs, k, quad)
+            rlin = spectrum.linear_form(f, k)
             if lhs > rlin.value + rlin.error_bound + slack:
                 lin_viol += 1
             trials += 1
@@ -248,9 +248,10 @@ def test_criterion_4_multivariate_inequality():
             lam = np.sort(rng.uniform(0.3, 2.5, size=dim))[::-1]
             cs.append(HermitianTensor(shape, (u.matrix * lam) @ u.matrix.conj().T))
         k = int(rng.integers(1, dim + 1))
+        spectrum = PowerProductSpectrum(cs, quad)
         for f in (lambda x: x, lambda x: x**2):
             lhs = golden_thompson_lhs(f, cs, k)
-            rlog = golden_thompson_rhs_log(f, cs, k, quad)
+            rlog = spectrum.log_form(f, k)
             tol = rlog.error_bound + 1e-7 * (1.0 + abs(lhs))
             eq_excess = max(eq_excess, abs(lhs - rlog.value) - tol)
 
@@ -320,10 +321,11 @@ def test_criterion_6_contraction_certificate():
     worst_excess = -math.inf
     cases = 0
     for gname, graph in graphs.items():
+        lam = spectral_expansion(graph)
         for sname, shape in shapes.items():
             assignment = random_assignment(graph, shape, radius=1.0, seed=606 + cases)
             for t, a, b in ((0.3, 1.0, 0.7), (0.15, 1.0, 0.0)):
-                rep = contraction_certificate(assignment, t, a, b, num_probes=100, seed=7)
+                rep = contraction_certificate(assignment, t, a, b, lam, num_probes=100, seed=7)
                 excess = max(w - g for w, g in zip(rep.worst_ratios, rep.gammas))
                 worst_excess = max(worst_excess, excess)
                 cases += 1

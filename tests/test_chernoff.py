@@ -36,6 +36,7 @@ from tensor_chernoff.graphs import (
     gen_hypercube,
     gen_random_regular,
     sample_walks_array,
+    spectral_expansion,
 )
 from tensor_chernoff.inequalities import beta0_density
 from tensor_chernoff.rng import DOMAIN_PROBE, stream
@@ -98,7 +99,9 @@ def test_zero_assignment_certificate():
     with pytest.raises(ArgumentError):
         # radius 0 is rejected by ChernoffParams, but the certificate works
         ChernoffParams(kappa=1, k=1, theta=1.0, lam_bar=0.5, dim=2, radius=0.0)
-    rep = contraction_certificate(VertexTensorAssignment(g, zeros), t=0.7, a=1.0, b=0.3)
+    rep = contraction_certificate(
+        VertexTensorAssignment(g, zeros), t=0.7, a=1.0, b=0.3, lam=spectral_expansion(g)
+    )
     # F is the identity: parts 2 and 3 are exactly zero, parts 1 and 4 contract
     assert rep.worst_ratios[1] <= 1e-9
     assert rep.worst_ratios[2] <= 1e-9
@@ -109,7 +112,9 @@ def test_certificate_on_small_graphs():
     rng_seed = 3
     for graph in (gen_complete(4), gen_cycle(4)):
         assignment = random_assignment(graph, S2, radius=1.0, seed=rng_seed)
-        rep = contraction_certificate(assignment, t=0.4, a=1.0, b=0.5, num_probes=50)
+        rep = contraction_certificate(
+            assignment, t=0.4, a=1.0, b=0.5, lam=spectral_expansion(graph), num_probes=50
+        )
         assert rep.holds, rep
 
 
@@ -127,7 +132,9 @@ def test_stack_apply_matches_dense_operator():
                     ref = dense_transfer_expectation(assignment, 0.3, 1.0, b, kappa)
                     assert abs(exact - ref) <= 1e-12 * abs(ref), (gi, shape, kappa, b)
 
-            rep = contraction_certificate(assignment, 0.3, 1.0, 0.5, num_probes=20, seed=9)
+            rep = contraction_certificate(
+                assignment, 0.3, 1.0, 0.5, spectral_expansion(graph), num_probes=20, seed=9
+            )
             size = graph.n * assignment.dim ** 2
             rng = stream(9, DOMAIN_PROBE)
             probes = [rng.standard_normal(size) + 1j * rng.standard_normal(size) for _ in range(20)]
@@ -198,8 +205,6 @@ def test_expectation_bound():
 
 def test_transfer_below_expectation_bound():
     for graph in (gen_complete(4), gen_cycle(5)):
-        from tensor_chernoff.graphs import spectral_expansion
-
         lam = spectral_expansion(graph)
         assignment = random_assignment(graph, S2, radius=1.0, seed=2)
         params = ChernoffParams(
@@ -387,6 +392,37 @@ def test_tail_chunking_and_workers_invariance():
     b = empirical_tail_sweep(assignment, poly, 1, [1.0], 3000, 4, seed=3, chunk_size=3000)
     c = empirical_tail_sweep(assignment, poly, 1, [1.0], 3000, 4, seed=3, chunk_size=512, workers=2)
     assert a[0] == b[0] == c[0]
+
+
+def test_tail_sweep_pool_is_clamped(monkeypatch):
+    import tensor_chernoff.chernoff as chernoff_mod
+
+    requested = []
+
+    class RecordingPool:  # runs the chunks in this process; never starts a worker
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(chernoff_mod, "ProcessPoolExecutor", RecordingPool)
+    g = gen_complete(4)
+    assignment = random_assignment(g, S2, radius=1.0, seed=6)
+    poly = PolynomialSpec.identity()
+    args = (assignment, poly, 1, [0.5, 1.0], 1500, 4)  # 3 chunks of at most 512 walks
+    serial = empirical_tail_sweep(*args, seed=3, chunk_size=512, workers=1)
+    assert requested == []
+    for cores, expected in ((64, [3]), (2, [3, 2]), (None, [3, 2])):
+        monkeypatch.setattr(chernoff_mod.os, "cpu_count", lambda: cores)
+        assert empirical_tail_sweep(*args, seed=3, chunk_size=512, workers=5000) == serial
+        assert requested == expected, cores
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,13 @@ from tensor_chernoff.graphs import (
     spectral_expansion,
 )
 
-from oracles import cycle_expansion, reference_walk
+from oracles import (
+    cycle_expansion,
+    loop_cycle_adjacency,
+    loop_hypercube_adjacency,
+    loop_random_regular_adjacency,
+    reference_walk,
+)
 
 
 def test_regular_graph_validation():
@@ -71,6 +77,22 @@ def test_generators_basic():
     assert q3.n == 8 and q3.degree == 3
     with pytest.raises(ArgumentError):
         gen_random_regular(5, 3, seed=0)  # n*d odd
+
+
+def test_generators_match_loop_oracles():
+    for n in (2, 3, 4, 7, 16):
+        assert np.array_equal(gen_cycle(n).adjacency, loop_cycle_adjacency(n)), n
+    for dim in (1, 2, 3, 5):
+        assert np.array_equal(gen_hypercube(dim).adjacency, loop_hypercube_adjacency(dim)), dim
+    # small n makes fixed points and repeated pairs, so self-loops and multi-edges occur
+    loops = multi = 0
+    for n, d in ((2, 1), (2, 3), (4, 2), (4, 3), (6, 5), (9, 4), (16, 5), (30, 7)):
+        for seed in (0, 1, 17):
+            got = gen_random_regular(n, d, seed).adjacency
+            assert np.array_equal(got, loop_random_regular_adjacency(n, d, seed)), (n, d, seed)
+            loops += int(np.trace(got) > 0)
+            multi += int(np.any(got - np.diag(np.diag(got)) > 1))
+    assert loops > 0 and multi > 0
 
 
 def test_random_regular_determinism():

@@ -17,7 +17,9 @@ from tensor_chernoff import (
 from tensor_chernoff.errors import ArgumentError, DomainError
 from tensor_chernoff.inequalities import (
     DiscreteMeasure,
+    PowerProductSpectrum,
     QuadratureSpec,
+    _legendre_rule,
     beta0_density,
     beta0_mass,
     beta0_tail_mass,
@@ -261,6 +263,60 @@ def test_quadrature_matches_node_by_node_oracle():
                             assert getattr(result, field) == pytest.approx(want, rel=1e-10, abs=0.0), (
                                 dims, count, k, name, form, field,
                             )
+
+
+def test_shared_spectrum_matches_wrappers_bit_for_bit():
+    rng = np.random.default_rng(6060)
+    quad = QuadratureSpec(truncation=6.0, node_count=40)
+    fields = ("value", "error_bound", "truncation_bound", "quadrature_error")
+    fs = {
+        "x": lambda x: x,
+        "x^2": lambda x: x**2,
+        "exp": np.exp,
+        "relu": lambda x: np.maximum(x + 1.0, 0.0),
+        "x-10": lambda x: x - 10.0,
+    }
+    for shape in (TensorShape.square((2,)), TensorShape.square((3,)), S22):
+        for count in (1, 2, 3):
+            cs = [random_positive(shape, rng, 0.05, 2.0) for _ in range(count)]
+            spectrum = PowerProductSpectrum(cs, quad)
+            for k in (1, 2):
+                # one object serves every f and both forms, in any order
+                for name, f in reversed(fs.items()):
+                    pairs = [(spectrum.linear_form(f, k), golden_thompson_rhs_linear(f, cs, k, quad))]
+                    if name != "x-10":
+                        pairs.append((spectrum.log_form(f, k), golden_thompson_rhs_log(f, cs, k, quad)))
+                    for got, want in pairs:
+                        for field in fields:
+                            assert getattr(got, field) == getattr(want, field), (count, k, name, field)
+
+
+def test_power_product_spectrum_validation():
+    quad = QuadratureSpec(truncation=6.0, node_count=32)
+    with pytest.raises(ArgumentError):
+        PowerProductSpectrum([], quad)
+    c = random_hermitian(S22, RNG) - 10.0 * make_identity(S22)
+    with pytest.raises(DomainError):
+        PowerProductSpectrum([c], quad)
+
+
+def test_legendre_rule_is_cached_and_read_only():
+    x, w = _legendre_rule(48)
+    assert _legendre_rule(48)[0] is x
+    for arr in (x, w):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    ref_x, ref_w = np.polynomial.legendre.leggauss(48)
+    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+
+    quad = QuadratureSpec(truncation=4.0, node_count=48)
+    t1, w1 = quad.nodes_weights()
+    expected = (t1.copy(), w1.copy())
+    t1 *= 2.0  # the returned arrays are the caller's own
+    t2, w2 = quad.nodes_weights()
+    assert np.array_equal(t2, expected[0]) and np.array_equal(w2, expected[1])
+    assert np.array_equal(t2, ref_x * 4.0) and np.array_equal(w2, ref_w * 4.0)
 
 
 def test_rejects_nonpositive_tensors():
