@@ -15,9 +15,10 @@ bounds since ``||conj(g)|| = ||g||``.  The exact expectation powers the
 operator against ``X_v = I / sqrt(n)``; the contraction certificate splits
 probes into their vertex mean (the parallel part) and the rest.
 
-Monte Carlo tail estimates draw walk ``i`` from the stream keyed
-``(seed, DOMAIN_WALK, i)``, so estimates are reproducible for a fixed
-``(seed, num_walks)`` no matter how the walks are chunked across workers.
+Monte Carlo tail estimates draw walk ``i`` from the Philox words at
+counters ``(i, b, 0, 0)`` under key ``(seed, DOMAIN_WALK)``, so estimates are
+reproducible for a fixed ``(seed, num_walks)`` no matter how the walks are
+chunked across workers.
 """
 
 from __future__ import annotations
@@ -562,7 +563,7 @@ def empirical_tail_sweep(
 
     ``t_check`` is the exponent at which each row's assumption-3 margin is
     audited: a scalar applies to every threshold, a sequence pairs with
-    ``thetas`` (NaN skips the audit for that row).  Per-walk seed streams make
+    ``thetas`` (NaN skips the audit for that row).  Counter-addressed walks make
     the result identical for any ``workers`` and ``chunk_size``; chunks are
     reduced in index order.
     """

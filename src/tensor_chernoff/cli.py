@@ -4,8 +4,9 @@
                         [--workers N] [--seed S]
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
-config error.  ``--seed`` below 0 and ``--workers`` below 1 exit 2 before
-the run starts, like the same values in the config.
+config error, reported on one line.  ``--seed`` outside ``[0, 2^64)`` and
+``--workers`` below 1 exit 2 before the run starts, like the same values in
+the config.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from pathlib import Path
 from .config import load_config
 from .errors import ArgumentError, ConfigError, TensorChernoffError
 from .reporting import emit
+from .rng import SEED_LIMIT
 from .runner import run
 
 
@@ -61,10 +63,13 @@ def main(argv: list[str] | None = None) -> int:
         for flag, value, low in (("--seed", args.seed, 0), ("--workers", args.workers, 1)):
             if value is not None and value < low:
                 raise ArgumentError(f"{flag} must be >= {low}, got {value}")
+        if args.seed is not None and args.seed >= SEED_LIMIT:
+            raise ArgumentError(f"--seed must be < 2^64, got {args.seed}")
         report = run(config, workers=args.workers, seed=args.seed)
         emit(report, args.out, args.format)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        head, *errors = (line.strip() for line in str(exc).splitlines())
+        print(" ".join(["config error:", head, "; ".join(errors)]).rstrip(), file=sys.stderr)
         return 2
     except TensorChernoffError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,7 +5,8 @@ The grammar is INI as read by :mod:`configparser`: ``[section]`` headers,
 section is one frozen dataclass below whose fields are the section's keys:
 a field's type casts the raw text, its default fills an absent key, and its
 metadata holds the allowed range.  Unknown sections or keys are rejected so
-typos fail loudly with a section/key diagnostic.  Seeds must be >= 0.
+typos fail loudly with a section/key diagnostic.  Seeds must be >= 0, and the
+master seed below 2^64.
 """
 
 from __future__ import annotations
@@ -16,30 +17,36 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
+from .rng import SEED_LIMIT
 
 SUITES = ("tensor_props", "inequalities", "expander", "chernoff_sweep")
 GRAPH_KINDS = ("complete", "cycle", "hypercube", "random_regular", "file")
 
 
-def _key(default, *, one_of=None, at_least=None, positive=False, nonnegative=False):
-    """A config key's default and allowed range; a list's range holds for each entry."""
+def _key(default, *, one_of=None, at_least=None, below=None, positive=False, nonnegative=False):
+    """A config key's default and allowed range; a list's range holds for each entry.
+
+    ``below`` is given as ``(limit, text)``: an exclusive upper bound and how
+    the message spells it.
+    """
+    rules = []
     if one_of is not None:
-        rule = (one_of.__contains__, " or ".join(map(repr, one_of)) if len(one_of) == 2 else f"one of {one_of}")
-    elif at_least is not None:
-        rule = (lambda x: x >= at_least, f">= {at_least}")
-    elif positive:
-        rule = (lambda x: x > 0, "positive")
-    elif nonnegative:
-        rule = (lambda x: x >= 0, "nonnegative")
-    else:
-        rule = None
-    return field(default=default, metadata={"rule": rule})
+        rules.append((one_of.__contains__, " or ".join(map(repr, one_of)) if len(one_of) == 2 else f"one of {one_of}"))
+    if at_least is not None:
+        rules.append((lambda x: x >= at_least, f">= {at_least}"))
+    if below is not None:
+        rules.append((lambda x: x < below[0], f"< {below[1]}"))
+    if positive:
+        rules.append((lambda x: x > 0, "positive"))
+    if nonnegative:
+        rules.append((lambda x: x >= 0, "nonnegative"))
+    return field(default=default, metadata={"rules": tuple(rules)})
 
 
 @dataclass(frozen=True)
 class ExperimentSection:
     suite: str = _key("tensor_props", one_of=SUITES)
-    seed: int = _key(2024, at_least=0)
+    seed: int = _key(2024, at_least=0, below=(SEED_LIMIT, "2^64"))  # one 64-bit Philox key word
     workers: int = _key(1, at_least=1)
     trials: int = _key(400, at_least=1)
 
@@ -146,9 +153,10 @@ def _parse_section(parser, name: str, cls, errors: list[str]):
         except (ValueError, TypeError):
             errors.append(f"[{name}] {key.name}: cannot parse {raw!r}")
             continue
-        rule = key.metadata["rule"]
-        if rule is not None and not all(map(rule[0], value if isinstance(value, tuple) else [value])):
-            errors.append(f"[{name}] {key.name} must be {rule[1]}, got {value!r}")
+        for test, text in key.metadata["rules"]:
+            if not all(map(test, value if isinstance(value, tuple) else [value])):
+                errors.append(f"[{name}] {key.name} must be {text}, got {value!r}")
+                break
         values[key.name] = value
     return cls(**values)
 

@@ -15,9 +15,10 @@ undirected edge with multiplicity ``m``, vertices 0-indexed, each unordered
 pair listed once (self-loops as ``u u m``).  The loader validates symmetry
 and d-regularity.
 
-Walk sampling is deterministic in the seed: walk ``i`` of a batch draws from
-the PCG64 stream keyed ``(seed, DOMAIN_WALK, i)``, so estimates do not depend
-on chunking or worker count.
+Walk sampling is deterministic in the seed: walk ``i`` of a batch reads the
+Philox4x64-10 words at counters ``(i, b, 0, 0)`` under key ``(seed,
+DOMAIN_WALK)`` (see :mod:`.rng`), so estimates do not depend on chunking or
+worker count.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ArgumentError, NumericalError
-from .rng import DOMAIN_GRAPH, DOMAIN_WALK, stream
+from .rng import DOMAIN_GRAPH, DOMAIN_WALK, counter_words, multiply_high, stream
 
 
 @dataclass(frozen=True)
@@ -169,21 +170,17 @@ def sample_walks_array(
 ) -> np.ndarray:
     """Vertex matrix (num_walks, length) for walks ``start_index .. +num_walks``.
 
-    Row i is walk ``start_index + i``, drawn from that walk's own stream, so a
-    batch can be recomputed in any chunking.
+    Row i is walk ``start_index + i``.  Its word 0 picks the start in ``[0,
+    n)`` and word j the j-th step among the current vertex's ``d`` edge slots,
+    each by multiply-high, so a batch can be recomputed in any chunking.
     """
     if length < 1:
         raise ArgumentError(f"walk length must be >= 1, got {length}")
+    words = counter_words(seed, DOMAIN_WALK, start_index, num_walks, -(-length // 4))
     slots = g.edge_slots()
+    steps = multiply_high(words[:, 1:length], g.degree)
     out = np.empty((num_walks, length), dtype=np.int64)
-    starts = np.empty(num_walks, dtype=np.int64)
-    steps = np.empty((num_walks, max(length - 1, 1)), dtype=np.int64)
-    for i in range(num_walks):
-        rng = stream(seed, DOMAIN_WALK, start_index + i)
-        starts[i] = rng.integers(g.n)
-        if length > 1:
-            steps[i] = rng.integers(g.degree, size=length - 1)
-    out[:, 0] = starts
+    out[:, 0] = multiply_high(words[:, 0], g.n)
     for j in range(1, length):
         out[:, j] = slots[out[:, j - 1], steps[:, j - 1]]
     return out

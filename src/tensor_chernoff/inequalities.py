@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -61,11 +60,6 @@ def beta_density(theta: float, t):
     t = np.asarray(t, dtype=np.float64)
     out = math.sin(math.pi * theta) / (2.0 * theta * (np.cosh(math.pi * t) + math.cos(math.pi * theta)))
     return float(out) if out.ndim == 0 else out
-
-
-def beta0_mass(t: float) -> float:
-    """Antiderivative of beta0: mass of (-inf, t] minus 1/2, i.e. tanh(pi t / 2) / 2."""
-    return 0.5 * math.tanh(math.pi * t / 2.0)
 
 
 def beta0_tail_mass(truncation: float) -> float:
@@ -363,26 +357,6 @@ def golden_thompson_rhs_linear(
 ) -> QuadratureValue:
     """``int || g(|prod C_i^(1+it)|) ||_(k) beta0(t) dt`` on [-T, T]."""
     return PowerProductSpectrum(cs, quad).linear_form(g, k)
-
-
-def warn_if_not_log_exp_convex(f: Callable, lo: float, hi: float, samples: int = 65) -> bool:
-    """Sample x -> log f(e^x) on a grid and warn when midpoint convexity fails.
-
-    Returns True when the sampled points look convex.  Convexity of arbitrary
-    callables is undecidable, so this is a diagnostic, never an error.
-    """
-    xs = np.linspace(math.log(lo), math.log(hi), samples)
-    with np.errstate(all="ignore"):
-        phi = np.asarray([float(np.log(f(math.exp(x)))) for x in xs])
-    finite = np.isfinite(phi)
-    if not np.all(finite):
-        warnings.warn("log f(e^x) not finite on the sampled grid", stacklevel=2)
-        return False
-    second = phi[:-2] - 2.0 * phi[1:-1] + phi[2:]
-    ok = bool(np.all(second >= -1e-8 * (1.0 + np.abs(phi[1:-1]))))
-    if not ok:
-        warnings.warn("sampled x -> log f(e^x) looks non-convex", stacklevel=2)
-    return ok
 
 
 # ---------------------------------------------------------------------------

@@ -1,28 +1,41 @@
 """Deterministic random-stream derivation.
 
-All randomness in the package flows through numpy's PCG64 generator.  A
-stream is addressed by a 64-bit master seed plus an integer key path, fed to
-``numpy.random.SeedSequence`` as ``spawn_key``.  Distinct key paths give
-independent, reproducible streams, so parallel workers that agree on the key
-path reproduce each other bit for bit.
+Two kinds of stream, both addressed by a master seed:
 
-Key-path convention used by the experiment runner:
+* ``stream(seed, DOMAIN_SUITE, suite_id)`` for suite-level draws and
+  ``stream(seed, DOMAIN_TENSORS, vertex)`` for random vertex tensors (also
+  ``DOMAIN_GRAPH`` and ``DOMAIN_PROBE``): a PCG64 generator seeded by
+  ``numpy.random.SeedSequence`` with the key path as ``spawn_key``.  Distinct
+  key paths give independent, reproducible streams.
+* Monte Carlo walks read counter-addressed Philox4x64-10 words
+  (:func:`counter_words`), so their seed must be in ``[0, 2^64)``: key
+  ``(seed, DOMAIN_WALK)``, and walk ``i`` takes its ``b``-th block of four
+  words from counter ``(i, b, 0, 0)``.  Walk ``i`` depends only on ``(seed,
+  i)``, so any chunking or worker count reproduces it bit for bit, and a
+  whole chunk is one ``random_raw`` call per block column.
+  :data:`WALK_STREAM` names this layout and is stamped in reports.
 
-* ``stream(seed, DOMAIN_SUITE, suite_id)`` for suite-level draws,
-* ``stream(seed, DOMAIN_WALK, walk_index)`` for the random walk with that
-  index inside a Monte Carlo estimate,
-* ``stream(seed, DOMAIN_TENSORS, vertex)`` for random vertex tensors.
+Words become integers in ``[0, bound)`` by multiply-high (Lemire, TOMACS
+2019): ``floor(w * bound / 2^64)``.  Each value's probability is within
+``2^-64`` of ``1 / bound``, a bias of at most ``bound / 2^64`` in total.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import ArgumentError
+
 DOMAIN_SUITE = 1
 DOMAIN_WALK = 2
 DOMAIN_TENSORS = 3
 DOMAIN_GRAPH = 4
 DOMAIN_PROBE = 5
+
+WALK_STREAM = "philox4x64-10/1"
+SEED_LIMIT = 1 << 64  # a master seed is one 64-bit Philox key word
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
 
 
 def seed_sequence(master_seed: int, *key: int) -> np.random.SeedSequence:
@@ -33,3 +46,42 @@ def seed_sequence(master_seed: int, *key: int) -> np.random.SeedSequence:
 def stream(master_seed: int, *key: int) -> np.random.Generator:
     """PCG64 generator for the stream addressed by ``(master_seed, *key)``."""
     return np.random.Generator(np.random.PCG64(seed_sequence(master_seed, *key)))
+
+
+def counter_words(master_seed: int, domain: int, start: int, count: int, blocks: int) -> np.ndarray:
+    """``(count, 4 * blocks)`` uint64 Philox4x64-10 words under key ``(master_seed, domain)``.
+
+    Row ``r``, columns ``4b .. 4b + 3`` are the block at counter ``(start + r,
+    b, 0, 0)``.  numpy increments the 256-bit counter before each block, so
+    block column ``b`` is one generator set one below ``(start, b, 0, 0)``.
+    """
+    if not 0 <= master_seed < SEED_LIMIT:
+        raise ArgumentError(f"seed must be in [0, 2^64), got {master_seed}")
+    if start < 0:
+        raise ArgumentError(f"start index must be >= 0, got {start}")
+    key = np.array([master_seed, domain], dtype=np.uint64)
+    out = np.empty((count, 4 * blocks), dtype=np.uint64)
+    for b in range(blocks):
+        gen = np.random.Philox(key=key, counter=((b << 64) + start - 1) % (1 << 256))
+        out[:, 4 * b:4 * b + 4] = gen.random_raw(4 * count).reshape(count, 4)
+    return out
+
+
+def multiply_high(words: np.ndarray, bound: int) -> np.ndarray:
+    """``floor(w * bound / 2^64)`` for each uint64 word: exact, in ``[0, bound)``.
+
+    The 128-bit product is split on the 32-bit limbs of ``w``; with ``bound <
+    2^32`` no partial sum overflows 64 bits.
+    """
+    if not 1 <= bound < 1 << 32:
+        raise ArgumentError(f"range bound must be in [1, 2^32), got {bound}")
+    b = np.uint64(bound)
+    words = np.asarray(words, dtype=np.uint64)
+    high = words >> _SHIFT32
+    high *= b
+    low = words & _LOW32
+    low *= b
+    low >>= _SHIFT32
+    high += low
+    high >>= _SHIFT32
+    return high.view(np.int64)  # every value is below 2^32, so the bits read the same

@@ -56,7 +56,7 @@ from .inequalities import (
 from .majorization import check_kyfan_sum_inequality
 from .norms import gauge_rho
 from .reporting import CheckRecord, Report, TailRow
-from .rng import DOMAIN_SUITE, stream
+from .rng import DOMAIN_SUITE, WALK_STREAM, stream
 from .sampling import random_hermitian, random_positive, random_tensor, random_unitary
 from .tensors import (
     HermitianTensor,
@@ -107,7 +107,7 @@ def run(config: ExperimentConfig, workers: int | None = None, seed: int | None =
         config=config.echo(),
         checks=checks,
         tail_rows=rows,
-        environment={"version": __version__, "seed": seed},
+        environment={"version": __version__, "seed": seed, "walk_stream": WALK_STREAM},
     )
 
 

@@ -306,10 +306,6 @@ class Spectrum:
             for i in range(self.basis.shape[1])
         )
 
-    def reconstruct(self) -> HermitianTensor:
-        mat = (self.basis * self.eigenvalues) @ self.basis.conj().T
-        return HermitianTensor(self.shape, mat)
-
 
 def hermitian_eig(h: HermitianTensor) -> Spectrum:
     """Eigendecomposition of the Hermitian unfolding, eigenvalues descending."""

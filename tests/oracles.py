@@ -4,21 +4,25 @@ These deliberately avoid the library's unfolding representation: products are
 nested-loop contractions over tensor entries, eigenvalue facts are checked by
 subset enumeration, and integrals by closed-form antiderivatives.  Keep them
 slow and obvious.  The compound power and the dense transfer operator build
-on library tensors but take no shortcut the code under test takes.
+on library tensors but take no shortcut the code under test takes.  The
+log-exp convexity probe and ``reconstruct`` are diagnostics only the tests
+use.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from tensor_chernoff.errors import ArgumentError
 from tensor_chernoff.norms import ky_fan_norm, singular_values
 from tensor_chernoff.rng import DOMAIN_GRAPH, DOMAIN_WALK, stream
-from tensor_chernoff.tensors import Tensor, TensorShape
+from tensor_chernoff.tensors import HermitianTensor, Tensor, TensorShape
 
 
 def naive_einstein(entries_x: np.ndarray, entries_y: np.ndarray, n_contracted: int) -> np.ndarray:
@@ -76,6 +80,26 @@ def weak_majorizes_oracle(y, x, tol: float) -> tuple[bool, int | None]:
 def beta0_antiderivative(t: float) -> float:
     """Closed-form antiderivative of the walk density: tanh(pi t / 2) / 2."""
     return 0.5 * math.tanh(math.pi * t / 2.0)
+
+
+def warn_if_not_log_exp_convex(f: Callable, lo: float, hi: float, samples: int = 65) -> bool:
+    """Sample x -> log f(e^x) on a grid and warn when midpoint convexity fails.
+
+    Returns True when the sampled points look convex.  Convexity of arbitrary
+    callables is undecidable, so this is a diagnostic, never an error.
+    """
+    xs = np.linspace(math.log(lo), math.log(hi), samples)
+    with np.errstate(all="ignore"):
+        phi = np.asarray([float(np.log(f(math.exp(x)))) for x in xs])
+    finite = np.isfinite(phi)
+    if not np.all(finite):
+        warnings.warn("log f(e^x) not finite on the sampled grid", stacklevel=2)
+        return False
+    second = phi[:-2] - 2.0 * phi[1:-1] + phi[2:]
+    ok = bool(np.all(second >= -1e-8 * (1.0 + np.abs(phi[1:-1]))))
+    if not ok:
+        warnings.warn("sampled x -> log f(e^x) looks non-convex", stacklevel=2)
+    return ok
 
 
 def multivariate_rhs_oracle(f, cs, k: int, truncation: float, node_count: int) -> dict:
@@ -140,6 +164,11 @@ def cycle_expansion(n: int) -> float:
     return max(abs(math.cos(2.0 * math.pi * j / n)) for j in range(1, n))
 
 
+def reconstruct(spec) -> HermitianTensor:
+    """The Hermitian tensor ``U diag(eigenvalues) U^H`` of a ``Spectrum``."""
+    return HermitianTensor(spec.shape, (spec.basis * spec.eigenvalues) @ spec.basis.conj().T)
+
+
 def entry_conj_transpose(entries: np.ndarray, n_row_modes: int) -> np.ndarray:
     """Adjoint at the entry level: swap index groups and conjugate."""
     m = entries.ndim
@@ -162,16 +191,26 @@ def entry_inner_product(x: np.ndarray, y: np.ndarray) -> complex:
 
 
 def reference_walk(g, length: int, seed: int, walk_index: int) -> tuple[int, ...]:
-    """Walk ``walk_index`` one step at a time from its own stream: a uniform
-    start, then a uniform pick among the current vertex's edges, each edge
-    repeated by its multiplicity."""
-    rng = stream(seed, DOMAIN_WALK, walk_index)
-    v = int(rng.integers(g.n))
+    """Walk ``walk_index`` one step at a time, one Philox block at a time.
+
+    Each block ``b`` comes from a fresh ``np.random.Philox`` set at counter
+    ``(walk_index, b, 0, 0)`` and stepped back one block, because numpy
+    increments the counter before it generates.  Word 0 is the start and word
+    j the j-th step; each maps to ``[0, m)`` as the Python integer
+    ``(w * m) >> 64``, and a step picks among the current vertex's edges,
+    each repeated by its multiplicity.
+    """
+    words = []
+    for b in range(-(-length // 4)):
+        gen = np.random.Philox(key=np.array([seed, DOMAIN_WALK], dtype=np.uint64),
+                               counter=np.array([walk_index, b, 0, 0], dtype=np.uint64))
+        gen.advance(2**256 - 1)
+        words.extend(int(w) for w in gen.random_raw(4))
+    v = (words[0] * g.n) >> 64
     verts = [v]
-    if length > 1:
-        for c in rng.integers(g.degree, size=length - 1):
-            v = int(np.repeat(np.arange(g.n), g.adjacency[v])[c])
-            verts.append(v)
+    for w in words[1:length]:
+        v = int(np.repeat(np.arange(g.n), g.adjacency[v])[(w * g.degree) >> 64])
+        verts.append(v)
     return tuple(verts)
 
 

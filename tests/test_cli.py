@@ -51,6 +51,7 @@ def test_run_json_and_exit_code(sweep_config, tmp_path, capsys):
     assert rep.suite == "chernoff_sweep"
     assert len(rep.tail_rows) == 4
     assert rep.environment["seed"] == 19
+    assert rep.environment["walk_stream"] == "philox4x64-10/1"
     printed = capsys.readouterr().out
     assert "[PASS]" in printed
 
@@ -175,6 +176,27 @@ def test_bad_override_rejected_before_run(flag, value, line, sweep_config, tmp_p
     err = capsys.readouterr().err
     assert err.splitlines() == [line]
     assert "Traceback" not in err
+
+
+def test_seed_at_two_to_the_64_rejected(sweep_config, tmp_path, capsys):
+    out = str(tmp_path / "r.json")
+    assert main(["run", "--config", str(sweep_config), "--out", out, "--seed", str(2**64)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: --seed must be < 2^64, got {2**64}"]
+    cfg = tmp_path / "big_seed.ini"
+    cfg.write_text(FAST_SWEEP.replace("seed = 19", f"seed = {2**64}"))
+    assert main(["run", "--config", str(cfg), "--out", out]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: invalid config: [experiment] seed must be < 2^64, got {2**64}"
+    ]
+    cfg.write_text(FAST_SWEEP.replace("seed = 19", f"seed = {2**64}\nworkers = 0"))
+    assert main(["run", "--config", str(cfg), "--out", out]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: invalid config: [experiment] seed must be < 2^64, got {2**64}; "
+        "[experiment] workers must be >= 1, got 0"
+    ]
+    # the largest key word still runs
+    assert main(["run", "--config", str(sweep_config), "--out", out, "--seed", str(2**64 - 1)]) == 0
+    assert json.loads((tmp_path / "r.json").read_text())["environment"]["seed"] == 2**64 - 1
 
 
 def test_usage_error_exit_2():

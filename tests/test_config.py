@@ -101,6 +101,7 @@ def test_every_key_echoed(tmp_path):
         ("[experiment]\nsuite = x", "[experiment] suite must be one of ('tensor_props', 'inequalities', "
                                     "'expander', 'chernoff_sweep'), got 'x'"),
         ("[experiment]\nseed = -1", "[experiment] seed must be >= 0, got -1"),
+        ("[experiment]\nseed = 18446744073709551616", "[experiment] seed must be < 2^64, got 18446744073709551616"),
         ("[experiment]\nworkers = 0", "[experiment] workers must be >= 1, got 0"),
         ("[experiment]\ntrials = 0", "[experiment] trials must be >= 1, got 0"),
         ("[graph]\nkind = torus", "[graph] kind must be one of ('complete', 'cycle', 'hypercube', "

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tensor_chernoff.chernoff import DEFAULT_TAIL_CHUNK
 from tensor_chernoff.errors import ArgumentError
 from tensor_chernoff.graphs import (
     RegularGraph,
@@ -17,6 +18,7 @@ from tensor_chernoff.graphs import (
     save_edge_list,
     spectral_expansion,
 )
+from tensor_chernoff.rng import multiply_high
 
 from oracles import (
     cycle_expansion,
@@ -128,6 +130,44 @@ def test_walk_determinism_and_batch_consistency():
     assert np.array_equal(batch[3:], tail)
 
 
+def test_batch_across_chunk_border_matches_one_batch():
+    # 9 steps read three Philox blocks per walk; walks 8190..8193 straddle the
+    # default tail chunk border
+    g = gen_random_regular(16, 5, seed=0)
+    start = DEFAULT_TAIL_CHUNK - 2
+    whole = sample_walks_array(g, 9, DEFAULT_TAIL_CHUNK + 2, seed=61)
+    part = sample_walks_array(g, 9, 4, seed=61, start_index=start)
+    assert np.array_equal(part, whole[start:])
+    for i in range(4):
+        assert tuple(part[i]) == reference_walk(g, 9, 61, start + i)
+    for length in (1, 4, 5):
+        assert tuple(sample_walks_array(g, length, 1, seed=61, start_index=start)[0]) == \
+            reference_walk(g, length, 61, start)
+
+
+def test_multiply_high_matches_big_int():
+    for bound in (1, 2, 3, 2**31 + 11, 2**32 - 1):
+        # the first word of each output value and the word before it, where
+        # the low limb's carry decides the result
+        edges = [-(-(k << 64) // bound) - e for k in {1, bound // 2, bound - 1} if 0 < k < bound for e in (0, 1)]
+        words = [0, 1, 2**32 - 1, 2**63, 2**64 - 1] + edges
+        got = multiply_high(np.array(words, dtype=np.uint64), bound)
+        assert got.tolist() == [(w * bound) >> 64 for w in words], bound
+
+
+def test_walk_stream_ranges():
+    g = gen_complete(4)
+    for seed in (-1, 2**64):
+        with pytest.raises(ArgumentError, match="seed"):
+            sample_walks_array(g, 3, 2, seed=seed)
+    with pytest.raises(ArgumentError, match="start"):
+        sample_walks_array(g, 3, 2, seed=1, start_index=-1)
+    assert sample_walks_array(g, 3, 2, seed=2**64 - 1).shape == (2, 3)
+    for bound in (0, 2**32):  # a graph this large cannot be stored densely
+        with pytest.raises(ArgumentError, match="2\\^32"):
+            multiply_high(np.zeros(1, dtype=np.uint64), bound)
+
+
 def test_stationary_marginals():
     g = gen_complete(4)
     n_walks, length = 20000, 5
@@ -140,7 +180,7 @@ def test_stationary_marginals():
 
 
 def test_initial_vertex_chi_square_100k_seeds():
-    # kappa = 1: the start vertex over 1e5 per-walk seeds is uniform; the
+    # kappa = 1: the start vertex over 1e5 walk counters is uniform; the
     # chi-square statistic stays within 3 sigma of its df = n-1 mean
     g = gen_cycle(5)
     n_walks = 100000
