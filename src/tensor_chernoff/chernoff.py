@@ -11,9 +11,22 @@ E_u^H``: a gather over the graph's edge slots and two batched matrix
 products.  Conjugating the second factor makes the vec-trace identity exact
 for complex Hermitian ``g`` (for real symmetric ``g`` it reduces to the usual
 ``E_v kron exp(t g (a - i b) / 2)`` form), and it changes none of the norm
-bounds since ``||conj(g)|| = ||g||``.  The exact expectation powers the
-operator against ``X_v = I / sqrt(n)``; the contraction certificate splits
-probes into their vertex mean (the parallel part) and the rest.
+bounds since ``||conj(g)|| = ||g||``.  The ``E_v`` come from one batched
+``eigh`` of the vertex stack, computed once per (immutable) assignment.
+
+The operator works on blocks of ``B`` such stacks laid out as ``(n, d, B,
+d)``, ``x[u, i, b, j] = X^b_u[i, j]``.  Then ``E_u X`` is one ``(n, d, d) @
+(n, d, B d)`` matmul and ``X E_u^H`` one ``(n, d B, d) @ (n, d, d)`` matmul,
+both on free reshapes: n small GEMMs per side per block, not per stack.
+(Kronecker ``d^2 x d^2`` blocks would need ``n d^4`` memory.)  The exact
+expectation powers the operator against ``X_v = I / sqrt(n)`` with ``B =
+1``.  The contraction certificate splits each probe into its vertex mean
+(the parallel part) and the rest.  ``A / degree`` fixes a stack that is
+constant across vertices, so the parallel part's image is ``E_u P E_u^H``
+with no gather over the edge slots.  Probes come in blocks of ``B`` from a
+fixed byte budget per block; each block is one ``standard_normal((B, 2, n
+d^2))`` draw whose values and order are those of one ``standard_normal(n
+d^2)`` pair (real, imaginary) per probe, so the blocking changes no probe.
 
 Monte Carlo tail estimates draw walk ``i`` from the Philox words at
 counters ``(i, b, 0, 0)`` under key ``(seed, DOMAIN_WALK)``, so estimates are
@@ -45,7 +58,6 @@ from .inequalities import beta0_density
 from .io import load_tensor, read_json_object, save_tensor
 from .norms import ky_fan_from_eigenvalues
 from .rng import DOMAIN_PROBE, DOMAIN_TENSORS, stream
-from .sampling import random_bounded_hermitian
 from .tensors import HermitianTensor, TensorShape, as_hermitian
 
 DEFAULT_TAIL_CHUNK = 8192
@@ -56,9 +68,13 @@ DEFAULT_TAIL_CHUNK = 8192
 # ---------------------------------------------------------------------------
 
 class VertexTensorAssignment:
-    """One Hermitian tensor per vertex, with the radius recomputed on entry."""
+    """One Hermitian tensor per vertex, with the radius recomputed on entry.
 
-    __slots__ = ("graph", "tensors", "radius")
+    The ``(n, d, d)`` vertex stack is kept read-only, and its batched ``eigh``
+    is computed on first use and then shared by every transfer-operator call.
+    """
+
+    __slots__ = ("graph", "tensors", "radius", "_stack", "_eigh")
 
     def __init__(self, graph: RegularGraph, tensors: Sequence[HermitianTensor]):
         tensors = tuple(as_hermitian(t) for t in tensors)
@@ -68,12 +84,13 @@ class VertexTensorAssignment:
         for t in tensors[1:]:
             if t.shape != shape:
                 raise ArgumentError("all vertex tensors must share one square shape")
-        radius = max(
-            float(np.max(np.abs(np.linalg.eigvalsh(t.matrix)))) for t in tensors
-        )
+        stack = np.stack([t.matrix for t in tensors])
+        stack.setflags(write=False)
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "tensors", tensors)
-        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "radius", float(np.max(np.abs(np.linalg.eigvalsh(stack)))))
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "_eigh", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("VertexTensorAssignment is immutable")
@@ -87,7 +104,17 @@ class VertexTensorAssignment:
         return self.tensors[0].shape.unfold_rows
 
     def stack(self) -> np.ndarray:
-        return np.stack([t.matrix for t in self.tensors])
+        """Read-only ``(n, d, d)`` stack of the vertex unfoldings."""
+        return self._stack
+
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Batched ``eigh`` of the vertex stack (read-only), computed once."""
+        if self._eigh is None:
+            vals, vecs = np.linalg.eigh(self._stack)
+            vals.setflags(write=False)
+            vecs.setflags(write=False)
+            object.__setattr__(self, "_eigh", (vals, vecs))
+        return self._eigh
 
     def __reduce__(self):
         return (VertexTensorAssignment, (self.graph, self.tensors))
@@ -96,12 +123,27 @@ class VertexTensorAssignment:
 def random_assignment(
     graph: RegularGraph, shape: TensorShape, radius: float, seed: int
 ) -> VertexTensorAssignment:
-    """Per-vertex random Hermitian tensors with spectral norm exactly ``radius``."""
-    tensors = [
-        random_bounded_hermitian(shape, stream(seed, DOMAIN_TENSORS, v), radius)
-        for v in range(graph.n)
-    ]
-    return VertexTensorAssignment(graph, tensors)
+    """Per-vertex random Hermitian tensors with spectral norm exactly ``radius``.
+
+    Vertex ``v`` draws from ``stream(seed, DOMAIN_TENSORS, v)`` what
+    ``sampling.random_bounded_hermitian`` draws, and gets the same tensor bit
+    for bit; the Hermitian part, the top eigenvalue and the rescale run once
+    on the ``(n, d, d)`` stack.
+    """
+    shape.require_square("random_assignment")
+    dims = (graph.n, shape.unfold_rows, shape.unfold_cols)
+    re, im = np.empty(dims), np.empty(dims)
+    for v in range(graph.n):
+        rng = stream(seed, DOMAIN_TENSORS, v)
+        re[v] = rng.standard_normal(dims[1:])
+        im[v] = rng.standard_normal(dims[1:])
+    x = (re + 1j * im) / np.sqrt(2.0)
+    h = (x + x.conj().swapaxes(1, 2)) / 2.0
+    top = np.max(np.abs(np.linalg.eigvalsh(h)), axis=1)
+    scale = np.ones(graph.n)
+    np.divide(radius, top, out=scale, where=top != 0.0)  # an all-zero draw keeps scale 1
+    h *= scale[:, None, None]
+    return VertexTensorAssignment(graph, [HermitianTensor(shape, m) for m in h])
 
 
 @dataclass(frozen=True)
@@ -200,20 +242,70 @@ def gamma_bounds(t: float, r: float, a: float, b: float, lam: float) -> tuple[fl
     return e, lam * (e - 1.0), e - 1.0, lam * e
 
 
-def _vertex_exponentials(assignment: VertexTensorAssignment, t: float, a: float, b: float) -> np.ndarray:
-    """(n, d, d) stack of ``E_v = exp(t g(v) (a + i b) / 2)`` from one batched ``eigh``."""
-    vals, vecs = np.linalg.eigh(assignment.stack())
-    return (vecs * np.exp(t * (a + 1j * b) / 2.0 * vals)[:, None, :]) @ vecs.conj().swapaxes(1, 2)
+def _vertex_exponentials(
+    assignment: VertexTensorAssignment, t: float, a: float, b: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(n, d, d) stacks of ``E_v = exp(t g(v) (a + i b) / 2)`` and ``E_v^H``, from the
+    assignment's shared ``eigh``."""
+    vals, vecs = assignment.eigh()
+    es = (vecs * np.exp(t * (a + 1j * b) / 2.0 * vals)[:, None, :]) @ vecs.conj().swapaxes(1, 2)
+    return es, np.ascontiguousarray(es.conj().swapaxes(1, 2))
 
 
-def _transfer_apply(es: np.ndarray, slots: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``F (A kron I)`` on an (n, d, d) stack: ``X_u <- E_u (mean over slots v of u of X_v) E_u^H``."""
-    return es @ x[slots].mean(axis=1) @ es.conj().swapaxes(1, 2)
+def _conjugate(es: np.ndarray, esh: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``X^b_u <- E_u X^b_u E_u^H`` on an ``(n, d, B, d)`` block.
+
+    ``x`` may also be one ``(1, d, B, d)`` block shared by every vertex.  Each
+    side is one batched matmul of n GEMMs, whatever ``B`` is: ``(n, d, d) @
+    (n, d, B d)`` on the left, ``(n, d B, d) @ (n, d, d)`` on the right.
+    """
+    n, d = es.shape[:2]
+    left = es @ x.reshape(x.shape[0], d, -1)
+    return (left.reshape(n, -1, d) @ esh).reshape(n, d, -1, d)
 
 
-def _split_parallel(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    par = np.broadcast_to(x.mean(axis=0), x.shape)
-    return par, x - par
+def _transfer_apply(es: np.ndarray, esh: np.ndarray, slots: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``F (A kron I)`` on an ``(n, d, B, d)`` block: ``X_u <- E_u (mean over slots v of u of X_v) E_u^H``.
+
+    The slot mean adds one slot column at a time, so no ``(n, degree, d, B,
+    d)`` gather is ever held.
+    """
+    acc = x[slots[:, 0]]
+    for s in range(1, slots.shape[1]):
+        acc += x[slots[:, s]]
+    acc /= slots.shape[1]
+    return _conjugate(es, esh, acc)
+
+
+# Bytes of one (n, d, B, d) complex probe block: B = 8 at n d^2 = 4096.
+_BLOCK_BYTES = 1 << 19
+
+
+def _probe_blocks(seed: int, num_probes: int, n: int, d: int):
+    """Complex Gaussian probes in ``(n, d, B, d)`` blocks, ``x[u, i, b, j] = X^b_u[i, j]``.
+
+    One ``standard_normal((B, 2, n d^2))`` per block: row ``b`` holds the real
+    and the imaginary part of probe ``b``, the values and order of one
+    ``standard_normal(n d^2)`` pair per probe.
+    """
+    rng = stream(seed, DOMAIN_PROBE)
+    size = n * d * d
+    block = max(1, _BLOCK_BYTES // (16 * size))
+    for start in range(0, num_probes, block):
+        count = min(block, num_probes - start)
+        draws = rng.standard_normal((count, 2, size)).reshape(count, 2, n, d, d)
+        x = np.empty((n, d, count, d), dtype=np.complex128)
+        x.real = draws[:, 0].transpose(1, 2, 0, 3)
+        x.imag = draws[:, 1].transpose(1, 2, 0, 3)
+        del draws  # not held while the caller works on the block
+        yield x
+
+
+def _probe_norms(x: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each probe ``b`` of an ``(m, d, B, d)`` block."""
+    m, d, count, _ = x.shape
+    flat = x.view(np.float64).reshape(m * d, count, 2 * d)
+    return np.sqrt(np.einsum("ibj,ibj->b", flat, flat))
 
 
 @dataclass(frozen=True)
@@ -238,28 +330,32 @@ def contraction_certificate(
     """Check the four norm-contraction bounds on random probe tensors.
 
     ``lam`` is the spectral expansion of ``assignment.graph``, which callers
-    already hold.
+    already hold.  Each probe is split into its vertex mean (the parallel
+    part) and the rest; a part with norm below 1e-12 is skipped.
     """
+    if num_probes < 1:
+        raise ArgumentError(f"num_probes must be >= 1, got {num_probes}")
     gammas = gamma_bounds(t, assignment.radius, a, b, lam)
-    es = _vertex_exponentials(assignment, t, a, b)
+    es, esh = _vertex_exponentials(assignment, t, a, b)
     slots = assignment.graph.edge_slots()
     n, d = assignment.graph.n, assignment.dim
-    rng = stream(seed, DOMAIN_PROBE)
+    root_n = math.sqrt(n)
     worst = [0.0, 0.0, 0.0, 0.0]
-    for _ in range(num_probes):
-        u = rng.standard_normal(n * d * d) + 1j * rng.standard_normal(n * d * d)
-        par, perp = _split_parallel(u.reshape(n, d, d))
-        for idx, comp in ((0, par), (1, perp)):
-            nrm = np.linalg.norm(comp)
-            if nrm < 1e-12:
-                continue
-            out_par, out_perp = _split_parallel(_transfer_apply(es, slots, comp))
-            if idx == 0:  # parallel input: parts 1 and 3
-                worst[0] = max(worst[0], np.linalg.norm(out_par) / nrm)
-                worst[2] = max(worst[2], np.linalg.norm(out_perp) / nrm)
-            else:  # orthogonal input: parts 2 and 4
-                worst[1] = max(worst[1], np.linalg.norm(out_par) / nrm)
-                worst[3] = max(worst[3], np.linalg.norm(out_perp) / nrm)
+
+    def record(offset: int, nrm: np.ndarray, image: np.ndarray) -> None:
+        keep = nrm >= 1e-12
+        if keep.any():
+            out_par = image.mean(axis=0, keepdims=True)
+            image -= out_par
+            for idx, out in ((offset, root_n * _probe_norms(out_par)), (offset + 2, _probe_norms(image))):
+                worst[idx] = max(worst[idx], float(np.max(out[keep] / nrm[keep])))
+
+    for x in _probe_blocks(seed, num_probes, n, d):
+        par = x.mean(axis=0, keepdims=True)
+        x -= par  # x is now the orthogonal part
+        # A / degree fixes a vertex-constant stack, so the parallel image needs no gather
+        record(0, root_n * _probe_norms(par), _conjugate(es, esh, par))  # parts 1 and 3
+        record(1, _probe_norms(x), _transfer_apply(es, esh, slots, x))  # parts 2 and 4
     holds = all(w <= g + 1e-9 for w, g in zip(worst, gammas))
     return ContractionReport(
         gammas=gammas, worst_ratios=tuple(worst), holds=holds, num_probes=num_probes
@@ -273,13 +369,14 @@ def transfer_expectation(
     under the stationary walk, via ``kappa`` applications of the transfer operator."""
     if kappa < 1:
         raise ArgumentError(f"kappa must be >= 1, got {kappa}")
-    es = _vertex_exponentials(assignment, t, a, b)
+    es, esh = _vertex_exponentials(assignment, t, a, b)
     slots = assignment.graph.edge_slots()
     n, d = assignment.graph.n, assignment.dim
-    x0 = np.broadcast_to(np.eye(d, dtype=np.complex128) / math.sqrt(n), (n, d, d))
+    eye = np.eye(d, dtype=np.complex128)[:, None, :] / math.sqrt(n)
+    x0 = np.broadcast_to(eye, (n, d, 1, d))
     w = x0
     for _ in range(kappa):
-        w = _transfer_apply(es, slots, w)
+        w = _transfer_apply(es, esh, slots, w)
     val = complex(np.vdot(x0, w))
     scale = max(1.0, abs(val.real))
     if abs(val.imag) > 1e-9 * scale:

@@ -5,8 +5,10 @@ nested-loop contractions over tensor entries, eigenvalue facts are checked by
 subset enumeration, and integrals by closed-form antiderivatives.  Keep them
 slow and obvious.  The compound power and the dense transfer operator build
 on library tensors but take no shortcut the code under test takes.  The
-log-exp convexity probe and ``reconstruct`` are diagnostics only the tests
-use.
+per-probe certificate loop and the per-vertex ``random_bounded_hermitian``
+loop are the library's former one-at-a-time paths, kept as references for
+its batched ones.  The log-exp convexity probe and ``reconstruct`` are
+diagnostics only the tests use.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import numpy as np
 
 from tensor_chernoff.errors import ArgumentError
 from tensor_chernoff.norms import ky_fan_norm, singular_values
-from tensor_chernoff.rng import DOMAIN_GRAPH, DOMAIN_WALK, stream
+from tensor_chernoff.rng import DOMAIN_GRAPH, DOMAIN_PROBE, DOMAIN_TENSORS, DOMAIN_WALK, stream
+from tensor_chernoff.sampling import random_bounded_hermitian
 from tensor_chernoff.tensors import HermitianTensor, Tensor, TensorShape
 
 
@@ -304,6 +307,53 @@ def dense_certificate_ratios(assignment, t: float, a: float, b: float, probes) -
             worst[offset] = max(worst[offset], np.linalg.norm(out_par) / nrm)
             worst[offset + 2] = max(worst[offset + 2], np.linalg.norm(out_perp) / nrm)
     return worst
+
+
+def per_probe_draws(seed: int, num_probes: int, size: int) -> list[np.ndarray]:
+    """Probe ``i`` of the certificate: the ``i``-th pair of ``standard_normal(size)`` draws."""
+    rng = stream(seed, DOMAIN_PROBE)
+    return [rng.standard_normal(size) + 1j * rng.standard_normal(size) for _ in range(num_probes)]
+
+
+def per_probe_certificate_ratios(
+    assignment, t: float, a: float, b: float, num_probes: int, seed: int
+) -> list[float]:
+    """Worst ratio of each contraction part, one probe part and one ``(n, d, d)``
+    transfer application at a time, each ``E_u`` from its own ``eigh``."""
+    graph = assignment.graph
+    n, d = graph.n, assignment.dim
+    es = []
+    for g in assignment.tensors:
+        vals, vecs = np.linalg.eigh(g.matrix)
+        es.append((vecs * np.exp(t * (a + 1j * b) / 2.0 * vals)) @ vecs.conj().T)
+    es = np.stack(es)
+    slots = graph.edge_slots()
+
+    def apply(x):
+        return es @ x[slots].mean(axis=1) @ es.conj().swapaxes(1, 2)
+
+    def split(x):
+        par = np.broadcast_to(x.mean(axis=0), x.shape)
+        return par, x - par
+
+    worst = [0.0, 0.0, 0.0, 0.0]
+    for probe in per_probe_draws(seed, num_probes, n * d * d):
+        for offset, comp in zip((0, 1), split(probe.reshape(n, d, d))):
+            nrm = np.linalg.norm(comp)
+            if nrm < 1e-12:
+                continue
+            out_par, out_perp = split(apply(comp))
+            worst[offset] = max(worst[offset], np.linalg.norm(out_par) / nrm)
+            worst[offset + 2] = max(worst[offset + 2], np.linalg.norm(out_perp) / nrm)
+    return worst
+
+
+def loop_random_assignment(graph, shape, radius: float, seed: int, streams=stream) -> list[HermitianTensor]:
+    """One ``random_bounded_hermitian`` per vertex, vertex ``v`` from ``streams(seed, DOMAIN_TENSORS, v)``."""
+    return [
+        random_bounded_hermitian(shape, streams(seed, DOMAIN_TENSORS, v), radius)
+        for v in range(graph.n)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,12 @@
 
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from tensor_chernoff import TensorShape, make_zero
+from tensor_chernoff import TensorShape, chernoff, make_zero
 from tensor_chernoff.chernoff import (
     ChernoffParams,
     PolynomialSpec,
@@ -41,7 +42,13 @@ from tensor_chernoff.graphs import (
 from tensor_chernoff.inequalities import beta0_density
 from tensor_chernoff.rng import DOMAIN_PROBE, stream
 
-from oracles import dense_certificate_ratios, dense_transfer_expectation
+from oracles import (
+    dense_certificate_ratios,
+    dense_transfer_expectation,
+    loop_random_assignment,
+    per_probe_certificate_ratios,
+    per_probe_draws,
+)
 
 S2 = TensorShape.square((2,))
 S22 = TensorShape.square((2, 2))
@@ -141,6 +148,85 @@ def test_stack_apply_matches_dense_operator():
             ref = dense_certificate_ratios(assignment, 0.3, 1.0, 0.5, probes)
             for w, r in zip(rep.worst_ratios, ref):
                 assert abs(w - r) <= 1e-12 * max(r, 1e-300), (gi, shape, rep.worst_ratios, ref)
+
+
+def test_certificate_rejects_nonpositive_probe_counts():
+    g = gen_complete(4)
+    assignment = random_assignment(g, S2, radius=1.0, seed=1)
+    for num_probes in (0, -3):
+        with pytest.raises(ArgumentError):
+            contraction_certificate(assignment, 0.3, 1.0, 0.5, spectral_expansion(g), num_probes=num_probes)
+    rep = contraction_certificate(assignment, 0.3, 1.0, 0.5, spectral_expansion(g), num_probes=1)
+    assert all(type(w) is float for w in rep.worst_ratios + rep.gammas)
+
+
+def test_blocked_certificate_matches_per_probe_loop(monkeypatch):
+    num_probes, seed = 37, 11
+    graphs = (gen_complete(4), gen_cycle(5), gen_hypercube(3), gen_random_regular(16, 5, seed=0))
+    for gi, graph in enumerate(graphs):
+        for shape in (S2, S22):
+            assignment = random_assignment(graph, shape, radius=1.0, seed=60 + gi)
+            n, d = graph.n, assignment.dim
+            # 8-probe blocks: four full ones and a ragged one of 5
+            monkeypatch.setattr(chernoff, "_BLOCK_BYTES", 8 * 16 * n * d * d)
+            blocks = list(chernoff._probe_blocks(seed, num_probes, n, d))
+            assert [x.shape[2] for x in blocks] == [8, 8, 8, 8, 5]
+            drawn = np.concatenate([x.transpose(2, 0, 1, 3).reshape(x.shape[2], -1) for x in blocks])
+            assert np.array_equal(drawn, np.stack(per_probe_draws(seed, num_probes, n * d * d)))
+
+            rep = contraction_certificate(
+                assignment, 0.3, 1.0, 0.5, spectral_expansion(graph), num_probes=num_probes, seed=seed
+            )
+            ref = per_probe_certificate_ratios(assignment, 0.3, 1.0, 0.5, num_probes, seed)
+            for w, r in zip(rep.worst_ratios, ref):
+                assert abs(w - r) <= 1e-12 * max(r, 1e-300), (gi, shape, rep.worst_ratios, ref)
+
+
+class _ZeroDraws:
+    def standard_normal(self, size):
+        return np.zeros(size)
+
+
+def test_random_assignment_matches_per_vertex_loop(monkeypatch):
+    graph = gen_cycle(5)
+    for dims in ((2,), (3,), (2, 2), (2, 2, 2)):
+        shape = TensorShape.square(dims)
+        for radius in (1.0, 0.3, 2.5):
+            for seed in (0, 7, 123):
+                assignment = random_assignment(graph, shape, radius, seed)
+                ref = loop_random_assignment(graph, shape, radius, seed)
+                assert np.array_equal(assignment.stack(), np.stack([t.matrix for t in ref]))
+                assert assignment.tensors == tuple(ref)
+                assert assignment.radius == max(
+                    float(np.max(np.abs(np.linalg.eigvalsh(t.matrix)))) for t in ref
+                )
+
+    # an all-zero draw (the ``top == 0`` branch) keeps its zero tensor unscaled
+    def streams(seed, domain, v):
+        return _ZeroDraws() if v % 2 == 0 else stream(seed, domain, v)
+
+    monkeypatch.setattr(chernoff, "stream", streams)
+    assignment = random_assignment(graph, S22, 2.0, 5)
+    ref = loop_random_assignment(graph, S22, 2.0, 5, streams=streams)
+    assert np.array_equal(assignment.stack(), np.stack([t.matrix for t in ref]))
+    assert not np.any(assignment.stack()[0]) and np.any(assignment.stack()[1])
+    assert assignment.radius == pytest.approx(2.0, rel=1e-12)
+
+
+def test_certificate_memory_stays_bounded():
+    # a probe block is about 512 KB here; the certificate holds a few at once
+    graph = gen_random_regular(256, 6, seed=0)
+    assignment = random_assignment(graph, TensorShape.square((4,)), radius=1.0, seed=1)
+    lam = spectral_expansion(graph)
+    assignment.eigh()
+    tracemalloc.start()
+    try:
+        rep = contraction_certificate(assignment, 0.5, 1.0, 0.5, lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.holds
+    assert peak < 3 * 2**20, f"certificate peak {peak / 2**20:.2f} MB"
 
 
 def test_transfer_identity_case():
