@@ -308,14 +308,25 @@ def _probe_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ibj,ibj->b", flat, flat))
 
 
+CONTRACTION_SLACK = 1e-9  # how far a worst ratio may exceed its gamma
+
+
 @dataclass(frozen=True)
 class ContractionReport:
     """Worst observed ratio per part of the contraction lemma, against its gamma."""
 
     gammas: tuple[float, float, float, float]
     worst_ratios: tuple[float, float, float, float]
-    holds: bool
     num_probes: int
+
+    @property
+    def worst_excess(self) -> float:
+        """Largest ``worst ratio - gamma`` over the four parts; NaN if any ratio is NaN."""
+        return float(np.max(np.subtract(self.worst_ratios, self.gammas)))
+
+    @property
+    def holds(self) -> bool:
+        return self.worst_excess <= CONTRACTION_SLACK
 
 
 def contraction_certificate(
@@ -348,7 +359,7 @@ def contraction_certificate(
             out_par = image.mean(axis=0, keepdims=True)
             image -= out_par
             for idx, out in ((offset, root_n * _probe_norms(out_par)), (offset + 2, _probe_norms(image))):
-                worst[idx] = max(worst[idx], float(np.max(out[keep] / nrm[keep])))
+                worst[idx] = float(np.maximum(worst[idx], np.max(out[keep] / nrm[keep])))
 
     for x in _probe_blocks(seed, num_probes, n, d):
         par = x.mean(axis=0, keepdims=True)
@@ -356,10 +367,7 @@ def contraction_certificate(
         # A / degree fixes a vertex-constant stack, so the parallel image needs no gather
         record(0, root_n * _probe_norms(par), _conjugate(es, esh, par))  # parts 1 and 3
         record(1, _probe_norms(x), _transfer_apply(es, esh, slots, x))  # parts 2 and 4
-    holds = all(w <= g + 1e-9 for w, g in zip(worst, gammas))
-    return ContractionReport(
-        gammas=gammas, worst_ratios=tuple(worst), holds=holds, num_probes=num_probes
-    )
+    return ContractionReport(gammas=gammas, worst_ratios=tuple(worst), num_probes=num_probes)
 
 
 def transfer_expectation(
@@ -384,19 +392,42 @@ def transfer_expectation(
     return float(val.real)
 
 
+def lemma_hypothesis_failure(s: float, lam: float) -> str | None:
+    """The part of the expectation lemma's hypothesis ``s < 1`` and
+    ``lam (2 e^s - 1) <= 1`` that fails at ``s = t r sqrt(a^2+b^2)``, or None."""
+    if not s < 1.0:
+        return f"need t * r * sqrt(a^2+b^2) < 1, got {s}"
+    growth = lam * (2.0 * math.exp(s) - 1.0)
+    return None if growth <= 1.0 else f"need lam (2 exp(t r sqrt(a^2+b^2)) - 1) <= 1, got {growth}"
+
+
 def expectation_bound(
     params: ChernoffParams, t: float, a: float, b: float, lam: float
 ) -> float:
     """Displayed expectation bound; raises unless the lemma's hypotheses hold."""
     s = t * params.radius * math.hypot(a, b)
-    if not s < 1.0:
-        raise PreconditionError(f"need t * r * sqrt(a^2+b^2) < 1, got {s}")
-    if not lam * (2.0 * math.exp(s) - 1.0) <= 1.0:
-        raise PreconditionError(
-            f"need lam (2 exp(t r sqrt(a^2+b^2)) - 1) <= 1, got {lam * (2.0 * math.exp(s) - 1.0)}"
-        )
+    if failure := lemma_hypothesis_failure(s, lam):
+        raise PreconditionError(failure)
     exponent = params.kappa * (2.0 * s + 8.0 / (1.0 - lam) + 16.0 * s / (1.0 - lam))
     return params.dim * math.exp(exponent)
+
+
+def expectation_sandwich(
+    assignment: VertexTensorAssignment, kappa: int, lam: float, points: Sequence[tuple[float, float, float]]
+) -> tuple[int, float]:
+    """Exact transfer expectation against ``expectation_bound`` at each ``(t, a, b)`` the
+    lemma admits: the count of those and the worst ``exact - bound`` (-inf if none; NaN propagates)."""
+    params = ChernoffParams(
+        kappa=kappa, k=1, theta=1.0, lam_bar=1.0 - lam, dim=assignment.dim, radius=assignment.radius
+    )
+    admissible, worst = 0, -math.inf
+    for t, a, b in points:
+        if lemma_hypothesis_failure(t * assignment.radius * math.hypot(a, b), lam) is not None:
+            continue
+        admissible += 1
+        gap = transfer_expectation(assignment, t, a, b, kappa) - expectation_bound(params, t, a, b, lam)
+        worst = np.maximum(worst, gap)
+    return admissible, float(worst)
 
 
 # ---------------------------------------------------------------------------
@@ -552,9 +583,7 @@ def _lemma_preconditions(params: ChernoffParams, poly: PolynomialSpec, t: float)
     l_max = max((l for l in range(1, poly.degree + 1) if poly.coefficients[l] != 0.0), default=0)
     if l_max == 0:
         return True
-    s_eff = t * l_max * poly.power * params.radius
-    lam = 1.0 - params.lam_bar
-    return s_eff < 1.0 and lam * (2.0 * math.exp(s_eff) - 1.0) <= 1.0
+    return lemma_hypothesis_failure(t * l_max * poly.power * params.radius, 1.0 - params.lam_bar) is None
 
 
 def corollary_bound(params: ChernoffParams, fit: DominationFit) -> BoundResult:

@@ -29,6 +29,7 @@ from .majorization import (
     weak_majorizes,
 )
 from .norms import ky_fan_from_eigenvalues, ky_fan_norm
+from .sampling import random_unitary
 from .tensors import (
     HermitianTensor,
     Tensor,
@@ -40,6 +41,15 @@ from .tensors import (
 )
 
 MODES = ("weak", "strong", "weak_log", "log")
+
+# f per mode for constructed-premise trials: convex nondecreasing (weak), convex
+# (strong), f(e^x) convex nondecreasing on positive spectra (log modes)
+TRIAL_FUNCTIONS = {
+    "weak": (np.exp, lambda x: np.maximum(x + 1.0, 0.0)),
+    "strong": (np.exp, lambda x: x**2, lambda x: np.maximum(x + 1.0, 0.0)),
+    "weak_log": (np.exp, lambda x: x**2),
+    "log": (np.exp, lambda x: x**2),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +225,35 @@ def verify_discrete_average_majorization(
     )
 
 
+def _diagonal_in(u: Tensor, lam: np.ndarray) -> HermitianTensor:
+    return HermitianTensor(u.shape, (u.matrix * lam) @ u.matrix.conj().T)
+
+
+def commuting_tuple(rng, u: Tensor, count: int, low: float, high: float):
+    """``count`` tensors diagonal in the basis ``u``, spectra uniform on [low, high]: (tensors, spectra)."""
+    spectra = [np.sort(rng.uniform(low, high, size=u.shape.unfold_rows))[::-1] for _ in range(count)]
+    return [_diagonal_in(u, lam) for lam in spectra], spectra
+
+
+def constructed_premise_trial(rng, mode: str, u: Tensor, n_atoms: int):
+    """``(C, measure, f)`` for ``mode`` with the premise true by construction.
+
+    Draws atoms diagonal in ``u``, Dirichlet weights, a basis for ``C`` (its
+    spectrum is the weighted mean of the atom spectra, geometric for the log
+    modes) and ``f`` from ``TRIAL_FUNCTIONS[mode]``, in that order.
+    """
+    positive = mode in ("weak_log", "log")
+    atoms, eigs = commuting_tuple(rng, u, n_atoms, 0.3 if positive else -2.0, 3.0)
+    w = rng.dirichlet(np.ones(n_atoms))
+    if positive:
+        target = np.exp(sum(wi * np.log(e) for wi, e in zip(w, eigs)))
+    else:
+        target = sum(wi * e for wi, e in zip(w, eigs))
+    c = _diagonal_in(random_unitary(u.shape, rng), target)
+    fs = TRIAL_FUNCTIONS[mode]
+    return c, DiscreteMeasure(atoms, w), fs[int(rng.integers(len(fs)))]
+
+
 # ---------------------------------------------------------------------------
 # Multivariate norm inequality (quadrature verification)
 # ---------------------------------------------------------------------------
@@ -359,6 +398,40 @@ def golden_thompson_rhs_linear(
     return PowerProductSpectrum(cs, quad).linear_form(g, k)
 
 
+def multivariate_violations(
+    cs: Sequence[HermitianTensor], k: int, fs: Sequence[Callable], quad: QuadratureSpec
+) -> tuple[int, int]:
+    """Log- and linear-form violations over ``fs``, on one power-product spectrum of ``cs``.
+
+    A form holds if ``lhs <= value + error_bound + 1e-8 (1 + |lhs|)``; a NaN fails.
+    """
+    spectrum = PowerProductSpectrum(cs, quad)
+    log_bad = lin_bad = 0
+    for f in fs:
+        lhs = golden_thompson_lhs(f, cs, k)
+        slack = 1e-8 * (1.0 + abs(lhs))
+        rlog, rlin = spectrum.log_form(f, k), spectrum.linear_form(f, k)
+        log_bad += int(not lhs <= rlog.value + rlog.error_bound + slack)
+        lin_bad += int(not lhs <= rlin.value + rlin.error_bound + slack)
+    return log_bad, lin_bad
+
+
+def commuting_equality_excess(
+    cs: Sequence[HermitianTensor], k: int, fs: Sequence[Callable], quad: QuadratureSpec
+) -> float:
+    """Worst ``|lhs - rhs_log| - (error_bound + 1e-7 (1 + |lhs|))`` over ``fs`` (NaN propagates).
+
+    A commuting tuple attains equality, so a positive excess is a failure.
+    """
+    spectrum = PowerProductSpectrum(cs, quad)
+    excess = -math.inf
+    for f in fs:
+        lhs = golden_thompson_lhs(f, cs, k)
+        rlog = spectrum.log_form(f, k)
+        excess = np.maximum(excess, abs(lhs - rlog.value) - (rlog.error_bound + 1e-7 * (1.0 + abs(lhs))))
+    return float(excess)
+
+
 # ---------------------------------------------------------------------------
 # Lie-Trotter product formula
 # ---------------------------------------------------------------------------
@@ -386,3 +459,12 @@ def lie_trotter_proof_bound(l1: HermitianTensor, l2: HermitianTensor, n: int) ->
     a = ky_fan_norm(l1, 1)
     b = ky_fan_norm(l2, 1)
     return 2.0 * math.exp(2.0 * a + 2.0 * b) / int(n)
+
+
+def lie_trotter_audit(l1: HermitianTensor, l2: HermitianTensor, ns: Sequence[int]) -> tuple[float, bool]:
+    """Log-log slope of the two-term Lie-Trotter error over ``ns``, and whether
+    every error is within ``lie_trotter_proof_bound`` (a NaN error is not)."""
+    errs = np.array([lie_trotter_error([l1, l2], int(n)) for n in ns])
+    bounds = np.array([lie_trotter_proof_bound(l1, l2, int(n)) for n in ns])
+    slope = float(np.polyfit(np.log(ns), np.log(np.maximum(errs, 1e-300)), 1)[0])
+    return slope, bool(np.all(errs <= bounds))

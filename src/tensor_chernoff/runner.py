@@ -2,9 +2,11 @@
 
 Every suite draws its randomness from streams derived off the master seed, so
 a report is a pure function of the parsed config (seed included); reruns and
-different worker counts reproduce it byte for byte.  Checks that cannot run
-(empty precondition regimes) are recorded as passed with a ``skipped:``
-detail rather than dropped.
+different worker counts reproduce it byte for byte.  A suite draws its own
+trials and hands each one to the library verifier of its check (the same
+function the acceptance gate calls), so the pass/fail rule and its slack
+live in the library.  Checks that cannot run (empty precondition regimes)
+are recorded as passed with a ``skipped:`` detail rather than dropped.
 """
 
 from __future__ import annotations
@@ -15,18 +17,18 @@ import numpy as np
 
 from . import __version__
 from .chernoff import (
+    CONTRACTION_SLACK,
     ChernoffParams,
     PolynomialSpec,
     contraction_certificate,
     corollary_bound,
     empirical_tail_sweep,
-    expectation_bound,
+    expectation_sandwich,
     fit_gaussian_domination,
     gamma_bounds,
     load_assignment,
     random_assignment,
     theorem_bound,
-    transfer_expectation,
 )
 from .config import ExperimentConfig, GraphSpec
 from .errors import ConfigError, PreconditionError
@@ -43,14 +45,15 @@ from .graphs import (
     spectral_expansion,
 )
 from .inequalities import (
-    DiscreteMeasure,
-    PowerProductSpectrum,
+    MODES,
     QuadratureSpec,
     beta0_density,
     beta_density,
-    golden_thompson_lhs,
-    lie_trotter_error,
-    lie_trotter_proof_bound,
+    commuting_equality_excess,
+    commuting_tuple,
+    constructed_premise_trial,
+    lie_trotter_audit,
+    multivariate_violations,
     verify_discrete_average_majorization,
 )
 from .majorization import check_kyfan_sum_inequality
@@ -59,7 +62,6 @@ from .reporting import CheckRecord, Report, TailRow
 from .rng import DOMAIN_SUITE, WALK_STREAM, stream
 from .sampling import random_hermitian, random_positive, random_tensor, random_unitary
 from .tensors import (
-    HermitianTensor,
     TensorShape,
     col_tensor,
     conj_transpose,
@@ -164,7 +166,14 @@ def _suite_tensor_props(cfg: ExperimentConfig, seed: int, workers: int):
         rhs = complex(np.trace(c.matrix @ b.matrix.T))
         worst_kron = max(worst_kron, abs(lhs - rhs))
 
-    slope, bound_ok = _lie_trotter_slope(rng)
+    slope, bound_ok = -math.inf, True
+    shape = TensorShape.square((2, 2))
+    for _ in range(4):
+        l1 = random_hermitian(shape, rng, scale=0.8)
+        l2 = random_hermitian(shape, rng, scale=0.8)
+        pair_slope, pair_ok = lie_trotter_audit(l1, l2, [2**j for j in range(9)])
+        slope = float(np.maximum(slope, pair_slope))
+        bound_ok &= pair_ok
     checks = [
         CheckRecord.from_bound("einstein_vs_einsum_rel_err", worst_einstein, 1e-10,
                                detail=f"{trials} randomized products"),
@@ -178,23 +187,6 @@ def _suite_tensor_props(cfg: ExperimentConfig, seed: int, workers: int):
         CheckRecord.from_bound("lie_trotter_proof_bound_violations", 0.0 if bound_ok else 1.0, 0.0),
     ]
     return checks, []
-
-
-def _lie_trotter_slope(rng, pairs: int = 4):
-    worst_slope = -math.inf
-    bound_ok = True
-    shape = TensorShape.square((2, 2))
-    ns = np.array([2**j for j in range(9)], dtype=float)
-    for _ in range(pairs):
-        l1 = random_hermitian(shape, rng, scale=0.8)
-        l2 = random_hermitian(shape, rng, scale=0.8)
-        errs = np.array([lie_trotter_error([l1, l2], int(n)) for n in ns])
-        bound_ok &= bool(
-            np.all(errs <= np.array([lie_trotter_proof_bound(l1, l2, int(n)) for n in ns]))
-        )
-        slope = float(np.polyfit(np.log(ns), np.log(np.maximum(errs, 1e-300)), 1)[0])
-        worst_slope = max(worst_slope, slope)
-    return worst_slope, bound_ok
 
 
 # ---------------------------------------------------------------------------
@@ -259,38 +251,15 @@ def _suite_inequalities(cfg: ExperimentConfig, seed: int, workers: int):
 
 
 def _discrete_majorization_check(rng, trials: int) -> CheckRecord:
-    fs = {
-        "weak": [np.exp, lambda x: np.maximum(x + 1.0, 0.0)],
-        "strong": [np.exp, lambda x: x**2, lambda x: np.maximum(x + 1.0, 0.0)],
-        "weak_log": [np.exp, lambda x: x**2],
-        "log": [np.exp, lambda x: x**2],
-    }
     violations = 0
     premise_holds = 0
     for _ in range(trials):
-        mode = ("weak", "strong", "weak_log", "log")[int(rng.integers(4))]
-        positive = mode in ("weak_log", "log")
+        mode = MODES[int(rng.integers(4))]
         dim = int(rng.integers(2, 5))
-        shape = TensorShape.square((dim,))
         n_atoms = int(rng.integers(1, 4))
-        ds, eigs = [], []
-        u = random_unitary(shape, rng)
-        for _ in range(n_atoms):
-            lam = np.sort(rng.uniform(0.3 if positive else -2.0, 3.0, size=dim))[::-1]
-            ds.append(HermitianTensor(shape, (u.matrix * lam) @ u.matrix.conj().T))
-            eigs.append(lam)
-        w = rng.dirichlet(np.ones(n_atoms))
-        if positive:
-            target = np.exp(sum(wi * np.log(e) for wi, e in zip(w, eigs)))
-        else:
-            target = sum(wi * e for wi, e in zip(w, eigs))
-        v = random_unitary(shape, rng)
-        c = HermitianTensor(shape, (v.matrix * target) @ v.matrix.conj().T)
-        measure = DiscreteMeasure(tuple(ds), tuple(w))
-        f = fs[mode][int(rng.integers(len(fs[mode])))]
-        rep = verify_discrete_average_majorization(
-            c, measure, f, int(rng.integers(1, dim + 1)), mode
-        )
+        u = random_unitary(TensorShape.square((dim,)), rng)
+        c, measure, f = constructed_premise_trial(rng, mode, u, n_atoms)
+        rep = verify_discrete_average_majorization(c, measure, f, int(rng.integers(1, dim + 1)), mode)
         premise_holds += int(rep.premise_holds)
         violations += int(rep.violated)
     return CheckRecord.from_bound(
@@ -310,31 +279,18 @@ def _multivariate_checks(rng, quad: QuadratureSpec, trials: int) -> list[CheckRe
         shape = TensorShape.square((dim,))
         cs = [random_positive(shape, rng) for _ in range(int(rng.integers(1, 4)))]
         k = int(rng.integers(1, dim + 1))
-        f = fs[int(rng.integers(len(fs)))]
-        lhs = golden_thompson_lhs(f, cs, k)
-        spectrum = PowerProductSpectrum(cs, quad)
-        rlog = spectrum.log_form(f, k)
-        if lhs > rlog.value + rlog.error_bound + 1e-8 * (1.0 + abs(lhs)):
-            log_bad += 1
-        rlin = spectrum.linear_form(f, k)
-        if lhs > rlin.value + rlin.error_bound + 1e-8 * (1.0 + abs(lhs)):
-            lin_bad += 1
+        log_viol, lin_viol = multivariate_violations(cs, k, [fs[int(rng.integers(len(fs)))]], quad)
+        log_bad += log_viol
+        lin_bad += lin_viol
 
     # commuting families achieve equality within the reported error
     eq_err = 0.0
     for _ in range(max(5, trials // 10)):
         dim = int(rng.integers(2, 4))
-        shape = TensorShape.square((dim,))
-        u = random_unitary(shape, rng)
-        cs = []
-        for _ in range(2):
-            lam = np.sort(rng.uniform(0.3, 2.5, size=dim))[::-1]
-            cs.append(HermitianTensor(shape, (u.matrix * lam) @ u.matrix.conj().T))
+        u = random_unitary(TensorShape.square((dim,)), rng)
+        cs, _ = commuting_tuple(rng, u, 2, 0.3, 2.5)
         k = int(rng.integers(1, dim + 1))
-        lhs = golden_thompson_lhs(lambda x: x, cs, k)
-        rlog = PowerProductSpectrum(cs, quad).log_form(lambda x: x, k)
-        excess = abs(lhs - rlog.value) - (rlog.error_bound + 1e-7 * (1.0 + abs(lhs)))
-        eq_err = max(eq_err, excess)
+        eq_err = float(np.maximum(eq_err, commuting_equality_excess(cs, k, [lambda x: x], quad)))
     return [
         CheckRecord.from_bound("multivariate_log_form_violations", log_bad, 0.0,
                                detail=f"{trials} random positive tuples"),
@@ -481,24 +437,12 @@ def _suite_chernoff_sweep(cfg: ExperimentConfig, seed: int, workers: int):
     cert = contraction_certificate(
         assignment, t=min(0.5, 0.9 / assignment.radius), a=1.0, b=0.5, lam=lam, seed=seed
     )
-    worst_excess = max(w - g for w, g in zip(cert.worst_ratios, cert.gammas))
-    checks.append(CheckRecord.from_bound("contraction_certificate_excess", worst_excess, 1e-9,
+    checks.append(CheckRecord.from_bound("contraction_certificate_excess", cert.worst_excess, CONTRACTION_SLACK,
                                          detail=f"gammas {tuple(round(g, 6) for g in cert.gammas)}"))
 
-    sandwich_excess = -math.inf
-    tested = 0
-    params0 = ChernoffParams(
-        kappa=min(cfg.walk.kappa, 4), k=cfg.walk.k, theta=cfg.sweep.theta_grid[0], lam_bar=lam_bar,
-        dim=assignment.dim, radius=assignment.radius,
+    tested, sandwich_excess = expectation_sandwich(
+        assignment, min(cfg.walk.kappa, 4), lam, [(t, 1.0, 0.0) for t in (0.05, 0.15, 0.4)]
     )
-    for t in (0.05, 0.15, 0.4):
-        s = t * assignment.radius
-        if s >= 1.0 or lam * (2.0 * math.exp(s) - 1.0) > 1.0:
-            continue
-        tested += 1
-        exact = transfer_expectation(assignment, t, 1.0, 0.0, params0.kappa)
-        bound = expectation_bound(params0, t, 1.0, 0.0, lam)
-        sandwich_excess = max(sandwich_excess, exact - bound)
     if tested:
         checks.append(CheckRecord.from_bound("transfer_expectation_below_bound", sandwich_excess, 0.0,
                                              detail=f"{tested} admissible t values"))

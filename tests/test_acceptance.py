@@ -10,7 +10,6 @@ import time
 import numpy as np
 
 from tensor_chernoff import (
-    HermitianTensor,
     TensorShape,
     abs_tensor,
     as_hermitian,
@@ -27,7 +26,7 @@ from tensor_chernoff.chernoff import (
     contraction_certificate,
     corollary_bound,
     empirical_tail_sweep,
-    expectation_bound,
+    expectation_sandwich,
     fit_gaussian_domination,
     random_assignment,
     theorem_bound,
@@ -43,13 +42,14 @@ from tensor_chernoff.graphs import (
     spectral_expansion,
 )
 from tensor_chernoff.inequalities import (
-    DiscreteMeasure,
-    PowerProductSpectrum,
+    MODES,
     QuadratureSpec,
     beta0_density,
-    golden_thompson_lhs,
-    lie_trotter_error,
-    lie_trotter_proof_bound,
+    commuting_equality_excess,
+    commuting_tuple,
+    constructed_premise_trial,
+    lie_trotter_audit,
+    multivariate_violations,
     verify_discrete_average_majorization,
 )
 from tensor_chernoff.norms import singular_values
@@ -200,11 +200,9 @@ def test_criterion_3_lie_trotter():
         for _ in range(3):
             l1 = random_hermitian(shape, rng, scale=0.8)
             l2 = random_hermitian(shape, rng, scale=0.8)
-            errs = np.array([lie_trotter_error([l1, l2], n) for n in ns])
-            bounds = np.array([lie_trotter_proof_bound(l1, l2, n) for n in ns])
-            bound_violated |= bool(np.any(errs > bounds))
-            slope = float(np.polyfit(np.log(ns), np.log(np.maximum(errs, 1e-300)), 1)[0])
-            worst_slope = max(worst_slope, slope)
+            slope, bound_ok = lie_trotter_audit(l1, l2, ns)
+            bound_violated |= not bound_ok
+            worst_slope = np.maximum(worst_slope, slope)
     ok = worst_slope <= -0.9 and not bound_violated
     _report(3, "Lie-Trotter decay", ok,
             f"worst log-log slope {worst_slope:.3f}, proof bound violated: {bound_violated}", started)
@@ -225,35 +223,19 @@ def test_criterion_4_multivariate_inequality():
         shape = TensorShape.square((dim,)) if rng.integers(2) or dim != 4 else TensorShape.square((2, 2))
         cs = [random_positive(shape, rng) for _ in range(int(rng.integers(1, 4)))]
         k = int(rng.integers(1, dim + 1))
-        spectrum = PowerProductSpectrum(cs, quad)
-        for f in fs:
-            lhs = golden_thompson_lhs(f, cs, k)
-            slack = 1e-8 * (1.0 + abs(lhs))
-            rlog = spectrum.log_form(f, k)
-            if lhs > rlog.value + rlog.error_bound + slack:
-                log_viol += 1
-            rlin = spectrum.linear_form(f, k)
-            if lhs > rlin.value + rlin.error_bound + slack:
-                lin_viol += 1
-            trials += 1
+        log_bad, lin_bad = multivariate_violations(cs, k, fs, quad)
+        log_viol += log_bad
+        lin_viol += lin_bad
+        trials += len(fs)
 
     # commuting tuples achieve equality within tolerance
     eq_excess = 0.0
     for _ in range(30):
         dim = int(rng.integers(2, 5))
-        shape = TensorShape.square((dim,))
-        u = random_unitary(shape, rng)
-        cs = []
-        for _ in range(int(rng.integers(2, 4))):
-            lam = np.sort(rng.uniform(0.3, 2.5, size=dim))[::-1]
-            cs.append(HermitianTensor(shape, (u.matrix * lam) @ u.matrix.conj().T))
+        u = random_unitary(TensorShape.square((dim,)), rng)
+        cs, _ = commuting_tuple(rng, u, int(rng.integers(2, 4)), 0.3, 2.5)
         k = int(rng.integers(1, dim + 1))
-        spectrum = PowerProductSpectrum(cs, quad)
-        for f in (lambda x: x, lambda x: x**2):
-            lhs = golden_thompson_lhs(f, cs, k)
-            rlog = spectrum.log_form(f, k)
-            tol = rlog.error_bound + 1e-7 * (1.0 + abs(lhs))
-            eq_excess = max(eq_excess, abs(lhs - rlog.value) - tol)
+        eq_excess = np.maximum(eq_excess, commuting_equality_excess(cs, k, (lambda x: x, lambda x: x**2), quad))
 
     ok = log_viol == 0 and lin_viol == 0 and eq_excess <= 0.0
     _report(4, "multivariate norm inequality", ok,
@@ -268,38 +250,15 @@ def test_criterion_4_multivariate_inequality():
 def test_criterion_5_discrete_average_theorems():
     started = time.time()
     rng = np.random.default_rng(505)
-    fs = {
-        "weak": [np.exp, lambda x: np.maximum(x + 1.0, 0.0)],
-        "strong": [np.exp, lambda x: x**2, lambda x: np.maximum(x + 1.0, 0.0)],
-        "weak_log": [np.exp, lambda x: x**2],
-        "log": [np.exp, lambda x: x**2],
-    }
-    modes = ("weak", "strong", "weak_log", "log")
     trials, premise_count, violations = 0, 0, 0
     for i in range(10000):
-        mode = modes[i % 4]
-        positive = mode in ("weak_log", "log")
+        mode = MODES[i % 4]
         dim = int(rng.integers(2, 5))
-        shape = TensorShape.square((dim,))
-        u = random_unitary(shape, rng)
-        n_atoms = int(rng.integers(1, 4))
-        ds, eigs = [], []
-        for _ in range(n_atoms):
-            lam = np.sort(rng.uniform(0.3 if positive else -2.0, 3.0, size=dim))[::-1]
-            ds.append(HermitianTensor(shape, (u.matrix * lam) @ u.matrix.conj().T))
-            eigs.append(lam)
-        w = rng.dirichlet(np.ones(n_atoms))
-        if positive:
-            target = np.exp(sum(wi * np.log(e) for wi, e in zip(w, eigs)))
-        else:
-            target = sum(wi * e for wi, e in zip(w, eigs))
-        v = random_unitary(shape, rng)
-        c = HermitianTensor(shape, (v.matrix * target) @ v.matrix.conj().T)
-        f = fs[mode][int(rng.integers(len(fs[mode])))]
-        form = "linear" if not positive else ("log", "linear")[int(rng.integers(2))]
+        u = random_unitary(TensorShape.square((dim,)), rng)
+        c, measure, f = constructed_premise_trial(rng, mode, u, int(rng.integers(1, 4)))
+        form = ("log", "linear")[int(rng.integers(2))] if mode in ("weak_log", "log") else "linear"
         rep = verify_discrete_average_majorization(
-            c, DiscreteMeasure(tuple(ds), tuple(w)), f,
-            int(rng.integers(1, dim + 1)), mode, conclusion_form=form,
+            c, measure, f, int(rng.integers(1, dim + 1)), mode, conclusion_form=form
         )
         trials += 1
         premise_count += int(rep.premise_holds)
@@ -326,8 +285,7 @@ def test_criterion_6_contraction_certificate():
             assignment = random_assignment(graph, shape, radius=1.0, seed=606 + cases)
             for t, a, b in ((0.3, 1.0, 0.7), (0.15, 1.0, 0.0)):
                 rep = contraction_certificate(assignment, t, a, b, lam, num_probes=100, seed=7)
-                excess = max(w - g for w, g in zip(rep.worst_ratios, rep.gammas))
-                worst_excess = max(worst_excess, excess)
+                worst_excess = np.maximum(worst_excess, rep.worst_excess)
                 cases += 1
                 assert rep.holds, (gname, sname, t, rep)
     _report(6, "contraction certificate", worst_excess <= 1e-9,
@@ -347,19 +305,10 @@ def test_criterion_7_transfer_sandwich():
         lam = spectral_expansion(graph)
         for shape in shapes:
             assignment = random_assignment(graph, shape, radius=1.0, seed=717)
-            params = ChernoffParams(
-                kappa=4, k=1, theta=1.0, lam_bar=1.0 - lam,
-                dim=shape.unfold_rows, radius=assignment.radius,
-            )
-            for t in (0.02, 0.05, 0.1, 0.2, 0.4, 0.8):
-                for a, b in ((1.0, 0.0), (1.0, 0.5)):
-                    s = t * assignment.radius * math.hypot(a, b)
-                    if s >= 1.0 or lam * (2.0 * math.exp(s) - 1.0) > 1.0:
-                        continue
-                    exact = transfer_expectation(assignment, t, a, b, params.kappa)
-                    bound = expectation_bound(params, t, a, b, lam)
-                    worst_gap = max(worst_gap, exact - bound)
-                    admissible += 1
+            points = [(t, a, b) for t in (0.02, 0.05, 0.1, 0.2, 0.4, 0.8) for a, b in ((1.0, 0.0), (1.0, 0.5))]
+            count, gap = expectation_sandwich(assignment, 4, lam, points)
+            admissible += count
+            worst_gap = np.maximum(worst_gap, gap)
     sandwich_ok = admissible > 0 and worst_gap <= 0.0
 
     # Monte Carlo cross-check of the exact transfer expectation

@@ -16,6 +16,7 @@ from tensor_chernoff import (
 )
 from tensor_chernoff.errors import ArgumentError, DomainError
 from tensor_chernoff.inequalities import (
+    MODES,
     DiscreteMeasure,
     PowerProductSpectrum,
     QuadratureSpec,
@@ -23,11 +24,14 @@ from tensor_chernoff.inequalities import (
     beta0_density,
     beta0_tail_mass,
     beta_density,
+    commuting_tuple,
+    constructed_premise_trial,
     golden_thompson_lhs,
     golden_thompson_rhs_linear,
     golden_thompson_rhs_log,
     lie_trotter_error,
     lie_trotter_proof_bound,
+    multivariate_violations,
     verify_discrete_average_majorization,
 )
 from tensor_chernoff.majorization import check_kyfan_sum_inequality
@@ -95,12 +99,7 @@ S22 = TensorShape.square((2, 2))
 
 def _commuting_family(rng, dim_shape, n_atoms, positive=False):
     u = random_unitary(dim_shape, rng)
-    ds, eigs = [], []
-    n = dim_shape.unfold_rows
-    for _ in range(n_atoms):
-        lam = np.sort(rng.uniform(0.3 if positive else -2.0, 3.0, size=n))[::-1]
-        ds.append(HermitianTensor(dim_shape, (u.matrix * lam) @ u.matrix.conj().T))
-        eigs.append(lam)
+    ds, eigs = commuting_tuple(rng, u, n_atoms, 0.3 if positive else -2.0, 3.0)
     return u, ds, eigs
 
 
@@ -150,30 +149,14 @@ def test_log_mode_rejects_nonpositive():
 
 def test_randomized_no_violations():
     rng = np.random.default_rng(4242)
-    fs = {
-        "weak": [np.exp, lambda x: np.maximum(x + 1.0, 0.0)],
-        "strong": [np.exp, lambda x: x**2, lambda x: np.maximum(x + 1.0, 0.0)],
-        "weak_log": [np.exp, lambda x: x**2],
-        "log": [np.exp, lambda x: x**2],
-    }
     for _ in range(200):
-        mode = ("weak", "strong", "weak_log", "log")[rng.integers(4)]
-        positive = mode in ("weak_log", "log")
+        mode = MODES[rng.integers(4)]
         dim = int(rng.integers(2, 5))
-        shape = TensorShape.square((dim,))
-        u, ds, eigs = _commuting_family(rng, shape, int(rng.integers(1, 4)), positive=positive)
-        w = rng.dirichlet(np.ones(len(ds)))
-        if positive:
-            target = np.exp(sum(wi * np.log(e) for wi, e in zip(w, eigs)))
-        else:
-            target = sum(wi * e for wi, e in zip(w, eigs))
-        # random basis for C: premise depends only on eigenvalues
-        v = random_unitary(shape, rng)
-        c = HermitianTensor(shape, (v.matrix * target) @ v.matrix.conj().T)
-        measure = DiscreteMeasure(tuple(ds), tuple(w))
-        f = fs[mode][rng.integers(len(fs[mode]))]
+        n_atoms = int(rng.integers(1, 4))
+        u = random_unitary(TensorShape.square((dim,)), rng)
+        c, measure, f = constructed_premise_trial(rng, mode, u, n_atoms)
         rep = verify_discrete_average_majorization(c, measure, f, int(rng.integers(1, dim + 1)), mode)
-        assert not rep.violated, rep
+        assert rep.premise_holds and not rep.violated, rep
 
 
 # ---------------------------------------------------------------------------
@@ -219,12 +202,7 @@ def test_random_pairs_inequality_holds():
         shape = TensorShape.square((dim,))
         cs = [random_positive(shape, rng) for _ in range(int(rng.integers(2, 4)))]
         k = int(rng.integers(1, dim + 1))
-        for f in (lambda x: x, lambda x: x**2):
-            lhs = golden_thompson_lhs(f, cs, k)
-            rlog = golden_thompson_rhs_log(f, cs, k, quad)
-            assert lhs <= rlog.value + rlog.error_bound + 1e-8 * (1 + abs(lhs))
-            rlin = golden_thompson_rhs_linear(f, cs, k, quad)
-            assert lhs <= rlin.value + rlin.error_bound + 1e-8 * (1 + abs(lhs))
+        assert multivariate_violations(cs, k, (lambda x: x, lambda x: x**2), quad) == (0, 0)
 
 
 def test_monotone_refinement():
