@@ -96,10 +96,6 @@ class VertexTensorAssignment:
         raise AttributeError("VertexTensorAssignment is immutable")
 
     @property
-    def shape(self) -> TensorShape:
-        return self.tensors[0].shape
-
-    @property
     def dim(self) -> int:
         return self.tensors[0].shape.unfold_rows
 
@@ -204,8 +200,7 @@ class ChernoffParams:
 
     ``lam_bar`` is one minus the spectral expansion.  Bipartite graphs reach
     ``lam_bar = 0`` under the absolute-value expansion definition; the bound
-    formulas remain well defined there, so 0 is allowed and surfaced via
-    ``expanding``.
+    formulas remain well defined there, so 0 is allowed.
     """
 
     kappa: int
@@ -226,10 +221,6 @@ class ChernoffParams:
             raise ArgumentError(f"lam_bar must be in [0, 1], got {self.lam_bar}")
         if self.radius <= 0:
             raise ArgumentError(f"radius must be positive, got {self.radius}")
-
-    @property
-    def expanding(self) -> bool:
-        return self.lam_bar > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +308,6 @@ class ContractionReport:
 
     gammas: tuple[float, float, float, float]
     worst_ratios: tuple[float, float, float, float]
-    num_probes: int
 
     @property
     def worst_excess(self) -> float:
@@ -367,7 +357,7 @@ def contraction_certificate(
         # A / degree fixes a vertex-constant stack, so the parallel image needs no gather
         record(0, root_n * _probe_norms(par), _conjugate(es, esh, par))  # parts 1 and 3
         record(1, _probe_norms(x), _transfer_apply(es, esh, slots, x))  # parts 2 and 4
-    return ContractionReport(gammas=gammas, worst_ratios=tuple(worst), num_probes=num_probes)
+    return ContractionReport(gammas=gammas, worst_ratios=tuple(worst))
 
 
 def transfer_expectation(
@@ -455,7 +445,7 @@ def _golden_section(fn: Callable, a: float, b: float, keep_going: Callable[[floa
 _DOMINATION_GRID_POINTS = 10000
 
 
-def _max_domination_ratio(window: float, sigma: float, grid_points: int = _DOMINATION_GRID_POINTS) -> float:
+def _max_domination_ratio(window: float, sigma: float) -> float:
     """Supremum of ``beta0(tau) sigma sqrt(2 pi) exp(tau^2 / 2 sigma^2)`` over the window.
 
     Grid scan plus golden-section refinement around the best grid point: the
@@ -469,11 +459,11 @@ def _max_domination_ratio(window: float, sigma: float, grid_points: int = _DOMIN
                 np.asarray(tau, dtype=np.float64) ** 2 / (2.0 * sigma**2)
             )
 
-    taus = np.linspace(-window, window, grid_points)
+    taus = np.linspace(-window, window, _DOMINATION_GRID_POINTS)
     vals = ratio(taus)
     i = int(np.argmax(vals))
     a = float(taus[max(i - 1, 0)])
-    b = float(taus[min(i + 1, grid_points - 1)])
+    b = float(taus[min(i + 1, taus.size - 1)])
     _, _, fc, fd = _golden_section(
         lambda tau: -float(ratio(tau)), a, b, lambda a, b: (b - a) > 1e-12 * max(1.0, abs(b))
     )
@@ -504,20 +494,16 @@ def fit_gaussian_domination(window: float, sigma_grid: Sequence[float]) -> Domin
 
 @dataclass(frozen=True)
 class BoundResult:
-    """Evaluated tail bound with its minimizer.
-
-    ``vacuous`` marks values above 1 (no information).  ``lemma_preconditions``
-    reports whether the expectation lemma's dropped hypotheses hold at the
-    minimizer for the largest polynomial term (checked at ``a=1, b=0``).
-    """
+    """Evaluated tail bound with its minimizer; ``vacuous`` marks values above 1 (no information)."""
 
     value: float
     t_opt: float
     vacuous: bool
-    lemma_preconditions: bool
 
 
 def _theorem_objective(params: ChernoffParams, poly: PolynomialSpec, fit: DominationFit):
+    """The bound as a function of ``t``, and the vertex ``(theta - a_l) / (2 b_l)`` of each
+    present term's quadratic exponent."""
     n_deg = poly.degree
     s = poly.power
     kb = params.lam_bar
@@ -543,7 +529,8 @@ def _theorem_objective(params: ChernoffParams, poly: PolynomialSpec, fit: Domina
             )
         return vals if vals.ndim else float(vals)
 
-    return objective
+    terms = [l for l in range(1, n_deg + 1) if poly.coefficients[l] != 0.0]
+    return objective, [(params.theta - a_l[l]) / (2.0 * b_l[l]) for l in terms]
 
 
 def theorem_bound(params: ChernoffParams, poly: PolynomialSpec, fit: DominationFit) -> BoundResult:
@@ -553,13 +540,7 @@ def theorem_bound(params: ChernoffParams, poly: PolynomialSpec, fit: DominationF
     """
     if not fit.verified:
         raise ArgumentError("domination fit must be verified")
-    objective = _theorem_objective(params, poly, fit)
-    vertices = [
-        (params.theta - 2.0 * (params.kappa + 8.0 * params.lam_bar) * l * poly.power * params.radius)
-        / (4.0 * (fit.sigma * (params.kappa + 8.0 * params.lam_bar) * l * poly.power * params.radius) ** 2)
-        for l in range(1, poly.degree + 1)
-        if poly.coefficients[l] != 0.0
-    ]
+    objective, vertices = _theorem_objective(params, poly, fit)
     hi = max([1.0] + [4.0 * v for v in vertices if v > 0])
 
     grid = np.geomspace(1e-8, hi, 200)
@@ -571,19 +552,7 @@ def theorem_bound(params: ChernoffParams, poly: PolynomialSpec, fit: DominationF
     a_t, b_t, _, _ = _golden_section(objective, left, right, lambda a, b: (b - a) > 1e-8 * max(a, 1e-12))
     t_opt = (a_t + b_t) / 2.0
     value = float(objective(t_opt))
-    return BoundResult(
-        value=value,
-        t_opt=float(t_opt),
-        vacuous=value > 1.0,
-        lemma_preconditions=_lemma_preconditions(params, poly, t_opt),
-    )
-
-
-def _lemma_preconditions(params: ChernoffParams, poly: PolynomialSpec, t: float) -> bool:
-    l_max = max((l for l in range(1, poly.degree + 1) if poly.coefficients[l] != 0.0), default=0)
-    if l_max == 0:
-        return True
-    return lemma_hypothesis_failure(t * l_max * poly.power * params.radius, 1.0 - params.lam_bar) is None
+    return BoundResult(value=value, t_opt=float(t_opt), vacuous=value > 1.0)
 
 
 def corollary_bound(params: ChernoffParams, fit: DominationFit) -> BoundResult:
@@ -612,12 +581,7 @@ def corollary_bound(params: ChernoffParams, fit: DominationFit) -> BoundResult:
     )
     pref = fit.c * (params.k + math.sqrt((params.dim - params.k) / params.k))
     value = pref * math.exp(exponent)
-    return BoundResult(
-        value=value,
-        t_opt=float(t_opt),
-        vacuous=value > 1.0,
-        lemma_preconditions=_lemma_preconditions(params, PolynomialSpec.identity(), t_opt),
-    )
+    return BoundResult(value=value, t_opt=float(t_opt), vacuous=value > 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +594,6 @@ class TailEstimate:
     p_hat: float
     stderr: float
     assumption3_violations: int
-    num_walks: int
 
 
 def assumption3_margins(poly: PolynomialSpec, eigenvalues: np.ndarray, t: float) -> np.ndarray:
@@ -717,7 +680,7 @@ def empirical_tail_sweep(
     workers = min(workers, len(args), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_tail_chunk_star, args))
+            results = list(pool.map(_tail_chunk, *zip(*args)))
     else:
         results = [_tail_chunk(*a) for a in args]
     hits = np.zeros(thetas.size, dtype=np.int64)
@@ -734,14 +697,9 @@ def empirical_tail_sweep(
                 p_hat=float(p),
                 stderr=float(math.sqrt(p * (1.0 - p) / num_walks)),
                 assumption3_violations=int(v),
-                num_walks=num_walks,
             )
         )
     return out
-
-
-def _tail_chunk_star(args):
-    return _tail_chunk(*args)
 
 
 def empirical_tail(

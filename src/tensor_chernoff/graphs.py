@@ -44,12 +44,9 @@ class RegularGraph:
         adj = np.asarray(adjacency)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ArgumentError(f"adjacency must be square, got {adj.shape}")
-        if not np.issubdtype(adj.dtype, np.integer):
-            if not np.all(adj == np.round(adj)):
-                raise ArgumentError("adjacency entries must be integers")
-            adj = adj.astype(np.int64)
-        else:
-            adj = adj.astype(np.int64)
+        if not np.issubdtype(adj.dtype, np.integer) and not np.all(adj == np.round(adj)):
+            raise ArgumentError("adjacency entries must be integers")
+        adj = adj.astype(np.int64)
         n = adj.shape[0]
         if n < 2:
             raise ArgumentError(f"graph needs at least 2 vertices, got {n}")
@@ -78,8 +75,6 @@ class RegularGraph:
 @dataclass(frozen=True)
 class WalkSample:
     vertices: tuple[int, ...]
-    seed: int
-    length: int
 
 
 def normalized_adjacency(g: RegularGraph) -> np.ndarray:
@@ -162,7 +157,7 @@ def gen_random_regular(n: int, d: int, seed: int) -> RegularGraph:
 def sample_walk(g: RegularGraph, length: int, seed: int, walk_index: int = 0) -> WalkSample:
     """Stationary walk ``walk_index``: uniform start, then uniform over the d edge slots."""
     row = sample_walks_array(g, length, 1, seed, start_index=walk_index)[0]
-    return WalkSample(vertices=tuple(row.tolist()), seed=seed, length=length)
+    return WalkSample(vertices=tuple(row.tolist()))
 
 
 def sample_walks_array(

@@ -144,8 +144,6 @@ class DiscreteMeasure:
 
 @dataclass(frozen=True)
 class AverageMajorizationReport:
-    mode: str
-    form: str  # "linear" or "log"
     premise: MajorizationResult
     conclusion_lhs: float
     conclusion_rhs: float
@@ -215,8 +213,6 @@ def verify_discrete_average_majorization(
     tol = 1e-9 * (1.0 + abs(lhs) + abs(rhs))
     conclusion = lhs <= rhs + tol
     return AverageMajorizationReport(
-        mode=mode,
-        form=conclusion_form,
         premise=premise,
         conclusion_lhs=lhs,
         conclusion_rhs=rhs,

@@ -5,8 +5,9 @@ products, via sums of logs).  Each returns a :class:`MajorizationResult`
 carrying the verdict plus the first failing prefix length, which makes
 violations debuggable; the result is truthy iff the relation holds.
 
-The default tolerance is ``1e-9 * (1 + max_abs_entry)``, a relative-absolute
-hybrid chosen because partial sums accumulate round-off.
+The tolerance is ``1e-9 * (1 + max_abs_entry)``, a relative-absolute hybrid
+chosen because partial sums accumulate round-off (``1e-9 * (1 + max|log x| +
+max|log y|)`` for the log predicates); ``weak_majorizes`` also takes one.
 """
 
 from __future__ import annotations
@@ -81,52 +82,39 @@ def weak_majorizes(y, x, tol: float | None = None) -> MajorizationResult:
     return _prefix_compare(x.array, y.array, tol)
 
 
-def majorizes(y, x, tol: float | None = None) -> MajorizationResult:
+def majorizes(y, x) -> MajorizationResult:
     """Weak majorization plus equality of the total sums."""
     y, x = _coerce(y), _coerce(x)
-    weak = weak_majorizes(y, x, tol)
-    if not weak:
-        return weak
-    if tol is None:
-        tol = default_tol(x, y)
-    if abs(float(np.sum(x.array) - np.sum(y.array))) > tol:
+    weak = weak_majorizes(y, x)
+    if weak and abs(float(np.sum(x.array) - np.sum(y.array))) > default_tol(x, y):
         return MajorizationResult(False, len(x))
-    return MajorizationResult(True, None)
+    return weak
 
 
-def _require_positive(v: SortedVec, name: str) -> None:
-    if not v.positive:
-        raise DomainError(f"log majorization needs positive entries in {name}, got {v.entries}")
-
-
-def weak_log_majorizes(y, x, tol: float | None = None) -> MajorizationResult:
-    """Prefix products of ``x`` at most those of ``y``, compared as sums of logs."""
+def _logs(y, x) -> tuple[np.ndarray, np.ndarray, float]:
+    """``log x``, ``log y`` and the log-space tolerance, for equal-length positive vectors."""
     y, x = _coerce(y), _coerce(x)
     if len(x) != len(y):
         raise ArgumentError(f"length mismatch: {len(x)} vs {len(y)}")
-    _require_positive(x, "x")
-    _require_positive(y, "y")
-    if tol is None:
-        tol = _log_tol(x, y)
-    return _prefix_compare(np.log(x.array), np.log(y.array), tol)
+    for v, name in ((x, "x"), (y, "y")):
+        if not v.positive:
+            raise DomainError(f"log majorization needs positive entries in {name}, got {v.entries}")
+    lx, ly = np.log(x.array), np.log(y.array)
+    return lx, ly, 1e-9 * (1.0 + float(np.max(np.abs(lx)) + np.max(np.abs(ly))))
 
 
-def _log_tol(x: SortedVec, y: SortedVec) -> float:
-    spread = float(np.max(np.abs(np.log(x.array))) + np.max(np.abs(np.log(y.array))))
-    return 1e-9 * (1.0 + spread)
+def weak_log_majorizes(y, x) -> MajorizationResult:
+    """Prefix products of ``x`` at most those of ``y``, compared as sums of logs."""
+    return _prefix_compare(*_logs(y, x))
 
 
-def log_majorizes(y, x, tol: float | None = None) -> MajorizationResult:
+def log_majorizes(y, x) -> MajorizationResult:
     """Weak log majorization plus equality of the total products."""
-    y, x = _coerce(y), _coerce(x)
-    weak = weak_log_majorizes(y, x, tol)
-    if not weak:
-        return weak
-    if tol is None:
-        tol = _log_tol(x, y)
-    if abs(float(np.sum(np.log(x.array)) - np.sum(np.log(y.array)))) > tol:
-        return MajorizationResult(False, len(x))
-    return MajorizationResult(True, None)
+    lx, ly, tol = _logs(y, x)
+    weak = _prefix_compare(lx, ly, tol)
+    if weak and abs(float(np.sum(lx) - np.sum(ly))) > tol:
+        return MajorizationResult(False, len(lx))
+    return weak
 
 
 @dataclass(frozen=True)
@@ -136,14 +124,9 @@ class SumInequalityReport:
     lhs: float
     rhs: float
     holds: bool
-    m: int
-    s: float
-    k: int
 
 
-def check_kyfan_sum_inequality(
-    tensors: Sequence[Tensor], s: float, k: int, tol: float | None = None
-) -> SumInequalityReport:
+def check_kyfan_sum_inequality(tensors: Sequence[Tensor], s: float, k: int) -> SumInequalityReport:
     """Verify ``|| |sum C_i|^s ||_(k) <= m^(s-1) sum || |C_i|^s ||_(k)``."""
     if not tensors:
         raise ArgumentError("need at least one tensor")
@@ -161,6 +144,5 @@ def check_kyfan_sum_inequality(
     total_sv = np.linalg.svd(stack.sum(axis=0), compute_uv=False)
     lhs = float(ky_fan_from_eigenvalues(total_sv**s, k))
     rhs = m ** (s - 1.0) * float(np.sum(ky_fan_from_eigenvalues(sv**s, k)))
-    if tol is None:
-        tol = 1e-9 * (1.0 + abs(lhs) + abs(rhs))
-    return SumInequalityReport(lhs=lhs, rhs=rhs, holds=lhs <= rhs + tol, m=m, s=s, k=k)
+    tol = 1e-9 * (1.0 + abs(lhs) + abs(rhs))
+    return SumInequalityReport(lhs=lhs, rhs=rhs, holds=lhs <= rhs + tol)

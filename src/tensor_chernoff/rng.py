@@ -38,14 +38,10 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 
 
-def seed_sequence(master_seed: int, *key: int) -> np.random.SeedSequence:
-    """SeedSequence for the stream addressed by ``(master_seed, *key)``."""
-    return np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(int(k) for k in key))
-
-
 def stream(master_seed: int, *key: int) -> np.random.Generator:
     """PCG64 generator for the stream addressed by ``(master_seed, *key)``."""
-    return np.random.Generator(np.random.PCG64(seed_sequence(master_seed, *key)))
+    seq = np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(int(k) for k in key))
+    return np.random.Generator(np.random.PCG64(seq))
 
 
 def counter_words(master_seed: int, domain: int, start: int, count: int, blocks: int) -> np.ndarray:

@@ -139,32 +139,33 @@ def _suite_tensor_props(cfg: ExperimentConfig, seed: int, workers: int):
             list(range(len(rows))) + list(range(len(rows) + len(mids), len(rows) + len(mids) + len(cols))),
         )
         scale = max(1.0, float(np.max(np.abs(ref))))
-        worst_einstein = max(worst_einstein, float(np.max(np.abs(prod.entries - ref))) / scale)
+        worst_einstein = np.maximum(worst_einstein, float(np.max(np.abs(prod.entries - ref))) / scale)
 
         adj = conj_transpose(prod) - (conj_transpose(y) @ conj_transpose(x))
-        worst_adjoint = max(worst_adjoint, float(np.max(np.abs(adj.matrix))) / scale)
+        worst_adjoint = np.maximum(worst_adjoint, float(np.max(np.abs(adj.matrix))) / scale)
 
         sq = TensorShape.square(rows)
         h = random_hermitian(sq, rng)
         spec = hermitian_eig(h)
-        worst_trace = max(worst_trace, abs(trace(h).real - float(np.sum(spec.eigenvalues))))
+        worst_trace = np.maximum(worst_trace, abs(trace(h).real - float(np.sum(spec.eigenvalues))))
 
         e = tensor_exp(h)
         dev = float(np.max(np.abs(e.matrix - e.matrix.conj().T)))
         s2 = h + 0.5 * h
-        dev = max(dev, float(np.max(np.abs(s2.matrix - s2.matrix.conj().T))))
-        worst_closure = max(worst_closure, dev)
+        dev = np.maximum(dev, float(np.max(np.abs(s2.matrix - s2.matrix.conj().T))))
+        worst_closure = np.maximum(worst_closure, dev)
 
         mapped = np.sort(hermitian_eig(e).eigenvalues)
         direct = np.sort(np.exp(spec.eigenvalues))
-        worst_specmap = max(worst_specmap, float(np.max(np.abs(mapped - direct))) / max(1.0, float(np.max(direct))))
+        specmap = float(np.max(np.abs(mapped - direct))) / max(1.0, float(np.max(direct)))
+        worst_specmap = np.maximum(worst_specmap, specmap)
 
         c = random_tensor(sq, rng)
         b = random_tensor(sq, rng)
         ci = col_tensor(make_identity(sq))
         lhs = inner_product(ci, kronecker(c, b) @ ci)
         rhs = complex(np.trace(c.matrix @ b.matrix.T))
-        worst_kron = max(worst_kron, abs(lhs - rhs))
+        worst_kron = np.maximum(worst_kron, abs(lhs - rhs))
 
     slope, bound_ok = -math.inf, True
     shape = TensorShape.square((2, 2))
@@ -324,7 +325,7 @@ def _suite_expander(cfg: ExperimentConfig, seed: int, workers: int):
         x -= x.mean()
         nx = float(np.linalg.norm(x))
         if nx > 0:
-            worst = max(worst, float(np.linalg.norm(a @ x)) / nx)
+            worst = np.maximum(worst, float(np.linalg.norm(a @ x)) / nx)
     checks.append(CheckRecord.from_bound("expansion_certificate", worst, lam + 1e-9,
                                          detail=f"lambda = {lam:.6f}, 100 probes"))
 
@@ -335,7 +336,7 @@ def _suite_expander(cfg: ExperimentConfig, seed: int, workers: int):
     for j in (0, kappa // 2, kappa - 1):
         counts = np.bincount(walks[:, j], minlength=graph.n)
         sigma = math.sqrt(n_walks * (1 / graph.n) * (1 - 1 / graph.n))
-        worst_dev = max(worst_dev, float(np.max(np.abs(counts - n_walks / graph.n))) / sigma)
+        worst_dev = np.maximum(worst_dev, float(np.max(np.abs(counts - n_walks / graph.n))) / sigma)
     checks.append(CheckRecord.from_bound("stationary_marginal_max_sigma", worst_dev, 4.0,
                                          detail=f"{n_walks} walks, positions 1, kappa/2, kappa"))
 
@@ -415,7 +416,7 @@ def _suite_chernoff_sweep(cfg: ExperimentConfig, seed: int, workers: int):
             if cor is None:
                 continue
             applicable += 1
-            rel = max(rel, abs(res.value - cor.value) / max(cor.value, 1e-300))
+            rel = np.maximum(rel, abs(res.value - cor.value) / max(cor.value, 1e-300))
         detail = f"{applicable} thresholds in the corollary regime"
         if applicable == 0:
             detail = "skipped: no threshold reaches the corollary regime"
@@ -426,7 +427,7 @@ def _suite_chernoff_sweep(cfg: ExperimentConfig, seed: int, workers: int):
     for row in rows:
         if not row.vacuous and row.assumption3_violations == 0:
             nonvacuous += 1
-            excess = max(excess, row.p_hat - (row.bound + 3.0 * row.stderr))
+            excess = np.maximum(excess, row.p_hat - (row.bound + 3.0 * row.stderr))
     if nonvacuous:
         checks.append(CheckRecord.from_bound("tail_below_bound_excess", excess, 0.0,
                                              detail=f"{nonvacuous} nonvacuous thresholds"))

@@ -63,11 +63,6 @@ class TensorShape:
     def is_square(self) -> bool:
         return self.row_dims == self.col_dims
 
-    @property
-    def dim(self) -> int:
-        """Unfolding row count; for square shapes this is the spectral dimension."""
-        return self.unfold_rows
-
     def require_square(self, op: str) -> None:
         if not self.is_square:
             raise ShapeError(f"{op} requires a square shape, got {self.row_dims} x {self.col_dims}")
@@ -394,10 +389,9 @@ def complex_power(c: HermitianTensor, z: complex, delta: float = 0.0) -> Tensor:
         )
     powered = np.exp(complex(z) * np.log(vals))
     mat = (spec.basis * powered) @ spec.basis.conj().T
-    out = Tensor(h.shape, mat)
-    if abs(complex(z).imag) == 0.0:
+    if complex(z).imag == 0.0:
         return HermitianTensor(h.shape, mat, copy=False)
-    return out
+    return Tensor(h.shape, mat, copy=False)
 
 
 def hermitian_det(h: HermitianTensor) -> float:

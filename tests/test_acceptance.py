@@ -102,11 +102,11 @@ def test_criterion_1_algebra_oracle():
 
         prod = einstein_product(x, y)
         ref = einsum_einstein(x.entries, y.entries, len(mids))
-        worst = max(worst, rel(float(np.max(np.abs(prod.entries - ref))), float(np.max(np.abs(ref)))))
+        worst = np.maximum(worst, rel(float(np.max(np.abs(prod.entries - ref))), float(np.max(np.abs(ref)))))
         identities += 1
 
         adj = conj_transpose(x)
-        worst = max(
+        worst = np.maximum(
             worst,
             rel(float(np.max(np.abs(adj.entries - entry_conj_transpose(x.entries, len(rows))))), 1.0),
         )
@@ -114,12 +114,12 @@ def test_criterion_1_algebra_oracle():
 
         sq = TensorShape.square(rows)
         h = random_hermitian(sq, rng)
-        worst = max(worst, rel(abs(trace(h) - entry_trace(h.entries, len(rows))), abs(trace(h))))
+        worst = np.maximum(worst, rel(abs(trace(h) - entry_trace(h.entries, len(rows))), abs(trace(h))))
         identities += 1
 
         z = random_tensor(TensorShape(rows, mids), rng)
         ip = inner_product(x, z)
-        worst = max(worst, rel(abs(ip - entry_inner_product(x.entries, z.entries)), abs(ip)))
+        worst = np.maximum(worst, rel(abs(ip - entry_inner_product(x.entries, z.entries)), abs(ip)))
         identities += 1
 
     # a slow nested-loop slice on top of the einsum oracle
@@ -127,7 +127,7 @@ def test_criterion_1_algebra_oracle():
         x = random_tensor(TensorShape((2, 3), (3, 2)), rng)
         y = random_tensor(TensorShape((3, 2), (2, 2)), rng)
         got = einstein_product(x, y).entries
-        worst = max(worst, float(np.max(np.abs(got - naive_einstein(x.entries, y.entries, 2)))))
+        worst = np.maximum(worst, float(np.max(np.abs(got - naive_einstein(x.entries, y.entries, 2)))))
         identities += 1
 
     _report(1, "algebra oracle", worst <= 1e-10,
@@ -156,30 +156,30 @@ def test_criterion_2_compound_oracle():
             c = random_positive(shape, rng, eig_low=0.3, eig_high=2.5)
 
             # [1] adjoint
-            worst = max(worst, rel_err(compound(conj_transpose(h), k).entries,
+            worst = np.maximum(worst, rel_err(compound(conj_transpose(h), k).entries,
                                        compound(h, k).entries.conj().T))
             # [2] multiplicativity
-            worst = max(worst, rel_err(compound(h, k).entries @ compound(g, k).entries,
+            worst = np.maximum(worst, rel_err(compound(h, k).entries @ compound(g, k).entries,
                                        compound(einstein_product(h, g), k).entries))
             # [4] powers of a positive tensor
             for p in (0.5, 2.0, 3.0):
                 lhs = compound(spectral_map(c, lambda v: v**p), k).entries
                 rhs = spectral_map(as_hermitian(compound(c, k).as_tensor()), lambda v: v**p).matrix
-                worst = max(worst, rel_err(lhs, rhs))
+                worst = np.maximum(worst, rel_err(lhs, rhs))
             # [5] absolute value
-            worst = max(worst, rel_err(compound(abs_tensor(h), k).entries,
+            worst = np.maximum(worst, rel_err(compound(abs_tensor(h), k).entries,
                                        abs_tensor(compound(h, k).as_tensor()).matrix))
             # [6] complex power
             t = float(rng.uniform(-2.0, 2.0))
             lhs = compound(complex_power(c, 1j * t), k).entries
             rhs = complex_power(as_hermitian(compound(c, k).as_tensor()), 1j * t).matrix
-            worst = max(worst, rel_err(lhs, rhs))
+            worst = np.maximum(worst, rel_err(lhs, rhs))
             # [7] spectral norm vs subset-product enumeration
             rep = compound_norm_check(h, k)
-            worst = max(worst, rep.rel_err)
+            worst = np.maximum(worst, rep.rel_err)
             sv = singular_values(h)
             enum = max(subset_products(sv, k))
-            worst = max(worst, abs(rep.rhs - enum) / max(1.0, enum))
+            worst = np.maximum(worst, abs(rep.rhs - enum) / max(1.0, enum))
             checks += 8
 
     _report(2, "compound oracle", worst <= 1e-8,
@@ -386,7 +386,7 @@ def test_criterion_8_tail_bound_end_to_end():
                     try:
                         cor = corollary_bound(params, fit)
                         cors.append(cor)
-                        worst_rel = max(worst_rel, abs(res.value - cor.value) / cor.value)
+                        worst_rel = np.maximum(worst_rel, abs(res.value - cor.value) / cor.value)
                     except PreconditionError:
                         cors.append(None)
                 estimates = empirical_tail_sweep(
@@ -396,7 +396,7 @@ def test_criterion_8_tail_bound_end_to_end():
                     total_violations += est.assumption3_violations
                     if cor is not None and cor.value < 1.0 and est.assumption3_violations == 0:
                         checked += 1
-                        worst_excess = max(worst_excess, est.p_hat - (cor.value + 3.0 * est.stderr))
+                        worst_excess = np.maximum(worst_excess, est.p_hat - (cor.value + 3.0 * est.stderr))
                 configs += 1
 
     ok = checked > 0 and worst_excess <= 0.0 and worst_rel <= 1e-6 and total_violations == 0

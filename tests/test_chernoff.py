@@ -337,7 +337,7 @@ def test_domination_sigma_monotonicity():
     # can only lower the required C
     from tensor_chernoff.chernoff import _max_domination_ratio
 
-    cs = [_max_domination_ratio(6.0, s, 10000) for s in (0.5, 0.7, 0.9, 1.1)]
+    cs = [_max_domination_ratio(6.0, s) for s in (0.5, 0.7, 0.9, 1.1)]
     assert all(b <= a for a, b in zip(cs, cs[1:]))
     # the grid minimizer is an interior sigma for a wide grid
     fit = fit_gaussian_domination(6.0, [0.5, 0.9, 1.2, 2.0, 4.0])
@@ -495,8 +495,8 @@ def test_tail_sweep_pool_is_clamped(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(chernoff_mod, "ProcessPoolExecutor", RecordingPool)
     g = gen_complete(4)

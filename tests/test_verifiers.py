@@ -14,7 +14,8 @@ import math
 import numpy as np
 import pytest
 
-from tensor_chernoff import chernoff, inequalities
+from tensor_chernoff import chernoff, graphs, inequalities, tensors
+from tensor_chernoff import runner as runner_mod
 from tensor_chernoff.chernoff import contraction_certificate, expectation_sandwich, random_assignment
 from tensor_chernoff.config import parse_config
 from tensor_chernoff.graphs import gen_complete, spectral_expansion
@@ -37,6 +38,11 @@ TENSOR_PROPS = "[experiment]\nsuite = tensor_props\nseed = 3\ntrials = 5\n"
 INEQUALITIES = (
     "[experiment]\nsuite = inequalities\nseed = 3\ntrials = 20\n"
     "[quadrature]\ntruncation = 6.0\nnodes = 64\n"
+)
+EXPANDER = (
+    "[experiment]\nsuite = expander\nseed = 3\n"
+    "[graph]\nkind = complete\nn = 5\n"
+    "[walk]\nkappa = 4\nnum_walks = 1000\n"
 )
 CHERNOFF_K4 = (
     "[experiment]\nsuite = chernoff_sweep\nseed = 3\n"
@@ -125,6 +131,38 @@ def test_nan_fails_the_verifier_and_the_runner_check(monkeypatch, case):
 
     checks = _checks(config)
     assert [name for name in failing if checks[name].passed] == []
+
+
+def _nan_eigenvalues(h):
+    spec = tensors.hermitian_eig(h)
+    return dataclasses.replace(spec, eigenvalues=np.full_like(spec.eigenvalues, np.nan))
+
+
+def _nan_upper_corner(graph):
+    a = graphs.normalized_adjacency(graph)
+    a[0, -1] = np.nan  # eigvalsh reads the lower triangle, so only the probes see it
+    return a
+
+
+def _nan_corollary(params, fit):
+    return chernoff.BoundResult(value=math.nan, t_opt=1.0, vacuous=False)
+
+
+# (patched runner name, replacement, suite config, check whose worst-value fold meets the NaN)
+FOLD_CASES = {
+    "tensor_props": ("hermitian_eig", _nan_eigenvalues, TENSOR_PROPS, "trace_vs_eigenvalue_sum"),
+    "expander": ("normalized_adjacency", _nan_upper_corner, EXPANDER, "expansion_certificate"),
+    "chernoff_sweep": ("corollary_bound", _nan_corollary, CHERNOFF_K4, "corollary_vs_theorem_rel_err"),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(FOLD_CASES))
+def test_nan_fails_the_runner_folds(monkeypatch, suite):
+    # Python's max(0.0, nan) is 0.0, so a fold written with it would pass here
+    attr, replacement, config, name = FOLD_CASES[suite]
+    monkeypatch.setattr(runner_mod, attr, replacement)
+    check = _checks(config)[name]
+    assert math.isnan(check.lhs) and not check.passed
 
 
 def test_weakened_log_form_fails_the_suite_and_criterion_4_verifier(monkeypatch):
