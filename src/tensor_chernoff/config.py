@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import configparser
 import math
+import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
+from .io import read_text
 from .rng import SEED_LIMIT
 
 SUITES = ("tensor_props", "inequalities", "expander", "chernoff_sweep")
@@ -162,7 +164,7 @@ def _parse_section(parser, name: str, cls, errors: list[str]):
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -183,12 +185,12 @@ def parse_config(text: str) -> ExperimentConfig:
     if graph.kind == "file":
         if not graph.path:
             errors.append("[graph] kind=file needs path")
-        elif not Path(graph.path).exists():
+        elif not os.path.exists(graph.path):
             errors.append(f"[graph] path {graph.path!r} does not exist")
     if tensors.source == "manifest":
         if not tensors.manifest:
             errors.append("[tensors] source=manifest needs manifest")
-        elif not Path(tensors.manifest).exists():
+        elif not os.path.exists(tensors.manifest):
             errors.append(f"[tensors] manifest {tensors.manifest!r} does not exist")
 
     if errors:
@@ -197,7 +199,4 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file {p} does not exist")
-    return parse_config(p.read_text())
+    return parse_config(read_text(path, "config file", ConfigError))

@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ArgumentError, NumericalError
+from .io import read_text
 from .rng import DOMAIN_GRAPH, DOMAIN_WALK, counter_words, multiply_high, stream
 
 
@@ -203,13 +204,18 @@ def _parse_ints(parts: list[str], line: str) -> list[int]:
 
 
 def load_edge_list(path: str | Path) -> RegularGraph:
-    text = Path(path).read_text().strip().splitlines()
+    text = read_text(path, "edge list").strip().splitlines()
     if not text:
         raise ArgumentError("empty edge-list file")
     header = text[0].split()
     if len(header) != 2:
         raise ArgumentError(f"header must be 'n d', got {text[0]!r}")
     n, d = _parse_ints(header, text[0])
+    # every vertex is on an edge line, so n is checked before the n x n array exists
+    if not 2 <= n <= 2 * (len(text) - 1):
+        raise ArgumentError(f"header n = {n} must be in [2, 2 x {len(text) - 1} edge lines]")
+    if not 1 <= d < 1 << 32:
+        raise ArgumentError(f"header degree {d} must be in [1, 2^32)")
     adj = np.zeros((n, n), dtype=np.int64)
     for line in text[1:]:
         parts = line.split()
@@ -218,6 +224,8 @@ def load_edge_list(path: str | Path) -> RegularGraph:
         u, v, m = _parse_ints(parts, line)
         if not (0 <= u < n and 0 <= v < n):
             raise ArgumentError(f"vertex out of range in {line!r}")
+        if not 0 <= m <= d:
+            raise ArgumentError(f"multiplicity must be in [0, {d}] in {line!r}")
         adj[u, v] += m
         if u != v:
             adj[v, u] += m

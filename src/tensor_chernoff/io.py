@@ -1,4 +1,8 @@
-"""Tensor serialization.
+"""Text-file reads and tensor serialization.
+
+Every input file (config, edge list, manifest, tensor record) is read through
+:func:`read_text`, so an unreadable or non-UTF-8 file is an ``ArgumentError``
+naming the file rather than a traceback (a ``ConfigError`` for a config).
 
 A tensor record is a self-describing JSON document::
 
@@ -22,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, TensorChernoffError
 from .tensors import Tensor, TensorShape
 
 TENSOR_FORMAT = "tensor/1"
@@ -58,13 +62,23 @@ def save_tensor(x: Tensor, path: str | Path) -> None:
     Path(path).write_text(json.dumps(tensor_to_record(x)))
 
 
+def read_text(path: str | Path, what: str, error: type[TensorChernoffError] = ArgumentError) -> str:
+    """UTF-8 text of ``path``; a file that cannot be opened or decoded raises
+    ``error`` naming it as ``what``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise error(f"cannot read {what} {path}: {reason}") from exc
+
+
 def read_json_object(path: str | Path, what: str) -> dict:
     """Parse a JSON object from ``path``; IO and parse errors name the file."""
+    text = read_text(path, what)
     try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:  # ValueError covers JSON and UTF-8 decoding
-        reason = getattr(exc, "strerror", None) or exc
-        raise ArgumentError(f"cannot read {what} {path}: {reason}") from exc
+        data = json.loads(text)
+    except ValueError as exc:
+        raise ArgumentError(f"cannot read {what} {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ArgumentError(f"{what} {path} is not a JSON object")
     return data

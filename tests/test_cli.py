@@ -114,6 +114,40 @@ def test_bad_edge_list_token_exit_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+# edge-list file contents, or None for a directory, and the stderr text each must print
+UNREADABLE_GRAPHS = {
+    "directory": (None, "cannot read edge list"),
+    "not_utf8": (b"2 1\n0 1 1 \xff\n", "cannot read edge list"),
+    "negative_n": (b"-1 2\n0 1 1\n", "header n = -1 must be in [2, 2 x 1 edge lines]"),
+    "n_beyond_edge_lines": (b"50000 1\n0 1 1\n", "header n = 50000 must be in [2, 2 x 1 edge lines]"),
+    "huge_multiplicity": (b"2 1\n0 1 " + b"1" + b"0" * 30 + b"\n", "multiplicity must be in [0, 1]"),
+    "huge_degree": (b"2 1" + b"0" * 30 + b"\n0 1 1\n", "must be in [1, 2^32)"),
+}
+
+
+@pytest.mark.parametrize("case", ["config_directory", "config_not_utf8"] + sorted(UNREADABLE_GRAPHS))
+def test_unreadable_input_exit_2(case, tmp_path, capsys):
+    cfg = tmp_path / "cfg.ini"
+    if case == "config_directory":
+        cfg.mkdir()
+        needle = f"cannot read config file {cfg}: Is a directory"
+    elif case == "config_not_utf8":
+        cfg.write_bytes(FAST_SWEEP.encode() + b"# \xff\n")
+        needle = f"cannot read config file {cfg}: 'utf-8' codec can't decode"
+    else:
+        content, needle = UNREADABLE_GRAPHS[case]
+        graph = tmp_path / "g.txt"
+        if content is None:
+            graph.mkdir()
+        else:
+            graph.write_bytes(content)
+        cfg.write_text(FAST_SWEEP.replace("kind = complete\nn = 4", f"kind = file\npath = {graph}"))
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and needle in err
+
+
 @pytest.mark.parametrize(
     "case", ["unwritable_out", "manifest_without_vertices", "manifest_not_json", "nan_tensor_record"]
 )
