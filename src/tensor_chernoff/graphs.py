@@ -13,7 +13,8 @@ non-expanding).
 Edge-list text format: a header line ``n d``, then one ``u v m`` line per
 undirected edge with multiplicity ``m``, vertices 0-indexed, each unordered
 pair listed once (self-loops as ``u u m``).  The loader validates symmetry
-and d-regularity.
+and d-regularity, and bounds each number before it sizes an array: ``2 <= n
+<=`` twice the edge-line count, ``1 <= d < 2^32`` and ``0 <= m <= d``.
 
 Walk sampling is deterministic in the seed: walk ``i`` of a batch reads the
 Philox4x64-10 words at counters ``(i, b, 0, 0)`` under key ``(seed,
@@ -211,10 +212,10 @@ def load_edge_list(path: str | Path) -> RegularGraph:
     if len(header) != 2:
         raise ArgumentError(f"header must be 'n d', got {text[0]!r}")
     n, d = _parse_ints(header, text[0])
-    # every vertex is on an edge line, so n is checked before the n x n array exists
+    # every vertex needs an edge line and a line covers two: n is bounded before n x n is allocated
     if not 2 <= n <= 2 * (len(text) - 1):
         raise ArgumentError(f"header n = {n} must be in [2, 2 x {len(text) - 1} edge lines]")
-    if not 1 <= d < 1 << 32:
+    if not 1 <= d < 1 << 32:  # a walk step draws among d slots by multiply_high
         raise ArgumentError(f"header degree {d} must be in [1, 2^32)")
     adj = np.zeros((n, n), dtype=np.int64)
     for line in text[1:]:

@@ -3,15 +3,16 @@
 Whatever the text, ``parse_config`` and ``load_edge_list`` either return or
 raise a ``TensorChernoffError`` subclass, which the CLI turns into exit 2
 with one diagnostic line.  The examples are derandomized with fixed counts,
-so the suite runs the same inputs every time, and every integer is bounded
-to a few dozen, so no example asks for a large allocation.
+so the suite runs the same inputs every time, and every generated integer
+is bounded to a few dozen, so no example asks for a large allocation; the
+explicit examples are inputs that once escaped as other exceptions.
 """
 
 import dataclasses
 
 import pytest
 
-hypothesis = pytest.importorskip("hypothesis")
+pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 

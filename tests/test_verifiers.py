@@ -140,7 +140,7 @@ def _nan_eigenvalues(h):
 
 def _nan_upper_corner(graph):
     a = graphs.normalized_adjacency(graph)
-    a[0, -1] = np.nan  # eigvalsh reads the lower triangle, so only the probes see it
+    a[0, -1] = np.nan  # upper triangle: eigvalsh reads the lower one, so the spectrum stays finite
     return a
 
 
