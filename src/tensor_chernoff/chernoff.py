@@ -31,15 +31,13 @@ d^2)`` pair (real, imaginary) per probe, so the blocking changes no probe.
 Monte Carlo tail estimates draw walk ``i`` from the Philox words at
 counters ``(i, b, 0, 0)`` under key ``(seed, DOMAIN_WALK)``, so estimates are
 reproducible for a fixed ``(seed, num_walks)`` no matter how the walks are
-chunked across workers.
+chunked.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -111,9 +109,6 @@ class VertexTensorAssignment:
             vecs.setflags(write=False)
             object.__setattr__(self, "_eigh", (vals, vecs))
         return self._eigh
-
-    def __reduce__(self):
-        return (VertexTensorAssignment, (self.graph, self.tensors))
 
 
 def random_assignment(
@@ -609,33 +604,6 @@ def assumption3_margins(poly: PolynomialSpec, eigenvalues: np.ndarray, t: float)
         return np.min(lhs - rhs, axis=-1)
 
 
-def _tail_chunk(
-    graph: RegularGraph,
-    g_stack: np.ndarray,
-    poly: PolynomialSpec,
-    k: int,
-    thetas: np.ndarray,
-    kappa: int,
-    seed: int,
-    start: int,
-    count: int,
-    t_checks: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    walks = sample_walks_array(graph, kappa, count, seed, start_index=start)
-    sums = g_stack[walks].sum(axis=1)
-    mu = np.linalg.eigvalsh(sums)
-    fmu = poly(mu)
-    norms = ky_fan_from_eigenvalues(fmu, k)
-    hits = np.array([(norms >= th).sum() for th in thetas], dtype=np.int64)
-    violations = np.zeros(thetas.size, dtype=np.int64)
-    scale = 1e-9 * (1.0 + np.max(np.abs(fmu), axis=1))
-    for i, t in enumerate(t_checks):
-        if not np.isnan(t):
-            margins = assumption3_margins(poly, mu, float(t))
-            violations[i] = int(np.count_nonzero(margins < -scale))
-    return hits, violations
-
-
 def empirical_tail_sweep(
     assignment: VertexTensorAssignment,
     poly: PolynomialSpec,
@@ -645,7 +613,6 @@ def empirical_tail_sweep(
     kappa: int,
     seed: int,
     t_check: float | Sequence[float] | None = None,
-    workers: int = 1,
     chunk_size: int = DEFAULT_TAIL_CHUNK,
 ) -> list[TailEstimate]:
     """Monte Carlo tail probabilities for a grid of thresholds in one pass.
@@ -653,8 +620,8 @@ def empirical_tail_sweep(
     ``t_check`` is the exponent at which each row's assumption-3 margin is
     audited: a scalar applies to every threshold, a sequence pairs with
     ``thetas`` (NaN skips the audit for that row).  Counter-addressed walks make
-    the result identical for any ``workers`` and ``chunk_size``; chunks are
-    reduced in index order.
+    the result identical for any ``chunk_size``; chunks are reduced in index
+    order.
     """
     if num_walks < 1:
         raise ArgumentError(f"num_walks must be >= 1, got {num_walks}")
@@ -668,26 +635,19 @@ def empirical_tail_sweep(
             np.asarray(t_check, dtype=np.float64), (thetas.size,)
         ).copy()
     g_stack = assignment.stack()
-    chunks = [
-        (start, min(chunk_size, num_walks - start))
-        for start in range(0, num_walks, chunk_size)
-    ]
-    args = [
-        (assignment.graph, g_stack, poly, k, thetas, kappa, seed, start, count, t_checks)
-        for start, count in chunks
-    ]
-    # the pool starts every worker at once, so never more than there are chunks or cores
-    workers = min(workers, len(args), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_tail_chunk, *zip(*args)))
-    else:
-        results = [_tail_chunk(*a) for a in args]
     hits = np.zeros(thetas.size, dtype=np.int64)
     violations = np.zeros(thetas.size, dtype=np.int64)
-    for h, v in results:  # fixed chunk order; integer sums are order-independent anyway
-        hits += h
-        violations += v
+    for start in range(0, num_walks, chunk_size):
+        count = min(chunk_size, num_walks - start)
+        walks = sample_walks_array(assignment.graph, kappa, count, seed, start_index=start)
+        mu = np.linalg.eigvalsh(g_stack[walks].sum(axis=1))
+        fmu = poly(mu)
+        norms = ky_fan_from_eigenvalues(fmu, k)
+        hits += np.count_nonzero(norms[:, None] >= thetas, axis=0)
+        scale = 1e-9 * (1.0 + np.max(np.abs(fmu), axis=1))
+        for i, t in enumerate(t_checks):
+            if not np.isnan(t):
+                violations[i] += np.count_nonzero(assumption3_margins(poly, mu, float(t)) < -scale)
     out = []
     for th, h, v in zip(thetas, hits, violations):
         p = h / num_walks
@@ -711,12 +671,9 @@ def empirical_tail(
     kappa: int,
     seed: int,
     t_check: float | None = None,
-    workers: int = 1,
 ) -> TailEstimate:
     """Tail probability ``Pr(|| f(sum_j g(v_j)) ||_(k) >= theta)`` by Monte Carlo."""
-    return empirical_tail_sweep(
-        assignment, poly, k, [theta], num_walks, kappa, seed, t_check, workers
-    )[0]
+    return empirical_tail_sweep(assignment, poly, k, [theta], num_walks, kappa, seed, t_check)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -754,15 +711,21 @@ def load_assignment(manifest_path: str | Path, graph: RegularGraph | None = None
     if graph is None:
         if "graph" not in manifest:
             raise ArgumentError("manifest has no graph entry and no graph was supplied")
+        if not isinstance(manifest["graph"], str):
+            raise ArgumentError(f"manifest {manifest_path} graph entry must be a file name")
         graph = load_edge_list(base / manifest["graph"])
     if "vertices" not in manifest:
         raise ArgumentError(f"manifest {manifest_path} has no 'vertices' entry")
     entries = manifest["vertices"]
+    if not isinstance(entries, dict):
+        raise ArgumentError(f"manifest {manifest_path} 'vertices' must be a JSON object")
     tensors = []
     for v in range(graph.n):
         key = str(v)
         if key not in entries:
-            raise ArgumentError(f"manifest missing tensor for vertex {v}")
+            raise ArgumentError(f"manifest {manifest_path} has no tensor for vertex {v}")
+        if not isinstance(entries[key], str):
+            raise ArgumentError(f"manifest {manifest_path} entry for vertex {v} must be a file name")
         path = base / entries[key]
         try:
             tensors.append(as_hermitian(load_tensor(path)))

@@ -1,12 +1,11 @@
 """Command-line entry point.
 
     tensor-chernoff run --config cfg.ini --out report.json [--format json|csv]
-                        [--workers N] [--seed S]
+                        [--seed S]
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
-config error, reported on one line.  ``--seed`` outside ``[0, 2^64)`` and
-``--workers`` below 1 exit 2 before the run starts, like the same values in
-the config.
+config error, reported on one line.  A ``--seed`` outside ``[0, 2^64)`` exits
+2 before the run starts, like the same value in the config.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--config", required=True, help="path to the INI config")
     runp.add_argument("--out", required=True, help="report output path")
     runp.add_argument("--format", choices=("json", "csv"), default="json")
-    runp.add_argument("--workers", type=int, default=None, help="override [experiment] workers")
     runp.add_argument("--seed", type=int, default=None, help="override [experiment] seed")
     return parser
 
@@ -60,12 +58,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config)
         _require_writable(args.out)
-        for flag, value, low in (("--seed", args.seed, 0), ("--workers", args.workers, 1)):
-            if value is not None and value < low:
-                raise ArgumentError(f"{flag} must be >= {low}, got {value}")
+        if args.seed is not None and args.seed < 0:
+            raise ArgumentError(f"--seed must be >= 0, got {args.seed}")
         if args.seed is not None and args.seed >= SEED_LIMIT:
             raise ArgumentError(f"--seed must be < 2^64, got {args.seed}")
-        report = run(config, workers=args.workers, seed=args.seed)
+        report = run(config, seed=args.seed)
         emit(report, args.out, args.format)
     except ConfigError as exc:
         head, *errors = (line.strip() for line in str(exc).splitlines())

@@ -33,7 +33,7 @@ def _key(default, *, one_of=None, at_least=None, below=None, positive=False, non
     """
     rules = []
     if one_of is not None:
-        rules.append((one_of.__contains__, " or ".join(map(repr, one_of)) if len(one_of) == 2 else f"one of {one_of}"))
+        rules.append((one_of.__contains__, " or ".join(map(repr, one_of)) if len(one_of) <= 2 else f"one of {one_of}"))
     if at_least is not None:
         rules.append((lambda x: x >= at_least, f">= {at_least}"))
     if below is not None:
@@ -49,7 +49,7 @@ def _key(default, *, one_of=None, at_least=None, below=None, positive=False, non
 class ExperimentSection:
     suite: str = _key("tensor_props", one_of=SUITES)
     seed: int = _key(2024, at_least=0, below=(SEED_LIMIT, "2^64"))  # one 64-bit Philox key word
-    workers: int = _key(1, at_least=1)
+    workers: int = _key(1, one_of=(1,))  # the Monte Carlo is single-process; kept so older configs parse
     trials: int = _key(400, at_least=1)
 
 

@@ -14,12 +14,12 @@ Edge-list text format: a header line ``n d``, then one ``u v m`` line per
 undirected edge with multiplicity ``m``, vertices 0-indexed, each unordered
 pair listed once (self-loops as ``u u m``).  The loader validates symmetry
 and d-regularity, and bounds each number before it sizes an array: ``2 <= n
-<=`` twice the edge-line count, ``1 <= d < 2^32`` and ``0 <= m <= d``.
+<=`` twice the edge-line count, ``1 <= d < 2^32``, ``n * d <= 2^26`` (the
+``(n, d)`` int64 slot table stays within 512 MiB) and ``0 <= m <= d``.
 
 Walk sampling is deterministic in the seed: walk ``i`` of a batch reads the
 Philox4x64-10 words at counters ``(i, b, 0, 0)`` under key ``(seed,
-DOMAIN_WALK)`` (see :mod:`.rng`), so estimates do not depend on chunking or
-worker count.
+DOMAIN_WALK)`` (see :mod:`.rng`), so estimates do not depend on chunking.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ import numpy as np
 from .errors import ArgumentError, NumericalError
 from .io import read_text
 from .rng import DOMAIN_GRAPH, DOMAIN_WALK, counter_words, multiply_high, stream
+
+EDGE_SLOT_CAP = 1 << 26  # largest n * d an edge-list file may declare
 
 
 @dataclass(frozen=True)
@@ -217,6 +219,8 @@ def load_edge_list(path: str | Path) -> RegularGraph:
         raise ArgumentError(f"header n = {n} must be in [2, 2 x {len(text) - 1} edge lines]")
     if not 1 <= d < 1 << 32:  # a walk step draws among d slots by multiply_high
         raise ArgumentError(f"header degree {d} must be in [1, 2^32)")
+    if n * d > EDGE_SLOT_CAP:
+        raise ArgumentError(f"header n x d = {n} x {d} exceeds the cap of 2^26 edge slots")
     adj = np.zeros((n, n), dtype=np.int64)
     for line in text[1:]:
         parts = line.split()

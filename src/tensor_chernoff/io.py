@@ -15,8 +15,9 @@ A tensor record is a self-describing JSON document::
 
 ``entries`` interleaves real and imaginary parts, row-major over the combined
 index ``(i_1..i_M, j_1..j_N)``, which is exactly the row-major raveling of the
-matrix unfolding.  JSON floats are written with full ``repr`` precision, so a
-round trip reproduces every entry bit for bit.
+matrix unfolding.  Dims must be JSON integers and ``entries`` a flat list of
+JSON numbers; nothing else is coerced.  JSON floats are written with full
+``repr`` precision, so a round trip reproduces every entry bit for bit.
 """
 
 from __future__ import annotations
@@ -45,11 +46,22 @@ def tensor_to_record(x: Tensor) -> dict:
     }
 
 
+def _json_list(record: dict, key: str, types: tuple[type, ...], what: str) -> list:
+    value = record[key]
+    # type() rather than isinstance(): JSON true/false load as bool, a subclass of int
+    if not isinstance(value, list) or not all(type(x) in types for x in value):
+        raise ArgumentError(f"tensor record {key} must be a flat list of {what}")
+    return value
+
+
 def tensor_from_record(record: dict) -> Tensor:
     if record.get("format") != TENSOR_FORMAT:
         raise ArgumentError(f"unsupported tensor record format: {record.get('format')!r}")
-    shape = TensorShape(record["row_dims"], record["col_dims"])
-    raw = np.asarray(record["entries"], dtype=np.float64)
+    shape = TensorShape(*(_json_list(record, key, (int,), "integers") for key in ("row_dims", "col_dims")))
+    try:
+        raw = np.asarray(_json_list(record, "entries", (int, float), "numbers"), dtype=np.float64)
+    except OverflowError as exc:  # a JSON integer beyond the float range
+        raise ArgumentError(f"tensor record entries: {exc}") from exc
     if raw.size != 2 * shape.unfold_rows * shape.unfold_cols:
         raise ArgumentError(
             f"expected {2 * shape.unfold_rows * shape.unfold_cols} interleaved values, got {raw.size}"
@@ -67,7 +79,7 @@ def read_text(path: str | Path, what: str, error: type[TensorChernoffError] = Ar
     ``error`` naming it as ``what``."""
     try:
         return Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         reason = getattr(exc, "strerror", None) or exc
         raise error(f"cannot read {what} {path}: {reason}") from exc
 

@@ -11,8 +11,8 @@ Two kinds of stream, both addressed by a master seed:
   (:func:`counter_words`), so their seed must be in ``[0, 2^64)``: key
   ``(seed, DOMAIN_WALK)``, and walk ``i`` takes its ``b``-th block of four
   words from counter ``(i, b, 0, 0)``.  Walk ``i`` depends only on ``(seed,
-  i)``, so any chunking or worker count reproduces it bit for bit, and a
-  whole chunk is one ``random_raw`` call per block column.
+  i)``, so any chunking reproduces it bit for bit, and a whole chunk is one
+  ``random_raw`` call per block column.
   :data:`WALK_STREAM` names this layout and is stamped in reports.
 
 Words become integers in ``[0, bound)`` by multiply-high (Lemire, TOMACS

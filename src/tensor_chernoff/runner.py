@@ -1,12 +1,13 @@
 """Experiment runner: executes a named suite and assembles a report.
 
 Every suite draws its randomness from streams derived off the master seed, so
-a report is a pure function of the parsed config (seed included); reruns and
-different worker counts reproduce it byte for byte.  A suite draws its own
-trials and hands each one to the library verifier of its check (the same
-function the acceptance gate calls), so the pass/fail rule and its slack
-live in the library.  Checks that cannot run (empty precondition regimes)
-are recorded as passed with a ``skipped:`` detail rather than dropped.
+a report is a pure function of the parsed config (seed included); reruns
+reproduce it byte for byte, and so does any chunking of the Monte Carlo
+walks.  A suite draws its own trials and hands each one to the library
+verifier of its check (the same function the acceptance gate calls), so the
+pass/fail rule and its slack live in the library.  Checks that cannot run
+(empty precondition regimes) are recorded as passed with a ``skipped:``
+detail rather than dropped.
 """
 
 from __future__ import annotations
@@ -91,10 +92,9 @@ def build_graph(spec: GraphSpec, seed: int) -> RegularGraph:
     raise ConfigError(f"unknown graph kind {spec.kind!r}")
 
 
-def run(config: ExperimentConfig, workers: int | None = None, seed: int | None = None) -> Report:
+def run(config: ExperimentConfig, seed: int | None = None) -> Report:
     suite = config.experiment.suite
     seed = config.experiment.seed if seed is None else seed
-    workers = config.experiment.workers if workers is None else workers
     suite_fns = {
         "tensor_props": _suite_tensor_props,
         "inequalities": _suite_inequalities,
@@ -103,7 +103,7 @@ def run(config: ExperimentConfig, workers: int | None = None, seed: int | None =
     }
     if suite not in suite_fns:
         raise ConfigError(f"unknown suite {suite!r}")
-    checks, rows = suite_fns[suite](config, seed, workers)
+    checks, rows = suite_fns[suite](config, seed)
     return Report(
         suite=suite,
         config=config.echo(),
@@ -121,7 +121,7 @@ def _random_shape(rng, max_modes=2, max_dim=3) -> tuple[int, ...]:
     return tuple(int(d) for d in rng.integers(1, max_dim + 1, size=rng.integers(1, max_modes + 1)))
 
 
-def _suite_tensor_props(cfg: ExperimentConfig, seed: int, workers: int):
+def _suite_tensor_props(cfg: ExperimentConfig, seed: int):
     rng = stream(seed, DOMAIN_SUITE, _SUITE_IDS["tensor_props"])
     trials = cfg.experiment.trials
     worst_einstein = worst_adjoint = worst_trace = 0.0
@@ -194,7 +194,7 @@ def _suite_tensor_props(cfg: ExperimentConfig, seed: int, workers: int):
 # inequalities
 # ---------------------------------------------------------------------------
 
-def _suite_inequalities(cfg: ExperimentConfig, seed: int, workers: int):
+def _suite_inequalities(cfg: ExperimentConfig, seed: int):
     rng = stream(seed, DOMAIN_SUITE, _SUITE_IDS["inequalities"])
     trials = cfg.experiment.trials
     quad = QuadratureSpec(truncation=cfg.quadrature.truncation, node_count=cfg.quadrature.nodes)
@@ -305,7 +305,7 @@ def _multivariate_checks(rng, quad: QuadratureSpec, trials: int) -> list[CheckRe
 # expander
 # ---------------------------------------------------------------------------
 
-def _suite_expander(cfg: ExperimentConfig, seed: int, workers: int):
+def _suite_expander(cfg: ExperimentConfig, seed: int):
     rng = stream(seed, DOMAIN_SUITE, _SUITE_IDS["expander"])
     graph = build_graph(cfg.graph, seed)
     a = normalized_adjacency(graph)
@@ -323,9 +323,7 @@ def _suite_expander(cfg: ExperimentConfig, seed: int, workers: int):
     for _ in range(100):
         x = rng.standard_normal(graph.n)
         x -= x.mean()
-        nx = float(np.linalg.norm(x))
-        if nx > 0:
-            worst = np.maximum(worst, float(np.linalg.norm(a @ x)) / nx)
+        worst = np.maximum(worst, float(np.linalg.norm(a @ x)) / float(np.linalg.norm(x)))
     checks.append(CheckRecord.from_bound("expansion_certificate", worst, lam + 1e-9,
                                          detail=f"lambda = {lam:.6f}, 100 probes"))
 
@@ -348,7 +346,7 @@ def _suite_expander(cfg: ExperimentConfig, seed: int, workers: int):
     dev = float(np.max(np.abs(joint - expected) / np.where(expected > 0, sigma, 1.0)))
     checks.append(CheckRecord.from_bound("two_step_joint_max_sigma", dev, 4.0))
 
-    # walk i depends only on (seed, i): worker-count invariance rests on it
+    # walk i depends only on (seed, i): chunking invariance rests on it
     alone = [sample_walk(graph, kappa, seed, walk_index=i).vertices for i in (0, n_walks - 1)]
     same = alone == [tuple(walks[i].tolist()) for i in (0, n_walks - 1)]
     checks.append(CheckRecord.from_bound("walk_determinism", 0.0 if same else 1.0, 0.0))
@@ -359,7 +357,7 @@ def _suite_expander(cfg: ExperimentConfig, seed: int, workers: int):
 # chernoff_sweep
 # ---------------------------------------------------------------------------
 
-def _suite_chernoff_sweep(cfg: ExperimentConfig, seed: int, workers: int):
+def _suite_chernoff_sweep(cfg: ExperimentConfig, seed: int):
     graph = build_graph(cfg.graph, seed)
     if cfg.tensors.source == "manifest":
         assignment = load_assignment(cfg.tensors.manifest, graph=graph)
@@ -395,7 +393,7 @@ def _suite_chernoff_sweep(cfg: ExperimentConfig, seed: int, workers: int):
 
     estimates = empirical_tail_sweep(
         assignment, poly, cfg.walk.k, cfg.sweep.theta_grid, cfg.walk.num_walks, cfg.walk.kappa, seed,
-        t_check=t_checks, workers=workers,
+        t_check=t_checks,
     )
     rows = [
         TailRow(

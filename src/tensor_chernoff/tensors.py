@@ -13,7 +13,7 @@ for hermiticity, ``RANK_TOL_SCALE * max_abs_eigenvalue`` for numerical rank,
 ``RECONSTRUCT_TOL_SCALE * fro_norm`` for eigendecomposition round trips.
 
 All values are immutable after construction; the underlying numpy buffers are
-marked read-only, so tensors are safe to share across concurrent workers.
+marked read-only, so a tensor can be shared without copying.
 """
 
 from __future__ import annotations
@@ -144,16 +144,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(shape={list(self.shape.row_dims)}x{list(self.shape.col_dims)})"
-
-    def __reduce__(self):
-        return (
-            _rebuild_tensor,
-            (type(self), self.shape.row_dims, self.shape.col_dims, np.asarray(self.matrix)),
-        )
-
-
-def _rebuild_tensor(cls, row_dims, col_dims, matrix):
-    return cls(TensorShape(row_dims, col_dims), matrix)
 
 
 class HermitianTensor(Tensor):

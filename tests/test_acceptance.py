@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines and timings.  Every tolerance is pinned here, not configured elsewhere.
 """
 
+import functools
 import math
 import time
 
@@ -17,10 +18,12 @@ from tensor_chernoff import (
     conj_transpose,
     einstein_product,
     inner_product,
+    runner,
     spectral_map,
     trace,
 )
 from tensor_chernoff.chernoff import (
+    DEFAULT_TAIL_CHUNK,
     ChernoffParams,
     PolynomialSpec,
     contraction_certificate,
@@ -422,7 +425,7 @@ def test_criterion_9_beta0_mass():
 
 
 # ---------------------------------------------------------------------------
-# 10. Determinism across reruns and worker counts
+# 10. Determinism across reruns and walk chunkings
 # ---------------------------------------------------------------------------
 
 DETERMINISM_CONFIG = """
@@ -449,14 +452,18 @@ theta_grid = 1 2 4 8 150
 """
 
 
-def test_criterion_10_determinism():
+def test_criterion_10_determinism(monkeypatch):
     started = time.time()
     cfg = parse_config(DETERMINISM_CONFIG)
+    # the default chunking, a size that divides nothing, and all 20000 walks in one chunk
+    chunk_sizes = (DEFAULT_TAIL_CHUNK, 701, 20000)
     outputs = []
-    for workers in (1, 2, 8):
-        rep = run(cfg, workers=workers)
-        outputs.append(rep.to_json())
-    rerun = run(cfg, workers=1).to_json()
+    for chunk_size in chunk_sizes:
+        sweep = functools.partial(empirical_tail_sweep, chunk_size=chunk_size)
+        monkeypatch.setattr(runner, "empirical_tail_sweep", sweep)
+        outputs.append(run(cfg).to_json())
+    monkeypatch.undo()
+    rerun = run(cfg).to_json()
     identical = all(o == outputs[0] for o in outputs) and rerun == outputs[0]
     _report(10, "determinism", identical,
-            f"byte-identical report bodies across workers 1, 2, 8 and a rerun: {identical}", started)
+            f"byte-identical report bodies across chunk sizes {chunk_sizes} and a rerun: {identical}", started)

@@ -1,7 +1,6 @@
 """Contraction bounds, transfer-operator expectations, and tail bounds."""
 
 import math
-import pickle
 import tracemalloc
 
 import numpy as np
@@ -476,39 +475,8 @@ def test_tail_chunking_and_workers_invariance():
     poly = PolynomialSpec.identity()
     a = empirical_tail_sweep(assignment, poly, 1, [1.0], 3000, 4, seed=3, chunk_size=701)
     b = empirical_tail_sweep(assignment, poly, 1, [1.0], 3000, 4, seed=3, chunk_size=3000)
-    c = empirical_tail_sweep(assignment, poly, 1, [1.0], 3000, 4, seed=3, chunk_size=512, workers=2)
+    c = empirical_tail_sweep(assignment, poly, 1, [1.0], 3000, 4, seed=3, chunk_size=512)
     assert a[0] == b[0] == c[0]
-
-
-def test_tail_sweep_pool_is_clamped(monkeypatch):
-    import tensor_chernoff.chernoff as chernoff_mod
-
-    requested = []
-
-    class RecordingPool:  # runs the chunks in this process; never starts a worker
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(chernoff_mod, "ProcessPoolExecutor", RecordingPool)
-    g = gen_complete(4)
-    assignment = random_assignment(g, S2, radius=1.0, seed=6)
-    poly = PolynomialSpec.identity()
-    args = (assignment, poly, 1, [0.5, 1.0], 1500, 4)  # 3 chunks of at most 512 walks
-    serial = empirical_tail_sweep(*args, seed=3, chunk_size=512, workers=1)
-    assert requested == []
-    for cores, expected in ((64, [3]), (2, [3, 2]), (None, [3, 2])):
-        monkeypatch.setattr(chernoff_mod.os, "cpu_count", lambda: cores)
-        assert empirical_tail_sweep(*args, seed=3, chunk_size=512, workers=5000) == serial
-        assert requested == expected, cores
 
 
 # ---------------------------------------------------------------------------
@@ -524,13 +492,6 @@ def test_assignment_roundtrip(tmp_path):
     for x, y in zip(back.tensors, assignment.tensors):
         assert x == y
     assert np.array_equal(back.graph.adjacency, g.adjacency)
-
-
-def test_assignment_pickles():
-    g = gen_complete(4)
-    assignment = random_assignment(g, S2, radius=1.0, seed=2)
-    again = pickle.loads(pickle.dumps(assignment))
-    assert again.tensors == assignment.tensors
 
 
 def test_assignment_validation():

@@ -1,13 +1,16 @@
 """End-to-end CLI runs: exit codes, determinism, file formats."""
 
+import argparse
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from tensor_chernoff.chernoff import random_assignment, save_assignment
-from tensor_chernoff.cli import main
+from tensor_chernoff.cli import _build_parser, main
 from tensor_chernoff.graphs import gen_complete
 from tensor_chernoff.reporting import parse_tail_csv, report_from_json
 from tensor_chernoff.tensors import TensorShape
@@ -74,13 +77,20 @@ def test_rerun_byte_identical(sweep_config, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_worker_count_invariance(sweep_config, tmp_path):
-    outs = []
-    for w in (1, 2):
-        out = tmp_path / f"w{w}.json"
-        assert main(["run", "--config", str(sweep_config), "--out", str(out), "--workers", str(w)]) == 0
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
+def test_workers_other_than_one_exit_2(sweep_config, tmp_path, capsys):
+    out = str(tmp_path / "r.json")
+    # of the [experiment] keys only the seed has a command-line override
+    for key in ("suite", "workers", "trials"):
+        assert main(["run", "--config", str(sweep_config), "--out", out, f"--{key}", "2"]) == 2
+        assert f"unrecognized arguments: --{key} 2" in capsys.readouterr().err
+    cfg = tmp_path / "workers.ini"
+    cfg.write_text(FAST_SWEEP.replace("seed = 19", "seed = 19\nworkers = 2"))
+    assert main(["run", "--config", str(cfg), "--out", out]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: invalid config: [experiment] workers must be 1, got 2"
+    ]
+    cfg.write_text(FAST_SWEEP.replace("seed = 19", "seed = 19\nworkers = 1"))
+    assert main(["run", "--config", str(cfg), "--out", out]) == 0
 
 
 def test_seed_override_changes_report(sweep_config, tmp_path):
@@ -122,6 +132,7 @@ UNREADABLE_GRAPHS = {
     "n_beyond_edge_lines": (b"50000 1\n0 1 1\n", "header n = 50000 must be in [2, 2 x 1 edge lines]"),
     "huge_multiplicity": (b"2 1\n0 1 " + b"1" + b"0" * 30 + b"\n", "multiplicity must be in [0, 1]"),
     "huge_degree": (b"2 1" + b"0" * 30 + b"\n0 1 1\n", "must be in [1, 2^32)"),
+    "huge_slot_table": (b"2 4000000000\n0 1 4000000000\n", "exceeds the cap of 2^26 edge slots"),
 }
 
 
@@ -148,45 +159,59 @@ def test_unreadable_input_exit_2(case, tmp_path, capsys):
     assert len(err.splitlines()) == 1 and needle in err
 
 
-@pytest.mark.parametrize(
-    "case", ["unwritable_out", "manifest_without_vertices", "manifest_not_json", "nan_tensor_record"]
-)
+# a key of vertex 1's tensor record, the value written over it, and the stderr text
+RECORD_EDITS = {
+    "nan_tensor_record": ("entries", [float("nan")] + [0.0] * 7, "must be finite"),
+    "row_dims_string": ("row_dims", "x", "row_dims must be a flat list of integers"),
+    "row_dims_int": ("row_dims", 5, "row_dims must be a flat list of integers"),
+    "row_dims_null": ("row_dims", None, "row_dims must be a flat list of integers"),
+    "row_dims_float": ("row_dims", [2.5], "row_dims must be a flat list of integers"),
+    "row_dims_bool": ("row_dims", [True, True], "row_dims must be a flat list of integers"),
+    "entries_strings": ("entries", ["a"] * 8, "entries must be a flat list of numbers"),
+    "entries_ragged": ("entries", [[1.0, 0.0], [0.0]], "entries must be a flat list of numbers"),
+}
+# manifest text, or a change to the saved manifest, and the stderr text
+MANIFESTS = {
+    "manifest_without_vertices": ('{"format": "assignment/1"}', "has no 'vertices' entry"),
+    "manifest_not_json": ("not json", "cannot read manifest"),
+    "manifest_vertices_int": ({"vertices": 5}, "'vertices' must be a JSON object"),
+    "manifest_missing_vertex": ({"vertices": {"0": "vertex_0000.json"}}, "manifest.json has no tensor for vertex 1"),
+    "manifest_vertex_not_string": ({"vertices": {str(v): 5 for v in range(4)}}, "vertex 0 must be a file name"),
+}
+
+
+@pytest.mark.parametrize("case", ["unwritable_out"] + sorted(MANIFESTS) + sorted(RECORD_EDITS))
 def test_io_errors_exit_2(case, sweep_config, tmp_path, capsys):
     cfg, out = sweep_config, tmp_path / "r.json"
-    manifest = tmp_path / "manifest.json"
+    assignment = random_assignment(gen_complete(4), TensorShape.square((2,)), 1.0, seed=3)
+    manifest = save_assignment(assignment, tmp_path / "assignment")
     if case == "unwritable_out":
         out = tmp_path / "no_such_dir" / "r.json"
         needle = "cannot write report"
-    elif case == "manifest_without_vertices":
-        manifest.write_text('{"format": "assignment/1"}')
-        needle = "has no 'vertices' entry"
-    elif case == "manifest_not_json":
-        manifest.write_text("not json")
-        needle = "cannot read manifest"
+    elif case in MANIFESTS:
+        content, needle = MANIFESTS[case]
+        if isinstance(content, dict):
+            content = json.dumps({**json.loads(manifest.read_text()), **content})
+        manifest.write_text(content)
     else:
-        assignment = random_assignment(gen_complete(4), TensorShape.square((2,)), 1.0, seed=3)
-        manifest = save_assignment(assignment, tmp_path / "assignment")
+        key, value, needle = RECORD_EDITS[case]
         record_path = manifest.parent / "vertex_0001.json"
-        record = json.loads(record_path.read_text())
-        record["entries"][0] = float("nan")
-        record_path.write_text(json.dumps(record))
-        needle = "must be finite"
+        record_path.write_text(json.dumps({**json.loads(record_path.read_text()), key: value}))
     if case != "unwritable_out":
         cfg = tmp_path / "manifest.ini"
         cfg.write_text(FAST_SWEEP.replace("source = random", f"source = manifest\nmanifest = {manifest}"))
     code = main(["run", "--config", str(cfg), "--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err
-    assert needle in err
-    assert "Traceback" not in err
-    if case == "nan_tensor_record":
-        assert "vertex_0001.json" in err
+    assert len(err.splitlines()) == 1 and needle in err
+    if case in RECORD_EDITS:
+        assert "tensor for vertex 1 in" in err and "vertex_0001.json" in err
 
 
 def test_unwritable_out_rejected_before_run(sweep_config, tmp_path, monkeypatch, capsys):
     from tensor_chernoff import cli
 
-    def must_not_run(config, workers=None, seed=None):
+    def must_not_run(config, seed=None):
         raise AssertionError("run started although the report cannot be written")
 
     monkeypatch.setattr(cli, "run", must_not_run)
@@ -195,14 +220,11 @@ def test_unwritable_out_rejected_before_run(sweep_config, tmp_path, monkeypatch,
         assert f"cannot write report {out}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "flag, value, line",
-    [("--seed", "-5", "error: --seed must be >= 0, got -5"), ("--workers", "0", "error: --workers must be >= 1, got 0")],
-)
+@pytest.mark.parametrize("flag, value, line", [("--seed", "-5", "error: --seed must be >= 0, got -5")])
 def test_bad_override_rejected_before_run(flag, value, line, sweep_config, tmp_path, monkeypatch, capsys):
     from tensor_chernoff import cli
 
-    def must_not_run(config, workers=None, seed=None):
+    def must_not_run(config, seed=None):
         raise AssertionError("run started although an override is out of range")
 
     monkeypatch.setattr(cli, "run", must_not_run)
@@ -222,11 +244,11 @@ def test_seed_at_two_to_the_64_rejected(sweep_config, tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         f"config error: invalid config: [experiment] seed must be < 2^64, got {2**64}"
     ]
-    cfg.write_text(FAST_SWEEP.replace("seed = 19", f"seed = {2**64}\nworkers = 0"))
+    cfg.write_text(FAST_SWEEP.replace("seed = 19", f"seed = {2**64}\nworkers = 2"))
     assert main(["run", "--config", str(cfg), "--out", out]) == 2
     assert capsys.readouterr().err.splitlines() == [
         f"config error: invalid config: [experiment] seed must be < 2^64, got {2**64}; "
-        "[experiment] workers must be >= 1, got 0"
+        "[experiment] workers must be 1, got 2"
     ]
     # the largest key word still runs
     assert main(["run", "--config", str(sweep_config), "--out", out, "--seed", str(2**64 - 1)]) == 0
@@ -242,7 +264,7 @@ def test_check_failure_exit_1(sweep_config, tmp_path, monkeypatch):
     from tensor_chernoff import cli
     from tensor_chernoff.reporting import CheckRecord, Report
 
-    def fake_run(config, workers=None, seed=None):
+    def fake_run(config, seed=None):
         return Report(
             suite=config.experiment.suite,
             config=config.echo(),
@@ -264,3 +286,11 @@ def test_console_script_entry():
     )
     assert proc.returncode == 0
     assert "--config" in proc.stdout
+
+
+def test_readme_cli_flags_match_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = re.search(r"\n## CLI\n(.*?)\n##", readme, re.S).group(1)
+    (commands,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {flag for action in commands.choices["run"]._actions for flag in action.option_strings}
+    assert set(re.findall(r"--[a-z][a-z-]*", section)) == options - {"-h", "--help"}

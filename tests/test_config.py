@@ -56,7 +56,7 @@ def test_every_key_echoed(tmp_path):
     graph.write_text("")
     manifest.write_text("")
     echo = parse_config(
-        "[experiment]\nsuite = expander\nseed = 0\nworkers = 3\ntrials = 9\n"
+        "[experiment]\nsuite = expander\nseed = 0\nworkers = 1\ntrials = 9\n"
         f"[graph]\nkind = file\nn = 6\ndim = 2\ndegree = 5\npath = {graph}\ngraph_seed = 17\n"
         f"[tensors]\nsource = manifest\nrow_dims = 3 2\nradius = 0.5\nmanifest = {manifest}\n"
         "[poly]\ncoefficients = 1 0 2.5\npower = 2\n"
@@ -68,7 +68,7 @@ def test_every_key_echoed(tmp_path):
     expected = {
         "experiment.suite": "expander",
         "experiment.seed": 0,
-        "experiment.workers": 3,
+        "experiment.workers": 1,
         "experiment.trials": 9,
         "graph.kind": "file",
         "graph.n": 6,
@@ -92,7 +92,8 @@ def test_every_key_echoed(tmp_path):
         "domination.sigma_grid": [0.25],
     }
     assert echo == expected
-    assert all(echo[key] != DEFAULT_ECHO[key] for key in expected)
+    # workers has one allowed value, so it cannot differ from its default
+    assert all(echo[key] != DEFAULT_ECHO[key] for key in expected if key != "experiment.workers")
 
 
 @pytest.mark.parametrize(
@@ -102,7 +103,7 @@ def test_every_key_echoed(tmp_path):
                                     "'expander', 'chernoff_sweep'), got 'x'"),
         ("[experiment]\nseed = -1", "[experiment] seed must be >= 0, got -1"),
         ("[experiment]\nseed = 18446744073709551616", "[experiment] seed must be < 2^64, got 18446744073709551616"),
-        ("[experiment]\nworkers = 0", "[experiment] workers must be >= 1, got 0"),
+        ("[experiment]\nworkers = 2", "[experiment] workers must be 1, got 2"),
         ("[experiment]\ntrials = 0", "[experiment] trials must be >= 1, got 0"),
         ("[graph]\nkind = torus", "[graph] kind must be one of ('complete', 'cycle', 'hypercube', "
                                   "'random_regular', 'file'), got 'torus'"),
@@ -137,7 +138,7 @@ def test_range_error_lines(text, line):
 def test_errors_collected_across_sections():
     assert _error_lines("[experiment]\nseed = -1\nworkers = 0\n[walk]\nk = 0\n[quadrature]\nnodes = 8\n") == {
         "[experiment] seed must be >= 0, got -1",
-        "[experiment] workers must be >= 1, got 0",
+        "[experiment] workers must be 1, got 0",
         "[walk] k must be >= 1, got 0",
         "[quadrature] nodes must be >= 16, got 8",
     }

@@ -1,14 +1,18 @@
-"""Property tests for the two text input formats: INI configs and edge lists.
+"""Property tests for the input formats: INI configs, edge lists, tensor
+records and assignment manifests.
 
-Whatever the text, ``parse_config`` and ``load_edge_list`` either return or
-raise a ``TensorChernoffError`` subclass, which the CLI turns into exit 2
-with one diagnostic line.  The examples are derandomized with fixed counts,
-so the suite runs the same inputs every time, and every generated integer
-is bounded to a few dozen, so no example asks for a large allocation; the
-explicit examples are inputs that once escaped as other exceptions.
+Whatever the text, ``parse_config``, ``load_edge_list``, ``load_tensor`` and
+``load_assignment`` either return or raise a ``TensorChernoffError``
+subclass, which the CLI turns into exit 2 with one diagnostic line.  The
+examples are derandomized with fixed counts, so the suite runs the same
+inputs every time, and every generated size is bounded to a few dozen, so
+no example asks for a large allocation; the explicit examples are inputs
+that once escaped as other exceptions.
 """
 
 import dataclasses
+import json
+import math
 
 import pytest
 
@@ -16,9 +20,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from tensor_chernoff.chernoff import VertexTensorAssignment, load_assignment  # noqa: E402
 from tensor_chernoff.config import ExperimentConfig, parse_config  # noqa: E402
 from tensor_chernoff.errors import TensorChernoffError  # noqa: E402
-from tensor_chernoff.graphs import RegularGraph, load_edge_list  # noqa: E402
+from tensor_chernoff.graphs import RegularGraph, gen_complete, load_edge_list, save_edge_list  # noqa: E402
+from tensor_chernoff.io import load_tensor, tensor_to_record  # noqa: E402
+from tensor_chernoff.tensors import Tensor, TensorShape, make_identity  # noqa: E402
 
 FORMATS = settings(
     derandomize=True,
@@ -117,3 +124,93 @@ def test_load_edge_list_raises_only_package_errors(tmp_path, data):
     except TensorChernoffError:
         return
     assert isinstance(graph, RegularGraph)
+
+
+# any JSON value: scalars (floats past the float range and big integers included), lists and objects
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    SMALL,
+    st.floats(),
+    st.sampled_from([10**400, -(10**400), 2**70, 1e308]),
+    st.text(max_size=4),
+)
+JSON = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _perturb(draw, obj: dict) -> dict:
+    """Drop, replace or add a few keys of a well-formed JSON object."""
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.sampled_from(sorted(obj) + ["extra"]))
+        if _rarely(draw):
+            obj.pop(key, None)
+        else:
+            obj[key] = draw(JSON)
+    return obj
+
+
+@st.composite
+def tensor_records(draw):
+    dims = st.lists(st.integers(1, 2), min_size=1, max_size=2)
+    row_dims = draw(dims)
+    col_dims = row_dims if draw(st.booleans()) else draw(dims)
+    size = 2 * math.prod(row_dims) * math.prod(col_dims) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    entries = draw(st.lists(st.one_of(st.floats(-4.0, 4.0), JSON_SCALARS), min_size=size, max_size=size))
+    return _perturb(draw, {"format": "tensor/1", "row_dims": row_dims, "col_dims": col_dims, "entries": entries})
+
+
+def _write_json(path, value) -> None:
+    path.write_text(value if isinstance(value, str) else json.dumps(value))
+
+
+@FORMATS
+@given(record=st.one_of(tensor_records(), JSON, st.text(max_size=20)))
+@example(record={"format": "tensor/1", "row_dims": "x", "col_dims": [2], "entries": [0.0] * 8})
+@example(record={"format": "tensor/1", "row_dims": [2.5], "col_dims": [2], "entries": [0.0] * 8})
+@example(record={"format": "tensor/1", "row_dims": [1], "col_dims": [1], "entries": [10**400, 0]})
+def test_load_tensor_raises_only_package_errors(tmp_path, record):
+    path = tmp_path / "record.json"
+    _write_json(path, record)
+    try:
+        tensor = load_tensor(path)
+    except TensorChernoffError:
+        return
+    assert isinstance(tensor, Tensor)
+
+
+GRAPH = gen_complete(4)
+# a Hermitian record for a 2 x 2 vertex tensor, for manifests that should load
+GOOD_RECORD = tensor_to_record(make_identity(TensorShape.square((2,))))
+
+
+@st.composite
+def assignment_dirs(draw):
+    """Files of an assignment directory: the manifest, the edge list and four vertex records."""
+    records = {
+        f"v{v}.json": draw(st.one_of(st.just(GOOD_RECORD), tensor_records(), JSON)) for v in range(4)
+    }
+    names = st.sampled_from(sorted(records) + ["graph.txt", "manifest.json", "missing.json", "", "."])
+    vertices = {str(v): draw(names) if _rarely(draw) else f"v{v}.json" for v in range(4)}
+    manifest = {"format": "assignment/1", "graph": "graph.txt", "vertices": _perturb(draw, vertices)}
+    return {"manifest.json": _perturb(draw, manifest), **records}
+
+
+@FORMATS
+@given(files=assignment_dirs(), with_graph=st.booleans())
+@example(files={"manifest.json": {"format": "assignment/1", "graph": "graph.txt", "vertices": 5}}, with_graph=True)
+@example(files={"manifest.json": {"format": "assignment/1", "graph": 5, "vertices": {}}}, with_graph=False)
+@example(files={"manifest.json": {"format": "assignment/1", "vertices": {"0": 5}}}, with_graph=True)
+@example(files={"manifest.json": {"format": "assignment/1", "vertices": {"0": "a\x00"}}}, with_graph=True)
+def test_load_assignment_raises_only_package_errors(tmp_path, files, with_graph):
+    save_edge_list(GRAPH, tmp_path / "graph.txt")
+    for name, value in files.items():
+        _write_json(tmp_path / name, value)
+    try:
+        assignment = load_assignment(tmp_path / "manifest.json", graph=GRAPH if with_graph else None)
+    except TensorChernoffError:
+        return
+    assert isinstance(assignment, VertexTensorAssignment)

@@ -107,7 +107,7 @@ GOOD = """
 [experiment]
 suite = chernoff_sweep
 seed = 11
-workers = 2
+workers = 1
 trials = 100
 
 [graph]
