@@ -56,7 +56,7 @@ from .inequalities import beta0_density
 from .io import load_tensor, read_json_object, save_tensor
 from .norms import ky_fan_from_eigenvalues
 from .rng import DOMAIN_PROBE, DOMAIN_TENSORS, stream
-from .tensors import HermitianTensor, TensorShape, as_hermitian
+from .tensors import Tensor, TensorShape, as_hermitian, hermitian_part
 
 DEFAULT_TAIL_CHUNK = 8192
 
@@ -66,75 +66,62 @@ DEFAULT_TAIL_CHUNK = 8192
 # ---------------------------------------------------------------------------
 
 class VertexTensorAssignment:
-    """One Hermitian tensor per vertex, with the radius recomputed on entry.
+    """One Hermitian tensor of ``shape`` per vertex, held as a read-only ``(n, d, d)`` stack.
 
-    The ``(n, d, d)`` vertex stack is kept read-only, and its batched ``eigh``
-    is computed on first use and then shared by every transfer-operator call.
+    The stack is validated once by ``HermitianTensor``'s rule (``tensors.hermitian_part``) and
+    decomposed by one batched ``eigh``, which gives the radius and serves every transfer operator.
     """
 
-    __slots__ = ("graph", "tensors", "radius", "_stack", "_eigh")
+    __slots__ = ("graph", "shape", "radius", "_stack", "_eigh")
 
-    def __init__(self, graph: RegularGraph, tensors: Sequence[HermitianTensor]):
-        tensors = tuple(as_hermitian(t) for t in tensors)
-        if len(tensors) != graph.n:
-            raise ArgumentError(f"need one tensor per vertex: {len(tensors)} != {graph.n}")
-        shape = tensors[0].shape
-        for t in tensors[1:]:
-            if t.shape != shape:
-                raise ArgumentError("all vertex tensors must share one square shape")
-        stack = np.stack([t.matrix for t in tensors])
-        stack.setflags(write=False)
+    def __init__(self, graph: RegularGraph, shape: TensorShape, stack: np.ndarray):
+        shape.require_square("VertexTensorAssignment")
+        want = (graph.n, shape.unfold_rows, shape.unfold_rows)
+        if np.shape(stack) != want:
+            raise ArgumentError(f"vertex stack must have shape {want}, got {np.shape(stack)}")
+        stack = hermitian_part(stack)
+        vals, vecs = np.linalg.eigh(stack)
+        for arr in (stack, vals, vecs):
+            arr.setflags(write=False)
         object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "tensors", tensors)
-        object.__setattr__(self, "radius", float(np.max(np.abs(np.linalg.eigvalsh(stack)))))
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "radius", float(np.max(np.abs(vals))))
         object.__setattr__(self, "_stack", stack)
-        object.__setattr__(self, "_eigh", None)
+        object.__setattr__(self, "_eigh", (vals, vecs))
 
     def __setattr__(self, name, value):
         raise AttributeError("VertexTensorAssignment is immutable")
 
     @property
     def dim(self) -> int:
-        return self.tensors[0].shape.unfold_rows
+        return self.shape.unfold_rows
 
     def stack(self) -> np.ndarray:
         """Read-only ``(n, d, d)`` stack of the vertex unfoldings."""
         return self._stack
 
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Batched ``eigh`` of the vertex stack (read-only), computed once."""
-        if self._eigh is None:
-            vals, vecs = np.linalg.eigh(self._stack)
-            vals.setflags(write=False)
-            vecs.setflags(write=False)
-            object.__setattr__(self, "_eigh", (vals, vecs))
+        """Read-only eigenvalues ``(n, d)`` and eigenvectors ``(n, d, d)`` of the stack."""
         return self._eigh
 
 
 def random_assignment(
     graph: RegularGraph, shape: TensorShape, radius: float, seed: int
 ) -> VertexTensorAssignment:
-    """Per-vertex random Hermitian tensors with spectral norm exactly ``radius``.
+    """Random Hermitian vertex tensors, each with spectral norm exactly ``radius``.
 
-    Vertex ``v`` draws from ``stream(seed, DOMAIN_TENSORS, v)`` what
-    ``sampling.random_bounded_hermitian`` draws, and gets the same tensor bit
-    for bit; the Hermitian part, the top eigenvalue and the rescale run once
-    on the ``(n, d, d)`` stack.
+    One ``standard_normal((2, n, d, d))`` draw from ``stream(seed, DOMAIN_TENSORS)`` holds every
+    vertex's real parts, then every imaginary part (``rng.TENSOR_STREAM``).  The Hermitian part,
+    the top eigenvalue and the rescale run once on the stack; an all-zero vertex keeps scale 1.
     """
     shape.require_square("random_assignment")
-    dims = (graph.n, shape.unfold_rows, shape.unfold_cols)
-    re, im = np.empty(dims), np.empty(dims)
-    for v in range(graph.n):
-        rng = stream(seed, DOMAIN_TENSORS, v)
-        re[v] = rng.standard_normal(dims[1:])
-        im[v] = rng.standard_normal(dims[1:])
+    d = shape.unfold_rows
+    re, im = stream(seed, DOMAIN_TENSORS).standard_normal((2, graph.n, d, d))
     x = (re + 1j * im) / np.sqrt(2.0)
     h = (x + x.conj().swapaxes(1, 2)) / 2.0
     top = np.max(np.abs(np.linalg.eigvalsh(h)), axis=1)
-    scale = np.ones(graph.n)
-    np.divide(radius, top, out=scale, where=top != 0.0)  # an all-zero draw keeps scale 1
-    h *= scale[:, None, None]
-    return VertexTensorAssignment(graph, [HermitianTensor(shape, m) for m in h])
+    h *= np.divide(radius, top, out=np.ones(graph.n), where=top != 0.0)[:, None, None]
+    return VertexTensorAssignment(graph, shape, h)
 
 
 @dataclass(frozen=True)
@@ -365,9 +352,7 @@ def transfer_expectation(
     es, esh = _vertex_exponentials(assignment, t, a, b)
     slots = assignment.graph.edge_slots()
     n, d = assignment.graph.n, assignment.dim
-    eye = np.eye(d, dtype=np.complex128)[:, None, :] / math.sqrt(n)
-    x0 = np.broadcast_to(eye, (n, d, 1, d))
-    w = x0
+    x0 = w = np.broadcast_to(np.eye(d, dtype=np.complex128)[:, None, :] / math.sqrt(n), (n, d, 1, d))
     for _ in range(kappa):
         w = _transfer_apply(es, esh, slots, w)
     val = complex(np.vdot(x0, w))
@@ -628,15 +613,9 @@ def empirical_tail_sweep(
     if not 1 <= k <= assignment.dim:
         raise ArgumentError(f"k must be in [1, {assignment.dim}], got {k}")
     thetas = np.asarray(list(thetas), dtype=np.float64)
-    if t_check is None:
-        t_checks = np.full(thetas.size, np.nan)
-    else:
-        t_checks = np.broadcast_to(
-            np.asarray(t_check, dtype=np.float64), (thetas.size,)
-        ).copy()
+    t_checks = np.broadcast_to(np.nan if t_check is None else np.asarray(t_check, dtype=np.float64), thetas.shape)
     g_stack = assignment.stack()
-    hits = np.zeros(thetas.size, dtype=np.int64)
-    violations = np.zeros(thetas.size, dtype=np.int64)
+    hits, violations = np.zeros((2, thetas.size), dtype=np.int64)
     for start in range(0, num_walks, chunk_size):
         count = min(chunk_size, num_walks - start)
         walks = sample_walks_array(assignment.graph, kappa, count, seed, start_index=start)
@@ -648,18 +627,10 @@ def empirical_tail_sweep(
         for i, t in enumerate(t_checks):
             if not np.isnan(t):
                 violations[i] += np.count_nonzero(assumption3_margins(poly, mu, float(t)) < -scale)
-    out = []
-    for th, h, v in zip(thetas, hits, violations):
-        p = h / num_walks
-        out.append(
-            TailEstimate(
-                theta=float(th),
-                p_hat=float(p),
-                stderr=float(math.sqrt(p * (1.0 - p) / num_walks)),
-                assumption3_violations=int(v),
-            )
-        )
-    return out
+    p_hat = hits / num_walks
+    stderr = np.sqrt(p_hat * (1.0 - p_hat) / num_walks)
+    rows = zip(thetas, p_hat, stderr, violations)
+    return [TailEstimate(float(th), float(p), float(se), int(v)) for th, p, se, v in rows]
 
 
 def empirical_tail(
@@ -690,9 +661,9 @@ def save_assignment(assignment: VertexTensorAssignment, directory: str | Path) -
     directory.mkdir(parents=True, exist_ok=True)
     save_edge_list(assignment.graph, directory / "graph.txt")
     vertices = {}
-    for v, tensor in enumerate(assignment.tensors):
+    for v, matrix in enumerate(assignment.stack()):
         name = f"vertex_{v:04d}.json"
-        save_tensor(tensor, directory / name)
+        save_tensor(Tensor(assignment.shape, matrix), directory / name)
         vertices[str(v)] = name
     manifest = {"format": ASSIGNMENT_FORMAT, "graph": "graph.txt", "vertices": vertices}
     path = directory / "manifest.json"
@@ -719,7 +690,7 @@ def load_assignment(manifest_path: str | Path, graph: RegularGraph | None = None
     entries = manifest["vertices"]
     if not isinstance(entries, dict):
         raise ArgumentError(f"manifest {manifest_path} 'vertices' must be a JSON object")
-    tensors = []
+    shape, matrices = None, []
     for v in range(graph.n):
         key = str(v)
         if key not in entries:
@@ -728,7 +699,12 @@ def load_assignment(manifest_path: str | Path, graph: RegularGraph | None = None
             raise ArgumentError(f"manifest {manifest_path} entry for vertex {v} must be a file name")
         path = base / entries[key]
         try:
-            tensors.append(as_hermitian(load_tensor(path)))
+            tensor = as_hermitian(load_tensor(path))
         except (ArgumentError, ShapeError) as exc:
             raise type(exc)(f"tensor for vertex {v} in {path}: {exc}") from exc
-    return VertexTensorAssignment(graph, tensors)
+        shape = shape or tensor.shape
+        if tensor.shape != shape:
+            dims = [list(x.row_dims) for x in (tensor.shape, shape)]
+            raise ArgumentError(f"tensor for vertex {v} in {path}: dims {dims[0]} differ from vertex 0's {dims[1]}")
+        matrices.append(tensor.matrix)
+    return VertexTensorAssignment(graph, shape, np.stack(matrices))

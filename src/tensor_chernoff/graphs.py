@@ -10,12 +10,16 @@ all-ones vector that the tail bounds actually consume, so the absolute-value
 definition is implemented (bipartite graphs report lambda = 1, i.e.
 non-expanding).
 
+Every generator and the edge-list loader bound the size before they
+allocate: ``2 <= n <= 2^13`` (the ``n x n`` int64 adjacency stays within 512
+MiB), ``d >= 1`` and ``n * d <= 2^26`` (so does the ``(n, d)`` slot table).
+
 Edge-list text format: a header line ``n d``, then one ``u v m`` line per
 undirected edge with multiplicity ``m``, vertices 0-indexed, each unordered
 pair listed once (self-loops as ``u u m``).  The loader validates symmetry
 and d-regularity, and bounds each number before it sizes an array: ``2 <= n
-<=`` twice the edge-line count, ``1 <= d < 2^32``, ``n * d <= 2^26`` (the
-``(n, d)`` int64 slot table stays within 512 MiB) and ``0 <= m <= d``.
+<=`` twice the edge-line count, ``1 <= d < 2^32``, the size caps above and
+``0 <= m <= d``.
 
 Walk sampling is deterministic in the seed: walk ``i`` of a batch reads the
 Philox4x64-10 words at counters ``(i, b, 0, 0)`` under key ``(seed,
@@ -33,7 +37,18 @@ from .errors import ArgumentError, NumericalError
 from .io import read_text
 from .rng import DOMAIN_GRAPH, DOMAIN_WALK, counter_words, multiply_high, stream
 
-EDGE_SLOT_CAP = 1 << 26  # largest n * d an edge-list file may declare
+MAX_VERTICES = 1 << 13  # largest n of any graph
+EDGE_SLOT_CAP = 1 << 26  # largest n * d of any graph
+
+
+def _require_size(n: int, d: int) -> None:
+    """Reject ``n`` vertices of degree ``d`` outside the size bounds, before anything of that size exists."""
+    if not 2 <= n <= MAX_VERTICES:
+        raise ArgumentError(f"graph n = {n} must be in [2, 2^13]")
+    if d < 1:
+        raise ArgumentError(f"graph degree {d} must be >= 1")
+    if n * d > EDGE_SLOT_CAP:
+        raise ArgumentError(f"graph n x d = {n} x {d} exceeds the cap of 2^26 edge slots")
 
 
 @dataclass(frozen=True)
@@ -69,11 +84,13 @@ class RegularGraph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "degree", d)
         object.__setattr__(self, "adjacency", adj)
+        slots = np.repeat(np.tile(np.arange(n), n), adj.ravel()).reshape(n, d)
+        slots.setflags(write=False)
+        object.__setattr__(self, "_slots", slots)
 
     def edge_slots(self) -> np.ndarray:
-        """(n, d) table: row u lists neighbors of u, each repeated by multiplicity."""
-        n = self.n
-        return np.repeat(np.tile(np.arange(n), n), self.adjacency.ravel()).reshape(n, self.degree)
+        """Read-only (n, d) table: row u lists the neighbors of u in order, each repeated by multiplicity."""
+        return self._slots
 
 
 @dataclass(frozen=True)
@@ -110,14 +127,12 @@ def _symmetric_adjacency(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
 
 
 def gen_complete(n: int) -> RegularGraph:
-    if n < 2:
-        raise ArgumentError(f"complete graph needs n >= 2, got {n}")
+    _require_size(n, n - 1)
     return RegularGraph(np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64))
 
 
 def gen_cycle(n: int) -> RegularGraph:
-    if n < 2:
-        raise ArgumentError(f"cycle needs n >= 2, got {n}")
+    _require_size(n, 2)
     u = np.arange(n)
     return RegularGraph(_symmetric_adjacency(n, u, (u + 1) % n))  # n = 2: a double edge
 
@@ -125,6 +140,7 @@ def gen_cycle(n: int) -> RegularGraph:
 def gen_hypercube(dim: int) -> RegularGraph:
     if dim < 1:
         raise ArgumentError(f"hypercube needs dim >= 1, got {dim}")
+    _require_size(1 << min(dim, 64), dim)  # every dim from 14 on is past the cap
     n = 1 << dim
     u = np.repeat(np.arange(n), dim)
     adj = np.zeros((n, n), dtype=np.int64)
@@ -140,8 +156,7 @@ def gen_random_regular(n: int, d: int, seed: int) -> RegularGraph:
     condition).  Fixed points and 2-cycles of the permutations produce
     self-loops and multi-edges, which are allowed.
     """
-    if n < 2 or d < 1:
-        raise ArgumentError(f"need n >= 2 and d >= 1, got n={n}, d={d}")
+    _require_size(n, d)
     if (n * d) % 2 != 0:
         raise ArgumentError(f"n * d must be even, got n={n}, d={d}")
     rng = stream(seed, DOMAIN_GRAPH)
@@ -219,8 +234,7 @@ def load_edge_list(path: str | Path) -> RegularGraph:
         raise ArgumentError(f"header n = {n} must be in [2, 2 x {len(text) - 1} edge lines]")
     if not 1 <= d < 1 << 32:  # a walk step draws among d slots by multiply_high
         raise ArgumentError(f"header degree {d} must be in [1, 2^32)")
-    if n * d > EDGE_SLOT_CAP:
-        raise ArgumentError(f"header n x d = {n} x {d} exceeds the cap of 2^26 edge slots")
+    _require_size(n, d)
     adj = np.zeros((n, n), dtype=np.int64)
     for line in text[1:]:
         parts = line.split()

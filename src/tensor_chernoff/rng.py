@@ -2,11 +2,12 @@
 
 Two kinds of stream, both addressed by a master seed:
 
-* ``stream(seed, DOMAIN_SUITE, suite_id)`` for suite-level draws and
-  ``stream(seed, DOMAIN_TENSORS, vertex)`` for random vertex tensors (also
-  ``DOMAIN_GRAPH`` and ``DOMAIN_PROBE``): a PCG64 generator seeded by
-  ``numpy.random.SeedSequence`` with the key path as ``spawn_key``.  Distinct
-  key paths give independent, reproducible streams.
+* ``stream(seed, DOMAIN_SUITE, suite_id)`` for suite-level draws,
+  ``stream(seed, DOMAIN_TENSORS)`` (one ``standard_normal((2, n, d, d))``
+  holds every vertex tensor's real part, then every imaginary part; stamped
+  as :data:`TENSOR_STREAM`), ``DOMAIN_GRAPH`` and ``DOMAIN_PROBE``: a PCG64
+  generator seeded by ``numpy.random.SeedSequence`` with the key path as
+  ``spawn_key``.  Distinct key paths give independent, reproducible streams.
 * Monte Carlo walks read counter-addressed Philox4x64-10 words
   (:func:`counter_words`), so their seed must be in ``[0, 2^64)``: key
   ``(seed, DOMAIN_WALK)``, and walk ``i`` takes its ``b``-th block of four
@@ -33,6 +34,7 @@ DOMAIN_GRAPH = 4
 DOMAIN_PROBE = 5
 
 WALK_STREAM = "philox4x64-10/1"
+TENSOR_STREAM = "pcg64-stack/1"
 SEED_LIMIT = 1 << 64  # a master seed is one 64-bit Philox key word
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)

@@ -60,7 +60,7 @@ from .inequalities import (
 from .majorization import check_kyfan_sum_inequality
 from .norms import gauge_rho
 from .reporting import CheckRecord, Report, TailRow
-from .rng import DOMAIN_SUITE, WALK_STREAM, stream
+from .rng import DOMAIN_SUITE, TENSOR_STREAM, WALK_STREAM, stream
 from .sampling import random_hermitian, random_positive, random_tensor, random_unitary
 from .tensors import (
     TensorShape,
@@ -109,7 +109,8 @@ def run(config: ExperimentConfig, seed: int | None = None) -> Report:
         config=config.echo(),
         checks=checks,
         tail_rows=rows,
-        environment={"version": __version__, "seed": seed, "walk_stream": WALK_STREAM},
+        environment={"version": __version__, "seed": seed, "walk_stream": WALK_STREAM,
+                     "tensor_stream": TENSOR_STREAM},
     )
 
 

@@ -149,9 +149,9 @@ class Tensor:
 class HermitianTensor(Tensor):
     """Square tensor equal to its conjugate transpose.
 
-    Construction rejects non-finite entries, checks hermiticity within
-    ``HERM_TOL_SCALE * fro_norm`` and stores the canonical Hermitian part
-    ``(X + X^H) / 2``.
+    Construction goes through :func:`hermitian_part`: it rejects non-finite
+    entries, checks hermiticity within ``HERM_TOL_SCALE * fro_norm`` and
+    stores the canonical Hermitian part ``(X + X^H) / 2``.
     """
 
     def __init__(self, shape: TensorShape, matrix: np.ndarray, *, copy: bool = True):
@@ -161,16 +161,27 @@ class HermitianTensor(Tensor):
             raise ShapeError(
                 f"unfolding must be {shape.unfold_rows} x {shape.unfold_cols}, got {mat.shape}"
             )
-        # entrywise: the Frobenius norm overflows for finite entries above ~1e154
-        if not np.isfinite(mat).all():
-            raise ArgumentError("Hermitian tensor entries must be finite (got NaN or inf)")
-        fro = float(np.linalg.norm(mat))
-        dev = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
-        if dev > HERM_TOL_SCALE * fro:
-            raise ArgumentError(
-                f"matrix is not Hermitian within tolerance: deviation {dev:.3e}, norm {fro:.3e}"
-            )
-        super().__init__(shape, (mat + mat.conj().T) / 2.0, copy=False)
+        super().__init__(shape, hermitian_part(mat), copy=False)
+
+
+def hermitian_part(mats: np.ndarray) -> np.ndarray:
+    """``(X + X^H) / 2`` of each of the ``(..., d, d)`` matrices, after rejecting non-finite
+    entries and any ``max |X - X^H|`` above ``HERM_TOL_SCALE`` times that matrix's own ``||X||_F``."""
+    mats = np.asarray(mats, dtype=np.complex128)
+    # entrywise: the Frobenius norm overflows for finite entries above ~1e154
+    if not np.isfinite(mats).all():
+        raise ArgumentError("Hermitian tensor entries must be finite (got NaN or inf)")
+    adj = mats.conj().swapaxes(-1, -2)
+    fro = np.linalg.norm(mats, axis=(-2, -1))
+    dev = np.abs(mats - adj).max(axis=(-2, -1))
+    bad = dev > HERM_TOL_SCALE * fro
+    if bad.any():
+        i = tuple(np.argwhere(bad)[0].tolist())  # the first such matrix's index, () for a single matrix
+        where = f" {list(i)}" if i else ""
+        raise ArgumentError(
+            f"matrix{where} is not Hermitian within tolerance: deviation {dev[i]:.3e}, norm {fro[i]:.3e}"
+        )
+    return (mats + adj) / 2.0
 
 
 def as_hermitian(x: Tensor) -> HermitianTensor:

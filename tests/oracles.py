@@ -5,9 +5,9 @@ nested-loop contractions over tensor entries, eigenvalue facts are checked by
 subset enumeration, and integrals by closed-form antiderivatives.  Keep them
 slow and obvious.  The compound power and the dense transfer operator build
 on library tensors but take no shortcut the code under test takes.  The
-per-probe certificate loop and the per-vertex ``random_bounded_hermitian``
-loop are the library's former one-at-a-time paths, kept as references for
-its batched ones.  The log-exp convexity probe and ``reconstruct`` are
+per-probe certificate loop is the library's former one-at-a-time path, and
+the per-vertex assignment loop rescales each vertex of the same single draw
+on its own; both are references for batched paths.  The log-exp convexity probe and ``reconstruct`` are
 diagnostics only the tests use.
 """
 
@@ -24,7 +24,6 @@ import numpy as np
 from tensor_chernoff.errors import ArgumentError
 from tensor_chernoff.norms import ky_fan_norm, singular_values
 from tensor_chernoff.rng import DOMAIN_GRAPH, DOMAIN_PROBE, DOMAIN_TENSORS, DOMAIN_WALK, stream
-from tensor_chernoff.sampling import random_bounded_hermitian
 from tensor_chernoff.tensors import HermitianTensor, Tensor, TensorShape
 
 
@@ -263,8 +262,8 @@ def dense_transfer_operator(assignment, t: float, a: float, b: float):
     graph = assignment.graph
     n, d2 = graph.n, assignment.dim ** 2
     blocks = []
-    for g in assignment.tensors:
-        vals, vecs = np.linalg.eigh(g.matrix)
+    for g in assignment.stack():
+        vals, vecs = np.linalg.eigh(g)
         e = (vecs * np.exp(t * (a + 1j * b) / 2.0 * vals)) @ vecs.conj().T
         blocks.append(np.kron(e, e.conj()))
     a_norm = graph.adjacency.astype(np.float64) / graph.degree
@@ -323,8 +322,8 @@ def per_probe_certificate_ratios(
     graph = assignment.graph
     n, d = graph.n, assignment.dim
     es = []
-    for g in assignment.tensors:
-        vals, vecs = np.linalg.eigh(g.matrix)
+    for g in assignment.stack():
+        vals, vecs = np.linalg.eigh(g)
         es.append((vecs * np.exp(t * (a + 1j * b) / 2.0 * vals)) @ vecs.conj().T)
     es = np.stack(es)
     slots = graph.edge_slots()
@@ -348,12 +347,19 @@ def per_probe_certificate_ratios(
     return worst
 
 
-def loop_random_assignment(graph, shape, radius: float, seed: int, streams=stream) -> list[HermitianTensor]:
-    """One ``random_bounded_hermitian`` per vertex, vertex ``v`` from ``streams(seed, DOMAIN_TENSORS, v)``."""
-    return [
-        random_bounded_hermitian(shape, streams(seed, DOMAIN_TENSORS, v), radius)
-        for v in range(graph.n)
-    ]
+def loop_random_assignment(graph, shape, radius: float, seed: int, streams=stream) -> list[np.ndarray]:
+    """Vertex ``v``'s matrix from slices ``[0, v]`` (real) and ``[1, v]`` (imaginary) of one
+    ``standard_normal((2, n, d, d))`` draw from ``streams(seed, DOMAIN_TENSORS)``, with its
+    own ``eigvalsh`` and rescale to spectral norm ``radius`` (an all-zero draw stays zero)."""
+    d = shape.unfold_rows
+    draws = streams(seed, DOMAIN_TENSORS).standard_normal((2, graph.n, d, d))
+    out = []
+    for v in range(graph.n):
+        x = (draws[0, v] + 1j * draws[1, v]) / np.sqrt(2.0)
+        h = (x + x.conj().T) / 2.0
+        top = float(np.max(np.abs(np.linalg.eigvalsh(h))))
+        out.append(h if top == 0.0 else h * (radius / top))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -323,7 +323,7 @@ def test_criterion_7_transfer_sandwich():
     walks = sample_walks_array(graph, kappa, n_walks, seed=719)
     mats = []
     for v in range(graph.n):
-        vals, vecs = np.linalg.eigh(assignment.tensors[v].matrix)
+        vals, vecs = np.linalg.eigh(assignment.stack()[v])
         mats.append((vecs * np.exp(t * (a + 1j * b) / 2.0 * vals)) @ vecs.conj().T)
     mats = np.stack(mats)
     prod = mats[walks[:, 0]]

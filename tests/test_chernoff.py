@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tensor_chernoff import TensorShape, chernoff, make_zero
+from tensor_chernoff import TensorShape, chernoff
 from tensor_chernoff.chernoff import (
     ChernoffParams,
     PolynomialSpec,
@@ -101,12 +101,12 @@ def test_polynomial_spec():
 
 def test_zero_assignment_certificate():
     g = gen_complete(4)
-    zeros = [make_zero(S2) for _ in range(g.n)]
+    zeros = np.zeros((g.n, 2, 2))
     with pytest.raises(ArgumentError):
         # radius 0 is rejected by ChernoffParams, but the certificate works
         ChernoffParams(kappa=1, k=1, theta=1.0, lam_bar=0.5, dim=2, radius=0.0)
     rep = contraction_certificate(
-        VertexTensorAssignment(g, zeros), t=0.7, a=1.0, b=0.3, lam=spectral_expansion(g)
+        VertexTensorAssignment(g, S2, zeros), t=0.7, a=1.0, b=0.3, lam=spectral_expansion(g)
     )
     # F is the identity: parts 2 and 3 are exactly zero, parts 1 and 4 contract
     assert rep.worst_ratios[1] <= 1e-9
@@ -181,9 +181,16 @@ def test_blocked_certificate_matches_per_probe_loop(monkeypatch):
                 assert abs(w - r) <= 1e-12 * max(r, 1e-300), (gi, shape, rep.worst_ratios, ref)
 
 
-class _ZeroDraws:
+class _EvenVerticesZero:
+    """A stream whose ``(2, n, d, d)`` draw is zero at every even vertex."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
     def standard_normal(self, size):
-        return np.zeros(size)
+        draws = self.rng.standard_normal(size)
+        draws[:, ::2] = 0.0
+        return draws
 
 
 def test_random_assignment_matches_per_vertex_loop(monkeypatch):
@@ -194,20 +201,17 @@ def test_random_assignment_matches_per_vertex_loop(monkeypatch):
             for seed in (0, 7, 123):
                 assignment = random_assignment(graph, shape, radius, seed)
                 ref = loop_random_assignment(graph, shape, radius, seed)
-                assert np.array_equal(assignment.stack(), np.stack([t.matrix for t in ref]))
-                assert assignment.tensors == tuple(ref)
-                assert assignment.radius == max(
-                    float(np.max(np.abs(np.linalg.eigvalsh(t.matrix)))) for t in ref
-                )
+                assert np.array_equal(assignment.stack(), np.stack(ref))
+                assert assignment.radius == pytest.approx(radius, rel=1e-12)
 
     # an all-zero draw (the ``top == 0`` branch) keeps its zero tensor unscaled
-    def streams(seed, domain, v):
-        return _ZeroDraws() if v % 2 == 0 else stream(seed, domain, v)
+    def streams(seed, domain):
+        return _EvenVerticesZero(stream(seed, domain))
 
     monkeypatch.setattr(chernoff, "stream", streams)
     assignment = random_assignment(graph, S22, 2.0, 5)
     ref = loop_random_assignment(graph, S22, 2.0, 5, streams=streams)
-    assert np.array_equal(assignment.stack(), np.stack([t.matrix for t in ref]))
+    assert np.array_equal(assignment.stack(), np.stack(ref))
     assert not np.any(assignment.stack()[0]) and np.any(assignment.stack()[1])
     assert assignment.radius == pytest.approx(2.0, rel=1e-12)
 
@@ -230,8 +234,7 @@ def test_certificate_memory_stays_bounded():
 
 def test_transfer_identity_case():
     g = gen_complete(4)
-    zeros = [make_zero(S22) for _ in range(g.n)]
-    assignment = VertexTensorAssignment(g, zeros)
+    assignment = VertexTensorAssignment(g, S22, np.zeros((g.n, 4, 4)))
     assert transfer_expectation(assignment, 0.5, 1.0, 0.7, 1) == pytest.approx(4.0)
     assert transfer_expectation(assignment, 0.5, 1.0, 0.7, 5) == pytest.approx(4.0)
 
@@ -243,7 +246,7 @@ def test_transfer_constant_assignment_closed_form():
     from tensor_chernoff.sampling import random_hermitian
 
     h = random_hermitian(S2, rng)
-    assignment = VertexTensorAssignment(g, [h, h])
+    assignment = VertexTensorAssignment(g, S2, np.stack([h.matrix, h.matrix]))
     t, a, b, kappa = 0.3, 1.0, 0.6, 4
     mu = np.linalg.eigvalsh(h.matrix)
     expected = float(np.sum(np.exp(t * kappa * a * mu)))
@@ -260,7 +263,7 @@ def test_transfer_matches_monte_carlo():
     walks = sample_walks_array(g, kappa, n_walks, seed=77)
     mats = []
     for v in range(g.n):
-        vals, vecs = np.linalg.eigh(assignment.tensors[v].matrix)
+        vals, vecs = np.linalg.eigh(assignment.stack()[v])
         mats.append((vecs * np.exp(t * (a + 1j * b) / 2.0 * vals)) @ vecs.conj().T)
     mats = np.stack(mats)
     prod = mats[walks[:, 0]]
@@ -432,7 +435,7 @@ def test_tail_trivial_cases():
     est = empirical_tail(assignment, PolynomialSpec((1.0,)), 1, 1e-12, 500, 3, seed=0)
     assert est.p_hat == 1.0  # nonnegative f against theta ~ 0
 
-    zeros = VertexTensorAssignment(g, [make_zero(S2) for _ in range(4)])
+    zeros = VertexTensorAssignment(g, S2, np.zeros((4, 2, 2)))
     est = empirical_tail(zeros, PolynomialSpec.identity(), 1, 0.5, 500, 3, seed=0)
     assert est.p_hat == 0.0
 
@@ -489,15 +492,30 @@ def test_assignment_roundtrip(tmp_path):
     manifest = save_assignment(assignment, tmp_path / "assign")
     back = load_assignment(manifest)
     assert back.radius == pytest.approx(assignment.radius)
-    for x, y in zip(back.tensors, assignment.tensors):
-        assert x == y
+    assert back.shape == assignment.shape
+    assert np.array_equal(back.stack(), assignment.stack())
     assert np.array_equal(back.graph.adjacency, g.adjacency)
 
 
 def test_assignment_validation():
     g = gen_complete(4)
-    with pytest.raises(ArgumentError):
-        VertexTensorAssignment(g, [make_zero(S2)] * 3)
-    mixed = [make_zero(S2)] * 3 + [make_zero(TensorShape.square((3,)))]
-    with pytest.raises(ArgumentError):
-        VertexTensorAssignment(g, mixed)
+    good = random_assignment(g, S2, radius=1.0, seed=2).stack()
+    skew = good.copy()
+    skew[1, 0, 1] += 1e-3
+    nan = good.copy()
+    nan[3, 1, 1] = np.nan
+    # non-Hermitian, non-finite, three vertices for four, and d = 3 for shape S2
+    for stack, needle in (
+        (skew, r"matrix \[1\] is not Hermitian"),
+        (nan, "must be finite"),
+        (good[:3], r"must have shape \(4, 2, 2\)"),
+        (np.zeros((4, 3, 3)), r"must have shape \(4, 2, 2\)"),
+    ):
+        with pytest.raises(ArgumentError, match=needle):
+            VertexTensorAssignment(g, S2, stack)
+    assignment = VertexTensorAssignment(g, S2, good)
+    assert np.array_equal(assignment.stack(), good)
+    vals, vecs = assignment.eigh()
+    assert assignment.radius == float(np.max(np.abs(vals)))
+    for arr in (assignment.stack(), vals, vecs):
+        assert not arr.flags.writeable

@@ -55,6 +55,7 @@ def test_run_json_and_exit_code(sweep_config, tmp_path, capsys):
     assert len(rep.tail_rows) == 4
     assert rep.environment["seed"] == 19
     assert rep.environment["walk_stream"] == "philox4x64-10/1"
+    assert rep.environment["tensor_stream"] == "pcg64-stack/1"
     printed = capsys.readouterr().out
     assert "[PASS]" in printed
 
@@ -133,13 +134,30 @@ UNREADABLE_GRAPHS = {
     "huge_multiplicity": (b"2 1\n0 1 " + b"1" + b"0" * 30 + b"\n", "multiplicity must be in [0, 1]"),
     "huge_degree": (b"2 1" + b"0" * 30 + b"\n0 1 1\n", "must be in [1, 2^32)"),
     "huge_slot_table": (b"2 4000000000\n0 1 4000000000\n", "exceeds the cap of 2^26 edge slots"),
+    "n_above_vertex_cap": (b"8194 1\n" + b"0 1 1\n" * 4097, "graph n = 8194 must be in [2, 2^13]"),
+}
+# generated graphs past the size caps: the [graph] keys and the stderr text
+OVERSIZED_GRAPHS = {
+    "hypercube_dim_64": ("kind = hypercube\ndim = 64", f"graph n = {2**64} must be in [2, 2^13]"),
+    "complete_n_1e7": ("kind = complete\nn = 10000000", "graph n = 10000000 must be in [2, 2^13]"),
+    "random_regular_n_1e5": (
+        "kind = random_regular\nn = 100000\ndegree = 4", "graph n = 100000 must be in [2, 2^13]"
+    ),
+    "random_regular_slots": (
+        "kind = random_regular\nn = 8192\ndegree = 8194", "graph n x d = 8192 x 8194 exceeds the cap of 2^26"
+    ),
 }
 
 
-@pytest.mark.parametrize("case", ["config_directory", "config_not_utf8"] + sorted(UNREADABLE_GRAPHS))
+@pytest.mark.parametrize(
+    "case", ["config_directory", "config_not_utf8"] + sorted(UNREADABLE_GRAPHS) + sorted(OVERSIZED_GRAPHS)
+)
 def test_unreadable_input_exit_2(case, tmp_path, capsys):
     cfg = tmp_path / "cfg.ini"
-    if case == "config_directory":
+    if case in OVERSIZED_GRAPHS:
+        keys, needle = OVERSIZED_GRAPHS[case]
+        cfg.write_text(FAST_SWEEP.replace("kind = complete\nn = 4", keys).replace("chernoff_sweep", "expander"))
+    elif case == "config_directory":
         cfg.mkdir()
         needle = f"cannot read config file {cfg}: Is a directory"
     elif case == "config_not_utf8":
@@ -159,16 +177,19 @@ def test_unreadable_input_exit_2(case, tmp_path, capsys):
     assert len(err.splitlines()) == 1 and needle in err
 
 
-# a key of vertex 1's tensor record, the value written over it, and the stderr text
+# keys of vertex 1's tensor record, the values written over them, and the stderr text
 RECORD_EDITS = {
-    "nan_tensor_record": ("entries", [float("nan")] + [0.0] * 7, "must be finite"),
-    "row_dims_string": ("row_dims", "x", "row_dims must be a flat list of integers"),
-    "row_dims_int": ("row_dims", 5, "row_dims must be a flat list of integers"),
-    "row_dims_null": ("row_dims", None, "row_dims must be a flat list of integers"),
-    "row_dims_float": ("row_dims", [2.5], "row_dims must be a flat list of integers"),
-    "row_dims_bool": ("row_dims", [True, True], "row_dims must be a flat list of integers"),
-    "entries_strings": ("entries", ["a"] * 8, "entries must be a flat list of numbers"),
-    "entries_ragged": ("entries", [[1.0, 0.0], [0.0]], "entries must be a flat list of numbers"),
+    "nan_tensor_record": ({"entries": [float("nan")] + [0.0] * 7}, "must be finite"),
+    "row_dims_string": ({"row_dims": "x"}, "row_dims must be a flat list of integers"),
+    "row_dims_int": ({"row_dims": 5}, "row_dims must be a flat list of integers"),
+    "row_dims_null": ({"row_dims": None}, "row_dims must be a flat list of integers"),
+    "row_dims_float": ({"row_dims": [2.5]}, "row_dims must be a flat list of integers"),
+    "row_dims_bool": ({"row_dims": [True, True]}, "row_dims must be a flat list of integers"),
+    "entries_strings": ({"entries": ["a"] * 8}, "entries must be a flat list of numbers"),
+    "entries_ragged": ({"entries": [[1.0, 0.0], [0.0]]}, "entries must be a flat list of numbers"),
+    "record_other_shape": (
+        {"row_dims": [1], "col_dims": [1], "entries": [1.0, 0.0]}, "dims [1] differ from vertex 0's [2]"
+    ),
 }
 # manifest text, or a change to the saved manifest, and the stderr text
 MANIFESTS = {
@@ -194,9 +215,9 @@ def test_io_errors_exit_2(case, sweep_config, tmp_path, capsys):
             content = json.dumps({**json.loads(manifest.read_text()), **content})
         manifest.write_text(content)
     else:
-        key, value, needle = RECORD_EDITS[case]
+        changes, needle = RECORD_EDITS[case]
         record_path = manifest.parent / "vertex_0001.json"
-        record_path.write_text(json.dumps({**json.loads(record_path.read_text()), key: value}))
+        record_path.write_text(json.dumps({**json.loads(record_path.read_text()), **changes}))
     if case != "unwritable_out":
         cfg = tmp_path / "manifest.ini"
         cfg.write_text(FAST_SWEEP.replace("source = random", f"source = manifest\nmanifest = {manifest}"))

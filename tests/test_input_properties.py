@@ -1,5 +1,5 @@
 """Property tests for the input formats: INI configs, edge lists, tensor
-records and assignment manifests.
+records and assignment manifests, and for the CLI's exit codes.
 
 Whatever the text, ``parse_config``, ``load_edge_list``, ``load_tensor`` and
 ``load_assignment`` either return or raise a ``TensorChernoffError``
@@ -7,7 +7,9 @@ subclass, which the CLI turns into exit 2 with one diagnostic line.  The
 examples are derandomized with fixed counts, so the suite runs the same
 inputs every time, and every generated size is bounded to a few dozen, so
 no example asks for a large allocation; the explicit examples are inputs
-that once escaped as other exceptions.
+that once escaped as other exceptions.  The CLI property runs whole configs
+in process, so its graphs are either tiny or past the size caps, never in
+between, where one dense ``eigvalsh`` would take minutes.
 """
 
 import dataclasses
@@ -21,6 +23,7 @@ from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from tensor_chernoff.chernoff import VertexTensorAssignment, load_assignment  # noqa: E402
+from tensor_chernoff.cli import main  # noqa: E402
 from tensor_chernoff.config import ExperimentConfig, parse_config  # noqa: E402
 from tensor_chernoff.errors import TensorChernoffError  # noqa: E402
 from tensor_chernoff.graphs import RegularGraph, gen_complete, load_edge_list, save_edge_list  # noqa: E402
@@ -214,3 +217,64 @@ def test_load_assignment_raises_only_package_errors(tmp_path, files, with_graph)
     except TensorChernoffError:
         return
     assert isinstance(assignment, VertexTensorAssignment)
+
+
+# tiny runs that finish in milliseconds, as {section: {key: value}}
+TINY_GRAPHS = st.one_of(
+    st.builds(lambda n: {"kind": "complete", "n": n}, st.integers(2, 16)),
+    st.builds(lambda n: {"kind": "cycle", "n": n}, st.integers(2, 16)),
+    st.builds(lambda dim: {"kind": "hypercube", "dim": dim}, st.integers(1, 4)),
+    st.builds(lambda n, d: {"kind": "random_regular", "n": 2 * n, "degree": d}, st.integers(1, 8), st.integers(1, 6)),
+)
+TINY_RUNS = st.one_of(
+    st.builds(lambda trials: {"experiment": {"suite": "tensor_props", "trials": trials}}, st.integers(1, 3)),
+    st.builds(
+        lambda graph: {"experiment": {"suite": "expander"}, "graph": graph, "walk": {"num_walks": 200}}, TINY_GRAPHS
+    ),
+)
+# graphs past the caps of 2^13 vertices and 2^26 edge slots, rejected before any allocation
+OVERSIZED_GRAPHS = st.sampled_from([
+    {"kind": "hypercube", "dim": 14},
+    {"kind": "hypercube", "dim": 64},
+    {"kind": "complete", "n": 10_000_000},
+    {"kind": "cycle", "n": 8193},
+    {"kind": "random_regular", "n": 100_000, "degree": 4},
+    {"kind": "random_regular", "n": 8192, "degree": 8194},
+])
+BAD_VALUES = st.sampled_from(["x", "-3", "-1", "0", "nan", "inf", "", "1e400", "2.5", "[", "%"])
+
+
+@st.composite
+def cli_configs(draw):
+    cfg = draw(TINY_RUNS)
+    for _ in range(draw(st.integers(0, 2))):
+        edit = draw(st.integers(0, 4))
+        if edit == 0:  # a malformed value for a key the run has
+            section = draw(st.sampled_from(sorted(cfg)))
+            cfg[section][draw(st.sampled_from(sorted(cfg[section])))] = draw(BAD_VALUES)
+        elif edit == 1:  # an unknown key
+            cfg.setdefault(draw(st.sampled_from(sorted(SECTIONS))), {})["no_such_key"] = "1"
+        elif edit == 2:  # a manifest that is not there
+            cfg["experiment"]["suite"] = "chernoff_sweep"
+            cfg["tensors"] = {"source": "manifest", "manifest": "/no/such/manifest.json"}
+        elif edit == 3:
+            cfg["experiment"]["suite"] = "expander"
+            cfg["graph"] = draw(OVERSIZED_GRAPHS)
+    return "".join(
+        f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items()) for section, keys in cfg.items()
+    )
+
+
+@settings(FORMATS, max_examples=60)
+@given(text=cli_configs())
+def test_cli_exit_codes(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(text)
+    capsys.readouterr()
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "report.json")])
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert len(err.splitlines()) == 1, err
+    if code == 1:
+        assert "[FAIL]" in out
