@@ -51,7 +51,6 @@ from .majorization import (
     weak_majorizes,
 )
 from .inequalities import (
-    DiscreteMeasure,
     PowerProductSpectrum,
     QuadratureSpec,
     beta0_density,

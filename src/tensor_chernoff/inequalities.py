@@ -20,27 +20,21 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ArgumentError, DomainError
-from .majorization import (
-    MajorizationResult,
-    SortedVec,
-    log_majorizes,
-    majorizes,
-    weak_log_majorizes,
-    weak_majorizes,
-)
+from .majorization import first_failures, log_tol
 from .norms import ky_fan_from_eigenvalues, ky_fan_norm
-from .sampling import random_unitary
+from .sampling import diagonal_in, ginibre
 from .tensors import (
     HermitianTensor,
     Tensor,
     _apply_scalar_function,
     _scalar_function_values,
     as_hermitian,
-    hermitian_eig,
+    hermitian_part,
     tensor_exp,
 )
 
 MODES = ("weak", "strong", "weak_log", "log")
+LOG_MODES = ("weak_log", "log")
 
 # f per mode for constructed-premise trials: convex nondecreasing (weak), convex
 # (strong), f(e^x) convex nondecreasing on positive spectra (log modes)
@@ -112,199 +106,198 @@ def _legendre_rule(node_count: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-@dataclass(frozen=True)
-class DiscreteMeasure:
-    """Finite-support probability measure: atoms paired with positive weights."""
-
-    atoms: tuple
-    weights: tuple[float, ...]
-
-    def __init__(self, atoms: Sequence, weights: Sequence[float]):
-        atoms = tuple(atoms)
-        w = tuple(float(x) for x in weights)
-        if len(atoms) != len(w) or not atoms:
-            raise ArgumentError("atoms and weights must be equal-length and nonempty")
-        if any(x <= 0 for x in w):
-            raise ArgumentError(f"weights must be positive, got {w}")
-        if abs(sum(w) - 1.0) > 1e-12:
-            raise ArgumentError(f"weights must sum to 1 within 1e-12, got {sum(w)}")
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "weights", w)
-
-    def __len__(self) -> int:
-        return len(self.atoms)
-
-    def items(self):
-        return zip(self.atoms, self.weights)
-
-
 # ---------------------------------------------------------------------------
 # Discrete-measure majorization average theorems
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class AverageMajorizationReport:
-    premise: MajorizationResult
-    conclusion_lhs: float
-    conclusion_rhs: float
-    conclusion_holds: bool
-    violated: bool  # premise true but conclusion false
+    """Per-trial results of ``verify_discrete_average_majorization``, one entry per trial.
+
+    ``premise_failure`` is the first failing prefix length of the premise
+    (0 where it holds); ``violated`` marks a true premise with a false
+    conclusion, which falsifies the theorem on that trial.
+    """
+
+    premise_failure: np.ndarray
+    conclusion_lhs: np.ndarray
+    conclusion_rhs: np.ndarray
+    conclusion_holds: np.ndarray
+    violated: np.ndarray
 
     @property
-    def premise_holds(self) -> bool:
-        return self.premise.holds
+    def premise_holds(self) -> np.ndarray:
+        return self.premise_failure == 0
+
+
+def _per_trial(value, b: int, allowed: Sequence[str], label: str) -> np.ndarray:
+    out = np.broadcast_to(np.asarray(value), (b,))
+    unknown = set(out.tolist()) - set(allowed)
+    if unknown:
+        raise ArgumentError(f"{label} must be one of {tuple(allowed)}, got {sorted(unknown)}")
+    return out
+
+
+def _means(w: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted arithmetic and geometric means over axis 1, skipping entries of weight 0."""
+    present = w > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        arith = np.sum(np.where(present, w * vals, 0.0), axis=1)
+        geo = np.exp(np.sum(np.where(present, w * np.log(vals), 0.0), axis=1))
+    return arith, geo
+
+
+def _apply_per_trial(f, vals: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """``f`` on each row of ``vals``; with one callable per trial, row ``i`` takes ``f[owner[i]]``."""
+    if callable(f):
+        return _apply_scalar_function(f, vals)
+    funcs = list({id(g): g for g in f}.values())
+    slot = {id(g): i for i, g in enumerate(funcs)}
+    which = np.array([slot[id(g)] for g in f])[owner]
+    out = np.empty_like(vals)
+    for i, g in enumerate(funcs):
+        rows = which == i
+        out[rows] = _apply_scalar_function(g, vals[rows])
+    return out
 
 
 def verify_discrete_average_majorization(
-    c: HermitianTensor,
-    measure: DiscreteMeasure,
-    f: Callable,
-    k: int,
-    mode: str,
-    conclusion_form: str | None = None,
+    c: np.ndarray,
+    atoms: np.ndarray,
+    weights: np.ndarray,
+    f,
+    k,
+    mode,
+    conclusion_form=None,
 ) -> AverageMajorizationReport:
-    """Check one majorization-average statement on a finite measure.
+    """Check majorization-average statements on finite measures, one per trial.
+
+    Trial ``b`` pairs the Hermitian ``C = c[b]`` (``c`` is ``(B, d, d)``)
+    with the measure putting weight ``weights[b, i]`` on ``atoms[b, i]``
+    (``(B, A)`` and ``(B, A, d, d)``); each trial's weights are nonnegative
+    and sum to 1, and a zero weight drops its atom, so measures with fewer
+    atoms are padded.  ``f`` is one callable or a sequence of one per trial;
+    ``k``, ``mode`` and ``conclusion_form`` are one value or one per trial.
 
     ``mode`` selects the premise: plain averages compared by weak ("weak") or
     full ("strong") majorization, or geometric averages compared by weak-log /
     log majorization.  The conclusion compares ``||f(C)||_(k)`` against the
     weighted arithmetic mean of ``||f(D)||_(k)`` ("linear" form) or its
     weighted geometric mean ("log" form); by default log premises use the log
-    form and the others the linear form.  A report with ``violated=True``
-    means the premise held but the conclusion failed, which falsifies the
-    theorem on that instance.
+    form and the others the linear form.
     """
-    if mode not in MODES:
-        raise ArgumentError(f"mode must be one of {MODES}, got {mode!r}")
-    if conclusion_form is None:
-        conclusion_form = "log" if mode in ("weak_log", "log") else "linear"
-    if conclusion_form not in ("linear", "log"):
-        raise ArgumentError(f"conclusion_form must be 'linear' or 'log', got {conclusion_form!r}")
+    c, atoms = hermitian_part(c), hermitian_part(atoms)
+    w = np.asarray(weights, dtype=np.float64)
+    if c.ndim != 3 or atoms.ndim != 4 or atoms.shape[0] != c.shape[0] or atoms.shape[2:] != c.shape[1:]:
+        raise ArgumentError(f"need C (B, d, d) and atoms (B, A, d, d), got {c.shape} and {atoms.shape}")
+    if w.shape != atoms.shape[:2]:
+        raise ArgumentError(f"weights must be {atoms.shape[:2]}, got {w.shape}")
+    if np.any(w < 0) or np.any(np.abs(w.sum(axis=1) - 1.0) > 1e-12):
+        raise ArgumentError("each trial's weights must be nonnegative and sum to 1 within 1e-12")
+    b = c.shape[0]
+    modes = _per_trial(mode, b, MODES, "mode")
+    logm = np.isin(modes, LOG_MODES)
+    forms = np.where(logm, "log", "linear") if conclusion_form is None else conclusion_form
+    forms = _per_trial(forms, b, ("linear", "log"), "conclusion_form")
+    present = w > 0
+    # one batched spectrum of every C and one of every atom serve premise and conclusion
+    lam_c = np.linalg.eigvalsh(c)[:, ::-1]
+    lam_d = np.linalg.eigvalsh(atoms)[..., ::-1]
+    if np.any((lam_d <= 0.0) & (present & logm[:, None])[..., None]):
+        raise DomainError("log-average premise needs positive spectra")
+    if np.any((lam_c <= 0.0) & logm[:, None]):
+        raise DomainError("log modes need a positive spectrum for C")
 
-    c = as_hermitian(c)
-    atoms = [as_hermitian(d) for d in measure.atoms]
-    if any(d.shape != c.shape for d in atoms):
-        raise ArgumentError("all tensors in the measure must match the shape of C")
-    # one spectrum of C and one batched over the atoms serve premise and conclusion
-    lam_c = np.linalg.eigvalsh(c.matrix)[::-1]
-    lam_d = np.linalg.eigvalsh(np.stack([d.matrix for d in atoms]))[:, ::-1]
-    w = np.asarray(measure.weights)
+    avg, geo = _means(w[..., None], lam_d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lx, ly = np.log(lam_c), np.log(geo)
+        x = np.where(logm[:, None], lx, lam_c)
+        y = np.where(logm[:, None], ly, avg)
+        tol = np.where(
+            logm,
+            log_tol(lx, ly),
+            1e-9 * (1.0 + np.maximum(np.max(np.abs(lam_c), axis=1), np.max(np.abs(avg), axis=1))),
+        )
+    failure = first_failures(x, y, tol, np.isin(modes, ("strong", "log")))
 
-    if mode in ("weak", "strong"):
-        avg = np.sum(w[:, None] * lam_d, axis=0)
-        pred = weak_majorizes if mode == "weak" else majorizes
-        premise = pred(SortedVec(avg), SortedVec(lam_c))
-    else:
-        if np.any(lam_d <= 0.0):
-            raise DomainError("log-average premise needs positive spectra")
-        if np.any(lam_c <= 0.0):
-            raise DomainError("log modes need a positive spectrum for C")
-        geo = np.exp(np.sum(w[:, None] * np.log(lam_d), axis=0))
-        pred = weak_log_majorizes if mode == "weak_log" else log_majorizes
-        premise = pred(SortedVec(geo), SortedVec(lam_c))
-
-    lhs = float(ky_fan_from_eigenvalues(_apply_scalar_function(f, lam_c), k))
-    norms = ky_fan_from_eigenvalues(_apply_scalar_function(f, lam_d), k)
-    if conclusion_form == "linear":
-        rhs = float(np.sum(w * norms))
-    else:
-        with np.errstate(divide="ignore"):
-            rhs = float(np.exp(np.sum(w * np.log(norms))))
-    tol = 1e-9 * (1.0 + abs(lhs) + abs(rhs))
-    conclusion = lhs <= rhs + tol
+    k = np.asarray(k)
+    lhs = ky_fan_from_eigenvalues(_apply_per_trial(f, lam_c, np.arange(b)), k)
+    # f of the present atoms only: a padding atom's spectrum may lie outside f's domain
+    fd = np.zeros_like(lam_d)
+    fd[present] = _apply_per_trial(f, lam_d[present], np.nonzero(present)[0])
+    norms = ky_fan_from_eigenvalues(fd, k[..., None])
+    linear, geometric = _means(w, norms)
+    rhs = np.where(forms == "log", geometric, linear)
+    conclusion = lhs <= rhs + 1e-9 * (1.0 + np.abs(lhs) + np.abs(rhs))
     return AverageMajorizationReport(
-        premise=premise,
+        premise_failure=failure,
         conclusion_lhs=lhs,
         conclusion_rhs=rhs,
         conclusion_holds=conclusion,
-        violated=premise.holds and not conclusion,
+        violated=(failure == 0) & ~conclusion,
     )
 
 
-def _diagonal_in(u: Tensor, lam: np.ndarray) -> HermitianTensor:
-    return HermitianTensor(u.shape, (u.matrix * lam) @ u.matrix.conj().T)
+def commuting_spectra(rng, count: int, dim: int, low: float, high: float) -> np.ndarray:
+    """``count`` descending spectra uniform on [low, high], one draw each: ``(count, dim)``.
 
-
-def commuting_tuple(rng, u: Tensor, count: int, low: float, high: float):
-    """``count`` tensors diagonal in the basis ``u``, spectra uniform on [low, high]: (tensors, spectra)."""
-    spectra = [np.sort(rng.uniform(low, high, size=u.shape.unfold_rows))[::-1] for _ in range(count)]
-    return [_diagonal_in(u, lam) for lam in spectra], spectra
-
-
-def constructed_premise_trial(rng, mode: str, u: Tensor, n_atoms: int):
-    """``(C, measure, f)`` for ``mode`` with the premise true by construction.
-
-    Draws atoms diagonal in ``u``, Dirichlet weights, a basis for ``C`` (its
-    spectrum is the weighted mean of the atom spectra, geometric for the log
-    modes) and ``f`` from ``TRIAL_FUNCTIONS[mode]``, in that order.
+    ``sampling.diagonal_in(u, spectra)`` turns them into a commuting tuple.
     """
-    positive = mode in ("weak_log", "log")
-    atoms, eigs = commuting_tuple(rng, u, n_atoms, 0.3 if positive else -2.0, 3.0)
+    return np.array([np.sort(rng.uniform(low, high, size=dim))[::-1] for _ in range(count)])
+
+
+def premise_trial_draws(rng, mode: str, n_atoms: int, dim: int):
+    """The draws of one constructed-premise trial after its atom basis: ``(spectra, weights, z, f)``.
+
+    In order: ``n_atoms`` atom spectra (``commuting_spectra`` on [0.3, 3]
+    for the log modes, [-2, 3] otherwise), Dirichlet weights, the Ginibre
+    matrix of C's basis and ``f`` from ``TRIAL_FUNCTIONS[mode]``.
+    """
+    spectra = commuting_spectra(rng, n_atoms, dim, 0.3 if mode in LOG_MODES else -2.0, 3.0)
     w = rng.dirichlet(np.ones(n_atoms))
-    if positive:
-        target = np.exp(sum(wi * np.log(e) for wi, e in zip(w, eigs)))
-    else:
-        target = sum(wi * e for wi, e in zip(w, eigs))
-    c = _diagonal_in(random_unitary(u.shape, rng), target)
+    z = ginibre(rng, dim)
     fs = TRIAL_FUNCTIONS[mode]
-    return c, DiscreteMeasure(atoms, w), fs[int(rng.integers(len(fs)))]
+    return spectra, w, z, fs[int(rng.integers(len(fs)))]
+
+
+def constructed_premise_trial(atom_bases, spectra, weights, c_bases, mode):
+    """Stacked ``(C, atoms)`` with every trial's premise true by construction.
+
+    Trial ``b`` has atoms diagonal in ``atom_bases[b]`` with spectra
+    ``spectra[b]`` (``(B, A, d)``, padded atoms of weight 0 ignored) and
+    ``C`` diagonal in ``c_bases[b]`` with the weighted mean of the atom
+    spectra (geometric for the log modes; ``mode`` is one or one per trial).
+    """
+    w = np.asarray(weights, dtype=np.float64)[..., None]
+    logm = np.isin(np.broadcast_to(np.asarray(mode), (w.shape[0],)), LOG_MODES)[:, None]
+    arith, geo = _means(w, spectra)
+    target = np.where(logm, geo, arith)
+    return diagonal_in(c_bases, target), diagonal_in(atom_bases[:, None], spectra)
 
 
 # ---------------------------------------------------------------------------
 # Multivariate norm inequality (quadrature verification)
 # ---------------------------------------------------------------------------
 
-def _positive_spectra(cs: Sequence[HermitianTensor]):
-    specs = []
-    for c in cs:
-        spec = hermitian_eig(as_hermitian(c))
-        if np.any(spec.eigenvalues <= 0.0):
-            raise DomainError("multivariate norm inequality needs positive tensors")
-        specs.append(spec)
-    return specs
+# complex entries per node-matrix temporary: tuples are processed in blocks of
+# at most this many node matrices' entries, so a stack of any size keeps a
+# bounded working set
+_NODE_BLOCK = 2**12
 
 
-def golden_thompson_lhs(f: Callable, cs: Sequence[HermitianTensor], k: int) -> float:
-    """``|| f(exp(sum_i log C_i)) ||_(k)`` from one spectrum of ``sum_i log C_i``."""
-    if not cs:
-        raise ArgumentError("need at least one tensor")
-    total = sum(
-        (spec.basis * np.log(spec.eigenvalues)) @ spec.basis.conj().T
-        for spec in _positive_spectra(cs)
-    )
-    mu = np.linalg.eigvalsh(total)
-    return float(ky_fan_from_eigenvalues(_apply_scalar_function(f, np.exp(mu)), k))
-
-
-def _power_product_singular_values(specs, ts: np.ndarray) -> np.ndarray:
-    """Singular values of ``prod_i C_i^(1 + i t)`` for every node t: (T, D) descending."""
-    dim = specs[0].basis.shape[0]
-    prod = np.broadcast_to(np.eye(dim, dtype=np.complex128), (ts.size, dim, dim)).copy()
-    z = 1.0 + 1j * ts
-    for spec in specs:
-        powered = np.exp(np.multiply.outer(z, np.log(spec.eigenvalues)))  # (T, D)
-        u = spec.basis
-        mats = np.einsum("ij,tj,kj->tik", u, powered, u.conj())
-        prod = prod @ mats
-    gram = np.conj(np.transpose(prod, (0, 2, 1))) @ prod
-    gram = (gram + np.conj(np.transpose(gram, (0, 2, 1)))) / 2.0
-    eig = np.linalg.eigvalsh(gram)  # ascending
-    return np.sqrt(np.clip(eig[:, ::-1], 0.0, None))
-
-
-def _f_range(f: Callable, lo: float, hi: float, samples: int = 512) -> tuple[float, float]:
-    """Sampled range of ``|f|`` on [lo, hi], the values the Ky Fan integrands sum."""
-    xs = np.geomspace(max(lo, 1e-300), max(hi, 1e-300), samples)
-    vals = _scalar_function_values(f, xs)
-    vals = np.abs(vals[np.isfinite(vals)])
-    if vals.size == 0:
+def _f_range(f: Callable, lo: np.ndarray, hi: np.ndarray, samples: int = 512) -> tuple[np.ndarray, np.ndarray]:
+    """Sampled range of ``|f|`` on each [lo, hi], the values the Ky Fan integrands sum."""
+    xs = np.geomspace(np.maximum(lo, 1e-300), np.maximum(hi, 1e-300), samples, axis=-1)
+    vals = np.abs(_scalar_function_values(f, xs))
+    finite = np.isfinite(vals)
+    if not finite.any(axis=-1).all():
         raise DomainError("scalar function produced no finite values on the spectral interval")
-    return float(vals.min()), float(vals.max())
+    return np.min(np.where(finite, vals, np.inf), axis=-1), np.max(np.where(finite, vals, -np.inf), axis=-1)
 
 
 @dataclass(frozen=True)
 class QuadratureValue:
-    """Quadrature result with explicit truncation and refinement error terms.
+    """Quadrature results, one per tuple, with explicit truncation and refinement error terms.
 
     ``truncation_bound`` bounds the contribution of the beta0 mass outside
     [-T, T]; ``quadrature_error`` is the full-rule against half-rule
@@ -313,119 +306,155 @@ class QuadratureValue:
     caveats of the refinement estimate).
     """
 
-    value: float
-    error_bound: float
-    truncation_bound: float
-    quadrature_error: float
+    value: np.ndarray
+    error_bound: np.ndarray
+    truncation_bound: np.ndarray
+    quadrature_error: np.ndarray
 
 
 class PowerProductSpectrum:
-    """Node singular values of ``prod_i C_i^(1+it)`` for one positive tuple and one rule.
+    """Node singular values of ``prod_i C_i^(1+it)`` for a stack of positive tuples and one rule.
 
-    The singular values on the full rule and on the half rule (the refinement
-    estimate's ``max(16, node_count // 2)`` nodes) depend only on ``(cs, quad)``,
-    so one object serves every ``(f, k)`` of both inequality forms.
-    ``interval`` is ``[prod lambda_min(C_i), prod lambda_max(C_i)]``, which
-    holds every singular value and is where ``|f|`` is sampled for the
-    truncation bound.
+    ``cs`` is ``(B, m, d, d)``: ``B`` tuples of ``m`` positive Hermitian
+    matrices, validated as a whole.  One ``eigh`` per matrix gives the
+    spectra that the left side (``lhs``) and every node power read.  The
+    singular values on the full rule and on the half rule (the refinement
+    estimate's ``max(16, node_count // 2)`` nodes) depend only on
+    ``(cs, quad)``, so one object serves every ``(f, k)`` of both
+    inequality forms; without ``quad`` only ``lhs`` is available.
+    ``interval`` is ``[prod lambda_min(C_i), prod lambda_max(C_i)]`` per
+    tuple, which holds every singular value and is where ``|f|`` is sampled
+    for the truncation bound.
     """
 
-    def __init__(self, cs: Sequence[HermitianTensor], quad: QuadratureSpec):
-        if not cs:
-            raise ArgumentError("need at least one tensor")
+    def __init__(self, cs: np.ndarray, quad: QuadratureSpec | None = None):
+        cs = np.asarray(cs, dtype=np.complex128)
+        if cs.ndim != 4 or cs.shape[1] == 0:
+            raise ArgumentError(f"need a (B, m, d, d) stack of nonempty tuples, got shape {cs.shape}")
+        cs = hermitian_part(cs)
+        vals, vecs = np.linalg.eigh(cs)
+        if np.any(vals <= 0.0):
+            raise DomainError("multivariate norm inequality needs positive tensors")
         self.quad = quad
-        self.spectra = _positive_spectra(cs)
-        self.interval = (
-            float(np.prod([s.eigenvalues[-1] for s in self.spectra])),
-            float(np.prod([s.eigenvalues[0] for s in self.spectra])),
-        )
+        self.eigenvalues = np.ascontiguousarray(vals[..., ::-1])
+        self.bases = np.ascontiguousarray(vecs[..., ::-1])
+        self._logs = np.log(self.eigenvalues)
+        self.interval = (np.prod(self.eigenvalues[..., -1], axis=1), np.prod(self.eigenvalues[..., 0], axis=1))
         self._rules = []
-        for node_count in (quad.node_count, max(16, quad.node_count // 2)):
+        for node_count in () if quad is None else (quad.node_count, max(16, quad.node_count // 2)):
             t, w = quad.nodes_weights(node_count)
-            sv = _power_product_singular_values(self.spectra, t)
-            self._rules.append((sv, beta0_density(t), w))
+            self._rules.append((self._node_singular_values(t), beta0_density(t), w))
 
-    def _integral(self, f: Callable, k: int, form: Callable) -> tuple[float, float]:
-        """``int form(|| f(|prod C_i^(1+it)|) ||_(k)) beta0(t) dt`` on [-T, T] and its refinement error."""
+    def _node_singular_values(self, ts: np.ndarray) -> np.ndarray:
+        """Singular values of ``prod_i C_i^(1 + i t)`` for every tuple and node t: (B, T, d) descending."""
+        b, m, dim = self.eigenvalues.shape
+        z = 1.0 + 1j * ts
+        step = max(1, _NODE_BLOCK // (ts.size * dim * dim))
+        out = []
+        for lo in range(0, b, step):
+            bases, logs = self.bases[lo: lo + step], self._logs[lo: lo + step]
+            prod = np.broadcast_to(np.eye(dim, dtype=np.complex128), (len(bases), ts.size, dim, dim)).copy()
+            for i in range(m):
+                powered = np.exp(z[:, None] * logs[:, i, None, :])  # (b, T, d)
+                u = bases[:, i]
+                prod = prod @ np.einsum("bij,btj,bkj->btik", u, powered, u.conj())
+            gram = np.conj(prod.swapaxes(-1, -2)) @ prod
+            gram = (gram + np.conj(gram.swapaxes(-1, -2))) / 2.0
+            eig = np.linalg.eigvalsh(gram)  # ascending
+            out.append(np.sqrt(np.clip(eig[..., ::-1], 0.0, None)))
+        return np.concatenate(out)
+
+    def lhs(self, f: Callable, k) -> np.ndarray:
+        """``|| f(exp(sum_i log C_i)) ||_(k)`` per tuple, from one spectrum of ``sum_i log C_i``."""
+        total = np.sum((self.bases * self._logs[..., None, :]) @ np.conj(self.bases).swapaxes(-1, -2), axis=1)
+        mu = np.linalg.eigvalsh(total)
+        return ky_fan_from_eigenvalues(_apply_scalar_function(f, np.exp(mu)), k)
+
+    def _integral(self, f: Callable, k, form: Callable) -> tuple[np.ndarray, np.ndarray]:
+        """``int form(|| f(|prod C_i^(1+it)|) ||_(k)) beta0(t) dt`` on [-T, T] per tuple, and its refinement error."""
+        if self.quad is None:
+            raise ArgumentError("the quadrature forms need a QuadratureSpec")
+        k = np.asarray(k)[..., None]
         sums = []
         for sv, density, w in self._rules:
             norms = ky_fan_from_eigenvalues(_apply_scalar_function(f, sv), k)
-            sums.append(float(np.sum(form(norms) * density * w)))
+            sums.append(np.sum(form(norms) * density * w, axis=-1))
         full, half = sums
-        return full, abs(full - half) + 1e-12 * (1.0 + abs(full))
+        return full, np.abs(full - half) + 1e-12 * (1.0 + np.abs(full))
 
-    def log_form(self, f: Callable, k: int) -> QuadratureValue:
+    def log_form(self, f: Callable, k) -> QuadratureValue:
         """``exp( int log || f(|prod C_i^(1+it)|) ||_(k) beta0(t) dt )`` on [-T, T]."""
-        f_lo, f_hi = _f_range(f, *self.interval)
         integral, quad_err = self._integral(f, k, np.log)
-        with np.errstate(divide="ignore"):
-            m_log = max(abs(np.log(k * f_lo)) if f_lo > 0 else np.inf, abs(np.log(k * f_hi)))
-        trunc_log = m_log * beta0_tail_mass(self.quad.truncation)
-        value = math.exp(integral)
-        finite = math.isfinite(trunc_log)
-        return QuadratureValue(
-            value=value,
-            error_bound=value * math.expm1(min(trunc_log + quad_err, 700.0)) if finite else math.inf,
-            truncation_bound=value * math.expm1(min(trunc_log, 700.0)) if finite else math.inf,
-            quadrature_error=quad_err,
-        )
+        f_lo, f_hi = _f_range(f, *self.interval)
+        k = np.asarray(k)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            low = np.where(f_lo > 0, np.abs(np.log(k * f_lo)), np.inf)
+            trunc_log = np.maximum(low, np.abs(np.log(k * f_hi))) * beta0_tail_mass(self.quad.truncation)
+            value = np.exp(integral)
+            finite = np.isfinite(trunc_log)
+            return QuadratureValue(
+                value=value,
+                error_bound=np.where(finite, value * np.expm1(np.minimum(trunc_log + quad_err, 700.0)), np.inf),
+                truncation_bound=np.where(finite, value * np.expm1(np.minimum(trunc_log, 700.0)), np.inf),
+                quadrature_error=quad_err,
+            )
 
-    def linear_form(self, g: Callable, k: int) -> QuadratureValue:
+    def linear_form(self, g: Callable, k) -> QuadratureValue:
         """``int || g(|prod C_i^(1+it)|) ||_(k) beta0(t) dt`` on [-T, T]."""
-        _, g_hi = _f_range(g, *self.interval)
         integral, quad_err = self._integral(g, k, lambda norms: norms)
-        trunc = k * g_hi * beta0_tail_mass(self.quad.truncation)
+        _, g_hi = _f_range(g, *self.interval)
+        trunc = np.asarray(k) * g_hi * beta0_tail_mass(self.quad.truncation)
         return QuadratureValue(
             value=integral, error_bound=trunc + quad_err, truncation_bound=trunc, quadrature_error=quad_err
         )
 
 
-def golden_thompson_rhs_log(
-    f: Callable, cs: Sequence[HermitianTensor], k: int, quad: QuadratureSpec
-) -> QuadratureValue:
-    """``exp( int log || f(|prod C_i^(1+it)|) ||_(k) beta0(t) dt )`` on [-T, T]."""
+def golden_thompson_lhs(f: Callable, cs: np.ndarray, k) -> np.ndarray:
+    """``|| f(exp(sum_i log C_i)) ||_(k)`` for each tuple of the ``(B, m, d, d)`` stack ``cs``."""
+    return PowerProductSpectrum(cs).lhs(f, k)
+
+
+def golden_thompson_rhs_log(f: Callable, cs: np.ndarray, k, quad: QuadratureSpec) -> QuadratureValue:
+    """``exp( int log || f(|prod C_i^(1+it)|) ||_(k) beta0(t) dt )`` on [-T, T], per tuple."""
     return PowerProductSpectrum(cs, quad).log_form(f, k)
 
 
-def golden_thompson_rhs_linear(
-    g: Callable, cs: Sequence[HermitianTensor], k: int, quad: QuadratureSpec
-) -> QuadratureValue:
-    """``int || g(|prod C_i^(1+it)|) ||_(k) beta0(t) dt`` on [-T, T]."""
+def golden_thompson_rhs_linear(g: Callable, cs: np.ndarray, k, quad: QuadratureSpec) -> QuadratureValue:
+    """``int || g(|prod C_i^(1+it)|) ||_(k) beta0(t) dt`` on [-T, T], per tuple."""
     return PowerProductSpectrum(cs, quad).linear_form(g, k)
 
 
 def multivariate_violations(
-    cs: Sequence[HermitianTensor], k: int, fs: Sequence[Callable], quad: QuadratureSpec
-) -> tuple[int, int]:
-    """Log- and linear-form violations over ``fs``, on one power-product spectrum of ``cs``.
+    cs: np.ndarray, k, fs: Sequence[Callable], quad: QuadratureSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """Log- and linear-form violations of each tuple of ``cs`` under each of ``fs``: two (B, len(fs)) bool arrays.
 
-    A form holds if ``lhs <= value + error_bound + 1e-8 (1 + |lhs|)``; a NaN fails.
+    One power-product spectrum serves every f.  A form holds if
+    ``lhs <= value + error_bound + 1e-8 (1 + |lhs|)``; a NaN fails.
     """
     spectrum = PowerProductSpectrum(cs, quad)
-    log_bad = lin_bad = 0
+    log_bad, lin_bad = [], []
     for f in fs:
-        lhs = golden_thompson_lhs(f, cs, k)
-        slack = 1e-8 * (1.0 + abs(lhs))
+        lhs = spectrum.lhs(f, k)
+        slack = 1e-8 * (1.0 + np.abs(lhs))
         rlog, rlin = spectrum.log_form(f, k), spectrum.linear_form(f, k)
-        log_bad += int(not lhs <= rlog.value + rlog.error_bound + slack)
-        lin_bad += int(not lhs <= rlin.value + rlin.error_bound + slack)
-    return log_bad, lin_bad
+        log_bad.append(~(lhs <= rlog.value + rlog.error_bound + slack))
+        lin_bad.append(~(lhs <= rlin.value + rlin.error_bound + slack))
+    return np.stack(log_bad, axis=1), np.stack(lin_bad, axis=1)
 
 
-def commuting_equality_excess(
-    cs: Sequence[HermitianTensor], k: int, fs: Sequence[Callable], quad: QuadratureSpec
-) -> float:
-    """Worst ``|lhs - rhs_log| - (error_bound + 1e-7 (1 + |lhs|))`` over ``fs`` (NaN propagates).
+def commuting_equality_excess(cs: np.ndarray, k, fs: Sequence[Callable], quad: QuadratureSpec) -> np.ndarray:
+    """Per tuple, the worst ``|lhs - rhs_log| - (error_bound + 1e-7 (1 + |lhs|))`` over ``fs`` (NaN propagates).
 
     A commuting tuple attains equality, so a positive excess is a failure.
     """
     spectrum = PowerProductSpectrum(cs, quad)
-    excess = -math.inf
+    excess = np.full(spectrum.eigenvalues.shape[0], -math.inf)
     for f in fs:
-        lhs = golden_thompson_lhs(f, cs, k)
+        lhs = spectrum.lhs(f, k)
         rlog = spectrum.log_form(f, k)
-        excess = np.maximum(excess, abs(lhs - rlog.value) - (rlog.error_bound + 1e-7 * (1.0 + abs(lhs))))
-    return float(excess)
+        excess = np.maximum(excess, np.abs(lhs - rlog.value) - (rlog.error_bound + 1e-7 * (1.0 + np.abs(lhs))))
+    return excess
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import ArgumentError, DomainError, ShapeError
 from .norms import ky_fan_from_eigenvalues
-from .tensors import Tensor
 
 
 @dataclass(frozen=True)
@@ -60,89 +59,101 @@ def default_tol(*vecs: SortedVec) -> float:
     return 1e-9 * (1.0 + top)
 
 
-def _coerce(v) -> SortedVec:
-    return v if isinstance(v, SortedVec) else SortedVec(v)
+def _pair(y, x) -> tuple[SortedVec, SortedVec]:
+    y, x = (v if isinstance(v, SortedVec) else SortedVec(v) for v in (y, x))
+    if len(x) != len(y):
+        raise ArgumentError(f"length mismatch: {len(x)} vs {len(y)}")
+    return y, x
 
 
-def _prefix_compare(x: np.ndarray, y: np.ndarray, tol: float) -> MajorizationResult:
-    cx, cy = np.cumsum(x), np.cumsum(y)
-    bad = np.nonzero(cx > cy + tol)[0]
-    if bad.size:
-        return MajorizationResult(False, int(bad[0]) + 1)
-    return MajorizationResult(True, None)
+def first_failures(x: np.ndarray, y: np.ndarray, tol, total) -> np.ndarray:
+    """Smallest failing prefix length per row of the stacks ``x``, ``y`` (``(..., n)``), 0 where none.
+
+    A prefix fails where ``cumsum(x) > cumsum(y) + tol``; where ``total``
+    is true the full sums must also agree within ``tol`` (failure at ``n``).
+    ``tol`` and ``total`` broadcast against ``x.shape[:-1]``.
+    """
+    tol = np.asarray(tol)
+    bad = np.cumsum(x, axis=-1) > np.cumsum(y, axis=-1) + tol[..., None]
+    n = x.shape[-1]
+    unequal = np.asarray(total) & (np.abs(np.sum(x, axis=-1) - np.sum(y, axis=-1)) > tol)
+    return np.where(bad.any(axis=-1), bad.argmax(axis=-1) + 1, np.where(unequal, n, 0))
+
+
+def _result(failure) -> MajorizationResult:
+    return MajorizationResult(True, None) if failure == 0 else MajorizationResult(False, int(failure))
 
 
 def weak_majorizes(y, x, tol: float | None = None) -> MajorizationResult:
     """True iff every prefix sum of ``x`` is at most the prefix sum of ``y``."""
-    y, x = _coerce(y), _coerce(x)
-    if len(x) != len(y):
-        raise ArgumentError(f"length mismatch: {len(x)} vs {len(y)}")
-    if tol is None:
-        tol = default_tol(x, y)
-    return _prefix_compare(x.array, y.array, tol)
+    y, x = _pair(y, x)
+    return _result(first_failures(x.array, y.array, default_tol(x, y) if tol is None else tol, False))
 
 
 def majorizes(y, x) -> MajorizationResult:
     """Weak majorization plus equality of the total sums."""
-    y, x = _coerce(y), _coerce(x)
-    weak = weak_majorizes(y, x)
-    if weak and abs(float(np.sum(x.array) - np.sum(y.array))) > default_tol(x, y):
-        return MajorizationResult(False, len(x))
-    return weak
+    y, x = _pair(y, x)
+    return _result(first_failures(x.array, y.array, default_tol(x, y), True))
 
 
 def _logs(y, x) -> tuple[np.ndarray, np.ndarray, float]:
     """``log x``, ``log y`` and the log-space tolerance, for equal-length positive vectors."""
-    y, x = _coerce(y), _coerce(x)
-    if len(x) != len(y):
-        raise ArgumentError(f"length mismatch: {len(x)} vs {len(y)}")
+    y, x = _pair(y, x)
     for v, name in ((x, "x"), (y, "y")):
         if not v.positive:
             raise DomainError(f"log majorization needs positive entries in {name}, got {v.entries}")
     lx, ly = np.log(x.array), np.log(y.array)
-    return lx, ly, 1e-9 * (1.0 + float(np.max(np.abs(lx)) + np.max(np.abs(ly))))
+    return lx, ly, log_tol(lx, ly)
+
+
+def log_tol(lx: np.ndarray, ly: np.ndarray) -> np.ndarray:
+    """``1e-9 (1 + max|log x| + max|log y|)`` per row of log-spectrum stacks."""
+    return 1e-9 * (1.0 + (np.max(np.abs(lx), axis=-1) + np.max(np.abs(ly), axis=-1)))
 
 
 def weak_log_majorizes(y, x) -> MajorizationResult:
     """Prefix products of ``x`` at most those of ``y``, compared as sums of logs."""
-    return _prefix_compare(*_logs(y, x))
+    return _result(first_failures(*_logs(y, x), False))
 
 
 def log_majorizes(y, x) -> MajorizationResult:
     """Weak log majorization plus equality of the total products."""
-    lx, ly, tol = _logs(y, x)
-    weak = _prefix_compare(lx, ly, tol)
-    if weak and abs(float(np.sum(lx) - np.sum(ly))) > tol:
-        return MajorizationResult(False, len(lx))
-    return weak
+    return _result(first_failures(*_logs(y, x), True))
 
 
 @dataclass(frozen=True)
 class SumInequalityReport:
-    """Both sides of the Ky Fan sum inequality and whether it held."""
+    """Both sides of the Ky Fan sum inequality and whether it held, one entry per trial."""
 
-    lhs: float
-    rhs: float
-    holds: bool
+    lhs: np.ndarray
+    rhs: np.ndarray
+    holds: np.ndarray
 
 
-def check_kyfan_sum_inequality(tensors: Sequence[Tensor], s: float, k: int) -> SumInequalityReport:
-    """Verify ``|| |sum C_i|^s ||_(k) <= m^(s-1) sum || |C_i|^s ||_(k)``."""
-    if not tensors:
-        raise ArgumentError("need at least one tensor")
-    if s < 1:
-        raise ArgumentError(f"s must be >= 1, got {s}")
-    shape = tensors[0].shape
-    shape.require_square("check_kyfan_sum_inequality")
-    for t in tensors[1:]:
-        if t.shape != shape:
-            raise ShapeError("all tensors must share one shape")
-    m = len(tensors)
-    stack = np.stack([t.matrix for t in tensors])
+def check_kyfan_sum_inequality(stacks: np.ndarray, s, k, counts=None) -> SumInequalityReport:
+    """Verify ``|| |sum C_i|^s ||_(k) <= m^(s-1) sum || |C_i|^s ||_(k)`` for each trial.
+
+    ``stacks`` is ``(B, M, d, d)``: trial ``b`` sums its first ``counts[b]``
+    matrices (all ``M`` by default) and ignores the rest.  ``s`` and ``k``
+    are one value or one per trial.  A NaN side fails.
+    """
+    stacks = np.asarray(stacks, dtype=np.complex128)
+    if stacks.ndim != 4 or stacks.shape[-1] != stacks.shape[-2]:
+        raise ShapeError(f"need a (B, M, d, d) stack of square matrices, got {stacks.shape}")
+    b, m_max = stacks.shape[:2]
+    s = np.broadcast_to(np.asarray(s, dtype=np.float64), (b,))
+    if np.any(s < 1):
+        raise ArgumentError(f"s must be >= 1, got {s.min()}")
+    m = np.broadcast_to(np.asarray(m_max if counts is None else counts), (b,))
+    if np.any(m < 1) or np.any(m > m_max):
+        raise ArgumentError(f"counts must be in [1, {m_max}]")
+    present = np.arange(m_max) < m[:, None]
     # || |X|^s ||_(k) is the sum of the k largest sv^s: one batched SVD per side
-    sv = np.linalg.svd(stack, compute_uv=False)
-    total_sv = np.linalg.svd(stack.sum(axis=0), compute_uv=False)
-    lhs = float(ky_fan_from_eigenvalues(total_sv**s, k))
-    rhs = m ** (s - 1.0) * float(np.sum(ky_fan_from_eigenvalues(sv**s, k)))
-    tol = 1e-9 * (1.0 + abs(lhs) + abs(rhs))
+    sv = np.linalg.svd(stacks, compute_uv=False)
+    total_sv = np.linalg.svd(np.where(present[..., None, None], stacks, 0.0).sum(axis=1), compute_uv=False)
+    k = np.asarray(k)
+    lhs = ky_fan_from_eigenvalues(total_sv ** s[:, None], k)
+    each = ky_fan_from_eigenvalues(sv ** s[:, None, None], k[..., None])
+    rhs = m ** (s - 1.0) * np.sum(np.where(present, each, 0.0), axis=1)
+    tol = 1e-9 * (1.0 + np.abs(lhs) + np.abs(rhs))
     return SumInequalityReport(lhs=lhs, rhs=rhs, holds=lhs <= rhs + tol)

@@ -24,17 +24,26 @@ def singular_values(x: Tensor) -> np.ndarray:
     return np.linalg.svd(x.matrix, compute_uv=False)
 
 
-def ky_fan_from_eigenvalues(values: np.ndarray, k: int) -> np.ndarray:
+def ky_fan_from_eigenvalues(values: np.ndarray, k) -> np.ndarray:
     """Sum of the ``k`` largest ``|v|`` along the last axis, batched over the rest.
 
     On singular values, or on the eigenvalues of a normal tensor (a Hermitian
-    ``f(X)`` included), this is the Ky Fan k-norm.
+    ``f(X)`` included), this is the Ky Fan k-norm.  ``k`` is one integer, or
+    an integer array broadcasting against ``values.shape[:-1]`` (one ``k``
+    per row).
     """
     dim = values.shape[-1]
-    if not 1 <= k <= dim:
-        raise ArgumentError(f"k must be in [1, {dim}], got {k}")
+    if np.ndim(k) == 0:
+        if not 1 <= k <= dim:
+            raise ArgumentError(f"k must be in [1, {dim}], got {k}")
+        top = np.sort(np.abs(values), axis=-1)[..., ::-1]
+        return np.sum(top[..., :k], axis=-1)
+    k = np.asarray(k)
+    if k.size and not (1 <= k.min() and k.max() <= dim):
+        raise ArgumentError(f"every k must be in [1, {dim}], got {k.min()}..{k.max()}")
     top = np.sort(np.abs(values), axis=-1)[..., ::-1]
-    return np.sum(top[..., :k], axis=-1)
+    # trailing zeros leave each row's sum of its first k bit for bit
+    return np.sum(np.where(np.arange(dim) < k[..., None], top, 0.0), axis=-1)
 
 
 def ky_fan_norm(x: Tensor, k: int) -> float:
@@ -80,15 +89,39 @@ def k_trace(h: HermitianTensor, k: int) -> float:
     return float(e[k])
 
 
-def gauge_rho(v: np.ndarray, k: int) -> float:
-    """Ky Fan gauge: sum of the first k entries of a sorted nonnegative vector."""
+def gauge_rho(v: np.ndarray, k):
+    """Ky Fan gauge: sum of the first k entries of a sorted nonnegative vector.
+
+    ``v`` may be a stack ``(..., r)`` of such vectors with one ``k`` or a
+    ``k`` per vector; a single vector gives a float.
+    """
     arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ArgumentError("gauge_rho expects a 1-d vector")
+    if arr.ndim == 0 or arr.shape[-1] == 0:
+        raise ArgumentError("gauge_rho expects nonempty vectors")
     if np.any(arr < 0):
         raise ArgumentError("gauge_rho requires nonnegative entries")
-    if np.any(arr[:-1] < arr[1:]):
+    if np.any(arr[..., :-1] < arr[..., 1:]):
         raise ArgumentError("gauge_rho requires a descending sort")
-    if not 1 <= k <= arr.size:
-        raise ArgumentError(f"k must be in [1, {arr.size}], got {k}")
-    return float(np.sum(arr[:k]))
+    out = ky_fan_from_eigenvalues(arr, k)
+    return float(out) if out.ndim == 0 else out
+
+
+def holder_gauge_violations(vecs: np.ndarray, alphas: np.ndarray, k) -> np.ndarray:
+    """Per trial, whether ``rho(prod_i v_i^a_i) <= prod_i rho(v_i)^a_i + 1e-9 (1 + rhs)`` fails.
+
+    ``vecs`` is ``(B, n, r)`` of sorted nonnegative vectors, ``alphas``
+    ``(B, n)`` nonnegative weights summing to 1 per trial, ``k`` one integer
+    or one per trial.  A vector with weight 0 is a factor 1 on both sides,
+    so tuples of fewer vectors may be padded with any sorted nonnegative
+    vector of weight 0.  A NaN fails.
+    """
+    vecs = np.asarray(vecs, dtype=np.float64)
+    alphas = np.asarray(alphas, dtype=np.float64)
+    if vecs.ndim != 3 or alphas.shape != vecs.shape[:2]:
+        raise ArgumentError(f"need vecs (B, n, r) and alphas (B, n), got {vecs.shape} and {alphas.shape}")
+    if np.any(alphas < 0) or np.any(np.abs(alphas.sum(axis=1) - 1.0) > 1e-12):
+        raise ArgumentError("each trial's alphas must be nonnegative and sum to 1")
+    k = np.asarray(k)
+    lhs = gauge_rho(np.prod(vecs ** alphas[..., None], axis=1), k)
+    rhs = np.prod(gauge_rho(vecs, k[..., None]) ** alphas, axis=1)
+    return ~(lhs <= rhs + 1e-9 * (1.0 + rhs))

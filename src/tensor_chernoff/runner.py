@@ -3,11 +3,11 @@
 Every suite draws its randomness from streams derived off the master seed, so
 a report is a pure function of the parsed config (seed included); reruns
 reproduce it byte for byte, and so does any chunking of the Monte Carlo
-walks.  A suite draws its own trials and hands each one to the library
-verifier of its check (the same function the acceptance gate calls), so the
-pass/fail rule and its slack live in the library.  Checks that cannot run
-(empty precondition regimes) are recorded as passed with a ``skipped:``
-detail rather than dropped.
+walks.  A suite draws its own trials and hands them, in stacks of equal
+shape, to the library verifier of its check (the same function the
+acceptance gate calls), so the pass/fail rule and its slack live in the
+library.  Checks that cannot run (empty precondition regimes) are recorded
+as passed with a ``skipped:`` detail rather than dropped.
 """
 
 from __future__ import annotations
@@ -51,17 +51,18 @@ from .inequalities import (
     beta0_density,
     beta_density,
     commuting_equality_excess,
-    commuting_tuple,
+    commuting_spectra,
     constructed_premise_trial,
     lie_trotter_audit,
     multivariate_violations,
+    premise_trial_draws,
     verify_discrete_average_majorization,
 )
 from .majorization import check_kyfan_sum_inequality
-from .norms import gauge_rho
+from .norms import holder_gauge_violations
 from .reporting import CheckRecord, Report, TailRow
 from .rng import DOMAIN_SUITE, TENSOR_STREAM, WALK_STREAM, stream
-from .sampling import random_hermitian, random_positive, random_tensor, random_unitary
+from .sampling import diagonal_in, ginibre, haar_unitary, random_hermitian, random_tensor
 from .tensors import (
     TensorShape,
     col_tensor,
@@ -218,86 +219,163 @@ def _suite_inequalities(cfg: ExperimentConfig, seed: int):
         )
     )
 
-    holder_bad = 0
-    for _ in range(trials):
-        n = int(rng.integers(2, 5))
-        r = int(rng.integers(2, 7))
-        vecs = [np.sort(rng.uniform(0.0, 4.0, size=r))[::-1] for _ in range(n)]
-        alphas = rng.dirichlet(np.ones(n))
-        prod = np.ones(r)
-        for v, a in zip(vecs, alphas):
-            prod = prod * v**a
-        k = int(rng.integers(1, r + 1))
-        lhs = gauge_rho(prod, k)
-        rhs = float(np.prod([gauge_rho(v, k) ** a for v, a in zip(vecs, alphas)]))
-        if lhs > rhs + 1e-9 * (1.0 + rhs):
-            holder_bad += 1
-    checks.append(CheckRecord.from_bound("holder_gauge_violations", holder_bad, 0.0,
-                                         detail=f"{trials} random vector tuples"))
-
-    kyfan_bad = 0
-    for _ in range(trials):
-        dim = int(rng.integers(2, 4))
-        shape = TensorShape.square((dim,))
-        tensors = [random_tensor(shape, rng) for _ in range(int(rng.integers(1, 5)))]
-        rep = check_kyfan_sum_inequality(
-            tensors, float(rng.choice([1.0, 2.0, 3.0])), int(rng.integers(1, dim + 1))
-        )
-        kyfan_bad += 0 if rep.holds else 1
-    checks.append(CheckRecord.from_bound("kyfan_sum_inequality_violations", kyfan_bad, 0.0,
-                                         detail=f"{trials} random batches, m <= 4, s in {{1,2,3}}"))
-
-    checks.append(_discrete_majorization_check(rng, trials))
-    checks.extend(_multivariate_checks(rng, quad, max(20, trials // 10)))
+    checks.append(_holder_check(_holder_draws(rng, trials)))
+    checks.append(_kyfan_check(_kyfan_draws(rng, trials)))
+    checks.append(_discrete_majorization_check(_premise_draws(rng, trials)))
+    mv_trials = max(20, trials // 10)
+    multivariate = _multivariate_draws(rng, mv_trials)
+    commuting = _commuting_draws(rng, max(5, mv_trials // 10))
+    checks.extend(_multivariate_checks(multivariate, commuting, quad))
     return checks, []
 
 
-def _discrete_majorization_check(rng, trials: int) -> CheckRecord:
-    violations = 0
-    premise_holds = 0
+# Each check draws all its trials first, one record per trial with the same
+# generator calls in the same order as a one-at-a-time loop, then verifies
+# them in stacks of equal dimensions: one library call per stack.
+
+def _groups(records, key) -> list[list]:
+    """``records`` bucketed by ``key(record)``, draw order kept within a bucket."""
+    out: dict = {}
+    for r in records:
+        out.setdefault(key(r), []).append(r)
+    return list(out.values())
+
+
+def _padded(arrays, fill=0.0) -> np.ndarray:
+    """Stack equal-rank arrays, padding every axis with ``fill`` up to its largest size."""
+    shape = np.max([a.shape for a in arrays], axis=0)
+    out = np.full((len(arrays), *shape), fill, dtype=arrays[0].dtype)
+    for i, a in enumerate(arrays):
+        out[(i, *map(slice, a.shape))] = a
+    return out
+
+
+def _holder_draws(rng, trials: int) -> list:
+    """Per trial: ``n`` sorted vectors of length ``r`` ``(n, r)``, Dirichlet weights and k."""
+    draws = []
+    for _ in range(trials):
+        n = int(rng.integers(2, 5))
+        r = int(rng.integers(2, 7))
+        vecs = np.array([np.sort(rng.uniform(0.0, 4.0, size=r))[::-1] for _ in range(n)])
+        draws.append((vecs, rng.dirichlet(np.ones(n)), int(rng.integers(1, r + 1))))
+    return draws
+
+
+def _holder_check(draws) -> CheckRecord:
+    bad = 0
+    for group in _groups(draws, lambda d: d[0].shape[1]):
+        vecs, alphas, ks = zip(*group)
+        # a zero-weight vector is a factor 1 on both sides
+        bad += int(np.count_nonzero(holder_gauge_violations(_padded(vecs), _padded(alphas), np.array(ks))))
+    return CheckRecord.from_bound("holder_gauge_violations", bad, 0.0,
+                                  detail=f"{len(draws)} random vector tuples")
+
+
+def _kyfan_draws(rng, trials: int) -> list:
+    """Per trial: ``m`` random ``d x d`` matrices ``(m, d, d)``, the power s and k."""
+    draws = []
+    for _ in range(trials):
+        dim = int(rng.integers(2, 4))
+        mats = np.array([ginibre(rng, dim) / np.sqrt(2.0) for _ in range(int(rng.integers(1, 5)))])
+        draws.append((mats, float(rng.choice([1.0, 2.0, 3.0])), int(rng.integers(1, dim + 1))))
+    return draws
+
+
+def _kyfan_check(draws) -> CheckRecord:
+    bad = 0
+    for group in _groups(draws, lambda d: d[0].shape[-1]):
+        mats, s, ks = zip(*group)
+        rep = check_kyfan_sum_inequality(_padded(mats), np.array(s), np.array(ks), counts=[len(m) for m in mats])
+        bad += int(np.count_nonzero(~rep.holds))
+    return CheckRecord.from_bound("kyfan_sum_inequality_violations", bad, 0.0,
+                                  detail=f"{len(draws)} random batches, m <= 4, s in {{1,2,3}}")
+
+
+def _premise_draws(rng, trials: int) -> list:
+    """Per trial: mode, the Ginibre matrix of the atom basis, ``premise_trial_draws`` and k."""
+    draws = []
     for _ in range(trials):
         mode = MODES[int(rng.integers(4))]
         dim = int(rng.integers(2, 5))
         n_atoms = int(rng.integers(1, 4))
-        u = random_unitary(TensorShape.square((dim,)), rng)
-        c, measure, f = constructed_premise_trial(rng, mode, u, n_atoms)
-        rep = verify_discrete_average_majorization(c, measure, f, int(rng.integers(1, dim + 1)), mode)
-        premise_holds += int(rep.premise_holds)
-        violations += int(rep.violated)
+        z = ginibre(rng, dim)
+        spectra, w, z_c, f = premise_trial_draws(rng, mode, n_atoms, dim)
+        draws.append((mode, z, spectra, w, z_c, f, int(rng.integers(1, dim + 1))))
+    return draws
+
+
+def _discrete_majorization_check(draws) -> CheckRecord:
+    violations = 0
+    premise_holds = 0
+    for group in _groups(draws, lambda d: d[1].shape[0]):
+        modes, z, spectra, w, z_c, fs, ks = zip(*group)
+        w = _padded(w)  # a zero weight drops a padding atom
+        c, atoms = constructed_premise_trial(
+            haar_unitary(np.array(z)), _padded(spectra), w, haar_unitary(np.array(z_c)), modes
+        )
+        rep = verify_discrete_average_majorization(c, atoms, w, fs, np.array(ks), modes)
+        premise_holds += int(np.count_nonzero(rep.premise_holds))
+        violations += int(np.count_nonzero(rep.violated))
     return CheckRecord.from_bound(
         "discrete_average_majorization_violations",
         violations,
         0.0,
-        detail=f"{trials} constructed-premise trials, premise held in {premise_holds}",
+        detail=f"{len(draws)} constructed-premise trials, premise held in {premise_holds}",
     )
 
 
-def _multivariate_checks(rng, quad: QuadratureSpec, trials: int) -> list[CheckRecord]:
-    # log f(e^x) must be convex: x and x^2 give affine maps, exp gives e^x
-    fs = [lambda x: x, lambda x: x**2, np.exp]
-    log_bad = lin_bad = 0
+# log f(e^x) must be convex: x and x^2 give affine maps, exp gives e^x
+_MULTIVARIATE_FS = (lambda x: x, lambda x: x**2, np.exp)
+
+
+def _multivariate_draws(rng, trials: int) -> list:
+    """Per trial: the Ginibre matrices ``(m, d, d)`` and spectra ``(m, d)`` of m positive tensors, k and f's index."""
+    draws = []
     for _ in range(trials):
         dim = int(rng.integers(2, 5))
-        shape = TensorShape.square((dim,))
-        cs = [random_positive(shape, rng) for _ in range(int(rng.integers(1, 4)))]
+        zs, vals = [], []
+        for _ in range(int(rng.integers(1, 4))):  # sampling.random_positive's draws
+            zs.append(ginibre(rng, dim))
+            vals.append(rng.uniform(0.2, 3.0, size=dim))
         k = int(rng.integers(1, dim + 1))
-        log_viol, lin_viol = multivariate_violations(cs, k, [fs[int(rng.integers(len(fs)))]], quad)
-        log_bad += log_viol
-        lin_bad += lin_viol
+        draws.append((np.array(zs), np.array(vals), k, int(rng.integers(len(_MULTIVARIATE_FS)))))
+    return draws
+
+
+def _commuting_draws(rng, trials: int) -> list:
+    """Per trial: the Ginibre matrix of a basis, two spectra on [0.3, 2.5] and k."""
+    draws = []
+    for _ in range(trials):
+        dim = int(rng.integers(2, 4))
+        z = ginibre(rng, dim)
+        spectra = commuting_spectra(rng, 2, dim, 0.3, 2.5)
+        draws.append((z, spectra, int(rng.integers(1, dim + 1))))
+    return draws
+
+
+def _multivariate_checks(draws, commuting, quad: QuadratureSpec) -> list[CheckRecord]:
+    log_bad = lin_bad = 0
+    for group in _groups(draws, lambda d: d[0].shape):
+        zs, vals, ks, which = zip(*group)
+        cs = diagonal_in(haar_unitary(np.array(zs)), np.array(vals))
+        log_viol, lin_viol = multivariate_violations(cs, np.array(ks), _MULTIVARIATE_FS, quad)
+        rows = np.arange(len(group)), np.array(which)
+        log_bad += int(np.count_nonzero(log_viol[rows]))
+        lin_bad += int(np.count_nonzero(lin_viol[rows]))
 
     # commuting families achieve equality within the reported error
     eq_err = 0.0
-    for _ in range(max(5, trials // 10)):
-        dim = int(rng.integers(2, 4))
-        u = random_unitary(TensorShape.square((dim,)), rng)
-        cs, _ = commuting_tuple(rng, u, 2, 0.3, 2.5)
-        k = int(rng.integers(1, dim + 1))
-        eq_err = float(np.maximum(eq_err, commuting_equality_excess(cs, k, [lambda x: x], quad)))
+    for group in _groups(commuting, lambda d: d[0].shape):
+        z, spectra, ks = zip(*group)
+        cs = diagonal_in(haar_unitary(np.array(z))[:, None], np.array(spectra))
+        excess = commuting_equality_excess(cs, np.array(ks), [lambda x: x], quad)
+        eq_err = float(np.maximum(eq_err, np.max(excess)))
+    n = len(draws)
     return [
         CheckRecord.from_bound("multivariate_log_form_violations", log_bad, 0.0,
-                               detail=f"{trials} random positive tuples"),
+                               detail=f"{n} random positive tuples"),
         CheckRecord.from_bound("multivariate_linear_form_violations", lin_bad, 0.0,
-                               detail=f"{trials} random positive tuples"),
+                               detail=f"{n} random positive tuples"),
         CheckRecord.from_bound("multivariate_commuting_equality_excess", eq_err, 0.0),
     ]
 

@@ -1,4 +1,7 @@
-"""Random test tensors, deterministic in the supplied generator."""
+"""Random test tensors, deterministic in the supplied generator.
+
+``haar_unitary`` and ``diagonal_in`` work on stacks: draw one trial at a time, build all at once.
+"""
 
 from __future__ import annotations
 
@@ -29,18 +32,37 @@ def random_positive(
     n = shape.unfold_rows
     u = random_unitary(shape, rng)
     vals = rng.uniform(eig_low, eig_high, size=n)
-    return HermitianTensor(shape, (u.matrix * vals) @ u.matrix.conj().T)
+    return HermitianTensor(shape, diagonal_in(u.matrix, vals))
+
+
+def ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n x n`` standard complex normals, real parts drawn first: the input of ``haar_unitary``."""
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def haar_unitary(z: np.ndarray) -> np.ndarray:
+    """``Q`` of the QR of each ``(..., n, n)`` matrix, columns phase-fixed by ``diag(R)``.
+
+    On Ginibre input (``ginibre``) the result is Haar distributed.
+    """
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def diagonal_in(u: np.ndarray, spectra: np.ndarray) -> np.ndarray:
+    """``U diag(l) U^H`` for unitaries ``(..., d, d)`` and real spectra ``(..., d)``.
+
+    Hermitian up to round-off; ``HermitianTensor`` or ``tensors.hermitian_part``
+    validates and canonicalises it.
+    """
+    return (u * spectra[..., None, :]) @ np.conj(u).swapaxes(-1, -2)
 
 
 def random_unitary(shape: TensorShape, rng: np.random.Generator) -> Tensor:
     """Haar-ish random unitary tensor via QR with phase-fixed diagonal."""
     shape.require_square("random_unitary")
-    n = shape.unfold_rows
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))
-    return Tensor(shape, q)
+    return Tensor(shape, haar_unitary(ginibre(rng, shape.unfold_rows)))
 
 
 def random_bounded_hermitian(

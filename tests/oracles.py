@@ -7,8 +7,9 @@ slow and obvious.  The compound power and the dense transfer operator build
 on library tensors but take no shortcut the code under test takes.  The
 per-probe certificate loop is the library's former one-at-a-time path, and
 the per-vertex assignment loop rescales each vertex of the same single draw
-on its own; both are references for batched paths.  The log-exp convexity probe and ``reconstruct`` are
-diagnostics only the tests use.
+on its own; both are references for batched paths, and so are the
+``trial_*`` verifiers, the library's former one-trial-at-a-time bodies.  The
+log-exp convexity probe and ``reconstruct`` are diagnostics only the tests use.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from typing import Callable
 import numpy as np
 
 from tensor_chernoff.errors import ArgumentError
-from tensor_chernoff.norms import ky_fan_norm, singular_values
+from tensor_chernoff.majorization import SortedVec, log_majorizes, majorizes, weak_log_majorizes, weak_majorizes
+from tensor_chernoff.norms import gauge_rho, ky_fan_norm, singular_values
 from tensor_chernoff.rng import DOMAIN_GRAPH, DOMAIN_PROBE, DOMAIN_TENSORS, DOMAIN_WALK, stream
 from tensor_chernoff.tensors import HermitianTensor, Tensor, TensorShape
 
@@ -429,3 +431,132 @@ def compound_norm_check(x: Tensor, k: int, rel_tol: float = 1e-8) -> CompoundNor
     scale = max(abs(lhs), abs(rhs), 1e-300)
     rel = abs(lhs - rhs) / scale
     return CompoundNormReport(lhs=lhs, rhs=rhs, rel_err=rel, holds=rel <= rel_tol)
+
+
+# ---------------------------------------------------------------------------
+# Per-trial verifiers: the library's former one-trial-at-a-time bodies, the
+# references for its batched verifiers.  Inputs are plain matrices.
+# ---------------------------------------------------------------------------
+
+def trial_holder_gauge_violated(vecs, alphas, k: int) -> bool:
+    """Whether ``rho(prod v_i^a_i) > prod rho(v_i)^a_i + 1e-9 (1 + rhs)`` for one tuple."""
+    prod = np.ones(len(vecs[0]))
+    for v, a in zip(vecs, alphas):
+        prod = prod * v**a
+    lhs = gauge_rho(prod, k)
+    rhs = float(np.prod([gauge_rho(v, k) ** a for v, a in zip(vecs, alphas)]))
+    return lhs > rhs + 1e-9 * (1.0 + rhs)
+
+
+def trial_kyfan_sum_holds(mats, s: float, k: int) -> bool:
+    """``|| |sum C_i|^s ||_(k) <= m^(s-1) sum || |C_i|^s ||_(k)`` within ``1e-9 (1 + |lhs| + |rhs|)``."""
+    stack = np.asarray(mats)
+    sv = np.linalg.svd(stack, compute_uv=False)
+    total_sv = np.linalg.svd(stack.sum(axis=0), compute_uv=False)
+    lhs = float(np.sum(np.sort(total_sv**s)[::-1][:k]))
+    rhs = len(stack) ** (s - 1.0) * float(np.sum(np.sort(sv**s, axis=1)[:, ::-1][:, :k]))
+    return lhs <= rhs + 1e-9 * (1.0 + abs(lhs) + abs(rhs))
+
+
+def trial_discrete_average_majorization(c, atoms, weights, f, k: int, mode: str, form: str | None = None):
+    """``(premise_holds, violated)`` of one majorization-average statement on a finite measure."""
+    if form is None:
+        form = "log" if mode in ("weak_log", "log") else "linear"
+    lam_c = np.linalg.eigvalsh(c)[::-1]
+    lam_d = np.linalg.eigvalsh(np.asarray(atoms))[:, ::-1]
+    w = np.asarray(weights)
+    if mode in ("weak", "strong"):
+        avg = np.sum(w[:, None] * lam_d, axis=0)
+        premise = (weak_majorizes if mode == "weak" else majorizes)(SortedVec(avg), SortedVec(lam_c))
+    else:
+        geo = np.exp(np.sum(w[:, None] * np.log(lam_d), axis=0))
+        premise = (weak_log_majorizes if mode == "weak_log" else log_majorizes)(SortedVec(geo), SortedVec(lam_c))
+
+    def ky_fan(vals):
+        return np.sum(np.sort(np.abs(f(vals)), axis=-1)[..., ::-1][..., :k], axis=-1)
+
+    lhs = float(ky_fan(lam_c))
+    norms = ky_fan(lam_d)
+    if form == "linear":
+        rhs = float(np.sum(w * norms))
+    else:
+        with np.errstate(divide="ignore"):
+            rhs = float(np.exp(np.sum(w * np.log(norms))))
+    conclusion = lhs <= rhs + 1e-9 * (1.0 + abs(lhs) + abs(rhs))
+    return premise.holds, premise.holds and not conclusion
+
+
+def _trial_power_product(cs, quad):
+    """Spectra of one tuple, its two node rules' singular values and its ``|f|`` interval."""
+    specs = []
+    for c in cs:
+        vals, vecs = np.linalg.eigh(c)
+        specs.append((vals[::-1].copy(), vecs[:, ::-1].copy()))
+    rules = []
+    for node_count in (quad.node_count, max(16, quad.node_count // 2)):
+        t, w = quad.nodes_weights(node_count)
+        dim = specs[0][1].shape[0]
+        prod = np.broadcast_to(np.eye(dim, dtype=np.complex128), (t.size, dim, dim)).copy()
+        z = 1.0 + 1j * t
+        for vals, u in specs:
+            powered = np.exp(np.multiply.outer(z, np.log(vals)))
+            prod = prod @ np.einsum("ij,tj,kj->tik", u, powered, u.conj())
+        gram = np.conj(np.transpose(prod, (0, 2, 1))) @ prod
+        gram = (gram + np.conj(np.transpose(gram, (0, 2, 1)))) / 2.0
+        sv = np.sqrt(np.clip(np.linalg.eigvalsh(gram)[:, ::-1], 0.0, None))
+        rules.append((sv, math.pi / (4.0 * np.cosh(math.pi * t / 2.0) ** 2), w))
+    interval = (float(np.prod([v[-1] for v, _ in specs])), float(np.prod([v[0] for v, _ in specs])))
+    return specs, rules, interval
+
+
+def _trial_forms(f, k: int, cs, quad):
+    """``(lhs, (log value, log error bound), (linear value, linear error bound))`` of one tuple."""
+    specs, rules, (lo, hi) = _trial_power_product(cs, quad)
+    # the left side from its own second eigendecomposition, as the former code did
+    total = 0
+    for c in cs:
+        vals, vecs = np.linalg.eigh(c)
+        vals, vecs = vals[::-1].copy(), vecs[:, ::-1].copy()
+        total = total + (vecs * np.log(vals)) @ vecs.conj().T
+    lhs = float(np.sum(np.sort(np.abs(f(np.exp(np.linalg.eigvalsh(total)))))[::-1][:k]))
+
+    xs = np.geomspace(max(lo, 1e-300), max(hi, 1e-300), 512)
+    vals = np.abs(f(xs))
+    f_lo, f_hi = float(vals.min()), float(vals.max())
+    tail = 1.0 - math.tanh(math.pi * quad.truncation / 2.0)
+
+    def integral(form):
+        sums = []
+        for sv, density, w in rules:
+            norms = np.sum(np.sort(np.abs(f(sv)), axis=1)[:, ::-1][:, :k], axis=1)
+            sums.append(float(np.sum(form(norms) * density * w)))
+        full, half = sums
+        return full, abs(full - half) + 1e-12 * (1.0 + abs(full))
+
+    # numpy's exp and expm1, like the batched code: math's may differ in the last bit
+    log_int, log_err = integral(np.log)
+    m_log = max(abs(np.log(k * f_lo)) if f_lo > 0 else np.inf, abs(np.log(k * f_hi)))
+    value = float(np.exp(log_int))
+    log_bound = value * float(np.expm1(min(m_log * tail + log_err, 700.0)))
+    lin_int, lin_err = integral(lambda norms: norms)
+    return lhs, (value, log_bound), (lin_int, k * f_hi * tail + lin_err)
+
+
+def trial_multivariate_violations(cs, k: int, fs, quad) -> tuple[int, int]:
+    """Log- and linear-form violations of one positive tuple over ``fs``."""
+    log_bad = lin_bad = 0
+    for f in fs:
+        lhs, (value, bound), (lin, lin_bound) = _trial_forms(f, k, cs, quad)
+        slack = 1e-8 * (1.0 + abs(lhs))
+        log_bad += int(not lhs <= value + bound + slack)
+        lin_bad += int(not lhs <= lin + lin_bound + slack)
+    return log_bad, lin_bad
+
+
+def trial_commuting_equality_excess(cs, k: int, fs, quad) -> float:
+    """Worst ``|lhs - rhs_log| - (error_bound + 1e-7 (1 + |lhs|))`` of one tuple over ``fs``."""
+    excess = -math.inf
+    for f in fs:
+        lhs, (value, bound), _ = _trial_forms(f, k, cs, quad)
+        excess = max(excess, abs(lhs - value) - (bound + 1e-7 * (1.0 + abs(lhs))))
+    return excess

@@ -49,15 +49,19 @@ from tensor_chernoff.inequalities import (
     QuadratureSpec,
     beta0_density,
     commuting_equality_excess,
-    commuting_tuple,
+    commuting_spectra,
     constructed_premise_trial,
     lie_trotter_audit,
     multivariate_violations,
+    premise_trial_draws,
     verify_discrete_average_majorization,
 )
 from tensor_chernoff.norms import singular_values
 from tensor_chernoff.runner import run
 from tensor_chernoff.sampling import (
+    diagonal_in,
+    ginibre,
+    haar_unitary,
     random_hermitian,
     random_positive,
     random_tensor,
@@ -220,25 +224,35 @@ def test_criterion_4_multivariate_inequality():
     rng = np.random.default_rng(404)
     quad = QuadratureSpec(truncation=6.0, node_count=256)
     fs = [lambda x: x, lambda x: x**2, np.exp]
-    trials, log_viol, lin_viol = 0, 0, 0
+    # tuples are drawn one at a time and verified in one stack per (dim, m)
+    tuples = {}
     for _ in range(1000):
         dim = int(rng.integers(2, 5))
         shape = TensorShape.square((dim,)) if rng.integers(2) or dim != 4 else TensorShape.square((2, 2))
         cs = [random_positive(shape, rng) for _ in range(int(rng.integers(1, 4)))]
         k = int(rng.integers(1, dim + 1))
-        log_bad, lin_bad = multivariate_violations(cs, k, fs, quad)
-        log_viol += log_bad
-        lin_viol += lin_bad
-        trials += len(fs)
+        tuples.setdefault((dim, len(cs)), []).append((np.stack([c.matrix for c in cs]), k))
+    trials, log_viol, lin_viol = 0, 0, 0
+    for group in tuples.values():
+        cs, ks = zip(*group)
+        log_bad, lin_bad = multivariate_violations(np.array(cs), np.array(ks), fs, quad)
+        log_viol += int(np.count_nonzero(log_bad))
+        lin_viol += int(np.count_nonzero(lin_bad))
+        trials += log_bad.size
 
     # commuting tuples achieve equality within tolerance
-    eq_excess = 0.0
+    commuting = {}
     for _ in range(30):
         dim = int(rng.integers(2, 5))
-        u = random_unitary(TensorShape.square((dim,)), rng)
-        cs, _ = commuting_tuple(rng, u, int(rng.integers(2, 4)), 0.3, 2.5)
+        u = random_unitary(TensorShape.square((dim,)), rng).matrix
+        spectra = commuting_spectra(rng, int(rng.integers(2, 4)), dim, 0.3, 2.5)
         k = int(rng.integers(1, dim + 1))
-        eq_excess = np.maximum(eq_excess, commuting_equality_excess(cs, k, (lambda x: x, lambda x: x**2), quad))
+        commuting.setdefault(spectra.shape, []).append((diagonal_in(u, spectra), k))
+    eq_excess = 0.0
+    for group in commuting.values():
+        cs, ks = zip(*group)
+        excess = commuting_equality_excess(np.array(cs), np.array(ks), (lambda x: x, lambda x: x**2), quad)
+        eq_excess = np.maximum(eq_excess, np.max(excess))
 
     ok = log_viol == 0 and lin_viol == 0 and eq_excess <= 0.0
     _report(4, "multivariate norm inequality", ok,
@@ -253,19 +267,32 @@ def test_criterion_4_multivariate_inequality():
 def test_criterion_5_discrete_average_theorems():
     started = time.time()
     rng = np.random.default_rng(505)
-    trials, premise_count, violations = 0, 0, 0
+    # trials are drawn one at a time and verified in one stack per dimension
+    draws = {}
     for i in range(10000):
         mode = MODES[i % 4]
         dim = int(rng.integers(2, 5))
-        u = random_unitary(TensorShape.square((dim,)), rng)
-        c, measure, f = constructed_premise_trial(rng, mode, u, int(rng.integers(1, 4)))
+        z = ginibre(rng, dim)
+        spectra, w, z_c, f = premise_trial_draws(rng, mode, int(rng.integers(1, 4)), dim)
         form = ("log", "linear")[int(rng.integers(2))] if mode in ("weak_log", "log") else "linear"
-        rep = verify_discrete_average_majorization(
-            c, measure, f, int(rng.integers(1, dim + 1)), mode, conclusion_form=form
+        k = int(rng.integers(1, dim + 1))
+        atoms = np.zeros((3, dim))
+        atoms[: len(w)] = spectra
+        weights = np.zeros(3)
+        weights[: len(w)] = w
+        draws.setdefault(dim, []).append((mode, z, atoms, weights, z_c, f, form, k))
+    trials, premise_count, violations = 0, 0, 0
+    for group in draws.values():
+        modes, z, atoms, weights, z_c, fs, forms, ks = zip(*group)
+        c, atom_stack = constructed_premise_trial(
+            haar_unitary(np.array(z)), np.array(atoms), np.array(weights), haar_unitary(np.array(z_c)), modes
         )
-        trials += 1
-        premise_count += int(rep.premise_holds)
-        violations += int(rep.violated)
+        rep = verify_discrete_average_majorization(
+            c, atom_stack, np.array(weights), fs, np.array(ks), modes, conclusion_form=forms
+        )
+        trials += len(group)
+        premise_count += int(np.count_nonzero(rep.premise_holds))
+        violations += int(np.count_nonzero(rep.violated))
 
     ok = violations == 0 and premise_count > 9000
     _report(5, "discrete average theorems", ok,

@@ -15,17 +15,15 @@ from tensor_chernoff import (
     tensor_log,
 )
 from tensor_chernoff.errors import ArgumentError, DomainError
+from tensor_chernoff import runner
 from tensor_chernoff.inequalities import (
-    MODES,
-    DiscreteMeasure,
     PowerProductSpectrum,
     QuadratureSpec,
     _legendre_rule,
     beta0_density,
     beta0_tail_mass,
     beta_density,
-    commuting_tuple,
-    constructed_premise_trial,
+    commuting_spectra,
     golden_thompson_lhs,
     golden_thompson_rhs_linear,
     golden_thompson_rhs_log,
@@ -36,7 +34,7 @@ from tensor_chernoff.inequalities import (
 )
 from tensor_chernoff.majorization import check_kyfan_sum_inequality
 from tensor_chernoff.norms import ky_fan_norm
-from tensor_chernoff.sampling import random_hermitian, random_positive, random_tensor, random_unitary
+from tensor_chernoff.sampling import diagonal_in, random_hermitian, random_positive, random_tensor, random_unitary
 
 from oracles import beta0_antiderivative, multivariate_rhs_oracle, warn_if_not_log_exp_convex
 
@@ -82,12 +80,22 @@ def test_quadrature_spec_validation():
         QuadratureSpec(node_count=8)
 
 
+def _tuple(*ts) -> np.ndarray:
+    """One tuple of tensors as a (1, m, d, d) stack."""
+    return np.stack([t.matrix for t in ts])[None]
+
+
 def test_discrete_measure_validation():
-    DiscreteMeasure(("a", "b"), (0.5, 0.5))
+    # a measure's weights are nonnegative and sum to 1; a zero weight drops its atom
+    c = random_hermitian(S22, RNG).matrix[None]
+    atoms = np.stack([c[0], 2.0 * c[0]])[None]
+    rep = verify_discrete_average_majorization(c, atoms, [[1.0, 0.0]], np.exp, 1, "weak")
+    assert rep.premise_holds[0] and rep.conclusion_lhs[0] == pytest.approx(rep.conclusion_rhs[0], rel=1e-12)
+    for bad in ([[0.9, 0.0]], [[1.5, -0.5]], [[0.5, 0.5, 0.0]]):
+        with pytest.raises(ArgumentError):
+            verify_discrete_average_majorization(c, atoms, bad, np.exp, 1, "weak")
     with pytest.raises(ArgumentError):
-        DiscreteMeasure(("a",), (0.9,))
-    with pytest.raises(ArgumentError):
-        DiscreteMeasure(("a", "b"), (1.0, -0.0))
+        verify_discrete_average_majorization(c, atoms, [[0.5, 0.5]], np.exp, 1, "mean")
 
 
 # ---------------------------------------------------------------------------
@@ -98,17 +106,16 @@ S22 = TensorShape.square((2, 2))
 
 
 def _commuting_family(rng, dim_shape, n_atoms, positive=False):
-    u = random_unitary(dim_shape, rng)
-    ds, eigs = commuting_tuple(rng, u, n_atoms, 0.3 if positive else -2.0, 3.0)
-    return u, ds, eigs
+    u = random_unitary(dim_shape, rng).matrix
+    eigs = commuting_spectra(rng, n_atoms, dim_shape.unfold_rows, 0.3 if positive else -2.0, 3.0)
+    return u, diagonal_in(u, eigs), eigs
 
 
 def test_single_atom_equality():
     c = random_hermitian(S22, RNG)
-    measure = DiscreteMeasure((c,), (1.0,))
-    rep = verify_discrete_average_majorization(c, measure, np.exp, k=2, mode="weak")
-    assert rep.premise_holds and rep.conclusion_holds and not rep.violated
-    assert rep.conclusion_lhs == pytest.approx(rep.conclusion_rhs, rel=1e-10)
+    rep = verify_discrete_average_majorization(c.matrix[None], _tuple(c), [[1.0]], np.exp, k=2, mode="weak")
+    assert rep.premise_holds[0] and rep.conclusion_holds[0] and not rep.violated[0]
+    assert rep.conclusion_lhs[0] == pytest.approx(rep.conclusion_rhs[0], rel=1e-10)
 
 
 def test_constructed_premise_conclusion_holds():
@@ -116,12 +123,11 @@ def test_constructed_premise_conclusion_holds():
     u, ds, eigs = _commuting_family(rng, S22, 2)
     w = (0.3, 0.7)
     avg = w[0] * eigs[0] + w[1] * eigs[1]
-    c = HermitianTensor(S22, (u.matrix * avg) @ u.matrix.conj().T)
-    measure = DiscreteMeasure(tuple(ds), w)
+    c = diagonal_in(u, avg)[None]
     for mode, f in (("weak", np.exp), ("strong", lambda x: x**2)):
-        rep = verify_discrete_average_majorization(c, measure, f, k=2, mode=mode)
-        assert rep.premise_holds
-        assert rep.conclusion_holds, rep
+        rep = verify_discrete_average_majorization(c, ds[None], [w], f, k=2, mode=mode)
+        assert rep.premise_holds[0]
+        assert rep.conclusion_holds[0], rep
 
 
 def test_log_mode_constructed_premise():
@@ -129,34 +135,26 @@ def test_log_mode_constructed_premise():
     u, ds, eigs = _commuting_family(rng, S22, 3, positive=True)
     w = (0.2, 0.5, 0.3)
     geo = np.exp(sum(wi * np.log(e) for wi, e in zip(w, eigs)))
-    c = HermitianTensor(S22, (u.matrix * geo) @ u.matrix.conj().T)
-    measure = DiscreteMeasure(tuple(ds), w)
+    c = diagonal_in(u, geo)[None]
     for mode in ("weak_log", "log"):
         for form in ("log", "linear"):
-            rep = verify_discrete_average_majorization(
-                c, measure, np.exp, k=3, mode=mode, conclusion_form=form
-            )
-            assert rep.premise_holds, (mode, form)
-            assert rep.conclusion_holds, rep
+            rep = verify_discrete_average_majorization(c, ds[None], [w], np.exp, k=3, mode=mode, conclusion_form=form)
+            assert rep.premise_holds[0], (mode, form)
+            assert rep.conclusion_holds[0], rep
 
 
 def test_log_mode_rejects_nonpositive():
     c = random_hermitian(S22, RNG) - 10.0 * make_identity(S22)
-    measure = DiscreteMeasure((random_positive(S22, RNG),), (1.0,))
     with pytest.raises(DomainError):
-        verify_discrete_average_majorization(c, measure, np.exp, 1, "weak_log")
+        verify_discrete_average_majorization(c.matrix[None], _tuple(random_positive(S22, RNG)), [[1.0]],
+                                             np.exp, 1, "weak_log")
 
 
 def test_randomized_no_violations():
-    rng = np.random.default_rng(4242)
-    for _ in range(200):
-        mode = MODES[rng.integers(4)]
-        dim = int(rng.integers(2, 5))
-        n_atoms = int(rng.integers(1, 4))
-        u = random_unitary(TensorShape.square((dim,)), rng)
-        c, measure, f = constructed_premise_trial(rng, mode, u, n_atoms)
-        rep = verify_discrete_average_majorization(c, measure, f, int(rng.integers(1, dim + 1)), mode)
-        assert rep.premise_holds and not rep.violated, rep
+    # the runner's draws and stacks: every premise holds and no conclusion fails
+    check = runner._discrete_majorization_check(runner._premise_draws(np.random.default_rng(4242), 200))
+    assert check.passed and check.lhs == 0.0
+    assert check.detail.endswith("premise held in 200"), check.detail
 
 
 # ---------------------------------------------------------------------------
@@ -167,18 +165,18 @@ def test_single_tensor_rhs_matches_lhs():
     c = random_positive(S22, RNG)
     quad = QuadratureSpec(truncation=6.0, node_count=64)
     for k in (1, 3):
-        lhs = golden_thompson_lhs(lambda x: x, [c], k)
+        (lhs,) = golden_thompson_lhs(lambda x: x, _tuple(c), k)
         assert lhs == pytest.approx(ky_fan_norm(c, k), rel=1e-9)
-        rhs = golden_thompson_rhs_log(lambda x: x, [c], k, quad)
-        assert lhs <= rhs.value + rhs.error_bound + 1e-9
-        assert abs(lhs - rhs.value) <= rhs.error_bound + 1e-7 * lhs
-        lin = golden_thompson_rhs_linear(lambda x: x, [c], k, quad)
-        assert lhs <= lin.value + lin.error_bound + 1e-9
+        rhs = golden_thompson_rhs_log(lambda x: x, _tuple(c), k, quad)
+        assert lhs <= rhs.value[0] + rhs.error_bound[0] + 1e-9
+        assert abs(lhs - rhs.value[0]) <= rhs.error_bound[0] + 1e-7 * lhs
+        lin = golden_thompson_rhs_linear(lambda x: x, _tuple(c), k, quad)
+        assert lhs <= lin.value[0] + lin.error_bound[0] + 1e-9
     # a signed f: both sides are Ky Fan norms, so they sum |f| and still agree
     for k in (1, 3):
-        lhs = golden_thompson_lhs(lambda x: x - 10.0, [c], k)
-        lin = golden_thompson_rhs_linear(lambda x: x - 10.0, [c], k, quad)
-        assert abs(lhs - lin.value) <= lin.error_bound + 1e-7 * lhs
+        (lhs,) = golden_thompson_lhs(lambda x: x - 10.0, _tuple(c), k)
+        lin = golden_thompson_rhs_linear(lambda x: x - 10.0, _tuple(c), k, quad)
+        assert abs(lhs - lin.value[0]) <= lin.error_bound[0] + 1e-7 * lhs
 
 
 def test_commuting_family_equality():
@@ -187,11 +185,11 @@ def test_commuting_family_equality():
     quad = QuadratureSpec(truncation=6.0, node_count=128)
     lam_prod = np.prod(eigs, axis=0)
     for f, k in ((lambda x: x, 1), (lambda x: x**2, 2)):
-        lhs = golden_thompson_lhs(f, cs, k)
+        (lhs,) = golden_thompson_lhs(f, cs[None], k)
         expected = float(np.sum(np.sort(f(lam_prod))[::-1][:k]))
         assert lhs == pytest.approx(expected, rel=1e-8)
-        rhs = golden_thompson_rhs_log(f, cs, k, quad)
-        assert abs(lhs - rhs.value) <= rhs.error_bound + 1e-7 * (1 + abs(lhs))
+        rhs = golden_thompson_rhs_log(f, cs[None], k, quad)
+        assert abs(lhs - rhs.value[0]) <= rhs.error_bound[0] + 1e-7 * (1 + abs(lhs))
 
 
 def test_random_pairs_inequality_holds():
@@ -202,7 +200,8 @@ def test_random_pairs_inequality_holds():
         shape = TensorShape.square((dim,))
         cs = [random_positive(shape, rng) for _ in range(int(rng.integers(2, 4)))]
         k = int(rng.integers(1, dim + 1))
-        assert multivariate_violations(cs, k, (lambda x: x, lambda x: x**2), quad) == (0, 0)
+        log_bad, lin_bad = multivariate_violations(_tuple(*cs), k, (lambda x: x, lambda x: x**2), quad)
+        assert not log_bad.any() and not lin_bad.any()
 
 
 def test_monotone_refinement():
@@ -210,8 +209,8 @@ def test_monotone_refinement():
     cs = [random_positive(S22, rng) for _ in range(2)]
     base = QuadratureSpec(truncation=6.0, node_count=64)
     doubled = QuadratureSpec(truncation=6.0, node_count=128)
-    r1 = golden_thompson_rhs_log(lambda x: x, cs, 2, base)
-    r2 = golden_thompson_rhs_log(lambda x: x, cs, 2, doubled)
+    r1 = golden_thompson_rhs_log(lambda x: x, _tuple(*cs), 2, base)
+    r2 = golden_thompson_rhs_log(lambda x: x, _tuple(*cs), 2, doubled)
     assert abs(r2.value - r1.value) <= r1.quadrature_error + 1e-10 * (1 + abs(r1.value))
 
 
@@ -229,13 +228,13 @@ def test_quadrature_matches_node_by_node_oracle():
             for k in (1, 2):
                 for name, f in fs.items():
                     expected = multivariate_rhs_oracle(f, cs, k, quad.truncation, quad.node_count)
-                    got = {"linear": golden_thompson_rhs_linear(f, cs, k, quad)}
+                    got = {"linear": golden_thompson_rhs_linear(f, _tuple(*cs), k, quad)}
                     if name != "x-10":
-                        got["log"] = golden_thompson_rhs_log(f, cs, k, quad)
+                        got["log"] = golden_thompson_rhs_log(f, _tuple(*cs), k, quad)
                     for form, result in got.items():
                         for field in fields:
                             want = expected[form][field]
-                            assert getattr(result, field) == pytest.approx(want, rel=1e-10, abs=0.0), (
+                            assert getattr(result, field)[0] == pytest.approx(want, rel=1e-10, abs=0.0), (
                                 dims, count, k, name, form, field,
                             )
 
@@ -254,13 +253,13 @@ def test_shared_spectrum_matches_wrappers_bit_for_bit():
     for shape in (TensorShape.square((2,)), TensorShape.square((3,)), S22):
         for count in (1, 2, 3):
             cs = [random_positive(shape, rng, 0.05, 2.0) for _ in range(count)]
-            spectrum = PowerProductSpectrum(cs, quad)
+            spectrum = PowerProductSpectrum(_tuple(*cs), quad)
             for k in (1, 2):
                 # one object serves every f and both forms, in any order
                 for name, f in reversed(fs.items()):
-                    pairs = [(spectrum.linear_form(f, k), golden_thompson_rhs_linear(f, cs, k, quad))]
+                    pairs = [(spectrum.linear_form(f, k), golden_thompson_rhs_linear(f, _tuple(*cs), k, quad))]
                     if name != "x-10":
-                        pairs.append((spectrum.log_form(f, k), golden_thompson_rhs_log(f, cs, k, quad)))
+                        pairs.append((spectrum.log_form(f, k), golden_thompson_rhs_log(f, _tuple(*cs), k, quad)))
                     for got, want in pairs:
                         for field in fields:
                             assert getattr(got, field) == getattr(want, field), (count, k, name, field)
@@ -269,10 +268,12 @@ def test_shared_spectrum_matches_wrappers_bit_for_bit():
 def test_power_product_spectrum_validation():
     quad = QuadratureSpec(truncation=6.0, node_count=32)
     with pytest.raises(ArgumentError):
-        PowerProductSpectrum([], quad)
+        PowerProductSpectrum(np.zeros((1, 0, 4, 4)), quad)
     c = random_hermitian(S22, RNG) - 10.0 * make_identity(S22)
     with pytest.raises(DomainError):
-        PowerProductSpectrum([c], quad)
+        PowerProductSpectrum(_tuple(c), quad)
+    with pytest.raises(ArgumentError):  # only the left side is available without a rule
+        PowerProductSpectrum(_tuple(random_positive(S22, RNG))).log_form(np.exp, 1)
 
 
 def test_legendre_rule_is_cached_and_read_only():
@@ -297,7 +298,7 @@ def test_legendre_rule_is_cached_and_read_only():
 def test_rejects_nonpositive_tensors():
     c = random_hermitian(S22, RNG) - 10.0 * make_identity(S22)
     with pytest.raises(DomainError):
-        golden_thompson_lhs(np.exp, [c], 1)
+        golden_thompson_lhs(np.exp, _tuple(c), 1)
 
 
 def test_convexity_warning_helper():
@@ -348,24 +349,23 @@ def test_spectral_paths_match_composed_maps():
                 ts = [draw(shape, rng) for _ in range(3)]
                 total = ts[0] + ts[1] + ts[2]
                 for k in range(1, dim + 1):
-                    rep = check_kyfan_sum_inequality(ts, s, k)
-                    close(rep.lhs, ky_fan_norm(spectral_map(abs_tensor(total), lambda x: x**s), k))
-                    close(rep.rhs, 3.0 ** (s - 1.0) * sum(
+                    rep = check_kyfan_sum_inequality(_tuple(*ts), s, k)
+                    close(rep.lhs[0], ky_fan_norm(spectral_map(abs_tensor(total), lambda x: x**s), k))
+                    close(rep.rhs[0], 3.0 ** (s - 1.0) * sum(
                         ky_fan_norm(spectral_map(abs_tensor(t), lambda x: x**s), k) for t in ts
                     ))
 
         for f in (lambda x: x - 0.5, lambda x: x**3, np.exp):
             c = random_hermitian(shape, rng)
             ds = (random_hermitian(shape, rng), random_hermitian(shape, rng))
-            measure = DiscreteMeasure(ds, (0.25, 0.75))
             for k in range(1, dim + 1):
-                rep = verify_discrete_average_majorization(c, measure, f, k, "weak")
-                close(rep.conclusion_lhs, ky_fan_norm(spectral_map(c, f), k))
-                close(rep.conclusion_rhs, 0.25 * ky_fan_norm(spectral_map(ds[0], f), k)
+                rep = verify_discrete_average_majorization(c.matrix[None], _tuple(*ds), [(0.25, 0.75)], f, k, "weak")
+                close(rep.conclusion_lhs[0], ky_fan_norm(spectral_map(c, f), k))
+                close(rep.conclusion_rhs[0], 0.25 * ky_fan_norm(spectral_map(ds[0], f), k)
                       + 0.75 * ky_fan_norm(spectral_map(ds[1], f), k))
 
         for f in (lambda x: x - 2.0, lambda x: x**2):
             cs = [random_positive(shape, rng) for _ in range(3)]
             log_sum = tensor_log(cs[0]) + tensor_log(cs[1]) + tensor_log(cs[2])
             for k in range(1, dim + 1):
-                close(golden_thompson_lhs(f, cs, k), ky_fan_norm(spectral_map(tensor_exp(log_sum), f), k))
+                close(golden_thompson_lhs(f, _tuple(*cs), k)[0], ky_fan_norm(spectral_map(tensor_exp(log_sum), f), k))

@@ -110,24 +110,36 @@ def test_ky_fan_eigenvalue_majorization():
         assert weak_majorizes(lx + ly, lsum)
 
 
+def _stack(*ts) -> np.ndarray:
+    """One batch of tensors as a (1, m, d, d) stack."""
+    return np.stack([t.matrix for t in ts])[None]
+
+
 def test_sum_inequality_trivial_cases():
     s = TensorShape.square((2,))
     c = random_tensor(s, RNG)
-    rep = check_kyfan_sum_inequality([c], s=2.0, k=1)
-    assert rep.holds and rep.lhs == pytest.approx(rep.rhs)
+    rep = check_kyfan_sum_inequality(_stack(c), s=2.0, k=1)
+    assert rep.holds[0] and rep.lhs[0] == pytest.approx(rep.rhs[0])
 
-    rep = check_kyfan_sum_inequality([c, -1.0 * c], s=1.0, k=2)
-    assert rep.holds and rep.lhs == pytest.approx(0.0, abs=1e-9)
+    rep = check_kyfan_sum_inequality(_stack(c, -1.0 * c), s=1.0, k=2)
+    assert rep.holds[0] and rep.lhs[0] == pytest.approx(0.0, abs=1e-9)
+
+    # counts drop a trial's trailing matrices: [c, -c] with count 1 is [c]
+    rep = check_kyfan_sum_inequality(_stack(c, -1.0 * c), s=2.0, k=1, counts=[1])
+    assert rep.lhs[0] == check_kyfan_sum_inequality(_stack(c), s=2.0, k=1).lhs[0]
 
     with pytest.raises(ShapeError):
-        check_kyfan_sum_inequality([c, random_tensor(TensorShape.square((3,)), RNG)], 1.0, 1)
+        check_kyfan_sum_inequality(np.zeros((1, 2, 2, 3)), 1.0, 1)
     with pytest.raises(ArgumentError):
-        check_kyfan_sum_inequality([c], s=0.5, k=1)
+        check_kyfan_sum_inequality(_stack(c), s=0.5, k=1)
+    with pytest.raises(ArgumentError):
+        check_kyfan_sum_inequality(_stack(c), s=1.0, k=1, counts=[2])
 
 
 def test_sum_inequality_random_sweep():
-    # 10^4 randomized batches: m <= 4 summands, s in {1, 2, 3}, dims up to 3x3
-    violations = 0
+    # 10^4 randomized batches: m <= 4 summands, s in {1, 2, 3}, dims up to 3x3,
+    # drawn one at a time and checked in one stack per (dim, m)
+    batches = {}
     for _ in range(10000):
         dim = int(RNG.integers(2, 4))
         s_shape = TensorShape.square((dim,))
@@ -135,6 +147,10 @@ def test_sum_inequality_random_sweep():
         tensors = [random_tensor(s_shape, RNG) for _ in range(m)]
         s_pow = float(RNG.choice([1.0, 2.0, 3.0]))
         k = int(RNG.integers(1, dim + 1))
-        rep = check_kyfan_sum_inequality(tensors, s_pow, k)
-        violations += 0 if rep.holds else 1
+        batches.setdefault((dim, m), []).append((np.stack([t.matrix for t in tensors]), s_pow, k))
+    violations = 0
+    for batch in batches.values():
+        stacks, s_pows, ks = zip(*batch)
+        rep = check_kyfan_sum_inequality(np.array(stacks), np.array(s_pows), np.array(ks))
+        violations += int(np.count_nonzero(~rep.holds))
     assert violations == 0

@@ -1,5 +1,7 @@
 """Runner suites end to end through the library API."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,24 @@ def test_inequalities_suite_all_pass():
     )
     assert rep.all_passed
     assert any(c.name == "beta0_quadrature_mass_error" for c in rep.checks)
+
+
+def test_inequalities_suite_memory_stays_bounded():
+    # the benchmark shape: the trial stacks, and the quadrature node blocks in
+    # particular, must not raise the working set much above a one-at-a-time loop's
+    config = parse_config(
+        "[experiment]\nsuite = inequalities\nseed = 5\ntrials = 200\n"
+        "[quadrature]\ntruncation = 6.0\nnodes = 256\n"
+    )
+    run(config)  # warm the Gauss-Legendre cache
+    tracemalloc.start()
+    try:
+        rep = run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.all_passed
+    assert peak <= 1.5 * 2**20, f"inequalities suite peak {peak / 2**20:.2f} MB"
 
 
 def test_expander_suite_all_pass():

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from tensor_chernoff import chernoff, graphs, inequalities, tensors
+from tensor_chernoff import chernoff, graphs, inequalities, majorization, norms, tensors
 from tensor_chernoff import runner as runner_mod
 from tensor_chernoff.chernoff import contraction_certificate, expectation_sandwich, random_assignment
 from tensor_chernoff.config import parse_config
@@ -23,13 +23,26 @@ from tensor_chernoff.inequalities import (
     PowerProductSpectrum,
     QuadratureSpec,
     commuting_equality_excess,
-    commuting_tuple,
+    commuting_spectra,
+    constructed_premise_trial,
     lie_trotter_audit,
     multivariate_violations,
+    verify_discrete_average_majorization,
 )
+from tensor_chernoff.majorization import check_kyfan_sum_inequality
+from tensor_chernoff.norms import holder_gauge_violations
+from tensor_chernoff.rng import DOMAIN_SUITE, stream
 from tensor_chernoff.runner import run
-from tensor_chernoff.sampling import random_hermitian, random_positive, random_unitary
+from tensor_chernoff.sampling import diagonal_in, ginibre, haar_unitary, random_hermitian
 from tensor_chernoff.tensors import TensorShape
+
+from oracles import (
+    trial_commuting_equality_excess,
+    trial_discrete_average_majorization,
+    trial_holder_gauge_violated,
+    trial_kyfan_sum_holds,
+    trial_multivariate_violations,
+)
 
 QUAD = QuadratureSpec(truncation=6.0, node_count=64)
 FS = (lambda x: x, lambda x: x**2, np.exp)
@@ -65,8 +78,15 @@ def _checks(text):
     return {c.name: c for c in run(parse_config(text)).checks}
 
 
-def _positive_tuple(rng, count=2, dim=3):
-    return [random_positive(TensorShape.square((dim,)), rng) for _ in range(count)]
+def _positive_tuples(rng, batch=1, count=2, dim=3):
+    """``batch`` random positive tuples of ``count`` ``dim x dim`` matrices: (batch, count, dim, dim)."""
+    z = np.array([[ginibre(rng, dim) for _ in range(count)] for _ in range(batch)])
+    return diagonal_in(haar_unitary(z), rng.uniform(0.2, 3.0, size=(batch, count, dim)))
+
+
+def _commuting_tuples(rng, batch=1, count=2, dim=3):
+    u = haar_unitary(np.array([ginibre(rng, dim) for _ in range(batch)]))
+    return diagonal_in(u[:, None], np.array([commuting_spectra(rng, count, dim, 0.3, 2.5) for _ in range(batch)]))
 
 
 def _k4_assignment():
@@ -82,10 +102,10 @@ def _nan_transfer(es, esh, slots, x):
     return np.full(x.shape, np.nan, dtype=np.complex128)
 
 
-# (patched module, attribute, replacement, suite config, runner checks that must fail)
+# (patched module or class, attribute, replacement, suite config, runner checks that must fail)
 NAN_CASES = {
     "multivariate": (
-        inequalities, "golden_thompson_lhs", _nan, INEQUALITIES,
+        PowerProductSpectrum, "lhs", _nan, INEQUALITIES,
         ("multivariate_log_form_violations", "multivariate_linear_form_violations",
          "multivariate_commuting_equality_excess"),
     ),
@@ -110,10 +130,9 @@ def test_nan_fails_the_verifier_and_the_runner_check(monkeypatch, case):
     monkeypatch.setattr(module, attr, replacement)
     rng = np.random.default_rng(11)
     if case == "multivariate":
-        assert multivariate_violations(_positive_tuple(rng), 2, FS, QUAD) == (3, 3)
-        u = random_unitary(TensorShape.square((3,)), rng)
-        cs, _ = commuting_tuple(rng, u, 2, 0.3, 2.5)
-        assert not commuting_equality_excess(cs, 2, FS[:2], QUAD) <= 0.0
+        log_bad, lin_bad = multivariate_violations(_positive_tuples(rng), 2, FS, QUAD)
+        assert log_bad.sum() == 3 and lin_bad.sum() == 3
+        assert not commuting_equality_excess(_commuting_tuples(rng), 2, FS[:2], QUAD)[0] <= 0.0
     elif case == "lie_trotter":
         shape = TensorShape.square((2,))
         slope, bound_ok = lie_trotter_audit(
@@ -177,8 +196,8 @@ def test_weakened_log_form_fails_the_suite_and_criterion_4_verifier(monkeypatch)
     assert not checks["multivariate_log_form_violations"].passed
     assert checks["multivariate_linear_form_violations"].passed
     rng = np.random.default_rng(404)
-    log_bad, lin_bad = multivariate_violations(_positive_tuple(rng, count=3), 2, FS, QUAD)
-    assert log_bad == len(FS) and lin_bad == 0
+    log_bad, lin_bad = multivariate_violations(_positive_tuples(rng, count=3), 2, FS, QUAD)
+    assert log_bad.sum() == len(FS) and lin_bad.sum() == 0
 
 
 def test_zero_expectation_bound_fails_the_sandwich_for_both_callers(monkeypatch):
@@ -189,3 +208,154 @@ def test_zero_expectation_bound_fails_the_sandwich_for_both_callers(monkeypatch)
     assignment, lam = _k4_assignment()
     admissible, worst_gap = expectation_sandwich(assignment, 4, lam, [(0.05, 1.0, 0.0)])
     assert admissible == 1 and worst_gap > 0.0
+
+
+# ---------------------------------------------------------------------------
+# Batched verifiers: one bad trial in a stack must show
+# ---------------------------------------------------------------------------
+
+def _poison_lhs(monkeypatch, owner, attr, index, value):
+    """Replace ``owner.attr`` by a wrapper that sets entry ``index`` of every 1-d result to ``value``.
+
+    The left sides of the Hölder, Ky Fan sum and discrete-average checks are
+    the 1-d (one per trial) results of the patched function; their right
+    sides are 2-d and stay as they are.
+    """
+    original = getattr(owner, attr)
+
+    def wrapper(*args, **kwargs):
+        out = np.array(original(*args, **kwargs), dtype=np.float64)
+        if out.ndim == 1:
+            out[index] = value
+        return out
+
+    monkeypatch.setattr(owner, attr, wrapper)
+
+
+def _batch_flags(check, batch: int):
+    """Per-trial failure flags of one batched verifier on ``batch`` valid trials."""
+    rng = np.random.default_rng(2024)
+    if check == "holder":
+        vecs = np.sort(rng.uniform(0.0, 4.0, size=(batch, 3, 5)), axis=-1)[..., ::-1]
+        return holder_gauge_violations(vecs, rng.dirichlet(np.ones(3), size=batch), rng.integers(1, 6, size=batch))
+    if check == "kyfan":
+        mats = rng.standard_normal((batch, 3, 3, 3)) + 1j * rng.standard_normal((batch, 3, 3, 3))
+        return ~check_kyfan_sum_inequality(mats, 2.0, rng.integers(1, 4, size=batch)).holds
+    if check == "discrete":
+        spectra = np.sort(rng.uniform(-2.0, 3.0, size=(batch, 2, 3)), axis=-1)[..., ::-1]
+        w = rng.dirichlet(np.ones(2), size=batch)
+        bases = [haar_unitary(np.array([ginibre(rng, 3) for _ in range(batch)])) for _ in range(2)]
+        c, atoms = constructed_premise_trial(bases[0], spectra, w, bases[1], "strong")
+        rep = verify_discrete_average_majorization(c, atoms, w, np.exp, 2, "strong")
+        assert rep.premise_holds.all()
+        return rep.violated
+    if check == "multivariate":
+        log_bad, lin_bad = multivariate_violations(_positive_tuples(rng, batch), 2, FS[:1], QUAD)
+        return log_bad[:, 0] | lin_bad[:, 0]
+    return ~(commuting_equality_excess(_commuting_tuples(rng, batch), 2, FS[:1], QUAD) <= 0.0)
+
+
+# (patched owner, attribute) whose 1-d result is each check's left side, and the
+# suite check it feeds
+LHS_SITES = {
+    "holder": (norms, "gauge_rho", "holder_gauge_violations"),
+    "kyfan": (majorization, "ky_fan_from_eigenvalues", "kyfan_sum_inequality_violations"),
+    "discrete": (inequalities, "ky_fan_from_eigenvalues", "discrete_average_majorization_violations"),
+    "multivariate": (PowerProductSpectrum, "lhs", "multivariate_log_form_violations"),
+    "commuting": (PowerProductSpectrum, "lhs", "multivariate_commuting_equality_excess"),
+}
+
+
+@pytest.mark.parametrize("check", sorted(LHS_SITES))
+def test_nan_in_the_last_trial_fails_the_batched_verifier_and_the_runner(monkeypatch, check):
+    # an all() or Python-max fold over the stack would hide the last trial
+    owner, attr, name = LHS_SITES[check]
+    assert not _batch_flags(check, 6).any()
+    _poison_lhs(monkeypatch, owner, attr, -1, math.nan)
+    assert _batch_flags(check, 6).tolist() == [False] * 5 + [True]
+    assert not _checks(INEQUALITIES)[name].passed
+
+
+@pytest.mark.parametrize("check", sorted(LHS_SITES))
+def test_one_violating_trial_among_200_is_counted_once(monkeypatch, check):
+    # far above every right side, and finite: an infinite left side also makes the slack infinite
+    owner, attr, _ = LHS_SITES[check]
+    _poison_lhs(monkeypatch, owner, attr, 137, 1e6)
+    flags = _batch_flags(check, 200)
+    assert np.count_nonzero(flags) == 1 and flags[137]
+
+
+def test_concave_f_in_one_trial_violates_the_discrete_theorem_once():
+    # a real counterexample, not a patched value: sqrt is concave, so the
+    # strong-mode conclusion fails for the one trial that uses it
+    rng = np.random.default_rng(77)
+    spectra = np.sort(rng.uniform(0.3, 3.0, size=(200, 2, 3)), axis=-1)[..., ::-1]
+    w = np.full((200, 2), 0.5)
+    bases = [haar_unitary(np.array([ginibre(rng, 3) for _ in range(200)])) for _ in range(2)]
+    c, atoms = constructed_premise_trial(bases[0], spectra, w, bases[1], "strong")
+    fs = [np.exp] * 200
+    fs[137] = np.sqrt
+    rep = verify_discrete_average_majorization(c, atoms, w, fs, 3, "strong")
+    assert rep.premise_holds.all()
+    assert np.flatnonzero(rep.violated).tolist() == [137]
+
+
+# ---------------------------------------------------------------------------
+# The runner's own draws through the batched path and the per-trial oracles
+# ---------------------------------------------------------------------------
+
+def _premise_held(check) -> int:
+    return int(check.detail.rsplit(" ", 1)[1])
+
+
+@pytest.mark.parametrize("seed", [3, 41])
+def test_runner_draws_match_the_per_trial_oracles(seed):
+    trials = 40
+    quad = QuadratureSpec(truncation=6.0, node_count=64)
+    config = (
+        f"[experiment]\nsuite = inequalities\nseed = {seed}\ntrials = {trials}\n"
+        "[quadrature]\ntruncation = 6.0\nnodes = 64\n"
+    )
+    checks = _checks(config)
+    rng = stream(seed, DOMAIN_SUITE, runner_mod._SUITE_IDS["inequalities"])
+    holder = runner_mod._holder_draws(rng, trials)
+    kyfan = runner_mod._kyfan_draws(rng, trials)
+    premise = runner_mod._premise_draws(rng, trials)
+    multivariate = runner_mod._multivariate_draws(rng, 20)
+    commuting = runner_mod._commuting_draws(rng, 5)
+
+    assert checks["holder_gauge_violations"].lhs == sum(trial_holder_gauge_violated(*d) for d in holder)
+    assert checks["kyfan_sum_inequality_violations"].lhs == sum(not trial_kyfan_sum_holds(*d) for d in kyfan)
+
+    held = violated = 0
+    for mode, z, spectra, w, z_c, f, k in premise:
+        c, atoms = constructed_premise_trial(
+            haar_unitary(z)[None], spectra[None], w[None], haar_unitary(z_c)[None], mode
+        )
+        ok, bad = trial_discrete_average_majorization(c[0], atoms[0], w, f, k, mode)
+        held += ok
+        violated += bad
+    check = checks["discrete_average_majorization_violations"]
+    assert (check.lhs, _premise_held(check)) == (violated, held)
+
+    log_bad = lin_bad = 0
+    for zs, vals, k, which in multivariate:
+        cs = tensors.hermitian_part(diagonal_in(haar_unitary(zs), vals))
+        log_viol, lin_viol = trial_multivariate_violations(cs, k, [runner_mod._MULTIVARIATE_FS[which]], quad)
+        log_bad += log_viol
+        lin_bad += lin_viol
+    assert checks["multivariate_log_form_violations"].lhs == log_bad
+    assert checks["multivariate_linear_form_violations"].lhs == lin_bad
+
+    # per tuple, bit for bit: the same tuples one at a time and as one stack
+    stacked = [diagonal_in(haar_unitary(z)[None], spectra) for z, spectra, _ in commuting]
+    ks = np.array([k for *_, k in commuting])
+    want = [
+        trial_commuting_equality_excess(tensors.hermitian_part(cs), k, [lambda x: x], quad)
+        for cs, k in zip(stacked, ks)
+    ]
+    for dim in {len(z) for z, *_ in commuting}:
+        rows = [i for i, (z, *_) in enumerate(commuting) if len(z) == dim]
+        got = commuting_equality_excess(np.array([stacked[i] for i in rows]), ks[rows], [lambda x: x], quad)
+        assert got.tolist() == [want[i] for i in rows]
+    assert checks["multivariate_commuting_equality_excess"].lhs == max(0.0, max(want))
