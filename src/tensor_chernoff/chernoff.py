@@ -14,19 +14,16 @@ for complex Hermitian ``g`` (for real symmetric ``g`` it reduces to the usual
 bounds since ``||conj(g)|| = ||g||``.  The ``E_v`` come from one batched
 ``eigh`` of the vertex stack, computed once per (immutable) assignment.
 
-The operator works on blocks of ``B`` such stacks laid out as ``(n, d, B,
-d)``, ``x[u, i, b, j] = X^b_u[i, j]``.  Then ``E_u X`` is one ``(n, d, d) @
-(n, d, B d)`` matmul and ``X E_u^H`` one ``(n, d B, d) @ (n, d, d)`` matmul,
-both on free reshapes: n small GEMMs per side per block, not per stack.
-(Kronecker ``d^2 x d^2`` blocks would need ``n d^4`` memory.)  The exact
-expectation powers the operator against ``X_v = I / sqrt(n)`` with ``B =
-1``.  The contraction certificate splits each probe into its vertex mean
-(the parallel part) and the rest.  ``A / degree`` fixes a stack that is
-constant across vertices, so the parallel part's image is ``E_u P E_u^H``
-with no gather over the edge slots.  Probes come in blocks of ``B`` from a
-fixed byte budget per block; each block is one ``standard_normal((B, 2, n
-d^2))`` draw whose values and order are those of one ``standard_normal(n
-d^2)`` pair (real, imaginary) per probe, so the blocking changes no probe.
+The exact expectation powers the operator against ``X_v = I / sqrt(n)``.
+
+The contraction certificate computes the operator norms of the four parts
+of ``T`` on the split into vertex-constant stacks (the parallel part) and
+their complement.  Parts 1-3 have rank at most ``d^2``: each comes from a
+``d^2 x d^2`` Gram matrix of the Kronecker stack ``M_u = E_u kron
+conj(E_u)`` (``n d^4`` entries; its slot mean runs over vertex chunks).
+Part 4 is the top Ritz value of one Lanczos run on ``P' T^H P' T P'``, whose
+adjoint step ``X_v <- mean over slots u of v of E_u^H X_u E_u`` is the slot
+mean after the conjugation with ``E`` and ``E^H`` swapped.
 
 Monte Carlo tail estimates draw walk ``i`` from the Philox words at
 counters ``(i, b, 0, 0)`` under key ``(seed, DOMAIN_WALK)``, so estimates are
@@ -54,7 +51,7 @@ from .errors import (
 from .graphs import RegularGraph, load_edge_list, sample_walks_array, save_edge_list
 from .inequalities import beta0_density
 from .io import load_tensor, read_json_object, save_tensor
-from .norms import ky_fan_from_eigenvalues
+from .norms import LANCZOS_STEPS, ky_fan_from_eigenvalues, lanczos_top
 from .rng import DOMAIN_PROBE, DOMAIN_TENSORS, stream
 from .tensors import Tensor, TensorShape, as_hermitian, hermitian_part
 
@@ -226,75 +223,51 @@ def _vertex_exponentials(
 
 
 def _conjugate(es: np.ndarray, esh: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``X^b_u <- E_u X^b_u E_u^H`` on an ``(n, d, B, d)`` block.
-
-    ``x`` may also be one ``(1, d, B, d)`` block shared by every vertex.  Each
-    side is one batched matmul of n GEMMs, whatever ``B`` is: ``(n, d, d) @
-    (n, d, B d)`` on the left, ``(n, d B, d) @ (n, d, d)`` on the right.
-    """
-    n, d = es.shape[:2]
-    left = es @ x.reshape(x.shape[0], d, -1)
-    return (left.reshape(n, -1, d) @ esh).reshape(n, d, -1, d)
+    """``X_u <- E_u X_u E_u^H`` on an ``(n, d, d)`` stack."""
+    return es @ x @ esh
 
 
-def _transfer_apply(es: np.ndarray, esh: np.ndarray, slots: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``F (A kron I)`` on an ``(n, d, B, d)`` block: ``X_u <- E_u (mean over slots v of u of X_v) E_u^H``.
-
-    The slot mean adds one slot column at a time, so no ``(n, degree, d, B,
-    d)`` gather is ever held.
-    """
+def _slot_mean(slots: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``(A / degree kron I) x`` at the vertices of ``slots``' rows: the mean of ``x[v]`` over each
+    row's slots ``v``, added one slot column at a time, so no ``(rows, degree, ...)`` gather is held."""
     acc = x[slots[:, 0]]
     for s in range(1, slots.shape[1]):
         acc += x[slots[:, s]]
     acc /= slots.shape[1]
-    return _conjugate(es, esh, acc)
+    return acc
 
 
-# Bytes of one (n, d, B, d) complex probe block: B = 8 at n d^2 = 4096.
-_BLOCK_BYTES = 1 << 19
+def _transfer_apply(es: np.ndarray, esh: np.ndarray, slots: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``F (A kron I)`` on an ``(n, d, d)`` stack: ``X_u <- E_u (mean over slots v of u of X_v) E_u^H``."""
+    return _conjugate(es, esh, _slot_mean(slots, x))
 
 
-def _probe_blocks(seed: int, num_probes: int, n: int, d: int):
-    """Complex Gaussian probes in ``(n, d, B, d)`` blocks, ``x[u, i, b, j] = X^b_u[i, j]``.
-
-    One ``standard_normal((B, 2, n d^2))`` per block: row ``b`` holds the real
-    and the imaginary part of probe ``b``, the values and order of one
-    ``standard_normal(n d^2)`` pair per probe.
-    """
-    rng = stream(seed, DOMAIN_PROBE)
-    size = n * d * d
-    block = max(1, _BLOCK_BYTES // (16 * size))
-    for start in range(0, num_probes, block):
-        count = min(block, num_probes - start)
-        draws = rng.standard_normal((count, 2, size)).reshape(count, 2, n, d, d)
-        x = np.empty((n, d, count, d), dtype=np.complex128)
-        x.real = draws[:, 0].transpose(1, 2, 0, 3)
-        x.imag = draws[:, 1].transpose(1, 2, 0, 3)
-        del draws  # not held while the caller works on the block
-        yield x
+CONTRACTION_SLACK = 1e-9  # how far a part's norm may exceed its gamma
+CERTIFICATE = "gram-lanczos/1"  # how the contraction norms are computed; stamped in reports
+_GRAM_CHUNKS = 8  # vertex chunks of the orth->par Gram's slot mean
 
 
-def _probe_norms(x: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each probe ``b`` of an ``(m, d, B, d)`` block."""
-    m, d, count, _ = x.shape
-    flat = x.view(np.float64).reshape(m * d, count, 2 * d)
-    return np.sqrt(np.einsum("ibj,ibj->b", flat, flat))
-
-
-CONTRACTION_SLACK = 1e-9  # how far a worst ratio may exceed its gamma
+def _gram_norm(gram: np.ndarray) -> float:
+    """Square root of the top eigenvalue of a Hermitian PSD Gram matrix; NaN unless it is finite."""
+    if not np.isfinite(gram).all():
+        return math.nan
+    return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
 
 
 @dataclass(frozen=True)
 class ContractionReport:
-    """Worst observed ratio per part of the contraction lemma, against its gamma."""
+    """Operator norm of each part of the contraction lemma, against its gamma; part 4's Lanczos
+    run took ``steps`` steps and ends at Ritz residual ``residual``."""
 
     gammas: tuple[float, float, float, float]
-    worst_ratios: tuple[float, float, float, float]
+    norms: tuple[float, float, float, float]
+    residual: float
+    steps: int
 
     @property
     def worst_excess(self) -> float:
-        """Largest ``worst ratio - gamma`` over the four parts; NaN if any ratio is NaN."""
-        return float(np.max(np.subtract(self.worst_ratios, self.gammas)))
+        """Largest ``norm - gamma`` over the four parts; NaN if any norm is NaN."""
+        return float(np.max(np.subtract(self.norms, self.gammas)))
 
     @property
     def holds(self) -> bool:
@@ -302,44 +275,42 @@ class ContractionReport:
 
 
 def contraction_certificate(
-    assignment: VertexTensorAssignment,
-    t: float,
-    a: float,
-    b: float,
-    lam: float,
-    num_probes: int = 100,
-    seed: int = 0,
+    assignment: VertexTensorAssignment, t: float, a: float, b: float, lam: float, seed: int = 0
 ) -> ContractionReport:
-    """Check the four norm-contraction bounds on random probe tensors.
+    """Operator norms of ``T = F (A kron I)``'s parts 1 par->par, 2 orth->par, 3 par->orth, 4 orth->orth.
 
-    ``lam`` is the spectral expansion of ``assignment.graph``, which callers
-    already hold.  Each probe is split into its vertex mean (the parallel
-    part) and the rest; a part with norm below 1e-12 is skipped.
+    ``lam`` is the spectral expansion of ``assignment.graph``, which callers already hold.  With
+    ``M_u = E_u kron conj(E_u)`` and ``Z = (A / degree kron I)(M - Mbar)``, parts 1-3 are the roots of
+    the top eigenvalues of ``Mbar^H Mbar``, ``sum_v Z_v Z_v^H / n`` and ``sum_u (M_u - Mbar)^H (M_u -
+    Mbar) / n``.  Part 4 is Lanczos on ``P' T^H P' T P'`` (``P'`` projects off the vertex-constant
+    stacks) from a ``(seed, DOMAIN_PROBE)`` start, exact once the steps reach ``(n - 1) d^2``.
     """
-    if num_probes < 1:
-        raise ArgumentError(f"num_probes must be >= 1, got {num_probes}")
     gammas = gamma_bounds(t, assignment.radius, a, b, lam)
     es, esh = _vertex_exponentials(assignment, t, a, b)
     slots = assignment.graph.edge_slots()
     n, d = assignment.graph.n, assignment.dim
-    root_n = math.sqrt(n)
-    worst = [0.0, 0.0, 0.0, 0.0]
+    m = np.einsum("uij,ukl->uikjl", es, es.conj()).reshape(n, d * d, d * d)
+    m_bar = m.mean(axis=0)
+    m -= m_bar
+    orth_par, par_orth = np.zeros((2, d * d, d * d), dtype=np.complex128)
+    for rows in np.array_split(np.arange(n), _GRAM_CHUNKS):
+        dev = m[rows].reshape(-1, d * d)
+        z = _slot_mean(slots[rows], m).transpose(1, 0, 2).reshape(d * d, -1)
+        par_orth += dev.conj().T @ dev
+        orth_par += z @ z.conj().T
 
-    def record(offset: int, nrm: np.ndarray, image: np.ndarray) -> None:
-        keep = nrm >= 1e-12
-        if keep.any():
-            out_par = image.mean(axis=0, keepdims=True)
-            image -= out_par
-            for idx, out in ((offset, root_n * _probe_norms(out_par)), (offset + 2, _probe_norms(image))):
-                worst[idx] = float(np.maximum(worst[idx], np.max(out[keep] / nrm[keep])))
+    def normal(x):  # P' T^H P' T on P''s range
+        y = _transfer_apply(es, esh, slots, x)
+        y -= y.mean(axis=0)
+        y = _slot_mean(slots, _conjugate(esh, es, y))
+        return y - y.mean(axis=0)
 
-    for x in _probe_blocks(seed, num_probes, n, d):
-        par = x.mean(axis=0, keepdims=True)
-        x -= par  # x is now the orthogonal part
-        # A / degree fixes a vertex-constant stack, so the parallel image needs no gather
-        record(0, root_n * _probe_norms(par), _conjugate(es, esh, par))  # parts 1 and 3
-        record(1, _probe_norms(x), _transfer_apply(es, esh, slots, x))  # parts 2 and 4
-    return ContractionReport(gammas=gammas, worst_ratios=tuple(worst))
+    re, im = stream(seed, DOMAIN_PROBE).standard_normal((2, n, d, d))
+    start = re + 1j * im - (re + 1j * im).mean(axis=0)
+    value, residual, steps = lanczos_top(normal, start, min(LANCZOS_STEPS, (n - 1) * d * d))
+    norms = (_gram_norm(m_bar.conj().T @ m_bar), _gram_norm(orth_par / n), _gram_norm(par_orth / n),
+             math.sqrt(value))
+    return ContractionReport(gammas=gammas, norms=norms, residual=residual, steps=steps)
 
 
 def transfer_expectation(
@@ -352,7 +323,7 @@ def transfer_expectation(
     es, esh = _vertex_exponentials(assignment, t, a, b)
     slots = assignment.graph.edge_slots()
     n, d = assignment.graph.n, assignment.dim
-    x0 = w = np.broadcast_to(np.eye(d, dtype=np.complex128)[:, None, :] / math.sqrt(n), (n, d, 1, d))
+    x0 = w = np.broadcast_to(np.eye(d, dtype=np.complex128) / math.sqrt(n), (n, d, d))
     for _ in range(kappa):
         w = _transfer_apply(es, esh, slots, w)
     val = complex(np.vdot(x0, w))

@@ -7,10 +7,14 @@ polynomial e_k of a positive spectrum.  A Hermitian ``f(X)`` has singular
 values ``|f(l_i)|``, so ``ky_fan_from_eigenvalues`` takes ``||f(X)||_(k)``
 straight from ``f`` of the spectrum.  ``gauge_rho`` is the Ky Fan gauge
 function on sorted nonnegative vectors, so
-``ky_fan_norm(X, k) == gauge_rho(singular_values(X), k)``.
+``ky_fan_norm(X, k) == gauge_rho(singular_values(X), k)``.  ``lanczos_top``
+estimates the spectral radius of a Hermitian operator given only its action.
 """
 
 from __future__ import annotations
+
+import math
+from typing import Callable
 
 import numpy as np
 
@@ -125,3 +129,32 @@ def holder_gauge_violations(vecs: np.ndarray, alphas: np.ndarray, k) -> np.ndarr
     lhs = gauge_rho(np.prod(vecs ** alphas[..., None], axis=1), k)
     rhs = np.prod(gauge_rho(vecs, k[..., None]) ** alphas, axis=1)
     return ~(lhs <= rhs + 1e-9 * (1.0 + rhs))
+
+
+LANCZOS_STEPS = 32  # Krylov dimension cap of both certificates
+
+
+def lanczos_top(apply: Callable[[np.ndarray], np.ndarray], start: np.ndarray, steps: int) -> tuple[float, float, int]:
+    """Largest ``|Ritz value|`` of a Hermitian ``H`` after at most ``steps`` three-term Lanczos steps from ``start``.
+
+    ``apply(q)`` returns ``H q`` as a new array.  Also returns the Ritz pair's residual ``|beta_k
+    s_k|`` (an eigenvalue lies that close to the value) and the steps taken: fewer once the Krylov
+    space is invariant (a new direction below ``1e-12 ||H q||``), where the value is exact.  NaN if a
+    recurrence coefficient is not finite, since LAPACK may return finite eigenvalues of a NaN matrix.
+    """
+    q = start / np.linalg.norm(start)
+    q_prev, alphas, betas = np.zeros_like(q), [], [0.0]
+    for _ in range(steps):
+        w = apply(q)
+        scale = np.linalg.norm(w)
+        alphas.append(float(np.vdot(q, w).real))
+        w -= alphas[-1] * q + betas[-1] * q_prev
+        betas.append(float(np.linalg.norm(w)))
+        if not math.isfinite(alphas[-1] + betas[-1]):
+            return math.nan, math.nan, len(alphas)
+        if betas[-1] <= 1e-12 * scale:
+            break
+        q_prev, q = q, w / betas[-1]
+    vals, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas[1:-1], 1), UPLO="U")  # the tridiagonal T_k
+    top = int(np.argmax(np.abs(vals)))
+    return abs(float(vals[top])), betas[-1] * abs(float(vecs[-1, top])), len(alphas)

@@ -5,9 +5,9 @@ Two kinds of stream, both addressed by a master seed:
 * ``stream(seed, DOMAIN_SUITE, suite_id)`` for suite-level draws,
   ``stream(seed, DOMAIN_TENSORS)`` (one ``standard_normal((2, n, d, d))``
   holds every vertex tensor's real part, then every imaginary part; stamped
-  as :data:`TENSOR_STREAM`), ``DOMAIN_GRAPH`` and ``DOMAIN_PROBE``: a PCG64
-  generator seeded by ``numpy.random.SeedSequence`` with the key path as
-  ``spawn_key``.  Distinct key paths give independent, reproducible streams.
+  as :data:`TENSOR_STREAM`), ``DOMAIN_GRAPH`` and ``DOMAIN_PROBE`` (the
+  contraction certificate's Lanczos start): PCG64 seeded by ``SeedSequence``
+  with the key path as ``spawn_key``, independent and reproducible.
 * Monte Carlo walks read counter-addressed Philox4x64-10 words
   (:func:`counter_words`), so their seed must be in ``[0, 2^64)``: key
   ``(seed, DOMAIN_WALK)``, and walk ``i`` takes its ``b``-th block of four

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__
 from .chernoff import (
+    CERTIFICATE,
     CONTRACTION_SLACK,
     ChernoffParams,
     PolynomialSpec,
@@ -59,7 +60,7 @@ from .inequalities import (
     verify_discrete_average_majorization,
 )
 from .majorization import check_kyfan_sum_inequality
-from .norms import holder_gauge_violations
+from .norms import LANCZOS_STEPS, holder_gauge_violations, lanczos_top
 from .reporting import CheckRecord, Report, TailRow
 from .rng import DOMAIN_SUITE, TENSOR_STREAM, WALK_STREAM, stream
 from .sampling import diagonal_in, ginibre, haar_unitary, random_hermitian, random_tensor
@@ -111,7 +112,7 @@ def run(config: ExperimentConfig, seed: int | None = None) -> Report:
         checks=checks,
         tail_rows=rows,
         environment={"version": __version__, "seed": seed, "walk_stream": WALK_STREAM,
-                     "tensor_stream": TENSOR_STREAM},
+                     "tensor_stream": TENSOR_STREAM, "certificate": CERTIFICATE},
     )
 
 
@@ -355,13 +356,12 @@ def _commuting_draws(rng, trials: int) -> list:
 
 def _multivariate_checks(draws, commuting, quad: QuadratureSpec) -> list[CheckRecord]:
     log_bad = lin_bad = 0
-    for group in _groups(draws, lambda d: d[0].shape):
+    for group in _groups(draws, lambda d: (d[0].shape, d[3])):
         zs, vals, ks, which = zip(*group)
         cs = diagonal_in(haar_unitary(np.array(zs)), np.array(vals))
-        log_viol, lin_viol = multivariate_violations(cs, np.array(ks), _MULTIVARIATE_FS, quad)
-        rows = np.arange(len(group)), np.array(which)
-        log_bad += int(np.count_nonzero(log_viol[rows]))
-        lin_bad += int(np.count_nonzero(lin_viol[rows]))
+        log_viol, lin_viol = multivariate_violations(cs, np.array(ks), [_MULTIVARIATE_FS[which[0]]], quad)
+        log_bad += int(np.count_nonzero(log_viol))
+        lin_bad += int(np.count_nonzero(lin_viol))
 
     # commuting families achieve equality within the reported error
     eq_err = 0.0
@@ -398,13 +398,10 @@ def _suite_expander(cfg: ExperimentConfig, seed: int):
         ),
     ]
 
-    worst = 0.0
-    for _ in range(100):
-        x = rng.standard_normal(graph.n)
-        x -= x.mean()
-        worst = np.maximum(worst, float(np.linalg.norm(a @ x)) / float(np.linalg.norm(x)))
-    checks.append(CheckRecord.from_bound("expansion_certificate", worst, lam + 1e-9,
-                                         detail=f"lambda = {lam:.6f}, 100 probes"))
+    x = rng.standard_normal(graph.n)  # a Lanczos start off the all-ones vector, which each step projects out
+    top, residual, steps = lanczos_top(lambda v: (y := a @ v) - y.mean(), x - x.mean(), min(LANCZOS_STEPS, graph.n - 1))
+    detail = f"lambda = {lam:.6f}, {steps} Lanczos steps, Ritz residual {residual:.1e}"
+    checks.append(CheckRecord.from_bound("expansion_certificate", top, lam + 1e-9, detail=detail))
 
     kappa = max(cfg.walk.kappa, 2)
     n_walks = min(cfg.walk.num_walks, 50000)
@@ -417,13 +414,16 @@ def _suite_expander(cfg: ExperimentConfig, seed: int):
     checks.append(CheckRecord.from_bound("stationary_marginal_max_sigma", worst_dev, 4.0,
                                          detail=f"{n_walks} walks, positions 1, kappa/2, kappa"))
 
-    joint = np.zeros((graph.n, graph.n))
-    np.add.at(joint, (walks[:, 0], walks[:, 1]), 1.0)
-    joint /= n_walks
-    expected = a / graph.n
-    sigma = np.sqrt(np.maximum(expected * (1 - expected) / n_walks, 1e-300))
-    dev = float(np.max(np.abs(joint - expected) / np.where(expected > 0, sigma, 1.0)))
-    checks.append(CheckRecord.from_bound("two_step_joint_max_sigma", dev, 4.0))
+    # Bernstein per (first, second) vertex cell, union over the cells of p > 0 at rate 1e-6, for any N p:
+    # |count - N p| <= L / 3 + sqrt(L^2 / 9 + 2 L N p (1 - p)), L = log(2 cells / 1e-6).  A count at p = 0 fails.
+    counts = np.zeros((graph.n, graph.n))
+    np.add.at(counts, (walks[:, 0], walks[:, 1]), 1.0)
+    p = a / graph.n
+    log_term = math.log(2.0 * np.count_nonzero(p) / 1e-6)
+    allowed = log_term / 3.0 + np.sqrt(log_term**2 / 9.0 + 2.0 * log_term * n_walks * p * (1.0 - p))
+    ratio = np.where(p == 0.0, np.where(counts > 0.0, math.inf, 0.0), np.abs(counts - n_walks * p) / allowed)
+    checks.append(CheckRecord.from_bound("two_step_joint_max_sigma", float(np.max(ratio)), 1.0,
+                                         detail=f"{n_walks} walks, |count - N p| over its Bernstein bound"))
 
     # walk i depends only on (seed, i): chunking invariance rests on it
     alone = [sample_walk(graph, kappa, seed, walk_index=i).vertices for i in (0, n_walks - 1)]
@@ -462,12 +462,9 @@ def _suite_chernoff_sweep(cfg: ExperimentConfig, seed: int):
         res = theorem_bound(params, poly, fit)
         bounds.append(res)
         t_checks.append(res.t_opt)
-        if poly.is_identity:
-            try:
-                corollaries.append(corollary_bound(params, fit))
-            except PreconditionError:
-                corollaries.append(None)
-        else:
+        try:
+            corollaries.append(corollary_bound(params, fit) if poly.is_identity else None)
+        except PreconditionError:
             corollaries.append(None)
 
     estimates = empirical_tail_sweep(
@@ -512,11 +509,10 @@ def _suite_chernoff_sweep(cfg: ExperimentConfig, seed: int):
         checks.append(CheckRecord.from_bound("tail_below_bound_excess", 0.0, 0.0,
                                              detail="skipped: every bound is vacuous"))
 
-    cert = contraction_certificate(
-        assignment, t=min(0.5, 0.9 / assignment.radius), a=1.0, b=0.5, lam=lam, seed=seed
-    )
+    cert = contraction_certificate(assignment, t=min(0.5, 0.9 / assignment.radius), a=1.0, b=0.5, lam=lam, seed=seed)
+    detail = f"gammas {tuple(round(g, 6) for g in cert.gammas)}, part 4: {cert.steps} Lanczos steps"
     checks.append(CheckRecord.from_bound("contraction_certificate_excess", cert.worst_excess, CONTRACTION_SLACK,
-                                         detail=f"gammas {tuple(round(g, 6) for g in cert.gammas)}"))
+                                         detail=f"{detail}, Ritz residual {cert.residual:.1e}"))
 
     tested, sandwich_excess = expectation_sandwich(
         assignment, min(cfg.walk.kappa, 4), lam, [(t, 1.0, 0.0) for t in (0.05, 0.15, 0.4)]

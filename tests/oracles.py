@@ -25,7 +25,7 @@ import numpy as np
 from tensor_chernoff.errors import ArgumentError
 from tensor_chernoff.majorization import SortedVec, log_majorizes, majorizes, weak_log_majorizes, weak_majorizes
 from tensor_chernoff.norms import gauge_rho, ky_fan_norm, singular_values
-from tensor_chernoff.rng import DOMAIN_GRAPH, DOMAIN_PROBE, DOMAIN_TENSORS, DOMAIN_WALK, stream
+from tensor_chernoff.rng import DOMAIN_GRAPH, DOMAIN_TENSORS, DOMAIN_WALK, stream
 from tensor_chernoff.tensors import HermitianTensor, Tensor, TensorShape
 
 
@@ -288,65 +288,16 @@ def dense_transfer_expectation(assignment, t: float, a: float, b: float, kappa: 
     return float(np.vdot(u0, w).real)
 
 
-def dense_certificate_ratios(assignment, t: float, a: float, b: float, probes) -> list[float]:
-    """Worst ratio of each contraction part over ``probes`` (flat length-``n d^2`` vectors)."""
+def dense_contraction_norms(assignment, t: float, a: float, b: float) -> list[float]:
+    """Spectral norms of ``P T P``, ``P T P'``, ``P' T P`` and ``P' T P'`` (parts 1-4) by dense SVD,
+    with ``T`` the dense transfer operator, ``P`` the projection onto vertex-constant stacks and
+    ``P' = I - P``."""
     op, _ = dense_transfer_operator(assignment, t, a, b)
     n, d2 = assignment.graph.n, assignment.dim ** 2
-
-    def split(vec):
-        mat = vec.reshape(n, d2)
-        par = np.broadcast_to(mat.mean(axis=0), (n, d2))
-        return par.ravel(), (mat - par).ravel()
-
-    worst = [0.0, 0.0, 0.0, 0.0]
-    for probe in probes:
-        for offset, comp in zip((0, 1), split(probe)):
-            nrm = np.linalg.norm(comp)
-            if nrm < 1e-12:
-                continue
-            out_par, out_perp = split(op @ comp)
-            worst[offset] = max(worst[offset], np.linalg.norm(out_par) / nrm)
-            worst[offset + 2] = max(worst[offset + 2], np.linalg.norm(out_perp) / nrm)
-    return worst
-
-
-def per_probe_draws(seed: int, num_probes: int, size: int) -> list[np.ndarray]:
-    """Probe ``i`` of the certificate: the ``i``-th pair of ``standard_normal(size)`` draws."""
-    rng = stream(seed, DOMAIN_PROBE)
-    return [rng.standard_normal(size) + 1j * rng.standard_normal(size) for _ in range(num_probes)]
-
-
-def per_probe_certificate_ratios(
-    assignment, t: float, a: float, b: float, num_probes: int, seed: int
-) -> list[float]:
-    """Worst ratio of each contraction part, one probe part and one ``(n, d, d)``
-    transfer application at a time, each ``E_u`` from its own ``eigh``."""
-    graph = assignment.graph
-    n, d = graph.n, assignment.dim
-    es = []
-    for g in assignment.stack():
-        vals, vecs = np.linalg.eigh(g)
-        es.append((vecs * np.exp(t * (a + 1j * b) / 2.0 * vals)) @ vecs.conj().T)
-    es = np.stack(es)
-    slots = graph.edge_slots()
-
-    def apply(x):
-        return es @ x[slots].mean(axis=1) @ es.conj().swapaxes(1, 2)
-
-    def split(x):
-        par = np.broadcast_to(x.mean(axis=0), x.shape)
-        return par, x - par
-
-    worst = [0.0, 0.0, 0.0, 0.0]
-    for probe in per_probe_draws(seed, num_probes, n * d * d):
-        for offset, comp in zip((0, 1), split(probe.reshape(n, d, d))):
-            nrm = np.linalg.norm(comp)
-            if nrm < 1e-12:
-                continue
-            out_par, out_perp = split(apply(comp))
-            worst[offset] = max(worst[offset], np.linalg.norm(out_par) / nrm)
-            worst[offset + 2] = max(worst[offset + 2], np.linalg.norm(out_perp) / nrm)
-    return worst
+    par = np.kron(np.full((n, n), 1.0 / n), np.eye(d2))
+    perp = np.eye(n * d2) - par
+    pairs = ((par, par), (perp, par), (par, perp), (perp, perp))
+    return [float(np.linalg.norm(out @ op @ inp, 2)) for inp, out in pairs]
 
 
 def loop_random_assignment(graph, shape, radius: float, seed: int, streams=stream) -> list[np.ndarray]:

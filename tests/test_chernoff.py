@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tensor_chernoff import TensorShape, chernoff
+from tensor_chernoff import TensorShape, chernoff, norms
 from tensor_chernoff.chernoff import (
     ChernoffParams,
     PolynomialSpec,
@@ -39,15 +39,9 @@ from tensor_chernoff.graphs import (
     spectral_expansion,
 )
 from tensor_chernoff.inequalities import beta0_density
-from tensor_chernoff.rng import DOMAIN_PROBE, stream
+from tensor_chernoff.rng import stream
 
-from oracles import (
-    dense_certificate_ratios,
-    dense_transfer_expectation,
-    loop_random_assignment,
-    per_probe_certificate_ratios,
-    per_probe_draws,
-)
+from oracles import dense_contraction_norms, dense_transfer_expectation, loop_random_assignment
 
 S2 = TensorShape.square((2,))
 S22 = TensorShape.square((2, 2))
@@ -109,8 +103,8 @@ def test_zero_assignment_certificate():
         VertexTensorAssignment(g, S2, zeros), t=0.7, a=1.0, b=0.3, lam=spectral_expansion(g)
     )
     # F is the identity: parts 2 and 3 are exactly zero, parts 1 and 4 contract
-    assert rep.worst_ratios[1] <= 1e-9
-    assert rep.worst_ratios[2] <= 1e-9
+    assert rep.norms[1] <= 1e-9
+    assert rep.norms[2] <= 1e-9
     assert rep.holds
 
 
@@ -118,9 +112,7 @@ def test_certificate_on_small_graphs():
     rng_seed = 3
     for graph in (gen_complete(4), gen_cycle(4)):
         assignment = random_assignment(graph, S2, radius=1.0, seed=rng_seed)
-        rep = contraction_certificate(
-            assignment, t=0.4, a=1.0, b=0.5, lam=spectral_expansion(graph), num_probes=50
-        )
+        rep = contraction_certificate(assignment, t=0.4, a=1.0, b=0.5, lam=spectral_expansion(graph))
         assert rep.holds, rep
 
 
@@ -138,47 +130,34 @@ def test_stack_apply_matches_dense_operator():
                     ref = dense_transfer_expectation(assignment, 0.3, 1.0, b, kappa)
                     assert abs(exact - ref) <= 1e-12 * abs(ref), (gi, shape, kappa, b)
 
-            rep = contraction_certificate(
-                assignment, 0.3, 1.0, 0.5, spectral_expansion(graph), num_probes=20, seed=9
-            )
-            size = graph.n * assignment.dim ** 2
-            rng = stream(9, DOMAIN_PROBE)
-            probes = [rng.standard_normal(size) + 1j * rng.standard_normal(size) for _ in range(20)]
-            ref = dense_certificate_ratios(assignment, 0.3, 1.0, 0.5, probes)
-            for w, r in zip(rep.worst_ratios, ref):
-                assert abs(w - r) <= 1e-12 * max(r, 1e-300), (gi, shape, rep.worst_ratios, ref)
+
+@pytest.mark.parametrize("graph, dims", [
+    (gen_complete(4), (2,)),
+    (gen_cycle(2), (3,)),  # a multigraph: both slots of each vertex hold the other one
+    (gen_random_regular(10, 3, seed=4), (1,)),
+    (gen_random_regular(16, 6, seed=0), (4,)),
+    (gen_hypercube(3), (2, 2)),
+    (gen_random_regular(16, 5, seed=0), (2,)),  # self-loops and repeated edges
+], ids=["K4-d2", "C2-d3", "rr10x3-d1", "rr16x6-d4", "Q3-d4", "rr16x5-d2"])
+def test_certificate_norms_match_dense_operator(graph, dims):
+    assignment = random_assignment(graph, TensorShape.square(dims), radius=1.0, seed=graph.n + len(dims))
+    lam = spectral_expansion(graph)
+    for t, a, b in ((0.5, 1.0, 0.5), (0.3, 1.0, 0.0)):
+        rep = contraction_certificate(assignment, t, a, b, lam, seed=9)
+        ref = dense_contraction_norms(assignment, t, a, b)
+        for part, (got, want) in enumerate(zip(rep.norms, ref), start=1):
+            assert abs(got - want) <= 1e-9 * want, (part, rep.norms, ref)
+        assert all(type(w) is float for w in rep.norms + rep.gammas)
+        assert rep.steps <= min(norms.LANCZOS_STEPS, (graph.n - 1) * assignment.dim ** 2)
 
 
-def test_certificate_rejects_nonpositive_probe_counts():
-    g = gen_complete(4)
-    assignment = random_assignment(g, S2, radius=1.0, seed=1)
-    for num_probes in (0, -3):
-        with pytest.raises(ArgumentError):
-            contraction_certificate(assignment, 0.3, 1.0, 0.5, spectral_expansion(g), num_probes=num_probes)
-    rep = contraction_certificate(assignment, 0.3, 1.0, 0.5, spectral_expansion(g), num_probes=1)
-    assert all(type(w) is float for w in rep.worst_ratios + rep.gammas)
-
-
-def test_blocked_certificate_matches_per_probe_loop(monkeypatch):
-    num_probes, seed = 37, 11
-    graphs = (gen_complete(4), gen_cycle(5), gen_hypercube(3), gen_random_regular(16, 5, seed=0))
-    for gi, graph in enumerate(graphs):
-        for shape in (S2, S22):
-            assignment = random_assignment(graph, shape, radius=1.0, seed=60 + gi)
-            n, d = graph.n, assignment.dim
-            # 8-probe blocks: four full ones and a ragged one of 5
-            monkeypatch.setattr(chernoff, "_BLOCK_BYTES", 8 * 16 * n * d * d)
-            blocks = list(chernoff._probe_blocks(seed, num_probes, n, d))
-            assert [x.shape[2] for x in blocks] == [8, 8, 8, 8, 5]
-            drawn = np.concatenate([x.transpose(2, 0, 1, 3).reshape(x.shape[2], -1) for x in blocks])
-            assert np.array_equal(drawn, np.stack(per_probe_draws(seed, num_probes, n * d * d)))
-
-            rep = contraction_certificate(
-                assignment, 0.3, 1.0, 0.5, spectral_expansion(graph), num_probes=num_probes, seed=seed
-            )
-            ref = per_probe_certificate_ratios(assignment, 0.3, 1.0, 0.5, num_probes, seed)
-            for w, r in zip(rep.worst_ratios, ref):
-                assert abs(w - r) <= 1e-12 * max(r, 1e-300), (gi, shape, rep.worst_ratios, ref)
+def test_certificate_returns_nan_for_a_nan_operator(monkeypatch):
+    graph = gen_complete(4)
+    assignment = random_assignment(graph, S2, radius=1.0, seed=1)
+    nan_exponentials = (np.full((4, 2, 2), np.nan + 0j),) * 2
+    monkeypatch.setattr(chernoff, "_vertex_exponentials", lambda *args: nan_exponentials)
+    rep = contraction_certificate(assignment, 0.3, 1.0, 0.5, spectral_expansion(graph))
+    assert all(math.isnan(w) for w in rep.norms) and not rep.holds
 
 
 class _EvenVerticesZero:
@@ -217,7 +196,7 @@ def test_random_assignment_matches_per_vertex_loop(monkeypatch):
 
 
 def test_certificate_memory_stays_bounded():
-    # a probe block is about 512 KB here; the certificate holds a few at once
+    # the (n, d^2, d^2) Kronecker stack is 1 MB here; the slot mean runs over vertex chunks
     graph = gen_random_regular(256, 6, seed=0)
     assignment = random_assignment(graph, TensorShape.square((4,)), radius=1.0, seed=1)
     lam = spectral_expansion(graph)

@@ -45,6 +45,15 @@ def sweep_config(tmp_path):
     p.write_text(FAST_SWEEP)
     return p
 
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.ini"))
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=[p.stem for p in CONFIGS])
+def test_committed_configs_pass(config, tmp_path, capsys):
+    code = main(["run", "--config", str(config), "--out", str(tmp_path / "report.json")])
+    printed = capsys.readouterr().out
+    assert code == 0 and "[FAIL]" not in printed, printed
+
 
 def test_run_json_and_exit_code(sweep_config, tmp_path, capsys):
     out = tmp_path / "report.json"
@@ -56,6 +65,7 @@ def test_run_json_and_exit_code(sweep_config, tmp_path, capsys):
     assert rep.environment["seed"] == 19
     assert rep.environment["walk_stream"] == "philox4x64-10/1"
     assert rep.environment["tensor_stream"] == "pcg64-stack/1"
+    assert rep.environment["certificate"] == "gram-lanczos/1"
     printed = capsys.readouterr().out
     assert "[PASS]" in printed
 

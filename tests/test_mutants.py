@@ -1,0 +1,62 @@
+"""Mutation gate: each defect below is injected with ``monkeypatch`` and must turn a
+gate check of ``runner.run`` to FAIL, not just a unit test.
+
+Known gaps: an unconjugated ``E X E^T`` in place of ``E X E^H`` passes every gate
+check, because the contraction bounds hold for that operator too; so does a defect
+in ``chernoff._transfer_apply`` alone, because the certificate's Lanczos run then
+pairs it with an adjoint step that is not its adjoint.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from tensor_chernoff import chernoff, inequalities
+from tensor_chernoff import runner as runner_mod
+from tensor_chernoff.config import load_config, parse_config
+from tensor_chernoff.graphs import sample_walks_array
+from tensor_chernoff.runner import run
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# the benchmark's transfer_dense shape at n = 16 and at n = 256
+TRANSFER_DENSE = (
+    "[experiment]\nsuite = chernoff_sweep\nseed = 7\n"
+    "[graph]\nkind = random_regular\nn = {n}\ndegree = 6\ngraph_seed = 11\n"
+    "[tensors]\nsource = random\nrow_dims = 2 2\nradius = 1.0\n"
+    "[walk]\nkappa = 8\nk = 2\nnum_walks = 200\n"
+    "[sweep]\ntheta_grid = 2 4 6 8 120 150\n"
+)
+
+
+def _check(config, name):
+    return {c.name: c for c in run(config).checks}[name]
+
+
+@pytest.mark.parametrize("n", [16, 256])
+def test_transfer_apply_without_the_slot_mean_fails_the_certificate(monkeypatch, n):
+    config = parse_config(TRANSFER_DENSE.format(n=n))
+    assert _check(config, "contraction_certificate_excess").passed
+    monkeypatch.setattr(chernoff, "_slot_mean", lambda slots, x: x.copy())
+    assert not _check(config, "contraction_certificate_excess").passed
+
+
+def test_sign_flip_in_beta0_fails_the_quadrature_mass(monkeypatch):
+    config = load_config(CONFIGS / "inequalities.ini")
+    assert _check(config, "beta0_quadrature_mass_error").passed
+    monkeypatch.setattr(runner_mod, "beta0_density", lambda t: -inequalities.beta0_density(t))
+    assert not _check(config, "beta0_quadrature_mass_error").passed
+
+
+def test_walk_that_always_takes_slot_zero_fails_the_two_step_joint(monkeypatch):
+    def slot_zero(graph, kappa, count, seed, start_index=0):
+        walks = sample_walks_array(graph, kappa, count, seed, start_index=start_index)
+        slots = graph.edge_slots()
+        for j in range(1, kappa):
+            walks[:, j] = slots[walks[:, j - 1], 0]
+        return walks
+
+    config = load_config(CONFIGS / "expander.ini")
+    assert _check(config, "two_step_joint_max_sigma").passed
+    monkeypatch.setattr(runner_mod, "sample_walks_array", slot_zero)
+    assert not _check(config, "two_step_joint_max_sigma").passed

@@ -1,5 +1,7 @@
 """Norm definitions against SVD and subset-enumeration oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from tensor_chernoff.norms import (
     gauge_rho,
     k_trace,
     ky_fan_norm,
+    lanczos_top,
     schatten_norm,
     singular_values,
     spectral_norm,
@@ -132,3 +135,22 @@ def test_holder_gauge_inequality():
             lhs = gauge_rho(prod, k)
             rhs = float(np.prod([gauge_rho(v, k) ** a for v, a in zip(vecs, alphas)]))
             assert lhs <= rhs + 1e-9 * (1 + rhs)
+
+
+def test_lanczos_top_matches_the_spectral_radius():
+    rng = np.random.default_rng(5)
+    z = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    h = (z + z.conj().T) / 2.0
+    value, residual, steps = lanczos_top(lambda x: h @ x, rng.standard_normal(12) + 0j, 12)
+    assert value == pytest.approx(np.max(np.abs(np.linalg.eigvalsh(h))), rel=1e-12)
+    assert steps == 12 and residual <= 1e-10
+
+
+def test_lanczos_top_stops_on_an_invariant_space_and_returns_nan_for_nan():
+    value, residual, steps = lanczos_top(lambda x: 3.0 * x, np.ones(5), 5)
+    assert value == pytest.approx(3.0, rel=1e-15) and residual <= 1e-14 and steps == 1
+    assert lanczos_top(lambda x: np.zeros_like(x), np.ones(5), 5)[:2] == (0.0, 0.0)
+    # LAPACK's eigvalsh([[nan, 0], [0, 1]]) need not be NaN; the recurrence must catch it
+    nan_first = np.diag([np.nan, 1.0, 2.0])
+    value, residual, _ = lanczos_top(lambda x: nan_first @ x, np.ones(3), 3)
+    assert math.isnan(value) and math.isnan(residual)

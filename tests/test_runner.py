@@ -1,13 +1,15 @@
 """Runner suites end to end through the library API."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from tensor_chernoff import runner as runner_mod
 from tensor_chernoff.config import parse_config
 from tensor_chernoff.errors import ConfigError
-from tensor_chernoff.graphs import gen_cycle, save_edge_list
+from tensor_chernoff.graphs import gen_cycle, normalized_adjacency, sample_walks_array, save_edge_list
 from tensor_chernoff.runner import build_graph, run
 
 
@@ -121,3 +123,39 @@ def test_seed_changes_results_workers_do_not():
     base = _run_text(text)
     assert _run_text(text).to_json() == base.to_json()
     assert _run_text(text, seed=4).to_json() != base.to_json()
+
+
+SMALL_EXPANDER = (
+    "[experiment]\nsuite = expander\nseed = {seed}\n"
+    "[graph]\nkind = complete\nn = 15\n"
+    "[walk]\nnum_walks = 200\n"
+)
+
+
+def test_two_step_joint_check_holds_at_one_walk_per_cell():
+    # 210 cells that each expect about 0.95 of the 200 walks
+    for seed in range(1, 7):
+        rep = _run_text(SMALL_EXPANDER.format(seed=seed))
+        assert rep.all_passed, [c for c in rep.checks if not c.passed]
+        check = {c.name: c for c in rep.checks}["two_step_joint_max_sigma"]
+        assert 0.0 < check.lhs < 0.5 and check.rhs == 1.0
+
+
+def test_two_step_joint_check_fails_a_step_that_cannot_happen(monkeypatch):
+    def stay_put_once(graph, kappa, count, seed, start_index=0):
+        walks = sample_walks_array(graph, kappa, count, seed, start_index=start_index)
+        walks[0, 1] = walks[0, 0]  # K15 has no self-loops: this cell expects no walk
+        return walks
+
+    monkeypatch.setattr(runner_mod, "sample_walks_array", stay_put_once)
+    check = {c.name: c for c in _run_text(SMALL_EXPANDER.format(seed=1)).checks}["two_step_joint_max_sigma"]
+    assert check.lhs == math.inf and not check.passed
+
+    def nan_cell(graph):
+        a = normalized_adjacency(graph)
+        a[0, 1] = np.nan
+        return a
+
+    monkeypatch.setattr(runner_mod, "normalized_adjacency", nan_cell)
+    check = {c.name: c for c in _run_text(SMALL_EXPANDER.format(seed=1)).checks}["two_step_joint_max_sigma"]
+    assert math.isnan(check.lhs) and not check.passed

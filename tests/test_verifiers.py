@@ -141,7 +141,7 @@ def test_nan_fails_the_verifier_and_the_runner_check(monkeypatch, case):
         assert not bound_ok and not slope <= -0.9
     elif case == "certificate":
         assignment, lam = _k4_assignment()
-        rep = contraction_certificate(assignment, 0.3, 1.0, 0.7, lam, num_probes=10, seed=7)
+        rep = contraction_certificate(assignment, 0.3, 1.0, 0.7, lam, seed=7)
         assert math.isnan(rep.worst_excess) and not rep.holds
     else:
         assignment, lam = _k4_assignment()
