@@ -28,7 +28,8 @@ mean after the conjugation with ``E`` and ``E^H`` swapped.
 Monte Carlo tail estimates draw walk ``i`` from the Philox words at
 counters ``(i, b, 0, 0)`` under key ``(seed, DOMAIN_WALK)``, so estimates are
 reproducible for a fixed ``(seed, num_walks)`` no matter how the walks are
-chunked.
+chunked.  ``tail_table`` holds the one rule, shared by the runner and the
+acceptance gate, that compares them with the bounds.
 """
 
 from __future__ import annotations
@@ -560,17 +561,9 @@ def assumption3_margins(poly: PolynomialSpec, eigenvalues: np.ndarray, t: float)
         return np.min(lhs - rhs, axis=-1)
 
 
-def empirical_tail_sweep(
-    assignment: VertexTensorAssignment,
-    poly: PolynomialSpec,
-    k: int,
-    thetas: Sequence[float],
-    num_walks: int,
-    kappa: int,
-    seed: int,
-    t_check: float | Sequence[float] | None = None,
-    chunk_size: int = DEFAULT_TAIL_CHUNK,
-) -> list[TailEstimate]:
+def empirical_tail_sweep(assignment: VertexTensorAssignment, poly: PolynomialSpec, k: int, thetas: Sequence[float],
+                         num_walks: int, kappa: int, seed: int, t_check: float | Sequence[float] | None = None,
+                         chunk_size: int = DEFAULT_TAIL_CHUNK) -> list[TailEstimate]:
     """Monte Carlo tail probabilities for a grid of thresholds in one pass.
 
     ``t_check`` is the exponent at which each row's assumption-3 margin is
@@ -590,7 +583,10 @@ def empirical_tail_sweep(
     for start in range(0, num_walks, chunk_size):
         count = min(chunk_size, num_walks - start)
         walks = sample_walks_array(assignment.graph, kappa, count, seed, start_index=start)
-        mu = np.linalg.eigvalsh(g_stack[walks].sum(axis=1))
+        total = g_stack[walks[:, 0]]  # one step column at a time, so no (count, kappa, d, d) gather is held
+        for j in range(1, kappa):
+            total += g_stack[walks[:, j]]
+        mu = np.linalg.eigvalsh(total)
         fmu = poly(mu)
         norms = ky_fan_from_eigenvalues(fmu, k)
         hits += np.count_nonzero(norms[:, None] >= thetas, axis=0)
@@ -602,6 +598,52 @@ def empirical_tail_sweep(
     stderr = np.sqrt(p_hat * (1.0 - p_hat) / num_walks)
     rows = zip(thetas, p_hat, stderr, violations)
     return [TailEstimate(float(th), float(p), float(se), int(v)) for th, p, se, v in rows]
+
+
+@dataclass(frozen=True)
+class TailTable:
+    """One threshold sweep's rows and the two folds its acceptance checks read.
+
+    The corollary fold runs over the rows in the closed form's regime (identity map only).  The
+    tail fold compares ``p_hat`` with ``bound + 3 stderr`` on each row whose theorem bound is not
+    vacuous and whose walks show no assumption-3 violation; ``excluded`` holds the thresholds of
+    nonvacuous rows left out for violations.  Worst values fold with ``np.max``, so a NaN fails.
+    """
+
+    estimates: list[TailEstimate]
+    bounds: list[BoundResult]
+    corollary_rows: int
+    corollary_rel_err: float  # worst |theorem - corollary| / corollary, 0 if no row
+    compared: int
+    excluded: tuple[float, ...]
+    excess: float  # worst p_hat - (bound + 3 stderr), -inf if no row
+
+
+def tail_table(assignment: VertexTensorAssignment, poly: PolynomialSpec, k: int, thetas: Sequence[float],
+               num_walks: int, kappa: int, seed: int, lam_bar: float, fit: DominationFit) -> TailTable:
+    """The theorem bound, the corollary and the Monte Carlo tail at each threshold, folded.
+
+    One ``empirical_tail_sweep`` serves every row, auditing assumption 3 at each row's ``t_opt``.
+    """
+    bounds, rels = [], []
+    for theta in thetas:
+        params = ChernoffParams(kappa=kappa, k=k, theta=theta, lam_bar=lam_bar,
+                                dim=assignment.dim, radius=assignment.radius)
+        bounds.append(res := theorem_bound(params, poly, fit))
+        try:
+            cor = corollary_bound(params, fit) if poly.is_identity else None
+        except PreconditionError:  # theta below the closed form's regime
+            cor = None
+        if cor is not None:
+            rels.append(abs(res.value - cor.value) / max(cor.value, 1e-300))
+    estimates = empirical_tail_sweep(assignment, poly, k, thetas, num_walks, kappa, seed,
+                                     t_check=[res.t_opt for res in bounds])
+    live = [(est, res) for est, res in zip(estimates, bounds) if not res.vacuous]
+    gaps = [est.p_hat - (res.value + 3.0 * est.stderr) for est, res in live if not est.assumption3_violations]
+    return TailTable(estimates=estimates, bounds=bounds, corollary_rows=len(rels),
+                     corollary_rel_err=float(np.max(rels, initial=0.0)), compared=len(gaps),
+                     excluded=tuple(est.theta for est, _ in live if est.assumption3_violations),
+                     excess=float(np.max(gaps, initial=-math.inf)))
 
 
 def empirical_tail(

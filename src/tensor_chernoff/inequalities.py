@@ -106,6 +106,15 @@ def _legendre_rule(node_count: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+def beta0_mass_error(quad: QuadratureSpec) -> float:
+    """``|sum beta0(t) w - tanh(pi T / 2)|`` on ``quad``'s interval, over ``max(node_count, 256)`` nodes.
+
+    The 1e-8 tolerance the callers apply is calibrated at 256 nodes, so fewer are never used.
+    """
+    t, w = quad.nodes_weights(max(quad.node_count, 256))
+    return abs(float(np.sum(beta0_density(t) * w)) - math.tanh(math.pi * quad.truncation / 2.0))
+
+
 # ---------------------------------------------------------------------------
 # Discrete-measure majorization average theorems
 # ---------------------------------------------------------------------------
@@ -370,43 +379,36 @@ class PowerProductSpectrum:
         mu = np.linalg.eigvalsh(total)
         return ky_fan_from_eigenvalues(_apply_scalar_function(f, np.exp(mu)), k)
 
-    def _integral(self, f: Callable, k, form: Callable) -> tuple[np.ndarray, np.ndarray]:
-        """``int form(|| f(|prod C_i^(1+it)|) ||_(k)) beta0(t) dt`` on [-T, T] per tuple, and its refinement error."""
+    def forms(self, f: Callable, k) -> tuple[QuadratureValue, QuadratureValue]:
+        """The log form ``exp( int log || f(|prod C_i^(1+it)|) ||_(k) beta0(t) dt )`` and the linear form
+        ``int || f(|prod C_i^(1+it)|) ||_(k) beta0(t) dt`` on [-T, T], per tuple, from one pass over the rules."""
         if self.quad is None:
             raise ArgumentError("the quadrature forms need a QuadratureSpec")
-        k = np.asarray(k)[..., None]
-        sums = []
-        for sv, density, w in self._rules:
-            norms = ky_fan_from_eigenvalues(_apply_scalar_function(f, sv), k)
-            sums.append(np.sum(form(norms) * density * w, axis=-1))
-        full, half = sums
-        return full, np.abs(full - half) + 1e-12 * (1.0 + np.abs(full))
-
-    def log_form(self, f: Callable, k) -> QuadratureValue:
-        """``exp( int log || f(|prod C_i^(1+it)|) ||_(k) beta0(t) dt )`` on [-T, T]."""
-        integral, quad_err = self._integral(f, k, np.log)
-        f_lo, f_hi = _f_range(f, *self.interval)
         k = np.asarray(k)
+        integrals = []
+        for sv, density, w in self._rules:
+            norms = ky_fan_from_eigenvalues(_apply_scalar_function(f, sv), k[..., None])
+            with np.errstate(divide="ignore"):
+                integrals.append(np.sum(np.stack([np.log(norms), norms]) * density * w, axis=-1))
+        full, half = integrals  # each (2, B): the log form's integral, then the linear form's
+        (log_int, integral), (log_err, quad_err) = full, np.abs(full - half) + 1e-12 * (1.0 + np.abs(full))
+        f_lo, f_hi = _f_range(f, *self.interval)
+        tail = beta0_tail_mass(self.quad.truncation)
+        trunc = k * f_hi * tail
+        linear = QuadratureValue(value=integral, error_bound=trunc + quad_err, truncation_bound=trunc,
+                                 quadrature_error=quad_err)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             low = np.where(f_lo > 0, np.abs(np.log(k * f_lo)), np.inf)
-            trunc_log = np.maximum(low, np.abs(np.log(k * f_hi))) * beta0_tail_mass(self.quad.truncation)
-            value = np.exp(integral)
+            trunc_log = np.maximum(low, np.abs(np.log(k * f_hi))) * tail
+            value = np.exp(log_int)
             finite = np.isfinite(trunc_log)
-            return QuadratureValue(
+            log = QuadratureValue(
                 value=value,
-                error_bound=np.where(finite, value * np.expm1(np.minimum(trunc_log + quad_err, 700.0)), np.inf),
+                error_bound=np.where(finite, value * np.expm1(np.minimum(trunc_log + log_err, 700.0)), np.inf),
                 truncation_bound=np.where(finite, value * np.expm1(np.minimum(trunc_log, 700.0)), np.inf),
-                quadrature_error=quad_err,
+                quadrature_error=log_err,
             )
-
-    def linear_form(self, g: Callable, k) -> QuadratureValue:
-        """``int || g(|prod C_i^(1+it)|) ||_(k) beta0(t) dt`` on [-T, T]."""
-        integral, quad_err = self._integral(g, k, lambda norms: norms)
-        _, g_hi = _f_range(g, *self.interval)
-        trunc = np.asarray(k) * g_hi * beta0_tail_mass(self.quad.truncation)
-        return QuadratureValue(
-            value=integral, error_bound=trunc + quad_err, truncation_bound=trunc, quadrature_error=quad_err
-        )
+        return log, linear
 
 
 def golden_thompson_lhs(f: Callable, cs: np.ndarray, k) -> np.ndarray:
@@ -416,12 +418,12 @@ def golden_thompson_lhs(f: Callable, cs: np.ndarray, k) -> np.ndarray:
 
 def golden_thompson_rhs_log(f: Callable, cs: np.ndarray, k, quad: QuadratureSpec) -> QuadratureValue:
     """``exp( int log || f(|prod C_i^(1+it)|) ||_(k) beta0(t) dt )`` on [-T, T], per tuple."""
-    return PowerProductSpectrum(cs, quad).log_form(f, k)
+    return PowerProductSpectrum(cs, quad).forms(f, k)[0]
 
 
 def golden_thompson_rhs_linear(g: Callable, cs: np.ndarray, k, quad: QuadratureSpec) -> QuadratureValue:
     """``int || g(|prod C_i^(1+it)|) ||_(k) beta0(t) dt`` on [-T, T], per tuple."""
-    return PowerProductSpectrum(cs, quad).linear_form(g, k)
+    return PowerProductSpectrum(cs, quad).forms(g, k)[1]
 
 
 def multivariate_violations(
@@ -437,7 +439,7 @@ def multivariate_violations(
     for f in fs:
         lhs = spectrum.lhs(f, k)
         slack = 1e-8 * (1.0 + np.abs(lhs))
-        rlog, rlin = spectrum.log_form(f, k), spectrum.linear_form(f, k)
+        rlog, rlin = spectrum.forms(f, k)
         log_bad.append(~(lhs <= rlog.value + rlog.error_bound + slack))
         lin_bad.append(~(lhs <= rlin.value + rlin.error_bound + slack))
     return np.stack(log_bad, axis=1), np.stack(lin_bad, axis=1)
@@ -452,7 +454,7 @@ def commuting_equality_excess(cs: np.ndarray, k, fs: Sequence[Callable], quad: Q
     excess = np.full(spectrum.eigenvalues.shape[0], -math.inf)
     for f in fs:
         lhs = spectrum.lhs(f, k)
-        rlog = spectrum.log_form(f, k)
+        rlog = spectrum.forms(f, k)[0]
         excess = np.maximum(excess, np.abs(lhs - rlog.value) - (rlog.error_bound + 1e-7 * (1.0 + np.abs(lhs))))
     return excess
 

@@ -34,19 +34,16 @@ def ky_fan_from_eigenvalues(values: np.ndarray, k) -> np.ndarray:
     On singular values, or on the eigenvalues of a normal tensor (a Hermitian
     ``f(X)`` included), this is the Ky Fan k-norm.  ``k`` is one integer, or
     an integer array broadcasting against ``values.shape[:-1]`` (one ``k``
-    per row).
+    per row).  Both take the same masked sum over the whole sorted row, so a
+    scalar ``k`` and a row of equal ``k`` agree bit for bit.  From 8 columns up
+    that sum can differ in the last bits from a sum of the first ``k`` alone,
+    because numpy's pairwise summation unrolls by 8.
     """
     dim = values.shape[-1]
-    if np.ndim(k) == 0:
-        if not 1 <= k <= dim:
-            raise ArgumentError(f"k must be in [1, {dim}], got {k}")
-        top = np.sort(np.abs(values), axis=-1)[..., ::-1]
-        return np.sum(top[..., :k], axis=-1)
     k = np.asarray(k)
     if k.size and not (1 <= k.min() and k.max() <= dim):
         raise ArgumentError(f"every k must be in [1, {dim}], got {k.min()}..{k.max()}")
     top = np.sort(np.abs(values), axis=-1)[..., ::-1]
-    # trailing zeros leave each row's sum of its first k bit for bit
     return np.sum(np.where(np.arange(dim) < k[..., None], top, 0.0), axis=-1)
 
 

@@ -20,20 +20,17 @@ from . import __version__
 from .chernoff import (
     CERTIFICATE,
     CONTRACTION_SLACK,
-    ChernoffParams,
     PolynomialSpec,
     contraction_certificate,
-    corollary_bound,
-    empirical_tail_sweep,
     expectation_sandwich,
     fit_gaussian_domination,
     gamma_bounds,
     load_assignment,
     random_assignment,
-    theorem_bound,
+    tail_table,
 )
 from .config import ExperimentConfig, GraphSpec
-from .errors import ConfigError, PreconditionError
+from .errors import ConfigError
 from .graphs import (
     RegularGraph,
     gen_complete,
@@ -50,6 +47,7 @@ from .inequalities import (
     MODES,
     QuadratureSpec,
     beta0_density,
+    beta0_mass_error,
     beta_density,
     commuting_equality_excess,
     commuting_spectra,
@@ -203,14 +201,8 @@ def _suite_inequalities(cfg: ExperimentConfig, seed: int):
     quad = QuadratureSpec(truncation=cfg.quadrature.truncation, node_count=cfg.quadrature.nodes)
     checks = []
 
-    # the 1e-8 tolerance is calibrated at 256 nodes, so never check below that
-    t, w = quad.nodes_weights(max(quad.node_count, 256))
-    mass = float(np.sum(beta0_density(t) * w))
-    expected = math.tanh(math.pi * quad.truncation / 2.0)
-    checks.append(
-        CheckRecord.from_bound("beta0_quadrature_mass_error", abs(mass - expected), 1e-8,
-                               detail="vs antiderivative tanh(pi T / 2)")
-    )
+    checks.append(CheckRecord.from_bound("beta0_quadrature_mass_error", beta0_mass_error(quad), 1e-8,
+                                         detail="vs antiderivative tanh(pi T / 2)"))
     ts = np.linspace(-4.0, 4.0, 81)
     checks.append(
         CheckRecord.from_bound(
@@ -453,61 +445,27 @@ def _suite_chernoff_sweep(cfg: ExperimentConfig, seed: int):
     gamma_err = max(abs(g2 - lam * g3), abs(g4 - lam * g1))
     checks.append(CheckRecord.from_bound("gamma_algebra_error", gamma_err, 0.0))
 
-    bounds, t_checks, corollaries = [], [], []
-    for theta in cfg.sweep.theta_grid:
-        params = ChernoffParams(
-            kappa=cfg.walk.kappa, k=cfg.walk.k, theta=theta, lam_bar=lam_bar,
-            dim=assignment.dim, radius=assignment.radius,
-        )
-        res = theorem_bound(params, poly, fit)
-        bounds.append(res)
-        t_checks.append(res.t_opt)
-        try:
-            corollaries.append(corollary_bound(params, fit) if poly.is_identity else None)
-        except PreconditionError:
-            corollaries.append(None)
-
-    estimates = empirical_tail_sweep(
-        assignment, poly, cfg.walk.k, cfg.sweep.theta_grid, cfg.walk.num_walks, cfg.walk.kappa, seed,
-        t_check=t_checks,
-    )
-    rows = [
-        TailRow(
-            theta=est.theta,
-            p_hat=est.p_hat,
-            stderr=est.stderr,
-            bound=res.value,
-            vacuous=res.vacuous,
-            assumption3_violations=est.assumption3_violations,
-        )
-        for est, res in zip(estimates, bounds)
-    ]
+    table = tail_table(assignment, poly, cfg.walk.k, cfg.sweep.theta_grid, cfg.walk.num_walks, cfg.walk.kappa,
+                       seed, lam_bar, fit)
+    rows = [TailRow(est.theta, est.p_hat, est.stderr, res.value, res.vacuous, est.assumption3_violations)
+            for est, res in zip(table.estimates, table.bounds)]
 
     if poly.is_identity:
-        rel = 0.0
-        applicable = 0
-        for res, cor in zip(bounds, corollaries):
-            if cor is None:
-                continue
-            applicable += 1
-            rel = np.maximum(rel, abs(res.value - cor.value) / max(cor.value, 1e-300))
-        detail = f"{applicable} thresholds in the corollary regime"
-        if applicable == 0:
+        detail = f"{table.corollary_rows} thresholds in the corollary regime"
+        if table.corollary_rows == 0:
             detail = "skipped: no threshold reaches the corollary regime"
-        checks.append(CheckRecord.from_bound("corollary_vs_theorem_rel_err", rel, 1e-6, detail=detail))
+        checks.append(CheckRecord.from_bound("corollary_vs_theorem_rel_err", table.corollary_rel_err, 1e-6,
+                                             detail=detail))
 
-    excess = -math.inf
-    nonvacuous = 0
-    for row in rows:
-        if not row.vacuous and row.assumption3_violations == 0:
-            nonvacuous += 1
-            excess = np.maximum(excess, row.p_hat - (row.bound + 3.0 * row.stderr))
-    if nonvacuous:
-        checks.append(CheckRecord.from_bound("tail_below_bound_excess", excess, 0.0,
-                                             detail=f"{nonvacuous} nonvacuous thresholds"))
+    excluded = ", ".join(f"{t:g}" for t in table.excluded)
+    excluded = f"; assumption-3 violations exclude theta = {excluded}" if excluded else ""
+    if table.compared:
+        checks.append(CheckRecord.from_bound("tail_below_bound_excess", table.excess, 0.0,
+                                             detail=f"{table.compared} nonvacuous thresholds{excluded}"))
     else:
-        checks.append(CheckRecord.from_bound("tail_below_bound_excess", 0.0, 0.0,
-                                             detail="skipped: every bound is vacuous"))
+        vacuous = sum(res.vacuous for res in table.bounds)
+        skipped = f"{vacuous} vacuous bounds{excluded}" if excluded else "every bound is vacuous"
+        checks.append(CheckRecord.from_bound("tail_below_bound_excess", 0.0, 0.0, detail=f"skipped: {skipped}"))
 
     cert = contraction_certificate(assignment, t=min(0.5, 0.9 / assignment.radius), a=1.0, b=0.5, lam=lam, seed=seed)
     detail = f"gammas {tuple(round(g, 6) for g in cert.gammas)}, part 4: {cert.steps} Lanczos steps"

@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines and timings.  Every tolerance is pinned here, not configured elsewhere.
 """
 
-import functools
 import math
 import time
 
@@ -14,11 +13,11 @@ from tensor_chernoff import (
     TensorShape,
     abs_tensor,
     as_hermitian,
+    chernoff,
     complex_power,
     conj_transpose,
     einstein_product,
     inner_product,
-    runner,
     spectral_map,
     trace,
 )
@@ -32,7 +31,7 @@ from tensor_chernoff.chernoff import (
     expectation_sandwich,
     fit_gaussian_domination,
     random_assignment,
-    theorem_bound,
+    tail_table,
     transfer_expectation,
 )
 from tensor_chernoff.config import parse_config
@@ -47,7 +46,7 @@ from tensor_chernoff.graphs import (
 from tensor_chernoff.inequalities import (
     MODES,
     QuadratureSpec,
-    beta0_density,
+    beta0_mass_error,
     commuting_equality_excess,
     commuting_spectra,
     constructed_premise_trial,
@@ -406,27 +405,12 @@ def test_criterion_8_tail_bound_end_to_end():
                     {round(f * kappa * assignment.radius, 6) for f in (0.25, 0.5, 0.75, 1.0)}
                     | {round(theta_star, 6), round(1.2 * theta_star, 6)}
                 )
-                bounds, cors, t_checks = [], [], []
-                for theta in thetas:
-                    params = ChernoffParams(kappa=kappa, k=k, theta=theta, lam_bar=lam_bar,
-                                            dim=2, radius=assignment.radius)
-                    res = theorem_bound(params, poly, fit)
-                    bounds.append(res)
-                    t_checks.append(res.t_opt)
-                    try:
-                        cor = corollary_bound(params, fit)
-                        cors.append(cor)
-                        worst_rel = np.maximum(worst_rel, abs(res.value - cor.value) / cor.value)
-                    except PreconditionError:
-                        cors.append(None)
-                estimates = empirical_tail_sweep(
-                    assignment, poly, k, thetas, num_walks, kappa, seed=809, t_check=t_checks
-                )
-                for est, cor in zip(estimates, cors):
-                    total_violations += est.assumption3_violations
-                    if cor is not None and cor.value < 1.0 and est.assumption3_violations == 0:
-                        checked += 1
-                        worst_excess = np.maximum(worst_excess, est.p_hat - (cor.value + 3.0 * est.stderr))
+                table = tail_table(assignment, poly, k, thetas, num_walks, kappa, seed=809,
+                                   lam_bar=lam_bar, fit=fit)
+                checked += table.compared
+                worst_excess = np.maximum(worst_excess, table.excess)
+                worst_rel = np.maximum(worst_rel, table.corollary_rel_err)
+                total_violations += sum(est.assumption3_violations for est in table.estimates)
                 configs += 1
 
     ok = checked > 0 and worst_excess <= 0.0 and worst_rel <= 1e-6 and total_violations == 0
@@ -442,11 +426,7 @@ def test_criterion_8_tail_bound_end_to_end():
 
 def test_criterion_9_beta0_mass():
     started = time.time()
-    quad = QuadratureSpec(truncation=6.0, node_count=256)
-    t, w = quad.nodes_weights()
-    mass = float(np.sum(beta0_density(t) * w))
-    closed_form = 1.0 - 2.0 * 0.5 * (1.0 - math.tanh(3.0 * math.pi))
-    err = abs(mass - closed_form)
+    err = beta0_mass_error(QuadratureSpec(truncation=6.0, node_count=256))
     _report(9, "beta0 quadrature mass", err <= 1e-8,
             f"|mass - closed form| = {err:.2e}", started)
 
@@ -484,12 +464,17 @@ def test_criterion_10_determinism(monkeypatch):
     cfg = parse_config(DETERMINISM_CONFIG)
     # the default chunking, a size that divides nothing, and all 20000 walks in one chunk
     chunk_sizes = (DEFAULT_TAIL_CHUNK, 701, 20000)
-    outputs = []
+    outputs, sweeps = [], []
+
+    def sweep(*args, **kwargs):  # the binding chernoff.tail_table calls
+        sweeps.append(chunk_size)
+        return empirical_tail_sweep(*args, **kwargs, chunk_size=chunk_size)
+
+    monkeypatch.setattr(chernoff, "empirical_tail_sweep", sweep)
     for chunk_size in chunk_sizes:
-        sweep = functools.partial(empirical_tail_sweep, chunk_size=chunk_size)
-        monkeypatch.setattr(runner, "empirical_tail_sweep", sweep)
         outputs.append(run(cfg).to_json())
     monkeypatch.undo()
+    assert sweeps == list(chunk_sizes), f"the chunked sweep ran for {sweeps}, not once per chunk size"
     rerun = run(cfg).to_json()
     identical = all(o == outputs[0] for o in outputs) and rerun == outputs[0]
     _report(10, "determinism", identical,

@@ -257,9 +257,10 @@ def test_shared_spectrum_matches_wrappers_bit_for_bit():
             for k in (1, 2):
                 # one object serves every f and both forms, in any order
                 for name, f in reversed(fs.items()):
-                    pairs = [(spectrum.linear_form(f, k), golden_thompson_rhs_linear(f, _tuple(*cs), k, quad))]
+                    log, linear = spectrum.forms(f, k)
+                    pairs = [(linear, golden_thompson_rhs_linear(f, _tuple(*cs), k, quad))]
                     if name != "x-10":
-                        pairs.append((spectrum.log_form(f, k), golden_thompson_rhs_log(f, _tuple(*cs), k, quad)))
+                        pairs.append((log, golden_thompson_rhs_log(f, _tuple(*cs), k, quad)))
                     for got, want in pairs:
                         for field in fields:
                             assert getattr(got, field) == getattr(want, field), (count, k, name, field)
@@ -273,7 +274,7 @@ def test_power_product_spectrum_validation():
     with pytest.raises(DomainError):
         PowerProductSpectrum(_tuple(c), quad)
     with pytest.raises(ArgumentError):  # only the left side is available without a rule
-        PowerProductSpectrum(_tuple(random_positive(S22, RNG))).log_form(np.exp, 1)
+        PowerProductSpectrum(_tuple(random_positive(S22, RNG))).forms(np.exp, 1)
 
 
 def test_legendre_rule_is_cached_and_read_only():

@@ -44,7 +44,8 @@ def test_transfer_apply_without_the_slot_mean_fails_the_certificate(monkeypatch,
 def test_sign_flip_in_beta0_fails_the_quadrature_mass(monkeypatch):
     config = load_config(CONFIGS / "inequalities.ini")
     assert _check(config, "beta0_quadrature_mass_error").passed
-    monkeypatch.setattr(runner_mod, "beta0_density", lambda t: -inequalities.beta0_density(t))
+    original = inequalities.beta0_density  # captured before patching, or the lambda would call itself
+    monkeypatch.setattr(inequalities, "beta0_density", lambda t: -original(t))
     assert not _check(config, "beta0_quadrature_mass_error").passed
 
 

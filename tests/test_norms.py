@@ -10,6 +10,7 @@ from tensor_chernoff.errors import ArgumentError, DomainError
 from tensor_chernoff.norms import (
     gauge_rho,
     k_trace,
+    ky_fan_from_eigenvalues,
     ky_fan_norm,
     lanczos_top,
     schatten_norm,
@@ -51,6 +52,16 @@ def test_ky_fan_examples():
         ky_fan_norm(ident, 0)
     with pytest.raises(ArgumentError):
         ky_fan_norm(ident, 5)
+
+
+def test_ky_fan_scalar_and_per_row_k_agree_bit_for_bit():
+    # numpy's pairwise sum unrolls by 8, so two summation orders would part in the last bits from 8 columns up
+    rng = np.random.default_rng(64)
+    for dim in range(2, 65):
+        values = rng.standard_normal((5, dim)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(5, dim))
+        for k in range(1, dim + 1):
+            scalar = ky_fan_from_eigenvalues(values, k)
+            assert np.array_equal(scalar, ky_fan_from_eigenvalues(values, np.full(5, k))), (dim, k)
 
 
 def test_ky_fan_triangle_inequality():

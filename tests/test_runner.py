@@ -95,6 +95,23 @@ def test_chernoff_sweep_runs_transfer_checks_past_dense_size():
     assert checks["contraction_certificate_excess"].lhs < 0.0
 
 
+def test_tail_check_names_the_thresholds_that_assumption_3_excludes():
+    # f(x) = x^2 breaks assumption 3 on every walk; at theta = 1000 the bound is 7.8e-12, not vacuous
+    rep = _run_text(
+        "[experiment]\nsuite = chernoff_sweep\nseed = 5\n"
+        "[graph]\nkind = complete\nn = 4\n"
+        "[tensors]\nsource = random\nrow_dims = 2\nradius = 1.0\n"
+        "[poly]\ncoefficients = 0 0 1\n"
+        "[walk]\nkappa = 8\nk = 1\nnum_walks = 20000\n"
+        "[sweep]\ntheta_grid = 2 4 8 60 120 400 1000\n"
+    )
+    last = rep.tail_rows[-1]
+    assert last.theta == 1000.0 and not last.vacuous and last.assumption3_violations == 20000
+    assert sum(row.vacuous for row in rep.tail_rows) == 6
+    tail = {c.name: c for c in rep.checks}["tail_below_bound_excess"]
+    assert tail.detail == "skipped: 6 vacuous bounds; assumption-3 violations exclude theta = 1000"
+
+
 def test_build_graph_dispatch(tmp_path):
     spec = parse_config("[graph]\nkind = cycle\nn = 7\n").graph
     assert build_graph(spec, seed=0).n == 7

@@ -167,31 +167,32 @@ def _nan_corollary(params, fit):
     return chernoff.BoundResult(value=math.nan, t_opt=1.0, vacuous=False)
 
 
-# (patched runner name, replacement, suite config, check whose worst-value fold meets the NaN)
+# (module whose binding the fold's caller reads, patched name, replacement, suite config,
+#  check whose worst-value fold meets the NaN)
 FOLD_CASES = {
-    "tensor_props": ("hermitian_eig", _nan_eigenvalues, TENSOR_PROPS, "trace_vs_eigenvalue_sum"),
-    "expander": ("normalized_adjacency", _nan_upper_corner, EXPANDER, "expansion_certificate"),
-    "chernoff_sweep": ("corollary_bound", _nan_corollary, CHERNOFF_K4, "corollary_vs_theorem_rel_err"),
+    "tensor_props": (runner_mod, "hermitian_eig", _nan_eigenvalues, TENSOR_PROPS, "trace_vs_eigenvalue_sum"),
+    "expander": (runner_mod, "normalized_adjacency", _nan_upper_corner, EXPANDER, "expansion_certificate"),
+    "chernoff_sweep": (chernoff, "corollary_bound", _nan_corollary, CHERNOFF_K4, "corollary_vs_theorem_rel_err"),
 }
 
 
 @pytest.mark.parametrize("suite", sorted(FOLD_CASES))
 def test_nan_fails_the_runner_folds(monkeypatch, suite):
     # Python's max(0.0, nan) is 0.0, so a fold written with it would pass here
-    attr, replacement, config, name = FOLD_CASES[suite]
-    monkeypatch.setattr(runner_mod, attr, replacement)
+    module, attr, replacement, config, name = FOLD_CASES[suite]
+    monkeypatch.setattr(module, attr, replacement)
     check = _checks(config)[name]
     assert math.isnan(check.lhs) and not check.passed
 
 
 def test_weakened_log_form_fails_the_suite_and_criterion_4_verifier(monkeypatch):
-    original = PowerProductSpectrum.log_form
+    original = PowerProductSpectrum.forms
 
     def shrunk(self, f, k):
-        value = original(self, f, k)
-        return dataclasses.replace(value, value=value.value * 1e-3, error_bound=0.0)
+        log, linear = original(self, f, k)
+        return dataclasses.replace(log, value=log.value * 1e-3, error_bound=0.0), linear
 
-    monkeypatch.setattr(PowerProductSpectrum, "log_form", shrunk)
+    monkeypatch.setattr(PowerProductSpectrum, "forms", shrunk)
     checks = _checks(INEQUALITIES)
     assert not checks["multivariate_log_form_violations"].passed
     assert checks["multivariate_linear_form_violations"].passed
