@@ -4,26 +4,30 @@ Carlo tail estimates.
 
 The transfer operator ``F (A kron I)`` acts on ``n`` blocks of ``d x d``
 matrices, one per vertex, and is never formed.  With row-major vec the
-diagonal block ``T_v = E_v kron conj(E_v)``, ``E_v = exp(t g(v) (a + i b) /
-2)``, satisfies ``(E kron conj E) vec X = vec(E X E^H)``, so one application
-on an ``(n, d, d)`` stack is ``X_u <- E_u (mean over the slots v of u of X_v)
-E_u^H``: a gather over the graph's edge slots and two batched matrix
-products.  Conjugating the second factor makes the vec-trace identity exact
-for complex Hermitian ``g`` (for real symmetric ``g`` it reduces to the usual
-``E_v kron exp(t g (a - i b) / 2)`` form), and it changes none of the norm
-bounds since ``||conj(g)|| = ||g||``.  The ``E_v`` come from one batched
-``eigh`` of the vertex stack, computed once per (immutable) assignment.
+diagonal block ``M_v = E_v kron conj(E_v)``, ``E_v = exp(t g(v) (a + i b) /
+2)``, satisfies ``M vec X = vec(E X E^H)``, so one application on an
+``(n, d, d)`` stack is a gather over the graph's edge slots (the slot mean)
+followed by the forward vertex map ``X_u <- E_u X_u E_u^H``; its adjoint map is
+``Y_u <- E_u^H Y_u E_u``.  Both maps come from one array.  Up to ``d = 4`` it is
+the ``(n, d^2, d^2)`` Kronecker stack ``M``, applied as one batched matvec
+(``conj(conj(vec Y)^T M)`` for the adjoint, so no ``M^H`` is held); above
+that ``M`` has ``n d^4`` entries and the maps keep the two factored products
+with ``E`` and ``E^H``, which are then faster.  Conjugating the second factor
+makes the vec-trace identity exact for complex Hermitian ``g`` (for real
+symmetric ``g`` it reduces to the usual ``E_v kron exp(t g (a - i b) / 2)``
+form), and it changes none of the norm bounds since ``||conj(g)|| = ||g||``.
+The ``E_v`` come from one batched ``eigh`` of the vertex stack, computed once
+per (immutable) assignment.
 
 The exact expectation powers the operator against ``X_v = I / sqrt(n)``.
 
 The contraction certificate computes the operator norms of the four parts
 of ``T`` on the split into vertex-constant stacks (the parallel part) and
 their complement.  Parts 1-3 have rank at most ``d^2``: each comes from a
-``d^2 x d^2`` Gram matrix of the Kronecker stack ``M_u = E_u kron
-conj(E_u)`` (``n d^4`` entries; its slot mean runs over vertex chunks).
-Part 4 is the top Ritz value of one Lanczos run on ``P' T^H P' T P'``, whose
-adjoint step ``X_v <- mean over slots u of v of E_u^H X_u E_u`` is the slot
-mean after the conjugation with ``E`` and ``E^H`` swapped.
+``d^2 x d^2`` Gram matrix of the Kronecker stack (its slot mean runs over
+vertex chunks).  Part 4 is the top Ritz value of one Lanczos run on
+``P' T^H P' T P'``, each step one forward and one adjoint application; up to
+``d = 4`` its vertex maps reuse the certificate's Kronecker stack.
 
 Monte Carlo tail estimates draw walk ``i`` from the Philox words at
 counters ``(i, b, 0, 0)`` under key ``(seed, DOMAIN_WALK)``, so estimates are
@@ -213,19 +217,36 @@ def gamma_bounds(t: float, r: float, a: float, b: float, lam: float) -> tuple[fl
     return e, lam * (e - 1.0), e - 1.0, lam * e
 
 
-def _vertex_exponentials(
-    assignment: VertexTensorAssignment, t: float, a: float, b: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """(n, d, d) stacks of ``E_v = exp(t g(v) (a + i b) / 2)`` and ``E_v^H``, from the
-    assignment's shared ``eigh``."""
+def _vertex_exponentials(assignment: VertexTensorAssignment, t: float, a: float, b: float) -> np.ndarray:
+    """(n, d, d) stack of ``E_v = exp(t g(v) (a + i b) / 2)``, from the assignment's shared ``eigh``."""
     vals, vecs = assignment.eigh()
-    es = (vecs * np.exp(t * (a + 1j * b) / 2.0 * vals)[:, None, :]) @ vecs.conj().swapaxes(1, 2)
-    return es, np.ascontiguousarray(es.conj().swapaxes(1, 2))
+    return (vecs * np.exp(t * (a + 1j * b) / 2.0 * vals)[:, None, :]) @ vecs.conj().swapaxes(1, 2)
 
 
-def _conjugate(es: np.ndarray, esh: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``X_u <- E_u X_u E_u^H`` on an ``(n, d, d)`` stack."""
-    return es @ x @ esh
+def _kronecker_stack(es: np.ndarray) -> np.ndarray:
+    """``(n, d^2, d^2)`` stack of ``M_u = E_u kron conj(E_u)``, so ``M_u vec X = vec(E_u X E_u^H)``."""
+    n, d = es.shape[:2]
+    return (es[:, :, None, :, None] * es.conj()[:, None, :, None, :]).reshape(n, d * d, d * d)
+
+
+_KRONECKER_MAX_DIM = 4  # largest d whose vertex maps use the Kronecker stack
+
+
+def _vertex_maps(es: np.ndarray, m: np.ndarray | None = None) -> tuple[Callable, Callable]:
+    """The forward map ``X_u <- E_u X_u E_u^H`` and its adjoint ``Y_u <- E_u^H Y_u E_u`` on
+    ``(n, d, d)`` stacks, both from one array.
+
+    Up to ``_KRONECKER_MAX_DIM`` that array is the Kronecker stack ``m`` (built from ``es`` unless
+    given): ``M_u vec X`` forward and ``conj(conj(vec Y)^T M_u)`` as the adjoint, so no ``M^H`` is
+    held.  Above it ``M`` has too many entries to beat the two factored products with ``E``.
+    """
+    n, d = es.shape[:2]
+    if d > _KRONECKER_MAX_DIM:
+        esh = np.ascontiguousarray(es.conj().swapaxes(1, 2))
+        return (lambda x: es @ x @ esh), (lambda y: esh @ y @ es)
+    m = _kronecker_stack(es) if m is None else m
+    return ((lambda x: (m @ x.reshape(n, d * d, 1)).reshape(n, d, d)),
+            (lambda y: (y.reshape(n, 1, d * d).conj() @ m).conj().reshape(n, d, d)))
 
 
 def _slot_mean(slots: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -238,13 +259,13 @@ def _slot_mean(slots: np.ndarray, x: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _transfer_apply(es: np.ndarray, esh: np.ndarray, slots: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``F (A kron I)`` on an ``(n, d, d)`` stack: ``X_u <- E_u (mean over slots v of u of X_v) E_u^H``."""
-    return _conjugate(es, esh, _slot_mean(slots, x))
+def _transfer_apply(forward: Callable, slots: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``F (A kron I)`` on an ``(n, d, d)`` stack: the slot mean, then the forward vertex map."""
+    return forward(_slot_mean(slots, x))
 
 
 CONTRACTION_SLACK = 1e-9  # how far a part's norm may exceed its gamma
-CERTIFICATE = "gram-lanczos/1"  # how the contraction norms are computed; stamped in reports
+CERTIFICATE = "gram-lanczos/2"  # how the contraction norms are computed; stamped in reports
 _GRAM_CHUNKS = 8  # vertex chunks of the orth->par Gram's slot mean
 
 
@@ -287,23 +308,26 @@ def contraction_certificate(
     stacks) from a ``(seed, DOMAIN_PROBE)`` start, exact once the steps reach ``(n - 1) d^2``.
     """
     gammas = gamma_bounds(t, assignment.radius, a, b, lam)
-    es, esh = _vertex_exponentials(assignment, t, a, b)
+    es = _vertex_exponentials(assignment, t, a, b)
     slots = assignment.graph.edge_slots()
     n, d = assignment.graph.n, assignment.dim
-    m = np.einsum("uij,ukl->uikjl", es, es.conj()).reshape(n, d * d, d * d)
+    m = _kronecker_stack(es)
     m_bar = m.mean(axis=0)
-    m -= m_bar
     orth_par, par_orth = np.zeros((2, d * d, d * d), dtype=np.complex128)
     for rows in np.array_split(np.arange(n), _GRAM_CHUNKS):
-        dev = m[rows].reshape(-1, d * d)
-        z = _slot_mean(slots[rows], m).transpose(1, 0, 2).reshape(d * d, -1)
+        dev = m[rows]  # a copy: M keeps its entries for the vertex maps
+        dev -= m_bar
+        z = _slot_mean(slots[rows], m)
+        z -= m_bar
+        dev, z = dev.reshape(-1, d * d), z.transpose(1, 0, 2).reshape(d * d, -1)
         par_orth += dev.conj().T @ dev
         orth_par += z @ z.conj().T
+    forward, adjoint = _vertex_maps(es, m)
 
     def normal(x):  # P' T^H P' T on P''s range
-        y = _transfer_apply(es, esh, slots, x)
+        y = _transfer_apply(forward, slots, x)
         y -= y.mean(axis=0)
-        y = _slot_mean(slots, _conjugate(esh, es, y))
+        y = _slot_mean(slots, adjoint(y))
         return y - y.mean(axis=0)
 
     re, im = stream(seed, DOMAIN_PROBE).standard_normal((2, n, d, d))
@@ -321,12 +345,12 @@ def transfer_expectation(
     under the stationary walk, via ``kappa`` applications of the transfer operator."""
     if kappa < 1:
         raise ArgumentError(f"kappa must be >= 1, got {kappa}")
-    es, esh = _vertex_exponentials(assignment, t, a, b)
+    forward, _ = _vertex_maps(_vertex_exponentials(assignment, t, a, b))
     slots = assignment.graph.edge_slots()
     n, d = assignment.graph.n, assignment.dim
     x0 = w = np.broadcast_to(np.eye(d, dtype=np.complex128) / math.sqrt(n), (n, d, d))
     for _ in range(kappa):
-        w = _transfer_apply(es, esh, slots, w)
+        w = _transfer_apply(forward, slots, w)
     val = complex(np.vdot(x0, w))
     scale = max(1.0, abs(val.real))
     if abs(val.imag) > 1e-9 * scale:
@@ -568,9 +592,10 @@ def empirical_tail_sweep(assignment: VertexTensorAssignment, poly: PolynomialSpe
 
     ``t_check`` is the exponent at which each row's assumption-3 margin is
     audited: a scalar applies to every threshold, a sequence pairs with
-    ``thetas`` (NaN skips the audit for that row).  Counter-addressed walks make
-    the result identical for any ``chunk_size``; chunks are reduced in index
-    order.
+    ``thetas`` (NaN skips the audit for that row).  The identity map is never
+    audited, since its margins ``f(exp(t mu)) - exp(t f(mu))`` are exactly 0 or
+    NaN.  Counter-addressed walks make the result identical for any
+    ``chunk_size``; chunks are reduced in index order.
     """
     if num_walks < 1:
         raise ArgumentError(f"num_walks must be >= 1, got {num_walks}")
@@ -578,6 +603,7 @@ def empirical_tail_sweep(assignment: VertexTensorAssignment, poly: PolynomialSpe
         raise ArgumentError(f"k must be in [1, {assignment.dim}], got {k}")
     thetas = np.asarray(list(thetas), dtype=np.float64)
     t_checks = np.broadcast_to(np.nan if t_check is None else np.asarray(t_check, dtype=np.float64), thetas.shape)
+    audits = [] if poly.is_identity else [(i, float(t)) for i, t in enumerate(t_checks) if not np.isnan(t)]
     g_stack = assignment.stack()
     hits, violations = np.zeros((2, thetas.size), dtype=np.int64)
     for start in range(0, num_walks, chunk_size):
@@ -591,9 +617,8 @@ def empirical_tail_sweep(assignment: VertexTensorAssignment, poly: PolynomialSpe
         norms = ky_fan_from_eigenvalues(fmu, k)
         hits += np.count_nonzero(norms[:, None] >= thetas, axis=0)
         scale = 1e-9 * (1.0 + np.max(np.abs(fmu), axis=1))
-        for i, t in enumerate(t_checks):
-            if not np.isnan(t):
-                violations[i] += np.count_nonzero(assumption3_margins(poly, mu, float(t)) < -scale)
+        for i, t in audits:
+            violations[i] += np.count_nonzero(assumption3_margins(poly, mu, t) < -scale)
     p_hat = hits / num_walks
     stderr = np.sqrt(p_hat * (1.0 - p_hat) / num_walks)
     rows = zip(thetas, p_hat, stderr, violations)

@@ -45,6 +45,7 @@ from oracles import dense_contraction_norms, dense_transfer_expectation, loop_ra
 
 S2 = TensorShape.square((2,))
 S22 = TensorShape.square((2, 2))
+S222 = TensorShape.square((2, 2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +123,8 @@ def test_stack_apply_matches_dense_operator():
     assert np.trace(adj) > 0 and np.any(adj - np.diag(np.diag(adj)) > 1)
     graphs = (gen_complete(4), gen_cycle(5), gen_hypercube(3), multigraph)
     for gi, graph in enumerate(graphs):
-        for shape in (S2, S22):
+        # d = 8 runs the factored vertex maps; the dense oracle holds (n d^2)^2 entries
+        for shape in (S2, S22) + ((S222,) if graph.n * 64 <= 320 else ()):
             assignment = random_assignment(graph, shape, radius=1.0, seed=40 + gi)
             for kappa in (1, 4):
                 for b in (0.0, 0.5):
@@ -138,7 +140,8 @@ def test_stack_apply_matches_dense_operator():
     (gen_random_regular(16, 6, seed=0), (4,)),
     (gen_hypercube(3), (2, 2)),
     (gen_random_regular(16, 5, seed=0), (2,)),  # self-loops and repeated edges
-], ids=["K4-d2", "C2-d3", "rr10x3-d1", "rr16x6-d4", "Q3-d4", "rr16x5-d2"])
+    (gen_cycle(5), (2, 2, 2)),  # above the Kronecker cutoff: factored vertex maps
+], ids=["K4-d2", "C2-d3", "rr10x3-d1", "rr16x6-d4", "Q3-d4", "rr16x5-d2", "C5-d8"])
 def test_certificate_norms_match_dense_operator(graph, dims):
     assignment = random_assignment(graph, TensorShape.square(dims), radius=1.0, seed=graph.n + len(dims))
     lam = spectral_expansion(graph)
@@ -154,10 +157,26 @@ def test_certificate_norms_match_dense_operator(graph, dims):
 def test_certificate_returns_nan_for_a_nan_operator(monkeypatch):
     graph = gen_complete(4)
     assignment = random_assignment(graph, S2, radius=1.0, seed=1)
-    nan_exponentials = (np.full((4, 2, 2), np.nan + 0j),) * 2
-    monkeypatch.setattr(chernoff, "_vertex_exponentials", lambda *args: nan_exponentials)
+    assert assignment.dim <= chernoff._KRONECKER_MAX_DIM  # the vertex maps share the Gram parts' M
+    monkeypatch.setattr(chernoff, "_vertex_exponentials", lambda *args: np.full((4, 2, 2), np.nan + 0j))
     rep = contraction_certificate(assignment, 0.3, 1.0, 0.5, spectral_expansion(graph))
     assert all(math.isnan(w) for w in rep.norms) and not rep.holds
+
+
+@pytest.mark.parametrize("shape", [S2, S22, S222], ids=["d2", "d4", "d8"])
+def test_vertex_maps_are_an_adjoint_pair(shape):
+    graph = gen_random_regular(16, 5, seed=0)
+    assignment = random_assignment(graph, shape, radius=1.0, seed=3)
+    es = chernoff._vertex_exponentials(assignment, 0.5, 1.0, 0.5)
+    forward, adjoint = chernoff._vertex_maps(es)
+    slots = graph.edge_slots()
+    rng = np.random.default_rng(17)
+    re, im = rng.standard_normal((2, 2, graph.n, shape.unfold_rows, shape.unfold_rows))
+    x, y = re + 1j * im
+    gap = np.vdot(chernoff._transfer_apply(forward, slots, x), y) - np.vdot(x, chernoff._slot_mean(slots, adjoint(y)))
+    assert abs(gap) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(y)
+    ref = np.stack([e @ xv @ e.conj().T for e, xv in zip(es, x)])
+    assert np.max(np.abs(forward(x) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class _EvenVerticesZero:
@@ -426,6 +445,19 @@ def test_tail_identity_assumption3_never_violated():
         assignment, PolynomialSpec.identity(), 1, 2.0, 2000, 6, seed=9, t_check=0.7
     )
     assert est.assumption3_violations == 0
+
+
+def test_identity_sweep_computes_no_margins(monkeypatch):
+    assignment = random_assignment(gen_complete(4), S2, radius=1.0, seed=4)
+
+    def sweep(t_check):
+        return empirical_tail_sweep(assignment, PolynomialSpec.identity(), 1, [1.0, 2.0, 3.0], 3000, 6, seed=9,
+                                    t_check=t_check, chunk_size=1024)
+
+    calls = []
+    monkeypatch.setattr(chernoff, "assumption3_margins", lambda *args: calls.append(args))
+    assert sweep([0.7, 1.5, 40.0]) == sweep(None)
+    assert calls == []
 
 
 def test_assumption3_margins_identity_zero():

@@ -1,10 +1,14 @@
 """Mutation gate: each defect below is injected with ``monkeypatch`` and must turn a
 gate check of ``runner.run`` to FAIL, not just a unit test.
 
-Known gaps: an unconjugated ``E X E^T`` in place of ``E X E^H`` passes every gate
-check, because the contraction bounds hold for that operator too; so does a defect
-in ``chernoff._transfer_apply`` alone, because the certificate's Lanczos run then
-pairs it with an adjoint step that is not its adjoint.
+Known gaps: an unconjugated ``E kron E`` in place of ``E kron conj(E)`` in
+``chernoff._kronecker_stack`` passes every gate check, because the contraction bounds
+hold for that operator too and ``chernoff._vertex_maps`` keeps its adjoint pair.  A
+defect in ``chernoff._transfer_apply`` alone (the forward map without the slot mean)
+FAILs the certificate on ``configs/chernoff_k4.ini`` but passes on the
+``TRANSFER_DENSE`` shape below, because the certificate's Lanczos run then pairs it
+with an adjoint step that is not its adjoint; the adjoint-pair unit test in
+``test_chernoff.py`` catches it.
 """
 
 from pathlib import Path

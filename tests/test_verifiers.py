@@ -98,7 +98,7 @@ def _nan(*args, **kwargs):
     return math.nan
 
 
-def _nan_transfer(es, esh, slots, x):
+def _nan_transfer(forward, slots, x):
     return np.full(x.shape, np.nan, dtype=np.complex128)
 
 
