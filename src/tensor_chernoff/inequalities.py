@@ -334,6 +334,13 @@ class PowerProductSpectrum:
     ``interval`` is ``[prod lambda_min(C_i), prod lambda_max(C_i)]`` per
     tuple, which holds every singular value and is where ``|f|`` is sampled
     for the truncation bound.
+
+    With ``C_i = U_i Λ_i U_i^H`` and the links ``W_i = U_i^H U_(i+1)``,
+    ``prod_i C_i^(1+it) = U_1 Λ_1^(it) [Λ_1 W_1 Λ_2^(1+it) W_2 ⋯ W_(m-1) Λ_m] Λ_m^(it) U_m^H``.
+    The outer factors are unitary, so the singular values are those of the
+    bracketed chain, in which only the middle factors ``Λ_2 … Λ_(m-1)``
+    carry t (for m = 1 the chain is ``Λ_1``): a tuple with m <= 2 has one
+    spectrum for every node.
     """
 
     def __init__(self, cs: np.ndarray, quad: QuadratureSpec | None = None):
@@ -355,22 +362,30 @@ class PowerProductSpectrum:
             self._rules.append((self._node_singular_values(t), beta0_density(t), w))
 
     def _node_singular_values(self, ts: np.ndarray) -> np.ndarray:
-        """Singular values of ``prod_i C_i^(1 + i t)`` for every tuple and node t: (B, T, d) descending."""
+        """Singular values of ``prod_i C_i^(1 + i t)`` for every tuple and node t: (B, T, d) descending.
+
+        They are those of the chain ``Λ_1 W_1 Λ_2^(1+it) W_2 ⋯ W_(m-1) Λ_m`` (see the class).  It
+        starts as ``Λ_1`` with shape (b, 1, d, d), and each later factor is one matmul by its link
+        and one column scaling.  Only a middle factor's scaling has a node axis, so for m <= 2 the
+        chain stays (b, 1, d, d) and its one spectrum is broadcast to every node.
+        """
         b, m, dim = self.eigenvalues.shape
-        z = 1.0 + 1j * ts
+        z = 1.0 + 1j * ts[:, None]
         step = max(1, _NODE_BLOCK // (ts.size * dim * dim))
         out = []
         for lo in range(0, b, step):
-            bases, logs = self.bases[lo: lo + step], self._logs[lo: lo + step]
-            prod = np.broadcast_to(np.eye(dim, dtype=np.complex128), (len(bases), ts.size, dim, dim)).copy()
-            for i in range(m):
-                powered = np.exp(z[:, None] * logs[:, i, None, :])  # (b, T, d)
-                u = bases[:, i]
-                prod = prod @ np.einsum("bij,btj,bkj->btik", u, powered, u.conj())
-            gram = np.conj(prod.swapaxes(-1, -2)) @ prod
+            vals, logs, bases = (a[lo: lo + step] for a in (self.eigenvalues, self._logs, self.bases))
+            links = np.conj(bases[:, :-1].swapaxes(-1, -2)) @ bases[:, 1:]  # (b, m - 1, d, d)
+            chain = vals[:, :1, :, None] * np.eye(dim)
+            for i in range(1, m):
+                # Λ_1^(it) and Λ_m^(it) are unitary outer factors, so the ends scale by Λ alone
+                scale = np.exp(z * logs[:, i, None, :]) if i < m - 1 else vals[:, i, None, :]
+                chain = (chain @ links[:, i - 1, None]) * scale[:, :, None, :]
+            gram = np.conj(chain.swapaxes(-1, -2)) @ chain
             gram = (gram + np.conj(gram.swapaxes(-1, -2))) / 2.0
             eig = np.linalg.eigvalsh(gram)  # ascending
-            out.append(np.sqrt(np.clip(eig[..., ::-1], 0.0, None)))
+            sv = np.sqrt(np.clip(eig[..., ::-1], 0.0, None))
+            out.append(np.broadcast_to(sv, (len(vals), ts.size, dim)))
         return np.concatenate(out)
 
     def lhs(self, f: Callable, k) -> np.ndarray:

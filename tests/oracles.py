@@ -438,7 +438,12 @@ def trial_discrete_average_majorization(c, atoms, weights, f, k: int, mode: str,
 
 
 def _trial_power_product(cs, quad):
-    """Spectra of one tuple, its two node rules' singular values and its ``|f|`` interval."""
+    """Spectra of one tuple, its two node rules' singular values and its ``|f|`` interval.
+
+    The node singular values are those of the eigenbasis chain
+    ``Λ_1 W_1 Λ_2^(1+it) W_2 ⋯ W_(m-1) Λ_m`` (``W_i = U_i^H U_(i+1)``), built
+    one tuple at a time in the batched code's order of operations.
+    """
     specs = []
     for c in cs:
         vals, vecs = np.linalg.eigh(c)
@@ -447,15 +452,16 @@ def _trial_power_product(cs, quad):
     for node_count in (quad.node_count, max(16, quad.node_count // 2)):
         t, w = quad.nodes_weights(node_count)
         dim = specs[0][1].shape[0]
-        prod = np.broadcast_to(np.eye(dim, dtype=np.complex128), (t.size, dim, dim)).copy()
-        z = 1.0 + 1j * t
-        for vals, u in specs:
-            powered = np.exp(np.multiply.outer(z, np.log(vals)))
-            prod = prod @ np.einsum("ij,tj,kj->tik", u, powered, u.conj())
-        gram = np.conj(np.transpose(prod, (0, 2, 1))) @ prod
+        chain = (specs[0][0][:, None] * np.eye(dim))[None]
+        for i in range(1, len(specs)):
+            (_, u_prev), (vals, u) = specs[i - 1], specs[i]
+            middle = i < len(specs) - 1
+            scale = np.exp(np.multiply.outer(1.0 + 1j * t, np.log(vals))) if middle else vals[None]
+            chain = (chain @ (u_prev.conj().T @ u)) * scale[:, None, :]
+        gram = np.conj(np.transpose(chain, (0, 2, 1))) @ chain
         gram = (gram + np.conj(np.transpose(gram, (0, 2, 1)))) / 2.0
         sv = np.sqrt(np.clip(np.linalg.eigvalsh(gram)[:, ::-1], 0.0, None))
-        rules.append((sv, math.pi / (4.0 * np.cosh(math.pi * t / 2.0) ** 2), w))
+        rules.append((np.broadcast_to(sv, (t.size, dim)), math.pi / (4.0 * np.cosh(math.pi * t / 2.0) ** 2), w))
     interval = (float(np.prod([v[-1] for v, _ in specs])), float(np.prod([v[0] for v, _ in specs])))
     return specs, rules, interval
 

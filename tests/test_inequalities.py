@@ -15,7 +15,7 @@ from tensor_chernoff import (
     tensor_log,
 )
 from tensor_chernoff.errors import ArgumentError, DomainError
-from tensor_chernoff import runner
+from tensor_chernoff import inequalities, runner
 from tensor_chernoff.inequalities import (
     PowerProductSpectrum,
     QuadratureSpec,
@@ -275,6 +275,87 @@ def test_power_product_spectrum_validation():
         PowerProductSpectrum(_tuple(c), quad)
     with pytest.raises(ArgumentError):  # only the left side is available without a rule
         PowerProductSpectrum(_tuple(random_positive(S22, RNG))).forms(np.exp, 1)
+
+
+def _explicit_node_singular_values(us, lams, ts):
+    """``np.linalg.svd`` of ``prod_i U_i diag(lam_i^(1+it)) U_i^H``, multiplied out at every node t."""
+    z = 1.0 + 1j * ts[:, None, None]
+    prod = np.eye(us.shape[-1], dtype=np.complex128)
+    for u, lam in zip(us, lams):
+        prod = prod @ (u * np.exp(z * np.log(lam))) @ u.conj().T
+    return np.linalg.svd(prod, compute_uv=False)
+
+
+def _node_singular_value_errors(seed, per_shape=4):
+    """``(m, worst error / top singular value, largest node-to-node change)`` per drawn (m, d) stack.
+
+    Each stack holds ``per_shape`` tuples of m Haar-rotated spectra in ``e^[-1.5, 1.5]``; the
+    errors compare both rules of 16, 64 and 256 nodes against the multiplied-out products.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for m in range(1, 5):
+        for dim in range(1, 7):
+            g = rng.standard_normal((per_shape, m, dim, dim, 2)) @ np.array([1.0, 1j])
+            us = np.linalg.qr(g)[0]
+            lams = np.exp(rng.uniform(-1.5, 1.5, (per_shape, m, dim)))
+            cs = (us * lams[..., None, :]) @ np.conj(us.swapaxes(-1, -2))
+            err = spread = 0.0
+            for node_count in (16, 64, 256):
+                quad = QuadratureSpec(truncation=6.0, node_count=node_count)
+                spectrum = PowerProductSpectrum(cs, quad)
+                for count, (sv, _, _) in zip((node_count, max(16, node_count // 2)), spectrum._rules):
+                    t, _ = quad.nodes_weights(count)
+                    for b in range(per_shape):
+                        want = _explicit_node_singular_values(us[b], lams[b], t)
+                        err = max(err, float(np.max(np.abs(sv[b] - want) / want[:, :1])))
+                    spread = max(spread, float(np.max(np.abs(sv - sv[:, :1]))))
+            out.append((m, err, spread))
+    return out
+
+
+def test_node_singular_values_match_explicit_products():
+    rows = _node_singular_value_errors(2718)
+    for m, err, spread in rows:
+        assert err <= 1e-12, (m, err)
+        if m <= 2:  # only the middle factors carry t: every node reads node 0's spectrum exactly
+            assert spread == 0.0, (m, spread)
+    # ... and with a middle factor they do depend on t, so the comparison above can fail
+    assert max(spread for m, _, spread in rows if m == 3) > 1e-6
+
+
+def test_node_singular_values_at_t_zero_fail_the_explicit_comparison(monkeypatch):
+    # negative control: every node at t = 0 drops all the phases; the gate checks miss it
+    original = PowerProductSpectrum._node_singular_values
+    monkeypatch.setattr(PowerProductSpectrum, "_node_singular_values", lambda self, ts: original(self, 0.0 * ts))
+    worst = {}
+    for m, err, spread in _node_singular_value_errors(2718, per_shape=2):
+        worst[m] = max(worst.get(m, 0.0), err)
+    assert worst[1] <= 1e-12 and worst[2] <= 1e-12  # the phases matter only between two links
+    assert worst[3] > 1e-3 and worst[4] > 1e-3
+
+
+@pytest.mark.parametrize("block", [1, 3 * 64 * 9])
+def test_node_blocking_does_not_change_a_bit(monkeypatch, block):
+    rng = np.random.default_rng(1618)
+    quad = QuadratureSpec(truncation=6.0, node_count=64)
+    shape = TensorShape.square((3,))
+    fs = (lambda x: x**2, np.exp)
+    ks = np.array([1, 2, 3, 1, 2, 3, 1])
+    stacks = [
+        np.stack([_tuple(*(random_positive(shape, rng, 0.05, 2.0) for _ in range(m)))[0] for _ in range(7)])
+        for m in (1, 2, 3)
+    ]
+    wholes = [PowerProductSpectrum(cs, quad) for cs in stacks]  # 7 tuples of 64 nodes fit one block
+    monkeypatch.setattr(inequalities, "_NODE_BLOCK", block)
+    for m, cs, whole in zip((1, 2, 3), stacks, wholes):
+        blocked = PowerProductSpectrum(cs, quad)
+        for (sv, _, _), (sv_blocked, _, _) in zip(whole._rules, blocked._rules):
+            assert np.array_equal(sv, sv_blocked), m
+        for f in fs:
+            for got, want in zip(blocked.forms(f, ks), whole.forms(f, ks)):
+                for field in ("value", "error_bound", "truncation_bound", "quadrature_error"):
+                    assert np.array_equal(getattr(got, field), getattr(want, field)), (m, field)
 
 
 def test_legendre_rule_is_cached_and_read_only():

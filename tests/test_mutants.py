@@ -8,7 +8,10 @@ defect in ``chernoff._transfer_apply`` alone (the forward map without the slot m
 FAILs the certificate on ``configs/chernoff_k4.ini`` but passes on the
 ``TRANSFER_DENSE`` shape below, because the certificate's Lanczos run then pairs it
 with an adjoint step that is not its adjoint; the adjoint-pair unit test in
-``test_chernoff.py`` catches it.
+``test_chernoff.py`` catches it.  Evaluating every quadrature node at t = 0 in
+``inequalities.PowerProductSpectrum._node_singular_values`` drops the middle factors'
+phases and passes every ``inequalities`` gate check; criterion 4 and the node-by-node
+tests in ``test_inequalities.py`` catch it.
 """
 
 from pathlib import Path
