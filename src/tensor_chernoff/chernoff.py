@@ -21,6 +21,9 @@ per (immutable) assignment.
 
 The exact expectation powers the operator against ``X_v = I / sqrt(n)``.
 
+The Gaussian domination constant of ``beta0`` is closed-form: its ratio to ``N(0, sigma^2)`` peaks
+at ``tau = 0`` or at the window's end (proof at ``_domination_ratio``); a grid audits the winner.
+
 The contraction certificate computes the operator norms of the four parts
 of ``T`` on the split into vertex-constant stacks (the parallel part) and
 their complement.  Parts 1-3 have rank at most ``d^2``: each comes from a
@@ -400,65 +403,36 @@ def expectation_sandwich(
 # Gaussian domination of beta0
 # ---------------------------------------------------------------------------
 
-def _golden_section(fn: Callable, a: float, b: float, keep_going: Callable[[float, float], bool]):
-    """Golden-section minimization of ``fn`` on [a, b]: the final bracket and its two inner values."""
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while keep_going(a, b):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = fn(d)
-    return a, b, fc, fd
+def _domination_ratio(tau, sigma):
+    """``r(tau) = beta0(tau) sigma sqrt(2 pi) exp(tau^2 / 2 sigma^2)``, broadcast over ``tau`` and ``sigma``.
 
-
-_DOMINATION_GRID_POINTS = 10000
-
-
-def _max_domination_ratio(window: float, sigma: float) -> float:
-    """Supremum of ``beta0(tau) sigma sqrt(2 pi) exp(tau^2 / 2 sigma^2)`` over the window.
-
-    Grid scan plus golden-section refinement around the best grid point: the
-    grid alone can undershoot the continuous supremum by the inter-node growth
-    of the ratio, which a randomized audit would catch.
+    ``beta0 <= C N(0, sigma^2)`` on ``[-W, W]`` iff ``C >= r`` there.  With ``beta0 = pi / (4 cosh^2(pi tau / 2))``,
+    ``d/dtau log r = g(tau) = tau / sigma^2 - pi tanh(pi tau / 2)``: ``g(0) = 0`` and ``g' = 1 / sigma^2 - (pi^2 / 2)
+    sech^2(pi tau / 2)`` increases on ``tau >= 0``, so g is convex there and r falls then rises on ``[0, W]`` (or only
+    rises, when ``sigma^2 <= 2 / pi^2``).  As r is even, ``sup_[-W, W] r = max(r(0), r(W))`` for every sigma.
     """
-
-    def ratio(tau: float | np.ndarray):
-        with np.errstate(over="ignore"):
-            return beta0_density(tau) * sigma * math.sqrt(2.0 * math.pi) * np.exp(
-                np.asarray(tau, dtype=np.float64) ** 2 / (2.0 * sigma**2)
-            )
-
-    taus = np.linspace(-window, window, _DOMINATION_GRID_POINTS)
-    vals = ratio(taus)
-    i = int(np.argmax(vals))
-    a = float(taus[max(i - 1, 0)])
-    b = float(taus[min(i + 1, taus.size - 1)])
-    _, _, fc, fd = _golden_section(
-        lambda tau: -float(ratio(tau)), a, b, lambda a, b: (b - a) > 1e-12 * max(1.0, abs(b))
-    )
-    return max(float(np.max(vals)), -fc, -fd)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return beta0_density(tau) * sigma * math.sqrt(2.0 * math.pi) * np.exp(tau**2 / (2.0 * sigma**2))
 
 
 def fit_gaussian_domination(window: float, sigma_grid: Sequence[float]) -> DominationFit:
-    """Smallest C over the sigma grid dominating beta0 on ``[-window, window]``."""
+    """Smallest C over the sigma grid dominating beta0 on ``[-window, window]``.
+
+    Each sigma's C is ``max(r(0), r(window))``; the first smallest finite C wins, audited on 10,000 points.
+    """
     if window <= 0:
         raise ArgumentError(f"window must be positive, got {window}")
-    best_c, best_sigma = math.inf, None
-    for sigma in sigma_grid:
-        if sigma <= 0:
-            raise ArgumentError(f"sigma values must be positive, got {sigma}")
-        c = _max_domination_ratio(window, float(sigma))
-        if c < best_c:
-            best_c, best_sigma = c, float(sigma)
-    best_c *= 1.0 + 1e-9  # cushion so the inequality holds strictly at the argmax
-    taus = np.linspace(-window, window, _DOMINATION_GRID_POINTS)
+    if bad := [sigma for sigma in sigma_grid if sigma <= 0]:
+        raise ArgumentError(f"sigma values must be positive, got {bad[0]}")
+    sigmas = np.asarray(sigma_grid, dtype=np.float64)
+    cs = _domination_ratio(np.array([[0.0], [window]]), sigmas).max(axis=0)
+    cs = np.where(np.isfinite(cs), cs, math.inf)  # r(window) overflowed: no C at that sigma
+    if np.all(cs == math.inf):
+        raise ArgumentError(f"no sigma in sigma_grid {list(sigma_grid)} gives a finite domination constant on window "
+                            f"{window:g}; use larger sigmas or a narrower window")
+    i = int(np.argmin(cs))
+    best_c, best_sigma = float(cs[i]) * (1.0 + 1e-9), float(sigmas[i])  # cushion: strict at the argmax
+    taus = np.linspace(-window, window, 10000)
     gauss = best_c * np.exp(-(taus**2) / (2.0 * best_sigma**2)) / (best_sigma * math.sqrt(2.0 * math.pi))
     verified = bool(np.all(beta0_density(taus) <= gauss))
     return DominationFit(c=best_c, sigma=best_sigma, window=float(window), verified=verified)
@@ -509,6 +483,24 @@ def _theorem_objective(params: ChernoffParams, poly: PolynomialSpec, fit: Domina
     return objective, [(params.theta - a_l[l]) / (2.0 * b_l[l]) for l in terms]
 
 
+def _golden_section(fn: Callable, a: float, b: float) -> tuple[float, float]:
+    """Golden-section minimization of ``fn`` on [a, b] down to a bracket of 1e-8 relative width."""
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - phi * (b - a)
+    d = a + phi * (b - a)
+    fc, fd = fn(c), fn(d)
+    while (b - a) > 1e-8 * max(a, 1e-12):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - phi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + phi * (b - a)
+            fd = fn(d)
+    return a, b
+
+
 def theorem_bound(params: ChernoffParams, poly: PolynomialSpec, fit: DominationFit) -> BoundResult:
     """Minimize the displayed tail-bound expression over ``t > 0``.
 
@@ -525,7 +517,7 @@ def theorem_bound(params: ChernoffParams, poly: PolynomialSpec, fit: DominationF
     left = grid[max(i - 1, 0)]
     right = grid[min(i + 1, grid.size - 1)]
 
-    a_t, b_t, _, _ = _golden_section(objective, left, right, lambda a, b: (b - a) > 1e-8 * max(a, 1e-12))
+    a_t, b_t = _golden_section(objective, left, right)
     t_opt = (a_t + b_t) / 2.0
     value = float(objective(t_opt))
     return BoundResult(value=value, t_opt=float(t_opt), vacuous=value > 1.0)

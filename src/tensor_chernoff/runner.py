@@ -445,27 +445,33 @@ def _suite_chernoff_sweep(cfg: ExperimentConfig, seed: int):
     gamma_err = max(abs(g2 - lam * g3), abs(g4 - lam * g1))
     checks.append(CheckRecord.from_bound("gamma_algebra_error", gamma_err, 0.0))
 
-    table = tail_table(assignment, poly, cfg.walk.k, cfg.sweep.theta_grid, cfg.walk.num_walks, cfg.walk.kappa,
-                       seed, lam_bar, fit)
-    rows = [TailRow(est.theta, est.p_hat, est.stderr, res.value, res.vacuous, est.assumption3_violations)
-            for est, res in zip(table.estimates, table.bounds)]
+    if fit.verified:
+        table = tail_table(assignment, poly, cfg.walk.k, cfg.sweep.theta_grid, cfg.walk.num_walks, cfg.walk.kappa,
+                           seed, lam_bar, fit)
+        rows = [TailRow(est.theta, est.p_hat, est.stderr, res.value, res.vacuous, est.assumption3_violations)
+                for est, res in zip(table.estimates, table.bounds)]
 
-    if poly.is_identity:
-        detail = f"{table.corollary_rows} thresholds in the corollary regime"
-        if table.corollary_rows == 0:
-            detail = "skipped: no threshold reaches the corollary regime"
-        checks.append(CheckRecord.from_bound("corollary_vs_theorem_rel_err", table.corollary_rel_err, 1e-6,
-                                             detail=detail))
+        if poly.is_identity:
+            detail = f"{table.corollary_rows} thresholds in the corollary regime"
+            if table.corollary_rows == 0:
+                detail = "skipped: no threshold reaches the corollary regime"
+            checks.append(CheckRecord.from_bound("corollary_vs_theorem_rel_err", table.corollary_rel_err, 1e-6,
+                                                 detail=detail))
 
-    excluded = ", ".join(f"{t:g}" for t in table.excluded)
-    excluded = f"; assumption-3 violations exclude theta = {excluded}" if excluded else ""
-    if table.compared:
-        checks.append(CheckRecord.from_bound("tail_below_bound_excess", table.excess, 0.0,
-                                             detail=f"{table.compared} nonvacuous thresholds{excluded}"))
-    else:
-        vacuous = sum(res.vacuous for res in table.bounds)
-        skipped = f"{vacuous} vacuous bounds{excluded}" if excluded else "every bound is vacuous"
-        checks.append(CheckRecord.from_bound("tail_below_bound_excess", 0.0, 0.0, detail=f"skipped: {skipped}"))
+        excluded = ", ".join(f"{t:g}" for t in table.excluded)
+        excluded = f"; assumption-3 violations exclude theta = {excluded}" if excluded else ""
+        if table.compared:
+            checks.append(CheckRecord.from_bound("tail_below_bound_excess", table.excess, 0.0,
+                                                 detail=f"{table.compared} nonvacuous thresholds{excluded}"))
+        else:
+            vacuous = sum(res.vacuous for res in table.bounds)
+            skipped = f"{vacuous} vacuous bounds{excluded}" if excluded else "every bound is vacuous"
+            checks.append(CheckRecord.from_bound("tail_below_bound_excess", 0.0, 0.0, detail=f"skipped: {skipped}"))
+    else:  # theorem_bound refuses an unverified fit, so its check below FAILs the run instead
+        rows, skipped = [], "skipped: domination fit not verified"
+        if poly.is_identity:
+            checks.append(CheckRecord.from_bound("corollary_vs_theorem_rel_err", 0.0, 1e-6, detail=skipped))
+        checks.append(CheckRecord.from_bound("tail_below_bound_excess", 0.0, 0.0, detail=skipped))
 
     cert = contraction_certificate(assignment, t=min(0.5, 0.9 / assignment.radius), a=1.0, b=0.5, lam=lam, seed=seed)
     detail = f"gammas {tuple(round(g, 6) for g in cert.gammas)}, part 4: {cert.steps} Lanczos steps"

@@ -335,13 +335,45 @@ def test_domination_window_required():
 def test_domination_sigma_monotonicity():
     # while the window boundary dominates the ratio, widening the Gaussian
     # can only lower the required C
-    from tensor_chernoff.chernoff import _max_domination_ratio
-
-    cs = [_max_domination_ratio(6.0, s) for s in (0.5, 0.7, 0.9, 1.1)]
+    cs = [fit_gaussian_domination(6.0, [s]).c for s in (0.5, 0.7, 0.9, 1.1)]
     assert all(b <= a for a, b in zip(cs, cs[1:]))
     # the grid minimizer is an interior sigma for a wide grid
     fit = fit_gaussian_domination(6.0, [0.5, 0.9, 1.2, 2.0, 4.0])
     assert fit.sigma == 1.2
+
+
+def _ratio(taus, sigma):
+    """``beta0(tau) sigma sqrt(2 pi) exp(tau^2 / 2 sigma^2)``, the ratio C must bound on the window."""
+    with np.errstate(over="ignore"):
+        return beta0_density(taus) * sigma * math.sqrt(2 * math.pi) * np.exp(taus**2 / (2 * sigma**2))
+
+
+@pytest.mark.parametrize("window", [0.5, 2.5, 6.0, 10.0])
+def test_domination_constant_is_the_ratio_maximum_on_a_fine_grid(window):
+    taus = np.linspace(-window, window, 1_000_001)  # holds 0 and both ends of the window
+    assert taus[500_000] == 0.0 and taus[0] == -window and taus[-1] == window
+    for sigma in (0.25, 0.45, 0.7, 1.0, 1.5, 3.0):
+        grid_max = np.max(_ratio(taus, sigma))
+        if np.isinf(grid_max):  # sigma = 0.25 on window 10: exp(800) overflows, so no C exists
+            with pytest.raises(ArgumentError):
+                fit_gaussian_domination(window, [sigma])
+        else:
+            assert fit_gaussian_domination(window, [sigma]).c / (1 + 1e-9) == grid_max
+
+
+def test_domination_constant_at_tau_zero_alone_misses_the_window_end():
+    # negative control for the test above: r(0) is not the supremum at sigma = 1, window = 6
+    taus = np.linspace(-6.0, 6.0, 1_000_001)
+    at_zero, grid_max = float(_ratio(0.0, 1.0)), float(np.max(_ratio(taus, 1.0)))
+    assert at_zero == pytest.approx(1.969, abs=1e-3) and grid_max == pytest.approx(3.367, abs=1e-3)
+
+
+@pytest.mark.parametrize("window, sigmas", [(40.0, [0.25]), (50.0, [0.25, 1.0])])
+def test_domination_overflow_at_every_sigma_raises(window, sigmas):
+    with pytest.raises(ArgumentError, match=f"no sigma in sigma_grid .* on window {window:g}"):
+        fit_gaussian_domination(window, sigmas)
+    # a sigma whose ratio stays finite is still fitted
+    assert fit_gaussian_domination(window, sigmas + [20.0]).sigma == 20.0
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,16 @@ def test_config_error_exit_2(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "missing.ini"), "--out", str(tmp_path / "r.json")]) == 2
 
 
+def test_domination_overflow_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(FAST_SWEEP + "[domination]\nwindow = 40\nsigma_grid = 0.25\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: no sigma in sigma_grid [0.25] gives a finite domination constant on window 40; "
+        "use larger sigmas or a narrower window"
+    ]
+
+
 def test_bad_edge_list_token_exit_2(tmp_path, capsys):
     graph = tmp_path / "g.txt"
     graph.write_text("2 1\n0 1 x\n")

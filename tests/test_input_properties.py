@@ -241,6 +241,10 @@ OVERSIZED_GRAPHS = st.sampled_from([
     {"kind": "random_regular", "n": 100_000, "degree": 4},
     {"kind": "random_regular", "n": 8192, "degree": 8194},
 ])
+OVERFLOWING_DOMINATIONS = st.sampled_from([
+    {"window": 40, "sigma_grid": "0.25"},
+    {"window": 50, "sigma_grid": "0.25 1.0"},
+])
 BAD_VALUES = st.sampled_from(["x", "-3", "-1", "0", "nan", "inf", "", "1e400", "2.5", "[", "%"])
 
 
@@ -260,6 +264,10 @@ def cli_configs(draw):
         elif edit == 3:
             cfg["experiment"]["suite"] = "expander"
             cfg["graph"] = draw(OVERSIZED_GRAPHS)
+        elif edit == 4:  # a window on which every sigma's domination constant overflows
+            cfg["experiment"]["suite"] = "chernoff_sweep"
+            cfg["walk"] = {"num_walks": 200}
+            cfg["domination"] = draw(OVERFLOWING_DOMINATIONS)
     return "".join(
         f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items()) for section, keys in cfg.items()
     )

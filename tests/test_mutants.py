@@ -16,6 +16,7 @@ tests in ``test_inequalities.py`` catch it.
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tensor_chernoff import chernoff, inequalities
@@ -54,6 +55,18 @@ def test_sign_flip_in_beta0_fails_the_quadrature_mass(monkeypatch):
     original = inequalities.beta0_density  # captured before patching, or the lambda would call itself
     monkeypatch.setattr(inequalities, "beta0_density", lambda t: -original(t))
     assert not _check(config, "beta0_quadrature_mass_error").passed
+
+
+def test_domination_constant_from_tau_zero_alone_fails_the_fit_check(monkeypatch):
+    config = load_config(CONFIGS / "chernoff_k4.ini")
+    assert _check(config, "domination_fit_verified").passed
+    original = chernoff._domination_ratio  # captured before patching, or the lambda would call itself
+    monkeypatch.setattr(chernoff, "_domination_ratio", lambda tau, sigma: original(np.zeros_like(tau), sigma))
+    checks = {c.name: c for c in run(config).checks}
+    assert not checks["domination_fit_verified"].passed
+    assert checks["domination_fit_verified"].detail.startswith("C = 1.378091, sigma = 0.7,")
+    for name in ("corollary_vs_theorem_rel_err", "tail_below_bound_excess"):
+        assert checks[name].detail == "skipped: domination fit not verified"
 
 
 def test_walk_that_always_takes_slot_zero_fails_the_two_step_joint(monkeypatch):
