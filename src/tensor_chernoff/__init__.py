@@ -63,13 +63,12 @@ from .inequalities import (
 )
 from .graphs import (
     RegularGraph,
-    WalkSample,
     gen_complete,
     gen_cycle,
     gen_hypercube,
     gen_random_regular,
     normalized_adjacency,
-    sample_walk,
+    sample_walks_array,
     spectral_expansion,
 )
 from .chernoff import (

@@ -410,9 +410,14 @@ def _domination_ratio(tau, sigma):
     ``d/dtau log r = g(tau) = tau / sigma^2 - pi tanh(pi tau / 2)``: ``g(0) = 0`` and ``g' = 1 / sigma^2 - (pi^2 / 2)
     sech^2(pi tau / 2)`` increases on ``tau >= 0``, so g is convex there and r falls then rises on ``[0, W]`` (or only
     rises, when ``sigma^2 <= 2 / pi^2``).  As r is even, ``sup_[-W, W] r = max(r(0), r(W))`` for every sigma.
+    Past ``tau`` of about 226 beta0 underflows to 0 and the Gaussian factor may overflow.  Where the direct product
+    is not finite and positive, r is ``exp(log(pi/4) - 2 log cosh(pi tau/2) + log(sigma sqrt(2pi)) + tau^2/2sigma^2)``.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return beta0_density(tau) * sigma * math.sqrt(2.0 * math.pi) * np.exp(tau**2 / (2.0 * sigma**2))
+        r = beta0_density(tau) * sigma * math.sqrt(2.0 * math.pi) * np.exp(tau**2 / (2.0 * sigma**2))
+        x = math.pi * tau / 2.0  # log(pi / 4) - 2 log cosh x = log(pi) - 2 log(e^x + e^-x), stable at any x
+        log_r = np.log(math.pi * sigma * math.sqrt(2.0 * math.pi)) - 2.0 * np.logaddexp(x, -x) + tau**2 / (2 * sigma**2)
+        return np.where(np.isfinite(r) & (r > 0.0), r, np.exp(log_r))
 
 
 def fit_gaussian_domination(window: float, sigma_grid: Sequence[float]) -> DominationFit:
@@ -426,15 +431,16 @@ def fit_gaussian_domination(window: float, sigma_grid: Sequence[float]) -> Domin
         raise ArgumentError(f"sigma values must be positive, got {bad[0]}")
     sigmas = np.asarray(sigma_grid, dtype=np.float64)
     cs = _domination_ratio(np.array([[0.0], [window]]), sigmas).max(axis=0)
-    cs = np.where(np.isfinite(cs), cs, math.inf)  # r(window) overflowed: no C at that sigma
-    if np.all(cs == math.inf):
+    if np.all(cs == math.inf):  # r(window) overflows even in log space: no C at any sigma
         raise ArgumentError(f"no sigma in sigma_grid {list(sigma_grid)} gives a finite domination constant on window "
                             f"{window:g}; use larger sigmas or a narrower window")
     i = int(np.argmin(cs))
     best_c, best_sigma = float(cs[i]) * (1.0 + 1e-9), float(sigmas[i])  # cushion: strict at the argmax
     taus = np.linspace(-window, window, 10000)
-    gauss = best_c * np.exp(-(taus**2) / (2.0 * best_sigma**2)) / (best_sigma * math.sqrt(2.0 * math.pi))
-    verified = bool(np.all(beta0_density(taus) <= gauss))
+    # log C in the exponent: a huge C times an underflowed Gaussian factor would read 0
+    gauss = np.exp(math.log(best_c) - taus**2 / (2.0 * best_sigma**2)) / (best_sigma * math.sqrt(2.0 * math.pi))
+    with np.errstate(over="ignore"):
+        verified = bool(np.all(beta0_density(taus) <= gauss))
     return DominationFit(c=best_c, sigma=best_sigma, window=float(window), verified=verified)
 
 

@@ -84,18 +84,15 @@ class RegularGraph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "degree", d)
         object.__setattr__(self, "adjacency", adj)
-        slots = np.repeat(np.tile(np.arange(n), n), adj.ravel()).reshape(n, d)
+        cells = np.flatnonzero(adj)  # row-major u * n + v, the order of every slot row and edge-list line
+        counts = adj.ravel()[cells]
+        slots = np.repeat(np.remainder(cells, n, out=cells), counts).reshape(n, d)  # in place: K_n has ~n^2 cells
         slots.setflags(write=False)
         object.__setattr__(self, "_slots", slots)
 
     def edge_slots(self) -> np.ndarray:
         """Read-only (n, d) table: row u lists the neighbors of u in order, each repeated by multiplicity."""
         return self._slots
-
-
-@dataclass(frozen=True)
-class WalkSample:
-    vertices: tuple[int, ...]
 
 
 def normalized_adjacency(g: RegularGraph) -> np.ndarray:
@@ -109,9 +106,7 @@ def spectral_expansion(g: RegularGraph) -> float:
         vals = np.linalg.eigvalsh(normalized_adjacency(g))
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalError(f"eigensolver failed on adjacency: {exc}") from exc
-    vals = np.sort(vals)[::-1]  # drop one copy of the trivial eigenvalue 1
-    rest = vals[1:]
-    return float(np.max(np.abs(rest)))
+    return float(np.max(np.abs(vals[:-1])))  # ascending: drop one copy of the trivial eigenvalue 1
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +123,9 @@ def _symmetric_adjacency(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
 
 def gen_complete(n: int) -> RegularGraph:
     _require_size(n, n - 1)
-    return RegularGraph(np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64))
+    adj = np.ones((n, n), dtype=np.int64)
+    np.fill_diagonal(adj, 0)
+    return RegularGraph(adj)
 
 
 def gen_cycle(n: int) -> RegularGraph:
@@ -173,12 +170,6 @@ def gen_random_regular(n: int, d: int, seed: int) -> RegularGraph:
 # Walks
 # ---------------------------------------------------------------------------
 
-def sample_walk(g: RegularGraph, length: int, seed: int, walk_index: int = 0) -> WalkSample:
-    """Stationary walk ``walk_index``: uniform start, then uniform over the d edge slots."""
-    row = sample_walks_array(g, length, 1, seed, start_index=walk_index)[0]
-    return WalkSample(vertices=tuple(row.tolist()))
-
-
 def sample_walks_array(
     g: RegularGraph, length: int, num_walks: int, seed: int, start_index: int = 0
 ) -> np.ndarray:
@@ -205,12 +196,10 @@ def sample_walks_array(
 # ---------------------------------------------------------------------------
 
 def save_edge_list(g: RegularGraph, path: str | Path) -> None:
+    cells = np.flatnonzero(g.adjacency)
+    cells = cells[cells // g.n <= cells % g.n]  # each unordered pair once: u <= v
     lines = [f"{g.n} {g.degree}"]
-    for u in range(g.n):
-        for v in range(u, g.n):
-            m = int(g.adjacency[u, v])
-            if m > 0:
-                lines.append(f"{u} {v} {m}")
+    lines += [f"{u} {v} {m}" for u, v, m in zip(*np.divmod(cells, g.n), g.adjacency.ravel()[cells])]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

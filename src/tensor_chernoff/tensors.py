@@ -9,8 +9,8 @@ matrix multiplication, so every spectral operation acts on an ordinary
 Hermitian matrix and the algebra is exact up to floating round-off.
 
 Tolerances follow the package-wide convention: ``HERM_TOL_SCALE * fro_norm``
-for hermiticity, ``RANK_TOL_SCALE * max_abs_eigenvalue`` for numerical rank,
-``RECONSTRUCT_TOL_SCALE * fro_norm`` for eigendecomposition round trips.
+for hermiticity and ``RANK_TOL_SCALE * max_abs_eigenvalue`` for numerical
+rank.
 
 All values are immutable after construction; the underlying numpy buffers are
 marked read-only, so a tensor can be shared without copying.
@@ -28,7 +28,6 @@ from .errors import ArgumentError, DomainError, NumericalError, ShapeError
 
 HERM_TOL_SCALE = 1e-10
 RANK_TOL_SCALE = 1e-10
-RECONSTRUCT_TOL_SCALE = 1e-9
 
 
 def _as_dims(dims: Iterable[int], label: str) -> tuple[int, ...]:
@@ -63,6 +62,10 @@ class TensorShape:
     def is_square(self) -> bool:
         return self.row_dims == self.col_dims
 
+    def require_unfolding(self, mat: np.ndarray) -> None:
+        if mat.shape != (self.unfold_rows, self.unfold_cols):
+            raise ShapeError(f"unfolding must be {self.unfold_rows} x {self.unfold_cols}, got {mat.shape}")
+
     def require_square(self, op: str) -> None:
         if not self.is_square:
             raise ShapeError(f"{op} requires a square shape, got {self.row_dims} x {self.col_dims}")
@@ -80,10 +83,7 @@ class Tensor:
 
     def __init__(self, shape: TensorShape, matrix: np.ndarray, *, copy: bool = True):
         mat = np.array(matrix, dtype=np.complex128, copy=copy)
-        if mat.shape != (shape.unfold_rows, shape.unfold_cols):
-            raise ShapeError(
-                f"unfolding must be {shape.unfold_rows} x {shape.unfold_cols}, got {mat.shape}"
-            )
+        shape.require_unfolding(mat)
         mat.setflags(write=False)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "matrix", mat)
@@ -157,10 +157,7 @@ class HermitianTensor(Tensor):
     def __init__(self, shape: TensorShape, matrix: np.ndarray, *, copy: bool = True):
         shape.require_square("HermitianTensor")
         mat = np.asarray(matrix, dtype=np.complex128)
-        if mat.shape != (shape.unfold_rows, shape.unfold_cols):
-            raise ShapeError(
-                f"unfolding must be {shape.unfold_rows} x {shape.unfold_cols}, got {mat.shape}"
-            )
+        shape.require_unfolding(mat)
         super().__init__(shape, hermitian_part(mat), copy=False)
 
 

@@ -218,6 +218,22 @@ def reference_walk(g, length: int, seed: int, walk_index: int) -> tuple[int, ...
     return tuple(verts)
 
 
+def loop_edge_slots(g) -> np.ndarray:
+    """Slot table built row by row: row u lists u's neighbors in order, each repeated by multiplicity."""
+    return np.stack([np.repeat(np.arange(g.n), g.adjacency[u]) for u in range(g.n)])
+
+
+def loop_edge_list_text(g) -> str:
+    """Edge-list text from a scan of the upper triangle, one cell at a time."""
+    lines = [f"{g.n} {g.degree}"]
+    for u in range(g.n):
+        for v in range(u, g.n):
+            m = int(g.adjacency[u, v])
+            if m > 0:
+                lines.append(f"{u} {v} {m}")
+    return "\n".join(lines) + "\n"
+
+
 def loop_cycle_adjacency(n: int) -> np.ndarray:
     """Cycle adjacency filled one edge at a time (n = 2 gives a double edge)."""
     adj = np.zeros((n, n), dtype=np.int64)

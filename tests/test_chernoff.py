@@ -109,6 +109,19 @@ def test_zero_assignment_certificate():
     assert rep.holds
 
 
+@pytest.mark.parametrize("field, value, match", [
+    ("kappa", 0, "kappa must be >= 1"),
+    ("k", 3, "k must be in \\[1, 2\\]"),
+    ("theta", 0.0, "theta must be positive"),
+    ("lam_bar", 1.5, "lam_bar must be in \\[0, 1\\]"),
+])
+def test_chernoff_params_range_errors(field, value, match):
+    good = dict(kappa=1, k=1, theta=1.0, lam_bar=0.5, dim=2, radius=1.0)
+    ChernoffParams(**good)
+    with pytest.raises(ArgumentError, match=match):
+        ChernoffParams(**{**good, field: value})
+
+
 def test_certificate_on_small_graphs():
     rng_seed = 3
     for graph in (gen_complete(4), gen_cycle(4)):
@@ -368,7 +381,29 @@ def test_domination_constant_at_tau_zero_alone_misses_the_window_end():
     assert at_zero == pytest.approx(1.969, abs=1e-3) and grid_max == pytest.approx(3.367, abs=1e-3)
 
 
-@pytest.mark.parametrize("window, sigmas", [(40.0, [0.25]), (50.0, [0.25, 1.0])])
+def test_domination_fit_past_the_beta0_underflow():
+    # beta0(W) underflows to 0 past W ~ 226 while exp(W^2 / 2 sigma^2) overflows; r(W) is finite in log space,
+    # where log cosh(pi W / 2) = pi W / 2 - log 2 to double precision
+    def log_ratio(w, sigma):
+        return (math.log(math.pi / 4) - 2 * (math.pi * w / 2 - math.log(2)) + math.log(sigma * math.sqrt(2 * math.pi))
+                + w**2 / (2 * sigma**2))
+
+    fit = fit_gaussian_domination(230.0, [6.0])
+    assert fit.verified and 8.9e6 < fit.c < 9.1e6
+    assert fit.c / (1 + 1e-9) == pytest.approx(math.exp(log_ratio(230.0, 6.0)), rel=1e-12)
+    # at W = 226 beta0 is 0 and the Gaussian factor finite: r(W) ~ 26 beats r(0) ~ 11.8
+    fit = fit_gaussian_domination(226.0, [6.0])
+    assert fit.verified and fit.c / (1 + 1e-9) == pytest.approx(math.exp(log_ratio(226.0, 6.0)), rel=1e-12)
+    # C ~ 1.4e76: the audit's C N(0, sigma^2) at W is beta0(W) ~ 1e-273, though exp(-W^2 / 2 sigma^2) underflows
+    fit = fit_gaussian_domination(200.0, [5.0])
+    assert fit.verified and fit.c / (1 + 1e-9) == pytest.approx(math.exp(log_ratio(200.0, 5.0)), rel=1e-12)
+    # r(W) underflows to 0 at sigma = 20, so r(0) wins
+    fit = fit_gaussian_domination(1000.0, [20.0])
+    assert fit.verified and fit.c / (1 + 1e-9) == pytest.approx(math.pi / 4 * 20 * math.sqrt(2 * math.pi), rel=1e-15)
+    assert fit.c == pytest.approx(39.37, abs=0.01)
+
+
+@pytest.mark.parametrize("window, sigmas", [(40.0, [0.25]), (50.0, [0.25, 1.0]), (300.0, [4.0])])
 def test_domination_overflow_at_every_sigma_raises(window, sigmas):
     with pytest.raises(ArgumentError, match=f"no sigma in sigma_grid .* on window {window:g}"):
         fit_gaussian_domination(window, sigmas)
@@ -468,6 +503,16 @@ def test_tail_trivial_cases():
     zeros = VertexTensorAssignment(g, S2, np.zeros((4, 2, 2)))
     est = empirical_tail(zeros, PolynomialSpec.identity(), 1, 0.5, 500, 3, seed=0)
     assert est.p_hat == 0.0
+
+
+def test_tail_sweep_input_checks():
+    assignment = random_assignment(gen_complete(4), S2, radius=1.0, seed=1)
+    poly = PolynomialSpec.identity()
+    with pytest.raises(ArgumentError, match="num_walks must be >= 1"):
+        empirical_tail_sweep(assignment, poly, 1, [0.5], 0, 3, seed=0)
+    for k in (0, 3):
+        with pytest.raises(ArgumentError, match="k must be in \\[1, 2\\]"):
+            empirical_tail_sweep(assignment, poly, k, [0.5], 10, 3, seed=0)
 
 
 def test_tail_identity_assumption3_never_violated():

@@ -1,5 +1,7 @@
 """Graph spectra, generators, and stationary-walk statistics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from tensor_chernoff.graphs import (
     gen_random_regular,
     load_edge_list,
     normalized_adjacency,
-    sample_walk,
     sample_walks_array,
     save_edge_list,
     spectral_expansion,
@@ -23,6 +24,8 @@ from tensor_chernoff.rng import multiply_high
 from oracles import (
     cycle_expansion,
     loop_cycle_adjacency,
+    loop_edge_list_text,
+    loop_edge_slots,
     loop_hypercube_adjacency,
     loop_random_regular_adjacency,
     reference_walk,
@@ -38,6 +41,12 @@ def test_regular_graph_validation():
         RegularGraph(np.array([[1]]))  # too small
     g = RegularGraph(np.array([[1, 1], [1, 1]]))  # self-loops count with multiplicity
     assert g.degree == 2
+    for adj, match in ((np.zeros((2, 3)), "square"),
+                       (np.array([[0.0, 1.5], [1.5, 0.0]]), "integers"),
+                       (np.array([[-1, 1], [1, -1]]), "nonnegative"),
+                       (np.zeros((2, 2), dtype=np.int64), "degree must be at least 1")):
+        with pytest.raises(ArgumentError, match=match):
+            RegularGraph(adj)
 
 
 def test_normalized_adjacency():
@@ -79,6 +88,8 @@ def test_generators_basic():
     assert q3.n == 8 and q3.degree == 3
     with pytest.raises(ArgumentError):
         gen_random_regular(5, 3, seed=0)  # n*d odd
+    with pytest.raises(ArgumentError, match="dim >= 1"):
+        gen_hypercube(0)
 
 
 def test_generators_match_loop_oracles():
@@ -107,21 +118,57 @@ def test_random_regular_determinism():
     # odd-degree multigraph with self-loops: slot rows repeat by multiplicity
     g = gen_random_regular(16, 5, seed=0)
     assert np.trace(g.adjacency) > 0 and np.any(g.adjacency - np.diag(np.diag(g.adjacency)) > 1)
-    expected = np.stack([np.repeat(np.arange(g.n), g.adjacency[u]) for u in range(g.n)])
-    assert np.array_equal(g.edge_slots(), expected)
+    assert np.array_equal(g.edge_slots(), loop_edge_slots(g))
+
+
+# a loaded multigraph: self-loops of multiplicity 1 and 2 and double edges, d = 4
+MULTIGRAPH = "4 4\n0 0 2\n0 1 2\n1 1 1\n1 2 1\n2 2 1\n2 3 2\n3 3 2\n"
+
+
+def test_slot_table_and_edge_list_match_loop_oracles(tmp_path):
+    loaded = tmp_path / "multi.txt"
+    loaded.write_text(MULTIGRAPH)
+    graphs = ([gen_complete(n) for n in (2, 4, 9)] + [gen_cycle(n) for n in (2, 7)]
+              + [gen_hypercube(dim) for dim in (1, 5)]
+              + [gen_random_regular(n, d, seed=1) for n, d in ((16, 6), (64, 5), (256, 6))]
+              + [load_edge_list(loaded)])
+    out = tmp_path / "g.txt"
+    for g in graphs:
+        slots = g.edge_slots()
+        assert slots.dtype == np.int64 and np.array_equal(slots, loop_edge_slots(g)), (g.n, g.degree)
+        save_edge_list(g, out)
+        assert out.read_text() == loop_edge_list_text(g), (g.n, g.degree)
+    assert out.read_text() == MULTIGRAPH
+
+
+def _build_peak(build):
+    tracemalloc.start()
+    try:
+        g = build()
+        return tracemalloc.get_traced_memory()[1] / g.adjacency.nbytes
+    finally:
+        tracemalloc.stop()
+
+
+def test_graph_build_peak_memory():
+    # the adjacency, its validated copy and a boolean temporary: 2.15x; an n^2 index grid reads 4.0x
+    ratio = _build_peak(lambda: gen_random_regular(2048, 6, seed=1))
+    assert ratio < 2.5, ratio
+    # K_n has n(n - 1) nonzero cells, so each cell-sized temporary costs one adjacency: 5.0x, 6.0x with one more
+    ratio = _build_peak(lambda: gen_complete(1024))
+    assert ratio < 5.25, ratio
 
 
 def test_walk_on_k2_alternates():
-    walk = sample_walk(gen_complete(2), 3, seed=9)
-    a, b, c = walk.vertices
+    a, b, c = sample_walks_array(gen_complete(2), 3, 1, seed=9)[0]
     assert b == 1 - a and c == a
 
 
 def test_walk_determinism_and_batch_consistency():
     g = gen_random_regular(12, 4, seed=5)
-    w1 = sample_walk(g, 7, seed=42, walk_index=3)
-    w2 = sample_walk(g, 7, seed=42, walk_index=3)
-    assert w1.vertices == w2.vertices == reference_walk(g, 7, 42, 3)
+    w1 = sample_walks_array(g, 7, 1, seed=42, start_index=3)[0]
+    w2 = sample_walks_array(g, 7, 1, seed=42, start_index=3)[0]
+    assert tuple(w1) == tuple(w2) == reference_walk(g, 7, 42, 3)
     batch = sample_walks_array(g, 7, 6, seed=42)
     for i in range(6):
         assert tuple(batch[i]) == reference_walk(g, 7, 42, i)
@@ -162,6 +209,8 @@ def test_walk_stream_ranges():
             sample_walks_array(g, 3, 2, seed=seed)
     with pytest.raises(ArgumentError, match="start"):
         sample_walks_array(g, 3, 2, seed=1, start_index=-1)
+    with pytest.raises(ArgumentError, match="walk length"):
+        sample_walks_array(g, 0, 2, seed=1)
     assert sample_walks_array(g, 3, 2, seed=2**64 - 1).shape == (2, 3)
     for bound in (0, 2**32):  # a graph this large cannot be stored densely
         with pytest.raises(ArgumentError, match="2\\^32"):
@@ -224,3 +273,6 @@ def test_edge_list_rejects_irregular(tmp_path):
         p.write_text(text)
         with pytest.raises(ArgumentError, match="integers"):
             load_edge_list(p)
+    p.write_text("2 2\n0 1 1\n")  # a regular graph of degree 1 under a degree-2 header
+    with pytest.raises(ArgumentError, match="header degree 2 does not match adjacency degree 1"):
+        load_edge_list(p)

@@ -277,6 +277,21 @@ def test_power_product_spectrum_validation():
         PowerProductSpectrum(_tuple(random_positive(S22, RNG))).forms(np.exp, 1)
 
 
+def test_scalar_only_function_matches_the_vectorised_forms():
+    # math.exp and math.log1p reject arrays, so each f value comes from the per-element fallback
+    quad = QuadratureSpec(truncation=6.0, node_count=32)
+    cs = np.concatenate([_tuple(*(random_positive(S22, RNG, 0.05, 2.0) for _ in range(3))) for _ in range(2)])
+    spectrum = PowerProductSpectrum(cs, quad)
+    for scalar, vectorised in ((math.exp, np.exp), (lambda x: math.log1p(x), np.log1p)):
+        for k in (1, 2):
+            np.testing.assert_allclose(spectrum.lhs(scalar, k), spectrum.lhs(vectorised, k), rtol=1e-12)
+            for got, want in zip(spectrum.forms(scalar, k), spectrum.forms(vectorised, k)):
+                np.testing.assert_allclose(got.value, want.value, rtol=1e-12)
+                np.testing.assert_allclose(got.error_bound, want.error_bound, rtol=1e-12)
+    with pytest.raises(DomainError):
+        spectrum.lhs(lambda x: math.nan, 1)
+
+
 def _explicit_node_singular_values(us, lams, ts):
     """``np.linalg.svd`` of ``prod_i U_i diag(lam_i^(1+it)) U_i^H``, multiplied out at every node t."""
     z = 1.0 + 1j * ts[:, None, None]

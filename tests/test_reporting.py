@@ -16,6 +16,7 @@ from tensor_chernoff.reporting import (
     TailRow,
     emit,
     parse_tail_csv,
+    report_from_dict,
     report_from_json,
 )
 from tensor_chernoff.sampling import random_tensor
@@ -64,6 +65,15 @@ def test_csv_empty_table():
     rep = Report("expander", {}, [], [], {"version": "0", "seed": 0})
     assert rep.to_csv() == ",".join(CSV_HEADER) + "\n"
     assert parse_tail_csv(rep.to_csv()) == []
+
+
+def test_wrong_report_format_and_csv_header_rejected():
+    data = json.loads(_sample_report().to_json())
+    with pytest.raises(ArgumentError, match="unsupported report format: 'report/0'"):
+        report_from_dict({**data, "format": "report/0"})
+    text = _sample_report().to_csv()
+    with pytest.raises(ArgumentError, match="unexpected CSV header"):
+        parse_tail_csv(text.replace("theta", "threshold", 1))
 
 
 def test_emit_formats(tmp_path):

@@ -1,5 +1,7 @@
 """Tensor algebra against unfolding-independent oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,16 @@ def test_spectral_map_examples():
 
     with pytest.raises(DomainError):
         tensor_log(random_hermitian(s, RNG) - 10.0 * make_identity(s))
+
+
+def test_scalar_only_function_takes_the_per_element_path():
+    # math.exp and math.log1p reject arrays, so each eigenvalue goes through f on its own
+    h = random_positive(TensorShape.square((2, 2)), RNG)
+    for scalar, vectorised in ((math.exp, np.exp), (lambda x: math.log1p(x), np.log1p)):
+        np.testing.assert_allclose(spectral_map(h, scalar).matrix, spectral_map(h, vectorised).matrix,
+                                   rtol=0, atol=1e-12)
+    with pytest.raises(DomainError, match="undefined at eigenvalues"):
+        spectral_map(h, lambda x: math.nan)
 
 
 def test_spectral_mapping_eigenvalues():
