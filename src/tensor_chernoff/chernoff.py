@@ -583,6 +583,21 @@ def assumption3_margins(poly: PolynomialSpec, eigenvalues: np.ndarray, t: float)
         return np.min(lhs - rhs, axis=-1)
 
 
+def _walk_sum_eigvalsh(h: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a ``(count, d, d)`` Hermitian stack, as ``np.linalg.eigvalsh`` returns them.
+
+    A 2x2 stack takes the closed form ``mid -/+ hypot((a - c) / 2, |b|)`` with ``b`` from the
+    lower triangle, the one ``eigvalsh`` reads; ``hypot`` neither overflows nor underflows on
+    large or small entries.  Any other ``d`` goes to LAPACK.
+    """
+    if h.shape[-1] != 2:
+        return np.linalg.eigvalsh(h)
+    a, c = h[..., 0, 0].real, h[..., 1, 1].real
+    mid = 0.5 * (a + c)
+    rad = np.hypot(0.5 * (a - c), np.abs(h[..., 1, 0]))
+    return np.stack([mid - rad, mid + rad], axis=-1)
+
+
 def empirical_tail_sweep(assignment: VertexTensorAssignment, poly: PolynomialSpec, k: int, thetas: Sequence[float],
                          num_walks: int, kappa: int, seed: int, t_check: float | Sequence[float] | None = None,
                          chunk_size: int = DEFAULT_TAIL_CHUNK) -> list[TailEstimate]:
@@ -593,7 +608,9 @@ def empirical_tail_sweep(assignment: VertexTensorAssignment, poly: PolynomialSpe
     ``thetas`` (NaN skips the audit for that row).  The identity map is never
     audited, since its margins ``f(exp(t mu)) - exp(t f(mu))`` are exactly 0 or
     NaN.  Counter-addressed walks make the result identical for any
-    ``chunk_size``; chunks are reduced in index order.
+    ``chunk_size``; chunks are reduced in index order.  The walk sums' spectra
+    come from ``_walk_sum_eigvalsh``: closed form for 2x2 sums, LAPACK's
+    ``eigvalsh`` for any other dimension.
     """
     if num_walks < 1:
         raise ArgumentError(f"num_walks must be >= 1, got {num_walks}")
@@ -610,13 +627,14 @@ def empirical_tail_sweep(assignment: VertexTensorAssignment, poly: PolynomialSpe
         total = g_stack[walks[:, 0]]  # one step column at a time, so no (count, kappa, d, d) gather is held
         for j in range(1, kappa):
             total += g_stack[walks[:, j]]
-        mu = np.linalg.eigvalsh(total)
+        mu = _walk_sum_eigvalsh(total)
         fmu = poly(mu)
         norms = ky_fan_from_eigenvalues(fmu, k)
         hits += np.count_nonzero(norms[:, None] >= thetas, axis=0)
-        scale = 1e-9 * (1.0 + np.max(np.abs(fmu), axis=1))
-        for i, t in audits:
-            violations[i] += np.count_nonzero(assumption3_margins(poly, mu, t) < -scale)
+        if audits:
+            scale = 1e-9 * (1.0 + np.max(np.abs(fmu), axis=1))
+            for i, t in audits:
+                violations[i] += np.count_nonzero(assumption3_margins(poly, mu, t) < -scale)
     p_hat = hits / num_walks
     stderr = np.sqrt(p_hat * (1.0 - p_hat) / num_walks)
     rows = zip(thetas, p_hat, stderr, violations)

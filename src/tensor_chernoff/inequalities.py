@@ -51,9 +51,13 @@ TRIAL_FUNCTIONS = {
 # ---------------------------------------------------------------------------
 
 def beta0_density(t):
-    """Interpolation density pi / (2 (cosh(pi t) + 1)), written cosh-squared stable."""
+    """Interpolation density pi / (2 (cosh(pi t) + 1)), written cosh-squared stable.
+
+    Past |t| of about 226 the cosh squared overflows to inf and the density is exactly 0.
+    """
     t = np.asarray(t, dtype=np.float64)
-    out = math.pi / (4.0 * np.cosh(math.pi * t / 2.0) ** 2)
+    with np.errstate(over="ignore"):
+        out = math.pi / (4.0 * np.cosh(math.pi * t / 2.0) ** 2)
     return float(out) if out.ndim == 0 else out
 
 

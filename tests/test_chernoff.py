@@ -570,6 +570,67 @@ def test_tail_chunking_and_workers_invariance():
     assert a[0] == b[0] == c[0]
 
 
+def _matches_lapack(spectrum, h):
+    """Each row within 1e-13 of its largest |eigenvalue| of ``eigvalsh``, and ascending."""
+    got, want = spectrum(h), np.linalg.eigvalsh(h)
+    tol = 1e-13 * np.max(np.abs(want), axis=-1, keepdims=True)
+    return bool(np.all(np.abs(got - want) <= tol) and np.all(np.diff(got, axis=-1) >= 0))
+
+
+def _hermitian_2x2(a, c, b):
+    h = np.empty(np.shape(a) + (2, 2), dtype=np.complex128)
+    h[..., 0, 0], h[..., 1, 1], h[..., 1, 0] = a, c, b
+    h[..., 0, 1] = np.conj(b)
+    return h
+
+
+def _walk_sum_stacks():
+    assignment = random_assignment(gen_complete(4), S2, radius=1.0, seed=6)
+    walks = sample_walks_array(assignment.graph, 8, 2000, seed=3)
+    rng = np.random.default_rng(5)
+    a, c = rng.normal(size=(2, 500))
+    b = rng.normal(size=500) + 1j * rng.normal(size=500)
+    extremes = 10.0 ** np.repeat([150, 160, -150, -160], 125)
+    zeros = np.zeros(4)
+    return {
+        "radius 1": assignment.stack(),
+        "kappa r": assignment.stack()[walks].sum(axis=1),
+        "zero": _hermitian_2x2(zeros, zeros, zeros),
+        "diagonal, a = c": _hermitian_2x2(a, a, 0.0),
+        "off-diagonal": _hermitian_2x2(0.0 * a, 0.0 * a, b),
+        "near 1e+-150": _hermitian_2x2(a * extremes, c * extremes, b * extremes),
+    }
+
+
+@pytest.mark.parametrize("name", list(_walk_sum_stacks()))
+def test_walk_sum_closed_form_matches_lapack(name):
+    assert _matches_lapack(chernoff._walk_sum_eigvalsh, _walk_sum_stacks()[name])
+
+
+def test_walk_sum_spectrum_keeps_lapack_above_2x2():
+    assignment = random_assignment(gen_complete(4), S22, radius=1.0, seed=6)
+    sums = assignment.stack()[sample_walks_array(assignment.graph, 8, 500, seed=3)].sum(axis=1)
+    assert np.array_equal(chernoff._walk_sum_eigvalsh(sums), np.linalg.eigvalsh(sums))
+
+
+def test_walk_sum_comparison_rejects_wrong_spectra():
+    stacks = _walk_sum_stacks()
+
+    def dropped_b(h):  # the closed form without |b|
+        a, c = h[..., 0, 0].real, h[..., 1, 1].real
+        return np.sort(np.stack([a, c], axis=-1), axis=-1)
+
+    def squared(h):  # the closed form with sqrt of squares in place of hypot
+        a, c = h[..., 0, 0].real, h[..., 1, 1].real
+        rad = np.sqrt((0.5 * (a - c)) ** 2 + np.abs(h[..., 1, 0]) ** 2)
+        return np.stack([0.5 * (a + c) - rad, 0.5 * (a + c) + rad], axis=-1)
+
+    assert not _matches_lapack(dropped_b, stacks["kappa r"])
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        assert not _matches_lapack(squared, stacks["near 1e+-150"])
+        assert _matches_lapack(squared, stacks["kappa r"])
+
+
 # ---------------------------------------------------------------------------
 # Assignment round trip
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from tensor_chernoff.inequalities import (
     QuadratureSpec,
     _legendre_rule,
     beta0_density,
+    beta0_mass_error,
     beta0_tail_mass,
     beta_density,
     commuting_spectra,
@@ -61,6 +62,13 @@ def test_beta0_quadrature_mass_vs_antiderivative():
     expected = beta0_antiderivative(6.0) - beta0_antiderivative(-6.0)
     assert abs(mass - expected) <= 1e-8
     assert beta0_tail_mass(6.0) == pytest.approx(1.0 - expected)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_beta0_density_past_the_cosh_squared_overflow_is_silent_zero():
+    assert beta0_density(300.0) == 0.0
+    assert np.all(beta0_density(np.array([-300.0, 300.0])) == 0.0)
+    assert math.isfinite(beta0_mass_error(QuadratureSpec(truncation=300.0, node_count=64)))
 
 
 def test_beta_theta_limit_and_domain():

@@ -11,7 +11,11 @@ with an adjoint step that is not its adjoint; the adjoint-pair unit test in
 ``test_chernoff.py`` catches it.  Evaluating every quadrature node at t = 0 in
 ``inequalities.PowerProductSpectrum._node_singular_values`` drops the middle factors'
 phases and passes every ``inequalities`` gate check; criterion 4 and the node-by-node
-tests in ``test_inequalities.py`` catch it.
+tests in ``test_inequalities.py`` catch it.  Dropping ``|b|`` from the 2x2 closed form
+in ``chernoff._walk_sum_eigvalsh`` (radius ``|a - c| / 2``) passes every gate check of
+``configs/chernoff_k4.ini`` and of the benchmark's ``tail_walks`` jobs 0 and 1, because
+every tail bound compared there is vacuous; ``test_tail_sweep_matches_direct_counting``
+and ``test_walk_sum_closed_form_matches_lapack`` in ``test_chernoff.py`` catch it.
 """
 
 from pathlib import Path
