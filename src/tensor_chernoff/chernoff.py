@@ -254,10 +254,11 @@ def _vertex_maps(es: np.ndarray, m: np.ndarray | None = None) -> tuple[Callable,
 
 def _slot_mean(slots: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``(A / degree kron I) x`` at the vertices of ``slots``' rows: the mean of ``x[v]`` over each
-    row's slots ``v``, added one slot column at a time, so no ``(rows, degree, ...)`` gather is held."""
-    acc = x[slots[:, 0]]
+    row's slots ``v``, added one slot column at a time (one ``np.take`` each, faster than a fancy
+    index), so no ``(rows, degree, ...)`` gather is held."""
+    acc = np.take(x, slots[:, 0], axis=0)
     for s in range(1, slots.shape[1]):
-        acc += x[slots[:, s]]
+        acc += np.take(x, slots[:, s], axis=0)
     acc /= slots.shape[1]
     return acc
 
@@ -457,9 +458,10 @@ class BoundResult:
     vacuous: bool
 
 
-def _theorem_objective(params: ChernoffParams, poly: PolynomialSpec, fit: DominationFit):
-    """The bound as a function of ``t``, and the vertex ``(theta - a_l) / (2 b_l)`` of each
-    present term's quadratic exponent."""
+def _theorem_objective(params: ChernoffParams, poly: PolynomialSpec, fit: DominationFit, thetas: np.ndarray):
+    """The bound of ``params`` at each threshold of ``thetas`` (in place of ``params.theta``) as a
+    function of ``t``, which broadcasts against ``thetas`` on its last axis, and the vertex
+    ``(theta - a_l) / (2 b_l)`` of each present term's quadratic exponent, one per threshold."""
     n_deg = poly.degree
     s = poly.power
     kb = params.lam_bar
@@ -469,42 +471,70 @@ def _theorem_objective(params: ChernoffParams, poly: PolynomialSpec, fit: Domina
     b_l = [2.0 * (fit.sigma * (params.kappa + 8.0 * kb) * l * s * params.radius) ** 2 for l in range(n_deg + 1)]
     base = 8.0 * params.kappa * kb
 
-    def objective(t: np.ndarray | float):
-        t = np.asarray(t, dtype=np.float64)
+    terms = [l for l in range(1, n_deg + 1) if poly.coefficients[l] != 0.0]
+    slopes = [a_l[l] - thetas for l in terms]
+    constant, neg_thetas = poly.coefficients[0] * params.k, -thetas
+
+    def objective(t: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):
             # e^{-theta t} is folded into every exponent so huge theta cannot
             # produce 0 * inf
             total = np.zeros_like(t)
-            for l in range(1, n_deg + 1):
-                al = poly.coefficients[l]
-                if al == 0.0:
-                    continue
-                total = total + al * np.exp(base + (a_l[l] - params.theta) * t + b_l[l] * t**2)
-            vals = coeff * (
-                poly.coefficients[0] * params.k * np.exp(-params.theta * t) + pref * total
-            )
-        return vals if vals.ndim else float(vals)
+            for l, slope in zip(terms, slopes):
+                total = total + poly.coefficients[l] * np.exp(base + slope * t + b_l[l] * t**2)
+            return coeff * (constant * np.exp(neg_thetas * t) + pref * total)
 
-    terms = [l for l in range(1, n_deg + 1) if poly.coefficients[l] != 0.0]
-    return objective, [(params.theta - a_l[l]) / (2.0 * b_l[l]) for l in terms]
+    return objective, [(thetas - a_l[l]) / (2.0 * b_l[l]) for l in terms]
 
 
-def _golden_section(fn: Callable, a: float, b: float) -> tuple[float, float]:
-    """Golden-section minimization of ``fn`` on [a, b] down to a bracket of 1e-8 relative width."""
+def _golden_section(fn: Callable, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section minimization of ``fn`` on each lane's ``[a, b]``, every lane in lockstep.
+
+    ``fn`` maps one ``t`` per lane to one value per lane, and each step evaluates it once.  A lane
+    stops when its bracket is down to 1e-8 relative width and is frozen from then on, so it ends
+    with the bracket it would reach alone.
+    """
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - phi * (b - a)
     d = a + phi * (b - a)
     fc, fd = fn(c), fn(d)
-    while (b - a) > 1e-8 * max(a, 1e-12):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = fn(d)
+    live = (b - a) > 1e-8 * np.maximum(a, 1e-12)
+    while live.any():
+        keep_left = fc <= fd  # the minimum lies in [a, d], else in [c, b]
+        left, right = live & keep_left, live & ~keep_left
+        t = np.where(keep_left, d - phi * (d - a), c + phi * (b - c))  # the new c of [a, d], the new d of [c, b]
+        ft = fn(t)
+        a, b = np.where(right, c, a), np.where(left, d, b)
+        c, d = np.where(left, t, np.where(right, d, c)), np.where(right, t, np.where(left, c, d))
+        fc, fd = np.where(left, ft, np.where(right, fd, fc)), np.where(right, ft, np.where(left, fc, fd))
+        live &= (b - a) > 1e-8 * np.maximum(a, 1e-12)
     return a, b
+
+
+def _theorem_bounds(rows: Sequence[ChernoffParams], poly: PolynomialSpec, fit: DominationFit) -> list[BoundResult]:
+    """``theorem_bound`` of each of ``rows``, which differ only in ``theta``, minimized in lockstep.
+
+    Each threshold takes its own coarse log-spaced grid (one column of one 2-D grid), then
+    golden-section refinement to 1e-8 relative, so every result is the one its row gets alone.
+    """
+    if not fit.verified:
+        raise ArgumentError("domination fit must be verified")
+    if not rows:
+        return []
+    thetas = np.array([row.theta for row in rows], dtype=np.float64)
+    objective, vertices = _theorem_objective(rows[0], poly, fit, thetas)
+    hi = np.maximum.reduce([np.ones_like(thetas)] + [np.where(v > 0, 4.0 * v, 1.0) for v in vertices])
+
+    grid = np.geomspace(1e-8, hi, 200)  # (200, thresholds)
+    i = np.argmin(objective(grid), axis=0)
+    lanes = np.arange(thetas.size)
+    left = grid[np.maximum(i - 1, 0), lanes]
+    right = grid[np.minimum(i + 1, grid.shape[0] - 1), lanes]
+
+    a_t, b_t = _golden_section(objective, left, right)
+    t_opt = (a_t + b_t) / 2.0
+    values = objective(t_opt)
+    return [BoundResult(value=float(v), t_opt=float(t), vacuous=bool(v > 1.0)) for v, t in zip(values, t_opt)]
 
 
 def theorem_bound(params: ChernoffParams, poly: PolynomialSpec, fit: DominationFit) -> BoundResult:
@@ -512,21 +542,7 @@ def theorem_bound(params: ChernoffParams, poly: PolynomialSpec, fit: DominationF
 
     Coarse log-spaced grid, then golden-section refinement to 1e-8 relative.
     """
-    if not fit.verified:
-        raise ArgumentError("domination fit must be verified")
-    objective, vertices = _theorem_objective(params, poly, fit)
-    hi = max([1.0] + [4.0 * v for v in vertices if v > 0])
-
-    grid = np.geomspace(1e-8, hi, 200)
-    vals = objective(grid)
-    i = int(np.argmin(vals))
-    left = grid[max(i - 1, 0)]
-    right = grid[min(i + 1, grid.size - 1)]
-
-    a_t, b_t = _golden_section(objective, left, right)
-    t_opt = (a_t + b_t) / 2.0
-    value = float(objective(t_opt))
-    return BoundResult(value=value, t_opt=float(t_opt), vacuous=value > 1.0)
+    return _theorem_bounds([params], poly, fit)[0]
 
 
 def corollary_bound(params: ChernoffParams, fit: DominationFit) -> BoundResult:
@@ -610,7 +626,8 @@ def empirical_tail_sweep(assignment: VertexTensorAssignment, poly: PolynomialSpe
     NaN.  Counter-addressed walks make the result identical for any
     ``chunk_size``; chunks are reduced in index order.  The walk sums' spectra
     come from ``_walk_sum_eigvalsh``: closed form for 2x2 sums, LAPACK's
-    ``eigvalsh`` for any other dimension.
+    ``eigvalsh`` for any other dimension.  Each chunk counts its hits from
+    its sorted norms, one ``searchsorted`` over the whole threshold grid.
     """
     if num_walks < 1:
         raise ArgumentError(f"num_walks must be >= 1, got {num_walks}")
@@ -624,13 +641,15 @@ def empirical_tail_sweep(assignment: VertexTensorAssignment, poly: PolynomialSpe
     for start in range(0, num_walks, chunk_size):
         count = min(chunk_size, num_walks - start)
         walks = sample_walks_array(assignment.graph, kappa, count, seed, start_index=start)
-        total = g_stack[walks[:, 0]]  # one step column at a time, so no (count, kappa, d, d) gather is held
+        # one np.take per step column, so no (count, kappa, d, d) gather is held
+        total = np.take(g_stack, walks[:, 0], axis=0)
         for j in range(1, kappa):
-            total += g_stack[walks[:, j]]
+            total += np.take(g_stack, walks[:, j], axis=0)
         mu = _walk_sum_eigvalsh(total)
         fmu = poly(mu)
-        norms = ky_fan_from_eigenvalues(fmu, k)
-        hits += np.count_nonzero(norms[:, None] >= thetas, axis=0)
+        norms = np.sort(ky_fan_from_eigenvalues(fmu, k))
+        norms = norms[:count - np.count_nonzero(np.isnan(norms))]  # NaNs sort last; a NaN norm is a miss
+        hits += norms.size - np.searchsorted(norms, thetas)  # norms >= theta: all but those below it
         if audits:
             scale = 1e-9 * (1.0 + np.max(np.abs(fmu), axis=1))
             for i, t in audits:
@@ -666,11 +685,10 @@ def tail_table(assignment: VertexTensorAssignment, poly: PolynomialSpec, k: int,
 
     One ``empirical_tail_sweep`` serves every row, auditing assumption 3 at each row's ``t_opt``.
     """
-    bounds, rels = [], []
-    for theta in thetas:
-        params = ChernoffParams(kappa=kappa, k=k, theta=theta, lam_bar=lam_bar,
-                                dim=assignment.dim, radius=assignment.radius)
-        bounds.append(res := theorem_bound(params, poly, fit))
+    rows = [ChernoffParams(kappa=kappa, k=k, theta=theta, lam_bar=lam_bar, dim=assignment.dim,
+                           radius=assignment.radius) for theta in thetas]
+    bounds, rels = _theorem_bounds(rows, poly, fit), []
+    for params, res in zip(rows, bounds):
         try:
             cor = corollary_bound(params, fit) if poly.is_identity else None
         except PreconditionError:  # theta below the closed form's regime

@@ -177,17 +177,18 @@ def sample_walks_array(
 
     Row i is walk ``start_index + i``.  Its word 0 picks the start in ``[0,
     n)`` and word j the j-th step among the current vertex's ``d`` edge slots,
-    each by multiply-high, so a batch can be recomputed in any chunking.
+    each by multiply-high, so a batch can be recomputed in any chunking.  A step
+    reads slot ``v * d + step`` of the flat slot table.
     """
     if length < 1:
         raise ArgumentError(f"walk length must be >= 1, got {length}")
     words = counter_words(seed, DOMAIN_WALK, start_index, num_walks, -(-length // 4))
-    slots = g.edge_slots()
-    steps = multiply_high(words[:, 1:length], g.degree)
+    flat, d = g.edge_slots().ravel(), g.degree
+    steps = multiply_high(words[:, 1:length], d)
     out = np.empty((num_walks, length), dtype=np.int64)
     out[:, 0] = multiply_high(words[:, 0], g.n)
     for j in range(1, length):
-        out[:, j] = slots[out[:, j - 1], steps[:, j - 1]]
+        out[:, j] = np.take(flat, out[:, j - 1] * d + steps[:, j - 1])
     return out
 
 

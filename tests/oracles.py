@@ -10,6 +10,7 @@ the per-vertex assignment loop rescales each vertex of the same single draw
 on its own; both are references for batched paths, and so are the
 ``trial_*`` verifiers, the library's former one-trial-at-a-time bodies.  The
 log-exp convexity probe and ``reconstruct`` are diagnostics only the tests use.
+``scalar_theorem_bound`` is the library's former one-threshold minimizer.
 """
 
 from __future__ import annotations
@@ -216,6 +217,48 @@ def reference_walk(g, length: int, seed: int, walk_index: int) -> tuple[int, ...
         v = int(np.repeat(np.arange(g.n), g.adjacency[v])[(w * g.degree) >> 64])
         verts.append(v)
     return tuple(verts)
+
+
+def scalar_theorem_bound(params, poly, fit) -> tuple[float, float]:
+    """``(value, t_opt)`` of the theorem bound at ``params.theta`` alone: the displayed objective on
+    a 200-point log grid up to four times the largest positive vertex, then a scalar golden-section
+    loop, one evaluation per step, down to a bracket of 1e-8 relative width.  Each evaluation is
+    numpy on a 0-d array, as the library's was."""
+    s, kb, theta = poly.power, params.lam_bar, params.theta
+    pref = fit.c * (params.k + math.sqrt((params.dim - params.k) / params.k))
+    coeff = (poly.degree + 1) ** (s - 1.0)
+    terms = [l for l in range(1, poly.degree + 1) if poly.coefficients[l] != 0.0]
+    a_l = {l: 2.0 * (params.kappa + 8.0 * kb) * l * s * params.radius for l in terms}
+    b_l = {l: 2.0 * (fit.sigma * (params.kappa + 8.0 * kb) * l * s * params.radius) ** 2 for l in terms}
+
+    def objective(t):
+        t = np.asarray(t, dtype=np.float64)
+        with np.errstate(over="ignore"):
+            total = np.zeros_like(t)
+            for l in terms:
+                total = total + poly.coefficients[l] * np.exp(8.0 * params.kappa * kb + (a_l[l] - theta) * t
+                                                              + b_l[l] * t**2)
+            vals = coeff * (poly.coefficients[0] * params.k * np.exp(-theta * t) + pref * total)
+        return vals if vals.ndim else float(vals)
+
+    hi = max([1.0] + [4.0 * v for v in ((theta - a_l[l]) / (2.0 * b_l[l]) for l in terms) if v > 0])
+    grid = np.geomspace(1e-8, hi, 200)
+    i = int(np.argmin(objective(grid)))
+    a, b = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - phi * (b - a), a + phi * (b - a)
+    fc, fd = objective(c), objective(d)
+    while (b - a) > 1e-8 * max(a, 1e-12):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - phi * (b - a)
+            fc = objective(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + phi * (b - a)
+            fd = objective(d)
+    t_opt = (a + b) / 2.0
+    return float(objective(t_opt)), float(t_opt)
 
 
 def loop_edge_slots(g) -> np.ndarray:

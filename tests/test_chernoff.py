@@ -22,6 +22,7 @@ from tensor_chernoff.chernoff import (
     load_assignment,
     random_assignment,
     save_assignment,
+    tail_table,
     theorem_bound,
     transfer_expectation,
 )
@@ -41,7 +42,7 @@ from tensor_chernoff.graphs import (
 from tensor_chernoff.inequalities import beta0_density
 from tensor_chernoff.rng import stream
 
-from oracles import dense_contraction_norms, dense_transfer_expectation, loop_random_assignment
+from oracles import dense_contraction_norms, dense_transfer_expectation, loop_random_assignment, scalar_theorem_bound
 
 S2 = TensorShape.square((2,))
 S22 = TensorShape.square((2, 2))
@@ -490,6 +491,51 @@ def test_theta_to_infinity_limit():
     assert not res.vacuous
 
 
+POLYS = [PolynomialSpec(c, p) for c in ((0.0, 1.0), (0.0, 0.0, 1.0), (1.0, 2.0, 0.5)) for p in (1.0, 1.5, 2.0)]
+THETAS = (0.5, 1.0, 3.0, 7.5, 16.0, 40.0, 120.0, 700.0, 1e4)
+
+
+@pytest.mark.parametrize("kappa", [1, 8, 32])
+def test_lockstep_bounds_equal_per_theta_bounds(kappa):
+    # every lane keeps its own bracket and stop rule, so the threshold grid's order, its repeats
+    # and the other lanes change no bit of a row's value or t_opt
+    rng = np.random.default_rng(kappa)
+    for dim, k in ((2, 1), (2, 2), (4, 1), (4, 2), (4, 4), (8, 1), (8, 4), (8, 8)):
+        for i, poly in enumerate(POLYS):
+            lam_bar = (0.0, 0.6, 1.0)[(i + dim + k) % 3]  # over the (dim, k) pairs each polynomial meets each gap
+            picked = list(rng.choice(THETAS, size=4, replace=False))
+            thetas = rng.permutation(picked + picked[:1])  # unsorted, one value twice
+            rows = [_params(theta=th, kappa=kappa, k=k, lam_bar=lam_bar, dim=dim) for th in thetas]
+            alone = {row.theta: theorem_bound(row, poly, FIT) for row in rows}
+            for row, got in zip(rows, chernoff._theorem_bounds(rows, poly, FIT)):
+                want = alone[row.theta]
+                assert (got.value, got.t_opt, got.vacuous) == (want.value, want.t_opt, want.vacuous), \
+                    (kappa, k, dim, lam_bar, poly, row.theta)
+
+
+def test_theorem_bound_matches_the_scalar_minimizer():
+    # the former one-threshold golden-section loop, bit for bit
+    for i, (kappa, dim, lam_bar, radius) in enumerate([(1, 2, 0.0, 1.0), (8, 4, 0.6, 0.5), (32, 8, 1.0, 3.0)]):
+        for poly in POLYS:
+            for theta in THETAS:
+                params = ChernoffParams(kappa=kappa, k=1 + i, theta=theta, lam_bar=lam_bar, dim=dim, radius=radius)
+                res = theorem_bound(params, poly, FIT)
+                assert (res.value, res.t_opt) == scalar_theorem_bound(params, poly, FIT), (params, poly)
+
+
+def test_tail_table_validates_every_threshold_and_the_fit():
+    assignment = random_assignment(gen_complete(4), S2, radius=1.0, seed=1)
+    poly = PolynomialSpec.identity()
+    for thetas in ([2.0, 0.0], [-1.0, 4.0]):
+        with pytest.raises(ArgumentError, match="theta must be positive"):
+            tail_table(assignment, poly, 1, thetas, 100, 4, seed=0, lam_bar=0.5, fit=FIT)
+    unverified = chernoff.DominationFit(c=FIT.c, sigma=FIT.sigma, window=FIT.window, verified=False)
+    with pytest.raises(ArgumentError, match="domination fit must be verified"):
+        tail_table(assignment, poly, 1, [2.0, 4.0], 100, 4, seed=0, lam_bar=0.5, fit=unverified)
+    with pytest.raises(ArgumentError, match="domination fit must be verified"):
+        theorem_bound(_params(theta=2.0), poly, unverified)
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo tail
 # ---------------------------------------------------------------------------
@@ -568,6 +614,34 @@ def test_tail_chunking_and_workers_invariance():
     b = empirical_tail_sweep(assignment, poly, 1, [1.0], 3000, 4, seed=3, chunk_size=3000)
     c = empirical_tail_sweep(assignment, poly, 1, [1.0], 3000, 4, seed=3, chunk_size=512)
     assert a[0] == b[0] == c[0]
+
+
+@pytest.mark.parametrize("chunk_size", [chernoff.DEFAULT_TAIL_CHUNK, 701, 20000])
+def test_sorted_hit_count_equals_direct_count(monkeypatch, chunk_size):
+    # rows 0 and 1 of each chunk's walk sums get a NaN spectrum (a miss at every threshold) and
+    # one whose norm is exactly 3 (a hit at theta = 3); theta = inf is a miss for every finite norm
+    spectrum, ky_fan, seen = chernoff._walk_sum_eigvalsh, chernoff.ky_fan_from_eigenvalues, []
+
+    def injected(h):
+        mu = spectrum(h)
+        mu[0], mu[1] = np.nan, (-1.0, 3.0)
+        return mu
+
+    def recorded(values, k):
+        seen.append(ky_fan(values, k))
+        return seen[-1]
+
+    monkeypatch.setattr(chernoff, "_walk_sum_eigvalsh", injected)
+    monkeypatch.setattr(chernoff, "ky_fan_from_eigenvalues", recorded)
+    assignment = random_assignment(gen_complete(4), S2, radius=1.0, seed=6)
+    thetas = [3.0, math.inf, 0.5, 2.0, 3.0, 5.5, 1e-300]
+    sweep = empirical_tail_sweep(assignment, PolynomialSpec.identity(), 1, thetas, 20000, 8, seed=3,
+                                 chunk_size=chunk_size)
+    norms = np.concatenate(seen)
+    assert norms.size == 20000 and np.isnan(norms).sum() == len(seen) and np.sum(norms == 3.0) >= len(seen)
+    for est, theta in zip(sweep, thetas):
+        assert est.p_hat == np.count_nonzero(norms >= theta) / 20000, theta
+    assert sweep[1].p_hat == 0.0 and sweep[0] == sweep[4]
 
 
 def _matches_lapack(spectrum, h):

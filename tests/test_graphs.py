@@ -177,19 +177,24 @@ def test_walk_determinism_and_batch_consistency():
     assert np.array_equal(batch[3:], tail)
 
 
-def test_batch_across_chunk_border_matches_one_batch():
+def test_batch_across_chunk_border_matches_one_batch(tmp_path):
     # 9 steps read three Philox blocks per walk; walks 8190..8193 straddle the
-    # default tail chunk border
-    g = gen_random_regular(16, 5, seed=0)
+    # default tail chunk border.  A step reads slot v * d + step of the flat
+    # slot table: the loaded multigraph repeats slots and has self-loops, K2 has
+    # one slot per row
+    loaded = tmp_path / "multi.txt"
+    loaded.write_text(MULTIGRAPH)
     start = DEFAULT_TAIL_CHUNK - 2
-    whole = sample_walks_array(g, 9, DEFAULT_TAIL_CHUNK + 2, seed=61)
-    part = sample_walks_array(g, 9, 4, seed=61, start_index=start)
-    assert np.array_equal(part, whole[start:])
-    for i in range(4):
-        assert tuple(part[i]) == reference_walk(g, 9, 61, start + i)
-    for length in (1, 4, 5):
-        assert tuple(sample_walks_array(g, length, 1, seed=61, start_index=start)[0]) == \
-            reference_walk(g, length, 61, start)
+    for g in (gen_random_regular(16, 5, seed=0), load_edge_list(loaded), gen_complete(2)):
+        whole = sample_walks_array(g, 9, DEFAULT_TAIL_CHUNK + 2, seed=61)
+        part = sample_walks_array(g, 9, 4, seed=61, start_index=start)
+        assert np.array_equal(part, whole[start:])
+        for i in range(4):
+            assert tuple(whole[i]) == reference_walk(g, 9, 61, i), (g.n, i)
+            assert tuple(part[i]) == reference_walk(g, 9, 61, start + i), (g.n, start + i)
+        for length in (1, 4, 5):
+            assert tuple(sample_walks_array(g, length, 1, seed=61, start_index=start)[0]) == \
+                reference_walk(g, length, 61, start)
 
 
 def test_multiply_high_matches_big_int():
