@@ -60,6 +60,7 @@ from .graphs import RegularGraph, load_edge_list, sample_walks_array, save_edge_
 from .inequalities import beta0_density
 from .io import load_tensor, read_json_object, save_tensor
 from .norms import LANCZOS_STEPS, ky_fan_from_eigenvalues, lanczos_top
+from .reporting import TailRow
 from .rng import DOMAIN_PROBE, DOMAIN_TENSORS, stream
 from .tensors import Tensor, TensorShape, as_hermitian, hermitian_part
 
@@ -161,11 +162,7 @@ class PolynomialSpec:
 
     def __call__(self, x):
         base = np.polynomial.polynomial.polyval(np.asarray(x, dtype=np.float64), self.coefficients)
-        if self.power == 1.0:
-            return base
-        if float(self.power).is_integer():
-            return base ** int(self.power)
-        if np.any(base < 0):
+        if self.power % 1.0 and np.any(base < 0):
             raise DomainError("non-integer power of a negative polynomial value")
         return base ** self.power
 
@@ -662,7 +659,7 @@ def empirical_tail_sweep(assignment: VertexTensorAssignment, poly: PolynomialSpe
 
 @dataclass(frozen=True)
 class TailTable:
-    """One threshold sweep's rows and the two folds its acceptance checks read.
+    """One threshold sweep's report rows (``reporting.TailRow``) and the two folds its acceptance checks read.
 
     The corollary fold runs over the rows in the closed form's regime (identity map only).  The
     tail fold compares ``p_hat`` with ``bound + 3 stderr`` on each row whose theorem bound is not
@@ -670,8 +667,7 @@ class TailTable:
     nonvacuous rows left out for violations.  Worst values fold with ``np.max``, so a NaN fails.
     """
 
-    estimates: list[TailEstimate]
-    bounds: list[BoundResult]
+    rows: list[TailRow]
     corollary_rows: int
     corollary_rel_err: float  # worst |theorem - corollary| / corollary, 0 if no row
     compared: int
@@ -697,11 +693,12 @@ def tail_table(assignment: VertexTensorAssignment, poly: PolynomialSpec, k: int,
             rels.append(abs(res.value - cor.value) / max(cor.value, 1e-300))
     estimates = empirical_tail_sweep(assignment, poly, k, thetas, num_walks, kappa, seed,
                                      t_check=[res.t_opt for res in bounds])
-    live = [(est, res) for est, res in zip(estimates, bounds) if not res.vacuous]
-    gaps = [est.p_hat - (res.value + 3.0 * est.stderr) for est, res in live if not est.assumption3_violations]
-    return TailTable(estimates=estimates, bounds=bounds, corollary_rows=len(rels),
-                     corollary_rel_err=float(np.max(rels, initial=0.0)), compared=len(gaps),
-                     excluded=tuple(est.theta for est, _ in live if est.assumption3_violations),
+    table = [TailRow(theta=est.theta, p_hat=est.p_hat, stderr=est.stderr, bound=res.value, vacuous=res.vacuous,
+                     assumption3_violations=est.assumption3_violations) for est, res in zip(estimates, bounds)]
+    live = [row for row in table if not row.vacuous]
+    gaps = [row.p_hat - (row.bound + 3.0 * row.stderr) for row in live if not row.assumption3_violations]
+    return TailTable(rows=table, corollary_rows=len(rels), corollary_rel_err=float(np.max(rels, initial=0.0)),
+                     compared=len(gaps), excluded=tuple(row.theta for row in live if row.assumption3_violations),
                      excess=float(np.max(gaps, initial=-math.inf)))
 
 

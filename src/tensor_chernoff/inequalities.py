@@ -252,11 +252,11 @@ def verify_discrete_average_majorization(
 
 
 def commuting_spectra(rng, count: int, dim: int, low: float, high: float) -> np.ndarray:
-    """``count`` descending spectra uniform on [low, high], one draw each: ``(count, dim)``.
+    """``count`` descending spectra uniform on [low, high], row by row from one draw: ``(count, dim)``.
 
     ``sampling.diagonal_in(u, spectra)`` turns them into a commuting tuple.
     """
-    return np.array([np.sort(rng.uniform(low, high, size=dim))[::-1] for _ in range(count)])
+    return np.sort(rng.uniform(low, high, size=(count, dim)))[:, ::-1]
 
 
 def premise_trial_draws(rng, mode: str, n_atoms: int, dim: int):

@@ -1,5 +1,11 @@
 """Machine-readable experiment reports.
 
+The dataclasses ``CheckRecord`` (one check), ``TailRow`` (one threshold of
+the tail table) and ``Report`` are the report schema.  The JSON keys, the
+CSV header and each CSV cell's format come from their fields, and both
+readers check what they read against the same fields, so a column is
+declared once.
+
 A report is self-contained for replay: it echoes the parsed configuration,
 carries one record per check (ordered by name) and the tail-vs-bound table,
 and stamps the package version and master seed.  Serialization is
@@ -12,13 +18,12 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .errors import ArgumentError
 
 REPORT_FORMAT = "report/1"
-CSV_HEADER = ["theta", "p_hat", "stderr", "bound", "vacuous", "assumption3_violations"]
 
 
 @dataclass(frozen=True)
@@ -35,24 +40,30 @@ class CheckRecord:
     @staticmethod
     def from_bound(name: str, lhs: float, rhs: float, detail: str = "") -> "CheckRecord":
         """Record for a check of the form ``lhs <= rhs`` (NaN fails)."""
-        return CheckRecord(
-            name=name,
-            lhs=float(lhs),
-            rhs=float(rhs),
-            margin=float(rhs - lhs),
-            passed=bool(lhs <= rhs),
-            detail=detail,
-        )
+        return CheckRecord(name, float(lhs), float(rhs), float(rhs - lhs), bool(lhs <= rhs), detail)
+
+    @staticmethod
+    def skipped(name: str, rhs: float, why: str) -> "CheckRecord":
+        """Record for a check that cannot run: passed, lhs 0, detail ``skipped: why``."""
+        return CheckRecord(name, 0.0, float(rhs), float(rhs), True, f"skipped: {why}")
 
 
 @dataclass(frozen=True)
 class TailRow:
+    """One threshold: the Monte Carlo tail ``p_hat`` with its ``stderr`` next to the theorem bound."""
+
     theta: float
     p_hat: float
     stderr: float
     bound: float
     vacuous: bool
     assumption3_violations: int
+
+
+# a TailRow field's type -> (its CSV cell, its value from a cell); a bool cell is 0 or 1
+_CELLS = {"float": (repr, float), "int": (str, int),
+          "bool": (lambda v: str(int(v)), {"0": False, "1": True}.__getitem__)}
+CSV_HEADER = [f.name for f in fields(TailRow)]
 
 
 @dataclass(frozen=True)
@@ -63,29 +74,18 @@ class Report:
     tail_rows: tuple[TailRow, ...]
     environment: dict
 
-    def __init__(self, suite, config, checks, tail_rows, environment):
-        object.__setattr__(self, "suite", suite)
-        object.__setattr__(self, "config", dict(config))
-        object.__setattr__(
-            self, "checks", tuple(sorted(checks, key=lambda c: c.name))
-        )
-        object.__setattr__(self, "tail_rows", tuple(tail_rows))
-        object.__setattr__(self, "environment", dict(environment))
+    def __post_init__(self):
+        object.__setattr__(self, "config", dict(self.config))
+        object.__setattr__(self, "checks", tuple(sorted(self.checks, key=lambda c: c.name)))
+        object.__setattr__(self, "tail_rows", tuple(self.tail_rows))
+        object.__setattr__(self, "environment", dict(self.environment))
 
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {
-            "format": REPORT_FORMAT,
-            "suite": self.suite,
-            "config": self.config,
-            "checks": [asdict(c) for c in self.checks],
-            "tail_rows": [asdict(r) for r in self.tail_rows],
-            "environment": self.environment,
-            "all_passed": self.all_passed,
-        }
+        return {"format": REPORT_FORMAT, **asdict(self), "all_passed": self.all_passed}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -94,36 +94,49 @@ class Report:
         buf = _io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for r in self.tail_rows:
-            writer.writerow(
-                [
-                    repr(r.theta),
-                    repr(r.p_hat),
-                    repr(r.stderr),
-                    repr(r.bound),
-                    int(r.vacuous),
-                    r.assumption3_violations,
-                ]
-            )
+        writer.writerows([_CELLS[f.type][0](getattr(r, f.name)) for f in fields(TailRow)] for r in self.tail_rows)
         return buf.getvalue()
 
 
+def _keyed(data, cls, what: str, extra: tuple[str, ...] = ()) -> dict:
+    """``data`` if it is an object with exactly the fields of ``cls`` (and ``extra``) as keys."""
+    if not isinstance(data, dict):
+        raise ArgumentError(f"{what} must be an object, got {type(data).__name__}")
+    names = {f.name for f in fields(cls)} | set(extra)
+    missing, unknown = sorted(names - data.keys()), sorted(map(str, data.keys() - names))
+    if missing or unknown:
+        raise ArgumentError(f"{what}: missing keys {missing}, unknown keys {unknown}")
+    return data
+
+
+def _records(items, cls, what: str) -> list:
+    if not isinstance(items, list):
+        raise ArgumentError(f"{what} must be a list, got {type(items).__name__}")
+    return [cls(**_keyed(item, cls, f"{what}[{i}]")) for i, item in enumerate(items)]
+
+
 def report_from_dict(data: dict) -> Report:
-    if data.get("format") != REPORT_FORMAT:
-        raise ArgumentError(f"unsupported report format: {data.get('format')!r}")
-    checks = [CheckRecord(**c) for c in data["checks"]]
-    rows = [TailRow(**r) for r in data["tail_rows"]]
-    return Report(
-        suite=data["suite"],
-        config=data["config"],
-        checks=checks,
-        tail_rows=rows,
-        environment=data["environment"],
-    )
+    _keyed(data, Report, "report", extra=("format", "all_passed"))
+    if data["format"] != REPORT_FORMAT:
+        raise ArgumentError(f"unsupported report format: {data['format']!r}")
+    return Report(data["suite"], data["config"], _records(data["checks"], CheckRecord, "checks"),
+                  _records(data["tail_rows"], TailRow, "tail_rows"), data["environment"])
 
 
 def report_from_json(text: str) -> Report:
     return report_from_dict(json.loads(text))
+
+
+def _tail_row(cells: list[str], line: int) -> TailRow:
+    if len(cells) != len(CSV_HEADER):
+        raise ArgumentError(f"CSV line {line}: {len(cells)} cells, expected {len(CSV_HEADER)}")
+    values = {}
+    for f, cell in zip(fields(TailRow), cells):
+        try:
+            values[f.name] = _CELLS[f.type][1](cell)
+        except (KeyError, ValueError):
+            raise ArgumentError(f"CSV line {line}: {f.name} {cell!r} is not a valid {f.type}") from None
+    return TailRow(**values)
 
 
 def parse_tail_csv(text: str) -> list[TailRow]:
@@ -131,30 +144,15 @@ def parse_tail_csv(text: str) -> list[TailRow]:
     header = next(reader, None)
     if header != CSV_HEADER:
         raise ArgumentError(f"unexpected CSV header {header}")
-    rows = []
-    for rec in reader:
-        rows.append(
-            TailRow(
-                theta=float(rec[0]),
-                p_hat=float(rec[1]),
-                stderr=float(rec[2]),
-                bound=float(rec[3]),
-                vacuous=bool(int(rec[4])),
-                assumption3_violations=int(rec[5]),
-            )
-        )
-    return rows
+    return [_tail_row(cells, reader.line_num) for cells in reader]
 
 
 def emit(report: Report, path: str | Path, format: str = "json") -> Path:
     """Write the report; JSON carries everything, CSV just the tail table."""
     path = Path(path)
-    if format == "json":
-        text = report.to_json()
-    elif format == "csv":
-        text = report.to_csv()
-    else:
+    if format not in ("json", "csv"):
         raise ArgumentError(f"format must be 'json' or 'csv', got {format!r}")
+    text = report.to_json() if format == "json" else report.to_csv()
     try:
         path.write_text(text)
     except OSError as exc:

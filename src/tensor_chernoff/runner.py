@@ -7,7 +7,7 @@ walks.  A suite draws its own trials and hands them, in stacks of equal
 shape, to the library verifier of its check (the same function the
 acceptance gate calls), so the pass/fail rule and its slack live in the
 library.  Checks that cannot run (empty precondition regimes) are recorded
-as passed with a ``skipped:`` detail rather than dropped.
+by ``CheckRecord.skipped`` rather than dropped.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from .inequalities import (
 )
 from .majorization import check_kyfan_sum_inequality
 from .norms import LANCZOS_STEPS, holder_gauge_violations, lanczos_top
-from .reporting import CheckRecord, Report, TailRow
+from .reporting import CheckRecord, Report
 from .rng import DOMAIN_SUITE, TENSOR_STREAM, WALK_STREAM, stream
 from .sampling import diagonal_in, ginibre, haar_unitary, random_hermitian, random_tensor
 from .tensors import (
@@ -248,7 +248,7 @@ def _holder_draws(rng, trials: int) -> list:
     for _ in range(trials):
         n = int(rng.integers(2, 5))
         r = int(rng.integers(2, 7))
-        vecs = np.array([np.sort(rng.uniform(0.0, 4.0, size=r))[::-1] for _ in range(n)])
+        vecs = np.sort(rng.uniform(0.0, 4.0, size=(n, r)))[:, ::-1]
         draws.append((vecs, rng.dirichlet(np.ones(n)), int(rng.integers(1, r + 1))))
     return draws
 
@@ -268,7 +268,7 @@ def _kyfan_draws(rng, trials: int) -> list:
     draws = []
     for _ in range(trials):
         dim = int(rng.integers(2, 4))
-        mats = np.array([ginibre(rng, dim) / np.sqrt(2.0) for _ in range(int(rng.integers(1, 5)))])
+        mats = ginibre(rng, dim, int(rng.integers(1, 5))) / np.sqrt(2.0)
         draws.append((mats, float(rng.choice([1.0, 2.0, 3.0])), int(rng.integers(1, dim + 1))))
     return draws
 
@@ -447,15 +447,13 @@ def _suite_chernoff_sweep(cfg: ExperimentConfig, seed: int):
     if fit.verified:
         table = tail_table(assignment, poly, cfg.walk.k, cfg.sweep.theta_grid, cfg.walk.num_walks, cfg.walk.kappa,
                            seed, lam_bar, fit)
-        rows = [TailRow(est.theta, est.p_hat, est.stderr, res.value, res.vacuous, est.assumption3_violations)
-                for est, res in zip(table.estimates, table.bounds)]
-
-        if poly.is_identity:
-            detail = f"{table.corollary_rows} thresholds in the corollary regime"
-            if table.corollary_rows == 0:
-                detail = "skipped: no threshold reaches the corollary regime"
+        rows = table.rows
+        if poly.is_identity and table.corollary_rows:
             checks.append(CheckRecord.from_bound("corollary_vs_theorem_rel_err", table.corollary_rel_err, 1e-6,
-                                                 detail=detail))
+                                                 detail=f"{table.corollary_rows} thresholds in the corollary regime"))
+        elif poly.is_identity:
+            checks.append(CheckRecord.skipped("corollary_vs_theorem_rel_err", 1e-6,
+                                              "no threshold reaches the corollary regime"))
 
         excluded = ", ".join(f"{t:g}" for t in table.excluded)
         excluded = f"; assumption-3 violations exclude theta = {excluded}" if excluded else ""
@@ -463,14 +461,14 @@ def _suite_chernoff_sweep(cfg: ExperimentConfig, seed: int):
             checks.append(CheckRecord.from_bound("tail_below_bound_excess", table.excess, 0.0,
                                                  detail=f"{table.compared} nonvacuous thresholds{excluded}"))
         else:
-            vacuous = sum(res.vacuous for res in table.bounds)
-            skipped = f"{vacuous} vacuous bounds{excluded}" if excluded else "every bound is vacuous"
-            checks.append(CheckRecord.from_bound("tail_below_bound_excess", 0.0, 0.0, detail=f"skipped: {skipped}"))
+            vacuous = sum(row.vacuous for row in rows)
+            why = f"{vacuous} vacuous bounds{excluded}" if excluded else "every bound is vacuous"
+            checks.append(CheckRecord.skipped("tail_below_bound_excess", 0.0, why))
     else:  # theorem_bound refuses an unverified fit, so its check below FAILs the run instead
-        rows, skipped = [], "skipped: domination fit not verified"
+        rows, why = [], "domination fit not verified"
         if poly.is_identity:
-            checks.append(CheckRecord.from_bound("corollary_vs_theorem_rel_err", 0.0, 1e-6, detail=skipped))
-        checks.append(CheckRecord.from_bound("tail_below_bound_excess", 0.0, 0.0, detail=skipped))
+            checks.append(CheckRecord.skipped("corollary_vs_theorem_rel_err", 1e-6, why))
+        checks.append(CheckRecord.skipped("tail_below_bound_excess", 0.0, why))
 
     cert = contraction_certificate(assignment, t=min(0.5, 0.9 / assignment.radius), a=1.0, b=0.5, lam=lam, seed=seed)
     detail = f"gammas {tuple(round(g, 6) for g in cert.gammas)}, part 4: {cert.steps} Lanczos steps"
@@ -484,8 +482,8 @@ def _suite_chernoff_sweep(cfg: ExperimentConfig, seed: int):
         checks.append(CheckRecord.from_bound("transfer_expectation_below_bound", sandwich_excess, 0.0,
                                              detail=f"{tested} admissible t values"))
     else:
-        checks.append(CheckRecord.from_bound("transfer_expectation_below_bound", 0.0, 0.0,
-                                             detail="skipped: no t satisfies the lemma preconditions"))
+        checks.append(CheckRecord.skipped("transfer_expectation_below_bound", 0.0,
+                                          "no t satisfies the lemma preconditions"))
 
     checks.append(CheckRecord.from_bound(
         "domination_fit_verified", 0.0 if fit.verified else 1.0, 0.0,

@@ -35,9 +35,13 @@ def random_positive(
     return HermitianTensor(shape, diagonal_in(u.matrix, vals))
 
 
-def ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
-    """``n x n`` standard complex normals, real parts drawn first: the input of ``haar_unitary``."""
-    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+def ginibre(rng: np.random.Generator, n: int, *lead: int) -> np.ndarray:
+    """A ``(*lead, n, n)`` stack of standard complex normals: the input of ``haar_unitary``.
+
+    One ``standard_normal`` call; each matrix draws its real parts, then its imaginary parts.
+    """
+    z = rng.standard_normal((*lead, 2, n, n))
+    return z[..., 0, :, :] + 1j * z[..., 1, :, :]
 
 
 def haar_unitary(z: np.ndarray) -> np.ndarray:

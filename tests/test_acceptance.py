@@ -410,7 +410,7 @@ def test_criterion_8_tail_bound_end_to_end():
                 checked += table.compared
                 worst_excess = np.maximum(worst_excess, table.excess)
                 worst_rel = np.maximum(worst_rel, table.corollary_rel_err)
-                total_violations += sum(est.assumption3_violations for est in table.estimates)
+                total_violations += sum(row.assumption3_violations for row in table.rows)
                 configs += 1
 
     ok = checked > 0 and worst_excess <= 0.0 and worst_rel <= 1e-6 and total_violations == 0

@@ -89,6 +89,19 @@ def test_polynomial_spec():
         PolynomialSpec((1.0,), power=0.5)
     with pytest.raises(DomainError):
         PolynomialSpec((0.0, 1.0), power=1.5)(np.array([-1.0]))
+    assert np.array_equal(PolynomialSpec((0.0, 1.0), power=3.0)(np.array([-2.0])), [-8.0])
+
+
+@pytest.mark.parametrize("p", range(1, 8))
+def test_integer_power_through_the_float_power_path(p):
+    # PolynomialSpec raises to a float power also when it is an integer, so the two must agree bit for bit
+    x = np.concatenate([np.random.default_rng(p).standard_normal(10**5), [0.0, -0.0, np.inf, -np.inf, 1e300, -1e300]])
+    with np.errstate(over="ignore"):
+        by_int, by_float = x ** int(p), x ** float(p)
+    assert np.array_equal(by_int.view(np.uint64), by_float.view(np.uint64))
+    spec = PolynomialSpec((0.25, 1.0, 0.0, 0.5), power=float(p))  # negative for x below about -0.244
+    base = np.polynomial.polynomial.polyval(x[:-6], spec.coefficients)
+    assert np.array_equal(spec(x[:-6]).view(np.uint64), (base ** int(p)).view(np.uint64))
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,14 @@
 """Mutation gate: each defect below is injected with ``monkeypatch`` and must turn a
 gate check of ``runner.run`` to FAIL, not just a unit test.
 
-Known gaps: an unconjugated ``E kron E`` in place of ``E kron conj(E)`` in
-``chernoff._kronecker_stack`` passes every gate check, because the contraction bounds
-hold for that operator too and ``chernoff._vertex_maps`` keeps its adjoint pair.  A
-defect in ``chernoff._transfer_apply`` alone (the forward map without the slot mean)
-FAILs the certificate on ``configs/chernoff_k4.ini`` but passes on the
-``TRANSFER_DENSE`` shape below, because the certificate's Lanczos run then pairs it
-with an adjoint step that is not its adjoint; the adjoint-pair unit test in
-``test_chernoff.py`` catches it.  Evaluating every quadrature node at t = 0 in
-``inequalities.PowerProductSpectrum._node_singular_values`` drops the middle factors'
-phases and passes every ``inequalities`` gate check; criterion 4 and the node-by-node
-tests in ``test_inequalities.py`` catch it.  Dropping ``|b|`` from the 2x2 closed form
-in ``chernoff._walk_sum_eigvalsh`` (radius ``|a - c| / 2``) passes every gate check of
-``configs/chernoff_k4.ini`` and of the benchmark's ``tail_walks`` jobs 0 and 1, because
-every tail bound compared there is vacuous; ``test_tail_sweep_matches_direct_counting``
-and ``test_walk_sum_closed_form_matches_lapack`` in ``test_chernoff.py`` catch it.
+The known gaps are the cases in ``GATE_GAPS``: ``test_mutant_fails_a_gate_check`` marks
+each ``xfail(strict=True)`` with the reason no check sees it, so a change that closes a
+gap turns its case red until the mark is removed.  Unit tests catch four of them: the
+adjoint-pair test in ``test_chernoff.py`` (the transfer maps), the node-by-node tests in
+``test_inequalities.py`` (the power-product spectrum), ``test_walk_sum_closed_form_matches_lapack``
+and ``test_tail_sweep_matches_direct_counting`` (the walk-sum spectrum).  No test catches walks
+one step short, and a dropped ``8 lam_bar`` trips only a runner test that pins which tail rows
+are vacuous.
 """
 
 from pathlib import Path
@@ -24,6 +17,8 @@ import numpy as np
 import pytest
 
 from tensor_chernoff import chernoff, inequalities
+from tensor_chernoff.chernoff import ChernoffParams
+from tensor_chernoff.inequalities import PowerProductSpectrum
 from tensor_chernoff import runner as runner_mod
 from tensor_chernoff.config import load_config, parse_config
 from tensor_chernoff.graphs import sample_walks_array
@@ -85,3 +80,77 @@ def test_walk_that_always_takes_slot_zero_fails_the_two_step_joint(monkeypatch):
     assert _check(config, "two_step_joint_max_sigma").passed
     monkeypatch.setattr(runner_mod, "sample_walks_array", slot_zero)
     assert not _check(config, "two_step_joint_max_sigma").passed
+
+
+def _unconjugated_kronecker(es):  # E kron E in place of E kron conj(E)
+    n, d = es.shape[:2]
+    return (es[:, :, None, :, None] * es[:, None, :, None, :]).reshape(n, d * d, d * d)
+
+
+def _walk_sum_eigvalsh_without_b(h):  # the 2x2 closed form with radius |a - c| / 2
+    if h.shape[-1] != 2:
+        return np.linalg.eigvalsh(h)
+    a, c = h[..., 0, 0].real, h[..., 1, 1].real
+    rad = np.abs(0.5 * (a - c))
+    return np.stack([0.5 * (a + c) - rad, 0.5 * (a + c) + rad], axis=-1)
+
+
+# the originals the replacements call, captured at import, before any patch
+_node_singular_values = PowerProductSpectrum._node_singular_values
+_tail_sweep = chernoff.empirical_tail_sweep
+
+# each mutant's name -> (object, attribute, replacement)
+MUTANTS = {
+    "unconjugated_kronecker": (chernoff, "_kronecker_stack", _unconjugated_kronecker),
+    "forward_only_transfer_apply": (chernoff, "_transfer_apply", lambda forward, slots, x: forward(x)),
+    "power_product_at_t_zero": (PowerProductSpectrum, "_node_singular_values",
+                                lambda self, ts: _node_singular_values(self, 0.0 * ts)),
+    "walk_sum_without_b": (chernoff, "_walk_sum_eigvalsh", _walk_sum_eigvalsh_without_b),
+    "walks_one_step_short": (chernoff, "empirical_tail_sweep",
+                             lambda a, poly, k, thetas, walks, kappa, seed, **kw:
+                             _tail_sweep(a, poly, k, thetas, walks, kappa - 1, seed, **kw)),
+    "dropped_8_lam_bar": (chernoff, "ChernoffParams", lambda **kw: ChernoffParams(**{**kw, "lam_bar": 0.0})),
+}
+
+
+class GateMissed(Exception):
+    """Every gate check passed with the mutant in place."""
+
+
+def _config(name):
+    if name == "transfer_dense_256":
+        return parse_config(TRANSFER_DENSE.format(n=256))
+    return load_config(CONFIGS / f"{name}.ini")
+
+
+def _gap(mutant, config, reason):
+    return pytest.param(mutant, config, id=f"{mutant}-{config}",
+                        marks=pytest.mark.xfail(strict=True, raises=GateMissed, reason=reason))
+
+
+# (mutant, config) pairs whose gate run passes every check with the mutant in place
+GATE_GAPS = [
+    _gap("unconjugated_kronecker", "chernoff_k4",
+         "the contraction bounds hold for the E kron E operator too, and its maps stay an adjoint pair"),
+    _gap("forward_only_transfer_apply", "transfer_dense_256",
+         "part 4's Lanczos run pairs the defective forward step with an adjoint that is not its adjoint"),
+    _gap("power_product_at_t_zero", "inequalities",
+         "the phases do not move the singular values at m <= 2, and the unphased product still bounds m = 3"),
+    _gap("walk_sum_without_b", "chernoff_k4", "every tail bound compared on chernoff_k4 is vacuous"),
+    _gap("walks_one_step_short", "chernoff_k4", "every tail bound compared on chernoff_k4 is vacuous"),
+    _gap("dropped_8_lam_bar", "chernoff_k4",
+         "the bounds it makes nonvacuous (theta 120 and 150) sit where p_hat is 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "mutant, config",
+    [pytest.param("forward_only_transfer_apply", "chernoff_k4", id="forward_only_transfer_apply-chernoff_k4"),
+     *GATE_GAPS],
+)
+def test_mutant_fails_a_gate_check(monkeypatch, mutant, config):
+    config = _config(config)
+    assert run(config).all_passed
+    monkeypatch.setattr(*MUTANTS[mutant])
+    if run(config).all_passed:
+        raise GateMissed(mutant)

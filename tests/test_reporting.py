@@ -1,6 +1,7 @@
 """Report, config, and serialization round trips."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from tensor_chernoff.reporting import (
     report_from_dict,
     report_from_json,
 )
+from tensor_chernoff.runner import run
 from tensor_chernoff.sampling import random_tensor
 
 RNG = np.random.default_rng(20240816)
@@ -44,6 +46,12 @@ def test_checks_sorted_by_name():
     rep = _sample_report()
     assert [c.name for c in rep.checks] == ["a_check", "b_check"]
     assert not rep.all_passed
+
+
+def test_skipped_check_passes_with_lhs_zero():
+    rec = CheckRecord.skipped("c", 1e-6, "no threshold in range")
+    assert rec == CheckRecord.from_bound("c", 0.0, 1e-6, detail="skipped: no threshold in range")
+    assert rec.passed and rec.margin == 1e-6
 
 
 def test_json_roundtrip():
@@ -74,6 +82,56 @@ def test_wrong_report_format_and_csv_header_rejected():
     text = _sample_report().to_csv()
     with pytest.raises(ArgumentError, match="unexpected CSV header"):
         parse_tail_csv(text.replace("theta", "threshold", 1))
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("1.0,0.25,0.01,3.5,1", "CSV line 2: 5 cells, expected 6"),
+        ("1.0,0.25,0.01,3.5,1,0,7", "CSV line 2: 7 cells, expected 6"),
+        ("1.0,0.25,zero,3.5,1,0", "CSV line 2: stderr 'zero' is not a valid float"),
+        ("1.0,0.25,0.01,3.5,2,0", "CSV line 2: vacuous '2' is not a valid bool"),
+        ("1.0,0.25,0.01,3.5,1,0.5", "CSV line 2: assumption3_violations '0.5' is not a valid int"),
+    ],
+    ids=["5_cells", "7_cells", "non_numeric", "bool_2", "fractional_int"],
+)
+def test_malformed_csv_row_rejected_with_its_line(line, message):
+    text = _sample_report().to_csv().splitlines()
+    with pytest.raises(ArgumentError, match=f"^{message}$"):
+        parse_tail_csv("\n".join([text[0], line, *text[1:]]) + "\n")
+
+
+def _without(record, key):
+    return {k: v for k, v in record.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: _without(d, "environment"), r"report: missing keys \['environment'\], unknown keys \[\]"),
+        (lambda d: {**d, "notes": ""}, r"report: missing keys \[\], unknown keys \['notes'\]"),
+        (lambda d: {**d, "checks": [_without(d["checks"][0], "lhs")]}, r"checks\[0\]: missing keys \['lhs'\]"),
+        (lambda d: {**d, "checks": [{**d["checks"][1], "lsh": 1.0}]}, r"checks\[0\]: .* unknown keys \['lsh'\]"),
+        (lambda d: {**d, "tail_rows": [d["tail_rows"][0], _without(d["tail_rows"][1], "bound")]},
+         r"tail_rows\[1\]: missing keys \['bound'\]"),
+        (lambda d: {**d, "checks": {}}, "checks must be a list, got dict"),
+        (lambda d: {**d, "tail_rows": [[1.0]]}, r"tail_rows\[0\] must be an object, got list"),
+    ],
+    ids=["report_missing", "report_unknown", "check_missing", "check_unknown", "row_missing", "checks_not_list",
+         "row_not_object"],
+)
+def test_report_with_a_missing_or_unknown_key_rejected(edit, message):
+    data = json.loads(_sample_report().to_json())
+    with pytest.raises(ArgumentError, match=message):
+        report_from_json(json.dumps(edit(data)))
+
+
+def test_committed_sweep_report_round_trips_through_json_and_csv():
+    rep = run(load_config(Path(__file__).resolve().parent.parent / "configs" / "chernoff_k4.ini"))
+    assert len(rep.tail_rows) == 6 and len(rep.checks) == 6
+    again = report_from_json(rep.to_json())
+    assert again == rep and again.checks == rep.checks and again.tail_rows == rep.tail_rows
+    assert tuple(parse_tail_csv(rep.to_csv())) == rep.tail_rows
 
 
 def test_emit_formats(tmp_path):

@@ -360,3 +360,49 @@ def test_runner_draws_match_the_per_trial_oracles(seed):
         got = commuting_equality_excess(np.array([stacked[i] for i in rows]), ks[rows], [lambda x: x], quad)
         assert got.tolist() == [want[i] for i in rows]
     assert checks["multivariate_commuting_equality_excess"].lhs == max(0.0, max(want))
+
+
+def _loop_holder_draws(rng, trials):
+    draws = []
+    for _ in range(trials):
+        n, r = int(rng.integers(2, 5)), int(rng.integers(2, 7))
+        vecs = np.array([np.sort(rng.uniform(0.0, 4.0, size=r))[::-1] for _ in range(n)])
+        draws.append((vecs, rng.dirichlet(np.ones(n)), int(rng.integers(1, r + 1))))
+    return draws
+
+
+def _loop_kyfan_draws(rng, trials):
+    draws = []
+    for _ in range(trials):
+        dim = int(rng.integers(2, 4))
+        mats = np.array([ginibre(rng, dim) / np.sqrt(2.0) for _ in range(int(rng.integers(1, 5)))])
+        draws.append((mats, float(rng.choice([1.0, 2.0, 3.0])), int(rng.integers(1, dim + 1))))
+    return draws
+
+
+# (batched draw, its one-row-at-a-time loop), each called with a generator
+BATCHED_DRAWS = {
+    "holder_draws": (lambda rng: runner_mod._holder_draws(rng, 30), lambda rng: _loop_holder_draws(rng, 30)),
+    "kyfan_draws": (lambda rng: runner_mod._kyfan_draws(rng, 30), lambda rng: _loop_kyfan_draws(rng, 30)),
+    "commuting_spectra": (
+        lambda rng: commuting_spectra(rng, 5, 3, -2.0, 3.0),
+        lambda rng: np.array([np.sort(rng.uniform(-2.0, 3.0, size=3))[::-1] for _ in range(5)]),
+    ),
+    "ginibre": (
+        lambda rng: ginibre(rng, 3, 2, 4),
+        lambda rng: np.array([[ginibre(rng, 3) for _ in range(4)] for _ in range(2)]),
+    ),
+}
+
+
+def _flat(draws):
+    return [np.asarray(x) for d in draws for x in (d if isinstance(d, tuple) else (d,))]
+
+
+@pytest.mark.parametrize("name", sorted(BATCHED_DRAWS))
+def test_batched_draws_match_their_per_row_loops(name):
+    batched, loop = BATCHED_DRAWS[name]
+    rng_a, rng_b = np.random.default_rng(2718), np.random.default_rng(2718)
+    got, want = _flat(batched(rng_a)), _flat(loop(rng_b))
+    assert len(got) == len(want) and all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert rng_a.standard_normal() == rng_b.standard_normal()  # the stream continues where the loop's does
