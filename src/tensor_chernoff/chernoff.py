@@ -611,6 +611,40 @@ def _walk_sum_eigvalsh(h: np.ndarray) -> np.ndarray:
     return np.stack([mid - rad, mid + rad], axis=-1)
 
 
+def _lower_triangle_reals(stack: np.ndarray) -> np.ndarray:
+    """``(n, d^2)`` float64 table of a ``(n, d, d)`` Hermitian stack's lower triangle.
+
+    Each row holds the real diagonal, then the real parts of the entries below it, then their
+    imaginary parts, in ``np.tril_indices(d, -1)`` order: every real that ``eigvalsh`` and the 2x2
+    closed form read, and no other.
+    """
+    i, j = np.tril_indices(stack.shape[-1], -1)
+    lower = stack[:, i, j]
+    return np.concatenate([np.diagonal(stack, axis1=1, axis2=2).real, lower.real, lower.imag], axis=1)
+
+
+def _walk_sums(table: np.ndarray, walks: np.ndarray) -> np.ndarray:
+    """The ``(count, d, d)`` Hermitian sums along ``(count, kappa)`` walks of a ``_lower_triangle_reals`` table.
+
+    Each step adds one ``np.take`` of table rows, so no ``(count, kappa, d^2)`` gather is held; the
+    stack is assembled once, through its float64 view.  Its upper triangle is the conjugate of the
+    lower and its diagonal's imaginary parts are 0, so it has the bits of the sum of the vertex
+    matrices themselves, in step order.
+    """
+    steps, d = walks.T, math.isqrt(table.shape[1])
+    total = np.take(table, steps[0], axis=0)
+    for row in steps[1:]:
+        total += np.take(table, row, axis=0)
+    diag, (i, j), q = np.arange(d), np.tril_indices(d, -1), d * (d - 1) // 2
+    h = np.zeros((len(total), d, d), dtype=np.complex128)
+    parts = h.view(np.float64).reshape(len(total), d, d, 2)
+    parts[:, diag, diag, 0] = total[:, :d]
+    parts[:, i, j, 0] = parts[:, j, i, 0] = total[:, d:d + q]
+    parts[:, i, j, 1] = total[:, d + q:]
+    parts[:, j, i, 1] = -total[:, d + q:]
+    return h
+
+
 def empirical_tail_sweep(assignment: VertexTensorAssignment, poly: PolynomialSpec, k: int, thetas: Sequence[float],
                          num_walks: int, kappa: int, seed: int, t_check: float | Sequence[float] | None = None,
                          chunk_size: int = DEFAULT_TAIL_CHUNK) -> list[TailEstimate]:
@@ -621,10 +655,12 @@ def empirical_tail_sweep(assignment: VertexTensorAssignment, poly: PolynomialSpe
     ``thetas`` (NaN skips the audit for that row).  The identity map is never
     audited, since its margins ``f(exp(t mu)) - exp(t f(mu))`` are exactly 0 or
     NaN.  Counter-addressed walks make the result identical for any
-    ``chunk_size``; chunks are reduced in index order.  The walk sums' spectra
-    come from ``_walk_sum_eigvalsh``: closed form for 2x2 sums, LAPACK's
-    ``eigvalsh`` for any other dimension.  Each chunk counts its hits from
-    its sorted norms, one ``searchsorted`` over the whole threshold grid.
+    ``chunk_size``; chunks are reduced in index order.  Each walk step gathers
+    the ``d^2`` lower-triangle reals of its vertices (``_lower_triangle_reals``)
+    and each chunk assembles its Hermitian walk sums once (``_walk_sums``).
+    Their spectra come from ``_walk_sum_eigvalsh``: closed form for 2x2 sums,
+    LAPACK's ``eigvalsh`` for any other dimension.  Each chunk counts its hits
+    from its sorted norms, one ``searchsorted`` over the whole threshold grid.
     """
     if num_walks < 1:
         raise ArgumentError(f"num_walks must be >= 1, got {num_walks}")
@@ -633,16 +669,12 @@ def empirical_tail_sweep(assignment: VertexTensorAssignment, poly: PolynomialSpe
     thetas = np.asarray(list(thetas), dtype=np.float64)
     t_checks = np.broadcast_to(np.nan if t_check is None else np.asarray(t_check, dtype=np.float64), thetas.shape)
     audits = [] if poly.is_identity else [(i, float(t)) for i, t in enumerate(t_checks) if not np.isnan(t)]
-    g_stack = assignment.stack()
+    table = _lower_triangle_reals(assignment.stack())
     hits, violations = np.zeros((2, thetas.size), dtype=np.int64)
     for start in range(0, num_walks, chunk_size):
         count = min(chunk_size, num_walks - start)
         walks = sample_walks_array(assignment.graph, kappa, count, seed, start_index=start)
-        # one np.take per step column, so no (count, kappa, d, d) gather is held
-        total = np.take(g_stack, walks[:, 0], axis=0)
-        for j in range(1, kappa):
-            total += np.take(g_stack, walks[:, j], axis=0)
-        mu = _walk_sum_eigvalsh(total)
+        mu = _walk_sum_eigvalsh(_walk_sums(table, walks))
         fmu = poly(mu)
         norms = np.sort(ky_fan_from_eigenvalues(fmu, k))
         norms = norms[:count - np.count_nonzero(np.isnan(norms))]  # NaNs sort last; a NaN norm is a miss

@@ -178,18 +178,20 @@ def sample_walks_array(
     Row i is walk ``start_index + i``.  Its word 0 picks the start in ``[0,
     n)`` and word j the j-th step among the current vertex's ``d`` edge slots,
     each by multiply-high, so a batch can be recomputed in any chunking.  A step
-    reads slot ``v * d + step`` of the flat slot table.
+    reads slot ``v * d + step`` of the flat slot table.  The result is the
+    transpose of a writable ``(length, num_walks)`` buffer filled one step row
+    at a time, so each column ``[:, j]`` is contiguous.
     """
     if length < 1:
         raise ArgumentError(f"walk length must be >= 1, got {length}")
     words = counter_words(seed, DOMAIN_WALK, start_index, num_walks, -(-length // 4))
     flat, d = g.edge_slots().ravel(), g.degree
-    steps = multiply_high(words[:, 1:length], d)
-    out = np.empty((num_walks, length), dtype=np.int64)
-    out[:, 0] = multiply_high(words[:, 0], g.n)
+    steps = multiply_high(words[:, 1:length].T, d)
+    out = np.empty((length, num_walks), dtype=np.int64)
+    out[0] = multiply_high(words[:, 0], g.n)
     for j in range(1, length):
-        out[:, j] = np.take(flat, out[:, j - 1] * d + steps[:, j - 1])
-    return out
+        np.take(flat, out[j - 1] * d + steps[j - 1], out=out[j])
+    return out.T
 
 
 # ---------------------------------------------------------------------------

@@ -38,11 +38,22 @@ def ky_fan_from_eigenvalues(values: np.ndarray, k) -> np.ndarray:
     scalar ``k`` and a row of equal ``k`` agree bit for bit.  From 8 columns up
     that sum can differ in the last bits from a sum of the first ``k`` alone,
     because numpy's pairwise summation unrolls by 8.
+
+    When every ``k`` is 1 that sum is ``top + 0 + ... + 0``, which is ``top``
+    bit for bit (an ``|v|`` is never -0), so it is a running ``np.maximum``
+    over the columns, with no sort; a NaN wins there as it wins the sort.
+    ``np.max(axis=-1)`` would reduce a short last axis row by row.
     """
     dim = values.shape[-1]
     k = np.asarray(k)
     if k.size and not (1 <= k.min() and k.max() <= dim):
         raise ArgumentError(f"every k must be in [1, {dim}], got {k.min()}..{k.max()}")
+    if k.size and k.max() == 1:
+        top = np.empty(np.broadcast_shapes(values.shape[:-1], k.shape))
+        np.abs(values[..., 0], out=top)
+        for i in range(1, dim):
+            np.maximum(top, np.abs(values[..., i]), out=top)
+        return top
     top = np.sort(np.abs(values), axis=-1)[..., ::-1]
     return np.sum(np.where(np.arange(dim) < k[..., None], top, 0.0), axis=-1)
 

@@ -3,8 +3,8 @@
 The dataclasses ``CheckRecord`` (one check), ``TailRow`` (one threshold of
 the tail table) and ``Report`` are the report schema.  The JSON keys, the
 CSV header and each CSV cell's format come from their fields, and both
-readers check what they read against the same fields, so a column is
-declared once.
+readers check what they read against the same fields, keys and value types
+alike, so a column is declared once.
 
 A report is self-contained for replay: it echoes the parsed configuration,
 carries one record per check (ordered by name) and the tail-vs-bound table,
@@ -109,10 +109,25 @@ def _keyed(data, cls, what: str, extra: tuple[str, ...] = ()) -> dict:
     return data
 
 
+# a field's type -> the JSON values it takes: a bool field only true and false, an int field no bool, and a
+# float field an int or a float (NaN and Infinity included)
+_JSON_TYPES = {"float": (int, float), "int": (int,), "bool": (bool,), "str": (str,)}
+
+
+def _record(item, cls, what: str):
+    """``cls`` from ``item`` if it has exactly ``cls``'s fields as keys, each with a value of its field's type."""
+    values = _keyed(item, cls, what)
+    for f in fields(cls):
+        value = values[f.name]
+        if not isinstance(value, _JSON_TYPES[f.type]) or (isinstance(value, bool) and f.type != "bool"):
+            raise ArgumentError(f"{what}: {f.name} {value!r} is not a valid {f.type}")
+    return cls(**values)
+
+
 def _records(items, cls, what: str) -> list:
     if not isinstance(items, list):
         raise ArgumentError(f"{what} must be a list, got {type(items).__name__}")
-    return [cls(**_keyed(item, cls, f"{what}[{i}]")) for i, item in enumerate(items)]
+    return [_record(item, cls, f"{what}[{i}]") for i, item in enumerate(items)]
 
 
 def report_from_dict(data: dict) -> Report:

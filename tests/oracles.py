@@ -11,6 +11,11 @@ on its own; both are references for batched paths, and so are the
 ``trial_*`` verifiers, the library's former one-trial-at-a-time bodies.  The
 log-exp convexity probe and ``reconstruct`` are diagnostics only the tests use.
 ``scalar_theorem_bound`` is the library's former one-threshold minimizer.
+The tail sweep's former paths are references too: ``masked_sorted_ky_fan``
+(the Ky Fan norm as a masked sum of the sorted row, for every ``k``),
+``complex_walk_sums`` (one complex ``(count, d, d)`` gather per walk step) and
+``row_major_walks`` (the walk sampler filling one strided column per step).
+``direct_tail_p_hat`` counts tail hits with none of the sweep's machinery.
 """
 
 from __future__ import annotations
@@ -24,9 +29,10 @@ from typing import Callable
 import numpy as np
 
 from tensor_chernoff.errors import ArgumentError
+from tensor_chernoff.graphs import sample_walks_array
 from tensor_chernoff.majorization import SortedVec, log_majorizes, majorizes, weak_log_majorizes, weak_majorizes
 from tensor_chernoff.norms import gauge_rho, ky_fan_norm, singular_values
-from tensor_chernoff.rng import DOMAIN_GRAPH, DOMAIN_TENSORS, DOMAIN_WALK, stream
+from tensor_chernoff.rng import DOMAIN_GRAPH, DOMAIN_TENSORS, DOMAIN_WALK, counter_words, multiply_high, stream
 from tensor_chernoff.tensors import HermitianTensor, Tensor, TensorShape
 
 
@@ -217,6 +223,45 @@ def reference_walk(g, length: int, seed: int, walk_index: int) -> tuple[int, ...
         v = int(np.repeat(np.arange(g.n), g.adjacency[v])[(w * g.degree) >> 64])
         verts.append(v)
     return tuple(verts)
+
+
+def row_major_walks(g, length: int, num_walks: int, seed: int, start_index: int = 0) -> np.ndarray:
+    """``(num_walks, length)`` walks filled one column at a time, each step a take at ``v * d + step``."""
+    words = counter_words(seed, DOMAIN_WALK, start_index, num_walks, -(-length // 4))
+    flat, d = g.edge_slots().ravel(), g.degree
+    steps = multiply_high(words[:, 1:length], d)
+    out = np.empty((num_walks, length), dtype=np.int64)
+    out[:, 0] = multiply_high(words[:, 0], g.n)
+    for j in range(1, length):
+        out[:, j] = np.take(flat, out[:, j - 1] * d + steps[:, j - 1])
+    return out
+
+
+def complex_walk_sums(stack: np.ndarray, walks: np.ndarray) -> np.ndarray:
+    """``(count, d, d)`` walk sums, one complex gather of whole vertex matrices per walk step, in step order."""
+    total = np.take(stack, walks[:, 0], axis=0)
+    for j in range(1, walks.shape[1]):
+        total += np.take(stack, walks[:, j], axis=0)
+    return total
+
+
+def masked_sorted_ky_fan(values: np.ndarray, k) -> np.ndarray:
+    """Sum of the ``k`` largest ``|v|`` along the last axis: a masked sum over the whole sorted row."""
+    k = np.asarray(k)
+    top = np.sort(np.abs(values), axis=-1)[..., ::-1]
+    return np.sum(np.where(np.arange(values.shape[-1]) < k[..., None], top, 0.0), axis=-1)
+
+
+def direct_tail_p_hat(assignment, poly, k: int, thetas, num_walks: int, kappa: int, seed: int) -> list[float]:
+    """Share of ``num_walks`` kappa-step walks with ``|| f(sum_j g(v_j)) ||_(k) >= theta``, per threshold.
+
+    The walk sums are one fancy-index gather of the whole stack, their spectra LAPACK's ``eigvalsh``,
+    and each norm the plain sum of the first ``k`` of the descending ``|f(mu)|``.
+    """
+    walks = sample_walks_array(assignment.graph, kappa, num_walks, seed)
+    mu = np.linalg.eigvalsh(assignment.stack()[walks].sum(axis=1))
+    norms = -np.sort(-np.abs(poly(mu)), axis=1)[:, :k].sum(axis=1)
+    return [np.count_nonzero(norms >= theta) / num_walks for theta in thetas]
 
 
 def scalar_theorem_bound(params, poly, fit) -> tuple[float, float]:

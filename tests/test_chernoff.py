@@ -42,7 +42,14 @@ from tensor_chernoff.graphs import (
 from tensor_chernoff.inequalities import beta0_density
 from tensor_chernoff.rng import stream
 
-from oracles import dense_contraction_norms, dense_transfer_expectation, loop_random_assignment, scalar_theorem_bound
+from oracles import (
+    complex_walk_sums,
+    dense_contraction_norms,
+    dense_transfer_expectation,
+    direct_tail_p_hat,
+    loop_random_assignment,
+    scalar_theorem_bound,
+)
 
 S2 = TensorShape.square((2,))
 S22 = TensorShape.square((2, 2))
@@ -549,6 +556,27 @@ def test_tail_table_validates_every_threshold_and_the_fit():
         theorem_bound(_params(theta=2.0), poly, unverified)
 
 
+@pytest.mark.parametrize(
+    "graph, shape, k, poly",
+    [(gen_complete(4), S2, 1, PolynomialSpec.identity()),
+     (gen_random_regular(16, 6, 11), S22, 2, PolynomialSpec((0.0, 1.0, 0.5)))],
+    ids=["K4-2x2", "rr16x6-2x2x2"],
+)
+def test_tail_table_rows_equal_an_independent_computation(graph, shape, k, poly):
+    # tail_table's own wiring: its walks take kappa steps and its bounds carry the graph's lam_bar
+    assignment = random_assignment(graph, shape, radius=1.0, seed=12)
+    lam_bar, kappa, num_walks, thetas = spectral_expansion(graph), 8, 3000, [1.0, 2.0, 4.0, 6.0, 120.0]
+    assert lam_bar > 0.0
+    table = tail_table(assignment, poly, k, thetas, num_walks, kappa, seed=5, lam_bar=lam_bar, fit=FIT)
+    p_hats = direct_tail_p_hat(assignment, poly, k, thetas, num_walks, kappa, seed=5)
+    assert sum(0.0 < p < 1.0 for p in p_hats) >= 2
+    for row, theta, p_hat in zip(table.rows, thetas, p_hats):
+        params = ChernoffParams(kappa=kappa, k=k, theta=theta, lam_bar=lam_bar, dim=assignment.dim,
+                                radius=assignment.radius)
+        bound = theorem_bound(params, poly, FIT)
+        assert (row.theta, row.p_hat, row.bound, row.vacuous) == (theta, p_hat, bound.value, bound.vacuous)
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo tail
 # ---------------------------------------------------------------------------
@@ -692,6 +720,41 @@ def _walk_sum_stacks():
 @pytest.mark.parametrize("name", list(_walk_sum_stacks()))
 def test_walk_sum_closed_form_matches_lapack(name):
     assert _matches_lapack(chernoff._walk_sum_eigvalsh, _walk_sum_stacks()[name])
+
+
+def _gather_cases():
+    """(vertex stack, walks) pairs: radius-1 assignments at d = 1 to 4, and ``near 1e+-150`` with walks
+    that stay inside one of its 125-matrix blocks of one scale."""
+    rng = np.random.default_rng(8)
+    cases = {}
+    for d in range(1, 5):
+        assignment = random_assignment(gen_complete(4), TensorShape.square((d,)), radius=1.0, seed=d)
+        cases[f"radius 1, d = {d}"] = (assignment.stack(), sample_walks_array(assignment.graph, 8, 1000, seed=d))
+    extremes = _walk_sum_stacks()["near 1e+-150"]
+    for block, scale in enumerate(("1e+150", "1e+160", "1e-150", "1e-160")):
+        cases[scale] = (extremes, 125 * block + rng.integers(0, 125, size=(1000, 8)))
+    return cases
+
+
+@pytest.mark.parametrize("name", list(_gather_cases()))
+def test_lower_triangle_walk_sums_equal_the_complex_gather(name):
+    # the d^2 lower-triangle reals per step, assembled once, against whole complex matrices per step
+    stack, walks = _gather_cases()[name]
+    got = chernoff._walk_sums(chernoff._lower_triangle_reals(stack), walks)
+    want = complex_walk_sums(stack, walks)
+    assert got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_walk_sum_spectrum_needs_the_complex_abs_of_b():
+    # np.hypot(Re b, Im b) parts from np.abs(b) in the last bit on many inputs: a 2x2 spectrum read straight
+    # off the gathered reals is a correct spectrum, but not the bits the reports carry
+    stack, walks = _gather_cases()["radius 1, d = 2"]
+    h = chernoff._walk_sums(chernoff._lower_triangle_reals(stack), walks)
+    a, c, b = h[:, 0, 0].real, h[:, 1, 1].real, h[:, 1, 0]
+    rad = np.hypot(0.5 * (a - c), np.hypot(b.real, b.imag))
+    from_reals = np.stack([0.5 * (a + c) - rad, 0.5 * (a + c) + rad], axis=-1)
+    assert _matches_lapack(lambda _: from_reals, h)
+    assert not np.array_equal(from_reals, chernoff._walk_sum_eigvalsh(h))
 
 
 def test_walk_sum_spectrum_keeps_lapack_above_2x2():

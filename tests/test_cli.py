@@ -53,6 +53,8 @@ def test_committed_configs_pass(config, tmp_path, capsys):
     code = main(["run", "--config", str(config), "--out", str(tmp_path / "report.json")])
     printed = capsys.readouterr().out
     assert code == 0 and "[FAIL]" not in printed, printed
+    text = (tmp_path / "report.json").read_text()
+    assert report_from_json(text).to_json() == text
 
 
 def test_run_json_and_exit_code(sweep_config, tmp_path, capsys):

@@ -29,6 +29,7 @@ from oracles import (
     loop_hypercube_adjacency,
     loop_random_regular_adjacency,
     reference_walk,
+    row_major_walks,
 )
 
 
@@ -175,6 +176,16 @@ def test_walk_determinism_and_batch_consistency():
     # chunked recomputation matches
     tail = sample_walks_array(g, 7, 3, seed=42, start_index=3)
     assert np.array_equal(batch[3:], tail)
+
+
+@pytest.mark.parametrize("graph", [gen_complete(4), gen_cycle(7), gen_random_regular(256, 6, seed=3)],
+                         ids=["K4", "C7", "rr256x6"])
+def test_step_major_walks_equal_the_row_major_loop(graph):
+    # one contiguous step row per take; the (num_walks, length) result stays writable, as callers write into it
+    for length, num_walks, start in ((1, 5, 0), (8, 1000, 3), (13, 257, 2**40 + 5)):
+        walks = sample_walks_array(graph, length, num_walks, seed=19, start_index=start)
+        assert walks.shape == (num_walks, length) and walks.T.flags.c_contiguous and walks.flags.writeable
+        assert np.array_equal(walks, row_major_walks(graph, length, num_walks, 19, start))
 
 
 def test_batch_across_chunk_border_matches_one_batch(tmp_path):

@@ -3,12 +3,12 @@ gate check of ``runner.run`` to FAIL, not just a unit test.
 
 The known gaps are the cases in ``GATE_GAPS``: ``test_mutant_fails_a_gate_check`` marks
 each ``xfail(strict=True)`` with the reason no check sees it, so a change that closes a
-gap turns its case red until the mark is removed.  Unit tests catch four of them: the
+gap turns its case red until the mark is removed.  Unit tests catch all six: the
 adjoint-pair test in ``test_chernoff.py`` (the transfer maps), the node-by-node tests in
 ``test_inequalities.py`` (the power-product spectrum), ``test_walk_sum_closed_form_matches_lapack``
-and ``test_tail_sweep_matches_direct_counting`` (the walk-sum spectrum).  No test catches walks
-one step short, and a dropped ``8 lam_bar`` trips only a runner test that pins which tail rows
-are vacuous.
+and ``test_tail_sweep_matches_direct_counting`` (the walk-sum spectrum), and
+``test_tail_table_rows_equal_an_independent_computation`` (walks one step short and a dropped
+``8 lam_bar``).
 """
 
 from pathlib import Path

@@ -19,7 +19,7 @@ from tensor_chernoff.norms import (
 )
 from tensor_chernoff.sampling import random_tensor, random_unitary
 
-from oracles import elementary_symmetric
+from oracles import elementary_symmetric, masked_sorted_ky_fan
 
 RNG = np.random.default_rng(20240812)
 S22 = TensorShape.square((2, 2))
@@ -62,6 +62,28 @@ def test_ky_fan_scalar_and_per_row_k_agree_bit_for_bit():
         for k in range(1, dim + 1):
             scalar = ky_fan_from_eigenvalues(values, k)
             assert np.array_equal(scalar, ky_fan_from_eigenvalues(values, np.full(5, k))), (dim, k)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def test_spectral_ky_fan_equals_the_masked_sorted_sum_bit_for_bit():
+    # every k = 1 takes a running maximum with no sort; the widths run past numpy's 8-way pairwise unroll
+    rng = np.random.default_rng(31)
+    specials = np.array([np.nan, 0.0, -0.0, np.inf, -np.inf, 1e300, -1e300, 1e-300, -1e-300])
+    for dim in range(1, 12):
+        values = rng.standard_normal((60, dim)) * 10.0 ** rng.integers(-300, 301, size=(60, dim))
+        picked = rng.random((60, dim)) < 0.3
+        values[picked] = rng.choice(specials, size=picked.sum())
+        values[-specials.size:] = specials[:, None]  # rows of one special value each
+        for k in (1, np.ones(60, dtype=int), np.ones((3, 1), dtype=int)):
+            got, want = ky_fan_from_eigenvalues(values, k), masked_sorted_ky_fan(values, k)
+            assert got.shape == want.shape and np.array_equal(_bits(got), _bits(want)), (dim, np.shape(k))
+            assert got.flags.writeable and not np.shares_memory(got, values)
+        for row in values[[0, 7, -9, -1]]:  # one vector gives a 0-d result
+            got = ky_fan_from_eigenvalues(row, 1)
+            assert np.ndim(got) == 0 and _bits(got) == _bits(masked_sorted_ky_fan(row, 1)), (dim, row)
 
 
 def test_ky_fan_triangle_inequality():

@@ -126,6 +126,38 @@ def test_report_with_a_missing_or_unknown_key_rejected(edit, message):
         report_from_json(json.dumps(edit(data)))
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: {**d, "checks": [{**d["checks"][0], "passed": "no"}]}, r"checks\[0\]: passed 'no' is not a valid bool"),
+        (lambda d: {**d, "checks": [{**d["checks"][0], "passed": 0}]}, r"checks\[0\]: passed 0 is not a valid bool"),
+        (lambda d: {**d, "tail_rows": [{**d["tail_rows"][0], "theta": "x"}]},
+         r"tail_rows\[0\]: theta 'x' is not a valid float"),
+        (lambda d: {**d, "tail_rows": [{**d["tail_rows"][0], "p_hat": True}]},
+         r"tail_rows\[0\]: p_hat True is not a valid float"),
+        (lambda d: {**d, "tail_rows": [{**d["tail_rows"][0], "assumption3_violations": False}]},
+         r"tail_rows\[0\]: assumption3_violations False is not a valid int"),
+        (lambda d: {**d, "tail_rows": [{**d["tail_rows"][0], "assumption3_violations": 1.0}]},
+         r"tail_rows\[0\]: assumption3_violations 1.0 is not a valid int"),
+        (lambda d: {**d, "checks": [{**d["checks"][0], "name": 3}]}, r"checks\[0\]: name 3 is not a valid str"),
+    ],
+    ids=["passed_string", "passed_int", "theta_string", "float_bool", "int_bool", "int_float", "name_int"],
+)
+def test_report_value_of_the_wrong_type_rejected(edit, message):
+    data = json.loads(_sample_report().to_json())
+    with pytest.raises(ArgumentError, match=f"^{message}$"):
+        report_from_json(json.dumps(edit(data)))
+
+
+def test_report_float_fields_take_ints_and_non_finite_values():
+    rep = Report("chernoff_sweep", {}, [CheckRecord("c", float("nan"), float("inf"), -float("inf"), False)],
+                 [TailRow(1.0, 0.0, 0.0, float("inf"), True, 0)], {"version": "0", "seed": 0})
+    assert report_from_json(rep.to_json()).to_json() == rep.to_json()
+    data = json.loads(_sample_report().to_json())
+    data["tail_rows"][0]["theta"] = 1
+    assert report_from_dict(data).tail_rows[0].theta == 1.0
+
+
 def test_committed_sweep_report_round_trips_through_json_and_csv():
     rep = run(load_config(Path(__file__).resolve().parent.parent / "configs" / "chernoff_k4.ini"))
     assert len(rep.tail_rows) == 6 and len(rep.checks) == 6
