@@ -315,7 +315,7 @@ def contraction_certificate(
     m = _kronecker_stack(es)
     m_bar = m.mean(axis=0)
     orth_par, par_orth = np.zeros((2, d * d, d * d), dtype=np.complex128)
-    for rows in np.array_split(np.arange(n), _GRAM_CHUNKS):
+    for rows in np.array_split(np.arange(n), min(_GRAM_CHUNKS, n)):  # no empty chunk when n < 8
         dev = m[rows]  # a copy: M keeps its entries for the vertex maps
         dev -= m_bar
         z = _slot_mean(slots[rows], m)
@@ -596,21 +596,6 @@ def assumption3_margins(poly: PolynomialSpec, eigenvalues: np.ndarray, t: float)
         return np.min(lhs - rhs, axis=-1)
 
 
-def _walk_sum_eigvalsh(h: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a ``(count, d, d)`` Hermitian stack, as ``np.linalg.eigvalsh`` returns them.
-
-    A 2x2 stack takes the closed form ``mid -/+ hypot((a - c) / 2, |b|)`` with ``b`` from the
-    lower triangle, the one ``eigvalsh`` reads; ``hypot`` neither overflows nor underflows on
-    large or small entries.  Any other ``d`` goes to LAPACK.
-    """
-    if h.shape[-1] != 2:
-        return np.linalg.eigvalsh(h)
-    a, c = h[..., 0, 0].real, h[..., 1, 1].real
-    mid = 0.5 * (a + c)
-    rad = np.hypot(0.5 * (a - c), np.abs(h[..., 1, 0]))
-    return np.stack([mid - rad, mid + rad], axis=-1)
-
-
 def _lower_triangle_reals(stack: np.ndarray) -> np.ndarray:
     """``(n, d^2)`` float64 table of a ``(n, d, d)`` Hermitian stack's lower triangle.
 
@@ -624,25 +609,52 @@ def _lower_triangle_reals(stack: np.ndarray) -> np.ndarray:
 
 
 def _walk_sums(table: np.ndarray, walks: np.ndarray) -> np.ndarray:
-    """The ``(count, d, d)`` Hermitian sums along ``(count, kappa)`` walks of a ``_lower_triangle_reals`` table.
+    """The ``(count, d^2)`` summed ``_lower_triangle_reals`` rows along ``(count, kappa)`` walks.
 
-    Each step adds one ``np.take`` of table rows, so no ``(count, kappa, d^2)`` gather is held; the
-    stack is assembled once, through its float64 view.  Its upper triangle is the conjugate of the
-    lower and its diagonal's imaginary parts are 0, so it has the bits of the sum of the vertex
-    matrices themselves, in step order.
+    Each step adds one ``np.take`` of table rows, in step order, so no ``(count, kappa, d^2)``
+    gather is held.  Each sum has the bits of the same entry of the sum of the vertex matrices.
     """
-    steps, d = walks.T, math.isqrt(table.shape[1])
+    steps = walks.T
     total = np.take(table, steps[0], axis=0)
     for row in steps[1:]:
         total += np.take(table, row, axis=0)
-    diag, (i, j), q = np.arange(d), np.tril_indices(d, -1), d * (d - 1) // 2
-    h = np.zeros((len(total), d, d), dtype=np.complex128)
-    parts = h.view(np.float64).reshape(len(total), d, d, 2)
-    parts[:, diag, diag, 0] = total[:, :d]
-    parts[:, i, j, 0] = parts[:, j, i, 0] = total[:, d:d + q]
-    parts[:, i, j, 1] = total[:, d + q:]
-    parts[:, j, i, 1] = -total[:, d + q:]
-    return h
+    return total
+
+
+def _hermitian_stack(sums: np.ndarray) -> np.ndarray:
+    """The ``(count, d, d)`` complex Hermitian stack of ``(count, d^2)`` lower-triangle reals, in one ``np.take``.
+
+    The reals are extended by their negated imaginary parts and a zero column, and each float64 of
+    the stack takes its column: the upper triangle is the conjugate of the lower and the diagonal's
+    imaginary parts are 0.
+    """
+    count, d = len(sums), math.isqrt(sums.shape[1])
+    q = d * (d - 1) // 2
+    cols = np.full((d, d, 2), d * d + q)  # the zero column: the diagonal's imaginary parts
+    i, j = np.tril_indices(d, -1)
+    cols[np.arange(d), np.arange(d), 0] = np.arange(d)
+    cols[i, j, 0] = cols[j, i, 0] = d + np.arange(q)
+    cols[i, j, 1] = d + q + np.arange(q)
+    cols[j, i, 1] = d * d + np.arange(q)
+    extended = np.concatenate([sums, -sums[:, d + q:], np.zeros((count, 1))], axis=1)
+    return np.take(extended, cols.ravel(), axis=1).view(np.complex128).reshape(count, d, d)
+
+
+def _walk_sum_eigvalsh(sums: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian matrices of ``(count, d^2)`` lower-triangle reals.
+
+    They are the values ``np.linalg.eigvalsh`` returns on ``_hermitian_stack(sums)``.  A 2x2 sum
+    takes the closed form ``mid -/+ hypot((a - c) / 2, |b|)`` straight from the reals, with ``|b|``
+    as ``np.abs`` of the complex lower entry, whose bits ``hypot`` of its parts does not always
+    give; ``hypot`` neither overflows nor underflows on large or small entries.  Any other ``d``
+    goes to LAPACK.
+    """
+    if sums.shape[1] != 4:
+        return np.linalg.eigvalsh(_hermitian_stack(sums))
+    a, c = sums[:, 0], sums[:, 1]
+    mid = 0.5 * (a + c)
+    rad = np.hypot(0.5 * (a - c), np.abs(sums[:, 2:].view(np.complex128)[:, 0]))
+    return np.stack([mid - rad, mid + rad], axis=-1)
 
 
 def empirical_tail_sweep(assignment: VertexTensorAssignment, poly: PolynomialSpec, k: int, thetas: Sequence[float],
@@ -657,9 +669,10 @@ def empirical_tail_sweep(assignment: VertexTensorAssignment, poly: PolynomialSpe
     NaN.  Counter-addressed walks make the result identical for any
     ``chunk_size``; chunks are reduced in index order.  Each walk step gathers
     the ``d^2`` lower-triangle reals of its vertices (``_lower_triangle_reals``)
-    and each chunk assembles its Hermitian walk sums once (``_walk_sums``).
-    Their spectra come from ``_walk_sum_eigvalsh``: closed form for 2x2 sums,
-    LAPACK's ``eigvalsh`` for any other dimension.  Each chunk counts its hits
+    and adds them to the chunk's summed reals (``_walk_sums``).  Their spectra
+    come from ``_walk_sum_eigvalsh``: closed form for 2x2 sums, read from the
+    reals with no complex stack, and LAPACK's ``eigvalsh`` on the Hermitian
+    stack assembled once for any other dimension.  Each chunk counts its hits
     from its sorted norms, one ``searchsorted`` over the whole threshold grid.
     """
     if num_walks < 1:

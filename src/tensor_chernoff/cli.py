@@ -34,6 +34,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()  # built once: parse_args leaves no state on it
+
+
 def _require_writable(out: str) -> None:
     """Reject a report path that cannot be written before the run, not after it."""
     path = Path(out)
@@ -49,9 +52,8 @@ def _require_writable(out: str) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
 

@@ -180,17 +180,22 @@ def sample_walks_array(
     each by multiply-high, so a batch can be recomputed in any chunking.  A step
     reads slot ``v * d + step`` of the flat slot table.  The result is the
     transpose of a writable ``(length, num_walks)`` buffer filled one step row
-    at a time, so each column ``[:, j]`` is contiguous.
+    at a time, so each column ``[:, j]`` is contiguous.  Words are drawn one
+    Philox block (four steps) at a time, and each word column is converted as
+    its step row is filled.
     """
     if length < 1:
         raise ArgumentError(f"walk length must be >= 1, got {length}")
-    words = counter_words(seed, DOMAIN_WALK, start_index, num_walks, -(-length // 4))
     flat, d = g.edge_slots().ravel(), g.degree
-    steps = multiply_high(words[:, 1:length].T, d)
     out = np.empty((length, num_walks), dtype=np.int64)
+    words = counter_words(seed, DOMAIN_WALK, start_index, num_walks, 0)
     out[0] = multiply_high(words[:, 0], g.n)
     for j in range(1, length):
-        np.take(flat, out[j - 1] * d + steps[j - 1], out=out[j])
+        if j % 4 == 0:
+            words = counter_words(seed, DOMAIN_WALK, start_index, num_walks, j // 4)
+        slot = multiply_high(words[:, j % 4], d)
+        slot += np.multiply(out[j - 1], d, out=out[j])  # row j holds v * d until the take overwrites it
+        np.take(flat, slot, out=out[j], mode="clip")  # slots are in range; "raise" would copy out first
     return out.T
 
 

@@ -12,8 +12,10 @@ Two kinds of stream, both addressed by a master seed:
   (:func:`counter_words`), so their seed must be in ``[0, 2^64)``: key
   ``(seed, DOMAIN_WALK)``, and walk ``i`` takes its ``b``-th block of four
   words from counter ``(i, b, 0, 0)``.  Walk ``i`` depends only on ``(seed,
-  i)``, so any chunking reproduces it bit for bit, and a whole chunk is one
-  ``random_raw`` call per block column.
+  i)``, so any chunking reproduces it bit for bit.  A chunk reads one block
+  at a time: ``counter_words`` returns block ``b`` of every walk in it as a
+  ``(count, 4)`` array, one ``random_raw`` call, and word ``4b + c`` of a walk
+  is column ``c`` of block ``b``.
   :data:`WALK_STREAM` names this layout and is stamped in reports.
 
 Words become integers in ``[0, bound)`` by multiply-high (Lemire, TOMACS
@@ -46,23 +48,19 @@ def stream(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
-def counter_words(master_seed: int, domain: int, start: int, count: int, blocks: int) -> np.ndarray:
-    """``(count, 4 * blocks)`` uint64 Philox4x64-10 words under key ``(master_seed, domain)``.
+def counter_words(master_seed: int, domain: int, start: int, count: int, block: int) -> np.ndarray:
+    """``(count, 4)`` uint64 Philox4x64-10 words under key ``(master_seed, domain)``.
 
-    Row ``r``, columns ``4b .. 4b + 3`` are the block at counter ``(start + r,
-    b, 0, 0)``.  numpy increments the 256-bit counter before each block, so
-    block column ``b`` is one generator set one below ``(start, b, 0, 0)``.
+    Row ``r`` is the block at counter ``(start + r, block, 0, 0)``.  numpy increments the 256-bit
+    counter before each block, so the generator is set one below ``(start, block, 0, 0)``.
     """
     if not 0 <= master_seed < SEED_LIMIT:
         raise ArgumentError(f"seed must be in [0, 2^64), got {master_seed}")
     if start < 0:
         raise ArgumentError(f"start index must be >= 0, got {start}")
     key = np.array([master_seed, domain], dtype=np.uint64)
-    out = np.empty((count, 4 * blocks), dtype=np.uint64)
-    for b in range(blocks):
-        gen = np.random.Philox(key=key, counter=((b << 64) + start - 1) % (1 << 256))
-        out[:, 4 * b:4 * b + 4] = gen.random_raw(4 * count).reshape(count, 4)
-    return out
+    gen = np.random.Philox(key=key, counter=((block << 64) + start - 1) % (1 << 256))
+    return gen.random_raw(4 * count).reshape(count, 4)
 
 
 def multiply_high(words: np.ndarray, bound: int) -> np.ndarray:

@@ -13,8 +13,12 @@ log-exp convexity probe and ``reconstruct`` are diagnostics only the tests use.
 ``scalar_theorem_bound`` is the library's former one-threshold minimizer.
 The tail sweep's former paths are references too: ``masked_sorted_ky_fan``
 (the Ky Fan norm as a masked sum of the sorted row, for every ``k``),
-``complex_walk_sums`` (one complex ``(count, d, d)`` gather per walk step) and
-``row_major_walks`` (the walk sampler filling one strided column per step).
+``complex_walk_sums`` (one complex ``(count, d, d)`` gather per walk step),
+``assembled_walk_sums`` and ``complex_stack_eigvalsh`` (the summed lower-triangle
+reals written into a complex stack, and that stack's spectrum), ``row_major_walks``
+(the walk sampler filling one strided column per step), ``block_column_walks``
+(the sampler converting every word of a chunk at once) and ``wide_counter_words``
+(all of a chunk's Philox blocks in one ``(count, 4 * blocks)`` array).
 ``direct_tail_p_hat`` counts tail hits with none of the sweep's machinery.
 """
 
@@ -32,7 +36,7 @@ from tensor_chernoff.errors import ArgumentError
 from tensor_chernoff.graphs import sample_walks_array
 from tensor_chernoff.majorization import SortedVec, log_majorizes, majorizes, weak_log_majorizes, weak_majorizes
 from tensor_chernoff.norms import gauge_rho, ky_fan_norm, singular_values
-from tensor_chernoff.rng import DOMAIN_GRAPH, DOMAIN_TENSORS, DOMAIN_WALK, counter_words, multiply_high, stream
+from tensor_chernoff.rng import DOMAIN_GRAPH, DOMAIN_TENSORS, DOMAIN_WALK, multiply_high, stream
 from tensor_chernoff.tensors import HermitianTensor, Tensor, TensorShape
 
 
@@ -225,9 +229,20 @@ def reference_walk(g, length: int, seed: int, walk_index: int) -> tuple[int, ...
     return tuple(verts)
 
 
+def wide_counter_words(master_seed: int, domain: int, start: int, count: int, blocks: int) -> np.ndarray:
+    """The former ``(count, 4 * blocks)`` word layout: row ``r``, columns ``4b .. 4b + 3`` are the
+    block at counter ``(start + r, b, 0, 0)``, each block column one ``random_raw`` call."""
+    key = np.array([master_seed, domain], dtype=np.uint64)
+    out = np.empty((count, 4 * blocks), dtype=np.uint64)
+    for b in range(blocks):
+        gen = np.random.Philox(key=key, counter=((b << 64) + start - 1) % (1 << 256))
+        out[:, 4 * b:4 * b + 4] = gen.random_raw(4 * count).reshape(count, 4)
+    return out
+
+
 def row_major_walks(g, length: int, num_walks: int, seed: int, start_index: int = 0) -> np.ndarray:
     """``(num_walks, length)`` walks filled one column at a time, each step a take at ``v * d + step``."""
-    words = counter_words(seed, DOMAIN_WALK, start_index, num_walks, -(-length // 4))
+    words = wide_counter_words(seed, DOMAIN_WALK, start_index, num_walks, -(-length // 4))
     flat, d = g.edge_slots().ravel(), g.degree
     steps = multiply_high(words[:, 1:length], d)
     out = np.empty((num_walks, length), dtype=np.int64)
@@ -237,12 +252,53 @@ def row_major_walks(g, length: int, num_walks: int, seed: int, start_index: int 
     return out
 
 
+def block_column_walks(g, length: int, num_walks: int, seed: int, start_index: int = 0) -> np.ndarray:
+    """The former sampler: every word of the chunk in one ``wide_counter_words`` array, all steps converted
+    at once through its transpose, then one take per row of a step-major buffer, returned transposed."""
+    words = wide_counter_words(seed, DOMAIN_WALK, start_index, num_walks, -(-length // 4))
+    flat, d = g.edge_slots().ravel(), g.degree
+    steps = multiply_high(words[:, 1:length].T, d)
+    out = np.empty((length, num_walks), dtype=np.int64)
+    out[0] = multiply_high(words[:, 0], g.n)
+    for j in range(1, length):
+        np.take(flat, out[j - 1] * d + steps[j - 1], out=out[j])
+    return out.T
+
+
 def complex_walk_sums(stack: np.ndarray, walks: np.ndarray) -> np.ndarray:
     """``(count, d, d)`` walk sums, one complex gather of whole vertex matrices per walk step, in step order."""
     total = np.take(stack, walks[:, 0], axis=0)
     for j in range(1, walks.shape[1]):
         total += np.take(stack, walks[:, j], axis=0)
     return total
+
+
+def assembled_walk_sums(table: np.ndarray, walks: np.ndarray) -> np.ndarray:
+    """The former ``(count, d, d)`` walk sums of a lower-triangle reals table: the summed reals written
+    into a complex stack through its float64 view, by four multi-axis fancy assignments."""
+    d = math.isqrt(table.shape[1])
+    total = np.take(table, walks[:, 0], axis=0)
+    for j in range(1, walks.shape[1]):
+        total += np.take(table, walks[:, j], axis=0)
+    diag, (i, j), q = np.arange(d), np.tril_indices(d, -1), d * (d - 1) // 2
+    h = np.zeros((len(total), d, d), dtype=np.complex128)
+    parts = h.view(np.float64).reshape(len(total), d, d, 2)
+    parts[:, diag, diag, 0] = total[:, :d]
+    parts[:, i, j, 0] = parts[:, j, i, 0] = total[:, d:d + q]
+    parts[:, i, j, 1] = total[:, d + q:]
+    parts[:, j, i, 1] = -total[:, d + q:]
+    return h
+
+
+def complex_stack_eigvalsh(h: np.ndarray) -> np.ndarray:
+    """The former walk-sum spectrum of a ``(count, d, d)`` complex stack: the 2x2 closed form
+    ``mid -/+ hypot((a - c) / 2, |b|)`` with ``b`` its lower entry, LAPACK's ``eigvalsh`` for any other d."""
+    if h.shape[-1] != 2:
+        return np.linalg.eigvalsh(h)
+    a, c = h[..., 0, 0].real, h[..., 1, 1].real
+    mid = 0.5 * (a + c)
+    rad = np.hypot(0.5 * (a - c), np.abs(h[..., 1, 0]))
+    return np.stack([mid - rad, mid + rad], axis=-1)
 
 
 def masked_sorted_ky_fan(values: np.ndarray, k) -> np.ndarray:

@@ -43,6 +43,8 @@ from tensor_chernoff.inequalities import beta0_density
 from tensor_chernoff.rng import stream
 
 from oracles import (
+    assembled_walk_sums,
+    complex_stack_eigvalsh,
     complex_walk_sums,
     dense_contraction_norms,
     dense_transfer_expectation,
@@ -663,8 +665,8 @@ def test_sorted_hit_count_equals_direct_count(monkeypatch, chunk_size):
     # one whose norm is exactly 3 (a hit at theta = 3); theta = inf is a miss for every finite norm
     spectrum, ky_fan, seen = chernoff._walk_sum_eigvalsh, chernoff.ky_fan_from_eigenvalues, []
 
-    def injected(h):
-        mu = spectrum(h)
+    def injected(sums):
+        mu = spectrum(sums)
         mu[0], mu[1] = np.nan, (-1.0, 3.0)
         return mu
 
@@ -683,6 +685,11 @@ def test_sorted_hit_count_equals_direct_count(monkeypatch, chunk_size):
     for est, theta in zip(sweep, thetas):
         assert est.p_hat == np.count_nonzero(norms >= theta) / 20000, theta
     assert sweep[1].p_hat == 0.0 and sweep[0] == sweep[4]
+
+
+def _from_reals(h):
+    """The library's walk-sum spectrum of a complex Hermitian stack, through its lower-triangle reals."""
+    return chernoff._walk_sum_eigvalsh(chernoff._lower_triangle_reals(h))
 
 
 def _matches_lapack(spectrum, h):
@@ -719,7 +726,7 @@ def _walk_sum_stacks():
 
 @pytest.mark.parametrize("name", list(_walk_sum_stacks()))
 def test_walk_sum_closed_form_matches_lapack(name):
-    assert _matches_lapack(chernoff._walk_sum_eigvalsh, _walk_sum_stacks()[name])
+    assert _matches_lapack(_from_reals, _walk_sum_stacks()[name])
 
 
 def _gather_cases():
@@ -740,27 +747,40 @@ def _gather_cases():
 def test_lower_triangle_walk_sums_equal_the_complex_gather(name):
     # the d^2 lower-triangle reals per step, assembled once, against whole complex matrices per step
     stack, walks = _gather_cases()[name]
-    got = chernoff._walk_sums(chernoff._lower_triangle_reals(stack), walks)
+    got = chernoff._hermitian_stack(chernoff._walk_sums(chernoff._lower_triangle_reals(stack), walks))
     want = complex_walk_sums(stack, walks)
     assert got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+@pytest.mark.parametrize("name", list(_gather_cases()))
+def test_walk_sum_spectrum_from_reals_equals_the_complex_stack_path(name):
+    # the one-take assembly and the spectrum read from the summed reals, against the former four
+    # fancy assignments into a complex stack and the spectrum read off that stack, bit for bit
+    stack, walks = _gather_cases()[name]
+    table = chernoff._lower_triangle_reals(stack)
+    sums, former = chernoff._walk_sums(table, walks), assembled_walk_sums(table, walks)
+    assert sums.shape == (len(walks), stack.shape[-1] ** 2)
+    assert np.array_equal(chernoff._hermitian_stack(sums).view(np.uint64), former.view(np.uint64))
+    got, want = chernoff._walk_sum_eigvalsh(sums), complex_stack_eigvalsh(former)
+    assert got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_walk_sum_spectrum_needs_the_complex_abs_of_b():
-    # np.hypot(Re b, Im b) parts from np.abs(b) in the last bit on many inputs: a 2x2 spectrum read straight
-    # off the gathered reals is a correct spectrum, but not the bits the reports carry
+    # np.hypot(Re b, Im b) parts from np.abs(b) in the last bit on many inputs: a 2x2 spectrum with |b| as
+    # np.hypot of the summed parts is a correct spectrum, but not the bits the reports carry
     stack, walks = _gather_cases()["radius 1, d = 2"]
-    h = chernoff._walk_sums(chernoff._lower_triangle_reals(stack), walks)
-    a, c, b = h[:, 0, 0].real, h[:, 1, 1].real, h[:, 1, 0]
-    rad = np.hypot(0.5 * (a - c), np.hypot(b.real, b.imag))
-    from_reals = np.stack([0.5 * (a + c) - rad, 0.5 * (a + c) + rad], axis=-1)
-    assert _matches_lapack(lambda _: from_reals, h)
-    assert not np.array_equal(from_reals, chernoff._walk_sum_eigvalsh(h))
+    sums = chernoff._walk_sums(chernoff._lower_triangle_reals(stack), walks)
+    a, c, re_b, im_b = sums.T
+    rad = np.hypot(0.5 * (a - c), np.hypot(re_b, im_b))
+    from_parts = np.stack([0.5 * (a + c) - rad, 0.5 * (a + c) + rad], axis=-1)
+    assert _matches_lapack(lambda _: from_parts, chernoff._hermitian_stack(sums))
+    assert not np.array_equal(from_parts, chernoff._walk_sum_eigvalsh(sums))
 
 
 def test_walk_sum_spectrum_keeps_lapack_above_2x2():
     assignment = random_assignment(gen_complete(4), S22, radius=1.0, seed=6)
     sums = assignment.stack()[sample_walks_array(assignment.graph, 8, 500, seed=3)].sum(axis=1)
-    assert np.array_equal(chernoff._walk_sum_eigvalsh(sums), np.linalg.eigvalsh(sums))
+    assert np.array_equal(_from_reals(sums), np.linalg.eigvalsh(sums))
 
 
 def test_walk_sum_comparison_rejects_wrong_spectra():

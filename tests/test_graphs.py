@@ -19,7 +19,7 @@ from tensor_chernoff.graphs import (
     save_edge_list,
     spectral_expansion,
 )
-from tensor_chernoff.rng import multiply_high
+from tensor_chernoff.rng import DOMAIN_WALK, counter_words, multiply_high
 
 from oracles import (
     cycle_expansion,
@@ -28,8 +28,10 @@ from oracles import (
     loop_edge_slots,
     loop_hypercube_adjacency,
     loop_random_regular_adjacency,
+    block_column_walks,
     reference_walk,
     row_major_walks,
+    wide_counter_words,
 )
 
 
@@ -186,6 +188,28 @@ def test_step_major_walks_equal_the_row_major_loop(graph):
         walks = sample_walks_array(graph, length, num_walks, seed=19, start_index=start)
         assert walks.shape == (num_walks, length) and walks.T.flags.c_contiguous and walks.flags.writeable
         assert np.array_equal(walks, row_major_walks(graph, length, num_walks, 19, start))
+
+
+@pytest.mark.parametrize("graph", [gen_complete(4), gen_random_regular(64, 6, seed=3)], ids=["K4", "rr64x6"])
+@pytest.mark.parametrize("length", [1, 3, 4, 5, 8, 9])
+def test_block_at_a_time_walks_equal_the_former_sampler(graph, length):
+    # one Philox block drawn and each word column converted per step row, against every word of the chunk
+    # drawn and converted at once; the last two ranges cross the default tail chunk border
+    for start, num_walks in ((0, 300), (DEFAULT_TAIL_CHUNK - 3, 7), (2 * DEFAULT_TAIL_CHUNK - 1, 2)):
+        walks = sample_walks_array(graph, length, num_walks, seed=29, start_index=start)
+        assert walks.dtype == np.int64 and walks.T.flags.c_contiguous and walks.flags.writeable
+        assert np.array_equal(walks, block_column_walks(graph, length, num_walks, 29, start)), (start, num_walks)
+
+
+@pytest.mark.parametrize("start", [0, 5, DEFAULT_TAIL_CHUNK - 2, 2**40 + 5, 2**64 - 3])
+def test_counter_words_blocks_equal_the_wide_layout(start):
+    # block b of every walk is columns 4b .. 4b + 3 of the former (count, 4 * blocks) array; at 2^64 - 3 the
+    # walk counter word wraps inside the range and carries into the block word
+    wide = wide_counter_words(61, DOMAIN_WALK, start, 6, 3)
+    for b in range(3):
+        got = counter_words(61, DOMAIN_WALK, start, 6, b)
+        assert got.shape == (6, 4) and got.dtype == np.uint64
+        assert np.array_equal(got, wide[:, 4 * b:4 * b + 4]), b
 
 
 def test_batch_across_chunk_border_matches_one_batch(tmp_path):

@@ -1,5 +1,7 @@
 """Mutation gate: each defect below is injected with ``monkeypatch`` and must turn a
-gate check of ``runner.run`` to FAIL, not just a unit test.
+gate check of ``runner.run`` to FAIL, not just a unit test.  Each replacement is wrapped
+so that the test asserts it was called during the mutated run: a patch of a name the code no
+longer calls leaves the run unchanged and would otherwise pass as a known gap.
 
 The known gaps are the cases in ``GATE_GAPS``: ``test_mutant_fails_a_gate_check`` marks
 each ``xfail(strict=True)`` with the reason no check sees it, so a change that closes a
@@ -40,28 +42,44 @@ def _check(config, name):
     return {c.name: c for c in run(config).checks}[name]
 
 
+def _patch(monkeypatch, obj, attr, replacement):
+    """Set ``obj.attr`` to ``replacement`` and return the list that records each call of it: a mutant
+    whose list stays empty never ran, and its gate run shows nothing."""
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(None)
+        return replacement(*args, **kwargs)
+
+    monkeypatch.setattr(obj, attr, recorded)
+    return calls
+
+
 @pytest.mark.parametrize("n", [16, 256])
 def test_transfer_apply_without_the_slot_mean_fails_the_certificate(monkeypatch, n):
     config = parse_config(TRANSFER_DENSE.format(n=n))
     assert _check(config, "contraction_certificate_excess").passed
-    monkeypatch.setattr(chernoff, "_slot_mean", lambda slots, x: x.copy())
+    calls = _patch(monkeypatch, chernoff, "_slot_mean", lambda slots, x: x.copy())
     assert not _check(config, "contraction_certificate_excess").passed
+    assert calls
 
 
 def test_sign_flip_in_beta0_fails_the_quadrature_mass(monkeypatch):
     config = load_config(CONFIGS / "inequalities.ini")
     assert _check(config, "beta0_quadrature_mass_error").passed
     original = inequalities.beta0_density  # captured before patching, or the lambda would call itself
-    monkeypatch.setattr(inequalities, "beta0_density", lambda t: -original(t))
+    calls = _patch(monkeypatch, inequalities, "beta0_density", lambda t: -original(t))
     assert not _check(config, "beta0_quadrature_mass_error").passed
+    assert calls
 
 
 def test_domination_constant_from_tau_zero_alone_fails_the_fit_check(monkeypatch):
     config = load_config(CONFIGS / "chernoff_k4.ini")
     assert _check(config, "domination_fit_verified").passed
     original = chernoff._domination_ratio  # captured before patching, or the lambda would call itself
-    monkeypatch.setattr(chernoff, "_domination_ratio", lambda tau, sigma: original(np.zeros_like(tau), sigma))
+    calls = _patch(monkeypatch, chernoff, "_domination_ratio", lambda tau, sigma: original(np.zeros_like(tau), sigma))
     checks = {c.name: c for c in run(config).checks}
+    assert calls
     assert not checks["domination_fit_verified"].passed
     assert checks["domination_fit_verified"].detail.startswith("C = 1.378091, sigma = 0.7,")
     for name in ("corollary_vs_theorem_rel_err", "tail_below_bound_excess"):
@@ -78,8 +96,9 @@ def test_walk_that_always_takes_slot_zero_fails_the_two_step_joint(monkeypatch):
 
     config = load_config(CONFIGS / "expander.ini")
     assert _check(config, "two_step_joint_max_sigma").passed
-    monkeypatch.setattr(runner_mod, "sample_walks_array", slot_zero)
+    calls = _patch(monkeypatch, runner_mod, "sample_walks_array", slot_zero)
     assert not _check(config, "two_step_joint_max_sigma").passed
+    assert calls
 
 
 def _unconjugated_kronecker(es):  # E kron E in place of E kron conj(E)
@@ -87,10 +106,10 @@ def _unconjugated_kronecker(es):  # E kron E in place of E kron conj(E)
     return (es[:, :, None, :, None] * es[:, None, :, None, :]).reshape(n, d * d, d * d)
 
 
-def _walk_sum_eigvalsh_without_b(h):  # the 2x2 closed form with radius |a - c| / 2
-    if h.shape[-1] != 2:
-        return np.linalg.eigvalsh(h)
-    a, c = h[..., 0, 0].real, h[..., 1, 1].real
+def _walk_sum_eigvalsh_without_b(sums):  # the 2x2 closed form from the summed reals with radius |a - c| / 2
+    if sums.shape[1] != 4:
+        return _walk_sum_eigvalsh(sums)
+    a, c = sums[:, 0], sums[:, 1]
     rad = np.abs(0.5 * (a - c))
     return np.stack([0.5 * (a + c) - rad, 0.5 * (a + c) + rad], axis=-1)
 
@@ -98,6 +117,7 @@ def _walk_sum_eigvalsh_without_b(h):  # the 2x2 closed form with radius |a - c| 
 # the originals the replacements call, captured at import, before any patch
 _node_singular_values = PowerProductSpectrum._node_singular_values
 _tail_sweep = chernoff.empirical_tail_sweep
+_walk_sum_eigvalsh = chernoff._walk_sum_eigvalsh
 
 # each mutant's name -> (object, attribute, replacement)
 MUTANTS = {
@@ -151,6 +171,8 @@ GATE_GAPS = [
 def test_mutant_fails_a_gate_check(monkeypatch, mutant, config):
     config = _config(config)
     assert run(config).all_passed
-    monkeypatch.setattr(*MUTANTS[mutant])
-    if run(config).all_passed:
+    calls = _patch(monkeypatch, *MUTANTS[mutant])
+    passed = run(config).all_passed
+    assert calls, f"{mutant} was never called"  # not GateMissed: an uncalled mutant fails a strict xfail too
+    if passed:
         raise GateMissed(mutant)
