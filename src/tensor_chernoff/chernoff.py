@@ -387,14 +387,14 @@ def expectation_sandwich(
     params = ChernoffParams(
         kappa=kappa, k=1, theta=1.0, lam_bar=1.0 - lam, dim=assignment.dim, radius=assignment.radius
     )
-    admissible, worst = 0, -math.inf
+    gaps = []
     for t, a, b in points:
-        if lemma_hypothesis_failure(t * assignment.radius * math.hypot(a, b), lam) is not None:
+        try:
+            bound = expectation_bound(params, t, a, b, lam)
+        except PreconditionError:  # outside the lemma's hypotheses
             continue
-        admissible += 1
-        gap = transfer_expectation(assignment, t, a, b, kappa) - expectation_bound(params, t, a, b, lam)
-        worst = np.maximum(worst, gap)
-    return admissible, float(worst)
+        gaps.append(transfer_expectation(assignment, t, a, b, kappa) - bound)
+    return len(gaps), float(np.max(gaps, initial=-math.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -492,20 +492,17 @@ def _golden_section(fn: Callable, a: np.ndarray, b: np.ndarray) -> tuple[np.ndar
     with the bracket it would reach alone.
     """
     phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = fn(c), fn(d)
+    c, d = b - phi * (b - a), a + phi * (b - a)
+    state = np.array([a, b, c, d, fn(c), fn(d)])  # (a, b, c, d, fc, fd), one column per lane
     live = (b - a) > 1e-8 * np.maximum(a, 1e-12)
     while live.any():
+        a, b, c, d, fc, fd = state
         keep_left = fc <= fd  # the minimum lies in [a, d], else in [c, b]
-        left, right = live & keep_left, live & ~keep_left
         t = np.where(keep_left, d - phi * (d - a), c + phi * (b - c))  # the new c of [a, d], the new d of [c, b]
         ft = fn(t)
-        a, b = np.where(right, c, a), np.where(left, d, b)
-        c, d = np.where(left, t, np.where(right, d, c)), np.where(right, t, np.where(left, c, d))
-        fc, fd = np.where(left, ft, np.where(right, fd, fc)), np.where(right, ft, np.where(left, fc, fd))
-        live &= (b - a) > 1e-8 * np.maximum(a, 1e-12)
-    return a, b
+        state = np.where(live, np.where(keep_left, [a, d, t, c, ft, fc], [c, b, d, t, fd, ft]), state)
+        live &= (state[1] - state[0]) > 1e-8 * np.maximum(state[0], 1e-12)
+    return state[0], state[1]
 
 
 def _theorem_bounds(rows: Sequence[ChernoffParams], poly: PolynomialSpec, fit: DominationFit) -> list[BoundResult]:
@@ -621,40 +618,26 @@ def _walk_sums(table: np.ndarray, walks: np.ndarray) -> np.ndarray:
     return total
 
 
-def _hermitian_stack(sums: np.ndarray) -> np.ndarray:
-    """The ``(count, d, d)`` complex Hermitian stack of ``(count, d^2)`` lower-triangle reals, in one ``np.take``.
-
-    The reals are extended by their negated imaginary parts and a zero column, and each float64 of
-    the stack takes its column: the upper triangle is the conjugate of the lower and the diagonal's
-    imaginary parts are 0.
-    """
-    count, d = len(sums), math.isqrt(sums.shape[1])
-    q = d * (d - 1) // 2
-    cols = np.full((d, d, 2), d * d + q)  # the zero column: the diagonal's imaginary parts
-    i, j = np.tril_indices(d, -1)
-    cols[np.arange(d), np.arange(d), 0] = np.arange(d)
-    cols[i, j, 0] = cols[j, i, 0] = d + np.arange(q)
-    cols[i, j, 1] = d + q + np.arange(q)
-    cols[j, i, 1] = d * d + np.arange(q)
-    extended = np.concatenate([sums, -sums[:, d + q:], np.zeros((count, 1))], axis=1)
-    return np.take(extended, cols.ravel(), axis=1).view(np.complex128).reshape(count, d, d)
-
-
 def _walk_sum_eigvalsh(sums: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the Hermitian matrices of ``(count, d^2)`` lower-triangle reals.
 
-    They are the values ``np.linalg.eigvalsh`` returns on ``_hermitian_stack(sums)``.  A 2x2 sum
-    takes the closed form ``mid -/+ hypot((a - c) / 2, |b|)`` straight from the reals, with ``|b|``
-    as ``np.abs`` of the complex lower entry, whose bits ``hypot`` of its parts does not always
-    give; ``hypot`` neither overflows nor underflows on large or small entries.  Any other ``d``
-    goes to LAPACK.
+    A 2x2 sum takes the closed form ``mid -/+ hypot((a - c) / 2, |b|)`` straight from the reals,
+    with ``|b|`` as ``np.abs`` of the complex lower entry, whose bits ``hypot`` of its parts does
+    not always give; ``hypot`` neither overflows nor underflows on large or small entries.  Any
+    other ``d`` goes to LAPACK's ``eigvalsh``, which reads only the real diagonal and the lower
+    triangle: the reals are written there in a zero complex stack and the rest is left as is.
     """
-    if sums.shape[1] != 4:
-        return np.linalg.eigvalsh(_hermitian_stack(sums))
-    a, c = sums[:, 0], sums[:, 1]
-    mid = 0.5 * (a + c)
-    rad = np.hypot(0.5 * (a - c), np.abs(sums[:, 2:].view(np.complex128)[:, 0]))
-    return np.stack([mid - rad, mid + rad], axis=-1)
+    if sums.shape[1] == 4:
+        a, c = sums[:, 0], sums[:, 1]
+        mid = 0.5 * (a + c)
+        rad = np.hypot(0.5 * (a - c), np.abs(sums[:, 2:].view(np.complex128)[:, 0]))
+        return np.stack([mid - rad, mid + rad], axis=-1)
+    count, d = len(sums), math.isqrt(sums.shape[1])
+    i, j = np.tril_indices(d, -1)
+    lower = 2 * (d * i + j)  # float64 offsets of the lower entries' real parts in a flat (d, d) complex matrix
+    parts = np.zeros((count, 2 * d * d))
+    parts[:, np.concatenate([2 * (d + 1) * np.arange(d), lower, lower + 1])] = sums
+    return np.linalg.eigvalsh(parts.view(np.complex128).reshape(count, d, d))
 
 
 def empirical_tail_sweep(assignment: VertexTensorAssignment, poly: PolynomialSpec, k: int, thetas: Sequence[float],
@@ -671,8 +654,8 @@ def empirical_tail_sweep(assignment: VertexTensorAssignment, poly: PolynomialSpe
     the ``d^2`` lower-triangle reals of its vertices (``_lower_triangle_reals``)
     and adds them to the chunk's summed reals (``_walk_sums``).  Their spectra
     come from ``_walk_sum_eigvalsh``: closed form for 2x2 sums, read from the
-    reals with no complex stack, and LAPACK's ``eigvalsh`` on the Hermitian
-    stack assembled once for any other dimension.  Each chunk counts its hits
+    reals with no complex stack, and LAPACK's ``eigvalsh`` on a stack holding
+    only the reals it reads for any other dimension.  Each chunk counts its hits
     from its sorted norms, one ``searchsorted`` over the whole threshold grid.
     """
     if num_walks < 1:
@@ -729,13 +712,12 @@ def tail_table(assignment: VertexTensorAssignment, poly: PolynomialSpec, k: int,
     rows = [ChernoffParams(kappa=kappa, k=k, theta=theta, lam_bar=lam_bar, dim=assignment.dim,
                            radius=assignment.radius) for theta in thetas]
     bounds, rels = _theorem_bounds(rows, poly, fit), []
-    for params, res in zip(rows, bounds):
+    for params, res in zip(rows, bounds) if poly.is_identity else ():
         try:
-            cor = corollary_bound(params, fit) if poly.is_identity else None
+            cor = corollary_bound(params, fit)
         except PreconditionError:  # theta below the closed form's regime
-            cor = None
-        if cor is not None:
-            rels.append(abs(res.value - cor.value) / max(cor.value, 1e-300))
+            continue
+        rels.append(abs(res.value - cor.value) / max(cor.value, 1e-300))
     estimates = empirical_tail_sweep(assignment, poly, k, thetas, num_walks, kappa, seed,
                                      t_check=[res.t_opt for res in bounds])
     table = [TailRow(theta=est.theta, p_hat=est.p_hat, stderr=est.stderr, bound=res.value, vacuous=res.vacuous,
@@ -787,7 +769,7 @@ def save_assignment(assignment: VertexTensorAssignment, directory: str | Path) -
 
 def load_assignment(manifest_path: str | Path, graph: RegularGraph | None = None) -> VertexTensorAssignment:
     """Load an assignment from its manifest; the graph comes from the manifest's
-    edge-list entry unless one is supplied."""
+    edge-list entry unless one is supplied.  Every ``vertices`` key must be a vertex of the graph."""
     manifest_path = Path(manifest_path)
     manifest = read_json_object(manifest_path, "manifest")
     if manifest.get("format") != ASSIGNMENT_FORMAT:
@@ -804,6 +786,10 @@ def load_assignment(manifest_path: str | Path, graph: RegularGraph | None = None
     entries = manifest["vertices"]
     if not isinstance(entries, dict):
         raise ArgumentError(f"manifest {manifest_path} 'vertices' must be a JSON object")
+    vertices = {str(v) for v in range(graph.n)}
+    if extra := [key for key in entries if key not in vertices]:
+        raise ArgumentError(f"manifest {manifest_path} 'vertices' key {extra[0]!r} is not a vertex of the "
+                            f"{graph.n}-vertex graph")
     shape, matrices = None, []
     for v in range(graph.n):
         key = str(v)

@@ -1,12 +1,12 @@
 """Experiment configuration: flat key-value text with sections.
 
 The grammar is INI as read by :mod:`configparser`: ``[section]`` headers,
-``key = value`` lines, ``#`` comments.  Lists are whitespace-separated.  Each
-section is one frozen dataclass below whose fields are the section's keys:
-a field's type casts the raw text, its default fills an absent key, and its
-metadata holds the allowed range.  Unknown sections or keys are rejected so
-typos fail loudly with a section/key diagnostic.  Seeds must be >= 0, and the
-master seed below 2^64.
+``key = value`` lines, ``#`` comments.  Lists are whitespace-separated and
+hold at least one value.  Each section is one frozen dataclass below whose
+fields are the section's keys: a field's type casts the raw text, its default
+fills an absent key, and its metadata holds the allowed range.  Unknown
+sections or keys are rejected so typos fail loudly with a section/key
+diagnostic.  Seeds must be >= 0, and the master seed below 2^64.
 """
 
 from __future__ import annotations
@@ -154,6 +154,9 @@ def _parse_section(parser, name: str, cls, errors: list[str]):
             continue
         except (ValueError, TypeError):
             errors.append(f"[{name}] {key.name}: cannot parse {raw!r}")
+            continue
+        if value == ():
+            errors.append(f"[{name}] {key.name} must list at least one value")
             continue
         for test, text in key.metadata["rules"]:
             if not all(map(test, value if isinstance(value, tuple) else [value])):

@@ -1,5 +1,6 @@
 """Contraction bounds, transfer-operator expectations, and tail bounds."""
 
+import json
 import math
 import tracemalloc
 
@@ -745,35 +746,52 @@ def _gather_cases():
 
 @pytest.mark.parametrize("name", list(_gather_cases()))
 def test_lower_triangle_walk_sums_equal_the_complex_gather(name):
-    # the d^2 lower-triangle reals per step, assembled once, against whole complex matrices per step
+    # the d^2 lower-triangle reals summed per step, against the lower-triangle reals of whole complex
+    # matrices summed per step, bit for bit
     stack, walks = _gather_cases()[name]
-    got = chernoff._hermitian_stack(chernoff._walk_sums(chernoff._lower_triangle_reals(stack), walks))
-    want = complex_walk_sums(stack, walks)
+    got = chernoff._walk_sums(chernoff._lower_triangle_reals(stack), walks)
+    want = chernoff._lower_triangle_reals(complex_walk_sums(stack, walks))
     assert got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("name", list(_gather_cases()))
 def test_walk_sum_spectrum_from_reals_equals_the_complex_stack_path(name):
-    # the one-take assembly and the spectrum read from the summed reals, against the former four
-    # fancy assignments into a complex stack and the spectrum read off that stack, bit for bit
+    # the spectrum read from the summed reals, against the former four fancy assignments into a full
+    # Hermitian complex stack and the spectrum read off that stack, bit for bit
     stack, walks = _gather_cases()[name]
     table = chernoff._lower_triangle_reals(stack)
-    sums, former = chernoff._walk_sums(table, walks), assembled_walk_sums(table, walks)
+    sums = chernoff._walk_sums(table, walks)
     assert sums.shape == (len(walks), stack.shape[-1] ** 2)
-    assert np.array_equal(chernoff._hermitian_stack(sums).view(np.uint64), former.view(np.uint64))
-    got, want = chernoff._walk_sum_eigvalsh(sums), complex_stack_eigvalsh(former)
+    got, want = chernoff._walk_sum_eigvalsh(sums), complex_stack_eigvalsh(assembled_walk_sums(table, walks))
     assert got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("d", [3, 4, 8])
+def test_eigvalsh_reads_only_the_real_diagonal_and_the_lower_triangle(d):
+    # what the walk-sum spectrum above 2x2 relies on: garbage in the upper triangle and in the
+    # diagonal's imaginary parts leaves every bit of eigvalsh's output as it is
+    rng = np.random.default_rng(d)
+    x = rng.normal(size=(300, d, d)) + 1j * rng.normal(size=(300, d, d))
+    h = x + x.conj().swapaxes(1, 2)
+    garbage = h.copy()
+    upper = np.triu(np.ones((d, d), dtype=bool), 1)
+    garbage[:, upper] = 1e3 * (rng.normal(size=(300, upper.sum())) + 1j * rng.normal(size=(300, upper.sum())))
+    garbage[:, np.arange(d), np.arange(d)] += 1j * rng.normal(size=(300, d))
+    assert not np.array_equal(garbage, h)
+    want, got = np.linalg.eigvalsh(h), np.linalg.eigvalsh(garbage)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_walk_sum_spectrum_needs_the_complex_abs_of_b():
     # np.hypot(Re b, Im b) parts from np.abs(b) in the last bit on many inputs: a 2x2 spectrum with |b| as
     # np.hypot of the summed parts is a correct spectrum, but not the bits the reports carry
     stack, walks = _gather_cases()["radius 1, d = 2"]
-    sums = chernoff._walk_sums(chernoff._lower_triangle_reals(stack), walks)
+    table = chernoff._lower_triangle_reals(stack)
+    sums = chernoff._walk_sums(table, walks)
     a, c, re_b, im_b = sums.T
     rad = np.hypot(0.5 * (a - c), np.hypot(re_b, im_b))
     from_parts = np.stack([0.5 * (a + c) - rad, 0.5 * (a + c) + rad], axis=-1)
-    assert _matches_lapack(lambda _: from_parts, chernoff._hermitian_stack(sums))
+    assert _matches_lapack(lambda _: from_parts, assembled_walk_sums(table, walks))
     assert not np.array_equal(from_parts, chernoff._walk_sum_eigvalsh(sums))
 
 
@@ -814,6 +832,19 @@ def test_assignment_roundtrip(tmp_path):
     assert back.shape == assignment.shape
     assert np.array_equal(back.stack(), assignment.stack())
     assert np.array_equal(back.graph.adjacency, g.adjacency)
+
+
+def test_manifest_vertex_the_graph_lacks_rejected(tmp_path):
+    manifest = save_assignment(random_assignment(gen_random_regular(8, 3, 1), S2, radius=1.0, seed=4), tmp_path / "a")
+    assert load_assignment(manifest).graph.n == 8
+    with pytest.raises(ArgumentError, match="'vertices' key '4' is not a vertex of the 4-vertex graph"):
+        load_assignment(manifest, graph=gen_complete(4))
+    # a key that names no vertex at all, next to a full set of vertices
+    entries = json.loads(manifest.read_text())
+    entries["vertices"]["x"] = "vertex_0000.json"
+    manifest.write_text(json.dumps(entries))
+    with pytest.raises(ArgumentError, match="'vertices' key 'x' is not a vertex of the 8-vertex graph"):
+        load_assignment(manifest)
 
 
 def test_assignment_validation():

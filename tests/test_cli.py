@@ -125,6 +125,18 @@ def test_config_error_exit_2(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "missing.ini"), "--out", str(tmp_path / "r.json")]) == 2
 
 
+@pytest.mark.parametrize("section, key", [("tensors", "row_dims"), ("poly", "coefficients"),
+                                          ("sweep", "theta_grid"), ("domination", "sigma_grid")])
+def test_empty_list_exit_2(section, key, tmp_path, capsys):
+    # an empty theta_grid would leave both tail checks with no row, so the run must not start
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[experiment]\nsuite = chernoff_sweep\n[{section}]\n{key} =\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: invalid config: [{section}] {key} must list at least one value"
+    ]
+
+
 def test_domination_overflow_exit_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(FAST_SWEEP + "[domination]\nwindow = 40\nsigma_grid = 0.25\n")
@@ -220,6 +232,10 @@ MANIFESTS = {
     "manifest_vertices_int": ({"vertices": 5}, "'vertices' must be a JSON object"),
     "manifest_missing_vertex": ({"vertices": {"0": "vertex_0000.json"}}, "manifest.json has no tensor for vertex 1"),
     "manifest_vertex_not_string": ({"vertices": {str(v): 5 for v in range(4)}}, "vertex 0 must be a file name"),
+    "manifest_vertex_beyond_graph": (
+        {"vertices": {str(v): f"vertex_{v % 4:04d}.json" for v in range(8)}},
+        "manifest.json 'vertices' key '4' is not a vertex of the 4-vertex graph",
+    ),
 }
 
 

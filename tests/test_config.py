@@ -122,6 +122,11 @@ def test_every_key_echoed(tmp_path):
         ("[walk]\nnum_walks = 0", "[walk] num_walks must be >= 1, got 0"),
         ("[walk]\nnum_walks = many", "[walk] num_walks: cannot parse 'many'"),
         ("[sweep]\ntheta_grid = 1 -2", "[sweep] theta_grid must be positive, got (1.0, -2.0)"),
+        ("[tensors]\nrow_dims =", "[tensors] row_dims must list at least one value"),
+        ("[poly]\ncoefficients =", "[poly] coefficients must list at least one value"),
+        ("[sweep]\ntheta_grid =", "[sweep] theta_grid must list at least one value"),
+        ("[sweep]\ntheta_grid =   # none yet", "[sweep] theta_grid must list at least one value"),
+        ("[domination]\nsigma_grid =", "[domination] sigma_grid must list at least one value"),
         ("[quadrature]\ntruncation = -1", "[quadrature] truncation must be positive, got -1.0"),
         ("[quadrature]\nnodes = 8", "[quadrature] nodes must be >= 16, got 8"),
         ("[domination]\nwindow = 0", "[domination] window must be positive, got 0.0"),
