@@ -368,15 +368,22 @@ def lemma_hypothesis_failure(s: float, lam: float) -> str | None:
     return None if growth <= 1.0 else f"need lam (2 exp(t r sqrt(a^2+b^2)) - 1) <= 1, got {growth}"
 
 
+def _exp_or_inf(x: float) -> float:
+    """``math.exp(x)``, or ``inf`` where it overflows: a bound that large is vacuous, not an error."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def expectation_bound(
     params: ChernoffParams, t: float, a: float, b: float, lam: float
 ) -> float:
-    """Displayed expectation bound; raises unless the lemma's hypotheses hold."""
+    """Displayed expectation bound (``inf`` past the float range); raises unless the lemma's hypotheses hold."""
     s = t * params.radius * math.hypot(a, b)
     if failure := lemma_hypothesis_failure(s, lam):
         raise PreconditionError(failure)
-    exponent = params.kappa * (2.0 * s + 8.0 / (1.0 - lam) + 16.0 * s / (1.0 - lam))
-    return params.dim * math.exp(exponent)
+    return params.dim * _exp_or_inf(params.kappa * (2.0 * s + 8.0 / (1.0 - lam) + 16.0 * s / (1.0 - lam)))
 
 
 def expectation_sandwich(
@@ -560,11 +567,10 @@ def corollary_bound(params: ChernoffParams, fit: DominationFit) -> BoundResult:
     exponent = (
         8.0 * params.kappa * params.lam_bar
         - params.theta**2 / (8.0 * sigma**2 * r**2 * kb**2)
-        + params.theta / (2.0 * sigma**2 * r**2 * kb)
+        + params.theta / (2.0 * sigma**2 * r * kb)
         - 1.0 / (2.0 * sigma**2)
     )
-    pref = fit.c * (params.k + math.sqrt((params.dim - params.k) / params.k))
-    value = pref * math.exp(exponent)
+    value = fit.c * (params.k + math.sqrt((params.dim - params.k) / params.k)) * _exp_or_inf(exponent)
     return BoundResult(value=value, t_opt=float(t_opt), vacuous=value > 1.0)
 
 

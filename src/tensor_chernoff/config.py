@@ -66,7 +66,7 @@ class GraphSpec:
 @dataclass(frozen=True)
 class TensorSpec:
     source: str = _key("random", one_of=("random", "manifest"))
-    row_dims: tuple[int, ...] = _key((2,))
+    row_dims: tuple[int, ...] = _key((2,), positive=True)
     radius: float = _key(1.0, positive=True)
     manifest: str = _key("")
 

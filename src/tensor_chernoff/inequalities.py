@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ArgumentError, DomainError
 from .majorization import first_failures, log_tol
 from .norms import ky_fan_from_eigenvalues, ky_fan_norm
-from .sampling import diagonal_in, ginibre
+from .sampling import diagonal_in
 from .tensors import (
     HermitianTensor,
     Tensor,
@@ -257,20 +257,6 @@ def commuting_spectra(rng, count: int, dim: int, low: float, high: float) -> np.
     ``sampling.diagonal_in(u, spectra)`` turns them into a commuting tuple.
     """
     return np.sort(rng.uniform(low, high, size=(count, dim)))[:, ::-1]
-
-
-def premise_trial_draws(rng, mode: str, n_atoms: int, dim: int):
-    """The draws of one constructed-premise trial after its atom basis: ``(spectra, weights, z, f)``.
-
-    In order: ``n_atoms`` atom spectra (``commuting_spectra`` on [0.3, 3]
-    for the log modes, [-2, 3] otherwise), Dirichlet weights, the Ginibre
-    matrix of C's basis and ``f`` from ``TRIAL_FUNCTIONS[mode]``.
-    """
-    spectra = commuting_spectra(rng, n_atoms, dim, 0.3 if mode in LOG_MODES else -2.0, 3.0)
-    w = rng.dirichlet(np.ones(n_atoms))
-    z = ginibre(rng, dim)
-    fs = TRIAL_FUNCTIONS[mode]
-    return spectra, w, z, fs[int(rng.integers(len(fs)))]
 
 
 def constructed_premise_trial(atom_bases, spectra, weights, c_bases, mode):

@@ -17,6 +17,29 @@ Two kinds of stream, both addressed by a master seed:
   ``(count, 4)`` array, one ``random_raw`` call, and word ``4b + c`` of a walk
   is column ``c`` of block ``b``.
   :data:`WALK_STREAM` names this layout and is stamped in reports.
+* The ``inequalities`` suite stream (:data:`INEQUALITY_STREAM`, stamped in
+  reports) draws its checks in stacks, in this order: Hölder, Ky Fan,
+  discrete majorization, multivariate, commuting.  Each first draws every
+  shape parameter of all its trials, one call each in the order listed
+  (``k`` takes an array ``high``); then, per shape group in ascending key
+  order with its trials in draw order, one call per array quantity at the
+  group's full size, a trial with fewer vectors, matrices or atoms padded
+  to the group's largest:
+
+  - Hölder: n, r, k; per r: ``uniform(0, 4)`` vectors ``(g, n, r)``, sorted
+    descending, and ``(g, n)`` standard exponentials;
+  - Ky Fan: dim, m, k, s; per dim: Ginibre ``(g, m, d, d)``;
+  - discrete majorization: dim, mode, atom count, k, f index; per dim:
+    Ginibre ``(g, 2, d, d)`` (atom basis, then C's basis), ``(g, a, d)``
+    ``random`` values ``u`` (atom spectra ``lo + (3 - lo) u``, sorted
+    descending) and ``(g, a)`` standard exponentials;
+  - multivariate: dim, m, k, f index; per ``(dim, m)``: Ginibre
+    ``(g, m, d, d)`` and ``uniform(0.2, 3)`` spectra ``(g, m, d)``;
+  - commuting: dim, k; per dim: Ginibre ``(g, d, d)`` and ``uniform(0.3,
+    2.5)`` spectra ``(g, 2, d)``, sorted descending.
+
+  Dirichlet(1, ..., 1) weights are the exponentials normalized over the
+  trial's own entries, 0 on the padding.
 
 Words become integers in ``[0, bound)`` by multiply-high (Lemire, TOMACS
 2019): ``floor(w * bound / 2^64)``.  Each value's probability is within
@@ -37,6 +60,7 @@ DOMAIN_PROBE = 5
 
 WALK_STREAM = "philox4x64-10/1"
 TENSOR_STREAM = "pcg64-stack/1"
+INEQUALITY_STREAM = "pcg64-trial-stacks/1"
 SEED_LIMIT = 1 << 64  # a master seed is one 64-bit Philox key word
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)

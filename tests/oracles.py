@@ -10,7 +10,8 @@ the per-vertex assignment loop rescales each vertex of the same single draw
 on its own; both are references for batched paths, and so are the
 ``trial_*`` verifiers, the library's former one-trial-at-a-time bodies.  The
 log-exp convexity probe and ``reconstruct`` are diagnostics only the tests use.
-``scalar_theorem_bound`` is the library's former one-threshold minimizer.
+``scalar_theorem_bound`` is the library's former one-threshold minimizer, and
+``premise_trial_draws`` the runner's former one-trial draw of a constructed premise.
 The tail sweep's former paths are references too: ``masked_sorted_ky_fan``
 (the Ky Fan norm as a masked sum of the sorted row, for every ``k``),
 ``complex_walk_sums`` (one complex ``(count, d, d)`` gather per walk step),
@@ -34,9 +35,11 @@ import numpy as np
 
 from tensor_chernoff.errors import ArgumentError
 from tensor_chernoff.graphs import sample_walks_array
+from tensor_chernoff.inequalities import LOG_MODES, TRIAL_FUNCTIONS, commuting_spectra
 from tensor_chernoff.majorization import SortedVec, log_majorizes, majorizes, weak_log_majorizes, weak_majorizes
 from tensor_chernoff.norms import gauge_rho, ky_fan_norm, singular_values
 from tensor_chernoff.rng import DOMAIN_GRAPH, DOMAIN_TENSORS, DOMAIN_WALK, multiply_high, stream
+from tensor_chernoff.sampling import ginibre
 from tensor_chernoff.tensors import HermitianTensor, Tensor, TensorShape
 
 
@@ -677,3 +680,18 @@ def trial_commuting_equality_excess(cs, k: int, fs, quad) -> float:
         lhs, (value, bound), _ = _trial_forms(f, k, cs, quad)
         excess = max(excess, abs(lhs - value) - (bound + 1e-7 * (1.0 + abs(lhs))))
     return excess
+
+
+def premise_trial_draws(rng, mode: str, n_atoms: int, dim: int):
+    """The draws of one constructed-premise trial after its atom basis: ``(spectra, weights, z, f)``.
+
+    In order: ``n_atoms`` atom spectra (``commuting_spectra`` on [0.3, 3]
+    for the log modes, [-2, 3] otherwise), Dirichlet weights, the Ginibre
+    matrix of C's basis and ``f`` from ``TRIAL_FUNCTIONS[mode]``.  The
+    runner's former one-trial-at-a-time draw, kept for criterion 5.
+    """
+    spectra = commuting_spectra(rng, n_atoms, dim, 0.3 if mode in LOG_MODES else -2.0, 3.0)
+    w = rng.dirichlet(np.ones(n_atoms))
+    z = ginibre(rng, dim)
+    fs = TRIAL_FUNCTIONS[mode]
+    return spectra, w, z, fs[int(rng.integers(len(fs)))]

@@ -52,7 +52,6 @@ from tensor_chernoff.inequalities import (
     constructed_premise_trial,
     lie_trotter_audit,
     multivariate_violations,
-    premise_trial_draws,
     verify_discrete_average_majorization,
 )
 from tensor_chernoff.norms import singular_values
@@ -75,6 +74,7 @@ from oracles import (
     entry_inner_product,
     entry_trace,
     naive_einstein,
+    premise_trial_draws,
     subset_products,
 )
 

@@ -456,32 +456,43 @@ def test_theorem_bound_decreases_with_theta_factor():
 
 def test_corollary_matches_substitution():
     # substituting the closed-form t into the one-term objective reproduces
-    # the corollary value exactly
-    params = _params(theta=40.0, kappa=4)
-    res = corollary_bound(params, FIT)
-    kb = params.kappa + 8 * params.lam_bar
-    t = res.t_opt
-    assert t == pytest.approx((params.theta - 2 * kb) / (4 * FIT.sigma**2 * kb**2))
-    pref = FIT.c * (params.k + math.sqrt((params.dim - params.k) / params.k))
-    objective = (
-        pref
-        * math.exp(-params.theta * t)
-        * math.exp(8 * params.kappa * params.lam_bar + 2 * kb * t + 2 * (FIT.sigma * kb) ** 2 * t**2)
-    )
-    assert res.value == pytest.approx(objective, rel=1e-9)
+    # the corollary value exactly, at every radius
+    for radius in (1.0, 0.3, 2.5):
+        params = _params(theta=40.0 * radius, kappa=4, radius=radius)
+        res = corollary_bound(params, FIT)
+        kb = params.kappa + 8 * params.lam_bar
+        r = params.radius
+        t = res.t_opt
+        assert t == pytest.approx((params.theta - 2 * kb * r) / (4 * FIT.sigma**2 * r**2 * kb**2))
+        pref = FIT.c * (params.k + math.sqrt((params.dim - params.k) / params.k))
+        objective = (
+            pref
+            * math.exp(-params.theta * t)
+            * math.exp(8 * params.kappa * params.lam_bar + 2 * kb * r * t + 2 * (FIT.sigma * kb * r) ** 2 * t**2)
+        )
+        assert res.value == pytest.approx(objective, rel=1e-9), radius
 
 
 def test_corollary_equals_theorem_minimum():
     poly = PolynomialSpec.identity()
-    for theta in (30.0, 45.0, 80.0):
-        for kappa, lam_bar in ((4, 2 / 3), (8, 2 / 3), (4, 0.0)):
-            params = _params(theta=theta, kappa=kappa, lam_bar=lam_bar)
-            try:
-                cor = corollary_bound(params, FIT)
-            except PreconditionError:
-                continue
-            thm = theorem_bound(params, poly, FIT)
-            assert thm.value == pytest.approx(cor.value, rel=1e-6)
+    for radius in (1.0, 0.3, 2.5):
+        for theta in (30.0, 45.0, 80.0):
+            for kappa, lam_bar in ((4, 2 / 3), (8, 2 / 3), (4, 0.0)):
+                params = _params(theta=theta * radius, kappa=kappa, lam_bar=lam_bar, radius=radius)
+                try:
+                    cor = corollary_bound(params, FIT)
+                except PreconditionError:
+                    continue
+                thm = theorem_bound(params, poly, FIT)
+                assert thm.value == pytest.approx(cor.value, rel=1e-6), (radius, theta, kappa, lam_bar)
+
+
+def test_bounds_past_the_float_range_are_infinite():
+    # exp of the exponent overflows: the bound is vacuous, not an OverflowError
+    cor = corollary_bound(_params(theta=300.0, kappa=100, lam_bar=1.0), FIT)
+    assert cor.value == math.inf and cor.vacuous
+    lam = math.cos(2 * math.pi / 63)  # the 63-cycle: 8 kappa / (1 - lam) is past 709
+    assert expectation_bound(_params(theta=1.0, radius=1e-4), 0.05, 1.0, 0.0, lam) == math.inf
 
 
 def test_theorem_grid_minimum_matches_analytic_vertex():

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import re
 import subprocess
 import sys
@@ -67,6 +68,7 @@ def test_run_json_and_exit_code(sweep_config, tmp_path, capsys):
     assert rep.environment["seed"] == 19
     assert rep.environment["walk_stream"] == "philox4x64-10/1"
     assert rep.environment["tensor_stream"] == "pcg64-stack/1"
+    assert rep.environment["inequality_stream"] == "pcg64-trial-stacks/1"
     assert rep.environment["certificate"] == "gram-lanczos/2"
     printed = capsys.readouterr().out
     assert "[PASS]" in printed
@@ -335,6 +337,22 @@ def test_check_failure_exit_1(sweep_config, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run", fake_run)
     code = main(["run", "--config", str(sweep_config), "--out", str(tmp_path / "r.json")])
     assert code == 1
+
+
+def test_overflowing_bounds_are_vacuous_not_a_traceback(tmp_path):
+    # on the 63-cycle 8 kappa / (1 - lam) is past exp's range: the expectation bound is inf, so the
+    # sandwich holds vacuously; at radius 1e-4 a corollary exponent reading r^2 for r overflows too
+    cfg = tmp_path / "cfg.ini"
+    text = FAST_SWEEP.replace("kind = complete\nn = 4", "kind = cycle\nn = 63")
+    cfg.write_text(text.replace("radius = 1.0", "radius = 1e-4"))
+    out = tmp_path / "report.json"
+    proc = subprocess.run([sys.executable, "-m", "tensor_chernoff.cli", "run", "--config", str(cfg), "--out", str(out)],
+                          capture_output=True, text=True)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert proc.returncode == (1 if "[FAIL]" in proc.stdout else 0), proc.stdout
+    checks = {c.name: c for c in report_from_json(out.read_text()).checks}
+    sandwich = checks["transfer_expectation_below_bound"]
+    assert sandwich.lhs == -math.inf and sandwich.detail.endswith("every bound infinite"), sandwich
 
 
 def test_console_script_entry():

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from tensor_chernoff.cli import main
 from tensor_chernoff.config import ExperimentConfig, parse_config
 from tensor_chernoff.errors import ConfigError
 
@@ -147,6 +148,20 @@ def test_errors_collected_across_sections():
         "[walk] k must be >= 1, got 0",
         "[quadrature] nodes must be >= 16, got 8",
     }
+
+
+@pytest.mark.parametrize("raw, value", [("0", "(0,)"), ("-2", "(-2,)"), ("2 0", "(2, 0)")])
+def test_row_dims_must_be_positive(raw, value, tmp_path, capsys):
+    # a mode dimension below 1 fails the parse with the other key errors, not the run after it
+    text = f"[experiment]\nsuite = chernoff_sweep\n[tensors]\nrow_dims = {raw}\n[walk]\nk = 0\n"
+    lines = {f"[tensors] row_dims must be positive, got {value}", "[walk] k must be >= 1, got 0"}
+    assert _error_lines(text) == lines
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(text)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: invalid config: [tensors] row_dims must be positive, got {value}; [walk] k must be >= 1, got 0"
+    ]
 
 
 def test_readme_key_table_matches_schema():

@@ -13,13 +13,14 @@ and ``test_tail_sweep_matches_direct_counting`` (the walk-sum spectrum), and
 ``8 lam_bar``).
 """
 
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tensor_chernoff import chernoff, inequalities
-from tensor_chernoff.chernoff import ChernoffParams
+from tensor_chernoff.chernoff import BoundResult, ChernoffParams
 from tensor_chernoff.inequalities import PowerProductSpectrum
 from tensor_chernoff import runner as runner_mod
 from tensor_chernoff.config import load_config, parse_config
@@ -114,7 +115,15 @@ def _walk_sum_eigvalsh_without_b(sums):  # the 2x2 closed form from the summed r
     return np.stack([0.5 * (a + c) - rad, 0.5 * (a + c) + rad], axis=-1)
 
 
+def _corollary_with_r_squared(params, fit):  # theta / (2 sigma^2 r^2 kb) in the exponent, not theta / (2 sigma^2 r kb)
+    res = _corollary_bound(params, fit)
+    kb = params.kappa + 8.0 * params.lam_bar
+    value = res.value * math.exp(params.theta / (2.0 * fit.sigma**2 * kb) * (params.radius**-2 - params.radius**-1))
+    return BoundResult(value=value, t_opt=res.t_opt, vacuous=value > 1.0)
+
+
 # the originals the replacements call, captured at import, before any patch
+_corollary_bound = chernoff.corollary_bound
 _node_singular_values = PowerProductSpectrum._node_singular_values
 _tail_sweep = chernoff.empirical_tail_sweep
 _walk_sum_eigvalsh = chernoff._walk_sum_eigvalsh
@@ -130,6 +139,7 @@ MUTANTS = {
                              lambda a, poly, k, thetas, walks, kappa, seed, **kw:
                              _tail_sweep(a, poly, k, thetas, walks, kappa - 1, seed, **kw)),
     "dropped_8_lam_bar": (chernoff, "ChernoffParams", lambda **kw: ChernoffParams(**{**kw, "lam_bar": 0.0})),
+    "corollary_with_r_squared": (chernoff, "corollary_bound", _corollary_with_r_squared),
 }
 
 
@@ -166,6 +176,7 @@ GATE_GAPS = [
 @pytest.mark.parametrize(
     "mutant, config",
     [pytest.param("forward_only_transfer_apply", "chernoff_k4", id="forward_only_transfer_apply-chernoff_k4"),
+     pytest.param("corollary_with_r_squared", "chernoff_k4_r03", id="corollary_with_r_squared-chernoff_k4_r03"),
      *GATE_GAPS],
 )
 def test_mutant_fails_a_gate_check(monkeypatch, mutant, config):

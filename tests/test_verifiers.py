@@ -325,58 +325,81 @@ def test_runner_draws_match_the_per_trial_oracles(seed):
     multivariate = runner_mod._multivariate_draws(rng, 20)
     commuting = runner_mod._commuting_draws(rng, 5)
 
-    assert checks["holder_gauge_violations"].lhs == sum(trial_holder_gauge_violated(*d) for d in holder)
-    assert checks["kyfan_sum_inequality_violations"].lhs == sum(not trial_kyfan_sum_holds(*d) for d in kyfan)
+    # each stack row is one trial; its own vectors, matrices or atoms are the ones of nonzero weight or within its count
+    assert checks["holder_gauge_violations"].lhs == sum(
+        trial_holder_gauge_violated(v[w > 0], w[w > 0], int(k)) for stack in holder for v, w, k in zip(*stack)
+    )
+    assert checks["kyfan_sum_inequality_violations"].lhs == sum(
+        not trial_kyfan_sum_holds(mats[:m], float(s), int(k)) for stack in kyfan for mats, m, s, k in zip(*stack)
+    )
 
     held = violated = 0
-    for mode, z, spectra, w, z_c, f, k in premise:
-        c, atoms = constructed_premise_trial(
-            haar_unitary(z)[None], spectra[None], w[None], haar_unitary(z_c)[None], mode
-        )
-        ok, bad = trial_discrete_average_majorization(c[0], atoms[0], w, f, k, mode)
-        held += ok
-        violated += bad
+    for stack in premise:
+        for mode, z, spectra, w, f, k in zip(*stack):
+            own, u = w > 0, haar_unitary(z)
+            c, atoms = constructed_premise_trial(u[None, 0], spectra[None, own], w[None, own], u[None, 1], mode)
+            ok, bad = trial_discrete_average_majorization(c[0], atoms[0], w[own], f, int(k), str(mode))
+            held += ok
+            violated += bad
     check = checks["discrete_average_majorization_violations"]
     assert (check.lhs, _premise_held(check)) == (violated, held)
 
     log_bad = lin_bad = 0
-    for zs, vals, k, which in multivariate:
-        cs = tensors.hermitian_part(diagonal_in(haar_unitary(zs), vals))
-        log_viol, lin_viol = trial_multivariate_violations(cs, k, [runner_mod._MULTIVARIATE_FS[which]], quad)
-        log_bad += log_viol
-        lin_bad += lin_viol
+    for stack in multivariate:
+        for zs, vals, k, which in zip(*stack):
+            cs = tensors.hermitian_part(diagonal_in(haar_unitary(zs), vals))
+            log_viol, lin_viol = trial_multivariate_violations(cs, int(k), [runner_mod._MULTIVARIATE_FS[which]], quad)
+            log_bad += log_viol
+            lin_bad += lin_viol
     assert checks["multivariate_log_form_violations"].lhs == log_bad
     assert checks["multivariate_linear_form_violations"].lhs == lin_bad
 
     # per tuple, bit for bit: the same tuples one at a time and as one stack
-    stacked = [diagonal_in(haar_unitary(z)[None], spectra) for z, spectra, _ in commuting]
-    ks = np.array([k for *_, k in commuting])
-    want = [
-        trial_commuting_equality_excess(tensors.hermitian_part(cs), k, [lambda x: x], quad)
-        for cs, k in zip(stacked, ks)
-    ]
-    for dim in {len(z) for z, *_ in commuting}:
-        rows = [i for i, (z, *_) in enumerate(commuting) if len(z) == dim]
-        got = commuting_equality_excess(np.array([stacked[i] for i in rows]), ks[rows], [lambda x: x], quad)
-        assert got.tolist() == [want[i] for i in rows]
+    want = []
+    for z, spectra, ks in commuting:
+        stacked = diagonal_in(haar_unitary(z)[:, None], spectra)
+        rows = [trial_commuting_equality_excess(tensors.hermitian_part(cs), int(k), [lambda x: x], quad)
+                for cs, k in zip(stacked, ks)]
+        assert commuting_equality_excess(stacked, ks, [lambda x: x], quad).tolist() == rows
+        want += rows
     assert checks["multivariate_commuting_equality_excess"].lhs == max(0.0, max(want))
 
 
+@pytest.mark.parametrize("seed", [3, 41])
+def test_runner_weights_are_zero_on_padding_and_sum_to_one(seed):
+    rng = stream(seed, DOMAIN_SUITE, runner_mod._SUITE_IDS["inequalities"])
+    holder = runner_mod._holder_draws(rng, 200)
+    runner_mod._kyfan_draws(rng, 200)
+    premise = runner_mod._premise_draws(rng, 200)
+    for w, counts in [(w, range(2, 5)) for _, w, _ in holder] + [(w, range(1, 4)) for _, _, _, w, _, _ in premise]:
+        own = np.count_nonzero(w, axis=1)
+        assert set(own.tolist()) <= set(counts) and own.max() == w.shape[1]  # padded to the group's largest
+        assert np.array_equal(w > 0, np.arange(w.shape[1]) < own[:, None])  # the padding is exactly 0, at the end
+        assert np.max(np.abs(w.sum(axis=1) - 1.0)) <= 1e-12
+
+
 def _loop_holder_draws(rng, trials):
+    n, r = rng.integers(2, 5, size=trials), rng.integers(2, 7, size=trials)
+    k = rng.integers(1, r + 1)
     draws = []
-    for _ in range(trials):
-        n, r = int(rng.integers(2, 5)), int(rng.integers(2, 7))
-        vecs = np.array([np.sort(rng.uniform(0.0, 4.0, size=r))[::-1] for _ in range(n)])
-        draws.append((vecs, rng.dirichlet(np.ones(n)), int(rng.integers(1, r + 1))))
+    for width in sorted(set(r.tolist())):
+        rows = [i for i in range(trials) if r[i] == width]
+        top = max(n[rows])
+        vecs = np.array([[np.sort(rng.uniform(0.0, 4.0, size=width))[::-1] for _ in range(top)] for _ in rows])
+        e = [rng.standard_exponential(top)[: n[i]] for i in rows]
+        w = np.array([np.concatenate([x / x.sum(), np.zeros(top - x.size)]) for x in e])
+        draws.append((vecs, w, k[rows]))
     return draws
 
 
 def _loop_kyfan_draws(rng, trials):
+    dim, m = rng.integers(2, 4, size=trials), rng.integers(1, 5, size=trials)
+    k, s = rng.integers(1, dim + 1), rng.choice([1.0, 2.0, 3.0], size=trials)
     draws = []
-    for _ in range(trials):
-        dim = int(rng.integers(2, 4))
-        mats = np.array([ginibre(rng, dim) / np.sqrt(2.0) for _ in range(int(rng.integers(1, 5)))])
-        draws.append((mats, float(rng.choice([1.0, 2.0, 3.0])), int(rng.integers(1, dim + 1))))
+    for d in sorted(set(dim.tolist())):
+        rows = [i for i in range(trials) if dim[i] == d]
+        mats = np.array([[ginibre(rng, d) / np.sqrt(2.0) for _ in range(max(m[rows]))] for _ in rows])
+        draws.append((mats, m[rows], s[rows], k[rows]))
     return draws
 
 
