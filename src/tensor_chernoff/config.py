@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
+from .inequalities import NODE_LIMIT
 from .io import read_text
 from .rng import SEED_LIMIT
 
@@ -92,7 +93,7 @@ class SweepSection:
 @dataclass(frozen=True)
 class QuadratureSection:
     truncation: float = _key(6.0, positive=True)
-    nodes: int = _key(256, at_least=16)
+    nodes: int = _key(256, at_least=16, below=(NODE_LIMIT, str(NODE_LIMIT)))
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,8 @@ from .tensors import (
 
 MODES = ("weak", "strong", "weak_log", "log")
 LOG_MODES = ("weak_log", "log")
+# exclusive cap on a rule's node count: leggauss builds a node_count^2 float64 matrix, 128 MiB at 2^12
+NODE_LIMIT = 2**12
 
 # f per mode for constructed-premise trials: convex nondecreasing (weak), convex
 # (strong), f(e^x) convex nondecreasing on positive spectra (log modes)
@@ -77,7 +79,7 @@ def beta0_tail_mass(truncation: float) -> float:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Gauss-Legendre rule on [-truncation, truncation].
+    """Gauss-Legendre rule on [-truncation, truncation], with 16 <= node_count < ``NODE_LIMIT``.
 
     The refinement error estimate also evaluates ``max(16, node_count // 2)`` nodes.
     """
@@ -88,8 +90,8 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.truncation <= 0:
             raise ArgumentError(f"truncation must be positive, got {self.truncation}")
-        if self.node_count < 16:
-            raise ArgumentError(f"node_count must be >= 16, got {self.node_count}")
+        if not 16 <= self.node_count < NODE_LIMIT:
+            raise ArgumentError(f"node_count must be in [16, {NODE_LIMIT}), got {self.node_count}")
 
     def nodes_weights(self, node_count: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         n = self.node_count if node_count is None else node_count
@@ -160,17 +162,19 @@ def _means(w: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return arith, geo
 
 
-def _apply_per_trial(f, vals: np.ndarray, owner: np.ndarray) -> np.ndarray:
-    """``f`` on each row of ``vals``; with one callable per trial, row ``i`` takes ``f[owner[i]]``."""
+def _apply_per_trial(f, vals: np.ndarray, trials: int, owner=None, apply=_apply_scalar_function) -> np.ndarray:
+    """``apply(f, vals)``; with one f per trial, row ``i`` takes that of trial ``owner[i]`` (default ``i``)."""
     if callable(f):
-        return _apply_scalar_function(f, vals)
+        return apply(f, vals)
+    if len(f) != trials:
+        raise ArgumentError(f"need one f per trial, {trials} of them, got {len(f)}")
     funcs = list({id(g): g for g in f}.values())
     slot = {id(g): i for i, g in enumerate(funcs)}
-    which = np.array([slot[id(g)] for g in f])[owner]
-    out = np.empty_like(vals)
+    which = np.array([slot[id(g)] for g in f])[slice(None) if owner is None else owner]
+    out = np.empty(vals.shape)
     for i, g in enumerate(funcs):
         rows = which == i
-        out[rows] = _apply_scalar_function(g, vals[rows])
+        out[rows] = apply(g, vals[rows])
     return out
 
 
@@ -234,10 +238,10 @@ def verify_discrete_average_majorization(
     failure = first_failures(x, y, tol, np.isin(modes, ("strong", "log")))
 
     k = np.asarray(k)
-    lhs = ky_fan_from_eigenvalues(_apply_per_trial(f, lam_c, np.arange(b)), k)
+    lhs = ky_fan_from_eigenvalues(_apply_per_trial(f, lam_c, b), k)
     # f of the present atoms only: a padding atom's spectrum may lie outside f's domain
     fd = np.zeros_like(lam_d)
-    fd[present] = _apply_per_trial(f, lam_d[present], np.nonzero(present)[0])
+    fd[present] = _apply_per_trial(f, lam_d[present], b, np.nonzero(present)[0])
     norms = ky_fan_from_eigenvalues(fd, k[..., None])
     linear, geometric = _means(w, norms)
     rhs = np.where(forms == "log", geometric, linear)
@@ -284,10 +288,10 @@ def constructed_premise_trial(atom_bases, spectra, weights, c_bases, mode):
 _NODE_BLOCK = 2**12
 
 
-def _f_range(f: Callable, lo: np.ndarray, hi: np.ndarray, samples: int = 512) -> tuple[np.ndarray, np.ndarray]:
-    """Sampled range of ``|f|`` on each [lo, hi], the values the Ky Fan integrands sum."""
+def _f_range(f, lo: np.ndarray, hi: np.ndarray, samples: int = 512) -> tuple[np.ndarray, np.ndarray]:
+    """Sampled range of ``|f|`` (one or one per interval) on each [lo, hi], the values the Ky Fan integrands sum."""
     xs = np.geomspace(np.maximum(lo, 1e-300), np.maximum(hi, 1e-300), samples, axis=-1)
-    vals = np.abs(_scalar_function_values(f, xs))
+    vals = np.abs(_apply_per_trial(f, xs, len(xs), apply=_scalar_function_values))
     finite = np.isfinite(vals)
     if not finite.any(axis=-1).all():
         raise DomainError("scalar function produced no finite values on the spectral interval")
@@ -320,7 +324,8 @@ class PowerProductSpectrum:
     singular values on the full rule and on the half rule (the refinement
     estimate's ``max(16, node_count // 2)`` nodes) depend only on
     ``(cs, quad)``, so one object serves every ``(f, k)`` of both
-    inequality forms; without ``quad`` only ``lhs`` is available.
+    inequality forms, each one value or one per tuple (``f`` a callable or
+    a sequence); without ``quad`` only ``lhs`` is available.
     ``interval`` is ``[prod lambda_min(C_i), prod lambda_max(C_i)]`` per
     tuple, which holds every singular value and is where ``|f|`` is sampled
     for the truncation bound.
@@ -378,13 +383,13 @@ class PowerProductSpectrum:
             out.append(np.broadcast_to(sv, (len(vals), ts.size, dim)))
         return np.concatenate(out)
 
-    def lhs(self, f: Callable, k) -> np.ndarray:
+    def lhs(self, f, k) -> np.ndarray:
         """``|| f(exp(sum_i log C_i)) ||_(k)`` per tuple, from one spectrum of ``sum_i log C_i``."""
         total = np.sum((self.bases * self._logs[..., None, :]) @ np.conj(self.bases).swapaxes(-1, -2), axis=1)
         mu = np.linalg.eigvalsh(total)
-        return ky_fan_from_eigenvalues(_apply_scalar_function(f, np.exp(mu)), k)
+        return ky_fan_from_eigenvalues(_apply_per_trial(f, np.exp(mu), len(mu)), k)
 
-    def forms(self, f: Callable, k) -> tuple[QuadratureValue, QuadratureValue]:
+    def forms(self, f, k) -> tuple[QuadratureValue, QuadratureValue]:
         """The log form ``exp( int log || f(|prod C_i^(1+it)|) ||_(k) beta0(t) dt )`` and the linear form
         ``int || f(|prod C_i^(1+it)|) ||_(k) beta0(t) dt`` on [-T, T], per tuple, from one pass over the rules."""
         if self.quad is None:
@@ -392,7 +397,7 @@ class PowerProductSpectrum:
         k = np.asarray(k)
         integrals = []
         for sv, density, w in self._rules:
-            norms = ky_fan_from_eigenvalues(_apply_scalar_function(f, sv), k[..., None])
+            norms = ky_fan_from_eigenvalues(_apply_per_trial(f, sv, len(sv)), k[..., None])
             with np.errstate(divide="ignore"):
                 integrals.append(np.sum(np.stack([np.log(norms), norms]) * density * w, axis=-1))
         full, half = integrals  # each (2, B): the log form's integral, then the linear form's
@@ -431,37 +436,29 @@ def golden_thompson_rhs_linear(g: Callable, cs: np.ndarray, k, quad: QuadratureS
     return PowerProductSpectrum(cs, quad).forms(g, k)[1]
 
 
-def multivariate_violations(
-    cs: np.ndarray, k, fs: Sequence[Callable], quad: QuadratureSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """Log- and linear-form violations of each tuple of ``cs`` under each of ``fs``: two (B, len(fs)) bool arrays.
+def multivariate_violations(cs: np.ndarray, k, f, quad: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Log- and linear-form violations of each tuple of ``cs``: two (B,) bool arrays.
 
-    One power-product spectrum serves every f.  A form holds if
-    ``lhs <= value + error_bound + 1e-8 (1 + |lhs|)``; a NaN fails.
+    ``f`` and ``k`` are one value or one per tuple, read on one power-product
+    spectrum.  A form holds if ``lhs <= value + error_bound + 1e-8 (1 + |lhs|)``; a NaN fails.
     """
     spectrum = PowerProductSpectrum(cs, quad)
-    log_bad, lin_bad = [], []
-    for f in fs:
-        lhs = spectrum.lhs(f, k)
-        slack = 1e-8 * (1.0 + np.abs(lhs))
-        rlog, rlin = spectrum.forms(f, k)
-        log_bad.append(~(lhs <= rlog.value + rlog.error_bound + slack))
-        lin_bad.append(~(lhs <= rlin.value + rlin.error_bound + slack))
-    return np.stack(log_bad, axis=1), np.stack(lin_bad, axis=1)
+    lhs = spectrum.lhs(f, k)
+    slack = 1e-8 * (1.0 + np.abs(lhs))
+    rlog, rlin = spectrum.forms(f, k)
+    return ~(lhs <= rlog.value + rlog.error_bound + slack), ~(lhs <= rlin.value + rlin.error_bound + slack)
 
 
-def commuting_equality_excess(cs: np.ndarray, k, fs: Sequence[Callable], quad: QuadratureSpec) -> np.ndarray:
-    """Per tuple, the worst ``|lhs - rhs_log| - (error_bound + 1e-7 (1 + |lhs|))`` over ``fs`` (NaN propagates).
+def commuting_equality_excess(cs: np.ndarray, k, f, quad: QuadratureSpec) -> np.ndarray:
+    """Per tuple, ``|lhs - rhs_log| - (error_bound + 1e-7 (1 + |lhs|))`` (NaN propagates): (B,).
 
-    A commuting tuple attains equality, so a positive excess is a failure.
+    ``f`` and ``k`` are one value or one per tuple.  A commuting tuple
+    attains equality, so a positive excess is a failure.
     """
     spectrum = PowerProductSpectrum(cs, quad)
-    excess = np.full(spectrum.eigenvalues.shape[0], -math.inf)
-    for f in fs:
-        lhs = spectrum.lhs(f, k)
-        rlog = spectrum.forms(f, k)[0]
-        excess = np.maximum(excess, np.abs(lhs - rlog.value) - (rlog.error_bound + 1e-7 * (1.0 + np.abs(lhs))))
-    return excess
+    lhs = spectrum.lhs(f, k)
+    rlog = spectrum.forms(f, k)[0]
+    return np.abs(lhs - rlog.value) - (rlog.error_bound + 1e-7 * (1.0 + np.abs(lhs)))
 
 
 # ---------------------------------------------------------------------------

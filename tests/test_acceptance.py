@@ -234,10 +234,11 @@ def test_criterion_4_multivariate_inequality():
     trials, log_viol, lin_viol = 0, 0, 0
     for group in tuples.values():
         cs, ks = zip(*group)
-        log_bad, lin_bad = multivariate_violations(np.array(cs), np.array(ks), fs, quad)
-        log_viol += int(np.count_nonzero(log_bad))
-        lin_viol += int(np.count_nonzero(lin_bad))
-        trials += log_bad.size
+        for f in fs:  # every tuple under every f: one verifier call per f
+            log_bad, lin_bad = multivariate_violations(np.array(cs), np.array(ks), f, quad)
+            log_viol += int(np.count_nonzero(log_bad))
+            lin_viol += int(np.count_nonzero(lin_bad))
+            trials += log_bad.size
 
     # commuting tuples achieve equality within tolerance
     commuting = {}
@@ -250,10 +251,11 @@ def test_criterion_4_multivariate_inequality():
     eq_excess = 0.0
     for group in commuting.values():
         cs, ks = zip(*group)
-        excess = commuting_equality_excess(np.array(cs), np.array(ks), (lambda x: x, lambda x: x**2), quad)
-        eq_excess = np.maximum(eq_excess, np.max(excess))
+        for f in (lambda x: x, lambda x: x**2):
+            excess = commuting_equality_excess(np.array(cs), np.array(ks), f, quad)
+            eq_excess = np.maximum(eq_excess, np.max(excess))
 
-    ok = log_viol == 0 and lin_viol == 0 and eq_excess <= 0.0
+    ok = trials == 3 * 1000 and log_viol == 0 and lin_viol == 0 and eq_excess <= 0.0
     _report(4, "multivariate norm inequality", ok,
             f"{trials} (tuple, f) checks per form, log violations {log_viol}, "
             f"linear violations {lin_viol}, commuting equality excess {eq_excess:.2e}", started)

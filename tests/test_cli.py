@@ -355,6 +355,17 @@ def test_overflowing_bounds_are_vacuous_not_a_traceback(tmp_path):
     assert sandwich.lhs == -math.inf and sandwich.detail.endswith("every bound infinite"), sandwich
 
 
+def test_quadrature_nodes_past_the_cap_exit_2_on_one_line(tmp_path):
+    # leggauss would ask for a 7.3 TiB companion matrix: the parse rejects the value before any rule is built
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[experiment]\nsuite = inequalities\n[quadrature]\nnodes = 1000000\n")
+    out = tmp_path / "report.json"
+    proc = subprocess.run([sys.executable, "-m", "tensor_chernoff.cli", "run", "--config", str(cfg), "--out", str(out)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2 and not out.exists()
+    assert proc.stderr.splitlines() == ["config error: invalid config: [quadrature] nodes must be < 4096, got 1000000"]
+
+
 def test_console_script_entry():
     proc = subprocess.run(
         [sys.executable, "-m", "tensor_chernoff.cli", "run", "--help"],

@@ -130,6 +130,7 @@ def test_every_key_echoed(tmp_path):
         ("[domination]\nsigma_grid =", "[domination] sigma_grid must list at least one value"),
         ("[quadrature]\ntruncation = -1", "[quadrature] truncation must be positive, got -1.0"),
         ("[quadrature]\nnodes = 8", "[quadrature] nodes must be >= 16, got 8"),
+        ("[quadrature]\nnodes = 4096", "[quadrature] nodes must be < 4096, got 4096"),
         ("[domination]\nwindow = 0", "[domination] window must be positive, got 0.0"),
         ("[domination]\nsigma_grid = 1 0", "[domination] sigma_grid must be positive, got (1.0, 0.0)"),
         ("[domination]\nsigma_grid = 1 nan", "[domination] sigma_grid: values must be finite, got '1 nan'"),
@@ -161,6 +162,20 @@ def test_row_dims_must_be_positive(raw, value, tmp_path, capsys):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
     assert capsys.readouterr().err.splitlines() == [
         f"config error: invalid config: [tensors] row_dims must be positive, got {value}; [walk] k must be >= 1, got 0"
+    ]
+
+
+@pytest.mark.parametrize("nodes", ["4096", "1000000"])
+def test_quadrature_nodes_are_capped(nodes, tmp_path, capsys):
+    # past the cap leggauss would build a nodes^2 companion matrix (7.3 TiB at 10^6): a parse-time error, exit 2
+    text = f"[experiment]\nsuite = inequalities\ntrials = 1\n[quadrature]\nnodes = {nodes}\n"
+    assert _error_lines(text) == {f"[quadrature] nodes must be < 4096, got {nodes}"}
+    assert parse_config(text.replace(nodes, "4095")).quadrature.nodes == 4095
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(text)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: invalid config: [quadrature] nodes must be < 4096, got {nodes}"
     ]
 
 

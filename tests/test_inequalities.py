@@ -86,6 +86,11 @@ def test_quadrature_spec_validation():
         QuadratureSpec(truncation=-1.0)
     with pytest.raises(ArgumentError):
         QuadratureSpec(node_count=8)
+    # the cap is checked before any rule is built: leggauss's companion matrix is node_count^2 floats
+    for count in (4096, 10**6):
+        with pytest.raises(ArgumentError, match=rf"node_count must be in \[16, 4096\), got {count}"):
+            QuadratureSpec(node_count=count)
+    assert QuadratureSpec(node_count=4095).node_count == 4095
 
 
 def _tuple(*ts) -> np.ndarray:
@@ -208,8 +213,10 @@ def test_random_pairs_inequality_holds():
         shape = TensorShape.square((dim,))
         cs = [random_positive(shape, rng) for _ in range(int(rng.integers(2, 4)))]
         k = int(rng.integers(1, dim + 1))
-        log_bad, lin_bad = multivariate_violations(_tuple(*cs), k, (lambda x: x, lambda x: x**2), quad)
-        assert not log_bad.any() and not lin_bad.any()
+        for f in (lambda x: x, lambda x: x**2):
+            log_bad, lin_bad = multivariate_violations(_tuple(*cs), k, f, quad)
+            assert log_bad.shape == lin_bad.shape == (1,)
+            assert not log_bad.any() and not lin_bad.any()
 
 
 def test_monotone_refinement():

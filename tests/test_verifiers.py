@@ -18,6 +18,7 @@ from tensor_chernoff import chernoff, graphs, inequalities, majorization, norms,
 from tensor_chernoff import runner as runner_mod
 from tensor_chernoff.chernoff import contraction_certificate, expectation_sandwich, random_assignment
 from tensor_chernoff.config import parse_config
+from tensor_chernoff.errors import ArgumentError
 from tensor_chernoff.graphs import gen_complete, spectral_expansion
 from tensor_chernoff.inequalities import (
     PowerProductSpectrum,
@@ -130,9 +131,12 @@ def test_nan_fails_the_verifier_and_the_runner_check(monkeypatch, case):
     monkeypatch.setattr(module, attr, replacement)
     rng = np.random.default_rng(11)
     if case == "multivariate":
-        log_bad, lin_bad = multivariate_violations(_positive_tuples(rng), 2, FS, QUAD)
-        assert log_bad.sum() == 3 and lin_bad.sum() == 3
-        assert not commuting_equality_excess(_commuting_tuples(rng), 2, FS[:2], QUAD)[0] <= 0.0
+        tuples, commuting = _positive_tuples(rng), _commuting_tuples(rng)
+        for f in FS:
+            log_bad, lin_bad = multivariate_violations(tuples, 2, f, QUAD)
+            assert log_bad.tolist() == lin_bad.tolist() == [True]
+        for f in FS[:2]:
+            assert not commuting_equality_excess(commuting, 2, f, QUAD)[0] <= 0.0
     elif case == "lie_trotter":
         shape = TensorShape.square((2,))
         slope, bound_ok = lie_trotter_audit(
@@ -197,8 +201,10 @@ def test_weakened_log_form_fails_the_suite_and_criterion_4_verifier(monkeypatch)
     assert not checks["multivariate_log_form_violations"].passed
     assert checks["multivariate_linear_form_violations"].passed
     rng = np.random.default_rng(404)
-    log_bad, lin_bad = multivariate_violations(_positive_tuples(rng, count=3), 2, FS, QUAD)
-    assert log_bad.sum() == len(FS) and lin_bad.sum() == 0
+    tuples = _positive_tuples(rng, count=3)
+    flags = [multivariate_violations(tuples, 2, f, QUAD) for f in FS]
+    assert [log_bad.tolist() for log_bad, _ in flags] == [[True]] * len(FS)
+    assert [lin_bad.tolist() for _, lin_bad in flags] == [[False]] * len(FS)
 
 
 def test_zero_expectation_bound_fails_the_sandwich_for_both_callers(monkeypatch):
@@ -251,9 +257,9 @@ def _batch_flags(check, batch: int):
         assert rep.premise_holds.all()
         return rep.violated
     if check == "multivariate":
-        log_bad, lin_bad = multivariate_violations(_positive_tuples(rng, batch), 2, FS[:1], QUAD)
-        return log_bad[:, 0] | lin_bad[:, 0]
-    return ~(commuting_equality_excess(_commuting_tuples(rng, batch), 2, FS[:1], QUAD) <= 0.0)
+        log_bad, lin_bad = multivariate_violations(_positive_tuples(rng, batch), 2, FS[0], QUAD)
+        return log_bad | lin_bad
+    return ~(commuting_equality_excess(_commuting_tuples(rng, batch), 2, FS[0], QUAD) <= 0.0)
 
 
 # (patched owner, attribute) whose 1-d result is each check's left side, and the
@@ -302,6 +308,59 @@ def test_concave_f_in_one_trial_violates_the_discrete_theorem_once():
 
 
 # ---------------------------------------------------------------------------
+# One f per trial: a sequence as long as the stack, each trial under its own f
+# ---------------------------------------------------------------------------
+
+def _discrete_trials(rng, batch: int):
+    """``batch`` valid strong-mode trials: C, atoms and weights."""
+    spectra = np.sort(rng.uniform(0.3, 3.0, size=(batch, 2, 3)), axis=-1)[..., ::-1]
+    w = rng.dirichlet(np.ones(2), size=batch)
+    bases = [haar_unitary(np.array([ginibre(rng, 3) for _ in range(batch)])) for _ in range(2)]
+    return (*constructed_premise_trial(bases[0], spectra, w, bases[1], "strong"), w)
+
+
+# each verifier on 3 trials with a sequence of fs: (name, call)
+WRONG_LENGTH_CASES = {
+    "discrete": lambda rng, fs: verify_discrete_average_majorization(*_discrete_trials(rng, 3), fs, 2, "strong"),
+    "multivariate": lambda rng, fs: multivariate_violations(_positive_tuples(rng, 3), 2, fs, QUAD),
+    "commuting": lambda rng, fs: commuting_equality_excess(_commuting_tuples(rng, 3), 2, fs, QUAD),
+}
+
+
+@pytest.mark.parametrize("count", [2, 4])
+@pytest.mark.parametrize("verifier", sorted(WRONG_LENGTH_CASES))
+def test_a_wrong_length_f_sequence_is_an_error(verifier, count):
+    # a missing f must not index past the end, nor a surplus one go unused
+    call = WRONG_LENGTH_CASES[verifier]
+    call(np.random.default_rng(5), [FS[0]] * 3)
+    with pytest.raises(ArgumentError, match=f"need one f per trial, 3 of them, got {count}$"):
+        call(np.random.default_rng(5), [FS[0]] * count)
+
+
+def test_per_tuple_fs_give_the_same_bits_on_a_stack_and_on_its_halves():
+    # each tuple keeps its own f and k, whichever stack it is verified in
+    rng = np.random.default_rng(2718)
+    ks = rng.integers(1, 4, size=9)
+    fs = [FS[i] for i in rng.integers(len(FS), size=9)]
+    halves = (slice(None, 4), slice(4, None))
+    assert all(len({id(f) for f in fs[h]}) > 1 for h in halves)
+    for cs, verifier in ((_positive_tuples(rng, 9, count=3), multivariate_violations),
+                         (_commuting_tuples(rng, 9), commuting_equality_excess)):
+        whole = np.array(verifier(cs, ks, fs, QUAD))
+        split = np.concatenate([np.array(verifier(cs[h], ks[h], fs[h], QUAD)) for h in halves], axis=-1)
+        assert whole.shape[-1] == 9 and np.array_equal(whole, split)
+        # the flags are mostly False, so compare the values they are read from too
+        spectrum, parts = PowerProductSpectrum(cs, QUAD), [PowerProductSpectrum(cs[h], QUAD) for h in halves]
+        lhs = spectrum.lhs(fs, ks)
+        assert lhs.tolist() == [spectrum.lhs(f, ks)[i] for i, f in enumerate(fs)]  # each tuple under its own f
+        assert np.array_equal(lhs, np.concatenate([p.lhs(fs[h], ks[h]) for p, h in zip(parts, halves)]))
+        split_forms = zip(*(p.forms(fs[h], ks[h]) for p, h in zip(parts, halves)))
+        for got, want in zip(spectrum.forms(fs, ks), split_forms):
+            for field in ("value", "error_bound", "truncation_bound", "quadrature_error"):
+                assert np.array_equal(getattr(got, field), np.concatenate([getattr(w, field) for w in want])), field
+
+
+# ---------------------------------------------------------------------------
 # The runner's own draws through the batched path and the per-trial oracles
 # ---------------------------------------------------------------------------
 
@@ -345,12 +404,16 @@ def test_runner_draws_match_the_per_trial_oracles(seed):
     assert (check.lhs, _premise_held(check)) == (violated, held)
 
     log_bad = lin_bad = 0
-    for stack in multivariate:
-        for zs, vals, k, which in zip(*stack):
-            cs = tensors.hermitian_part(diagonal_in(haar_unitary(zs), vals))
-            log_viol, lin_viol = trial_multivariate_violations(cs, int(k), [runner_mod._MULTIVARIATE_FS[which]], quad)
-            log_bad += log_viol
-            lin_bad += lin_viol
+    for zs, vals, ks, which in multivariate:
+        stacked = diagonal_in(haar_unitary(zs), vals)
+        rows = [trial_multivariate_violations(tensors.hermitian_part(cs), int(k), [runner_mod._MULTIVARIATE_FS[i]], quad)
+                for cs, k, i in zip(stacked, ks, which)]
+        # per tuple: the stack's one call, each tuple under its own f, flags what the oracle flags
+        fs = [runner_mod._MULTIVARIATE_FS[i] for i in which]
+        flags = multivariate_violations(stacked, ks, fs, quad)
+        assert [(int(log), int(lin)) for log, lin in zip(*flags)] == rows
+        log_bad += sum(log for log, _ in rows)
+        lin_bad += sum(lin for _, lin in rows)
     assert checks["multivariate_log_form_violations"].lhs == log_bad
     assert checks["multivariate_linear_form_violations"].lhs == lin_bad
 
@@ -360,9 +423,32 @@ def test_runner_draws_match_the_per_trial_oracles(seed):
         stacked = diagonal_in(haar_unitary(z)[:, None], spectra)
         rows = [trial_commuting_equality_excess(tensors.hermitian_part(cs), int(k), [lambda x: x], quad)
                 for cs, k in zip(stacked, ks)]
-        assert commuting_equality_excess(stacked, ks, [lambda x: x], quad).tolist() == rows
+        assert commuting_equality_excess(stacked, ks, lambda x: x, quad).tolist() == rows
         want += rows
     assert checks["multivariate_commuting_equality_excess"].lhs == max(0.0, max(want))
+
+
+def test_one_power_product_spectrum_per_stack(monkeypatch):
+    # the spectrum does not depend on f, so the suite builds one per (dim, m) stack and one per commuting stack
+    seed, trials = 3, 400
+    rng = stream(seed, DOMAIN_SUITE, runner_mod._SUITE_IDS["inequalities"])
+    for draws in (runner_mod._holder_draws, runner_mod._kyfan_draws, runner_mod._premise_draws):
+        draws(rng, trials)
+    stacks = runner_mod._multivariate_draws(rng, trials // 10)  # the suite's counts at 400 trials: 40 and 5
+    commuting = runner_mod._commuting_draws(rng, 5)
+    assert sum(len(set(which.tolist())) > 1 for *_, which in stacks) >= 3  # stacks that mix fs
+    built = []
+    original = PowerProductSpectrum.__init__
+
+    def counted(self, cs, quad=None):
+        built.append(len(cs))
+        original(self, cs, quad)
+
+    monkeypatch.setattr(PowerProductSpectrum, "__init__", counted)
+    checks = _checks(f"[experiment]\nsuite = inequalities\nseed = {seed}\ntrials = {trials}\n"
+                     "[quadrature]\ntruncation = 6.0\nnodes = 64\n")
+    assert all(check.passed for check in checks.values())
+    assert built == [len(which) for *_, which in stacks] + [len(ks) for *_, ks in commuting]
 
 
 @pytest.mark.parametrize("seed", [3, 41])
