@@ -53,7 +53,12 @@ def _require_size(n: int, d: int) -> None:
 
 @dataclass(frozen=True)
 class RegularGraph:
-    """d-regular undirected multigraph on vertices ``0 .. n-1``."""
+    """d-regular undirected multigraph on vertices ``0 .. n-1``.
+
+    The graph keeps a read-only int64 adjacency.  It adopts an array that is already one (a read-only,
+    C-contiguous int64 array that owns its data, as the generators and the loader hand over) and copies
+    anything else, so a caller's array is never frozen and the build never holds two adjacencies.
+    """
 
     n: int
     degree: int
@@ -65,7 +70,10 @@ class RegularGraph:
             raise ArgumentError(f"adjacency must be square, got {adj.shape}")
         if not np.issubdtype(adj.dtype, np.integer) and not np.all(adj == np.round(adj)):
             raise ArgumentError("adjacency entries must be integers")
-        adj = adj.astype(np.int64)
+        flags = adj.flags
+        if adj.dtype != np.int64 or flags.writeable or not (flags.c_contiguous and flags.owndata):
+            adj = np.array(adj, dtype=np.int64, order="C")
+            adj.setflags(write=False)
         n = adj.shape[0]
         if n < 2:
             raise ArgumentError(f"graph needs at least 2 vertices, got {n}")
@@ -79,8 +87,6 @@ class RegularGraph:
         d = int(sums[0])
         if d < 1:
             raise ArgumentError("degree must be at least 1")
-        adj = np.ascontiguousarray(adj)
-        adj.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "degree", d)
         object.__setattr__(self, "adjacency", adj)
@@ -113,6 +119,12 @@ def spectral_expansion(g: RegularGraph) -> float:
 # Generators
 # ---------------------------------------------------------------------------
 
+def _handed_over(adj: np.ndarray) -> RegularGraph:
+    """The graph of an int64 adjacency that nothing else holds: frozen, so the graph adopts it uncopied."""
+    adj.setflags(write=False)
+    return RegularGraph(adj)
+
+
 def _symmetric_adjacency(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """Adjacency counting each edge ``(us[i], vs[i])`` once per direction, repeats included."""
     adj = np.zeros((n, n), dtype=np.int64)
@@ -125,13 +137,13 @@ def gen_complete(n: int) -> RegularGraph:
     _require_size(n, n - 1)
     adj = np.ones((n, n), dtype=np.int64)
     np.fill_diagonal(adj, 0)
-    return RegularGraph(adj)
+    return _handed_over(adj)
 
 
 def gen_cycle(n: int) -> RegularGraph:
     _require_size(n, 2)
     u = np.arange(n)
-    return RegularGraph(_symmetric_adjacency(n, u, (u + 1) % n))  # n = 2: a double edge
+    return _handed_over(_symmetric_adjacency(n, u, (u + 1) % n))  # n = 2: a double edge
 
 
 def gen_hypercube(dim: int) -> RegularGraph:
@@ -142,7 +154,7 @@ def gen_hypercube(dim: int) -> RegularGraph:
     u = np.repeat(np.arange(n), dim)
     adj = np.zeros((n, n), dtype=np.int64)
     np.add.at(adj, (u, u ^ np.tile(1 << np.arange(dim), n)), 1)
-    return RegularGraph(adj)
+    return _handed_over(adj)
 
 
 def gen_random_regular(n: int, d: int, seed: int) -> RegularGraph:
@@ -163,7 +175,7 @@ def gen_random_regular(n: int, d: int, seed: int) -> RegularGraph:
         pairing = rng.permutation(n).reshape(-1, 2)
         us.append(pairing[:, 0])
         vs.append(pairing[:, 1])
-    return RegularGraph(_symmetric_adjacency(n, np.concatenate(us), np.concatenate(vs)))
+    return _handed_over(_symmetric_adjacency(n, np.concatenate(us), np.concatenate(vs)))
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +257,7 @@ def load_edge_list(path: str | Path) -> RegularGraph:
         adj[u, v] += m
         if u != v:
             adj[v, u] += m
-    g = RegularGraph(adj)
+    g = _handed_over(adj)
     if g.degree != d:
         raise ArgumentError(f"header degree {d} does not match adjacency degree {g.degree}")
     return g

@@ -145,8 +145,17 @@ class AverageMajorizationReport:
         return self.premise_failure == 0
 
 
+def _per_trial_array(value, b: int, label: str) -> np.ndarray:
+    """``value`` as an array: one value, or a sequence of one per trial (``ArgumentError`` naming ``label`` else)."""
+    out = np.asarray(value)
+    if out.ndim > 1 or (out.ndim == 1 and len(out) != b):
+        raise ArgumentError(f"need one {label} per trial, {b} of them, got "
+                            f"{len(out) if out.ndim == 1 else f'shape {out.shape}'}")
+    return out
+
+
 def _per_trial(value, b: int, allowed: Sequence[str], label: str) -> np.ndarray:
-    out = np.broadcast_to(np.asarray(value), (b,))
+    out = np.broadcast_to(_per_trial_array(value, b, label), (b,))
     unknown = set(out.tolist()) - set(allowed)
     if unknown:
         raise ArgumentError(f"{label} must be one of {tuple(allowed)}, got {sorted(unknown)}")
@@ -237,7 +246,7 @@ def verify_discrete_average_majorization(
         )
     failure = first_failures(x, y, tol, np.isin(modes, ("strong", "log")))
 
-    k = np.asarray(k)
+    k = _per_trial_array(k, b, "k")
     lhs = ky_fan_from_eigenvalues(_apply_per_trial(f, lam_c, b), k)
     # f of the present atoms only: a padding atom's spectrum may lie outside f's domain
     fd = np.zeros_like(lam_d)
@@ -387,14 +396,14 @@ class PowerProductSpectrum:
         """``|| f(exp(sum_i log C_i)) ||_(k)`` per tuple, from one spectrum of ``sum_i log C_i``."""
         total = np.sum((self.bases * self._logs[..., None, :]) @ np.conj(self.bases).swapaxes(-1, -2), axis=1)
         mu = np.linalg.eigvalsh(total)
-        return ky_fan_from_eigenvalues(_apply_per_trial(f, np.exp(mu), len(mu)), k)
+        return ky_fan_from_eigenvalues(_apply_per_trial(f, np.exp(mu), len(mu)), _per_trial_array(k, len(mu), "k"))
 
     def forms(self, f, k) -> tuple[QuadratureValue, QuadratureValue]:
         """The log form ``exp( int log || f(|prod C_i^(1+it)|) ||_(k) beta0(t) dt )`` and the linear form
         ``int || f(|prod C_i^(1+it)|) ||_(k) beta0(t) dt`` on [-T, T], per tuple, from one pass over the rules."""
         if self.quad is None:
             raise ArgumentError("the quadrature forms need a QuadratureSpec")
-        k = np.asarray(k)
+        k = _per_trial_array(k, len(self.eigenvalues), "k")
         integrals = []
         for sv, density, w in self._rules:
             norms = ky_fan_from_eigenvalues(_apply_per_trial(f, sv, len(sv)), k[..., None])

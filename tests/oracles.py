@@ -21,6 +21,9 @@ reals written into a complex stack, and that stack's spectrum), ``row_major_walk
 (the sampler converting every word of a chunk at once) and ``wide_counter_words``
 (all of a chunk's Philox blocks in one ``(count, 4 * blocks)`` array).
 ``direct_tail_p_hat`` counts tail hits with none of the sweep's machinery.
+The ``kronecker_*`` functions are the former complex transfer layer, the reference for the
+real Hermitian coordinates, which ``hermitian_coordinates`` and ``hermitian_stack`` spell out
+entry by entry.
 """
 
 from __future__ import annotations
@@ -461,6 +464,73 @@ def dense_contraction_norms(assignment, t: float, a: float, b: float) -> list[fl
     perp = np.eye(n * d2) - par
     pairs = ((par, par), (perp, par), (par, perp), (perp, perp))
     return [float(np.linalg.norm(out @ op @ inp, 2)) for inp, out in pairs]
+
+
+def hermitian_coordinates(x: np.ndarray) -> np.ndarray:
+    """``(n, d^2)`` coordinates of an ``(n, d, d)`` Hermitian stack, one entry at a time: the diagonal, then
+    ``sqrt 2`` times the real parts of the lower entries, then ``sqrt 2`` times their imaginary parts, in
+    ``np.tril_indices(d, -1)`` order."""
+    n, d = x.shape[:2]
+    pairs = list(zip(*np.tril_indices(d, -1)))
+    out = np.empty((n, d * d))
+    for u in range(n):
+        out[u] = [x[u, k, k].real for k in range(d)] + [math.sqrt(2.0) * x[u, i, j].real for i, j in pairs] + \
+                 [math.sqrt(2.0) * x[u, i, j].imag for i, j in pairs]
+    return out
+
+
+def hermitian_stack(c: np.ndarray) -> np.ndarray:
+    """The ``(n, d, d)`` Hermitian stack of coordinates ``(n, d^2)``, one entry at a time (inverse of the above)."""
+    n, d = c.shape[0], math.isqrt(c.shape[1])
+    pairs = list(zip(*np.tril_indices(d, -1)))
+    x = np.zeros((n, d, d), dtype=np.complex128)
+    for u in range(n):
+        for k in range(d):
+            x[u, k, k] = c[u, k]
+        for p, (i, j) in enumerate(pairs):
+            x[u, i, j] = (c[u, d + p] + 1j * c[u, d + len(pairs) + p]) / math.sqrt(2.0)
+            x[u, j, i] = np.conj(x[u, i, j])
+    return x
+
+
+# The former complex transfer layer: ``(n, d, d)`` stacks, the Kronecker stack ``M_u = E_u kron conj(E_u)`` (with
+# row-major vec, ``M_u vec X = vec(E_u X E_u^H)``) applied as one batched matvec, and the Gram parts from ``M``.
+
+def kronecker_exponentials(assignment, t: float, a: float, b: float) -> np.ndarray:
+    """``(n, d, d)`` stack of ``E_u = exp(t g(u) (a + i b) / 2)`` from the assignment's ``eigh``."""
+    vals, vecs = assignment.eigh()
+    return (vecs * np.exp(t * (a + 1j * b) / 2.0 * vals)[:, None, :]) @ vecs.conj().swapaxes(1, 2)
+
+
+def _kronecker_stack_and_slot_mean(assignment, t: float, a: float, b: float):
+    es = kronecker_exponentials(assignment, t, a, b)
+    n, d = es.shape[:2]
+    m = (es[:, :, None, :, None] * es.conj()[:, None, :, None, :]).reshape(n, d * d, d * d)
+    slots = assignment.graph.edge_slots()
+    return m, (lambda x: x[slots].mean(axis=1))
+
+
+def kronecker_transfer_expectation(assignment, t: float, a: float, b: float, kappa: int) -> complex:
+    """``<I / sqrt n, (F (A kron I))^kappa I / sqrt n>`` on complex ``(n, d, d)`` stacks, imaginary residue kept."""
+    m, slot_mean = _kronecker_stack_and_slot_mean(assignment, t, a, b)
+    n, d = assignment.graph.n, assignment.dim
+    x0 = w = np.broadcast_to(np.eye(d, dtype=np.complex128) / math.sqrt(n), (n, d, d))
+    for _ in range(kappa):
+        w = (m @ slot_mean(w).reshape(n, d * d, 1)).reshape(n, d, d)
+    return complex(np.vdot(x0, w))
+
+
+def kronecker_gram_norms(assignment, t: float, a: float, b: float) -> list[float]:
+    """Parts 1-3 from the complex Kronecker stack: the roots of the top eigenvalues of ``Mbar^H Mbar``,
+    ``sum_v Z_v Z_v^H / n`` with ``Z = (A / degree kron I)(M - Mbar)``, and
+    ``sum_u (M_u - Mbar)^H (M_u - Mbar) / n``."""
+    m, slot_mean = _kronecker_stack_and_slot_mean(assignment, t, a, b)
+    n = assignment.graph.n
+    m_bar = m.mean(axis=0)
+    z, dev = slot_mean(m) - m_bar, m - m_bar
+    grams = (m_bar.conj().T @ m_bar, np.einsum("vij,vkj->ik", z, z.conj()) / n,
+             np.einsum("uji,ujk->ik", dev.conj(), dev) / n)
+    return [math.sqrt(max(float(np.linalg.eigvalsh(g)[-1]), 0.0)) for g in grams]
 
 
 def loop_random_assignment(graph, shape, radius: float, seed: int, streams=stream) -> list[np.ndarray]:

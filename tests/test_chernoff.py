@@ -30,6 +30,7 @@ from tensor_chernoff.chernoff import (
 from tensor_chernoff.errors import (
     ArgumentError,
     DomainError,
+    NumericalError,
     PreconditionError,
 )
 from tensor_chernoff.graphs import (
@@ -50,6 +51,11 @@ from oracles import (
     dense_contraction_norms,
     dense_transfer_expectation,
     direct_tail_p_hat,
+    hermitian_coordinates,
+    hermitian_stack,
+    kronecker_exponentials,
+    kronecker_gram_norms,
+    kronecker_transfer_expectation,
     loop_random_assignment,
     scalar_theorem_bound,
 )
@@ -189,13 +195,15 @@ def test_certificate_norms_match_dense_operator(graph, dims):
             assert abs(got - want) <= 1e-9 * want, (part, rep.norms, ref)
         assert all(type(w) is float for w in rep.norms + rep.gammas)
         assert rep.steps <= min(norms.LANCZOS_STEPS, (graph.n - 1) * assignment.dim ** 2)
+        if rep.steps == (graph.n - 1) * assignment.dim ** 2:  # the Krylov space is all of P''s range: exact
+            assert abs(rep.norms[3] - ref[3]) <= 1e-13 * ref[3], (rep.norms[3], ref[3])
 
 
 def test_certificate_returns_nan_for_a_nan_operator(monkeypatch):
     graph = gen_complete(4)
     assignment = random_assignment(graph, S2, radius=1.0, seed=1)
-    assert assignment.dim <= chernoff._KRONECKER_MAX_DIM  # the vertex maps share the Gram parts' M
-    monkeypatch.setattr(chernoff, "_vertex_exponentials", lambda *args: np.full((4, 2, 2), np.nan + 0j))
+    assert assignment.dim <= chernoff._KRONECKER_MAX_DIM  # the vertex maps share the Gram parts' R
+    monkeypatch.setattr(chernoff, "_vertex_coordinates", lambda *args: np.full((4, 4, 4), np.nan))
     rep = contraction_certificate(assignment, 0.3, 1.0, 0.5, spectral_expansion(graph))
     assert all(math.isnan(w) for w in rep.norms) and not rep.holds
 
@@ -204,16 +212,69 @@ def test_certificate_returns_nan_for_a_nan_operator(monkeypatch):
 def test_vertex_maps_are_an_adjoint_pair(shape):
     graph = gen_random_regular(16, 5, seed=0)
     assignment = random_assignment(graph, shape, radius=1.0, seed=3)
-    es = chernoff._vertex_exponentials(assignment, 0.5, 1.0, 0.5)
-    forward, adjoint = chernoff._vertex_maps(es)
+    forward, adjoint = chernoff._vertex_maps(assignment, 0.5, 1.0, 0.5)
     slots = graph.edge_slots()
-    rng = np.random.default_rng(17)
-    re, im = rng.standard_normal((2, 2, graph.n, shape.unfold_rows, shape.unfold_rows))
-    x, y = re + 1j * im
+    x, y = np.random.default_rng(17).standard_normal((2, graph.n, shape.unfold_rows ** 2))
     gap = np.vdot(chernoff._transfer_apply(forward, slots, x), y) - np.vdot(x, chernoff._slot_mean(slots, adjoint(y)))
     assert abs(gap) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(y)
-    ref = np.stack([e @ xv @ e.conj().T for e, xv in zip(es, x)])
+    es = kronecker_exponentials(assignment, 0.5, 1.0, 0.5)
+    ref = hermitian_coordinates(np.stack([e @ xv @ e.conj().T for e, xv in zip(es, hermitian_stack(x))]))
     assert np.max(np.abs(forward(x) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+def test_hermitian_coordinates_are_orthonormal(d):
+    rng = np.random.default_rng(d)
+    x, y = rng.standard_normal((2, 5, d, d)) + 1j * rng.standard_normal((2, 5, d, d))
+    x, y = x + x.conj().swapaxes(1, 2), y + y.conj().swapaxes(1, 2)
+    cx, cy = chernoff._pack(x), chernoff._pack(y)
+    assert np.array_equal(cx, hermitian_coordinates(x))
+    assert np.max(np.abs(chernoff._unpack(cx) - x)) <= 1e-15 * np.max(np.abs(x))
+    assert np.vdot(cx, cy) == pytest.approx(np.vdot(x, y).real, rel=1e-13)  # Re tr(X^H Y), summed over the stack
+    basis = chernoff._unpack(np.eye(d * d))  # the basis matrices B_a: Frobenius-orthonormal and Hermitian
+    assert np.allclose(np.einsum("aij,bij->ab", basis.conj(), basis), np.eye(d * d), rtol=0.0, atol=1e-15)
+    assert np.array_equal(basis, basis.conj().swapaxes(1, 2))
+
+
+@pytest.mark.parametrize("graph", [gen_complete(4), gen_random_regular(16, 6, seed=0)], ids=["K4", "rr16x6"])
+@pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2)], ids=["d4", "d8"])
+@pytest.mark.parametrize("b", [0.0, 0.5])
+def test_coordinate_layer_matches_the_complex_kronecker_path(graph, dims, b):
+    # d = 8 runs the factored vertex maps; every d builds the Gram parts from the coordinate stack
+    assignment = random_assignment(graph, TensorShape.square(dims), radius=1.0, seed=graph.n + len(dims))
+    rep = contraction_certificate(assignment, 0.5, 1.0, b, spectral_expansion(graph), seed=9)
+    ref = kronecker_gram_norms(assignment, 0.5, 1.0, b)
+    for part, (got, want) in enumerate(zip(rep.norms[:3], ref), start=1):
+        assert abs(got - want) <= 1e-12 * want, (part, rep.norms, ref)
+    for kappa in (1, 4):
+        exact = transfer_expectation(assignment, 0.3, 1.0, b, kappa)
+        want = kronecker_transfer_expectation(assignment, 0.3, 1.0, b, kappa)
+        assert abs(want.imag) <= 1e-12 * abs(want.real)
+        assert abs(exact - want.real) <= 1e-12 * abs(want.real), (kappa, exact, want)
+
+
+def _unconjugated_kronecker(es):  # E kron E: X -> E X E^T, which does not keep X Hermitian
+    n, d = es.shape[:2]
+    return (es[:, :, None, :, None] * es[:, None, :, None, :]).reshape(n, d * d, d * d)
+
+
+def test_a_map_that_does_not_keep_stacks_hermitian_raises(monkeypatch):
+    rng = np.random.default_rng(2)
+    es = rng.standard_normal((600, 3, 3)) + 1j * rng.standard_normal((600, 3, 3))  # several product blocks
+    x = hermitian_stack(rng.standard_normal((600, 9)))
+    want = hermitian_coordinates(es @ x @ es.conj().swapaxes(1, 2))
+    got = np.einsum("uab,ub->ua", chernoff._coordinate_stack(chernoff._kronecker_stack(es)), hermitian_coordinates(x))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    with pytest.raises(NumericalError, match="does not preserve Hermitian stacks"):
+        chernoff._coordinate_stack(_unconjugated_kronecker(es))
+    graph = gen_complete(4)
+    monkeypatch.setattr(chernoff, "_kronecker_stack", _unconjugated_kronecker)
+    for shape in (S2, S222):  # the coordinate stack builds the Gram parts at every d
+        assignment = random_assignment(graph, shape, radius=1.0, seed=1)
+        with pytest.raises(NumericalError, match="does not preserve Hermitian stacks"):
+            contraction_certificate(assignment, 0.3, 1.0, 0.5, spectral_expansion(graph))
+    with pytest.raises(NumericalError, match="does not preserve Hermitian stacks"):
+        transfer_expectation(random_assignment(graph, S22, radius=1.0, seed=1), 0.3, 1.0, 0.0, 2)
 
 
 class _EvenVerticesZero:
@@ -252,7 +313,8 @@ def test_random_assignment_matches_per_vertex_loop(monkeypatch):
 
 
 def test_certificate_memory_stays_bounded():
-    # the (n, d^2, d^2) Kronecker stack is 1 MB here; the slot mean runs over vertex chunks
+    # the Kronecker stack of the frames is 1 MB here, the coordinate stack R half that; the slot mean runs
+    # over vertex chunks
     graph = gen_random_regular(256, 6, seed=0)
     assignment = random_assignment(graph, TensorShape.square((4,)), radius=1.0, seed=1)
     lam = spectral_expansion(graph)

@@ -69,7 +69,7 @@ def test_run_json_and_exit_code(sweep_config, tmp_path, capsys):
     assert rep.environment["walk_stream"] == "philox4x64-10/1"
     assert rep.environment["tensor_stream"] == "pcg64-stack/1"
     assert rep.environment["inequality_stream"] == "pcg64-trial-stacks/1"
-    assert rep.environment["certificate"] == "gram-lanczos/2"
+    assert rep.environment["certificate"] == "gram-lanczos/3"
     printed = capsys.readouterr().out
     assert "[PASS]" in printed
 

@@ -154,12 +154,29 @@ def _build_peak(build):
 
 
 def test_graph_build_peak_memory():
-    # the adjacency, its validated copy and a boolean temporary: 2.15x; an n^2 index grid reads 4.0x
-    ratio = _build_peak(lambda: gen_random_regular(2048, 6, seed=1))
-    assert ratio < 2.5, ratio
-    # K_n has n(n - 1) nonzero cells, so each cell-sized temporary costs one adjacency: 5.0x, 6.0x with one more
+    # the generators hand their adjacency over uncopied: it and a boolean temporary, 1.15x (2.15x with a copy)
+    for build in (lambda: gen_random_regular(2048, 6, seed=1), lambda: gen_cycle(2048), lambda: gen_hypercube(11)):
+        ratio = _build_peak(build)
+        assert ratio <= 1.2, ratio
+    # K_n has n(n - 1) nonzero cells, so each cell-sized temporary costs one adjacency: 4.0x, 5.0x with one more
     ratio = _build_peak(lambda: gen_complete(1024))
-    assert ratio < 5.25, ratio
+    assert ratio < 4.25, ratio
+
+
+def test_graph_copies_a_caller_array_and_freezes_only_its_own():
+    ring = gen_cycle(6).adjacency
+    assert not ring.flags.writeable
+    for adj in (ring.copy(), ring.astype(np.int32), np.asfortranarray(ring)):
+        g = RegularGraph(adj)
+        assert adj.flags.writeable and g.adjacency is not adj  # the caller's array stays writeable
+        adj[0, 1] += 5  # and changing it leaves the graph as built
+        assert not g.adjacency.flags.writeable and np.array_equal(g.adjacency, ring)
+    frozen = ring.copy()
+    frozen.setflags(write=False)
+    assert RegularGraph(frozen).adjacency is frozen  # a read-only int64 array is adopted
+    view = ring.copy()[::1]  # a read-only view of a writeable array could change under the graph: copied
+    view.setflags(write=False)
+    assert RegularGraph(view).adjacency is not view
 
 
 def test_walk_on_k2_alternates():

@@ -5,12 +5,15 @@ longer calls leaves the run unchanged and would otherwise pass as a known gap.
 
 The known gaps are the cases in ``GATE_GAPS``: ``test_mutant_fails_a_gate_check`` marks
 each ``xfail(strict=True)`` with the reason no check sees it, so a change that closes a
-gap turns its case red until the mark is removed.  Unit tests catch all six: the
+gap turns its case red until the mark is removed.  Unit tests catch all five: the
 adjoint-pair test in ``test_chernoff.py`` (the transfer maps), the node-by-node tests in
 ``test_inequalities.py`` (the power-product spectrum), ``test_walk_sum_closed_form_matches_lapack``
 and ``test_tail_sweep_matches_direct_counting`` (the walk-sum spectrum), and
 ``test_tail_table_rows_equal_an_independent_computation`` (walks one step short and a dropped
 ``8 lam_bar``).
+
+The unconjugated Kronecker stack is not a gap and not yet a FAIL: the Hermitian-coordinate
+guard stops the run with ``NumericalError``, an error exit (2) rather than a failed check (1).
 """
 
 import math
@@ -23,7 +26,9 @@ from tensor_chernoff import chernoff, inequalities
 from tensor_chernoff.chernoff import BoundResult, ChernoffParams
 from tensor_chernoff.inequalities import PowerProductSpectrum
 from tensor_chernoff import runner as runner_mod
+from tensor_chernoff.cli import main
 from tensor_chernoff.config import load_config, parse_config
+from tensor_chernoff.errors import NumericalError
 from tensor_chernoff.graphs import sample_walks_array
 from tensor_chernoff.runner import run
 
@@ -160,8 +165,6 @@ def _gap(mutant, config, reason):
 
 # (mutant, config) pairs whose gate run passes every check with the mutant in place
 GATE_GAPS = [
-    _gap("unconjugated_kronecker", "chernoff_k4",
-         "the contraction bounds hold for the E kron E operator too, and its maps stay an adjoint pair"),
     _gap("forward_only_transfer_apply", "transfer_dense_256",
          "part 4's Lanczos run pairs the defective forward step with an adjoint that is not its adjoint"),
     _gap("power_product_at_t_zero", "inequalities",
@@ -187,3 +190,14 @@ def test_mutant_fails_a_gate_check(monkeypatch, mutant, config):
     assert calls, f"{mutant} was never called"  # not GateMissed: an uncalled mutant fails a strict xfail too
     if passed:
         raise GateMissed(mutant)
+
+
+def test_unconjugated_kronecker_stops_the_run_with_an_error_exit(monkeypatch, tmp_path, capsys):
+    config_path = CONFIGS / "chernoff_k4.ini"
+    assert run(load_config(config_path)).all_passed
+    calls = _patch(monkeypatch, *MUTANTS["unconjugated_kronecker"])
+    with pytest.raises(NumericalError, match="does not preserve Hermitian stacks"):
+        run(load_config(config_path))
+    assert calls
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "report.json")]) == 2
+    assert "does not preserve Hermitian stacks" in capsys.readouterr().err

@@ -100,7 +100,7 @@ def _nan(*args, **kwargs):
 
 
 def _nan_transfer(forward, slots, x):
-    return np.full(x.shape, np.nan, dtype=np.complex128)
+    return np.full_like(x, np.nan)
 
 
 # (patched module or class, attribute, replacement, suite config, runner checks that must fail)
@@ -335,6 +335,28 @@ def test_a_wrong_length_f_sequence_is_an_error(verifier, count):
     call(np.random.default_rng(5), [FS[0]] * 3)
     with pytest.raises(ArgumentError, match=f"need one f per trial, 3 of them, got {count}$"):
         call(np.random.default_rng(5), [FS[0]] * count)
+
+
+# each verifier on 3 trials with one k (or mode) per trial: (name, argument, call)
+WRONG_LENGTH_ARGUMENTS = {
+    "discrete-k": ("k", lambda rng, k: verify_discrete_average_majorization(
+        *_discrete_trials(rng, 3), FS[0], k, "strong")),
+    "discrete-mode": ("mode", lambda rng, mode: verify_discrete_average_majorization(
+        *_discrete_trials(rng, 3), FS[0], 2, mode)),
+    "multivariate-k": ("k", lambda rng, k: multivariate_violations(_positive_tuples(rng, 3), k, FS[0], QUAD)),
+    "commuting-k": ("k", lambda rng, k: commuting_equality_excess(_commuting_tuples(rng, 3), k, FS[0], QUAD)),
+}
+
+
+@pytest.mark.parametrize("count", [2, 4])
+@pytest.mark.parametrize("case", sorted(WRONG_LENGTH_ARGUMENTS))
+def test_a_wrong_length_k_or_mode_is_an_argument_error(case, count):
+    # not numpy's broadcast ValueError: the error names the argument and the trial count
+    name, call = WRONG_LENGTH_ARGUMENTS[case]
+    value = {"k": [1, 2, 2, 1], "mode": ["strong", "weak", "strong", "weak"]}[name]
+    call(np.random.default_rng(5), value[:3])
+    with pytest.raises(ArgumentError, match=f"need one {name} per trial, 3 of them, got {count}$"):
+        call(np.random.default_rng(5), value[:count])
 
 
 def test_per_tuple_fs_give_the_same_bits_on_a_stack_and_on_its_halves():
