@@ -71,7 +71,7 @@ from .errors import (
     PreconditionError,
     ShapeError,
 )
-from .graphs import RegularGraph, load_edge_list, sample_walks_array, save_edge_list
+from .graphs import RegularGraph, _slot_mean, load_edge_list, sample_walks_array, save_edge_list
 from .inequalities import beta0_density
 from .io import load_tensor, read_json_object, save_tensor
 from .norms import LANCZOS_STEPS, ky_fan_from_eigenvalues, lanczos_top
@@ -347,17 +347,6 @@ def _vertex_maps(
         return (lambda c: _pack(es @ _unpack(c) @ esh)), (lambda c: _pack(esh @ _unpack(c) @ es))
     r = _vertex_coordinates(assignment, t, a, b) if r is None else r
     return (lambda c: (r @ c[:, :, None])[:, :, 0]), (lambda c: (c[:, None, :] @ r)[:, 0, :])
-
-
-def _slot_mean(slots: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``(A / degree kron I) x`` at the vertices of ``slots``' rows: the mean of ``x[v]`` over each
-    row's slots ``v``, added one slot column at a time (one ``np.take`` each, faster than a fancy
-    index), so no ``(rows, degree, ...)`` gather is held."""
-    acc = np.take(x, slots[:, 0], axis=0)
-    for s in range(1, slots.shape[1]):
-        acc += np.take(x, slots[:, s], axis=0)
-    acc /= slots.shape[1]
-    return acc
 
 
 def _transfer_apply(forward: Callable, slots: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -1,25 +1,34 @@
 """Regular undirected graphs, spectral expansion, and stationary walks.
 
-Graphs are stored as dense symmetric nonnegative integer adjacency matrices
-with constant row sum ``d``; multi-edges and self-loops are allowed and count
-with multiplicity (a self-loop of multiplicity m contributes m to its row
-sum).  The spectral expansion is the largest ABSOLUTE nontrivial eigenvalue
-of ``A / d``: the quoted "second largest eigenvalue" phrasing is weaker than
-the contraction property ``||A x|| <= lambda ||x||`` on the complement of the
+A graph is stored only as its read-only ``(n, d)`` slot table: row ``u``
+lists the neighbors of ``u`` in ascending order, each repeated by
+multiplicity (multi-edges and self-loops are allowed).  The one constructor
+takes edge arrays, so symmetry holds by construction.  The int64 adjacency
+``A`` is derived from the table when first read, by the expander suite's
+dense checks; walks, the transfer operator, the certificate and the spectral
+expansion read only the table.
+
+The spectral expansion is the largest ABSOLUTE nontrivial eigenvalue of
+``A / d``: the quoted "second largest eigenvalue" phrasing is weaker than the
+contraction property ``||A x|| <= lambda ||x||`` on the complement of the
 all-ones vector that the tail bounds actually consume, so the absolute-value
 definition is implemented (bipartite graphs report lambda = 1, i.e.
-non-expanding).
+non-expanding).  It is the top ``|Ritz value|`` of a Lanczos run on ``P' (A /
+d) P'`` (``P'`` the projection off the all-ones vector) through the slot
+mean, from a fixed start (:mod:`.rng`), that stops at the first multiple of
+32 steps whose Ritz residual (an eigenvalue lies that close) is at most
+``EXPANSION_TOL``, on an exhausted Krylov space, or after ``n - 1`` steps.
 
 Every generator and the edge-list loader bound the size before they
-allocate: ``2 <= n <= 2^13`` (the ``n x n`` int64 adjacency stays within 512
-MiB), ``d >= 1`` and ``n * d <= 2^26`` (so does the ``(n, d)`` slot table).
+allocate: ``2 <= n <= 2^13``, ``d >= 1`` and ``n * d <= 2^26`` (the ``(n, d)``
+slot table stays within 512 MiB).  ``n`` stays capped for the ``n x n``
+derived adjacency and the expander suite's dense checks; no graph holds one.
 
 Edge-list text format: a header line ``n d``, then one ``u v m`` line per
 undirected edge with multiplicity ``m``, vertices 0-indexed, each unordered
-pair listed once (self-loops as ``u u m``).  The loader validates symmetry
-and d-regularity, and bounds each number before it sizes an array: ``2 <= n
-<=`` twice the edge-line count, ``1 <= d < 2^32``, the size caps above and
-``0 <= m <= d``.
+pair listed once (self-loops as ``u u m``).  The loader bounds each number
+before it sizes an array (``n <=`` twice the edge-line count, ``d < 2^32``,
+``0 <= m <= d``).
 
 Walk sampling is deterministic in the seed: walk ``i`` of a batch reads the
 Philox4x64-10 words at counters ``(i, b, 0, 0)`` under key ``(seed,
@@ -29,16 +38,20 @@ DOMAIN_WALK)`` (see :mod:`.rng`), so estimates do not depend on chunking.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ArgumentError, NumericalError
+from .errors import ArgumentError
 from .io import read_text
-from .rng import DOMAIN_GRAPH, DOMAIN_WALK, counter_words, multiply_high, stream
+from .norms import lanczos_top
+from .rng import DOMAIN_EXPANSION, DOMAIN_GRAPH, DOMAIN_WALK, counter_words, multiply_high, stream
 
 MAX_VERTICES = 1 << 13  # largest n of any graph
 EDGE_SLOT_CAP = 1 << 26  # largest n * d of any graph
+EXPANSION = "slot-lanczos/1"  # how spectral_expansion computes lambda; stamped in reports
+EXPANSION_TOL = 1e-10  # Ritz residual that ends the run: a tenth of the certificate's 1e-9 slack
 
 
 def _require_size(n: int, d: int) -> None:
@@ -51,99 +64,91 @@ def _require_size(n: int, d: int) -> None:
         raise ArgumentError(f"graph n x d = {n} x {d} exceeds the cap of 2^26 edge slots")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegularGraph:
-    """d-regular undirected multigraph on vertices ``0 .. n-1``.
+    """d-regular undirected multigraph on vertices ``0 .. n-1``, held as its read-only ``(n, d)`` slot table.
 
-    The graph keeps a read-only int64 adjacency.  It adopts an array that is already one (a read-only,
-    C-contiguous int64 array that owns its data, as the generators and the loader hand over) and copies
-    anything else, so a caller's array is never frozen and the build never holds two adjacencies.
+    Edge ``i`` joins ``us[i]`` and ``vs[i]`` ``counts[i]`` times (default once); each copy fills a slot at both
+    ends, a loop ``(u, u)`` one slot, as an edge-list line ``u u m`` fills ``m``.  Degrees are checked first.
     """
 
     n: int
     degree: int
-    adjacency: np.ndarray
 
-    def __init__(self, adjacency: np.ndarray):
-        adj = np.asarray(adjacency)
-        if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-            raise ArgumentError(f"adjacency must be square, got {adj.shape}")
-        if not np.issubdtype(adj.dtype, np.integer) and not np.all(adj == np.round(adj)):
-            raise ArgumentError("adjacency entries must be integers")
-        flags = adj.flags
-        if adj.dtype != np.int64 or flags.writeable or not (flags.c_contiguous and flags.owndata):
-            adj = np.array(adj, dtype=np.int64, order="C")
-            adj.setflags(write=False)
-        n = adj.shape[0]
-        if n < 2:
-            raise ArgumentError(f"graph needs at least 2 vertices, got {n}")
-        if np.any(adj < 0):
-            raise ArgumentError("adjacency entries must be nonnegative")
-        if not np.array_equal(adj, adj.T):
-            raise ArgumentError("adjacency must be symmetric")
-        sums = adj.sum(axis=1)
-        if not np.all(sums == sums[0]):
-            raise ArgumentError(f"rows must share one sum, got {sums}")
-        d = int(sums[0])
-        if d < 1:
-            raise ArgumentError("degree must be at least 1")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "degree", d)
-        object.__setattr__(self, "adjacency", adj)
-        cells = np.flatnonzero(adj)  # row-major u * n + v, the order of every slot row and edge-list line
-        counts = adj.ravel()[cells]
-        slots = np.repeat(np.remainder(cells, n, out=cells), counts).reshape(n, d)  # in place: K_n has ~n^2 cells
+    def __init__(self, n: int, us, vs, counts=None):
+        _require_size(n, 1)  # before anything of size n exists
+        edges = [np.asarray(x) for x in (us, vs) + (() if counts is None else (counts,))]
+        if any(x.ndim != 1 or x.shape != edges[0].shape or not np.issubdtype(x.dtype, np.integer) for x in edges):
+            raise ArgumentError("edges must be 1-D integer arrays of one length")
+        us, vs, *reps = (x.astype(np.int64, copy=False) for x in edges)
+        if us.size and not (0 <= min(us.min(), vs.min()) and max(us.max(), vs.max()) < n):
+            raise ArgumentError(f"edge ends must be vertices in [0, {n})")
+        if reps and np.any(reps[0] < 0):
+            raise ArgumentError("edge multiplicities must be nonnegative")
+        pair = us != vs  # a loop fills one slot, any other edge one at each end
+        tails, heads = np.concatenate((us, vs[pair])), np.concatenate((vs, us[pair]))
+        reps = np.concatenate((reps[0], reps[0][pair])) if reps else None
+        degrees = np.bincount(tails, reps, minlength=n)
+        d = int(degrees[0])
+        if np.any(degrees != d):
+            raise ArgumentError(f"vertex degrees must be equal, got {degrees.min():g} to {degrees.max():g}")
+        _require_size(n, d)
+        keys = np.add(np.multiply(tails, n, out=tails), heads, out=tails)  # arc keys u * n + v, in place
+        keys = keys if reps is None else np.repeat(keys, reps)
+        keys.sort()  # row-major: rows in order, each row's neighbors ascending
+        slots = np.remainder(keys, n, out=keys).reshape(n, d)
         slots.setflags(write=False)
-        object.__setattr__(self, "_slots", slots)
+        vars(self).update(n=n, degree=d, _slots=slots)  # frozen: set once, past __setattr__
 
     def edge_slots(self) -> np.ndarray:
         """Read-only (n, d) table: row u lists the neighbors of u in order, each repeated by multiplicity."""
         return self._slots
 
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        """Read-only ``n x n`` int64 adjacency, counted from the slot table the first time it is read."""
+        cells = np.repeat(np.arange(self.n) * self.n, self.degree) + self._slots.ravel()
+        adj = np.bincount(cells, minlength=self.n * self.n).reshape(self.n, self.n)  # intp: int64
+        adj.setflags(write=False)
+        return adj
+
 
 def normalized_adjacency(g: RegularGraph) -> np.ndarray:
     """``A / d``: symmetric, doubly stochastic, top eigenvalue 1 at the all-ones vector."""
-    return g.adjacency.astype(np.float64) / g.degree
+    return g.adjacency / g.degree
 
 
-def spectral_expansion(g: RegularGraph) -> float:
-    """Largest absolute nontrivial eigenvalue of ``A / d``."""
-    try:
-        vals = np.linalg.eigvalsh(normalized_adjacency(g))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NumericalError(f"eigensolver failed on adjacency: {exc}") from exc
-    return float(np.max(np.abs(vals[:-1])))  # ascending: drop one copy of the trivial eigenvalue 1
+def _slot_mean(slots: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``(A / degree kron I) x`` at the vertices of ``slots``' rows: the mean of ``x[v]`` over each
+    row's slots ``v``, added one slot column at a time (one ``np.take`` each, faster than a fancy
+    index), so no ``(rows, degree, ...)`` gather is held."""
+    acc = np.take(x, slots[:, 0], axis=0)
+    for s in range(1, slots.shape[1]):
+        acc += np.take(x, slots[:, s], axis=0)
+    acc /= slots.shape[1]
+    return acc
+
+
+def spectral_expansion(g: RegularGraph) -> tuple[float, float, int]:
+    """Largest absolute nontrivial eigenvalue of ``A / d``, its Ritz residual and the Lanczos steps taken."""
+    slots, start = g.edge_slots(), stream(0, DOMAIN_EXPANSION).standard_normal(g.n)
+    start -= start.mean()
+    return lanczos_top(lambda x: (y := _slot_mean(slots, x)) - y.mean(), start, g.n - 1, tol=EXPANSION_TOL)
 
 
 # ---------------------------------------------------------------------------
 # Generators
 # ---------------------------------------------------------------------------
 
-def _handed_over(adj: np.ndarray) -> RegularGraph:
-    """The graph of an int64 adjacency that nothing else holds: frozen, so the graph adopts it uncopied."""
-    adj.setflags(write=False)
-    return RegularGraph(adj)
-
-
-def _symmetric_adjacency(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """Adjacency counting each edge ``(us[i], vs[i])`` once per direction, repeats included."""
-    adj = np.zeros((n, n), dtype=np.int64)
-    np.add.at(adj, (us, vs), 1)
-    np.add.at(adj, (vs, us), 1)
-    return adj
-
-
 def gen_complete(n: int) -> RegularGraph:
     _require_size(n, n - 1)
-    adj = np.ones((n, n), dtype=np.int64)
-    np.fill_diagonal(adj, 0)
-    return _handed_over(adj)
+    return RegularGraph(n, *np.triu_indices(n, 1))
 
 
 def gen_cycle(n: int) -> RegularGraph:
     _require_size(n, 2)
     u = np.arange(n)
-    return _handed_over(_symmetric_adjacency(n, u, (u + 1) % n))  # n = 2: a double edge
+    return RegularGraph(n, u, (u + 1) % n)  # n = 2: a double edge
 
 
 def gen_hypercube(dim: int) -> RegularGraph:
@@ -152,9 +157,8 @@ def gen_hypercube(dim: int) -> RegularGraph:
     _require_size(1 << min(dim, 64), dim)  # every dim from 14 on is past the cap
     n = 1 << dim
     u = np.repeat(np.arange(n), dim)
-    adj = np.zeros((n, n), dtype=np.int64)
-    np.add.at(adj, (u, u ^ np.tile(1 << np.arange(dim), n)), 1)
-    return _handed_over(adj)
+    v = u ^ np.tile(1 << np.arange(dim), n)
+    return RegularGraph(n, u[u < v], v[u < v])
 
 
 def gen_random_regular(n: int, d: int, seed: int) -> RegularGraph:
@@ -175,7 +179,8 @@ def gen_random_regular(n: int, d: int, seed: int) -> RegularGraph:
         pairing = rng.permutation(n).reshape(-1, 2)
         us.append(pairing[:, 0])
         vs.append(pairing[:, 1])
-    return _handed_over(_symmetric_adjacency(n, np.concatenate(us), np.concatenate(vs)))
+    us, vs = np.concatenate(us), np.concatenate(vs)
+    return RegularGraph(n, us, vs, 1 + (us == vs))  # a fixed point's arc and its inverse are both the loop
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +221,11 @@ def sample_walks_array(
 # ---------------------------------------------------------------------------
 
 def save_edge_list(g: RegularGraph, path: str | Path) -> None:
-    cells = np.flatnonzero(g.adjacency)
-    cells = cells[cells // g.n <= cells % g.n]  # each unordered pair once: u <= v
+    rows, slots = np.repeat(np.arange(g.n), g.degree), g.edge_slots().ravel()
+    keys = (rows * g.n + slots)[slots >= rows]  # each unordered pair once, from its lower end: ascending
+    firsts = np.flatnonzero(np.diff(keys, prepend=-1))
     lines = [f"{g.n} {g.degree}"]
-    lines += [f"{u} {v} {m}" for u, v, m in zip(*np.divmod(cells, g.n), g.adjacency.ravel()[cells])]
+    lines += [f"{u} {v} {m}" for u, v, m in zip(*np.divmod(keys[firsts], g.n), np.diff(firsts, append=keys.size))]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -238,14 +244,14 @@ def load_edge_list(path: str | Path) -> RegularGraph:
     if len(header) != 2:
         raise ArgumentError(f"header must be 'n d', got {text[0]!r}")
     n, d = _parse_ints(header, text[0])
-    # every vertex needs an edge line and a line covers two: n is bounded before n x n is allocated
+    # every vertex needs an edge line and a line covers two: n is bounded before anything of size n exists
     if not 2 <= n <= 2 * (len(text) - 1):
         raise ArgumentError(f"header n = {n} must be in [2, 2 x {len(text) - 1} edge lines]")
     if not 1 <= d < 1 << 32:  # a walk step draws among d slots by multiply_high
         raise ArgumentError(f"header degree {d} must be in [1, 2^32)")
     _require_size(n, d)
-    adj = np.zeros((n, n), dtype=np.int64)
-    for line in text[1:]:
+    edges = np.empty((len(text) - 1, 3), dtype=np.int64)
+    for i, line in enumerate(text[1:]):
         parts = line.split()
         if len(parts) != 3:
             raise ArgumentError(f"edge lines must be 'u v m', got {line!r}")
@@ -254,10 +260,8 @@ def load_edge_list(path: str | Path) -> RegularGraph:
             raise ArgumentError(f"vertex out of range in {line!r}")
         if not 0 <= m <= d:
             raise ArgumentError(f"multiplicity must be in [0, {d}] in {line!r}")
-        adj[u, v] += m
-        if u != v:
-            adj[v, u] += m
-    g = _handed_over(adj)
+        edges[i] = u, v, m
+    g = RegularGraph(n, *edges.T)
     if g.degree != d:
-        raise ArgumentError(f"header degree {d} does not match adjacency degree {g.degree}")
+        raise ArgumentError(f"header degree {d} does not match the edges' degree {g.degree}")
     return g

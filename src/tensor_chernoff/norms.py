@@ -139,30 +139,33 @@ def holder_gauge_violations(vecs: np.ndarray, alphas: np.ndarray, k) -> np.ndarr
     return ~(lhs <= rhs + 1e-9 * (1.0 + rhs))
 
 
-LANCZOS_STEPS = 32  # Krylov dimension cap of both certificates
+LANCZOS_STEPS = 32  # the contraction certificate's Krylov dimension cap; how often a run with a tol checks it
 
 
-def lanczos_top(apply: Callable[[np.ndarray], np.ndarray], start: np.ndarray, steps: int) -> tuple[float, float, int]:
-    """Largest ``|Ritz value|`` of a Hermitian ``H`` after at most ``steps`` three-term Lanczos steps from ``start``.
+def lanczos_top(apply: Callable, start: np.ndarray, steps: int, tol: float = 0.0) -> tuple[float, float, int]:
+    """Largest ``|Ritz value|`` of a Hermitian ``H`` after at most ``steps >= 1`` Lanczos steps from ``start``.
 
-    ``apply(q)`` returns ``H q`` as a new array.  Also returns the Ritz pair's residual ``|beta_k
-    s_k|`` (an eigenvalue lies that close to the value) and the steps taken: fewer once the Krylov
-    space is invariant (a new direction below ``1e-12 ||H q||``), where the value is exact.  NaN if a
-    recurrence coefficient is not finite, since LAPACK may return finite eigenvalues of a NaN matrix.
+    ``apply(q)`` returns ``H q`` as a new array.  Also returns the Ritz pair's residual ``|beta_k s_k|`` (an
+    eigenvalue lies that close to the value) and the steps taken: fewer once the Krylov space is invariant (a new
+    direction below ``1e-12 ||H q||``), where the value is exact, or, with ``tol > 0``, at the first multiple of
+    ``LANCZOS_STEPS`` steps whose residual is at most ``tol``.  NaN if a recurrence coefficient is not finite,
+    since LAPACK may return finite eigenvalues of a NaN matrix.
     """
     q = start / np.linalg.norm(start)
     q_prev, alphas, betas = np.zeros_like(q), [], [0.0]
-    for _ in range(steps):
+    for k in range(1, steps + 1):
         w = apply(q)
         scale = np.linalg.norm(w)
         alphas.append(float(np.vdot(q, w).real))
         w -= alphas[-1] * q + betas[-1] * q_prev
         betas.append(float(np.linalg.norm(w)))
         if not math.isfinite(alphas[-1] + betas[-1]):
-            return math.nan, math.nan, len(alphas)
-        if betas[-1] <= 1e-12 * scale:
-            break
+            return math.nan, math.nan, k
+        last = k == steps or betas[-1] <= 1e-12 * scale
+        if last or (tol > 0 and k % LANCZOS_STEPS == 0):
+            vals, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas[1:-1], 1), UPLO="U")  # the tridiagonal T_k
+            top = int(np.argmax(np.abs(vals)))
+            residual = betas[-1] * abs(float(vecs[-1, top]))
+            if last or residual <= tol:
+                return abs(float(vals[top])), residual, k
         q_prev, q = q, w / betas[-1]
-    vals, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas[1:-1], 1), UPLO="U")  # the tridiagonal T_k
-    top = int(np.argmax(np.abs(vals)))
-    return abs(float(vals[top])), betas[-1] * abs(float(vecs[-1, top])), len(alphas)

@@ -5,9 +5,11 @@ Two kinds of stream, both addressed by a master seed:
 * ``stream(seed, DOMAIN_SUITE, suite_id)`` for suite-level draws,
   ``stream(seed, DOMAIN_TENSORS)`` (one ``standard_normal((2, n, d, d))``
   holds every vertex tensor's real part, then every imaginary part; stamped
-  as :data:`TENSOR_STREAM`), ``DOMAIN_GRAPH`` and ``DOMAIN_PROBE`` (the
-  contraction certificate's Lanczos start): PCG64 seeded by ``SeedSequence``
-  with the key path as ``spawn_key``, independent and reproducible.
+  as :data:`TENSOR_STREAM`), ``DOMAIN_GRAPH``, ``DOMAIN_PROBE`` (the
+  contraction certificate's Lanczos start) and ``DOMAIN_EXPANSION`` (the
+  spectral expansion's: ``standard_normal(n)`` less its mean, under master
+  seed 0): PCG64 seeded by ``SeedSequence`` with the key path as
+  ``spawn_key``, independent and reproducible.
 * Monte Carlo walks read counter-addressed Philox4x64-10 words
   (:func:`counter_words`), so their seed must be in ``[0, 2^64)``: key
   ``(seed, DOMAIN_WALK)``, and walk ``i`` takes its ``b``-th block of four
@@ -57,6 +59,7 @@ DOMAIN_WALK = 2
 DOMAIN_TENSORS = 3
 DOMAIN_GRAPH = 4
 DOMAIN_PROBE = 5
+DOMAIN_EXPANSION = 6
 
 WALK_STREAM = "philox4x64-10/1"
 TENSOR_STREAM = "pcg64-stack/1"

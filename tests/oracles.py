@@ -180,6 +180,12 @@ def multivariate_rhs_oracle(f, cs, k: int, truncation: float, node_count: int) -
     }
 
 
+def dense_spectral_expansion(g) -> float:
+    """Largest absolute nontrivial eigenvalue of ``A / d`` from a dense ``eigvalsh`` of the adjacency."""
+    vals = np.linalg.eigvalsh(g.adjacency / g.degree)
+    return float(np.max(np.abs(vals[:-1])))  # ascending: drop one copy of the trivial eigenvalue 1
+
+
 def cycle_expansion(n: int) -> float:
     """Largest nontrivial |eigenvalue| of the normalized cycle adjacency."""
     return max(abs(math.cos(2.0 * math.pi * j / n)) for j in range(1, n))
@@ -368,9 +374,9 @@ def scalar_theorem_bound(params, poly, fit) -> tuple[float, float]:
     return float(objective(t_opt)), float(t_opt)
 
 
-def loop_edge_slots(g) -> np.ndarray:
+def loop_edge_slots(adj: np.ndarray) -> np.ndarray:
     """Slot table built row by row: row u lists u's neighbors in order, each repeated by multiplicity."""
-    return np.stack([np.repeat(np.arange(g.n), g.adjacency[u]) for u in range(g.n)])
+    return np.stack([np.repeat(np.arange(len(adj)), adj[u]) for u in range(len(adj))])
 
 
 def loop_edge_list_text(g) -> str:
@@ -382,6 +388,28 @@ def loop_edge_list_text(g) -> str:
             if m > 0:
                 lines.append(f"{u} {v} {m}")
     return "\n".join(lines) + "\n"
+
+
+def loop_complete_adjacency(n: int) -> np.ndarray:
+    """Complete-graph adjacency: every pair of distinct vertices adjacent once."""
+    adj = np.zeros((n, n), dtype=np.int64)
+    for u in range(n):
+        for v in range(n):
+            adj[u, v] = int(u != v)
+    return adj
+
+
+def loop_edge_list_adjacency(text: str) -> np.ndarray:
+    """Adjacency of edge-list text, one ``u v m`` line at a time (a loop adds m once)."""
+    lines = text.strip().splitlines()
+    n = int(lines[0].split()[0])
+    adj = np.zeros((n, n), dtype=np.int64)
+    for line in lines[1:]:
+        u, v, m = map(int, line.split())
+        adj[u, v] += m
+        if u != v:
+            adj[v, u] += m
+    return adj
 
 
 def loop_cycle_adjacency(n: int) -> np.ndarray:

@@ -311,7 +311,7 @@ def test_criterion_6_contraction_certificate():
     worst_excess = -math.inf
     cases = 0
     for gname, graph in graphs.items():
-        lam = spectral_expansion(graph)
+        lam = spectral_expansion(graph)[0]
         for sname, shape in shapes.items():
             assignment = random_assignment(graph, shape, radius=1.0, seed=606 + cases)
             for t, a, b in ((0.3, 1.0, 0.7), (0.15, 1.0, 0.0)):
@@ -333,7 +333,7 @@ def test_criterion_7_transfer_sandwich():
     shapes = [TensorShape.square((2,)), TensorShape.square((2, 2))]
     admissible, worst_gap = 0, -math.inf
     for gname, graph in graphs.items():
-        lam = spectral_expansion(graph)
+        lam = spectral_expansion(graph)[0]
         for shape in shapes:
             assignment = random_assignment(graph, shape, radius=1.0, seed=717)
             points = [(t, a, b) for t in (0.02, 0.05, 0.1, 0.2, 0.4, 0.8) for a, b in ((1.0, 0.0), (1.0, 0.5))]
@@ -396,7 +396,7 @@ def test_criterion_8_tail_bound_end_to_end():
     worst_rel = 0.0
     total_violations = 0
     for graph, gname in ((gen_complete(4), "K4"), (gen_hypercube(3), "Q3")):
-        lam_bar = 1.0 - spectral_expansion(graph)
+        lam_bar = 1.0 - spectral_expansion(graph)[0]
         assignment = random_assignment(graph, TensorShape.square((2,)), radius=1.0, seed=808)
         for kappa in (4, 8, 16):
             for k in (1, 2):

@@ -131,7 +131,7 @@ def test_zero_assignment_certificate():
         # radius 0 is rejected by ChernoffParams, but the certificate works
         ChernoffParams(kappa=1, k=1, theta=1.0, lam_bar=0.5, dim=2, radius=0.0)
     rep = contraction_certificate(
-        VertexTensorAssignment(g, S2, zeros), t=0.7, a=1.0, b=0.3, lam=spectral_expansion(g)
+        VertexTensorAssignment(g, S2, zeros), t=0.7, a=1.0, b=0.3, lam=spectral_expansion(g)[0]
     )
     # F is the identity: parts 2 and 3 are exactly zero, parts 1 and 4 contract
     assert rep.norms[1] <= 1e-9
@@ -156,7 +156,7 @@ def test_certificate_on_small_graphs():
     rng_seed = 3
     for graph in (gen_complete(4), gen_cycle(4)):
         assignment = random_assignment(graph, S2, radius=1.0, seed=rng_seed)
-        rep = contraction_certificate(assignment, t=0.4, a=1.0, b=0.5, lam=spectral_expansion(graph))
+        rep = contraction_certificate(assignment, t=0.4, a=1.0, b=0.5, lam=spectral_expansion(graph)[0])
         assert rep.holds, rep
 
 
@@ -187,7 +187,7 @@ def test_stack_apply_matches_dense_operator():
 ], ids=["K4-d2", "C2-d3", "rr10x3-d1", "rr16x6-d4", "Q3-d4", "rr16x5-d2", "C5-d8"])
 def test_certificate_norms_match_dense_operator(graph, dims):
     assignment = random_assignment(graph, TensorShape.square(dims), radius=1.0, seed=graph.n + len(dims))
-    lam = spectral_expansion(graph)
+    lam = spectral_expansion(graph)[0]
     for t, a, b in ((0.5, 1.0, 0.5), (0.3, 1.0, 0.0)):
         rep = contraction_certificate(assignment, t, a, b, lam, seed=9)
         ref = dense_contraction_norms(assignment, t, a, b)
@@ -204,7 +204,7 @@ def test_certificate_returns_nan_for_a_nan_operator(monkeypatch):
     assignment = random_assignment(graph, S2, radius=1.0, seed=1)
     assert assignment.dim <= chernoff._KRONECKER_MAX_DIM  # the vertex maps share the Gram parts' R
     monkeypatch.setattr(chernoff, "_vertex_coordinates", lambda *args: np.full((4, 4, 4), np.nan))
-    rep = contraction_certificate(assignment, 0.3, 1.0, 0.5, spectral_expansion(graph))
+    rep = contraction_certificate(assignment, 0.3, 1.0, 0.5, spectral_expansion(graph)[0])
     assert all(math.isnan(w) for w in rep.norms) and not rep.holds
 
 
@@ -242,7 +242,7 @@ def test_hermitian_coordinates_are_orthonormal(d):
 def test_coordinate_layer_matches_the_complex_kronecker_path(graph, dims, b):
     # d = 8 runs the factored vertex maps; every d builds the Gram parts from the coordinate stack
     assignment = random_assignment(graph, TensorShape.square(dims), radius=1.0, seed=graph.n + len(dims))
-    rep = contraction_certificate(assignment, 0.5, 1.0, b, spectral_expansion(graph), seed=9)
+    rep = contraction_certificate(assignment, 0.5, 1.0, b, spectral_expansion(graph)[0], seed=9)
     ref = kronecker_gram_norms(assignment, 0.5, 1.0, b)
     for part, (got, want) in enumerate(zip(rep.norms[:3], ref), start=1):
         assert abs(got - want) <= 1e-12 * want, (part, rep.norms, ref)
@@ -272,7 +272,7 @@ def test_a_map_that_does_not_keep_stacks_hermitian_raises(monkeypatch):
     for shape in (S2, S222):  # the coordinate stack builds the Gram parts at every d
         assignment = random_assignment(graph, shape, radius=1.0, seed=1)
         with pytest.raises(NumericalError, match="does not preserve Hermitian stacks"):
-            contraction_certificate(assignment, 0.3, 1.0, 0.5, spectral_expansion(graph))
+            contraction_certificate(assignment, 0.3, 1.0, 0.5, spectral_expansion(graph)[0])
     with pytest.raises(NumericalError, match="does not preserve Hermitian stacks"):
         transfer_expectation(random_assignment(graph, S22, radius=1.0, seed=1), 0.3, 1.0, 0.0, 2)
 
@@ -317,7 +317,7 @@ def test_certificate_memory_stays_bounded():
     # over vertex chunks
     graph = gen_random_regular(256, 6, seed=0)
     assignment = random_assignment(graph, TensorShape.square((4,)), radius=1.0, seed=1)
-    lam = spectral_expansion(graph)
+    lam = spectral_expansion(graph)[0]
     assignment.eigh()
     tracemalloc.start()
     try:
@@ -390,7 +390,7 @@ def test_expectation_bound():
 
 def test_transfer_below_expectation_bound():
     for graph in (gen_complete(4), gen_cycle(5)):
-        lam = spectral_expansion(graph)
+        lam = spectral_expansion(graph)[0]
         assignment = random_assignment(graph, S2, radius=1.0, seed=2)
         params = ChernoffParams(
             kappa=3, k=1, theta=1.0, lam_bar=1 - lam, dim=2, radius=assignment.radius
@@ -641,7 +641,7 @@ def test_tail_table_validates_every_threshold_and_the_fit():
 def test_tail_table_rows_equal_an_independent_computation(graph, shape, k, poly):
     # tail_table's own wiring: its walks take kappa steps and its bounds carry the graph's lam_bar
     assignment = random_assignment(graph, shape, radius=1.0, seed=12)
-    lam_bar, kappa, num_walks, thetas = spectral_expansion(graph), 8, 3000, [1.0, 2.0, 4.0, 6.0, 120.0]
+    lam_bar, kappa, num_walks, thetas = spectral_expansion(graph)[0], 8, 3000, [1.0, 2.0, 4.0, 6.0, 120.0]
     assert lam_bar > 0.0
     table = tail_table(assignment, poly, k, thetas, num_walks, kappa, seed=5, lam_bar=lam_bar, fit=FIT)
     p_hats = direct_tail_p_hat(assignment, poly, k, thetas, num_walks, kappa, seed=5)

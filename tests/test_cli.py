@@ -70,6 +70,7 @@ def test_run_json_and_exit_code(sweep_config, tmp_path, capsys):
     assert rep.environment["tensor_stream"] == "pcg64-stack/1"
     assert rep.environment["inequality_stream"] == "pcg64-trial-stacks/1"
     assert rep.environment["certificate"] == "gram-lanczos/3"
+    assert rep.environment["expansion"] == "slot-lanczos/1"
     printed = capsys.readouterr().out
     assert "[PASS]" in printed
 

@@ -23,7 +23,10 @@ from tensor_chernoff.rng import DOMAIN_WALK, counter_words, multiply_high
 
 from oracles import (
     cycle_expansion,
+    dense_spectral_expansion,
+    loop_complete_adjacency,
     loop_cycle_adjacency,
+    loop_edge_list_adjacency,
     loop_edge_list_text,
     loop_edge_slots,
     loop_hypercube_adjacency,
@@ -36,20 +39,21 @@ from oracles import (
 
 
 def test_regular_graph_validation():
-    with pytest.raises(ArgumentError):
-        RegularGraph(np.array([[0, 1], [0, 0]]))  # asymmetric
-    with pytest.raises(ArgumentError):
-        RegularGraph(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]))  # unequal rows
-    with pytest.raises(ArgumentError):
-        RegularGraph(np.array([[1]]))  # too small
-    g = RegularGraph(np.array([[1, 1], [1, 1]]))  # self-loops count with multiplicity
-    assert g.degree == 2
-    for adj, match in ((np.zeros((2, 3)), "square"),
-                       (np.array([[0.0, 1.5], [1.5, 0.0]]), "integers"),
-                       (np.array([[-1, 1], [1, -1]]), "nonnegative"),
-                       (np.zeros((2, 2), dtype=np.int64), "degree must be at least 1")):
+    with pytest.raises(ArgumentError, match="degrees must be equal, got 1 to 2"):
+        RegularGraph(3, [0, 1], [1, 2])  # a path
+    with pytest.raises(ArgumentError, match="n = 1"):
+        RegularGraph(1, [0], [0])  # too small
+    g = RegularGraph(2, [0, 0, 1], [0, 1, 1])  # a loop fills one slot of its vertex
+    assert g.degree == 2 and g.edge_slots().tolist() == [[0, 1], [0, 1]]
+    g = RegularGraph(2, [1, 0, 1], [0, 0, 1], [1, 2, 2])  # multiplicities, either end first
+    assert g.degree == 3 and g.edge_slots().tolist() == [[0, 0, 1], [0, 1, 1]]
+    assert g.adjacency.tolist() == [[2, 1], [1, 2]]
+    for edges, match in ((([0.0], [1.0]), "1-D integer arrays"), (([[0]], [[1]]), "1-D integer arrays"),
+                         (([0, 1], [1]), "of one length"), (([0, 1], [1, 0], [1]), "of one length"),
+                         (([0], [2]), r"vertices in \[0, 2\)"), (([-1], [1]), r"vertices in \[0, 2\)"),
+                         (([0], [1], [-1]), "nonnegative"), (([0], [1], [0]), "degree 0 must be >= 1")):
         with pytest.raises(ArgumentError, match=match):
-            RegularGraph(adj)
+            RegularGraph(2, *edges)
 
 
 def test_normalized_adjacency():
@@ -64,24 +68,38 @@ def test_normalized_adjacency():
 
 
 def test_known_expansions():
-    assert spectral_expansion(gen_complete(4)) == pytest.approx(1 / 3, abs=1e-12)
+    assert spectral_expansion(gen_complete(4))[0] == pytest.approx(1 / 3, abs=1e-12)
     # circulant eigenvalue oracle: cos(2 pi j / 5)
-    assert spectral_expansion(gen_cycle(5)) == pytest.approx(cycle_expansion(5), abs=1e-12)
-    assert spectral_expansion(gen_cycle(5)) == pytest.approx(0.8090169943749475, abs=1e-12)
+    assert spectral_expansion(gen_cycle(5))[0] == pytest.approx(cycle_expansion(5), abs=1e-12)
+    assert spectral_expansion(gen_cycle(5))[0] == pytest.approx(0.8090169943749475, abs=1e-12)
     # bipartite graphs are non-expanding under the absolute-value definition
-    assert spectral_expansion(gen_cycle(4)) == pytest.approx(1.0, abs=1e-12)
-    assert spectral_expansion(gen_hypercube(3)) == pytest.approx(1.0, abs=1e-12)
+    assert spectral_expansion(gen_cycle(4))[0] == pytest.approx(1.0, abs=1e-12)
+    assert spectral_expansion(gen_hypercube(3))[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_expansion_certificate():
     g = gen_random_regular(30, 6, seed=11)
-    lam = spectral_expansion(g)
+    lam = spectral_expansion(g)[0]
     a = normalized_adjacency(g)
     rng = np.random.default_rng(0)
     for _ in range(100):
         x = rng.standard_normal(g.n)
         x -= x.mean()  # orthogonal to the all-ones vector
         assert np.linalg.norm(a @ x) <= lam * np.linalg.norm(x) + 1e-9
+
+
+@pytest.mark.parametrize("build", [lambda: gen_complete(2), lambda: gen_complete(4), lambda: gen_cycle(5),
+                                   lambda: gen_cycle(6), lambda: gen_hypercube(3),
+                                   lambda: gen_random_regular(16, 5, seed=0), lambda: gen_random_regular(256, 6, seed=1),
+                                   lambda: gen_random_regular(2048, 6, seed=1)],
+                         ids=["K2", "K4", "C5", "C6", "Q3", "rr16x5", "rr256x6", "rr2048x6"])
+def test_slot_lanczos_expansion_matches_the_dense_oracle(build):
+    # C6 and Q3 are bipartite (lambda = 1); rr16x5 has self-loops and multi-edges
+    g = build()
+    lam, residual, steps = spectral_expansion(g)
+    assert abs(lam - dense_spectral_expansion(g)) <= 1e-12 and residual <= 1e-10, (lam, residual)
+    assert 1 <= steps <= g.n - 1
+    assert spectral_expansion(g) == (lam, residual, steps)  # the same bits again: a fixed start
 
 
 def test_generators_basic():
@@ -95,20 +113,33 @@ def test_generators_basic():
         gen_hypercube(0)
 
 
-def test_generators_match_loop_oracles():
+def _assert_bytes(g, adj):
+    """The slot table and the derived adjacency are the loop oracle's, dtype and bytes."""
+    slots = g.edge_slots()
+    assert slots.dtype == np.int64 and slots.tobytes() == loop_edge_slots(adj).tobytes()
+    assert g.adjacency.dtype == np.int64 and g.adjacency.tobytes() == adj.tobytes()
+    assert not slots.flags.writeable and not g.adjacency.flags.writeable
+
+
+def test_generators_match_loop_oracles(tmp_path):
+    for n in (2, 3, 4, 9):
+        _assert_bytes(gen_complete(n), loop_complete_adjacency(n))
     for n in (2, 3, 4, 7, 16):
-        assert np.array_equal(gen_cycle(n).adjacency, loop_cycle_adjacency(n)), n
+        _assert_bytes(gen_cycle(n), loop_cycle_adjacency(n))
     for dim in (1, 2, 3, 5):
-        assert np.array_equal(gen_hypercube(dim).adjacency, loop_hypercube_adjacency(dim)), dim
+        _assert_bytes(gen_hypercube(dim), loop_hypercube_adjacency(dim))
     # small n makes fixed points and repeated pairs, so self-loops and multi-edges occur
     loops = multi = 0
     for n, d in ((2, 1), (2, 3), (4, 2), (4, 3), (6, 5), (9, 4), (16, 5), (30, 7)):
         for seed in (0, 1, 17):
-            got = gen_random_regular(n, d, seed).adjacency
-            assert np.array_equal(got, loop_random_regular_adjacency(n, d, seed)), (n, d, seed)
-            loops += int(np.trace(got) > 0)
-            multi += int(np.any(got - np.diag(np.diag(got)) > 1))
+            adj = loop_random_regular_adjacency(n, d, seed)
+            _assert_bytes(gen_random_regular(n, d, seed), adj)
+            loops += int(np.trace(adj) > 0)
+            multi += int(np.any(adj - np.diag(np.diag(adj)) > 1))
     assert loops > 0 and multi > 0
+    loaded = tmp_path / "multi.txt"
+    loaded.write_text(MULTIGRAPH)
+    _assert_bytes(load_edge_list(loaded), loop_edge_list_adjacency(MULTIGRAPH))
 
 
 def test_random_regular_determinism():
@@ -121,7 +152,7 @@ def test_random_regular_determinism():
     # odd-degree multigraph with self-loops: slot rows repeat by multiplicity
     g = gen_random_regular(16, 5, seed=0)
     assert np.trace(g.adjacency) > 0 and np.any(g.adjacency - np.diag(np.diag(g.adjacency)) > 1)
-    assert np.array_equal(g.edge_slots(), loop_edge_slots(g))
+    assert np.array_equal(g.edge_slots(), loop_edge_slots(g.adjacency))
 
 
 # a loaded multigraph: self-loops of multiplicity 1 and 2 and double edges, d = 4
@@ -138,7 +169,7 @@ def test_slot_table_and_edge_list_match_loop_oracles(tmp_path):
     out = tmp_path / "g.txt"
     for g in graphs:
         slots = g.edge_slots()
-        assert slots.dtype == np.int64 and np.array_equal(slots, loop_edge_slots(g)), (g.n, g.degree)
+        assert slots.dtype == np.int64 and np.array_equal(slots, loop_edge_slots(g.adjacency)), (g.n, g.degree)
         save_edge_list(g, out)
         assert out.read_text() == loop_edge_list_text(g), (g.n, g.degree)
     assert out.read_text() == MULTIGRAPH
@@ -148,35 +179,28 @@ def _build_peak(build):
     tracemalloc.start()
     try:
         g = build()
-        return tracemalloc.get_traced_memory()[1] / g.adjacency.nbytes
+        return g, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 def test_graph_build_peak_memory():
-    # the generators hand their adjacency over uncopied: it and a boolean temporary, 1.15x (2.15x with a copy)
-    for build in (lambda: gen_random_regular(2048, 6, seed=1), lambda: gen_cycle(2048), lambda: gen_hypercube(11)):
-        ratio = _build_peak(build)
-        assert ratio <= 1.2, ratio
-    # K_n has n(n - 1) nonzero cells, so each cell-sized temporary costs one adjacency: 4.0x, 5.0x with one more
-    ratio = _build_peak(lambda: gen_complete(1024))
-    assert ratio < 4.25, ratio
-
-
-def test_graph_copies_a_caller_array_and_freezes_only_its_own():
-    ring = gen_cycle(6).adjacency
-    assert not ring.flags.writeable
-    for adj in (ring.copy(), ring.astype(np.int32), np.asfortranarray(ring)):
-        g = RegularGraph(adj)
-        assert adj.flags.writeable and g.adjacency is not adj  # the caller's array stays writeable
-        adj[0, 1] += 5  # and changing it leaves the graph as built
-        assert not g.adjacency.flags.writeable and np.array_equal(g.adjacency, ring)
-    frozen = ring.copy()
-    frozen.setflags(write=False)
-    assert RegularGraph(frozen).adjacency is frozen  # a read-only int64 array is adopted
-    view = ring.copy()[::1]  # a read-only view of a writeable array could change under the graph: copied
-    view.setflags(write=False)
-    assert RegularGraph(view).adjacency is not view
+    gen_random_regular(4, 3, seed=0)  # numpy.random's first import is not part of a build
+    # a build holds its edge arrays, the arcs both ways and the arc keys, which are sorted into the slot
+    # table in place: about 5.7 tables for the random regular graph (its loop multiplicities add a repeat),
+    # 3.6 for K_n (its edges are half the table, plus triu_indices' n x n mask); the graph keeps only the table
+    for build, tables in ((lambda: gen_random_regular(2048, 6, seed=1), 6.5), (lambda: gen_cycle(2048), 6.5),
+                          (lambda: gen_hypercube(11), 6.5), (lambda: gen_complete(1024), 4.0)):
+        g, peak = _build_peak(build)
+        assert peak <= tables * g.edge_slots().nbytes, (g.n, g.degree, peak)
+        assert [name for name, value in vars(g).items() if isinstance(value, np.ndarray)] == ["_slots"]
+    # the largest n: 0.38 MiB of slots, about 2.2 MiB at the peak; its n x n adjacency alone is 512 MiB
+    g, peak = _build_peak(lambda: gen_random_regular(8192, 6, seed=7))
+    assert peak <= 16 * 2**20, peak
+    assert spectral_expansion(g)[1] <= 1e-10  # and its lambda needs no n x n array either
+    g = gen_cycle(5)
+    adj = g.adjacency  # derived on the first read, then kept
+    assert g.adjacency is adj and "adjacency" in vars(g)
 
 
 def test_walk_on_k2_alternates():
@@ -313,12 +337,18 @@ def test_two_step_joint_distribution():
 
 
 def test_edge_list_roundtrip(tmp_path):
-    for g in (gen_complete(4), gen_cycle(2), gen_random_regular(10, 3, seed=4)):
-        p = tmp_path / "g.txt"
+    loaded = tmp_path / "multi.txt"
+    loaded.write_text(MULTIGRAPH)
+    for g in (gen_complete(4), gen_cycle(2), gen_random_regular(10, 3, seed=4), gen_random_regular(16, 5, seed=0),
+              load_edge_list(loaded)):
+        p, again = tmp_path / "g.txt", tmp_path / "again.txt"
         save_edge_list(g, p)
         back = load_edge_list(p)
+        assert back.edge_slots().tobytes() == g.edge_slots().tobytes()
         assert np.array_equal(back.adjacency, g.adjacency)
         assert back.degree == g.degree
+        save_edge_list(back, again)
+        assert again.read_bytes() == p.read_bytes()
 
 
 def test_edge_list_rejects_irregular(tmp_path):
@@ -331,5 +361,5 @@ def test_edge_list_rejects_irregular(tmp_path):
         with pytest.raises(ArgumentError, match="integers"):
             load_edge_list(p)
     p.write_text("2 2\n0 1 1\n")  # a regular graph of degree 1 under a degree-2 header
-    with pytest.raises(ArgumentError, match="header degree 2 does not match adjacency degree 1"):
+    with pytest.raises(ArgumentError, match="header degree 2 does not match the edges' degree 1"):
         load_edge_list(p)

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from tensor_chernoff import runner as runner_mod
 from tensor_chernoff.config import parse_config
 from tensor_chernoff.errors import ConfigError
-from tensor_chernoff.graphs import gen_cycle, normalized_adjacency, sample_walks_array, save_edge_list
+from tensor_chernoff.graphs import RegularGraph, gen_cycle, normalized_adjacency, sample_walks_array, save_edge_list
 from tensor_chernoff.runner import build_graph, run
 
 
@@ -112,6 +113,25 @@ def test_tail_check_names_the_thresholds_that_assumption_3_excludes():
     assert tail.detail == "skipped: 6 vacuous bounds; assumption-3 violations exclude theta = 1000"
 
 
+@pytest.mark.parametrize("text", [
+    (Path(__file__).parent.parent / "configs" / "chernoff_k4.ini").read_text(),
+    "[experiment]\nsuite = chernoff_sweep\nseed = 5\n"
+    "[graph]\nkind = random_regular\nn = 64\ndegree = 5\n"
+    "[tensors]\nsource = random\nrow_dims = 2 2\nradius = 1.0\n"
+    "[walk]\nkappa = 4\nk = 2\nnum_walks = 2000\n"
+    "[sweep]\ntheta_grid = 2 8\n",
+], ids=["chernoff_k4", "rr64x5-dim4"])
+def test_chernoff_sweep_never_reads_the_adjacency(monkeypatch, text):
+    # the graph is its slot table: lambda, the walks, the certificate and the sandwich need no n x n array
+    def refuse(graph):
+        raise AssertionError("the n x n adjacency was read")
+
+    monkeypatch.setattr(RegularGraph, "adjacency", property(refuse))
+    rep = _run_text(text)
+    assert rep.all_passed, [c for c in rep.checks if not c.passed]
+    assert rep.environment["expansion"] == "slot-lanczos/1"
+
+
 def test_build_graph_dispatch(tmp_path):
     spec = parse_config("[graph]\nkind = cycle\nn = 7\n").graph
     assert build_graph(spec, seed=0).n == 7
@@ -174,5 +194,6 @@ def test_two_step_joint_check_fails_a_step_that_cannot_happen(monkeypatch):
         return a
 
     monkeypatch.setattr(runner_mod, "normalized_adjacency", nan_cell)
-    check = {c.name: c for c in _run_text(SMALL_EXPANDER.format(seed=1)).checks}["two_step_joint_max_sigma"]
-    assert math.isnan(check.lhs) and not check.passed
+    checks = {c.name: c for c in _run_text(SMALL_EXPANDER.format(seed=1)).checks}
+    for name in ("two_step_joint_max_sigma", "expansion_certificate"):  # the dense lambda reads both triangles
+        assert math.isnan(checks[name].lhs) and not checks[name].passed, name

@@ -92,7 +92,7 @@ def _commuting_tuples(rng, batch=1, count=2, dim=3):
 
 def _k4_assignment():
     graph = gen_complete(4)
-    return random_assignment(graph, TensorShape.square((2,)), radius=1.0, seed=717), spectral_expansion(graph)
+    return random_assignment(graph, TensorShape.square((2,)), radius=1.0, seed=717), spectral_expansion(graph)[0]
 
 
 def _nan(*args, **kwargs):
