@@ -4,9 +4,9 @@ A graph is stored only as its read-only ``(n, d)`` slot table: row ``u``
 lists the neighbors of ``u`` in ascending order, each repeated by
 multiplicity (multi-edges and self-loops are allowed).  The one constructor
 takes edge arrays, so symmetry holds by construction.  The int64 adjacency
-``A`` is derived from the table when first read, by the expander suite's
-dense checks; walks, the transfer operator, the certificate and the spectral
-expansion read only the table.
+``A`` is counted from the table on each read and not kept, for the expander
+suite's dense checks; walks, the transfer operator, the certificate and the
+spectral expansion read only the table.
 
 The spectral expansion is the largest ABSOLUTE nontrivial eigenvalue of
 ``A / d``: the quoted "second largest eigenvalue" phrasing is weaker than the
@@ -15,9 +15,13 @@ all-ones vector that the tail bounds actually consume, so the absolute-value
 definition is implemented (bipartite graphs report lambda = 1, i.e.
 non-expanding).  It is the top ``|Ritz value|`` of a Lanczos run on ``P' (A /
 d) P'`` (``P'`` the projection off the all-ones vector) through the slot
-mean, from a fixed start (:mod:`.rng`), that stops at the first multiple of
-32 steps whose Ritz residual (an eigenvalue lies that close) is at most
-``EXPANSION_TOL``, on an exhausted Krylov space, or after ``n - 1`` steps.
+mean, from a fixed start (:mod:`.rng`), that stops at the first of its
+geometrically spaced checks (:func:`.norms.lanczos_top`) whose Ritz residual
+(an eigenvalue lies that close) is at most ``EXPANSION_TOL``, on an exhausted
+Krylov space, or after ``n - 1`` steps.
+A Ritz value lies within the spectrum, so lambda is a lower estimate of the
+true one, which may exceed it by at most the residual when the top
+eigenvalue is the one it approximates.
 
 Every generator and the edge-list loader bound the size before they
 allocate: ``2 <= n <= 2^13``, ``d >= 1`` and ``n * d <= 2^26`` (the ``(n, d)``
@@ -38,7 +42,6 @@ DOMAIN_WALK)`` (see :mod:`.rng`), so estimates do not depend on chunking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -104,9 +107,9 @@ class RegularGraph:
         """Read-only (n, d) table: row u lists the neighbors of u in order, each repeated by multiplicity."""
         return self._slots
 
-    @cached_property
+    @property
     def adjacency(self) -> np.ndarray:
-        """Read-only ``n x n`` int64 adjacency, counted from the slot table the first time it is read."""
+        """Read-only ``n x n`` int64 adjacency, counted from the slot table on each read; the graph keeps none."""
         cells = np.repeat(np.arange(self.n) * self.n, self.degree) + self._slots.ravel()
         adj = np.bincount(cells, minlength=self.n * self.n).reshape(self.n, self.n)  # intp: int64
         adj.setflags(write=False)

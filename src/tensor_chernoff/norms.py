@@ -14,6 +14,7 @@ estimates the spectral radius of a Hermitian operator given only its action.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable
 
 import numpy as np
@@ -139,7 +140,54 @@ def holder_gauge_violations(vecs: np.ndarray, alphas: np.ndarray, k) -> np.ndarr
     return ~(lhs <= rhs + 1e-9 * (1.0 + rhs))
 
 
-LANCZOS_STEPS = 32  # the contraction certificate's Krylov dimension cap; how often a run with a tol checks it
+LANCZOS_STEPS = 32  # the contraction certificate's Krylov dimension cap
+DENSE_TRIDIAGONAL = 256  # largest T_k whose top pair comes from LAPACK's O(k^3) eigh; past it, O(k) per bisection step
+
+
+def _pivots(diag: list, squares: list, pivmin: float) -> list:
+    """LDL^T pivots of the symmetric tridiagonal with diagonal ``diag`` and squared off-diagonal ``squares`` (led by
+    a 0), each kept ``pivmin`` from 0 as in LAPACK's dlaebz: as many are negative as eigenvalues are."""
+    out, p = [], 1.0
+    for s, b2 in zip(diag, squares):
+        p = s - b2 / p
+        p = p if abs(p) >= pivmin else -pivmin
+        out.append(p)
+    return out
+
+
+def _tridiagonal_top(alphas: list, betas: list) -> tuple[float, float]:
+    """Largest-``|value|`` eigenvalue of the symmetric tridiagonal with diagonal ``alphas`` and off-diagonal
+    ``betas``, and the last entry of its unit eigenvector.
+
+    Up to ``DENSE_TRIDIAGONAL`` by LAPACK's eigh; past it by bisection on pivot signs for each end of the spectrum
+    (as LAPACK's dstebz) and a twisted factorization of ``T - value`` (as its dlar1v): the eigenvector is 1 at the
+    index where the top-down and bottom-up pivots agree best and follows each one's bidiagonal factor outward.
+    """
+    k = len(alphas)
+    if k <= DENSE_TRIDIAGONAL:
+        vals, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1), UPLO="U")
+        top = int(np.argmax(np.abs(vals)))
+        return float(vals[top]), float(vecs[-1, top])
+    a, b = np.array(alphas), np.array(betas)
+    squares = [0.0] + (b * b).tolist()
+    pivmin = sys.float_info.min * max(1.0, max(squares))
+    bound = 2.0 * float(np.max(np.abs(a) + np.abs(np.append(b, 0.0)) + np.abs(np.insert(b, 0, 0.0)))) + pivmin
+    ends = []
+    for below in (0, k - 1):  # no eigenvalue lies below the bottom end, k - 1 below the top one
+        lo, hi = -bound, bound  # twice Gershgorin's radius, halved to 2^-54 of it
+        for _ in range(56):
+            mid = 0.5 * (lo + hi)
+            negative = sum(p < 0 for p in _pivots((a - mid).tolist(), squares, pivmin))
+            lo, hi = (mid, hi) if negative <= below else (lo, mid)
+        ends.append(0.5 * (lo + hi))
+    value = max(ends, key=abs)
+    down = np.array(_pivots((a - value).tolist(), squares, pivmin))
+    up = np.array(_pivots((a - value).tolist()[::-1], squares[:1] + squares[:0:-1], pivmin))[::-1]
+    r = int(np.argmin(np.abs(down + up - (a - value))))
+    z = np.ones(k)
+    z[:r] = np.cumprod((-b[:r] / down[:r])[::-1])[::-1]
+    z[r + 1:] = np.cumprod(-b[r:] / up[r + 1:])
+    return value, float(z[-1] / np.linalg.norm(z))
 
 
 def lanczos_top(apply: Callable, start: np.ndarray, steps: int, tol: float = 0.0) -> tuple[float, float, int]:
@@ -147,12 +195,13 @@ def lanczos_top(apply: Callable, start: np.ndarray, steps: int, tol: float = 0.0
 
     ``apply(q)`` returns ``H q`` as a new array.  Also returns the Ritz pair's residual ``|beta_k s_k|`` (an
     eigenvalue lies that close to the value) and the steps taken: fewer once the Krylov space is invariant (a new
-    direction below ``1e-12 ||H q||``), where the value is exact, or, with ``tol > 0``, at the first multiple of
-    ``LANCZOS_STEPS`` steps whose residual is at most ``tol``.  NaN if a recurrence coefficient is not finite,
-    since LAPACK may return finite eigenvalues of a NaN matrix.
+    direction below ``1e-12 ||H q||``), where the value is exact, or, with ``tol > 0``, at the first check whose
+    residual is at most ``tol``.  The checks come 32 steps apart up to 64 steps, then each after half as many steps
+    again as taken (96, 144, 216, ...), so together they cost a few times the last one and overshoot by at most
+    half.  NaN if a recurrence coefficient is not finite, since LAPACK may return finite eigenvalues of a NaN matrix.
     """
     q = start / np.linalg.norm(start)
-    q_prev, alphas, betas = np.zeros_like(q), [], [0.0]
+    q_prev, alphas, betas, check = np.zeros_like(q), [], [0.0], 32
     for k in range(1, steps + 1):
         w = apply(q)
         scale = np.linalg.norm(w)
@@ -162,10 +211,10 @@ def lanczos_top(apply: Callable, start: np.ndarray, steps: int, tol: float = 0.0
         if not math.isfinite(alphas[-1] + betas[-1]):
             return math.nan, math.nan, k
         last = k == steps or betas[-1] <= 1e-12 * scale
-        if last or (tol > 0 and k % LANCZOS_STEPS == 0):
-            vals, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas[1:-1], 1), UPLO="U")  # the tridiagonal T_k
-            top = int(np.argmax(np.abs(vals)))
-            residual = betas[-1] * abs(float(vecs[-1, top]))
+        if last or (tol > 0 and k == check):
+            check += max(32, k // 2)
+            value, end = _tridiagonal_top(alphas, betas[1:-1])  # of the tridiagonal T_k
+            residual = betas[-1] * abs(end)
             if last or residual <= tol:
-                return abs(float(vals[top])), residual, k
+                return abs(value), residual, k
         q_prev, q = q, w / betas[-1]

@@ -423,7 +423,7 @@ def _suite_chernoff_sweep(cfg: ExperimentConfig, seed: int):
 
     g1, g2, g3, g4 = gamma_bounds(0.2, assignment.radius, 1.0, 0.5, lam)
     gamma_err = max(abs(g2 - lam * g3), abs(g4 - lam * g1))
-    detail = f"lambda = {lam:.6f} by {steps} slot-Lanczos steps, Ritz residual {residual:.1e}"
+    detail = f"lambda = {lam:.6f}, a Ritz lower estimate by {steps} slot-Lanczos steps, residual {residual:.1e}"
     checks.append(CheckRecord.from_bound("gamma_algebra_error", gamma_err, 0.0, detail=detail))
 
     if fit.verified:

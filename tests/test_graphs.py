@@ -1,10 +1,12 @@
 """Graph spectra, generators, and stationary-walk statistics."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from tensor_chernoff import norms
 from tensor_chernoff.chernoff import DEFAULT_TAIL_CHUNK
 from tensor_chernoff.errors import ArgumentError
 from tensor_chernoff.graphs import (
@@ -91,15 +93,40 @@ def test_expansion_certificate():
 @pytest.mark.parametrize("build", [lambda: gen_complete(2), lambda: gen_complete(4), lambda: gen_cycle(5),
                                    lambda: gen_cycle(6), lambda: gen_hypercube(3),
                                    lambda: gen_random_regular(16, 5, seed=0), lambda: gen_random_regular(256, 6, seed=1),
-                                   lambda: gen_random_regular(2048, 6, seed=1)],
-                         ids=["K2", "K4", "C5", "C6", "Q3", "rr16x5", "rr256x6", "rr2048x6"])
+                                   lambda: gen_random_regular(2048, 6, seed=1), lambda: _looped_path(300)],
+                         ids=["K2", "K4", "C5", "C6", "Q3", "rr16x5", "rr256x6", "rr2048x6", "P300"])
 def test_slot_lanczos_expansion_matches_the_dense_oracle(build):
-    # C6 and Q3 are bipartite (lambda = 1); rr16x5 has self-loops and multi-edges
+    # C6 and Q3 are bipartite (lambda = 1); rr16x5 has self-loops and multi-edges; P300 runs past the
+    # dense tridiagonal size to n - 1 steps
     g = build()
     lam, residual, steps = spectral_expansion(g)
     assert abs(lam - dense_spectral_expansion(g)) <= 1e-12 and residual <= 1e-10, (lam, residual)
     assert 1 <= steps <= g.n - 1
     assert spectral_expansion(g) == (lam, residual, steps)  # the same bits again: a fixed start
+
+
+def _looped_path(n: int) -> RegularGraph:
+    """The path 0 - 1 - ... - n-1 with a loop at each end: 2-regular, lambda = cos(pi / n), slow to converge."""
+    return RegularGraph(n, np.r_[0, n - 1, 0:n - 1], np.r_[0, n - 1, 1:n])
+
+
+def test_slot_lanczos_checks_a_slow_graph_on_a_geometric_schedule(monkeypatch):
+    # the odd cycle's top eigenvalue -cos(pi / n) is 4 pi^2 / n^2 from the next, so its Ritz pair converges
+    # only after thousands of steps; the checks grow by half each (past norms.DENSE_TRIDIAGONAL by O(k)
+    # bisection), so no k x k matrix is formed for k in the thousands (a dense lambda of C_8191 takes tens of seconds)
+    sizes, top = [], norms._tridiagonal_top
+
+    def recording(alphas, betas):
+        sizes.append(len(alphas))
+        return top(alphas, betas)
+
+    monkeypatch.setattr(norms, "_tridiagonal_top", recording)
+    lam, residual, steps = spectral_expansion(gen_cycle(8191))
+    assert residual <= 1e-10 and abs(lam - math.cos(math.pi / 8191)) <= 1e-15, (lam, residual)
+    schedule = [32]
+    while schedule[-1] < steps:
+        schedule.append(schedule[-1] + max(32, schedule[-1] // 2))
+    assert sizes == schedule and len(sizes) <= 13 and steps < 8190, (sizes, steps)
 
 
 def test_generators_basic():
@@ -199,8 +226,7 @@ def test_graph_build_peak_memory():
     assert peak <= 16 * 2**20, peak
     assert spectral_expansion(g)[1] <= 1e-10  # and its lambda needs no n x n array either
     g = gen_cycle(5)
-    adj = g.adjacency  # derived on the first read, then kept
-    assert g.adjacency is adj and "adjacency" in vars(g)
+    assert g.adjacency is not g.adjacency and "adjacency" not in vars(g)  # counted on each read, never kept
 
 
 def test_walk_on_k2_alternates():

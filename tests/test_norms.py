@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from tensor_chernoff import HermitianTensor, Tensor, TensorShape, make_identity
+from tensor_chernoff import HermitianTensor, Tensor, TensorShape, make_identity, norms
 from tensor_chernoff.errors import ArgumentError, DomainError
 from tensor_chernoff.norms import (
     gauge_rho,
@@ -177,6 +177,25 @@ def test_lanczos_top_matches_the_spectral_radius():
     value, residual, steps = lanczos_top(lambda x: h @ x, rng.standard_normal(12) + 0j, 12)
     assert value == pytest.approx(np.max(np.abs(np.linalg.eigvalsh(h))), rel=1e-12)
     assert steps == 12 and residual <= 1e-10
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 40, 257, 900])
+def test_tridiagonal_top_by_bisection_matches_eigh(k, monkeypatch):
+    # past norms.DENSE_TRIDIAGONAL the top pair comes from bisection and a twisted factorization; here every
+    # size takes that path, on spectra symmetric about 0 (a zero diagonal), with split blocks and across scales
+    rng = np.random.default_rng(k)
+    monkeypatch.setattr(norms, "DENSE_TRIDIAGONAL", 0)
+    for scale, split, diagonal in ((1.0, False, True), (1e-3, True, True), (10.0, False, True), (1.0, True, False)):
+        alphas = scale * rng.uniform(-1.0, 1.0, k) * diagonal
+        betas = rng.uniform(0.0, 1.0, k - 1)
+        if split:
+            betas[:: 7] = 0.0
+        value, end = norms._tridiagonal_top(alphas.tolist(), betas.tolist())
+        vals, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1), UPLO="U")
+        top = int(np.argmax(np.abs(vals)))
+        assert abs(value) == pytest.approx(abs(vals[top]), rel=1e-14, abs=1e-300), (scale, split)
+        if np.count_nonzero(np.abs(np.abs(vals) - abs(vals[top])) <= 1e-9) == 1:  # else the pair is not unique
+            assert abs(abs(end) - abs(vecs[-1, top])) <= 1e-12, (scale, split)
 
 
 def test_lanczos_top_stops_on_an_invariant_space_and_returns_nan_for_nan():
