@@ -417,11 +417,12 @@ def contraction_certificate(
         orth_par += z @ z.T
     forward, adjoint = _vertex_maps(assignment, t, a, b, r)
 
-    def normal(x):  # P' T^T P' T on P''s range
+    def normal(x):  # P' T^T P' T on P''s range; a vertex sum divided by n is numpy's mean
         y = _transfer_apply(forward, slots, x)
-        y -= y.mean(axis=0)
+        y -= np.add.reduce(y, 0) / n
         y = _slot_mean(slots, adjoint(y))
-        return y - y.mean(axis=0)
+        y -= np.add.reduce(y, 0) / n
+        return y
 
     start = stream(seed, DOMAIN_PROBE).standard_normal((n, d2))
     start -= start.mean(axis=0)

@@ -41,6 +41,7 @@ DOMAIN_WALK)`` (see :mod:`.rng`), so estimates do not depend on chunking.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -121,22 +122,47 @@ def normalized_adjacency(g: RegularGraph) -> np.ndarray:
     return g.adjacency / g.degree
 
 
+_GATHER_BYTES = 1 << 16  # largest _slot_mean gather with its index copy: under glibc's 128 KiB mmap threshold
+
+
 def _slot_mean(slots: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``(A / degree kron I) x`` at the vertices of ``slots``' rows: the mean of ``x[v]`` over each
-    row's slots ``v``, added one slot column at a time (one ``np.take`` each, faster than a fancy
-    index), so no ``(rows, degree, ...)`` gather is held."""
-    acc = np.take(x, slots[:, 0], axis=0)
-    for s in range(1, slots.shape[1]):
-        acc += np.take(x, slots[:, s], axis=0)
-    acc /= slots.shape[1]
-    return acc
+    """``(A / degree kron I) x`` at the vertices of ``slots``' rows: the mean of ``x[v]`` over each row's slots
+    ``v``, added slot by slot in slot order, with no gather and its index copy above ``_GATHER_BYTES``.
+
+    When all of it fits, one ``take`` of ``x`` through the transposed slots gives a ``(degree, rows, ...)``
+    gather and one reduction over the slot axis from -0.0 adds it (a reduction to a single entry would add
+    pairwise, so that case does not take it).  Otherwise each block of rows adds one slot column at a time, which
+    beats a reduction per block at every larger shape measured (a reduction per element costs about twice an add).
+    """
+    rows, d = slots.shape
+    row_bytes = x.itemsize * math.prod(x.shape[1:]) + slots.itemsize  # one gathered slot and its index
+    out = np.empty((rows,) + x.shape[1:], x.dtype)
+    # methods and positional arguments skip np.take's wrapper and keyword parsing; an explicit copy is faster
+    # than take's own conversion of a transposed index
+    if d * rows * row_bytes <= _GATHER_BYTES and out.size > 1:
+        np.add.reduce(x.take(slots.T.copy(), 0), 0, None, out, False, -0.0)
+    else:
+        height = max(1, _GATHER_BYTES // row_bytes)
+        for lo in range(0, rows, height):
+            cols, acc = slots[lo:lo + height].T, out[lo:lo + height]
+            x.take(cols[0].copy(), 0, acc, "clip")  # slots are in range; "raise" would copy acc first
+            for col in cols[1:]:
+                acc += x.take(col.copy(), 0)
+    out /= d
+    return out
 
 
 def spectral_expansion(g: RegularGraph) -> tuple[float, float, int]:
     """Largest absolute nontrivial eigenvalue of ``A / d``, its Ritz residual and the Lanczos steps taken."""
     slots, start = g.edge_slots(), stream(0, DOMAIN_EXPANSION).standard_normal(g.n)
     start -= start.mean()
-    return lanczos_top(lambda x: (y := _slot_mean(slots, x)) - y.mean(), start, g.n - 1, tol=EXPANSION_TOL)
+
+    def apply(x):  # P' (A / d) on P''s range; the sum over the vertices divided by n is numpy's mean
+        y = _slot_mean(slots, x)
+        y -= np.add.reduce(y, 0) / g.n
+        return y
+
+    return lanczos_top(apply, start, g.n - 1, tol=EXPANSION_TOL)
 
 
 # ---------------------------------------------------------------------------

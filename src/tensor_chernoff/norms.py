@@ -200,14 +200,14 @@ def lanczos_top(apply: Callable, start: np.ndarray, steps: int, tol: float = 0.0
     again as taken (96, 144, 216, ...), so together they cost a few times the last one and overshoot by at most
     half.  NaN if a recurrence coefficient is not finite, since LAPACK may return finite eigenvalues of a NaN matrix.
     """
-    q = start / np.linalg.norm(start)
+    q = start / math.sqrt(np.vdot(start, start).real)  # on real input the BLAS dot of np.linalg.norm
     q_prev, alphas, betas, check = np.zeros_like(q), [], [0.0], 32
     for k in range(1, steps + 1):
         w = apply(q)
-        scale = np.linalg.norm(w)
+        scale = math.sqrt(np.vdot(w, w).real)
         alphas.append(float(np.vdot(q, w).real))
         w -= alphas[-1] * q + betas[-1] * q_prev
-        betas.append(float(np.linalg.norm(w)))
+        betas.append(math.sqrt(np.vdot(w, w).real))
         if not math.isfinite(alphas[-1] + betas[-1]):
             return math.nan, math.nan, k
         last = k == steps or betas[-1] <= 1e-12 * scale
@@ -217,4 +217,5 @@ def lanczos_top(apply: Callable, start: np.ndarray, steps: int, tol: float = 0.0
             residual = betas[-1] * abs(end)
             if last or residual <= tol:
                 return abs(value), residual, k
-        q_prev, q = q, w / betas[-1]
+        w /= betas[-1]  # apply's array, the next q
+        q_prev, q = q, w

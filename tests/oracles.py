@@ -21,6 +21,7 @@ reals written into a complex stack, and that stack's spectrum), ``row_major_walk
 (the sampler converting every word of a chunk at once) and ``wide_counter_words``
 (all of a chunk's Philox blocks in one ``(count, 4 * blocks)`` array).
 ``direct_tail_p_hat`` counts tail hits with none of the sweep's machinery.
+``column_slot_mean`` is the slot mean's former one-column-at-a-time loop.
 The ``kronecker_*`` functions are the former complex transfer layer, the reference for the
 real Hermitian coordinates, which ``hermitian_coordinates`` and ``hermitian_stack`` spell out
 entry by entry.
@@ -184,6 +185,16 @@ def dense_spectral_expansion(g) -> float:
     """Largest absolute nontrivial eigenvalue of ``A / d`` from a dense ``eigvalsh`` of the adjacency."""
     vals = np.linalg.eigvalsh(g.adjacency / g.degree)
     return float(np.max(np.abs(vals[:-1])))  # ascending: drop one copy of the trivial eigenvalue 1
+
+
+def column_slot_mean(slots: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The mean of ``x[v]`` over each row's slots ``v``, added one slot column at a time: the library's former
+    ``graphs._slot_mean``, the reference for its blocked gather."""
+    acc = np.take(x, slots[:, 0], axis=0)
+    for s in range(1, slots.shape[1]):
+        acc += np.take(x, slots[:, s], axis=0)
+    acc /= slots.shape[1]
+    return acc
 
 
 def cycle_expansion(n: int) -> float:

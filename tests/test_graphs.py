@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tensor_chernoff import norms
+from tensor_chernoff import graphs, norms
 from tensor_chernoff.chernoff import DEFAULT_TAIL_CHUNK
 from tensor_chernoff.errors import ArgumentError
 from tensor_chernoff.graphs import (
@@ -24,6 +24,7 @@ from tensor_chernoff.graphs import (
 from tensor_chernoff.rng import DOMAIN_WALK, counter_words, multiply_high
 
 from oracles import (
+    column_slot_mean,
     cycle_expansion,
     dense_spectral_expansion,
     loop_complete_adjacency,
@@ -103,6 +104,50 @@ def test_slot_lanczos_expansion_matches_the_dense_oracle(build):
     assert abs(lam - dense_spectral_expansion(g)) <= 1e-12 and residual <= 1e-10, (lam, residual)
     assert 1 <= steps <= g.n - 1
     assert spectral_expansion(g) == (lam, residual, steps)  # the same bits again: a fixed start
+
+
+@pytest.mark.parametrize("build", [lambda: gen_complete(12), lambda: gen_random_regular(16, 5, seed=0),
+                                   lambda: gen_cycle(2), lambda: gen_random_regular(8192, 6, seed=7)],
+                         ids=["K12", "rr16x5", "C2", "rr8192x6"])
+def test_slot_mean_matches_the_column_loop_bit_for_bit(build):
+    # K12's degree 11 would show a pairwise sum over the slots (numpy unrolls by 8, as a reduction to one entry
+    # does), rr16x5 has loops and multi-edges, C2 is a double edge, rr8192x6's rows span several row blocks;
+    # every shape, single rows and the Gram chunks' row subsets, on either side of the one-gather size, over
+    # twelve decades so that a change of order shows, with -0.0 entries, whose sign a sum from +0.0 would lose
+    g = build()
+    slots, rng = g.edge_slots(), np.random.default_rng(g.n)
+    singles = [np.arange(i, i + 1) for i in range(min(g.n, 12))]
+    for shape in ((), (16,), (16, 16)):
+        x = rng.standard_normal((g.n,) + shape) * 10.0 ** rng.integers(-6, 6, (g.n,) + shape)
+        x[rng.random(x.shape) < 0.2] = -0.0
+        for rows in [np.arange(g.n), np.arange(g.n)[::3]] + singles + np.array_split(np.arange(g.n), min(8, g.n)):
+            got, want = graphs._slot_mean(slots[rows], x), column_slot_mean(slots[rows], x)
+            assert got.shape == want.shape and got.dtype == want.dtype, (shape, rows.size)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (shape, rows.size)
+    # an order check that rests on no chance: 1 + 2^-53 rounds back to 1, so a sum slot by slot from a 1 stays 1
+    # where a pairwise sum first adds two 2^-53 into one that 1 keeps
+    x = np.full(g.n, 2.0**-53)
+    x[0] = 1.0
+    for rows in singles + [np.arange(g.n)]:
+        assert np.array_equal(graphs._slot_mean(slots[rows], x), column_slot_mean(slots[rows], x)), rows.size
+    x = rng.standard_normal(g.n)
+    x[1] = np.nan  # reaches exactly the rows with a slot at vertex 1
+    assert np.array_equal(np.isnan(graphs._slot_mean(slots, x)), np.any(slots == 1, axis=1))
+
+
+def test_slot_mean_holds_one_bounded_gather():
+    # no gather with its index copy passes 64 KiB, under glibc's 128 KiB mmap threshold; a gather of
+    # all rows at once (0.75 MiB here with its index for the 1-D mean, 6.4 MiB for 16 columns) fails this
+    slots = gen_random_regular(8192, 6, seed=7).edge_slots()
+    for shape in ((), (16,)):
+        x = np.random.default_rng(0).standard_normal((8192,) + shape)
+        tracemalloc.start()
+        try:
+            out = graphs._slot_mean(slots, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 2**16 + 4096, (shape, peak - out.nbytes)
 
 
 def _looped_path(n: int) -> RegularGraph:
