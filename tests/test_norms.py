@@ -179,6 +179,42 @@ def test_lanczos_top_matches_the_spectral_radius():
     assert steps == 12 and residual <= 1e-10
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 32, 96, 255, 256])
+def test_tridiagonal_top_by_eigvalsh_matches_eigh(k):
+    # up to norms.DENSE_TRIDIAGONAL the value comes from eigvalsh (refined by the twisted vector's Rayleigh
+    # quotient) and the vector end from the twisted factorization; both against eigh, across scales, on spectra
+    # symmetric about 0 (a zero diagonal) and with split blocks
+    assert k <= norms.DENSE_TRIDIAGONAL
+    rng = np.random.default_rng(k)
+    for scale, split, diagonal in ((1.0, False, True), (1e-3, True, True), (10.0, False, True), (1.0, True, False),
+                                   (1.0, False, False)):
+        alphas = scale * rng.uniform(-1.0, 1.0, k) * diagonal
+        betas = scale * rng.uniform(0.0, 1.0, k - 1)
+        if split:
+            betas[:: 7] = 0.0
+        matrix = np.diag(alphas) + np.diag(betas, 1)
+        value, end = norms._tridiagonal_top(alphas.tolist(), betas.tolist())
+        vals, vecs = np.linalg.eigh(matrix, UPLO="U")
+        picked = 0 if value < 0 else k - 1  # the end of the spectrum it took
+        assert abs(value - vals[picked]) <= 1e-14 * np.max(np.abs(vals)), (scale, split, diagonal)
+        assert abs(value) >= (1.0 - 1e-14) * np.max(np.abs(vals)), (scale, split, diagonal)
+        ends = np.linalg.eigvalsh(matrix, UPLO="U")[[0, -1]]
+        if ends[0] == -ends[1]:  # a tie in the values it chose from: the lower end, as argmax(abs) over eigh's
+            assert value <= 0.0, (scale, split, diagonal)
+        if np.count_nonzero(np.abs(vals - vals[picked]) <= 1e-9 * scale) == 1:  # else the vector is not unique
+            assert abs(abs(end) - abs(vecs[-1, picked])) <= 1e-12, (scale, split, diagonal)
+
+
+@pytest.mark.parametrize("k", [2, 3, 32, 255, 256])
+def test_tridiagonal_top_takes_the_lower_end_on_a_tie(k):
+    # a zero diagonal over 2 x 2 blocks [[0, 1], [1, 0]]: eigenvalues exactly -1 and 1 (and 0 for odd k), so
+    # |lambda_min| = |lambda_max| and argmax(abs) over the ascending values took -1
+    betas = [1.0 - i % 2 for i in range(k - 1)]
+    assert np.linalg.eigvalsh(np.diag(betas, 1), UPLO="U")[[0, -1]].tolist() == [-1.0, 1.0]
+    value, end = norms._tridiagonal_top([0.0] * k, betas)
+    assert value == -1.0 and abs(end) <= math.sqrt(0.5) + 1e-15
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 40, 257, 900])
 def test_tridiagonal_top_by_bisection_matches_eigh(k, monkeypatch):
     # past norms.DENSE_TRIDIAGONAL the top pair comes from bisection and a twisted factorization; here every
