@@ -122,34 +122,29 @@ def normalized_adjacency(g: RegularGraph) -> np.ndarray:
     return g.adjacency / g.degree
 
 
-_GATHER_BYTES = 1 << 16  # largest _slot_mean gather with its index copy: under glibc's 128 KiB mmap threshold
+_GATHER_BYTES = 1 << 16  # largest one-gather _slot_mean with its index copy: under glibc's 128 KiB mmap threshold
 
 
 def _slot_mean(slots: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``(A / degree kron I) x`` at the vertices of ``slots``' rows: the mean of ``x[v]`` over each row's slots
-    ``v``, added slot by slot in slot order, with no gather and its index copy above ``_GATHER_BYTES``.
+    ``v``, added slot by slot in slot order.
 
-    When all of it fits, one ``take`` of ``x`` through the transposed slots gives a ``(degree, rows, ...)``
-    gather and one reduction over the slot axis from -0.0 adds it (a reduction to a single entry would add
-    pairwise, so that case does not take it).  Otherwise each block of rows adds one slot column at a time, which
-    beats a reduction per block at every larger shape measured (a reduction per element costs about twice an add).
+    When the whole ``(degree, rows, ...)`` gather fits in ``_GATHER_BYTES`` with its index copy, one ``take`` of
+    ``x`` through the transposed slots gives it and one reduction over the slot axis from -0.0 adds it (a
+    reduction to a single entry would add pairwise, so that case does not take it).  Otherwise one ``take`` per
+    slot column adds the columns in turn.
     """
-    rows, d = slots.shape
-    row_bytes = x.itemsize * math.prod(x.shape[1:]) + slots.itemsize  # one gathered slot and its index
-    out = np.empty((rows,) + x.shape[1:], x.dtype)
+    (rows, d), width = slots.shape, math.prod(x.shape[1:])
     # methods and positional arguments skip np.take's wrapper and keyword parsing; an explicit copy is faster
-    # than take's own conversion of a transposed index
-    if d * rows * row_bytes <= _GATHER_BYTES and out.size > 1:
-        np.add.reduce(x.take(slots.T.copy(), 0), 0, None, out, False, -0.0)
+    # than take's own conversion of a strided index
+    if d * rows * (width * x.itemsize + slots.itemsize) <= _GATHER_BYTES and rows * width > 1:
+        acc = np.add.reduce(x.take(slots.T.copy(), 0), 0, None, None, False, -0.0)
     else:
-        height = max(1, _GATHER_BYTES // row_bytes)
-        for lo in range(0, rows, height):
-            cols, acc = slots[lo:lo + height].T, out[lo:lo + height]
-            x.take(cols[0].copy(), 0, acc, "clip")  # slots are in range; "raise" would copy acc first
-            for col in cols[1:]:
-                acc += x.take(col.copy(), 0)
-    out /= d
-    return out
+        acc = x.take(slots[:, 0].copy(), 0)
+        for s in range(1, d):
+            acc += x.take(slots[:, s].copy(), 0)
+    acc /= d
+    return acc
 
 
 def spectral_expansion(g: RegularGraph) -> tuple[float, float, int]:

@@ -189,7 +189,7 @@ def dense_spectral_expansion(g) -> float:
 
 def column_slot_mean(slots: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The mean of ``x[v]`` over each row's slots ``v``, added one slot column at a time: the library's former
-    ``graphs._slot_mean``, the reference for its blocked gather."""
+    ``graphs._slot_mean``, the reference for its one-gather path and its column loop."""
     acc = np.take(x, slots[:, 0], axis=0)
     for s in range(1, slots.shape[1]):
         acc += np.take(x, slots[:, s], axis=0)
