@@ -344,7 +344,7 @@ class PowerProductSpectrum:
     The outer factors are unitary, so the singular values are those of the
     bracketed chain, in which only the middle factors ``Λ_2 … Λ_(m-1)``
     carry t (for m = 1 the chain is ``Λ_1``): a tuple with m <= 2 has one
-    spectrum for every node.
+    spectrum for every node, computed once with a node axis of 1 for both rules.
     """
 
     def __init__(self, cs: np.ndarray, quad: QuadratureSpec | None = None):
@@ -360,22 +360,25 @@ class PowerProductSpectrum:
         self.bases = np.ascontiguousarray(vecs[..., ::-1])
         self._logs = np.log(self.eigenvalues)
         self.interval = (np.prod(self.eigenvalues[..., -1], axis=1), np.prod(self.eigenvalues[..., 0], axis=1))
-        self._rules = []
+        self._rules, sv = [], None
         for node_count in () if quad is None else (quad.node_count, max(16, quad.node_count // 2)):
             t, w = quad.nodes_weights(node_count)
-            self._rules.append((self._node_singular_values(t), beta0_density(t), w))
+            if sv is None or cs.shape[1] > 2:  # a chain with no middle factor serves every node of both rules
+                sv = self._node_singular_values(t)
+            self._rules.append((sv, beta0_density(t), w))
 
     def _node_singular_values(self, ts: np.ndarray) -> np.ndarray:
-        """Singular values of ``prod_i C_i^(1 + i t)`` for every tuple and node t: (B, T, d) descending.
+        """Singular values of ``prod_i C_i^(1 + i t)`` for every tuple and node t: (B, T, d) descending,
+        or (B, 1, d) for m <= 2, whose one spectrum holds at every node.
 
         They are those of the chain ``Λ_1 W_1 Λ_2^(1+it) W_2 ⋯ W_(m-1) Λ_m`` (see the class).  It
         starts as ``Λ_1`` with shape (b, 1, d, d), and each later factor is one matmul by its link
         and one column scaling.  Only a middle factor's scaling has a node axis, so for m <= 2 the
-        chain stays (b, 1, d, d) and its one spectrum is broadcast to every node.
+        chain stays (b, 1, d, d), and a block holds as many tuples as its node axis allows.
         """
         b, m, dim = self.eigenvalues.shape
         z = 1.0 + 1j * ts[:, None]
-        step = max(1, _NODE_BLOCK // (ts.size * dim * dim))
+        step = max(1, _NODE_BLOCK // ((ts.size if m > 2 else 1) * dim * dim))
         out = []
         for lo in range(0, b, step):
             vals, logs, bases = (a[lo: lo + step] for a in (self.eigenvalues, self._logs, self.bases))
@@ -389,7 +392,7 @@ class PowerProductSpectrum:
             gram = (gram + np.conj(gram.swapaxes(-1, -2))) / 2.0
             eig = np.linalg.eigvalsh(gram)  # ascending
             sv = np.sqrt(np.clip(eig[..., ::-1], 0.0, None))
-            out.append(np.broadcast_to(sv, (len(vals), ts.size, dim)))
+            out.append(sv)
         return np.concatenate(out)
 
     def lhs(self, f, k) -> np.ndarray:
@@ -405,7 +408,7 @@ class PowerProductSpectrum:
             raise ArgumentError("the quadrature forms need a QuadratureSpec")
         k = _per_trial_array(k, len(self.eigenvalues), "k")
         integrals = []
-        for sv, density, w in self._rules:
+        for sv, density, w in self._rules:  # a node-free (B, 1) norm meets the nodes only in the weighted sum
             norms = ky_fan_from_eigenvalues(_apply_per_trial(f, sv, len(sv)), k[..., None])
             with np.errstate(divide="ignore"):
                 integrals.append(np.sum(np.stack([np.log(norms), norms]) * density * w, axis=-1))

@@ -3,16 +3,20 @@
 Every suite draws its randomness from streams derived off the master seed, so
 a report is a pure function of the parsed config (seed included); reruns
 reproduce it byte for byte, and so does any chunking of the Monte Carlo
-walks.  A suite draws its own trials and hands them, in stacks of equal
-shape, to the library verifier of its check (the same function the
-acceptance gate calls), so the pass/fail rule and its slack live in the
-library.  Checks that cannot run (empty precondition regimes) are recorded
+walks.  So does a ``chernoff_sweep`` whose transfer-operator checks run on a
+worker thread beside its Monte Carlo tail (``_side_by_side``): neither half
+reads the other's output.  A suite draws its own trials and hands them, in
+stacks of equal shape, to the library verifier of its check (the same
+function the acceptance gate calls), so the pass/fail rule and its slack
+live in the library.  Checks that cannot run (empty precondition regimes) are recorded
 by ``CheckRecord.skipped`` rather than dropped.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from typing import Callable
 
 import numpy as np
 
@@ -357,6 +361,25 @@ def _multivariate_checks(stacks, commuting, quad: QuadratureSpec) -> list[CheckR
 # expander
 # ---------------------------------------------------------------------------
 
+def _bernstein_ratio(counts, n_walks: int, p, cells: int):
+    """``|count - N p|`` over its Bernstein bound per cell, with a union over ``cells`` cells at rate 1e-6.
+
+    For any ``N p``, ``|count - N p| <= L / 3 + sqrt(L^2 / 9 + 2 L N p (1 - p))``, ``L = log(2 cells / 1e-6)``, so
+    a ratio above 1 anywhere has probability at most 1e-6 under the model.
+    """
+    log_term = math.log(2.0 * cells / 1e-6)
+    allowed = log_term / 3.0 + np.sqrt(log_term**2 / 9.0 + 2.0 * log_term * n_walks * p * (1.0 - p))
+    return np.abs(counts - n_walks * p) / allowed
+
+
+def _stationary_marginal_ratio(walks: np.ndarray, n: int) -> float:
+    """Largest ``_bernstein_ratio`` of the visits to each vertex at walk positions 1, kappa/2 and kappa
+    against the uniform stationary law: one union over those 3n cells."""
+    n_walks, kappa = walks.shape
+    counts = np.stack([np.bincount(walks[:, j], minlength=n) for j in (0, kappa // 2, kappa - 1)])
+    return float(np.max(_bernstein_ratio(counts, n_walks, 1.0 / n, 3 * n)))
+
+
 def _suite_expander(cfg: ExperimentConfig, seed: int):
     graph = build_graph(cfg.graph, seed)
     a = normalized_adjacency(graph)
@@ -378,22 +401,16 @@ def _suite_expander(cfg: ExperimentConfig, seed: int):
     kappa = max(cfg.walk.kappa, 2)
     n_walks = min(cfg.walk.num_walks, 50000)
     walks = sample_walks_array(graph, kappa, n_walks, seed)
-    worst_dev = 0.0
-    for j in (0, kappa // 2, kappa - 1):
-        counts = np.bincount(walks[:, j], minlength=graph.n)
-        sigma = math.sqrt(n_walks * (1 / graph.n) * (1 - 1 / graph.n))
-        worst_dev = np.maximum(worst_dev, float(np.max(np.abs(counts - n_walks / graph.n))) / sigma)
-    checks.append(CheckRecord.from_bound("stationary_marginal_max_sigma", worst_dev, 4.0,
-                                         detail=f"{n_walks} walks, positions 1, kappa/2, kappa"))
+    checks.append(CheckRecord.from_bound("stationary_marginal_max_sigma", _stationary_marginal_ratio(walks, graph.n),
+                                         1.0, detail=f"{n_walks} walks, positions 1, kappa/2, kappa: "
+                                                     "|count - N / n| over its Bernstein bound"))
 
-    # Bernstein per (first, second) vertex cell, union over the cells of p > 0 at rate 1e-6, for any N p:
-    # |count - N p| <= L / 3 + sqrt(L^2 / 9 + 2 L N p (1 - p)), L = log(2 cells / 1e-6).  A count at p = 0 fails.
+    # the (first, second) vertex cells of p > 0 in one union; a count at p = 0 fails
     counts = np.zeros((graph.n, graph.n))
     np.add.at(counts, (walks[:, 0], walks[:, 1]), 1.0)
     p = a / graph.n
-    log_term = math.log(2.0 * np.count_nonzero(p) / 1e-6)
-    allowed = log_term / 3.0 + np.sqrt(log_term**2 / 9.0 + 2.0 * log_term * n_walks * p * (1.0 - p))
-    ratio = np.where(p == 0.0, np.where(counts > 0.0, math.inf, 0.0), np.abs(counts - n_walks * p) / allowed)
+    ratio = np.where(p == 0.0, np.where(counts > 0.0, math.inf, 0.0),
+                     _bernstein_ratio(counts, n_walks, p, np.count_nonzero(p)))
     checks.append(CheckRecord.from_bound("two_step_joint_max_sigma", float(np.max(ratio)), 1.0,
                                          detail=f"{n_walks} walks, |count - N p| over its Bernstein bound"))
 
@@ -407,6 +424,42 @@ def _suite_expander(cfg: ExperimentConfig, seed: int):
 # ---------------------------------------------------------------------------
 # chernoff_sweep
 # ---------------------------------------------------------------------------
+
+# The transfer operator's coordinate count n * d^2 from which its checks run on a worker thread beside the tail,
+# for d > 2, where the tail's spectra are one long LAPACK call that releases the interpreter lock.  Below the count
+# the checks are too small a share of a job to pay for the thread; a 2x2 tail takes the closed form, short numpy
+# steps that contend with the worker for the lock (measurements in the README's chernoff_sweep section).
+THREADED_COORDINATES = 2048
+
+
+def _side_by_side(main: Callable, worker: Callable, threaded: bool) -> tuple:
+    """``(main(), worker())``; when ``threaded``, ``worker`` runs on a new thread while ``main`` runs on this one.
+
+    Either way ``main``'s error is the one raised when both fail, as in the sequential order, and the thread is
+    joined before any error leaves: no thread outlives the call.
+    """
+    if not threaded:
+        first = main()
+        return first, worker()
+    outcome = []
+
+    def target():
+        try:
+            outcome.append((worker(), None))
+        except BaseException as exc:  # re-raised on the calling thread below
+            outcome.append((None, exc))
+
+    thread = threading.Thread(target=target, name="transfer-operator-checks")
+    thread.start()
+    try:
+        first = main()
+    finally:
+        thread.join()
+    second, error = outcome.pop()
+    if error is not None:
+        raise error
+    return first, second
+
 
 def _suite_chernoff_sweep(cfg: ExperimentConfig, seed: int):
     graph = build_graph(cfg.graph, seed)
@@ -426,9 +479,21 @@ def _suite_chernoff_sweep(cfg: ExperimentConfig, seed: int):
     detail = f"lambda = {lam:.6f}, a Ritz lower estimate by {steps} slot-Lanczos steps, residual {residual:.1e}"
     checks.append(CheckRecord.from_bound("gamma_algebra_error", gamma_err, 0.0, detail=detail))
 
+    def tail():  # the Monte Carlo half: walks from (seed, DOMAIN_WALK)
+        return tail_table(assignment, poly, cfg.walk.k, cfg.sweep.theta_grid, cfg.walk.num_walks, cfg.walk.kappa,
+                          seed, lam_bar, fit)
+
+    def transfer():  # the transfer-operator half: the probe from (seed, DOMAIN_PROBE), the frames built here
+        cert = contraction_certificate(assignment, t=min(0.5, 0.9 / assignment.radius), a=1.0, b=0.5, lam=lam,
+                                       seed=seed)
+        points = [(t, 1.0, 0.0) for t in (0.05, 0.15, 0.4)]
+        return cert, expectation_sandwich(assignment, min(cfg.walk.kappa, 4), lam, points)
+
+    # theorem_bound refuses an unverified fit, so no tail runs and its check below FAILs the run instead
+    threaded = fit.verified and assignment.dim > 2 and graph.n * assignment.dim**2 >= THREADED_COORDINATES
+    table, (cert, (tested, sandwich_excess)) = _side_by_side(tail if fit.verified else lambda: None, transfer,
+                                                             threaded)
     if fit.verified:
-        table = tail_table(assignment, poly, cfg.walk.k, cfg.sweep.theta_grid, cfg.walk.num_walks, cfg.walk.kappa,
-                           seed, lam_bar, fit)
         rows = table.rows
         if poly.is_identity and table.corollary_rows:
             checks.append(CheckRecord.from_bound("corollary_vs_theorem_rel_err", table.corollary_rel_err, 1e-6,
@@ -446,20 +511,16 @@ def _suite_chernoff_sweep(cfg: ExperimentConfig, seed: int):
             vacuous = sum(row.vacuous for row in rows)
             why = f"{vacuous} vacuous bounds{excluded}" if excluded else "every bound is vacuous"
             checks.append(CheckRecord.skipped("tail_below_bound_excess", 0.0, why))
-    else:  # theorem_bound refuses an unverified fit, so its check below FAILs the run instead
+    else:
         rows, why = [], "domination fit not verified"
         if poly.is_identity:
             checks.append(CheckRecord.skipped("corollary_vs_theorem_rel_err", 1e-6, why))
         checks.append(CheckRecord.skipped("tail_below_bound_excess", 0.0, why))
 
-    cert = contraction_certificate(assignment, t=min(0.5, 0.9 / assignment.radius), a=1.0, b=0.5, lam=lam, seed=seed)
     detail = f"gammas {tuple(round(g, 6) for g in cert.gammas)}, part 4: {cert.steps} Lanczos steps"
     checks.append(CheckRecord.from_bound("contraction_certificate_excess", cert.worst_excess, CONTRACTION_SLACK,
                                          detail=f"{detail}, Ritz residual {cert.residual:.1e}"))
 
-    tested, sandwich_excess = expectation_sandwich(
-        assignment, min(cfg.walk.kappa, 4), lam, [(t, 1.0, 0.0) for t in (0.05, 0.15, 0.4)]
-    )
     if tested:
         vacuous = ", every bound infinite" if sandwich_excess == -math.inf else ""  # exp overflowed: vacuous
         checks.append(CheckRecord.from_bound("transfer_expectation_below_bound", sandwich_excess, 0.0,

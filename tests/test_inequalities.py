@@ -388,6 +388,24 @@ def test_node_blocking_does_not_change_a_bit(monkeypatch, block):
                     assert np.array_equal(getattr(got, field), getattr(want, field)), (m, field)
 
 
+def test_chains_without_a_middle_factor_are_computed_once_for_both_rules(monkeypatch):
+    rng = np.random.default_rng(1619)
+    quad = QuadratureSpec(truncation=6.0, node_count=64)
+    shape = TensorShape.square((3,))
+    original = PowerProductSpectrum._node_singular_values
+    sizes = []
+    monkeypatch.setattr(PowerProductSpectrum, "_node_singular_values",
+                        lambda self, ts: sizes.append(ts.size) or original(self, ts))
+    for m in (1, 2, 3):
+        cs = np.concatenate([_tuple(*(random_positive(shape, rng, 0.05, 2.0) for _ in range(m))) for _ in range(5)])
+        sizes.clear()
+        (full, _, _), (half, _, _) = PowerProductSpectrum(cs, quad)._rules
+        if m <= 2:  # one evaluation with a node axis of 1 serves both rules
+            assert sizes == [64] and full is half and full.shape == (5, 1, 3)
+        else:
+            assert sizes == [64, 32] and full.shape == (5, 64, 3) and half.shape == (5, 32, 3)
+
+
 def test_legendre_rule_is_cached_and_read_only():
     x, w = _legendre_rule(48)
     assert _legendre_rule(48)[0] is x

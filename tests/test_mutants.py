@@ -107,6 +107,19 @@ def test_walk_that_always_takes_slot_zero_fails_the_two_step_joint(monkeypatch):
     assert calls
 
 
+def test_walks_started_on_half_the_vertices_fail_the_stationary_marginal(monkeypatch):
+    def half_starts(graph, kappa, count, seed, start_index=0):
+        # true walks, each the next of the stream that starts below n / 2
+        walks = sample_walks_array(graph, kappa, 4 * count + 64, seed, start_index=start_index)
+        return walks[walks[:, 0] < graph.n // 2][:count]
+
+    config = load_config(CONFIGS / "expander.ini")
+    assert _check(config, "stationary_marginal_max_sigma").passed
+    calls = _patch(monkeypatch, runner_mod, "sample_walks_array", half_starts)
+    assert not _check(config, "stationary_marginal_max_sigma").passed
+    assert calls
+
+
 def _unconjugated_kronecker(es):  # E kron E in place of E kron conj(E)
     n, d = es.shape[:2]
     return (es[:, :, None, :, None] * es[:, None, :, None, :]).reshape(n, d * d, d * d)
