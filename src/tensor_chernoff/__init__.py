@@ -67,7 +67,6 @@ from .graphs import (
     gen_cycle,
     gen_hypercube,
     gen_random_regular,
-    normalized_adjacency,
     sample_walks_array,
     spectral_expansion,
 )

@@ -3,10 +3,11 @@
 A graph is stored only as its read-only ``(n, d)`` slot table: row ``u``
 lists the neighbors of ``u`` in ascending order, each repeated by
 multiplicity (multi-edges and self-loops are allowed).  The one constructor
-takes edge arrays, so symmetry holds by construction.  The int64 adjacency
-``A`` is counted from the table on each read and not kept, for the expander
-suite's dense checks; walks, the transfer operator, the certificate and the
-spectral expansion read only the table.
+takes edge arrays, so symmetry holds by construction.  ``arcs()`` reads the
+table as its distinct arc keys ``u * n + v`` and their multiplicities; the
+int64 adjacency ``A`` is scattered from them on each read and not kept, for the
+expander suite's dense spectrum.  Walks, the transfer operator, the certificate
+and the spectral expansion read only the table.
 
 The spectral expansion is the largest ABSOLUTE nontrivial eigenvalue of
 ``A / d``: the quoted "second largest eigenvalue" phrasing is weaker than the
@@ -26,7 +27,7 @@ eigenvalue is the one it approximates.
 Every generator and the edge-list loader bound the size before they
 allocate: ``2 <= n <= 2^13``, ``d >= 1`` and ``n * d <= 2^26`` (the ``(n, d)``
 slot table stays within 512 MiB).  ``n`` stays capped for the ``n x n``
-derived adjacency and the expander suite's dense checks; no graph holds one.
+derived adjacency of the expander suite's dense spectrum; no graph holds one.
 
 Edge-list text format: a header line ``n d``, then one ``u v m`` line per
 undirected edge with multiplicity ``m``, vertices 0-indexed, each unordered
@@ -108,18 +109,20 @@ class RegularGraph:
         """Read-only (n, d) table: row u lists the neighbors of u in order, each repeated by multiplicity."""
         return self._slots
 
+    def arcs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending distinct arc keys ``u * n + v`` and their multiplicities: the runs of the row-major table."""
+        keys = np.repeat(np.arange(self.n) * self.n, self.degree) + self._slots.ravel()
+        firsts = np.flatnonzero(np.diff(keys, prepend=-1))
+        return keys[firsts], np.diff(firsts, append=keys.size)
+
     @property
     def adjacency(self) -> np.ndarray:
-        """Read-only ``n x n`` int64 adjacency, counted from the slot table on each read; the graph keeps none."""
-        cells = np.repeat(np.arange(self.n) * self.n, self.degree) + self._slots.ravel()
-        adj = np.bincount(cells, minlength=self.n * self.n).reshape(self.n, self.n)  # intp: int64
+        """Read-only ``n x n`` int64 adjacency, scattered from the arcs on each read; the graph keeps none."""
+        keys, mult = self.arcs()
+        adj = np.zeros((self.n, self.n), dtype=np.int64)
+        adj.flat[keys] = mult
         adj.setflags(write=False)
         return adj
-
-
-def normalized_adjacency(g: RegularGraph) -> np.ndarray:
-    """``A / d``: symmetric, doubly stochastic, top eigenvalue 1 at the all-ones vector."""
-    return g.adjacency / g.degree
 
 
 _GATHER_BYTES = 1 << 16  # largest one-gather _slot_mean with its index copy: under glibc's 128 KiB mmap threshold
@@ -245,11 +248,9 @@ def sample_walks_array(
 # ---------------------------------------------------------------------------
 
 def save_edge_list(g: RegularGraph, path: str | Path) -> None:
-    rows, slots = np.repeat(np.arange(g.n), g.degree), g.edge_slots().ravel()
-    keys = (rows * g.n + slots)[slots >= rows]  # each unordered pair once, from its lower end: ascending
-    firsts = np.flatnonzero(np.diff(keys, prepend=-1))
-    lines = [f"{g.n} {g.degree}"]
-    lines += [f"{u} {v} {m}" for u, v, m in zip(*np.divmod(keys[firsts], g.n), np.diff(firsts, append=keys.size))]
+    keys, mult = g.arcs()
+    lines = [f"{g.n} {g.degree}"]  # the header, then each unordered pair once, from its lower end
+    lines += [f"{u} {v} {m}" for u, v, m in zip(*np.divmod(keys, g.n), mult) if u <= v]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

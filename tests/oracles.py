@@ -21,7 +21,8 @@ reals written into a complex stack, and that stack's spectrum), ``row_major_walk
 (the sampler converting every word of a chunk at once) and ``wide_counter_words``
 (all of a chunk's Philox blocks in one ``(count, 4 * blocks)`` array).
 ``direct_tail_p_hat`` counts tail hits with none of the sweep's machinery.
-``column_slot_mean`` is the slot mean's former one-column-at-a-time loop.
+``column_slot_mean`` is the slot mean's former one-column-at-a-time loop, and
+``dense_two_step_ratio`` the expander suite's former two-step check over all ``n x n`` cells.
 The ``kronecker_*`` functions are the former complex transfer layer, the reference for the
 real Hermitian coordinates, which ``hermitian_coordinates`` and ``hermitian_stack`` spell out
 entry by entry.
@@ -195,6 +196,19 @@ def column_slot_mean(slots: np.ndarray, x: np.ndarray) -> np.ndarray:
         acc += np.take(x, slots[:, s], axis=0)
     acc /= slots.shape[1]
     return acc
+
+
+def dense_two_step_ratio(g, walks: np.ndarray) -> float:
+    """Largest Bernstein ratio of the walks' (first, second) vertex cells over all ``n x n`` cells: counts by
+    ``np.add.at``, ``p = A / d / n``, one union over the cells of ``p > 0``, and inf for a count at ``p = 0``."""
+    n_walks = walks.shape[0]
+    counts = np.zeros((g.n, g.n))
+    np.add.at(counts, (walks[:, 0], walks[:, 1]), 1.0)
+    p = g.adjacency / g.degree / g.n
+    log_term = math.log(2.0 * np.count_nonzero(p) / 1e-6)
+    allowed = log_term / 3.0 + np.sqrt(log_term**2 / 9.0 + 2.0 * log_term * n_walks * p * (1.0 - p))
+    ratio = np.where(p == 0.0, np.where(counts > 0.0, math.inf, 0.0), np.abs(counts - n_walks * p) / allowed)
+    return float(np.max(ratio))
 
 
 def cycle_expansion(n: int) -> float:

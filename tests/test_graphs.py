@@ -16,7 +16,6 @@ from tensor_chernoff.graphs import (
     gen_hypercube,
     gen_random_regular,
     load_edge_list,
-    normalized_adjacency,
     sample_walks_array,
     save_edge_list,
     spectral_expansion,
@@ -61,9 +60,9 @@ def test_regular_graph_validation():
 
 def test_normalized_adjacency():
     k2 = gen_complete(2)
-    assert np.allclose(normalized_adjacency(k2), [[0, 1], [1, 0]])
+    assert np.allclose(k2.adjacency / k2.degree, [[0, 1], [1, 0]])
     g = gen_random_regular(20, 4, seed=3)
-    a = normalized_adjacency(g)
+    a = g.adjacency / g.degree
     assert np.allclose(a.sum(axis=1), 1.0)
     assert np.allclose(a, a.T)
     vals = np.linalg.eigvalsh(a)
@@ -83,7 +82,7 @@ def test_known_expansions():
 def test_expansion_certificate():
     g = gen_random_regular(30, 6, seed=11)
     lam = spectral_expansion(g)[0]
-    a = normalized_adjacency(g)
+    a = g.adjacency / g.degree
     rng = np.random.default_rng(0)
     for _ in range(100):
         x = rng.standard_normal(g.n)
@@ -171,9 +170,13 @@ def test_generators_basic():
 
 
 def _assert_bytes(g, adj):
-    """The slot table and the derived adjacency are the loop oracle's, dtype and bytes."""
+    """The slot table and the derived adjacency are the loop oracle's, dtype and bytes, and the arcs its
+    nonzero cells in row-major order with their counts."""
     slots = g.edge_slots()
     assert slots.dtype == np.int64 and slots.tobytes() == loop_edge_slots(adj).tobytes()
+    cells = np.flatnonzero(adj)
+    keys, mult = g.arcs()
+    assert keys.tolist() == cells.tolist() and mult.tolist() == adj.ravel()[cells].tolist()
     assert g.adjacency.dtype == np.int64 and g.adjacency.tobytes() == adj.tobytes()
     assert not slots.flags.writeable and not g.adjacency.flags.writeable
 
@@ -382,7 +385,7 @@ def test_two_step_joint_distribution():
     g = gen_cycle(5)
     n_walks = 40000
     walks = sample_walks_array(g, 2, n_walks, seed=13)
-    a = normalized_adjacency(g)
+    a = g.adjacency / g.degree
     joint = np.zeros((5, 5))
     for u, v in walks:
         joint[u, v] += 1

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tensor_chernoff import chernoff, inequalities
+from tensor_chernoff import chernoff, graphs, inequalities
 from tensor_chernoff.chernoff import BoundResult, ChernoffParams
 from tensor_chernoff.inequalities import PowerProductSpectrum
 from tensor_chernoff import runner as runner_mod
@@ -104,6 +104,18 @@ def test_walk_that_always_takes_slot_zero_fails_the_two_step_joint(monkeypatch):
     assert _check(config, "two_step_joint_max_sigma").passed
     calls = _patch(monkeypatch, runner_mod, "sample_walks_array", slot_zero)
     assert not _check(config, "two_step_joint_max_sigma").passed
+    assert calls
+
+
+def test_slot_mean_that_drops_its_last_slot_fails_the_row_sums(monkeypatch):
+    def drop_last_slot(slots, x):  # the first d - 1 slots added, divided by d
+        d = slots.shape[1]
+        return graphs._slot_mean(slots[:, :-1], x) * (d - 1) / d
+
+    config = load_config(CONFIGS / "expander.ini")
+    assert _check(config, "rows_sum_to_one").passed
+    calls = _patch(monkeypatch, runner_mod, "_slot_mean", drop_last_slot)
+    assert not _check(config, "rows_sum_to_one").passed
     assert calls
 
 

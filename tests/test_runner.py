@@ -14,13 +14,17 @@ from tensor_chernoff.config import parse_config
 from tensor_chernoff.errors import ConfigError, NumericalError
 from tensor_chernoff.graphs import (
     RegularGraph,
+    gen_complete,
     gen_cycle,
+    gen_hypercube,
     gen_random_regular,
-    normalized_adjacency,
+    load_edge_list,
     sample_walks_array,
     save_edge_list,
 )
 from tensor_chernoff.runner import build_graph, run
+
+from oracles import dense_two_step_ratio
 
 
 def _run_text(text, **kw):
@@ -197,15 +201,44 @@ def test_two_step_joint_check_fails_a_step_that_cannot_happen(monkeypatch):
     check = {c.name: c for c in _run_text(SMALL_EXPANDER.format(seed=1)).checks}["two_step_joint_max_sigma"]
     assert check.lhs == math.inf and not check.passed
 
-    def nan_cell(graph):
-        a = normalized_adjacency(graph)
-        a[0, 1] = np.nan
-        return a
 
-    monkeypatch.setattr(runner_mod, "normalized_adjacency", nan_cell)
-    checks = {c.name: c for c in _run_text(SMALL_EXPANDER.format(seed=1)).checks}
-    for name in ("two_step_joint_max_sigma", "expansion_certificate"):  # the dense lambda reads both triangles
-        assert math.isnan(checks[name].lhs) and not checks[name].passed, name
+# a loaded multigraph: self-loops of multiplicity 1 and 2 and double edges, d = 4
+MULTIGRAPH = "4 4\n0 0 2\n0 1 2\n1 1 1\n1 2 1\n2 2 1\n2 3 2\n3 3 2\n"
+
+
+def _multigraph(tmp_path):
+    path = tmp_path / "multi.txt"
+    path.write_text(MULTIGRAPH)
+    return load_edge_list(path)
+
+
+@pytest.mark.parametrize("build", [
+    lambda tmp: gen_complete(4), lambda tmp: gen_cycle(2), lambda tmp: gen_hypercube(3),
+    lambda tmp: gen_random_regular(16, 5, seed=0), lambda tmp: gen_random_regular(64, 6, seed=2), _multigraph,
+], ids=["K4", "C2", "Q3", "rr16x5", "rr64x6", "multigraph"])
+def test_two_step_joint_ratio_on_arc_keys_equals_the_dense_cells(tmp_path, build):
+    # C2 is a double edge; rr16x5 and rr64x6 have fixed-point loops and multi-edges, the multigraph both
+    g = build(tmp_path)
+    walks = sample_walks_array(g, 3, 3000, seed=19)
+    lhs = runner_mod._two_step_joint_ratio(g, walks)
+    assert 0.0 < lhs < 1.0 and lhs.hex() == dense_two_step_ratio(g, walks).hex()
+    u, v = np.argwhere(g.adjacency == 0)[-1]  # a step no walk can take
+    walks[-1, :2] = u, v
+    assert runner_mod._two_step_joint_ratio(g, walks) == dense_two_step_ratio(g, walks) == math.inf
+
+
+def test_two_step_joint_ratio_holds_no_cell_array():
+    # n x n count and probability arrays would be 128 MiB each at n = 4096; the arcs are 6n cells
+    g = gen_random_regular(4096, 6, seed=1)
+    walks = sample_walks_array(g, 2, 40000, seed=3)
+    runner_mod._two_step_joint_ratio(g, walks)
+    tracemalloc.start()
+    try:
+        lhs = runner_mod._two_step_joint_ratio(g, walks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lhs < 1.0 and peak <= 8 * 2**20, peak
 
 
 # rr(64,6) with dim 4: n * dim^2 = 1024, below THREADED_COORDINATES, so it runs inline unless forced
