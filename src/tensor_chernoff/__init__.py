@@ -22,34 +22,21 @@ from .tensors import (
     complex_power,
     conj_transpose,
     einstein_product,
-    frobenius_norm,
-    hermitian_det,
     hermitian_eig,
     inner_product,
     kronecker,
     make_identity,
-    make_zero,
     spectral_map,
     tensor_exp,
-    tensor_log,
     trace,
 )
 from .norms import (
     gauge_rho,
     k_trace,
     ky_fan_norm,
-    schatten_norm,
     singular_values,
-    spectral_norm,
 )
-from .majorization import (
-    SortedVec,
-    check_kyfan_sum_inequality,
-    log_majorizes,
-    majorizes,
-    weak_log_majorizes,
-    weak_majorizes,
-)
+from .majorization import check_kyfan_sum_inequality
 from .inequalities import (
     PowerProductSpectrum,
     QuadratureSpec,
@@ -77,7 +64,7 @@ from .chernoff import (
     VertexTensorAssignment,
     contraction_certificate,
     corollary_bound,
-    empirical_tail,
+    empirical_tail_sweep,
     expectation_bound,
     fit_gaussian_domination,
     gamma_bounds,

@@ -449,15 +449,6 @@ def transfer_expectation(
     return float(np.vdot(x0, w))
 
 
-def lemma_hypothesis_failure(s: float, lam: float) -> str | None:
-    """The part of the expectation lemma's hypothesis ``s < 1`` and
-    ``lam (2 e^s - 1) <= 1`` that fails at ``s = t r sqrt(a^2+b^2)``, or None."""
-    if not s < 1.0:
-        return f"need t * r * sqrt(a^2+b^2) < 1, got {s}"
-    growth = lam * (2.0 * math.exp(s) - 1.0)
-    return None if growth <= 1.0 else f"need lam (2 exp(t r sqrt(a^2+b^2)) - 1) <= 1, got {growth}"
-
-
 def _exp_or_inf(x: float) -> float:
     """``math.exp(x)``, or ``inf`` where it overflows: a bound that large is vacuous, not an error."""
     try:
@@ -469,10 +460,14 @@ def _exp_or_inf(x: float) -> float:
 def expectation_bound(
     params: ChernoffParams, t: float, a: float, b: float, lam: float
 ) -> float:
-    """Displayed expectation bound (``inf`` past the float range); raises unless the lemma's hypotheses hold."""
+    """Displayed expectation bound (``inf`` past the float range).  Raises ``PreconditionError`` unless the
+    lemma's hypotheses ``s < 1`` and ``lam (2 e^s - 1) <= 1`` hold at ``s = t r sqrt(a^2+b^2)``."""
     s = t * params.radius * math.hypot(a, b)
-    if failure := lemma_hypothesis_failure(s, lam):
-        raise PreconditionError(failure)
+    if not s < 1.0:
+        raise PreconditionError(f"need t * r * sqrt(a^2+b^2) < 1, got {s}")
+    growth = lam * (2.0 * math.exp(s) - 1.0)
+    if not growth <= 1.0:
+        raise PreconditionError(f"need lam (2 exp(t r sqrt(a^2+b^2)) - 1) <= 1, got {growth}")
     return params.dim * _exp_or_inf(params.kappa * (2.0 * s + 8.0 / (1.0 - lam) + 16.0 * s / (1.0 - lam)))
 
 
@@ -823,20 +818,6 @@ def tail_table(assignment: VertexTensorAssignment, poly: PolynomialSpec, k: int,
     return TailTable(rows=table, corollary_rows=len(rels), corollary_rel_err=float(np.max(rels, initial=0.0)),
                      compared=len(gaps), excluded=tuple(row.theta for row in live if row.assumption3_violations),
                      excess=float(np.max(gaps, initial=-math.inf)))
-
-
-def empirical_tail(
-    assignment: VertexTensorAssignment,
-    poly: PolynomialSpec,
-    k: int,
-    theta: float,
-    num_walks: int,
-    kappa: int,
-    seed: int,
-    t_check: float | None = None,
-) -> TailEstimate:
-    """Tail probability ``Pr(|| f(sum_j g(v_j)) ||_(k) >= theta)`` by Monte Carlo."""
-    return empirical_tail_sweep(assignment, poly, k, [theta], num_walks, kappa, seed, t_check)[0]
 
 
 # ---------------------------------------------------------------------------

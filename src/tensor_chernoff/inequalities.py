@@ -358,7 +358,7 @@ class PowerProductSpectrum:
         self.quad = quad
         self.eigenvalues = np.ascontiguousarray(vals[..., ::-1])
         self.bases = np.ascontiguousarray(vecs[..., ::-1])
-        self._logs = np.log(self.eigenvalues)
+        self._log_values = np.log(self.eigenvalues)
         self.interval = (np.prod(self.eigenvalues[..., -1], axis=1), np.prod(self.eigenvalues[..., 0], axis=1))
         self._rules, sv = [], None
         for node_count in () if quad is None else (quad.node_count, max(16, quad.node_count // 2)):
@@ -381,7 +381,7 @@ class PowerProductSpectrum:
         step = max(1, _NODE_BLOCK // ((ts.size if m > 2 else 1) * dim * dim))
         out = []
         for lo in range(0, b, step):
-            vals, logs, bases = (a[lo: lo + step] for a in (self.eigenvalues, self._logs, self.bases))
+            vals, logs, bases = (a[lo: lo + step] for a in (self.eigenvalues, self._log_values, self.bases))
             links = np.conj(bases[:, :-1].swapaxes(-1, -2)) @ bases[:, 1:]  # (b, m - 1, d, d)
             chain = vals[:, :1, :, None] * np.eye(dim)
             for i in range(1, m):
@@ -397,7 +397,7 @@ class PowerProductSpectrum:
 
     def lhs(self, f, k) -> np.ndarray:
         """``|| f(exp(sum_i log C_i)) ||_(k)`` per tuple, from one spectrum of ``sum_i log C_i``."""
-        total = np.sum((self.bases * self._logs[..., None, :]) @ np.conj(self.bases).swapaxes(-1, -2), axis=1)
+        total = np.sum((self.bases * self._log_values[..., None, :]) @ np.conj(self.bases).swapaxes(-1, -2), axis=1)
         mu = np.linalg.eigvalsh(total)
         return ky_fan_from_eigenvalues(_apply_per_trial(f, np.exp(mu), len(mu)), _per_trial_array(k, len(mu), "k"))
 

@@ -1,69 +1,23 @@
-"""Vector majorization predicates and the Ky Fan sum-inequality verifier.
+"""Majorization as one batched prefix test, and the Ky Fan sum-inequality verifier.
 
-Predicates compare descending-sorted vectors by partial sums (or partial
-products, via sums of logs).  Each returns a :class:`MajorizationResult`
-carrying the verdict plus the first failing prefix length, which makes
-violations debuggable; the result is truthy iff the relation holds.
-
-The tolerance is ``1e-9 * (1 + max_abs_entry)``, a relative-absolute hybrid
-chosen because partial sums accumulate round-off (``1e-9 * (1 + max|log x| +
-max|log y|)`` for the log predicates); ``weak_majorizes`` also takes one.
+``first_failures`` decides every majorization premise on stacks of
+descending-sorted vectors: weak majorization compares partial sums, strong
+majorization also needs equal totals, and weak and strong log majorization
+are the same test on the logs of positive vectors (partial products as sums
+of logs).  It returns the first failing prefix length of each row, which
+makes violations debuggable.  Tolerances are relative-absolute because
+partial sums accumulate round-off: ``1e-9 (1 + max|entry|)`` on spectra,
+and ``log_tol`` on their logs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import ArgumentError, DomainError, ShapeError
+from .errors import ArgumentError, ShapeError
 from .norms import ky_fan_from_eigenvalues
-
-
-@dataclass(frozen=True)
-class SortedVec:
-    """Real vector sorted descending; ``positive`` marks an all-positive spectrum."""
-
-    entries: tuple[float, ...]
-    positive: bool
-
-    def __init__(self, entries: Sequence[float]):
-        vals = tuple(float(v) for v in entries)
-        if not vals:
-            raise ArgumentError("SortedVec needs at least one entry")
-        if any(a < b for a, b in zip(vals, vals[1:])):
-            raise ArgumentError(f"entries must be sorted descending, got {vals}")
-        object.__setattr__(self, "entries", vals)
-        object.__setattr__(self, "positive", all(v > 0 for v in vals))
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.asarray(self.entries)
-
-
-@dataclass(frozen=True)
-class MajorizationResult:
-    holds: bool
-    first_failure: int | None  # smallest prefix length k at which the relation fails
-
-    def __bool__(self) -> bool:
-        return self.holds
-
-
-def default_tol(*vecs: SortedVec) -> float:
-    top = max(max(abs(v) for v in vec.entries) for vec in vecs)
-    return 1e-9 * (1.0 + top)
-
-
-def _pair(y, x) -> tuple[SortedVec, SortedVec]:
-    y, x = (v if isinstance(v, SortedVec) else SortedVec(v) for v in (y, x))
-    if len(x) != len(y):
-        raise ArgumentError(f"length mismatch: {len(x)} vs {len(y)}")
-    return y, x
 
 
 def first_failures(x: np.ndarray, y: np.ndarray, tol, total) -> np.ndarray:
@@ -80,45 +34,9 @@ def first_failures(x: np.ndarray, y: np.ndarray, tol, total) -> np.ndarray:
     return np.where(bad.any(axis=-1), bad.argmax(axis=-1) + 1, np.where(unequal, n, 0))
 
 
-def _result(failure) -> MajorizationResult:
-    return MajorizationResult(True, None) if failure == 0 else MajorizationResult(False, int(failure))
-
-
-def weak_majorizes(y, x, tol: float | None = None) -> MajorizationResult:
-    """True iff every prefix sum of ``x`` is at most the prefix sum of ``y``."""
-    y, x = _pair(y, x)
-    return _result(first_failures(x.array, y.array, default_tol(x, y) if tol is None else tol, False))
-
-
-def majorizes(y, x) -> MajorizationResult:
-    """Weak majorization plus equality of the total sums."""
-    y, x = _pair(y, x)
-    return _result(first_failures(x.array, y.array, default_tol(x, y), True))
-
-
-def _logs(y, x) -> tuple[np.ndarray, np.ndarray, float]:
-    """``log x``, ``log y`` and the log-space tolerance, for equal-length positive vectors."""
-    y, x = _pair(y, x)
-    for v, name in ((x, "x"), (y, "y")):
-        if not v.positive:
-            raise DomainError(f"log majorization needs positive entries in {name}, got {v.entries}")
-    lx, ly = np.log(x.array), np.log(y.array)
-    return lx, ly, log_tol(lx, ly)
-
-
 def log_tol(lx: np.ndarray, ly: np.ndarray) -> np.ndarray:
     """``1e-9 (1 + max|log x| + max|log y|)`` per row of log-spectrum stacks."""
     return 1e-9 * (1.0 + (np.max(np.abs(lx), axis=-1) + np.max(np.abs(ly), axis=-1)))
-
-
-def weak_log_majorizes(y, x) -> MajorizationResult:
-    """Prefix products of ``x`` at most those of ``y``, compared as sums of logs."""
-    return _result(first_failures(*_logs(y, x), False))
-
-
-def log_majorizes(y, x) -> MajorizationResult:
-    """Weak log majorization plus equality of the total products."""
-    return _result(first_failures(*_logs(y, x), True))
 
 
 @dataclass(frozen=True)

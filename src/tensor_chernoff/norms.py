@@ -1,11 +1,11 @@
 """Unitarily invariant tensor norms via singular values.
 
 Singular values of a square tensor are those of its matrix unfolding, from
-one LAPACK SVD.  The Ky Fan k-norm sums the k largest, the Schatten p-norm is
-the l_p norm of the whole vector, and the k-trace is the elementary symmetric
-polynomial e_k of a positive spectrum.  A Hermitian ``f(X)`` has singular
-values ``|f(l_i)|``, so ``ky_fan_from_eigenvalues`` takes ``||f(X)||_(k)``
-straight from ``f`` of the spectrum.  ``gauge_rho`` is the Ky Fan gauge
+one LAPACK SVD.  The Ky Fan k-norm sums the k largest (``k = 1`` is the
+spectral norm), and the k-trace is the elementary symmetric polynomial e_k of
+a positive spectrum.  A Hermitian ``f(X)`` has singular values ``|f(l_i)|``,
+so ``ky_fan_from_eigenvalues`` takes ``||f(X)||_(k)`` straight from ``f`` of
+the spectrum.  ``gauge_rho`` is the Ky Fan gauge
 function on sorted nonnegative vectors, so
 ``ky_fan_norm(X, k) == gauge_rho(singular_values(X), k)``.  ``lanczos_top``
 estimates the spectral radius of a Hermitian operator given only its action.
@@ -63,22 +63,6 @@ def ky_fan_norm(x: Tensor, k: int) -> float:
     """Sum of the ``k`` largest singular values; ``k = 1`` is the spectral norm."""
     x.shape.require_square("ky_fan_norm")
     return float(ky_fan_from_eigenvalues(singular_values(x), k))
-
-
-def spectral_norm(x: Tensor) -> float:
-    return ky_fan_norm(x, 1)
-
-
-def schatten_norm(x: Tensor, p: float) -> float:
-    """``(Tr |X|^p)^(1/p)``; ``p = 1`` is the trace norm."""
-    if p < 1:
-        raise ArgumentError(f"p must be >= 1, got {p}")
-    sv = singular_values(x)
-    top = float(sv[0]) if sv.size else 0.0
-    if top == 0.0:
-        return 0.0
-    # factor out the largest value to avoid overflow at large p
-    return top * float(np.sum((sv / top) ** p)) ** (1.0 / p)
 
 
 def k_trace(h: HermitianTensor, k: int) -> float:

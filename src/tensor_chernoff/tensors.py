@@ -203,11 +203,6 @@ def make_identity(shape: TensorShape) -> HermitianTensor:
     return HermitianTensor(shape, np.eye(shape.unfold_rows, dtype=np.complex128))
 
 
-def make_zero(shape: TensorShape) -> Tensor:
-    z = np.zeros((shape.unfold_rows, shape.unfold_cols), dtype=np.complex128)
-    return HermitianTensor(shape, z) if shape.is_square else Tensor(shape, z)
-
-
 def einstein_product(x: Tensor, y: Tensor) -> Tensor:
     """Contract the column group of ``x`` with the row group of ``y``."""
     if x.shape.col_dims != y.shape.row_dims:
@@ -233,10 +228,6 @@ def inner_product(x: Tensor, y: Tensor) -> complex:
     """``<X, Y> = Tr(X^H Y)``, the entrywise sesquilinear inner product."""
     _require_same_shape(x, y, "inner_product")
     return complex(np.vdot(x.matrix, y.matrix))
-
-
-def frobenius_norm(x: Tensor) -> float:
-    return float(np.linalg.norm(x.matrix))
 
 
 def _kron_dims(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -350,11 +341,6 @@ def tensor_exp(h: HermitianTensor) -> HermitianTensor:
     return spectral_map(h, np.exp)
 
 
-def tensor_log(h: HermitianTensor) -> HermitianTensor:
-    """Principal logarithm; requires a positive spectrum."""
-    return spectral_map(h, np.log)
-
-
 def abs_tensor(x: Tensor) -> HermitianTensor:
     """``|X| = sqrt(X^H X) = V diag(s) V^H`` from the SVD ``X = U diag(s) V^H``.
 
@@ -390,9 +376,3 @@ def complex_power(c: HermitianTensor, z: complex, delta: float = 0.0) -> Tensor:
     if complex(z).imag == 0.0:
         return HermitianTensor(h.shape, mat, copy=False)
     return Tensor(h.shape, mat, copy=False)
-
-
-def hermitian_det(h: HermitianTensor) -> float:
-    """Product of all eigenvalues of the unfolding."""
-    spec = hermitian_eig(h)
-    return float(np.prod(spec.eigenvalues))

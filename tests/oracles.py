@@ -2,13 +2,16 @@
 
 These deliberately avoid the library's unfolding representation: products are
 nested-loop contractions over tensor entries, eigenvalue facts are checked by
-subset enumeration, and integrals by closed-form antiderivatives.  Keep them
-slow and obvious.  The compound power and the dense transfer operator build
+subset enumeration, majorization by partial-sum loops (``majorizes_oracle``,
+``log_majorizes_oracle``), and integrals by closed-form antiderivatives.  Keep
+them slow and obvious.  The compound power and the dense transfer operator build
 on library tensors but take no shortcut the code under test takes.  The
 per-probe certificate loop is the library's former one-at-a-time path, and
 the per-vertex assignment loop rescales each vertex of the same single draw
 on its own; both are references for batched paths, and so are the
-``trial_*`` verifiers, the library's former one-trial-at-a-time bodies.  The
+``trial_*`` verifiers, the library's former one-trial-at-a-time bodies
+(``trial_discrete_average_majorization`` decides its premise with the loops
+above, not with the library's ``first_failures``).  The
 log-exp convexity probe and ``reconstruct`` are diagnostics only the tests use.
 ``scalar_theorem_bound`` is the library's former one-threshold minimizer, and
 ``premise_trial_draws`` the runner's former one-trial draw of a constructed premise.
@@ -41,7 +44,6 @@ import numpy as np
 from tensor_chernoff.errors import ArgumentError
 from tensor_chernoff.graphs import sample_walks_array
 from tensor_chernoff.inequalities import LOG_MODES, TRIAL_FUNCTIONS, commuting_spectra
-from tensor_chernoff.majorization import SortedVec, log_majorizes, majorizes, weak_log_majorizes, weak_majorizes
 from tensor_chernoff.norms import gauge_rho, ky_fan_norm, singular_values
 from tensor_chernoff.rng import DOMAIN_GRAPH, DOMAIN_TENSORS, DOMAIN_WALK, multiply_high, stream
 from tensor_chernoff.sampling import ginibre
@@ -91,13 +93,23 @@ def partial_sums(v) -> list[float]:
     return out
 
 
-def weak_majorizes_oracle(y, x, tol: float) -> tuple[bool, int | None]:
-    """Partial-sum enumeration: x weakly majorized by y."""
+def majorizes_oracle(y, x, tol: float, total: bool = False) -> tuple[bool, int | None]:
+    """Partial-sum enumeration: x weakly majorized by y, and with ``total`` also equal full sums
+    (a failure at the last prefix); the first failing prefix length, or None."""
     sx, sy = partial_sums(x), partial_sums(y)
     for k, (a, b) in enumerate(zip(sx, sy), start=1):
         if a > b + tol:
             return False, k
+    if total and abs(sx[-1] - sy[-1]) > tol:
+        return False, len(sx)
     return True, None
+
+
+def log_majorizes_oracle(y, x, total: bool = False) -> tuple[bool, int | None]:
+    """``majorizes_oracle`` on the logs of positive vectors (partial products as sums of logs), at the
+    tolerance ``1e-9 (1 + max|log x| + max|log y|)``."""
+    lx, ly = [math.log(v) for v in x], [math.log(v) for v in y]
+    return majorizes_oracle(ly, lx, 1e-9 * (1.0 + max(map(abs, lx)) + max(map(abs, ly))), total)
 
 
 def beta0_antiderivative(t: float) -> float:
@@ -704,10 +716,11 @@ def trial_discrete_average_majorization(c, atoms, weights, f, k: int, mode: str,
     w = np.asarray(weights)
     if mode in ("weak", "strong"):
         avg = np.sum(w[:, None] * lam_d, axis=0)
-        premise = (weak_majorizes if mode == "weak" else majorizes)(SortedVec(avg), SortedVec(lam_c))
+        tol = 1e-9 * (1.0 + max(np.max(np.abs(lam_c)), np.max(np.abs(avg))))
+        premise, _ = majorizes_oracle(avg, lam_c, tol, total=mode == "strong")
     else:
         geo = np.exp(np.sum(w[:, None] * np.log(lam_d), axis=0))
-        premise = (weak_log_majorizes if mode == "weak_log" else log_majorizes)(SortedVec(geo), SortedVec(lam_c))
+        premise, _ = log_majorizes_oracle(geo, lam_c, total=mode == "log")
 
     def ky_fan(vals):
         return np.sum(np.sort(np.abs(f(vals)), axis=-1)[..., ::-1][..., :k], axis=-1)
@@ -720,7 +733,7 @@ def trial_discrete_average_majorization(c, atoms, weights, f, k: int, mode: str,
         with np.errstate(divide="ignore"):
             rhs = float(np.exp(np.sum(w * np.log(norms))))
     conclusion = lhs <= rhs + 1e-9 * (1.0 + abs(lhs) + abs(rhs))
-    return premise.holds, premise.holds and not conclusion
+    return premise, premise and not conclusion
 
 
 def _trial_power_product(cs, quad):

@@ -15,7 +15,6 @@ from tensor_chernoff.chernoff import (
     assumption3_margins,
     contraction_certificate,
     corollary_bound,
-    empirical_tail,
     empirical_tail_sweep,
     expectation_bound,
     fit_gaussian_domination,
@@ -660,11 +659,11 @@ def test_tail_table_rows_equal_an_independent_computation(graph, shape, k, poly)
 def test_tail_trivial_cases():
     g = gen_complete(4)
     assignment = random_assignment(g, S2, radius=1.0, seed=1)
-    est = empirical_tail(assignment, PolynomialSpec((1.0,)), 1, 1e-12, 500, 3, seed=0)
+    est = empirical_tail_sweep(assignment, PolynomialSpec((1.0,)), 1, [1e-12], 500, 3, seed=0)[0]
     assert est.p_hat == 1.0  # nonnegative f against theta ~ 0
 
     zeros = VertexTensorAssignment(g, S2, np.zeros((4, 2, 2)))
-    est = empirical_tail(zeros, PolynomialSpec.identity(), 1, 0.5, 500, 3, seed=0)
+    est = empirical_tail_sweep(zeros, PolynomialSpec.identity(), 1, [0.5], 500, 3, seed=0)[0]
     assert est.p_hat == 0.0
 
 
@@ -681,9 +680,7 @@ def test_tail_sweep_input_checks():
 def test_tail_identity_assumption3_never_violated():
     g = gen_complete(4)
     assignment = random_assignment(g, S2, radius=1.0, seed=4)
-    est = empirical_tail(
-        assignment, PolynomialSpec.identity(), 1, 2.0, 2000, 6, seed=9, t_check=0.7
-    )
+    est = empirical_tail_sweep(assignment, PolynomialSpec.identity(), 1, [2.0], 2000, 6, seed=9, t_check=0.7)[0]
     assert est.assumption3_violations == 0
 
 

@@ -383,3 +383,10 @@ def test_readme_cli_flags_match_parser():
     (commands,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     options = {flag for action in commands.choices["run"]._actions for flag in action.option_strings}
     assert set(re.findall(r"--[a-z][a-z-]*", section)) == options - {"-h", "--help"}
+
+
+def test_readme_quickstart_runs():
+    # a removed or renamed name, or an assertion of the block that no longer holds, fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"\n## Quickstart\n\n```python\n(.*?)```", readme, re.S)
+    exec(compile(block, "README.md (Quickstart)", "exec"), {})

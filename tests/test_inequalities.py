@@ -12,7 +12,6 @@ from tensor_chernoff import (
     make_identity,
     spectral_map,
     tensor_exp,
-    tensor_log,
 )
 from tensor_chernoff.errors import ArgumentError, DomainError
 from tensor_chernoff import inequalities, runner
@@ -496,6 +495,6 @@ def test_spectral_paths_match_composed_maps():
 
         for f in (lambda x: x - 2.0, lambda x: x**2):
             cs = [random_positive(shape, rng) for _ in range(3)]
-            log_sum = tensor_log(cs[0]) + tensor_log(cs[1]) + tensor_log(cs[2])
+            log_sum = spectral_map(cs[0], np.log) + spectral_map(cs[1], np.log) + spectral_map(cs[2], np.log)
             for k in range(1, dim + 1):
                 close(golden_thompson_lhs(f, _tuple(*cs), k)[0], ky_fan_norm(spectral_map(tensor_exp(log_sum), f), k))

@@ -1,80 +1,102 @@
-"""Majorization predicates against partial-sum/product enumeration."""
+"""``first_failures``, the one majorization rule, against partial-sum loops; the Ky Fan sum inequality."""
 
 import numpy as np
 import pytest
 
 from tensor_chernoff import TensorShape, hermitian_eig
-from tensor_chernoff.errors import ArgumentError, DomainError, ShapeError
-from tensor_chernoff.majorization import (
-    SortedVec,
-    check_kyfan_sum_inequality,
-    log_majorizes,
-    majorizes,
-    weak_log_majorizes,
-    weak_majorizes,
-)
+from tensor_chernoff.errors import ArgumentError, ShapeError
+from tensor_chernoff.majorization import check_kyfan_sum_inequality, first_failures, log_tol
 from tensor_chernoff.sampling import random_hermitian, random_tensor
 
-from oracles import weak_majorizes_oracle
+from oracles import log_majorizes_oracle, majorizes_oracle
 
 RNG = np.random.default_rng(20240813)
 
 
-def test_sorted_vec_construction():
-    v = SortedVec([3.0, 2.0, 2.0])
-    assert v.positive
-    assert not SortedVec([1.0, 0.0]).positive
-    with pytest.raises(ArgumentError):
-        SortedVec([1.0, 2.0])
-    with pytest.raises(ArgumentError):
-        SortedVec([])
+def _failure(y, x, total, tol=None) -> int:
+    """``first_failures`` of ``x`` under ``y`` (0 if it holds), at ``1e-9 (1 + max|entry|)`` unless ``tol`` is given."""
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    tol = 1e-9 * (1.0 + max(np.max(np.abs(x)), np.max(np.abs(y)))) if tol is None else tol
+    return int(first_failures(x, y, tol, total))
+
+
+def _log_failure(y, x, total) -> int:
+    """``first_failures`` on the logs of positive ``x`` and ``y``, at ``log_tol``."""
+    lx, ly = np.log(x), np.log(y)
+    return int(first_failures(lx, ly, log_tol(lx, ly), total))
 
 
 def test_weak_majorization_examples():
-    assert weak_majorizes([2.0, 0.0], [1.0, 1.0])
-    assert weak_majorizes([1.0, 1.0], [1.0, 1.0])
-    res = weak_majorizes([2.0, 1.0], [3.0, 0.0])
-    assert not res and res.first_failure == 1
-    with pytest.raises(ArgumentError):
-        weak_majorizes([1.0], [1.0, 0.0])
+    assert _failure([2.0, 0.0], [1.0, 1.0], False) == 0
+    assert _failure([1.0, 1.0], [1.0, 1.0], False) == 0
+    assert _failure([2.0, 1.0], [3.0, 0.0], False) == 1
+    assert _failure([3.0, 0.0, 0.0], [2.0, 2.0, 0.0], False) == 2
+    assert _failure([2.0, 1.0], [1.0, 1.0], False) == 0  # unequal totals: weak majorization holds
 
 
 def test_majorization_total_sum():
-    assert majorizes([2.0, 0.0], [1.0, 1.0])
-    res = majorizes([2.0, 1.0], [1.0, 1.0])  # totals 3 vs 2
-    assert not res and res.first_failure == 2
+    assert _failure([2.0, 0.0], [1.0, 1.0], True) == 0
+    assert _failure([2.0, 1.0], [1.0, 1.0], True) == 2  # totals 3 vs 2: every prefix holds, the total fails
+    assert _failure([3.0, 0.0, 0.0], [2.0, 2.0, -1.0], True) == 2  # a failing prefix comes before the total
+    assert _failure([2.0, 1.0], [1.0, 2.0 + 1e-10], True) == 0  # totals equal within the tolerance
+    # a stack of rows, each with its own tolerance and its own rule
+    x = np.array([[1.0, 1.0], [1.0, 1.0], [3.0, 0.0], [1.0, 1.0 + 1e-6]])
+    y = np.array([[2.0, 1.0], [2.0, 1.0], [2.0, 1.0], [1.0, 1.0]])
+    tol = np.array([1e-9, 1e-9, 1e-9, 1e-5])
+    assert first_failures(x, y, tol, np.array([False, True, True, True])).tolist() == [0, 2, 1, 0]
+    assert first_failures(x, y, 1e-9, True).tolist() == [2, 2, 1, 2]
 
 
 def test_log_variants_frozen_examples():
     # x=(2,2), y=(4,1): prefix products (2,4) vs (4,4); totals equal
-    assert weak_log_majorizes([4.0, 1.0], [2.0, 2.0])
-    assert log_majorizes([4.0, 1.0], [2.0, 2.0])
+    assert _log_failure([4.0, 1.0], [2.0, 2.0], False) == 0
+    assert _log_failure([4.0, 1.0], [2.0, 2.0], True) == 0
     # x=(1,1,1), y=(3,1,1/3): prefix products (1,1,1) vs (3,3,1); totals equal
-    assert weak_log_majorizes([3.0, 1.0, 1 / 3], [1.0, 1.0, 1.0])
-    assert log_majorizes([3.0, 1.0, 1 / 3], [1.0, 1.0, 1.0])
-    # all four predicates true on x = y
+    assert _log_failure([3.0, 1.0, 1 / 3], [1.0, 1.0, 1.0], False) == 0
+    assert _log_failure([3.0, 1.0, 1 / 3], [1.0, 1.0, 1.0], True) == 0
+    # all four rules hold on x = y
     x = [2.5, 1.5, 0.5]
-    assert weak_majorizes(x, x) and majorizes(x, x)
-    xp = [2.5, 1.5, 0.5]
-    assert weak_log_majorizes(xp, xp) and log_majorizes(xp, xp)
+    assert [_failure(x, x, total) for total in (False, True)] == [0, 0]
+    assert [_log_failure(x, x, total) for total in (False, True)] == [0, 0]
     # strict prefix failure
-    res = weak_log_majorizes([2.0, 1.0], [3.0, 0.5])
-    assert not res and res.first_failure == 1
-    with pytest.raises(DomainError):
-        weak_log_majorizes([1.0, 0.0], [1.0, 1.0])
+    assert _log_failure([2.0, 1.0], [3.0, 0.5], False) == 1
+    # x=(2,2), y=(4,2): prefix products (2,4) vs (4,8); total products 4 vs 8
+    assert _log_failure([4.0, 2.0], [2.0, 2.0], False) == 0
+    assert _log_failure([4.0, 2.0], [2.0, 2.0], True) == 2
+
+
+def _random_pairs(positive: bool):
+    """Descending pairs ``(y, x)``, positive ones if ``positive``: half drawn at random, half with ``x`` a
+    T-transform of ``y`` (two entries moved toward their mean, in log space if ``positive``), so that strong
+    majorization, or strong log majorization, holds up to round-off."""
+    lo, hi = (0.1, 3.0) if positive else (-2.0, 2.0)
+    for i in range(400):
+        r = int(RNG.integers(2, 6))
+        y = np.sort(RNG.uniform(lo, hi, size=r))[::-1]
+        if i % 2:
+            x = np.sort(RNG.uniform(lo, hi, size=r))[::-1]
+        else:
+            v = np.log(y) if positive else y.copy()
+            a, b = sorted(RNG.choice(r, size=2, replace=False))
+            shift = RNG.uniform(0.0, 0.5) * (v[a] - v[b])
+            v[a], v[b] = v[a] - shift, v[b] + shift
+            x = np.sort(np.exp(v) if positive else v)[::-1]
+        yield y, x
 
 
 def test_random_against_oracle():
-    for _ in range(200):
-        r = RNG.integers(2, 6)
-        x = np.sort(RNG.uniform(-2, 2, size=r))[::-1]
-        y = np.sort(RNG.uniform(-2, 2, size=r))[::-1]
-        tol = 1e-12
-        got = weak_majorizes(y, x, tol)
-        want, want_k = weak_majorizes_oracle(y, x, tol)
-        assert bool(got) == want
-        if not want:
-            assert got.first_failure == want_k
+    # the four rules, weak and strong on the entries and on their logs, against the partial-sum loops
+    rules = {False: (lambda y, x, total: _failure(y, x, total, tol=1e-12),
+                     lambda y, x, total: majorizes_oracle(y, x, 1e-12, total)),
+             True: (_log_failure, log_majorizes_oracle)}
+    for log, (rule, oracle) in rules.items():
+        for total in (False, True):
+            seen = set()
+            for y, x in _random_pairs(positive=log):
+                want, want_k = oracle(y, x, total)
+                assert rule(y, x, total) == (0 if want else want_k)
+                seen.add("holds" if want else "prefix" if not oracle(y, x, False)[0] else "total")
+            assert seen == ({"holds", "prefix", "total"} if total else {"holds", "prefix"})
 
 
 def test_implication_chain_on_positive_vectors():
@@ -92,22 +114,21 @@ def test_implication_chain_on_positive_vectors():
         mixed[i] -= delta
         mixed[j] += delta
         x = np.sort(np.exp(mixed))[::-1]
-        if log_majorizes(y, x):
+        if _log_failure(y, x, True) == 0:
             hit += 1
-            assert weak_log_majorizes(y, x)
-            assert weak_majorizes(y, x)
+            assert _log_failure(y, x, False) == 0
+            assert _failure(y, x, False) == 0
     assert hit > 400  # construction should almost always satisfy the premise
 
 
 def test_ky_fan_eigenvalue_majorization():
-    # lambda(X + Y) is weakly majorized by sorted lambda(X) + lambda(Y)
+    # lambda(X + Y) is majorized by sorted lambda(X) + lambda(Y), totals equal (the traces): one stacked call
     s = TensorShape.square((2, 2))
-    for _ in range(100):
-        x, y = random_hermitian(s, RNG), random_hermitian(s, RNG)
-        lx = hermitian_eig(x).eigenvalues
-        ly = hermitian_eig(y).eigenvalues
-        lsum = hermitian_eig(x + y).eigenvalues
-        assert weak_majorizes(lx + ly, lsum)
+    pairs = [(random_hermitian(s, RNG), random_hermitian(s, RNG)) for _ in range(100)]
+    lsum = np.array([hermitian_eig(x + y).eigenvalues for x, y in pairs])
+    lxy = np.array([hermitian_eig(x).eigenvalues + hermitian_eig(y).eigenvalues for x, y in pairs])
+    tol = 1e-9 * (1.0 + np.maximum(np.max(np.abs(lsum), axis=1), np.max(np.abs(lxy), axis=1)))
+    assert not first_failures(lsum, lxy, tol, True).any()
 
 
 def _stack(*ts) -> np.ndarray:

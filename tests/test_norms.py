@@ -13,9 +13,7 @@ from tensor_chernoff.norms import (
     ky_fan_from_eigenvalues,
     ky_fan_norm,
     lanczos_top,
-    schatten_norm,
     singular_values,
-    spectral_norm,
 )
 from tensor_chernoff.sampling import random_tensor, random_unitary
 
@@ -47,7 +45,6 @@ def test_ky_fan_examples():
     assert ky_fan_norm(ident, 3) == pytest.approx(3.0)
     d = HermitianTensor(TensorShape.square((3,)), np.diag([5.0, -7.0, 1.0]))
     assert ky_fan_norm(d, 1) == pytest.approx(7.0)
-    assert spectral_norm(d) == pytest.approx(7.0)
     with pytest.raises(ArgumentError):
         ky_fan_norm(ident, 0)
     with pytest.raises(ArgumentError):
@@ -103,18 +100,6 @@ def test_ky_fan_monotone_in_k_and_unitary_invariance():
     for k in (1, 2, 3):
         assert abs(ky_fan_norm(u @ x, k) - ky_fan_norm(x, k)) <= 1e-9
         assert abs(ky_fan_norm(x @ u, k) - ky_fan_norm(x, k)) <= 1e-9
-
-
-def test_schatten_examples():
-    ident = make_identity(S22)
-    assert schatten_norm(ident, 1) == pytest.approx(4.0)
-    x = random_tensor(S22, RNG)
-    # large p approaches the spectral norm
-    assert schatten_norm(x, 64) == pytest.approx(spectral_norm(x), rel=0.02)
-    sv = singular_values(x)
-    assert schatten_norm(x, 2.5) == pytest.approx(float(np.sum(sv**2.5)) ** (1 / 2.5))
-    with pytest.raises(ArgumentError):
-        schatten_norm(x, 0.5)
 
 
 def test_k_trace_examples():

@@ -170,11 +170,16 @@ def _nan_corollary(params, fit):
     return chernoff.BoundResult(value=math.nan, t_opt=1.0, vacuous=False)
 
 
-# (module whose binding the fold's caller reads, patched name, replacement, suite config,
+# LAPACK does not converge on a NaN A / d, so the expander suite's dense spectrum reads NaN
+_NAN_ADJACENCY = property(lambda graph: np.full((graph.n, graph.n), np.nan))
+
+
+# (module or class whose binding the fold's caller reads, patched name, replacement, suite config,
 #  check whose worst-value fold meets the NaN)
 FOLD_CASES = {
     "tensor_props": (runner_mod, "hermitian_eig", _nan_eigenvalues, TENSOR_PROPS, "trace_vs_eigenvalue_sum"),
     "expander": (runner_mod, "spectral_expansion", _nan_expansion, EXPANDER, "expansion_certificate"),
+    "expander_dense": (graphs.RegularGraph, "adjacency", _NAN_ADJACENCY, EXPANDER, "expansion_certificate"),
     "chernoff_sweep": (chernoff, "corollary_bound", _nan_corollary, CHERNOFF_K4, "corollary_vs_theorem_rel_err"),
 }
 
