@@ -208,7 +208,7 @@ class DominationFit:
 
 @dataclass(frozen=True)
 class ChernoffParams:
-    """Everything the tail-bound formulas consume.
+    """The instance every tail-bound formula reads; the thresholds are arguments of the formulas.
 
     ``lam_bar`` is one minus the spectral expansion.  Bipartite graphs reach
     ``lam_bar = 0`` under the absolute-value expansion definition; the bound
@@ -217,7 +217,6 @@ class ChernoffParams:
 
     kappa: int
     k: int
-    theta: float
     lam_bar: float
     dim: int
     radius: float
@@ -227,8 +226,6 @@ class ChernoffParams:
             raise ArgumentError(f"kappa must be >= 1, got {self.kappa}")
         if not 1 <= self.k <= self.dim:
             raise ArgumentError(f"k must be in [1, {self.dim}], got {self.k}")
-        if self.theta <= 0:
-            raise ArgumentError(f"theta must be positive, got {self.theta}")
         if not 0.0 <= self.lam_bar <= 1.0:
             raise ArgumentError(f"lam_bar must be in [0, 1], got {self.lam_bar}")
         if self.radius <= 0:
@@ -476,9 +473,7 @@ def expectation_sandwich(
 ) -> tuple[int, float]:
     """Exact transfer expectation against ``expectation_bound`` at each ``(t, a, b)`` the
     lemma admits: the count of those and the worst ``exact - bound`` (-inf if none; NaN propagates)."""
-    params = ChernoffParams(
-        kappa=kappa, k=1, theta=1.0, lam_bar=1.0 - lam, dim=assignment.dim, radius=assignment.radius
-    )
+    params = ChernoffParams(kappa=kappa, k=1, lam_bar=1.0 - lam, dim=assignment.dim, radius=assignment.radius)
     gaps = []
     for t, a, b in points:
         try:
@@ -548,9 +543,9 @@ class BoundResult:
 
 
 def _theorem_objective(params: ChernoffParams, poly: PolynomialSpec, fit: DominationFit, thetas: np.ndarray):
-    """The bound of ``params`` at each threshold of ``thetas`` (in place of ``params.theta``) as a
-    function of ``t``, which broadcasts against ``thetas`` on its last axis, and the vertex
-    ``(theta - a_l) / (2 b_l)`` of each present term's quadratic exponent, one per threshold."""
+    """The bound of ``params`` at each threshold of ``thetas`` as a function of ``t``, which
+    broadcasts against ``thetas`` on its last axis, and the vertex ``(theta - a_l) / (2 b_l)`` of
+    each present term's quadratic exponent, one per threshold."""
     n_deg = poly.degree
     s = poly.power
     kb = params.lam_bar
@@ -597,18 +592,20 @@ def _golden_section(fn: Callable, a: np.ndarray, b: np.ndarray) -> tuple[np.ndar
     return state[0], state[1]
 
 
-def _theorem_bounds(rows: Sequence[ChernoffParams], poly: PolynomialSpec, fit: DominationFit) -> list[BoundResult]:
-    """``theorem_bound`` of each of ``rows``, which differ only in ``theta``, minimized in lockstep.
+def theorem_bound(params: ChernoffParams, thetas: Sequence[float], poly: PolynomialSpec,
+                  fit: DominationFit) -> list[BoundResult]:
+    """Minimize the displayed tail-bound expression over ``t > 0`` at each threshold of ``thetas``.
 
     Each threshold takes its own coarse log-spaced grid (one column of one 2-D grid), then
-    golden-section refinement to 1e-8 relative, so every result is the one its row gets alone.
+    golden-section refinement to 1e-8 relative, every threshold in lockstep, so each result is
+    the one its threshold gets alone.
     """
+    if bad := [theta for theta in thetas if theta <= 0]:
+        raise ArgumentError(f"theta must be positive, got {bad[0]}")
     if not fit.verified:
         raise ArgumentError("domination fit must be verified")
-    if not rows:
-        return []
-    thetas = np.array([row.theta for row in rows], dtype=np.float64)
-    objective, vertices = _theorem_objective(rows[0], poly, fit, thetas)
+    thetas = np.array(thetas, dtype=np.float64)
+    objective, vertices = _theorem_objective(params, poly, fit, thetas)
     hi = np.maximum.reduce([np.ones_like(thetas)] + [np.where(v > 0, 4.0 * v, 1.0) for v in vertices])
 
     grid = np.geomspace(1e-8, hi, 200)  # (200, thresholds)
@@ -623,36 +620,30 @@ def _theorem_bounds(rows: Sequence[ChernoffParams], poly: PolynomialSpec, fit: D
     return [BoundResult(value=float(v), t_opt=float(t), vacuous=bool(v > 1.0)) for v, t in zip(values, t_opt)]
 
 
-def theorem_bound(params: ChernoffParams, poly: PolynomialSpec, fit: DominationFit) -> BoundResult:
-    """Minimize the displayed tail-bound expression over ``t > 0``.
-
-    Coarse log-spaced grid, then golden-section refinement to 1e-8 relative.
-    """
-    return _theorem_bounds([params], poly, fit)[0]
-
-
-def corollary_bound(params: ChernoffParams, fit: DominationFit) -> BoundResult:
-    """Closed-form bound for the identity map, at the exact quadratic vertex.
+def corollary_bound(params: ChernoffParams, theta: float, fit: DominationFit) -> BoundResult:
+    """Closed-form bound for the identity map at threshold ``theta``, at the exact quadratic vertex.
 
     Substitutes ``t = (theta - 2 (kappa + 8 lam_bar) r) / (4 sigma^2 r^2
     (kappa + 8 lam_bar)^2)`` into the one-term objective, keeping the
     ``kappa + 8 lam_bar`` factors the substitution produces, so this agrees
     with ``theorem_bound`` for the identity polynomial.
     """
+    if theta <= 0:
+        raise ArgumentError(f"theta must be positive, got {theta}")
     if not fit.verified:
         raise ArgumentError("domination fit must be verified")
     kb = params.kappa + 8.0 * params.lam_bar
     r = params.radius
     sigma = fit.sigma
-    t_opt = (params.theta - 2.0 * kb * r) / (4.0 * sigma**2 * r**2 * kb**2)
+    t_opt = (theta - 2.0 * kb * r) / (4.0 * sigma**2 * r**2 * kb**2)
     if t_opt <= 0:
         raise PreconditionError(
             f"closed-form t = {t_opt:.3e} is not positive: theta below the vacuous threshold"
         )
     exponent = (
         8.0 * params.kappa * params.lam_bar
-        - params.theta**2 / (8.0 * sigma**2 * r**2 * kb**2)
-        + params.theta / (2.0 * sigma**2 * r * kb)
+        - theta**2 / (8.0 * sigma**2 * r**2 * kb**2)
+        + theta / (2.0 * sigma**2 * r * kb)
         - 1.0 / (2.0 * sigma**2)
     )
     value = fit.c * (params.k + math.sqrt((params.dim - params.k) / params.k)) * _exp_or_inf(exponent)
@@ -800,12 +791,11 @@ def tail_table(assignment: VertexTensorAssignment, poly: PolynomialSpec, k: int,
 
     One ``empirical_tail_sweep`` serves every row, auditing assumption 3 at each row's ``t_opt``.
     """
-    rows = [ChernoffParams(kappa=kappa, k=k, theta=theta, lam_bar=lam_bar, dim=assignment.dim,
-                           radius=assignment.radius) for theta in thetas]
-    bounds, rels = _theorem_bounds(rows, poly, fit), []
-    for params, res in zip(rows, bounds) if poly.is_identity else ():
+    params = ChernoffParams(kappa=kappa, k=k, lam_bar=lam_bar, dim=assignment.dim, radius=assignment.radius)
+    bounds, rels = theorem_bound(params, thetas, poly, fit), []
+    for theta, res in zip(thetas, bounds) if poly.is_identity else ():
         try:
-            cor = corollary_bound(params, fit)
+            cor = corollary_bound(params, theta, fit)
         except PreconditionError:  # theta below the closed form's regime
             continue
         rels.append(abs(res.value - cor.value) / max(cor.value, 1e-300))

@@ -28,7 +28,6 @@ from .chernoff import (
     contraction_certificate,
     expectation_sandwich,
     fit_gaussian_domination,
-    gamma_bounds,
     load_assignment,
     random_assignment,
     tail_table,
@@ -68,13 +67,13 @@ from .reporting import CheckRecord, Report
 from .rng import DOMAIN_SUITE, INEQUALITY_STREAM, TENSOR_STREAM, WALK_STREAM, stream
 from .sampling import diagonal_in, ginibre, haar_unitary, random_hermitian, random_tensor
 from .tensors import (
+    Tensor,
     TensorShape,
     col_tensor,
     conj_transpose,
     hermitian_eig,
     inner_product,
     kronecker,
-    make_identity,
     tensor_exp,
     trace,
 )
@@ -147,26 +146,31 @@ def _suite_tensor_props(cfg: ExperimentConfig, seed: int):
         scale = max(1.0, float(np.max(np.abs(ref))))
         worst_einstein = np.maximum(worst_einstein, float(np.max(np.abs(prod.entries - ref))) / scale)
 
-        adj = conj_transpose(prod) - (conj_transpose(y) @ conj_transpose(x))
-        worst_adjoint = np.maximum(worst_adjoint, float(np.max(np.abs(adj.matrix))) / scale)
+        gram = inner_product(prod, prod)  # <P, XY> = <X^H P, Y> = Tr(P^H X Y), a complex identity
+        adj = abs(gram - inner_product(conj_transpose(x) @ prod, y)) / max(1.0, abs(gram))
+        worst_adjoint = np.maximum(worst_adjoint, adj)
 
         sq = TensorShape.square(rows)
         h = random_hermitian(sq, rng)
         spec = hermitian_eig(h)
         worst_trace = np.maximum(worst_trace, abs(trace(h).real - float(np.sum(spec.eigenvalues))))
 
-        e = tensor_exp(h)
-        mapped = np.sort(hermitian_eig(e).eigenvalues)
-        direct = np.sort(np.exp(spec.eigenvalues))
+        # the eigen-equation, the descending order and exp's spectrum in that order
+        vals, top = spec.eigenvalues, max(1.0, float(np.max(np.abs(spec.eigenvalues))))
+        residual = float(np.max(np.abs(h.matrix @ spec.basis - spec.basis * vals))) / top
+        disorder = float(np.max(np.abs(vals - np.sort(vals)[::-1])))
+        direct = np.exp(vals)
+        mapped = hermitian_eig(tensor_exp(h)).eigenvalues
         specmap = float(np.max(np.abs(mapped - direct))) / max(1.0, float(np.max(direct)))
-        worst_specmap = np.maximum(worst_specmap, specmap)
+        worst_specmap = np.maximum(worst_specmap, np.max([residual, disorder, specmap]))  # a NaN in any fails
 
         c = random_tensor(sq, rng)
         b = random_tensor(sq, rng)
-        ci = col_tensor(make_identity(sq))
-        lhs = inner_product(ci, kronecker(c, b) @ ci)
-        rhs = complex(np.trace(c.matrix @ b.matrix.T))
-        worst_kron = np.maximum(worst_kron, abs(lhs - rhs))
+        paired = list(range(len(rows)))
+        worst_trace = np.maximum(worst_trace, abs(trace(c) - complex(np.einsum(c.entries, paired + paired, []))))
+        lhs = (kronecker(c, b) @ col_tensor(h)).matrix  # row-major vec: (C kron B) vec H = vec(C H B^T)
+        rhs = col_tensor(c @ h @ Tensor(sq, b.matrix.T)).matrix
+        worst_kron = np.maximum(worst_kron, float(np.max(np.abs(lhs - rhs))) / max(1.0, float(np.max(np.abs(rhs)))))
 
     slope, bound_ok = -math.inf, True
     shape = TensorShape.square((2, 2))
@@ -182,7 +186,7 @@ def _suite_tensor_props(cfg: ExperimentConfig, seed: int):
         CheckRecord.from_bound("adjoint_product_rule_rel_err", worst_adjoint, 1e-10),
         CheckRecord.from_bound("trace_vs_eigenvalue_sum", worst_trace, 1e-10),
         CheckRecord.from_bound("spectral_mapping_rel_err", worst_specmap, 1e-9),
-        CheckRecord.from_bound("kron_vec_trace_identity", worst_kron, 1e-9),
+        CheckRecord.from_bound("kron_col_tensor_rel_err", worst_kron, 1e-9),
         CheckRecord.from_bound("lie_trotter_loglog_slope", slope, -0.9,
                                detail="n = 1,2,4,...,256"),
         CheckRecord.from_bound("lie_trotter_proof_bound_violations", 0.0 if bound_ok else 1.0, 0.0),
@@ -470,10 +474,10 @@ def _suite_chernoff_sweep(cfg: ExperimentConfig, seed: int):
     fit = fit_gaussian_domination(cfg.domination.window, cfg.domination.sigma_grid)
     checks = []
 
-    g1, g2, g3, g4 = gamma_bounds(0.2, assignment.radius, 1.0, 0.5, lam)
-    gamma_err = max(abs(g2 - lam * g3), abs(g4 - lam * g1))
     detail = f"lambda = {lam:.6f}, a Ritz lower estimate by {steps} slot-Lanczos steps, residual {residual:.1e}"
-    checks.append(CheckRecord.from_bound("gamma_algebra_error", gamma_err, 0.0, detail=detail))
+    checks.append(CheckRecord.skipped(
+        "gamma_algebra_error", 0.0, "a tautology: gamma_bounds returns (e, lambda (e - 1), e - 1, lambda e), so "
+        f"gamma 2 = lambda gamma 3 and gamma 4 = lambda gamma 1 by the same float operations; {detail}"))
 
     def tail():  # the Monte Carlo half: walks from (seed, DOMAIN_WALK)
         return tail_table(assignment, poly, cfg.walk.k, cfg.sweep.theta_grid, cfg.walk.num_walks, cfg.walk.kappa,

@@ -154,7 +154,7 @@ class HermitianTensor(Tensor):
     stores the canonical Hermitian part ``(X + X^H) / 2``.
     """
 
-    def __init__(self, shape: TensorShape, matrix: np.ndarray, *, copy: bool = True):
+    def __init__(self, shape: TensorShape, matrix: np.ndarray):
         shape.require_square("HermitianTensor")
         mat = np.asarray(matrix, dtype=np.complex128)
         shape.require_unfolding(mat)
@@ -215,7 +215,7 @@ def einstein_product(x: Tensor, y: Tensor) -> Tensor:
 def conj_transpose(x: Tensor) -> Tensor:
     out = Tensor(TensorShape(x.shape.col_dims, x.shape.row_dims), x.matrix.conj().T)
     if out.shape.is_square and isinstance(x, HermitianTensor):
-        return HermitianTensor(out.shape, out.matrix, copy=False)
+        return HermitianTensor(out.shape, out.matrix)
     return out
 
 
@@ -249,7 +249,7 @@ def kronecker(x: Tensor, y: Tensor) -> Tensor:
         and isinstance(x, HermitianTensor)
         and isinstance(y, HermitianTensor)
     ):
-        return HermitianTensor(shape, mat, copy=False)
+        return HermitianTensor(shape, mat)
     return Tensor(shape, mat, copy=False)
 
 
@@ -374,5 +374,5 @@ def complex_power(c: HermitianTensor, z: complex, delta: float = 0.0) -> Tensor:
     powered = np.exp(complex(z) * np.log(vals))
     mat = (spec.basis * powered) @ spec.basis.conj().T
     if complex(z).imag == 0.0:
-        return HermitianTensor(h.shape, mat, copy=False)
+        return HermitianTensor(h.shape, mat)
     return Tensor(h.shape, mat, copy=False)

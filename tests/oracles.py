@@ -369,12 +369,12 @@ def direct_tail_p_hat(assignment, poly, k: int, thetas, num_walks: int, kappa: i
     return [np.count_nonzero(norms >= theta) / num_walks for theta in thetas]
 
 
-def scalar_theorem_bound(params, poly, fit) -> tuple[float, float]:
-    """``(value, t_opt)`` of the theorem bound at ``params.theta`` alone: the displayed objective on
+def scalar_theorem_bound(params, theta: float, poly, fit) -> tuple[float, float]:
+    """``(value, t_opt)`` of the theorem bound at ``theta`` alone: the displayed objective on
     a 200-point log grid up to four times the largest positive vertex, then a scalar golden-section
     loop, one evaluation per step, down to a bracket of 1e-8 relative width.  Each evaluation is
     numpy on a 0-d array, as the library's was."""
-    s, kb, theta = poly.power, params.lam_bar, params.theta
+    s, kb = poly.power, params.lam_bar
     pref = fit.c * (params.k + math.sqrt((params.dim - params.k) / params.k))
     coeff = (poly.degree + 1) ** (s - 1.0)
     terms = [l for l in range(1, poly.degree + 1) if poly.coefficients[l] != 0.0]

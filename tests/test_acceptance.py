@@ -370,15 +370,11 @@ def test_criterion_7_transfer_sandwich():
 # 8. Tail bound end to end
 # ---------------------------------------------------------------------------
 
-def _nonvacuous_theta(params_base: ChernoffParams, fit) -> float:
-    theta = 2.0 * (params_base.kappa + 8.0 * params_base.lam_bar) * params_base.radius * 1.05
+def _nonvacuous_theta(params: ChernoffParams, fit) -> float:
+    theta = 2.0 * (params.kappa + 8.0 * params.lam_bar) * params.radius * 1.05
     for _ in range(60):
-        params = ChernoffParams(
-            kappa=params_base.kappa, k=params_base.k, theta=theta,
-            lam_bar=params_base.lam_bar, dim=params_base.dim, radius=params_base.radius,
-        )
         try:
-            if corollary_bound(params, fit).value < 0.9:
+            if corollary_bound(params, theta, fit).value < 0.9:
                 return theta
         except PreconditionError:
             pass
@@ -400,9 +396,8 @@ def test_criterion_8_tail_bound_end_to_end():
         assignment = random_assignment(graph, TensorShape.square((2,)), radius=1.0, seed=808)
         for kappa in (4, 8, 16):
             for k in (1, 2):
-                base = ChernoffParams(kappa=kappa, k=k, theta=1.0, lam_bar=lam_bar,
-                                      dim=2, radius=assignment.radius)
-                theta_star = _nonvacuous_theta(base, fit)
+                params = ChernoffParams(kappa=kappa, k=k, lam_bar=lam_bar, dim=2, radius=assignment.radius)
+                theta_star = _nonvacuous_theta(params, fit)
                 thetas = sorted(
                     {round(f * kappa * assignment.radius, 6) for f in (0.25, 0.5, 0.75, 1.0)}
                     | {round(theta_star, 6), round(1.2 * theta_star, 6)}

@@ -128,7 +128,7 @@ def test_zero_assignment_certificate():
     zeros = np.zeros((g.n, 2, 2))
     with pytest.raises(ArgumentError):
         # radius 0 is rejected by ChernoffParams, but the certificate works
-        ChernoffParams(kappa=1, k=1, theta=1.0, lam_bar=0.5, dim=2, radius=0.0)
+        ChernoffParams(kappa=1, k=1, lam_bar=0.5, dim=2, radius=0.0)
     rep = contraction_certificate(
         VertexTensorAssignment(g, S2, zeros), t=0.7, a=1.0, b=0.3, lam=spectral_expansion(g)[0]
     )
@@ -141,11 +141,10 @@ def test_zero_assignment_certificate():
 @pytest.mark.parametrize("field, value, match", [
     ("kappa", 0, "kappa must be >= 1"),
     ("k", 3, "k must be in \\[1, 2\\]"),
-    ("theta", 0.0, "theta must be positive"),
     ("lam_bar", 1.5, "lam_bar must be in \\[0, 1\\]"),
 ])
 def test_chernoff_params_range_errors(field, value, match):
-    good = dict(kappa=1, k=1, theta=1.0, lam_bar=0.5, dim=2, radius=1.0)
+    good = dict(kappa=1, k=1, lam_bar=0.5, dim=2, radius=1.0)
     ChernoffParams(**good)
     with pytest.raises(ArgumentError, match=match):
         ChernoffParams(**{**good, field: value})
@@ -371,7 +370,7 @@ def test_transfer_matches_monte_carlo():
 
 
 def test_expectation_bound():
-    params = ChernoffParams(kappa=3, k=1, theta=1.0, lam_bar=0.5, dim=4, radius=1.0)
+    params = ChernoffParams(kappa=3, k=1, lam_bar=0.5, dim=4, radius=1.0)
     lam = 0.5
     # t -> 0 limit
     assert expectation_bound(params, 1e-12, 1.0, 0.0, lam) == pytest.approx(
@@ -391,9 +390,7 @@ def test_transfer_below_expectation_bound():
     for graph in (gen_complete(4), gen_cycle(5)):
         lam = spectral_expansion(graph)[0]
         assignment = random_assignment(graph, S2, radius=1.0, seed=2)
-        params = ChernoffParams(
-            kappa=3, k=1, theta=1.0, lam_bar=1 - lam, dim=2, radius=assignment.radius
-        )
+        params = ChernoffParams(kappa=3, k=1, lam_bar=1 - lam, dim=2, radius=assignment.radius)
         for t in (0.05, 0.2):
             if lam * (2 * math.exp(t) - 1) > 1:
                 continue
@@ -503,15 +500,12 @@ def test_domination_overflow_at_every_sigma_raises(window, sigmas):
 FIT = fit_gaussian_domination(6.0, [1.0])
 
 
-def _params(theta, kappa=4, k=1, lam_bar=2 / 3, dim=2, radius=1.0):
-    return ChernoffParams(kappa=kappa, k=k, theta=theta, lam_bar=lam_bar, dim=dim, radius=radius)
+def _params(kappa=4, k=1, lam_bar=2 / 3, dim=2, radius=1.0):
+    return ChernoffParams(kappa=kappa, k=k, lam_bar=lam_bar, dim=dim, radius=radius)
 
 
 def test_theorem_bound_decreases_with_theta_factor():
-    poly = PolynomialSpec.identity()
-    params = _params(theta=30.0)
-    res = theorem_bound(params, poly, FIT)
-    bigger = theorem_bound(_params(theta=60.0), poly, FIT)
+    res, bigger = theorem_bound(_params(), [30.0, 60.0], PolynomialSpec.identity(), FIT)
     assert bigger.value < res.value  # e^{-theta t} factor
 
 
@@ -519,16 +513,16 @@ def test_corollary_matches_substitution():
     # substituting the closed-form t into the one-term objective reproduces
     # the corollary value exactly, at every radius
     for radius in (1.0, 0.3, 2.5):
-        params = _params(theta=40.0 * radius, kappa=4, radius=radius)
-        res = corollary_bound(params, FIT)
+        params, theta = _params(kappa=4, radius=radius), 40.0 * radius
+        res = corollary_bound(params, theta, FIT)
         kb = params.kappa + 8 * params.lam_bar
         r = params.radius
         t = res.t_opt
-        assert t == pytest.approx((params.theta - 2 * kb * r) / (4 * FIT.sigma**2 * r**2 * kb**2))
+        assert t == pytest.approx((theta - 2 * kb * r) / (4 * FIT.sigma**2 * r**2 * kb**2))
         pref = FIT.c * (params.k + math.sqrt((params.dim - params.k) / params.k))
         objective = (
             pref
-            * math.exp(-params.theta * t)
+            * math.exp(-theta * t)
             * math.exp(8 * params.kappa * params.lam_bar + 2 * kb * r * t + 2 * (FIT.sigma * kb * r) ** 2 * t**2)
         )
         assert res.value == pytest.approx(objective, rel=1e-9), radius
@@ -537,51 +531,47 @@ def test_corollary_matches_substitution():
 def test_corollary_equals_theorem_minimum():
     poly = PolynomialSpec.identity()
     for radius in (1.0, 0.3, 2.5):
-        for theta in (30.0, 45.0, 80.0):
-            for kappa, lam_bar in ((4, 2 / 3), (8, 2 / 3), (4, 0.0)):
-                params = _params(theta=theta * radius, kappa=kappa, lam_bar=lam_bar, radius=radius)
+        for kappa, lam_bar in ((4, 2 / 3), (8, 2 / 3), (4, 0.0)):
+            params = _params(kappa=kappa, lam_bar=lam_bar, radius=radius)
+            thetas = [theta * radius for theta in (30.0, 45.0, 80.0)]
+            for theta, thm in zip(thetas, theorem_bound(params, thetas, poly, FIT)):
                 try:
-                    cor = corollary_bound(params, FIT)
+                    cor = corollary_bound(params, theta, FIT)
                 except PreconditionError:
                     continue
-                thm = theorem_bound(params, poly, FIT)
                 assert thm.value == pytest.approx(cor.value, rel=1e-6), (radius, theta, kappa, lam_bar)
 
 
 def test_bounds_past_the_float_range_are_infinite():
     # exp of the exponent overflows: the bound is vacuous, not an OverflowError
-    cor = corollary_bound(_params(theta=300.0, kappa=100, lam_bar=1.0), FIT)
+    cor = corollary_bound(_params(kappa=100, lam_bar=1.0), 300.0, FIT)
     assert cor.value == math.inf and cor.vacuous
     lam = math.cos(2 * math.pi / 63)  # the 63-cycle: 8 kappa / (1 - lam) is past 709
-    assert expectation_bound(_params(theta=1.0, radius=1e-4), 0.05, 1.0, 0.0, lam) == math.inf
+    assert expectation_bound(_params(radius=1e-4), 0.05, 1.0, 0.0, lam) == math.inf
 
 
 def test_theorem_grid_minimum_matches_analytic_vertex():
     # single dominating term: the exponent is quadratic, vertex at
     # -theta + 2(kappa+8lb)lsr + 4(sigma(kappa+8lb)lsr)^2 t = 0
-    params = _params(theta=50.0, kappa=4)
-    poly = PolynomialSpec((0.0, 1.0))
-    res = theorem_bound(params, poly, FIT)
+    params, theta = _params(kappa=4), 50.0
+    (res,) = theorem_bound(params, [theta], PolynomialSpec((0.0, 1.0)), FIT)
     kb = params.kappa + 8 * params.lam_bar
-    t_vertex = (params.theta - 2 * kb) / (4 * (FIT.sigma * kb) ** 2)
+    t_vertex = (theta - 2 * kb) / (4 * (FIT.sigma * kb) ** 2)
     assert res.t_opt == pytest.approx(t_vertex, rel=1e-6)
 
 
 def test_corollary_monotone_decreasing_past_vertex():
-    vals = []
-    for theta in (40.0, 50.0, 60.0, 80.0):
-        vals.append(corollary_bound(_params(theta=theta), FIT).value)
+    vals = [corollary_bound(_params(), theta, FIT).value for theta in (40.0, 50.0, 60.0, 80.0)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
 def test_corollary_precondition():
     with pytest.raises(PreconditionError):
-        corollary_bound(_params(theta=1.0), FIT)
+        corollary_bound(_params(), 1.0, FIT)
 
 
 def test_theta_to_infinity_limit():
-    poly = PolynomialSpec.identity()
-    res = theorem_bound(_params(theta=500.0), poly, FIT)
+    (res,) = theorem_bound(_params(), [500.0], PolynomialSpec.identity(), FIT)
     assert res.value < 1e-100
     assert not res.vacuous
 
@@ -600,35 +590,42 @@ def test_lockstep_bounds_equal_per_theta_bounds(kappa):
             lam_bar = (0.0, 0.6, 1.0)[(i + dim + k) % 3]  # over the (dim, k) pairs each polynomial meets each gap
             picked = list(rng.choice(THETAS, size=4, replace=False))
             thetas = rng.permutation(picked + picked[:1])  # unsorted, one value twice
-            rows = [_params(theta=th, kappa=kappa, k=k, lam_bar=lam_bar, dim=dim) for th in thetas]
-            alone = {row.theta: theorem_bound(row, poly, FIT) for row in rows}
-            for row, got in zip(rows, chernoff._theorem_bounds(rows, poly, FIT)):
-                want = alone[row.theta]
+            params = _params(kappa=kappa, k=k, lam_bar=lam_bar, dim=dim)
+            alone = {theta: theorem_bound(params, [theta], poly, FIT)[0] for theta in thetas}
+            for theta, got in zip(thetas, theorem_bound(params, thetas, poly, FIT)):
+                want = alone[theta]
                 assert (got.value, got.t_opt, got.vacuous) == (want.value, want.t_opt, want.vacuous), \
-                    (kappa, k, dim, lam_bar, poly, row.theta)
+                    (kappa, k, dim, lam_bar, poly, theta)
 
 
 def test_theorem_bound_matches_the_scalar_minimizer():
     # the former one-threshold golden-section loop, bit for bit
     for i, (kappa, dim, lam_bar, radius) in enumerate([(1, 2, 0.0, 1.0), (8, 4, 0.6, 0.5), (32, 8, 1.0, 3.0)]):
+        params = ChernoffParams(kappa=kappa, k=1 + i, lam_bar=lam_bar, dim=dim, radius=radius)
         for poly in POLYS:
-            for theta in THETAS:
-                params = ChernoffParams(kappa=kappa, k=1 + i, theta=theta, lam_bar=lam_bar, dim=dim, radius=radius)
-                res = theorem_bound(params, poly, FIT)
-                assert (res.value, res.t_opt) == scalar_theorem_bound(params, poly, FIT), (params, poly)
+            for theta, res in zip(THETAS, theorem_bound(params, THETAS, poly, FIT)):
+                assert (res.value, res.t_opt) == scalar_theorem_bound(params, theta, poly, FIT), (params, poly, theta)
 
 
 def test_tail_table_validates_every_threshold_and_the_fit():
     assignment = random_assignment(gen_complete(4), S2, radius=1.0, seed=1)
     poly = PolynomialSpec.identity()
-    for thetas in ([2.0, 0.0], [-1.0, 4.0]):
-        with pytest.raises(ArgumentError, match="theta must be positive"):
+    for thetas, bad in (([2.0, 0.0], "0.0"), ([-1.0, 4.0], "-1.0")):
+        match = f"theta must be positive, got {bad}$"
+        with pytest.raises(ArgumentError, match=match):
             tail_table(assignment, poly, 1, thetas, 100, 4, seed=0, lam_bar=0.5, fit=FIT)
+        with pytest.raises(ArgumentError, match=match):
+            theorem_bound(_params(), thetas, poly, FIT)
+        with pytest.raises(ArgumentError, match=match):
+            corollary_bound(_params(), float(bad), FIT)
+    assert theorem_bound(_params(), [], poly, FIT) == []
     unverified = chernoff.DominationFit(c=FIT.c, sigma=FIT.sigma, window=FIT.window, verified=False)
     with pytest.raises(ArgumentError, match="domination fit must be verified"):
         tail_table(assignment, poly, 1, [2.0, 4.0], 100, 4, seed=0, lam_bar=0.5, fit=unverified)
     with pytest.raises(ArgumentError, match="domination fit must be verified"):
-        theorem_bound(_params(theta=2.0), poly, unverified)
+        theorem_bound(_params(), [2.0], poly, unverified)
+    with pytest.raises(ArgumentError, match="domination fit must be verified"):
+        corollary_bound(_params(), 60.0, unverified)
 
 
 @pytest.mark.parametrize(
@@ -645,10 +642,9 @@ def test_tail_table_rows_equal_an_independent_computation(graph, shape, k, poly)
     table = tail_table(assignment, poly, k, thetas, num_walks, kappa, seed=5, lam_bar=lam_bar, fit=FIT)
     p_hats = direct_tail_p_hat(assignment, poly, k, thetas, num_walks, kappa, seed=5)
     assert sum(0.0 < p < 1.0 for p in p_hats) >= 2
+    params = ChernoffParams(kappa=kappa, k=k, lam_bar=lam_bar, dim=assignment.dim, radius=assignment.radius)
     for row, theta, p_hat in zip(table.rows, thetas, p_hats):
-        params = ChernoffParams(kappa=kappa, k=k, theta=theta, lam_bar=lam_bar, dim=assignment.dim,
-                                radius=assignment.radius)
-        bound = theorem_bound(params, poly, FIT)
+        (bound,) = theorem_bound(params, [theta], poly, FIT)
         assert (row.theta, row.p_hat, row.bound, row.vacuous) == (theta, p_hat, bound.value, bound.vacuous)
 
 

@@ -5,24 +5,28 @@ longer calls leaves the run unchanged and would otherwise pass as a known gap.
 
 The known gaps are the cases in ``GATE_GAPS``: ``test_mutant_fails_a_gate_check`` marks
 each ``xfail(strict=True)`` with the reason no check sees it, so a change that closes a
-gap turns its case red until the mark is removed.  Unit tests catch all five: the
+gap turns its case red until the mark is removed.  Unit tests catch all six: the
 adjoint-pair test in ``test_chernoff.py`` (the transfer maps), the node-by-node tests in
 ``test_inequalities.py`` (the power-product spectrum), ``test_walk_sum_closed_form_matches_lapack``
-and ``test_tail_sweep_matches_direct_counting`` (the walk-sum spectrum), and
+and ``test_tail_sweep_matches_direct_counting`` (the walk-sum spectrum),
 ``test_tail_table_rows_equal_an_independent_computation`` (walks one step short and a dropped
-``8 lam_bar``).
+``8 lam_bar``) and the frozen examples of ``test_majorization.py`` (majorization without the total).
+
+``TENSOR_MUTANTS`` are defects of the tensor algebra, each patched into ``tensors`` and into
+``runner``'s binding of the same name, and each must FAIL a named check of ``tensor_props.ini``.
 
 The unconjugated Kronecker stack is not a gap and not yet a FAIL: the Hermitian-coordinate
 guard stops the run with ``NumericalError``, an error exit (2) rather than a failed check (1).
 """
 
+import dataclasses
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tensor_chernoff import chernoff, graphs, inequalities
+from tensor_chernoff import chernoff, graphs, inequalities, tensors
 from tensor_chernoff.chernoff import BoundResult, ChernoffParams
 from tensor_chernoff.inequalities import PowerProductSpectrum
 from tensor_chernoff import runner as runner_mod
@@ -31,6 +35,7 @@ from tensor_chernoff.config import load_config, parse_config
 from tensor_chernoff.errors import NumericalError
 from tensor_chernoff.graphs import sample_walks_array
 from tensor_chernoff.runner import run
+from tensor_chernoff.tensors import Tensor, TensorShape
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -145,15 +150,16 @@ def _walk_sum_eigvalsh_without_b(sums):  # the 2x2 closed form from the summed r
     return np.stack([0.5 * (a + c) - rad, 0.5 * (a + c) + rad], axis=-1)
 
 
-def _corollary_with_r_squared(params, fit):  # theta / (2 sigma^2 r^2 kb) in the exponent, not theta / (2 sigma^2 r kb)
-    res = _corollary_bound(params, fit)
+def _corollary_with_r_squared(params, theta, fit):  # theta / (2 sigma^2 r^2 kb) in the exponent, not / (2 sigma^2 r kb)
+    res = _corollary_bound(params, theta, fit)
     kb = params.kappa + 8.0 * params.lam_bar
-    value = res.value * math.exp(params.theta / (2.0 * fit.sigma**2 * kb) * (params.radius**-2 - params.radius**-1))
+    value = res.value * math.exp(theta / (2.0 * fit.sigma**2 * kb) * (params.radius**-2 - params.radius**-1))
     return BoundResult(value=value, t_opt=res.t_opt, vacuous=value > 1.0)
 
 
 # the originals the replacements call, captured at import, before any patch
 _corollary_bound = chernoff.corollary_bound
+_first_failures = inequalities.first_failures
 _node_singular_values = PowerProductSpectrum._node_singular_values
 _tail_sweep = chernoff.empirical_tail_sweep
 _walk_sum_eigvalsh = chernoff._walk_sum_eigvalsh
@@ -170,6 +176,8 @@ MUTANTS = {
                              _tail_sweep(a, poly, k, thetas, walks, kappa - 1, seed, **kw)),
     "dropped_8_lam_bar": (chernoff, "ChernoffParams", lambda **kw: ChernoffParams(**{**kw, "lam_bar": 0.0})),
     "corollary_with_r_squared": (chernoff, "corollary_bound", _corollary_with_r_squared),
+    "majorization_ignores_total": (inequalities, "first_failures",
+                                   lambda x, y, tol, total: _first_failures(x, y, tol, False)),
 }
 
 
@@ -198,6 +206,8 @@ GATE_GAPS = [
     _gap("walks_one_step_short", "chernoff_k4", "every tail bound compared on chernoff_k4 is vacuous"),
     _gap("dropped_8_lam_bar", "chernoff_k4",
          "the bounds it makes nonvacuous (theta 120 and 150) sit where p_hat is 0"),
+    _gap("majorization_ignores_total", "inequalities",
+         "every constructed premise holds, so none fails at its total alone"),
 ]
 
 
@@ -226,3 +236,49 @@ def test_unconjugated_kronecker_stops_the_run_with_an_error_exit(monkeypatch, tm
     assert calls
     assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "report.json")]) == 2
     assert "does not preserve Hermitian stacks" in capsys.readouterr().err
+
+
+# the tensor operations the replacements below call, captured at import, before any patch
+_tensor_ops = {name: getattr(tensors, name)
+               for name in ("conj_transpose", "inner_product", "trace", "hermitian_eig", "kronecker")}
+
+
+def _transposed_kronecker(x, y):
+    k = _tensor_ops["kronecker"](x, y)
+    return Tensor(TensorShape(k.shape.col_dims, k.shape.row_dims), k.matrix.T)
+
+
+def _conjugated_eigenbasis(h):
+    spec = _tensor_ops["hermitian_eig"](h)
+    return dataclasses.replace(spec, basis=spec.basis.conj())
+
+
+def _ascending_eigenvalues(h):
+    spec = _tensor_ops["hermitian_eig"](h)
+    return dataclasses.replace(spec, eigenvalues=spec.eigenvalues[::-1], basis=spec.basis[:, ::-1])
+
+
+# each tensor defect's name -> (patched name, replacement, the tensor_props check it FAILs)
+TENSOR_MUTANTS = {
+    "transpose_without_conjugate": ("conj_transpose", lambda x: _tensor_ops["conj_transpose"](
+        Tensor(x.shape, x.matrix.conj())), "adjoint_product_rule_rel_err"),
+    "inner_product_without_conjugate": ("inner_product", lambda x, y: _tensor_ops["inner_product"](
+        Tensor(x.shape, x.matrix.conj()), y), "adjoint_product_rule_rel_err"),
+    "conjugated_trace": ("trace", lambda x: _tensor_ops["trace"](x).conjugate(), "trace_vs_eigenvalue_sum"),
+    "conjugated_eigenbasis": ("hermitian_eig", _conjugated_eigenbasis, "spectral_mapping_rel_err"),
+    "ascending_eigenvalues": ("hermitian_eig", _ascending_eigenvalues, "spectral_mapping_rel_err"),
+    "swapped_kronecker_factors": ("kronecker", lambda x, y: _tensor_ops["kronecker"](y, x),
+                                  "kron_col_tensor_rel_err"),
+    "transposed_kronecker_product": ("kronecker", _transposed_kronecker, "kron_col_tensor_rel_err"),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(TENSOR_MUTANTS))
+def test_tensor_defect_fails_a_tensor_props_check(monkeypatch, mutant):
+    # correct code passes tensor_props.ini in test_cli.py; one recorded replacement serves both bindings
+    attr, replacement, name = TENSOR_MUTANTS[mutant]
+    calls = _patch(monkeypatch, tensors, attr, replacement)
+    monkeypatch.setattr(runner_mod, attr, getattr(tensors, attr))
+    checks = run(load_config(CONFIGS / "tensor_props.ini")).checks
+    assert calls
+    assert [c.name for c in checks if not c.passed] == [name]

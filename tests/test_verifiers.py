@@ -166,7 +166,7 @@ def _nan_expansion(graph):
     return math.nan, residual, steps
 
 
-def _nan_corollary(params, fit):
+def _nan_corollary(params, theta, fit):
     return chernoff.BoundResult(value=math.nan, t_opt=1.0, vacuous=False)
 
 
