@@ -142,10 +142,18 @@ def test_zero_assignment_certificate():
     ("kappa", 0, "kappa must be >= 1"),
     ("k", 3, "k must be in \\[1, 2\\]"),
     ("lam_bar", 1.5, "lam_bar must be in \\[0, 1\\]"),
+    ("theta", 0.0, "theta must be positive"),
 ])
 def test_chernoff_params_range_errors(field, value, match):
     good = dict(kappa=1, k=1, lam_bar=0.5, dim=2, radius=1.0)
-    ChernoffParams(**good)
+    params = ChernoffParams(**good)
+    if field == "theta":
+        # the threshold is not a ChernoffParams field: the bounds that take it reject it
+        with pytest.raises(ArgumentError, match=match):
+            corollary_bound(params, value, FIT)
+        with pytest.raises(ArgumentError, match=match):
+            theorem_bound(params, [value], PolynomialSpec.identity(), FIT)
+        return
     with pytest.raises(ArgumentError, match=match):
         ChernoffParams(**{**good, field: value})
 
