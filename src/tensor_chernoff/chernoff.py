@@ -189,7 +189,10 @@ class PolynomialSpec:
         return self.coefficients == (0.0, 1.0) and self.power == 1.0
 
     def __call__(self, x):
-        base = np.polynomial.polynomial.polyval(np.asarray(x, dtype=np.float64), self.coefficients)
+        x = np.asarray(x, dtype=np.float64)
+        base = self.coefficients[-1] + x * 0  # numpy's polyval step for step, without importing numpy.polynomial
+        for c in self.coefficients[-2::-1]:
+            base = c + base * x
         if self.power % 1.0 and np.any(base < 0):
             raise DomainError("non-integer power of a negative polynomial value")
         return base ** self.power

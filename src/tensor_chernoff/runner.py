@@ -126,6 +126,18 @@ def _random_shape(rng, max_modes=2, max_dim=3) -> tuple[int, ...]:
     return tuple(int(d) for d in rng.integers(1, max_dim + 1, size=rng.integers(1, max_modes + 1)))
 
 
+def _taylor_exp(a: np.ndarray) -> np.ndarray:
+    """``exp(a)`` by matrix products alone: degree-20 Taylor on ``a / 2^s`` of 1-norm at most 1/2, squared s times."""
+    s = math.ceil(math.log2(max(float(np.linalg.norm(a, 1)), 1.0))) + 1
+    term = out = np.eye(len(a), dtype=a.dtype)
+    for j in range(1, 21):
+        term = term @ a / (2.0**s * j)
+        out = out + term
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
 def _suite_tensor_props(cfg: ExperimentConfig, seed: int):
     rng = stream(seed, DOMAIN_SUITE, _SUITE_IDS["tensor_props"])
     trials = cfg.experiment.trials
@@ -155,14 +167,18 @@ def _suite_tensor_props(cfg: ExperimentConfig, seed: int):
         spec = hermitian_eig(h)
         worst_trace = np.maximum(worst_trace, abs(trace(h).real - float(np.sum(spec.eigenvalues))))
 
-        # the eigen-equation, the descending order and exp's spectrum in that order
+        # the eigen-equation, the descending order, exp's spectrum in that order and the whole exp(H) against
+        # the Taylor oracle, which an exp of conj(H) (the same spectrum) does not match
         vals, top = spec.eigenvalues, max(1.0, float(np.max(np.abs(spec.eigenvalues))))
         residual = float(np.max(np.abs(h.matrix @ spec.basis - spec.basis * vals))) / top
         disorder = float(np.max(np.abs(vals - np.sort(vals)[::-1])))
         direct = np.exp(vals)
-        mapped = hermitian_eig(tensor_exp(h)).eigenvalues
+        exp_h = tensor_exp(h)
+        mapped = hermitian_eig(exp_h).eigenvalues
         specmap = float(np.max(np.abs(mapped - direct))) / max(1.0, float(np.max(direct)))
-        worst_specmap = np.maximum(worst_specmap, np.max([residual, disorder, specmap]))  # a NaN in any fails
+        taylor = _taylor_exp(h.matrix)
+        whole = float(np.max(np.abs(exp_h.matrix - taylor))) / max(1.0, float(np.max(np.abs(taylor))))
+        worst_specmap = np.maximum(worst_specmap, np.max([residual, disorder, specmap, whole]))  # a NaN in any fails
 
         c = random_tensor(sq, rng)
         b = random_tensor(sq, rng)
@@ -425,10 +441,10 @@ def _suite_expander(cfg: ExperimentConfig, seed: int):
 # chernoff_sweep
 # ---------------------------------------------------------------------------
 
-# The transfer operator's coordinate count n * d^2 from which its checks run on a worker thread beside the tail,
-# for d > 2, where the tail's spectra are one long LAPACK call that releases the interpreter lock.  Below the count
-# the checks are too small a share of a job to pay for the thread; a 2x2 tail takes the closed form, short numpy
-# steps that contend with the worker for the lock (measurements in the README's chernoff_sweep section).
+# The transfer operator's coordinate count n * d^2 from which its checks run on a worker thread beside the tail, for
+# d > 2. The halves overlap only while one is in numpy code that releases the interpreter lock, such as an elementwise
+# loop over a large array; the tail's batched LAPACK eigvalsh holds it. Below the count the thread does not pay, and a
+# 2x2 tail's closed form is short numpy steps that contend for the lock (measurements: README, chernoff_sweep).
 THREADED_COORDINATES = 2048
 
 

@@ -58,6 +58,17 @@ def test_committed_configs_pass(config, tmp_path, capsys):
     assert report_from_json(text).to_json() == text
 
 
+def test_committed_configs_never_import_numpy_polynomial(tmp_path):
+    # a fresh process, since this one may have imported it: the import costs 3-5 ms and 0.6 MB of every run
+    script = ("import contextlib, io, sys\nfrom tensor_chernoff.cli import main\nfor config in sys.argv[2:]:\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        code = main(['run', '--config', config, '--out', sys.argv[1]])\n"
+              "    print(code, 'numpy.polynomial' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "report.json"), *map(str, CONFIGS)],
+                          capture_output=True, text=True)
+    assert proc.stdout.splitlines() == ["0 False"] * len(CONFIGS), proc.stderr
+
+
 def test_run_json_and_exit_code(sweep_config, tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["run", "--config", str(sweep_config), "--out", str(out)])
@@ -357,7 +368,7 @@ def test_overflowing_bounds_are_vacuous_not_a_traceback(tmp_path):
 
 
 def test_quadrature_nodes_past_the_cap_exit_2_on_one_line(tmp_path):
-    # leggauss would ask for a 7.3 TiB companion matrix: the parse rejects the value before any rule is built
+    # the rule's time grows as nodes^2: the parse rejects the value before any rule is built
     cfg = tmp_path / "cfg.ini"
     cfg.write_text("[experiment]\nsuite = inequalities\n[quadrature]\nnodes = 1000000\n")
     out = tmp_path / "report.json"

@@ -167,7 +167,7 @@ def test_row_dims_must_be_positive(raw, value, tmp_path, capsys):
 
 @pytest.mark.parametrize("nodes", ["4096", "1000000"])
 def test_quadrature_nodes_are_capped(nodes, tmp_path, capsys):
-    # past the cap leggauss would build a nodes^2 companion matrix (7.3 TiB at 10^6): a parse-time error, exit 2
+    # past the cap the rule's O(nodes^2) Newton steps would run for hours at 10^6: a parse-time error, exit 2
     text = f"[experiment]\nsuite = inequalities\ntrials = 1\n[quadrature]\nnodes = {nodes}\n"
     assert _error_lines(text) == {f"[quadrature] nodes must be < 4096, got {nodes}"}
     assert parse_config(text.replace(nodes, "4095")).quadrature.nodes == 4095

@@ -13,7 +13,8 @@ and ``test_tail_sweep_matches_direct_counting`` (the walk-sum spectrum),
 ``8 lam_bar``) and the frozen examples of ``test_majorization.py`` (majorization without the total).
 
 ``TENSOR_MUTANTS`` are defects of the tensor algebra, each patched into ``tensors`` and into
-``runner``'s binding of the same name, and each must FAIL a named check of ``tensor_props.ini``.
+``runner``'s binding of the same name where it has one, and each must FAIL a named check of
+``tensor_props.ini``.
 
 The unconjugated Kronecker stack is not a gap and not yet a FAIL: the Hermitian-coordinate
 guard stops the run with ``NumericalError``, an error exit (2) rather than a failed check (1).
@@ -240,7 +241,7 @@ def test_unconjugated_kronecker_stops_the_run_with_an_error_exit(monkeypatch, tm
 
 # the tensor operations the replacements below call, captured at import, before any patch
 _tensor_ops = {name: getattr(tensors, name)
-               for name in ("conj_transpose", "inner_product", "trace", "hermitian_eig", "kronecker")}
+               for name in ("conj_transpose", "inner_product", "trace", "hermitian_eig", "kronecker", "spectral_map")}
 
 
 def _transposed_kronecker(x, y):
@@ -251,6 +252,10 @@ def _transposed_kronecker(x, y):
 def _conjugated_eigenbasis(h):
     spec = _tensor_ops["hermitian_eig"](h)
     return dataclasses.replace(spec, basis=spec.basis.conj())
+
+
+def _conjugated_spectral_map(h, f):  # f(conj H): the spectrum of f(H), not its eigenbasis
+    return _tensor_ops["spectral_map"](tensors.HermitianTensor(h.shape, h.matrix.conj()), f)
 
 
 def _ascending_eigenvalues(h):
@@ -267,6 +272,7 @@ TENSOR_MUTANTS = {
     "conjugated_trace": ("trace", lambda x: _tensor_ops["trace"](x).conjugate(), "trace_vs_eigenvalue_sum"),
     "conjugated_eigenbasis": ("hermitian_eig", _conjugated_eigenbasis, "spectral_mapping_rel_err"),
     "ascending_eigenvalues": ("hermitian_eig", _ascending_eigenvalues, "spectral_mapping_rel_err"),
+    "conjugated_spectral_map": ("spectral_map", _conjugated_spectral_map, "spectral_mapping_rel_err"),
     "swapped_kronecker_factors": ("kronecker", lambda x, y: _tensor_ops["kronecker"](y, x),
                                   "kron_col_tensor_rel_err"),
     "transposed_kronecker_product": ("kronecker", _transposed_kronecker, "kron_col_tensor_rel_err"),
@@ -278,7 +284,8 @@ def test_tensor_defect_fails_a_tensor_props_check(monkeypatch, mutant):
     # correct code passes tensor_props.ini in test_cli.py; one recorded replacement serves both bindings
     attr, replacement, name = TENSOR_MUTANTS[mutant]
     calls = _patch(monkeypatch, tensors, attr, replacement)
-    monkeypatch.setattr(runner_mod, attr, getattr(tensors, attr))
+    if hasattr(runner_mod, attr):
+        monkeypatch.setattr(runner_mod, attr, getattr(tensors, attr))
     checks = run(load_config(CONFIGS / "tensor_props.ini")).checks
     assert calls
     assert [c.name for c in checks if not c.passed] == [name]
